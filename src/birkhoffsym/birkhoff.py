@@ -26,6 +26,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
+from typing import Mapping
 
 from .combiso import comb_automorphisms
 from .errors import PreconditionError
@@ -82,10 +84,12 @@ def birkhoff_vertices(n: int) -> list[RationalMatrix]:
     return [permutation_matrix(p) for p in sn_enumeration(n)]
 
 
-def analytic_facet_sets(n: int) -> dict[FacetLabel, frozenset[int]]:
+@lru_cache(maxsize=8)
+def analytic_facet_sets(n: int) -> Mapping[FacetLabel, frozenset[int]]:
     """A_ij = {pi : pi(i) = j} as index sets into the vertex enumeration.
 
-    For n <= 2 these sets do not describe facets (B_1 is a point, B_2 a
+    Cached and read-only, since every caller shares the one mapping.  For
+    n <= 2 these sets do not describe facets (B_1 is a point, B_2 a
     segment with only 2 facets), so such n is rejected.
     """
     if n < 3:
@@ -96,7 +100,7 @@ def analytic_facet_sets(n: int) -> dict[FacetLabel, frozenset[int]]:
         for j in range(n):
             out[FacetLabel(i, j)] = frozenset(
                 v for v, p in enumerate(perms) if p(i) == j)
-    return out
+    return MappingProxyType(out)
 
 
 @dataclass
@@ -291,7 +295,7 @@ def verify_symmetry_group(n: int) -> SymmetryGroupReport:
     aut = comb_automorphisms(inc)
     expected = 2 * n_fact ** 2
     roundtrip_failures = 0
-    for p in aut.vertex_permutations.elements:
+    for p in aut.elements:
         try:
             dec = decompose_symmetry(n, p)
         except (NotFacetSymmetryError, InconsistentSymmetryError):

@@ -38,12 +38,6 @@ def _member_indices(ig, sub: PermutationGroup) -> frozenset[int]:
     return frozenset(ig.index[p.images] for p in sub.elements)
 
 
-def _centralizer_indices(ig, members: frozenset[int]) -> frozenset[int]:
-    table = ig.table
-    return frozenset(g for g in range(ig.order)
-                     if all(table[g][h] == table[h][g] for h in members))
-
-
 def _is_subgroup_indices(ig, members: frozenset[int]) -> bool:
     table = ig.table
     return all(table[a][b] in members for a in members for b in members)
@@ -81,7 +75,7 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
     subs = all_subgroups(group, bound=bound)
     ig = indexed(group)
     member_sets = [_member_indices(ig, h) for h in subs]
-    measures = [len(ms) * len(_centralizer_indices(ig, ms))
+    measures = [len(ms) * len(ig.centralizer(ms))
                 for ms in member_sets]
     max_measure = max(measures)
     lattice_pairs = [(subs[i], member_sets[i])
@@ -90,7 +84,7 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
     table = ig.table
     closure_pass = True
     for _, hs in lattice_pairs:
-        if _centralizer_indices(ig, hs) not in lattice_sets:
+        if ig.centralizer(hs) not in lattice_sets:
             closure_pass = False
         for _, ks in lattice_pairs:
             if frozenset(hs & ks) not in lattice_sets:
@@ -136,7 +130,7 @@ def verify_centralizer_estimate(n: int, bound: int = 200) -> CentralizerEstimate
     max_measure = 0
     for sub in subs:
         ms = _member_indices(ig, sub)
-        measure = len(ms) * len(_centralizer_indices(ig, ms))
+        measure = len(ms) * len(ig.centralizer(ms))
         max_measure = max(max_measure, measure)
         if measure > full:
             violations.append(sub.order)

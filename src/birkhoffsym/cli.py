@@ -183,9 +183,6 @@ def _cmd_hull(args):
     points = hull.polytope_from_document(doc)
     polytope = hull.facet_enumeration(points)
     details = hull.polytope_to_document(polytope)
-    details["n_vertices"] = polytope.n_vertices
-    details["n_facets"] = polytope.n_facets
-    details["dim"] = polytope.dim
     return True, {"vertices": args.vertices}, details
 
 
@@ -204,9 +201,6 @@ def _cmd_rep_polytope(args):
     details = hull.polytope_to_document(polytope)
     details["order"] = mgroup.order
     details["matrix_dim"] = mgroup.dim
-    details["n_vertices"] = polytope.n_vertices
-    details["n_facets"] = polytope.n_facets
-    details["dim"] = polytope.dim
     return True, {"group": args.group}, details
 
 

@@ -20,6 +20,9 @@ facet f's mask by definition of incidence preservation.  Iterated color
 refinement (vertex and facet colors by mutual multiset signatures) cuts
 the candidate lists before the search starts; refinement only partitions
 by isomorphism invariants, so no valid image is ever excluded.
+
+Results are vertex maps only; the facet bijection each one forces is
+implied by it and not returned.
 """
 
 from __future__ import annotations
@@ -28,19 +31,6 @@ from typing import Optional
 
 from .hull import IncidenceStructure
 from .perm import Permutation, PermutationGroup
-
-
-class CombAutGroup:
-    __slots__ = ("vertex_permutations", "facet_action")
-
-    def __init__(self, vertex_permutations: PermutationGroup,
-                 facet_action: dict[Permutation, Permutation]):
-        self.vertex_permutations = vertex_permutations
-        self.facet_action = facet_action
-
-    @property
-    def order(self) -> int:
-        return self.vertex_permutations.order
 
 
 def _refined_colors(incs: list[IncidenceStructure]) -> list[list[int]]:
@@ -177,54 +167,17 @@ def _search(inc_p: IncidenceStructure, inc_q: IncidenceStructure,
     return results
 
 
-def _facet_bijection(inc_p: IncidenceStructure, inc_q: IncidenceStructure,
-                     image: tuple[int, ...]) -> Permutation:
-    rows_q_index = {row: fi for fi, row in enumerate(inc_q.tight_sets())}
-    psi = []
-    for row in inc_p.tight_sets():
-        target = frozenset(image[v] for v in row)
-        psi.append(rows_q_index[target])
-    return Permutation(psi)
-
-
-def _small_generating_set(perms: list[Permutation]) -> list[Permutation]:
-    degree = perms[0].degree
-    known = {tuple(range(degree))}
-    gens: list[Permutation] = []
-    gen_imgs: list[tuple[int, ...]] = []
-    for p in sorted(perms):
-        if p.images in known:
-            continue
-        gens.append(p)
-        gen_imgs.append(p.images)
-        frontier = list(known)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in gen_imgs:
-                    prod = tuple(w[x] for x in g)
-                    if prod not in known:
-                        known.add(prod)
-                        nxt.append(prod)
-            frontier = nxt
-    return gens
-
-
-def comb_automorphisms(inc: IncidenceStructure) -> CombAutGroup:
-    """All vertex permutations preserving the incidence, with their induced
-    facet permutations.  Raises on duplicate facet rows."""
+def comb_automorphisms(inc: IncidenceStructure) -> PermutationGroup:
+    """The group of all vertex permutations preserving the incidence, as
+    its full element list.  Raises on duplicate facet rows."""
     rows = inc.tight_sets()
     if len(set(rows)) != len(rows):
         raise ValueError("not a polytope incidence")
     maps = _search(inc, inc, find_all=True)
-    perms = [Permutation(m) for m in maps]
-    gens = _small_generating_set(perms) or [Permutation.identity(inc.n_vertices)]
-    group = PermutationGroup(inc.n_vertices, perms,
-                             tuple((p.cycle_string(), p) for p in gens))
+    group = PermutationGroup(inc.n_vertices, [Permutation(m) for m in maps])
     if group.order != len(maps):
         raise AssertionError("automorphism set is not closed")
-    facet_action = {p: _facet_bijection(inc, inc, p.images) for p in perms}
-    return CombAutGroup(group, facet_action)
+    return group
 
 
 def comb_equivalent(inc_p: IncidenceStructure,

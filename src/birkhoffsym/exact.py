@@ -55,14 +55,6 @@ def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Fraction, u: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(c * a for a in u)
-
-
 def primitive_vector(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale a nonzero rational vector by a positive rational so entries are
     integers with gcd 1.  The direction (sign pattern) is preserved; for an
@@ -120,11 +112,6 @@ class RationalMatrix:
 
     def row_list(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows,
-                              (self[i, j] for j in range(self.cols)
-                               for i in range(self.rows)))
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -218,22 +205,6 @@ def affine_dimension(points: Sequence[Sequence[Fraction]]) -> int:
     if not diffs:
         return 0
     return rank(diffs)
-
-
-def solve_unique(matrix: RationalMatrix, rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Solve A x = b for square invertible A.  Raises on singular A."""
-    n = matrix.rows
-    if matrix.cols != n or len(rhs) != n:
-        raise ValueError("solve_unique needs a square system")
-    rows = [list(matrix.row(i)) + [Fraction(rhs[i])] for i in range(n)]
-    rows, pivots = _eliminate(rows)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix in solve_unique")
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = rows[i][n] - sum((rows[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        x[i] = s / rows[i][i]
-    return tuple(x)
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:

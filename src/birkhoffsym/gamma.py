@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError
-from .perm import (Permutation, PermutationGroup, closure, indexed,
-                   regular_subgroups)
+from .perm import (Permutation, PermutationGroup, centralizer, closure,
+                   indexed, regular_subgroups)
 
 
 class GroupLabelling:
@@ -110,14 +110,6 @@ def build_gamma(group: PermutationGroup, max_size: int = 30) -> GammaGroup:
     return GammaGroup(lab, gamma, lambda_sub, rho_sub, iota)
 
 
-def center(group: PermutationGroup) -> PermutationGroup:
-    members = [g for g in group.elements
-               if all((g * h).images == (h * g).images
-                      for _, h in group.generators)]
-    tagged = tuple((p.cycle_string(), p) for p in members if not p.is_identity())[:2]
-    return PermutationGroup(group.degree, members, tagged)
-
-
 def is_elementary_abelian_2(group: PermutationGroup) -> bool:
     return all((g * g).is_identity() for g in group.elements)
 
@@ -143,7 +135,7 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
     report carries the flag and the actual order instead of a verdict.
     """
     gg = build_gamma(group)
-    z = center(group)
+    z = centralizer(group, group)
     ea2 = is_elementary_abelian_2(group)
     formula = 2 * group.order ** 2 // z.order
     lab = gg.base

@@ -29,9 +29,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import PreconditionError
-from .exact import (RationalMatrix, affine_dimension, as_fraction_vector,
-                    dot, format_rational, inverse, parse_rational,
-                    primitive_vector, rank, vec_sub)
+from .exact import (RationalMatrix, _eliminate, affine_dimension,
+                    as_fraction_vector, dot, format_rational, inverse,
+                    parse_rational, primitive_vector, rank, vec_sub)
 
 MAX_VERTICES = 30
 MAX_DIM = 10
@@ -103,38 +103,10 @@ def _affine_chart(points):
             current_rank = r
     d = current_rank
     # pivot rows: coordinates where the d basis columns are invertible
-    transposed = [list(u) for u in basis_diffs]
-    pivot_rows = _pivot_columns(transposed)
+    _, pivot_rows = _eliminate([list(u) for u in basis_diffs])
     m = RationalMatrix.from_rows(
         [[u[r] for u in basis_diffs] for r in pivot_rows])
     return d, base, basis_diffs, pivot_rows, inverse(m)
-
-
-def _pivot_columns(rows) -> list[int]:
-    work = [[Fraction(e) for e in row] for row in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        pv = work[r][c]
-        for i in range(r + 1, len(work)):
-            if work[i][c] != 0:
-                f = work[i][c] / pv
-                for j in range(c, ncols):
-                    work[i][j] -= f * work[r][j]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return pivots
 
 
 def _dd_extreme_rays(ineqs: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import NotASubgroupError, PreconditionError
 
@@ -40,10 +40,6 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(degree))
 
-    @classmethod
-    def from_cycles(cls, text: str, degree: int) -> "Permutation":
-        return parse_cycles(text, degree)
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -63,18 +59,6 @@ class Permutation:
         for i, x in enumerate(self.images):
             inv[x] = i
         return Permutation(inv)
-
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def is_identity(self) -> bool:
         return all(x == i for i, x in enumerate(self.images))
@@ -216,36 +200,49 @@ class PermutationGroup:
         return [p for _, p in self.generators]
 
 
+def saturate(seeds: Iterable, gens: Sequence, mul: Callable,
+             cap: Optional[int] = None) -> set:
+    """Closure of the seeds under right multiplication by the generators.
+
+    Breadth-first: every known w is extended to mul(w, g) for each g until
+    nothing new appears.  For a finite group, seeding with the identity
+    yields the subgroup the generators generate, because each element is
+    a positive word in them.  More than `cap` elements raises
+    PreconditionError, so a runaway (or infinite) closure stops early.
+    """
+    known = set(seeds)
+    frontier = list(known)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                prod = mul(w, g)
+                if prod not in known:
+                    known.add(prod)
+                    nxt.append(prod)
+                    if cap is not None and len(known) > cap:
+                        raise PreconditionError(
+                            f"closure exceeded {cap} elements")
+        frontier = nxt
+    return known
+
+
+def _compose_images(w: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(w[x] for x in g)  # w * g, g acts first
+
+
 def closure(generators: Sequence[Permutation],
             tags: Optional[Sequence[str]] = None,
             max_order: Optional[int] = None) -> PermutationGroup:
-    """Group generated by the given permutations, by breadth-first closure.
-
-    Every element of the closure is a word in the generators; starting from
-    the identity and right-multiplying frontier elements by generators
-    reaches each word in length order.  max_order aborts runaway closures.
-    """
+    """Group generated by the given permutations, by breadth-first closure
+    on image tuples.  max_order aborts runaway closures."""
     if not generators:
         raise ValueError("closure needs at least one generator or a degree hint")
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators act on different point sets")
-    gen_imgs = [g.images for g in generators]
-    ident = tuple(range(degree))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gen_imgs:
-                prod = tuple(w[x] for x in g)  # w * g, g acts first
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-                    if max_order is not None and len(seen) > max_order:
-                        raise PreconditionError(
-                            f"closure exceeded {max_order} elements")
-        frontier = nxt
+    seen = saturate([tuple(range(degree))], [g.images for g in generators],
+                    _compose_images, max_order)
     if tags is None:
         tags = [g.cycle_string() for g in generators]
     tagged = tuple(zip(tags, generators))
@@ -303,19 +300,18 @@ class IndexedGroup:
     def order(self) -> int:
         return len(self.elems)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
+    def closure_indices(self, seeds: Iterable[int]) -> frozenset[int]:
+        """Subgroup generated by the seed indices.
 
-    def closure_indices(self, seeds: Iterable[int],
-                        cap: Optional[int] = None) -> Optional[frozenset[int]]:
-        """Subgroup generated by the seed indices.  Returns None if a cap is
-        given and exceeded."""
+        The same breadth-first loop as `saturate`, kept inline over table
+        rows: all_subgroups runs it for every (subgroup, element) pair, and
+        routing it through saturate's product callback made 700 closures
+        in S_5 about 1.3x slower.
+        """
         table = self.table
         seeds = list(dict.fromkeys(seeds))
         known = {self.identity_index}
         known.update(seeds)
-        if cap is not None and len(known) > cap:
-            return None
         frontier = list(known)
         while frontier:
             nxt = []
@@ -326,10 +322,18 @@ class IndexedGroup:
                     if p not in known:
                         known.add(p)
                         nxt.append(p)
-                        if cap is not None and len(known) > cap:
-                            return None
             frontier = nxt
         return frozenset(known)
+
+    def centralizer(self, indices: Iterable[int]) -> frozenset[int]:
+        """Indices of the elements commuting with every given index.
+        Passing a generating set of H is enough for C_G(H): the elements
+        commuting with a fixed g form a subgroup, so if it holds H's
+        generators it holds all of H."""
+        table = self.table
+        members = list(indices)
+        return frozenset(g for g, row in enumerate(table)
+                         if all(row[h] == table[h][g] for h in members))
 
     def subgroup_from_indices(self, group: PermutationGroup,
                               members: Iterable[int],
@@ -348,23 +352,18 @@ def indexed(group: PermutationGroup) -> IndexedGroup:
 
 
 def centralizer(group: PermutationGroup, sub: PermutationGroup) -> PermutationGroup:
-    """C_G(H) = elements of G commuting with every element of H.
-
-    Commuting with the generators of H is enough, since conjugation by a
-    fixed g is an automorphism of the permutation group.
-    """
+    """C_G(H): the elements of G commuting with H's generators, or with all
+    of H's elements when H carries no generators."""
     if not sub.is_subgroup_of(group):
         raise NotASubgroupError("centralizer: H is not a subgroup of G")
-    gens = sub.generator_perms()
-    if not gens:
-        gens = [p for p in sub.elements if not p.is_identity()]
-    if not gens:
-        return PermutationGroup(group.degree, group.elements,
-                                group.generators)
-    members = [g for g in group.elements
-               if all((g * h).images == (h * g).images for h in gens)]
-    tagged = tuple((p.cycle_string(), p) for p in members if not p.is_identity())[:4]
-    return PermutationGroup(group.degree, members, tagged)
+    ig = indexed(group)
+    members = ig.centralizer(ig.index[h.images]
+                             for h in sub.generator_perms() or sub.elements)
+    if len(members) == group.order:
+        return group  # keeps G's own generators
+    elems = [group.elements[i] for i in sorted(members)]
+    tagged = tuple((p.cycle_string(), p) for p in elems if not p.is_identity())[:4]
+    return PermutationGroup(group.degree, elems, tagged)
 
 
 def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[PermutationGroup]:

@@ -16,6 +16,7 @@ comparison doubles as a regression check.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -26,7 +27,7 @@ from .errors import PreconditionError
 from .exact import RationalMatrix, inverse, parse_rational
 from .gamma import GroupLabelling, left_translation
 from .hull import Polytope, certify_vertices, facet_enumeration, incidence_of
-from .perm import Permutation, PermutationGroup, named_group
+from .perm import Permutation, PermutationGroup, named_group, saturate
 
 MAX_CLOSURE = 500
 MAX_POLYTOPE_ELEMENTS = 30
@@ -61,15 +62,15 @@ class MatrixGroup:
         element indices.  The translation by element a sends index 0
         (the identity matrix) to a, so sorting the permutations by image
         tuple reproduces the matrix order: position i holds the
-        translation by element i."""
-        perms = [Permutation(self._index[a * x] for x in self.elements)
-                 for a in self.elements]
-        gen_perms = [Permutation(self._index[g * x] for x in self.elements)
-                     for g in self.generators]
-        return PermutationGroup(self.order, perms, gen_perms or None)
+        translation by element i.  Each generator is tagged with its
+        cycle string."""
+        def translation(a: RationalMatrix) -> Permutation:
+            return Permutation(self._index[a * x] for x in self.elements)
 
-    def labelling(self) -> GroupLabelling:
-        return GroupLabelling(self.element_group())
+        gens = [translation(g) for g in self.generators]
+        return PermutationGroup(self.order,
+                                [translation(a) for a in self.elements],
+                                [(p.cycle_string(), p) for p in gens])
 
 
 def matrix_closure(generators: list[RationalMatrix],
@@ -92,19 +93,10 @@ def matrix_closure(generators: list[RationalMatrix],
         except ValueError as exc:
             raise PreconditionError("generator is not invertible") from exc
     ident = RationalMatrix.identity(dim)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in generators:
-                prod = m * g
-                if prod not in seen:
-                    seen.add(prod)
-                    if len(seen) > bound:
-                        raise PreconditionError("group not finite at this bound")
-                    nxt.append(prod)
-        frontier = nxt
+    try:
+        seen = saturate([ident], generators, operator.mul, bound)
+    except PreconditionError as exc:
+        raise PreconditionError("group not finite at this bound") from exc
     others = sorted((m for m in seen if m != ident),
                     key=lambda m: m.entries)
     return MatrixGroup(dim, [ident] + others, list(generators))
@@ -180,11 +172,10 @@ def verify_gamma_acts(mgroup: MatrixGroup) -> GammaActsReport:
     polytope = representation_polytope(mgroup)
     inc = incidence_of(polytope)
     aut = comb_automorphisms(inc)
-    group = aut.vertex_permutations
     lams, rhos, iota = translation_vertex_maps(mgroup)
-    lambda_pass = all(p in group for p in lams)
-    rho_pass = all(p in group for p in rhos)
-    iota_in = iota in group
+    lambda_pass = all(p in aut for p in lams)
+    rho_pass = all(p in aut for p in rhos)
+    iota_in = iota in aut
     return GammaActsReport(
         group_order=mgroup.order,
         aut_order=aut.order,

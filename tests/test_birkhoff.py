@@ -34,7 +34,8 @@ def test_matrix_map_is_homomorphism(pa, pb):
     a = Permutation(list(pa) + list(range(len(pa), n)))
     b = Permutation(list(pb) + list(range(len(pb), n)))
     assert permutation_matrix(a * b) == permutation_matrix(a) * permutation_matrix(b)
-    assert permutation_matrix(a.inverse()) == permutation_matrix(a).transpose()
+    pa_inv, pa = permutation_matrix(a.inverse()), permutation_matrix(a)
+    assert all(pa_inv[i, j] == pa[j, i] for i in range(n) for j in range(n))
 
 
 def test_permutation_matrix_entries():
@@ -72,6 +73,10 @@ def test_analytic_sets_sizes():
         sets = analytic_facet_sets(n)
         assert len(sets) == n * n
         assert all(len(s) == factorial(n - 1) for s in sets.values())
+        # one shared, read-only mapping per n
+        assert analytic_facet_sets(n) is sets
+        with pytest.raises(TypeError):
+            sets[FacetLabel(0, 0)] = frozenset()
 
 
 def _oracle_pair_counts(n):

@@ -5,8 +5,9 @@ import pytest
 
 from birkhoffsym.cd import cd_lattice, cd_measure, verify_centralizer_estimate
 from birkhoffsym.errors import NotASubgroupError, PreconditionError
-from birkhoffsym.perm import (Permutation, PermutationGroup, closure,
-                              named_group, parse_cycles, symmetric_group)
+from birkhoffsym.perm import (Permutation, PermutationGroup, all_subgroups,
+                              centralizer, closure, named_group, parse_cycles,
+                              symmetric_group)
 
 
 def _sub(degree, *cycle_texts):
@@ -21,6 +22,25 @@ def test_cd_measure_hand_values_s3():
     assert cd_measure(g, _sub(3, "(0 1 2)")) == 3 * 3  # C(A_3) = A_3
     assert cd_measure(g, _sub(3, "(0 1)")) == 2 * 2    # C(C_2) = C_2
     assert cd_measure(g, g) == 6 * 1                   # Z(S_3) = 1
+
+
+def _oracle_centralizer(group, sub):
+    """C_G(H) from Permutation products against every element of H; no
+    multiplication table and no generator shortcut."""
+    return {g for g in group.elements
+            if all(g * h == h * g for h in sub.elements)}
+
+
+@pytest.mark.parametrize("name", ["s4", "d4", "q8"])
+def test_centralizer_matches_brute_force_oracle(name):
+    g = named_group(name)
+    measures = []
+    for sub in all_subgroups(g):
+        want = _oracle_centralizer(g, sub)
+        assert set(centralizer(g, sub).elements) == want
+        assert cd_measure(g, sub) == sub.order * len(want)
+        measures.append(sub.order * len(want))
+    assert cd_lattice(g).max_measure == max(measures)
 
 
 def test_cd_measure_rejects_non_subgroup():

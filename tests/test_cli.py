@@ -17,7 +17,10 @@ import pytest
 
 from birkhoffsym.birkhoff import (SymmetryDecomposition, reconstruct_symmetry)
 from birkhoffsym.cli import main
+from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
+                              polytope_to_document)
 from birkhoffsym.perm import Permutation, parse_cycles
+from birkhoffsym.reports import jsonable
 
 
 def run_json(capsys, argv):
@@ -172,6 +175,8 @@ def test_hull_cli(tmp_path, capsys):
     assert d["n_facets"] == 4
     assert d["dim"] == 2
     assert d["inequality_convention"] == "normal.x <= offset"
+    points = polytope_from_document(json.loads(path.read_text()))
+    assert d == jsonable(polytope_to_document(facet_enumeration(points)))
 
 
 def test_hull_cli_bad_inputs(tmp_path, capsys):

@@ -24,7 +24,6 @@ def simplex_incidence(k):
 def test_square_automorphisms():
     aut = comb_automorphisms(square_incidence())
     assert aut.order == 8  # dihedral group of the square
-    assert len(aut.facet_action) == 8
 
 
 def test_triangle_automorphisms():
@@ -43,14 +42,11 @@ def test_five_simplex_automorphisms():
     assert aut.order == 720
 
 
-def test_facet_action_consistency():
+def test_automorphisms_map_facets_onto_facets():
     inc = square_incidence()
-    aut = comb_automorphisms(inc)
-    rows = inc.tight_sets()
-    for p in aut.vertex_permutations.elements:
-        psi = aut.facet_action[p]
-        for fi, row in enumerate(rows):
-            assert frozenset(p(v) for v in row) == rows[psi(fi)]
+    rows = set(inc.tight_sets())
+    for p in comb_automorphisms(inc).elements:
+        assert {frozenset(p(v) for v in row) for row in rows} == rows
 
 
 def test_duplicate_rows_rejected():

@@ -29,12 +29,10 @@ def test_composition_convention_q_first():
     assert (q * p).images == (2, 0, 1)
 
 
-def test_call_power_inverse():
+def test_call_inverse_order():
     c = parse_cycles("(0 1 2 3)", 4)
     assert c(0) == 1
-    assert (c ** 2).images == (2, 3, 0, 1)
-    assert (c ** -1) * c == Permutation.identity(4)
-    assert c ** 0 == Permutation.identity(4)
+    assert c.inverse() * c == Permutation.identity(4)
     assert c.order() == 4
 
 

@@ -12,8 +12,10 @@ from birkhoffsym.hull import incidence_of
 from birkhoffsym.combiso import comb_equivalent
 from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.hull import facet_enumeration
-from birkhoffsym.perm import named_group
-from birkhoffsym.reppoly import (load_exceptional_c6, matrix_closure,
+from birkhoffsym.gamma import verify_wreath_quotient
+from birkhoffsym.perm import centralizer, named_group
+from birkhoffsym.reppoly import (MatrixGroup, load_exceptional_c6,
+                                 matrix_closure,
                                  matrix_from_rows,
                                  matrix_group_from_document,
                                  matrix_group_from_perm_group,
@@ -148,6 +150,26 @@ def test_load_exceptional_c6():
     assert any(e < 0 for m in g.elements for e in m.entries)
     eg = g.element_group()
     assert max(p.order() for p in eg.elements) == 6  # cyclic of order 6
+
+
+def test_element_group_feeds_gamma():
+    # generators come out as (cycle string, permutation) pairs, the shape
+    # build_gamma and generator_perms read
+    eg = load_exceptional_c6().element_group()
+    assert [tag for tag, _ in eg.generators] == [
+        p.cycle_string() for p in eg.generator_perms()]
+    r = verify_wreath_quotient(eg)
+    assert r.passed
+    assert r.actual_order == 12  # abelian of order 6: 2 * 36 / 6
+
+
+def test_element_group_without_generators():
+    g = matrix_closure([matrix_from_rows([["0", "-1"], ["1", "1"]])])
+    eg = MatrixGroup(g.dim, g.elements, []).element_group()
+    assert eg.order == 6
+    assert eg.generator_perms() == []
+    assert "order=6" in repr(eg)
+    assert centralizer(eg, eg).order == 6  # abelian
 
 
 def test_uniqueness_n3():
