@@ -32,7 +32,7 @@ from typing import Mapping
 from .combiso import comb_automorphisms
 from .errors import PreconditionError
 from .exact import RationalMatrix
-from .hull import facet_enumeration, incidence_of
+from .hull import _facet_enumeration, incidence_of
 from .perm import Permutation
 
 MAX_N = 5
@@ -277,14 +277,21 @@ class SymmetryGroupReport:
 
 def verify_symmetry_group(n: int) -> SymmetryGroupReport:
     """End-to-end check that the combinatorial symmetry group of B_n is
-    {pi -> sigma pi^eps tau}: hull, incidence, automorphism search, order
-    count 2(n!)^2, facet family comparison, and full decomposition
-    round-trip.  Hull-based, so n is capped at 4.
+    D = {pi -> sigma pi^eps tau}: hull, incidence, facet family
+    comparison, automorphism search, order count 2(n!)^2, and a
+    decomposition round-trip of every strong generator.
+
+    The certificate: every generator decomposes and D is a group, so
+    Aut is contained in D; |Aut| = 2(n!)^2 and |D| <= 2(n!)^2, since there
+    are only that many triples, so Aut = D.  `roundtrip_failures` counts
+    the generators that fail the round-trip.  B_n's own vertices are
+    hulled without the generic hull bounds, so n runs up to MAX_N.
     """
-    if not 3 <= n <= 4:
-        raise PreconditionError("symmetry group verification supports n in {3, 4}")
+    if not 3 <= n <= MAX_N:
+        raise PreconditionError(
+            f"symmetry group verification supports 3 <= n <= {MAX_N}")
     vertices = [m.entries for m in birkhoff_vertices(n)]
-    polytope = facet_enumeration(vertices)
+    polytope = _facet_enumeration(vertices)
     inc = incidence_of(polytope)
     analytic = analytic_facet_sets(n)
     n_fact = factorial(n)
@@ -295,7 +302,7 @@ def verify_symmetry_group(n: int) -> SymmetryGroupReport:
     aut = comb_automorphisms(inc)
     expected = 2 * n_fact ** 2
     roundtrip_failures = 0
-    for p in aut.elements:
+    for p in aut.generators:
         try:
             dec = decompose_symmetry(n, p)
         except (NotFacetSymmetryError, InconsistentSymmetryError):

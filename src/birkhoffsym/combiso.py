@@ -6,13 +6,15 @@ facets are exactly the maximal proper faces, it is determined by mapping
 facet tight-sets onto facet tight-sets.  This module searches for such
 bijections directly on IncidenceStructure data.
 
-One backtracking engine serves both problems (P = Q gives automorphisms).
-Vertices of P are assigned images in Q one at a time; for every P facet a
-bitmask of still-compatible Q facets is maintained, and a branch dies as
-soon as some facet has no compatible image.  A completed assignment pi
-forces the facet bijection: the image of each facet row is exactly one
-equal-size Q row (exactness holds because the mask constraints encode
-both incidence and non-incidence for every assigned vertex).
+One backtracking engine serves both problems.  `_search` finds the first
+vertex bijection P -> Q that extends a fixed prefix of assignments.
+Vertices of P are assigned images in Q one at a time, in one static
+order; for every P facet a bitmask of still-compatible Q facets is
+maintained, and a branch dies as soon as some facet has no compatible
+image.  A completed assignment pi forces the facet bijection: the image of
+each facet row is exactly one equal-size Q row (exactness holds because
+the mask constraints encode both incidence and non-incidence for every
+assigned vertex).
 
 The search is complete: it only ever discards a branch whose mask
 constraint is violated, and any valid (pi, psi) pair keeps psi(f) in
@@ -21,23 +23,48 @@ refinement (vertex and facet colors by mutual multiset signatures) cuts
 the candidate lists before the search starts; refinement only partitions
 by isomorphism invariants, so no valid image is ever excluded.
 
-Results are vertex maps only; the facet bijection each one forces is
-implied by it and not returned.
+`comb_equivalent` runs the engine once from the empty prefix.
+`comb_automorphisms` runs it as a stabilizer chain (McKay & Piperno,
+Practical Graph Isomorphism II, 2014; Seress, Permutation Group
+Algorithms, 2003, ch. 4).  Along the static order b_1, b_2, ..., level k
+asks for the basic orbit of b_k under G_k, the automorphisms fixing
+b_1..b_{k-1}: each candidate w of b_k is either skipped, because the
+witnesses found at this level already carry b_k to w, or tested by one
+witness search from the prefix b_1 -> b_1, ..., b_{k-1} -> b_{k-1},
+b_k -> w.  The walk stops once color refinement with b_1..b_k
+individualized leaves every vertex in a cell of its own: then G_{k+1} is
+trivial.
+
+The pruning is lossless.  A skipped w is the image of b_k under a product
+of known witnesses, all in G_k, so w lies in the orbit; a tested w lies in
+it exactly when a witness exists, since the search is complete; and a
+vertex outside b_k's refined cell lies in no orbit of G_k, because
+refinement with b_1..b_{k-1} individualized is invariant under G_k.  So
+each basic orbit is exact, the order is the product of the basic orbit
+lengths by the orbit-stabilizer theorem, and the witnesses form a strong
+generating set: those found at levels k and beyond generate a subgroup of
+G_k that contains G_{k+1} (by induction from the trivial bottom) and
+moves b_k over all of its orbit, so it is G_k itself.  No Schreier-Sims
+step is needed.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from collections import Counter
+from math import prod
+from typing import NamedTuple, Optional, Sequence
 
 from .hull import IncidenceStructure
-from .perm import Permutation, PermutationGroup
+from .perm import Permutation
 
 
-def _refined_colors(incs: list[IncidenceStructure]) -> list[list[int]]:
+def _refined_colors(incs: list[IncidenceStructure],
+                    seeds: Optional[list[list[int]]] = None) -> list[list[int]]:
     """Joint iterated refinement over several incidence structures.
 
     Returns one vertex color list per structure; colors are comparable
     across structures because each round shares one signature table.
+    `seeds` gives initial vertex colors (all equal when omitted).
     """
     all_rows = [inc.tight_sets() for inc in incs]
     all_vfac = []
@@ -47,7 +74,10 @@ def _refined_colors(incs: list[IncidenceStructure]) -> list[list[int]]:
             for v in row:
                 vf[v].append(fi)
         all_vfac.append(vf)
-    vcolors = [[0] * inc.n_vertices for inc in incs]
+    if seeds is None:
+        vcolors = [[0] * inc.n_vertices for inc in incs]
+    else:
+        vcolors = [list(s) for s in seeds]
     fcolors = [[len(row) for row in rows] for rows in all_rows]
     while True:
         table: dict = {}
@@ -73,21 +103,34 @@ def _refined_colors(incs: list[IncidenceStructure]) -> list[list[int]]:
         vcolors, fcolors = new_v, new_f
 
 
-def _search(inc_p: IncidenceStructure, inc_q: IncidenceStructure,
-            find_all: bool) -> list[tuple[int, ...]]:
+class _Plan(NamedTuple):
+    """Static data of the searches P -> Q: the assignment order, the
+    candidate images of each P vertex, the facet masks each assignment
+    applies, and the initial masks."""
+    order: tuple[int, ...]
+    candidates: tuple[tuple[int, ...], ...]
+    inside: tuple[tuple[bool, ...], ...]
+    qrows_with: tuple[int, ...]
+    qrows_without: tuple[int, ...]
+    init_cand: tuple[int, ...]
+
+
+def _plan(inc_p: IncidenceStructure,
+          inc_q: IncidenceStructure) -> Optional[_Plan]:
+    """The search plan, or None when an invariant already tells P and Q
+    apart."""
     np_, nq = inc_p.n_vertices, inc_q.n_vertices
     if np_ != nq or inc_p.n_facets != inc_q.n_facets:
-        return []
+        return None
     rows_p = inc_p.tight_sets()
     rows_q = inc_q.tight_sets()
     if len(set(rows_p)) != len(rows_p) or len(set(rows_q)) != len(rows_q):
-        return []
+        return None
     if sorted(len(r) for r in rows_p) != sorted(len(r) for r in rows_q):
-        return []
+        return None
     colors_p, colors_q = _refined_colors([inc_p, inc_q])
-    from collections import Counter
     if Counter(colors_p) != Counter(colors_q):
-        return []
+        return None
 
     nf = inc_p.n_facets
     full_mask = (1 << nf) - 1
@@ -103,7 +146,7 @@ def _search(inc_p: IncidenceStructure, inc_q: IncidenceStructure,
         size_mask[len(row)] |= 1 << fi
     init_cand = [size_mask.get(len(row), 0) for row in rows_p]
     if not all(init_cand) and nf > 0:
-        return []
+        return None
 
     # static assignment order: grow along shared facets for early pruning
     order: list[int] = []
@@ -112,7 +155,7 @@ def _search(inc_p: IncidenceStructure, inc_q: IncidenceStructure,
     for fi, row in enumerate(rows_p):
         for v in row:
             vfac_p[v].append(fi)
-    color_class_size = {c: colors_p.count(c) for c in set(colors_p)}
+    color_class_size = Counter(colors_p)
     facet_touched = [False] * nf
     for _ in range(np_):
         best = None
@@ -129,59 +172,152 @@ def _search(inc_p: IncidenceStructure, inc_q: IncidenceStructure,
         for fi in vfac_p[v]:
             facet_touched[fi] = True
 
-    candidates = [[w for w in range(nq) if colors_q[w] == colors_p[v]]
-                  for v in range(np_)]
-    results: list[tuple[int, ...]] = []
-    image = [-1] * np_
-    used = [False] * nq
+    return _Plan(
+        order=tuple(order),
+        candidates=tuple(tuple(w for w in range(nq) if colors_q[w] == colors_p[v])
+                         for v in range(np_)),
+        inside=tuple(tuple(row[v] for row in inc_p.rows) for v in range(np_)),
+        qrows_with=tuple(qrows_with),
+        qrows_without=tuple(qrows_without),
+        init_cand=tuple(init_cand),
+    )
+
+
+def _search(plan: _Plan, prefix: Sequence[int] = ()) -> Optional[tuple[int, ...]]:
+    """The first vertex bijection P -> Q that sends order[i] to prefix[i]
+    for every i < len(prefix), or None when there is none."""
+    order, candidates, inside = plan.order, plan.candidates, plan.inside
+    qrows_with, qrows_without = plan.qrows_with, plan.qrows_without
+    n = len(order)
+    image = [-1] * n
+    used = [False] * n
+
+    def assign(cand: list[int], v: int, w: int) -> Optional[list[int]]:
+        qw, qwo = qrows_with[w], qrows_without[w]
+        nxt = [c & (qw if hit else qwo) for c, hit in zip(cand, inside[v])]
+        return nxt if all(nxt) else None
 
     def recurse(depth: int, cand: list[int]) -> bool:
-        if depth == np_:
-            results.append(tuple(image))
-            return not find_all
+        if depth == n:
+            return True
         v = order[depth]
         for w in candidates[v]:
             if used[w]:
                 continue
-            nxt = list(cand)
-            ok = True
-            for fi in range(nf):
-                nxt[fi] &= (qrows_with[w] if fi in vfac_set[v]
-                            else qrows_without[w])
-                if not nxt[fi]:
-                    ok = False
-                    break
-            if not ok:
+            nxt = assign(cand, v, w)
+            if nxt is None:
                 continue
             image[v] = w
             used[w] = True
-            done = recurse(depth + 1, nxt)
+            if recurse(depth + 1, nxt):
+                return True
             used[w] = False
             image[v] = -1
-            if done:
-                return True
         return False
 
-    vfac_set = [set(fs) for fs in vfac_p]
-    recurse(0, init_cand)
-    return results
+    cand = list(plan.init_cand)
+    for v, w in zip(order, prefix):
+        if used[w]:
+            return None
+        cand = assign(cand, v, w)
+        if cand is None:
+            return None
+        image[v] = w
+        used[w] = True
+    return tuple(image) if recurse(len(prefix), cand) else None
 
 
-def comb_automorphisms(inc: IncidenceStructure) -> PermutationGroup:
-    """The group of all vertex permutations preserving the incidence, as
-    its full element list.  Raises on duplicate facet rows."""
+class AutomorphismGroup:
+    """The combinatorial automorphism group of an incidence, held as a
+    stabilizer chain: the base points, their basic orbit lengths and a
+    strong generating set.  Membership is tested on the incidence itself,
+    so no element list is ever built."""
+
+    __slots__ = ("degree", "base", "orbit_lengths", "generators", "_rows")
+
+    def __init__(self, degree: int, base: Sequence[int],
+                 orbit_lengths: Sequence[int],
+                 generators: Sequence[Permutation],
+                 rows: Sequence[frozenset[int]]):
+        self.degree = degree
+        self.base = tuple(base)
+        self.orbit_lengths = tuple(orbit_lengths)
+        self.generators = tuple(generators)
+        self._rows = frozenset(rows)
+
+    @property
+    def order(self) -> int:
+        return prod(self.orbit_lengths)
+
+    def __contains__(self, p: Permutation) -> bool:
+        """True iff p maps every tight set onto a tight set (and so, being
+        a bijection, the set of tight sets onto itself)."""
+        rows = self._rows
+        return (p.degree == self.degree
+                and all(frozenset(p(v) for v in row) in rows for row in rows))
+
+    def __repr__(self) -> str:
+        return (f"AutomorphismGroup(degree={self.degree}, order={self.order}, "
+                f"orbit_lengths={list(self.orbit_lengths)})")
+
+
+def _orbit(point: int, gens: list[tuple[int, ...]]) -> set[int]:
+    seen = {point}
+    frontier = [point]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def comb_automorphisms(inc: IncidenceStructure) -> AutomorphismGroup:
+    """The group of all vertex permutations preserving the incidence, as a
+    stabilizer chain with strong generators (see the module docstring for
+    why the orbit pruning loses nothing).  Raises on duplicate facet
+    rows."""
     rows = inc.tight_sets()
     if len(set(rows)) != len(rows):
         raise ValueError("not a polytope incidence")
-    maps = _search(inc, inc, find_all=True)
-    group = PermutationGroup(inc.n_vertices, [Permutation(m) for m in maps])
-    if group.order != len(maps):
-        raise AssertionError("automorphism set is not closed")
+    n = inc.n_vertices
+    plan = _plan(inc, inc)
+    order = plan.order
+    base: list[int] = []
+    orbit_lengths: list[int] = []
+    witnesses: list[tuple[int, ...]] = []
+    seeds = [0] * n
+    for k, b in enumerate(order):
+        colors = _refined_colors([inc], [seeds])[0]
+        if len(set(colors)) == n:
+            break  # G_k is trivial
+        seeds[b] = k + 1
+        cell = [w for w in range(n) if colors[w] == colors[b]]
+        if len(cell) == 1:
+            continue
+        level: list[tuple[int, ...]] = []
+        orbit = {b}
+        for w in cell:
+            if w in orbit:
+                continue
+            witness = _search(plan, order[:k] + (w,))
+            if witness is not None:
+                level.append(witness)
+                orbit = _orbit(b, level)
+        base.append(b)
+        orbit_lengths.append(len(orbit))
+        witnesses.extend(level)
+    group = AutomorphismGroup(n, base, orbit_lengths,
+                              [Permutation(g) for g in witnesses], rows)
+    if not all(g in group for g in group.generators):
+        raise AssertionError("a generator does not preserve the incidence")
     return group
 
 
 def comb_equivalent(inc_p: IncidenceStructure,
                     inc_q: IncidenceStructure) -> Optional[tuple[int, ...]]:
     """A vertex bijection P -> Q extending to a facet bijection, or None."""
-    maps = _search(inc_p, inc_q, find_all=False)
-    return maps[0] if maps else None
+    plan = _plan(inc_p, inc_q)
+    return None if plan is None else _search(plan)

@@ -29,7 +29,7 @@ from typing import Optional
 
 from .errors import PreconditionError
 from .perm import (Permutation, PermutationGroup, centralizer, closure,
-                   indexed, regular_subgroups)
+                   generating_set, indexed, regular_subgroups)
 
 
 class GroupLabelling:
@@ -83,14 +83,17 @@ def inversion_map(lab: GroupLabelling) -> Permutation:
 
 
 def build_gamma(group: PermutationGroup, max_size: int = 30) -> GammaGroup:
-    """Construct Gamma(G) with tagged generators lambda[g], rho[g], inv."""
+    """Construct Gamma(G) with tagged generators lambda[g], rho[g], inv,
+    g running over G's generators (a greedy generating set of G's elements
+    when G carries none)."""
     if group.order > max_size:
         raise PreconditionError(
             f"group of order {group.order} exceeds bound {max_size}")
     lab = GroupLabelling(group)
+    generators = generating_set(group)
     gen_perms = []
     gen_tags = []
-    for tag, g in group.generators:
+    for tag, g in generators:
         gen_perms.append(left_translation(lab, g))
         gen_tags.append(f"lambda[{tag}]")
         gen_perms.append(right_translation(lab, g))
@@ -102,9 +105,9 @@ def build_gamma(group: PermutationGroup, max_size: int = 30) -> GammaGroup:
     lam_elems = [left_translation(lab, g) for g in group.elements]
     rho_elems = [right_translation(lab, g) for g in group.elements]
     lam_gens = tuple((f"lambda[{tag}]", left_translation(lab, g))
-                     for tag, g in group.generators)
+                     for tag, g in generators)
     rho_gens = tuple((f"rho[{tag}]", right_translation(lab, g))
-                     for tag, g in group.generators)
+                     for tag, g in generators)
     lambda_sub = PermutationGroup(lab.size, lam_elems, lam_gens)
     rho_sub = PermutationGroup(lab.size, rho_elems, rho_gens)
     return GammaGroup(lab, gamma, lambda_sub, rho_sub, iota)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import PreconditionError
 from .exact import (RationalMatrix, _eliminate, affine_dimension,
@@ -85,8 +85,13 @@ class IncidenceStructure:
                 for row in self.rows]
 
 
-def _affine_chart(points):
+def _affine_chart(points, max_dim=None):
     """Greedy affinely independent basis and pivot data for the chart.
+
+    One pass: each difference p - points[0] is reduced against the
+    differences already kept and is kept when a nonzero remainder is
+    left, which is the same greedy basis as a rank test per point.  Raises
+    PreconditionError as soon as the basis exceeds max_dim, if given.
 
     Returns (d, base, basis_diffs, pivot_rows, m_inv) where the chart map
     is x -> m_inv * (x - base)[pivot_rows], a bijection between the affine
@@ -94,14 +99,24 @@ def _affine_chart(points):
     """
     base = points[0]
     basis_diffs = []
-    current_rank = 0
+    reduced = []  # (remainder, its first nonzero column), one per kept diff
     for p in points[1:]:
-        candidate = basis_diffs + [vec_sub(p, base)]
-        r = rank(candidate)
-        if r > current_rank:
-            basis_diffs.append(vec_sub(p, base))
-            current_rank = r
-    d = current_rank
+        diff = vec_sub(p, base)
+        rem = diff
+        for row, c in reduced:
+            f = rem[c]
+            if f:
+                rem = [a - f * b for a, b in zip(rem, row)]
+        pivot = next((c for c, x in enumerate(rem) if x), None)
+        if pivot is None:
+            continue
+        basis_diffs.append(diff)
+        if max_dim is not None and len(basis_diffs) > max_dim:
+            raise PreconditionError(
+                f"affine dimension exceeds hull bound {max_dim}")
+        pv = rem[pivot]
+        reduced.append(([x / pv for x in rem], pivot))
+    d = len(basis_diffs)
     # pivot rows: coordinates where the d basis columns are invertible
     _, pivot_rows = _eliminate([list(u) for u in basis_diffs])
     m = RationalMatrix.from_rows(
@@ -172,24 +187,31 @@ def facet_enumeration(points: Sequence[Sequence]) -> Polytope:
 
     Points are any rationals; duplicates and non-extreme points are
     tolerated (they simply end up positive on no facet certificate).  A
-    0-dimensional input yields zero facets.
+    0-dimensional input yields zero facets.  Inputs above MAX_VERTICES
+    points or affine dimension MAX_DIM are refused before the double
+    description starts.
     """
+    return _facet_enumeration(points, MAX_VERTICES, MAX_DIM)
+
+
+def _facet_enumeration(points: Sequence[Sequence],
+                       max_vertices: Optional[int] = None,
+                       max_dim: Optional[int] = None) -> Polytope:
+    """facet_enumeration with the size bounds given per call (None: no
+    bound), for callers that know their input, such as B_n's vertices."""
     if len(points) == 0:
         raise ValueError("no points")
     pts = [as_fraction_vector(p) for p in points]
     ambient = len(pts[0])
     if any(len(p) != ambient for p in pts):
         raise ValueError("points of mixed dimension")
-    if len(pts) > MAX_VERTICES:
+    if max_vertices is not None and len(pts) > max_vertices:
         raise PreconditionError(
-            f"{len(pts)} points exceed hull bound {MAX_VERTICES}")
-    d = affine_dimension(pts)
-    if d > MAX_DIM:
-        raise PreconditionError(f"affine dimension {d} exceeds hull bound {MAX_DIM}")
+            f"{len(pts)} points exceed hull bound {max_vertices}")
+    d, base, _, pivot_rows, m_inv = _affine_chart(pts, max_dim)
     if d == 0:
         return Polytope(ambient, pts, (), (), 0)
 
-    _, base, basis_diffs, pivot_rows, m_inv = _affine_chart(pts)
     coords = [m_inv.apply([p[r] - base[r] for r in pivot_rows]) for p in pts]
     n = len(pts)
     centroid = tuple(sum((c[k] for c in coords), Fraction(0)) / n

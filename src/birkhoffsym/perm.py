@@ -335,20 +335,50 @@ class IndexedGroup:
         return frozenset(g for g, row in enumerate(table)
                          if all(row[h] == table[h][g] for h in members))
 
+    def generating_indices(self, members: Sequence[int]) -> list[int]:
+        """A generating set of the subgroup with the given member indices,
+        chosen greedily in the given order: a member is taken only when it
+        lies outside the closure of the ones taken before, and the scan
+        stops once that closure is the whole subgroup."""
+        gens: list[int] = []
+        span = frozenset({self.identity_index})
+        for i in members:
+            if len(span) == len(members):
+                break
+            if i not in span:
+                gens.append(i)
+                span = self.closure_indices(gens)
+        return gens
+
     def subgroup_from_indices(self, group: PermutationGroup,
-                              members: Iterable[int],
+                              members: Sequence[int],
                               gen_indices: Sequence[int] = ()) -> PermutationGroup:
-        elems = [group.elements[i] for i in members]
-        gens = tuple((group.elements[i].cycle_string(), group.elements[i])
-                     for i in gen_indices)
-        if not gens:
-            gens = tuple((p.cycle_string(), p) for p in elems if not p.is_identity())[:2]
-        return PermutationGroup(group.degree, elems, gens)
+        """The subgroup of `group` with the given member indices, tagged
+        with gen_indices, or with generating_indices(members) when none
+        are given."""
+        gens = _tagged(group, gen_indices or self.generating_indices(members))
+        return PermutationGroup(group.degree, [group.elements[i] for i in members],
+                                gens)
+
+
+def _tagged(group: PermutationGroup,
+            indices: Iterable[int]) -> tuple[tuple[str, Permutation], ...]:
+    return tuple((group.elements[i].cycle_string(), group.elements[i])
+                 for i in indices)
 
 
 @lru_cache(maxsize=16)
 def indexed(group: PermutationGroup) -> IndexedGroup:
     return IndexedGroup(group)
+
+
+def generating_set(group: PermutationGroup) -> tuple[tuple[str, Permutation], ...]:
+    """The group's tagged generators, or, when it carries none, a greedy
+    generating set of its elements tagged with their cycle strings."""
+    if group.generators:
+        return group.generators
+    ig = indexed(group)
+    return _tagged(group, ig.generating_indices(range(ig.order)))
 
 
 def centralizer(group: PermutationGroup, sub: PermutationGroup) -> PermutationGroup:
@@ -361,9 +391,7 @@ def centralizer(group: PermutationGroup, sub: PermutationGroup) -> PermutationGr
                              for h in sub.generator_perms() or sub.elements)
     if len(members) == group.order:
         return group  # keeps G's own generators
-    elems = [group.elements[i] for i in sorted(members)]
-    tagged = tuple((p.cycle_string(), p) for p in elems if not p.is_identity())[:4]
-    return PermutationGroup(group.degree, elems, tagged)
+    return ig.subgroup_from_indices(group, sorted(members))
 
 
 def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[PermutationGroup]:

@@ -27,7 +27,8 @@ from .errors import PreconditionError
 from .exact import RationalMatrix, inverse, parse_rational
 from .gamma import GroupLabelling, left_translation
 from .hull import Polytope, certify_vertices, facet_enumeration, incidence_of
-from .perm import Permutation, PermutationGroup, named_group, saturate
+from .perm import (Permutation, PermutationGroup, generating_set, named_group,
+                   saturate)
 
 MAX_CLOSURE = 500
 MAX_POLYTOPE_ELEMENTS = 30
@@ -106,10 +107,7 @@ def matrix_group_from_perm_group(group: PermutationGroup) -> MatrixGroup:
     """Permutation matrices of a permutation group, acting on its own
     points.  For a cyclic shift on |G| points this is the regular
     representation; for S_n on n points it is the standard one."""
-    gens = group.generator_perms() or [g for g in group.elements
-                                       if not g.is_identity()][:2]
-    if not gens:
-        gens = [group.identity]
+    gens = [g for _, g in generating_set(group)] or [group.identity]
     return matrix_closure([permutation_matrix(g) for g in gens],
                           bound=max(MAX_CLOSURE, group.order))
 
@@ -118,7 +116,7 @@ def regular_matrix_group(group: PermutationGroup) -> MatrixGroup:
     """Left regular representation: |G| x |G| permutation matrices of the
     translation action of G on itself."""
     lab = GroupLabelling(group)
-    gens = group.generator_perms() or group.elements[1:2]
+    gens = [g for _, g in generating_set(group)] or [group.identity]
     return matrix_closure(
         [permutation_matrix(left_translation(lab, g)) for g in gens],
         bound=max(MAX_CLOSURE, group.order))

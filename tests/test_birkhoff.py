@@ -231,5 +231,6 @@ def test_verify_symmetry_group_n4():
 
 
 def test_verify_symmetry_group_out_of_range():
-    with pytest.raises(PreconditionError):
-        verify_symmetry_group(5)
+    for n in (2, 6):
+        with pytest.raises(PreconditionError):
+            verify_symmetry_group(n)

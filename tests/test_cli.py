@@ -179,6 +179,33 @@ def test_hull_cli(tmp_path, capsys):
     assert d == jsonable(polytope_to_document(facet_enumeration(points)))
 
 
+def test_verify_symmetry_group_b5(capsys):
+    code, doc = run_json(capsys, ["verify-symmetry-group", "5"])
+    assert code == 0
+    assert doc["pass"] is True
+    d = doc["details"]
+    assert d["n_vertices"] == 120
+    assert d["aut_order"] == 28800 == d["expected_order"]
+    assert d["n_facets"] == 25
+    assert d["dim"] == 16
+    assert d["facets_match_analytic"] is True
+    assert d["roundtrip_failures"] == 0
+
+
+def test_hull_cli_refuses_large_inputs(tmp_path, capsys):
+    # the hull bounds stay on for vertex files: 31 points, or dimension 11
+    many = tmp_path / "many.json"
+    many.write_text(json.dumps(
+        {"vertices": [[str(i), str(i * i)] for i in range(31)]}))
+    assert main(["hull", str(many)]) == 3
+    simplex = tmp_path / "simplex.json"
+    simplex.write_text(json.dumps(
+        {"vertices": [[str(int(i == j)) for j in range(11)]
+                      for i in range(12)]}))
+    assert main(["hull", str(simplex)]) == 3
+    assert "exceeds hull bound 10" in capsys.readouterr().err
+
+
 def test_hull_cli_bad_inputs(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["hull", str(missing)]) == 3

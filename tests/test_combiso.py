@@ -1,5 +1,10 @@
 """Tests for combinatorial automorphisms and equivalence of vertex-facet
-incidences."""
+incidences.  The stabilizer-chain search is checked against a brute-force
+oracle over all vertex permutations, and its strong generators are closed
+to the full group."""
+
+import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -7,6 +12,9 @@ from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.combiso import comb_automorphisms, comb_equivalent
 from birkhoffsym.hull import (IncidenceStructure, facet_enumeration,
                               incidence_of)
+from birkhoffsym.perm import Permutation, closure
+from birkhoffsym.reppoly import (default_catalog, representation_polytope,
+                                 translation_vertex_maps)
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -42,11 +50,107 @@ def test_five_simplex_automorphisms():
     assert aut.order == 720
 
 
+@lru_cache(maxsize=None)
+def birkhoff_incidence(n):
+    return incidence_of(facet_enumeration(
+        [m.entries for m in birkhoff_vertices(n)]))
+
+
+@lru_cache(maxsize=None)
+def catalog_incidences():
+    return {f"{n}-{entry.name}": incidence_of(
+                representation_polytope(entry.matrix_group))
+            for n in (3, 4) for entry in default_catalog(n)}
+
+
+def maps_rows_onto_rows(images, rows):
+    return {frozenset(images[v] for v in row) for row in rows} == rows
+
+
+def brute_force_order(inc):
+    """Number of vertex permutations mapping the tight sets onto
+    themselves, by trying every permutation."""
+    rows = set(inc.tight_sets())
+    return sum(1 for images in itertools.permutations(range(inc.n_vertices))
+               if maps_rows_onto_rows(images, rows))
+
+
+def generated(aut):
+    return closure(list(aut.generators)
+                   or [Permutation.identity(aut.degree)])
+
+
+def cycles_incidence():
+    # the edges of a triangle and a disjoint 4-cycle as tight sets: colour
+    # refinement cannot split the 7 vertices, so the search for a map
+    # taking a triangle vertex to a 4-cycle vertex has to fail
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+    return IncidenceStructure(7, [[v in e for v in range(7)] for e in edges])
+
+
+@lru_cache(maxsize=None)
+def small_incidences():
+    cases = {"square": square_incidence(), "triangle": simplex_incidence(2),
+             "tetrahedron": simplex_incidence(3),
+             "5-simplex": simplex_incidence(5), "b3": birkhoff_incidence(3),
+             "c3+c4": cycles_incidence()}
+    cases.update((name, inc) for name, inc in catalog_incidences().items()
+                 if inc.n_vertices <= 8)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(small_incidences()))
+def test_order_matches_brute_force_oracle(name):
+    inc = small_incidences()[name]
+    assert comb_automorphisms(inc).order == brute_force_order(inc)
+
+
+@lru_cache(maxsize=None)
+def chain_incidences():
+    return {"b3": birkhoff_incidence(3), "b4": birkhoff_incidence(4),
+            "c3+c4": cycles_incidence(), **catalog_incidences()}
+
+
+@pytest.mark.parametrize("name", sorted(chain_incidences()))
+def test_strong_generators_generate_the_group(name):
+    inc = chain_incidences()[name]
+    aut = comb_automorphisms(inc)
+    group = generated(aut)
+    assert group.order == aut.order
+    rows = set(inc.tight_sets())
+    assert all(maps_rows_onto_rows(p.images, rows) for p in group.elements)
+
+
 def test_automorphisms_map_facets_onto_facets():
     inc = square_incidence()
     rows = set(inc.tight_sets())
-    for p in comb_automorphisms(inc).elements:
+    for p in generated(comb_automorphisms(inc)).elements:
         assert {frozenset(p(v) for v in row) for row in rows} == rows
+
+
+def test_membership_tests_the_incidence():
+    entry = default_catalog(4)[0]  # S_4 standard: its polytope is B_4
+    aut = comb_automorphisms(incidence_of(
+        representation_polytope(entry.matrix_group)))
+    lams, rhos, _ = translation_vertex_maps(entry.matrix_group)
+    assert all(p in aut for p in lams + rhos)
+    swap = list(range(24))
+    swap[0], swap[1] = swap[1], swap[0]
+    assert Permutation(swap) not in aut
+    assert Permutation.identity(23) not in aut
+
+
+def test_chain_size_is_pinned():
+    # Exact, machine-independent sizes of the stabilizer chain: a change
+    # that makes the search find more generators or a longer base fails
+    # here on any machine.
+    aut3 = comb_automorphisms(birkhoff_incidence(3))
+    assert aut3.orbit_lengths == (6, 3, 2, 2)
+    assert len(aut3.generators) == 7
+    aut4 = comb_automorphisms(birkhoff_incidence(4))
+    assert aut4.orbit_lengths == (24, 6, 4, 2)
+    assert len(aut4.generators) == 10
+    assert len(aut4.base) == 4
 
 
 def test_duplicate_rows_rejected():

@@ -9,8 +9,9 @@ from birkhoffsym.gamma import (GroupLabelling, automorphisms, build_gamma,
                                inversion_map, is_elementary_abelian_2,
                                left_translation, normalizer_in_full_symmetric,
                                right_translation, verify_wreath_quotient)
-from birkhoffsym.perm import (named_group, regular_subgroups,
-                              all_subgroups, centralizer, is_regular)
+from birkhoffsym.perm import (PermutationGroup, named_group, regular_subgroups,
+                              all_subgroups, centralizer, closure, is_regular,
+                              parse_cycles)
 
 
 def test_translations_are_actions():
@@ -34,6 +35,23 @@ def test_inversion_conjugates_left_to_right():
     assert (iota * iota).is_identity()
     for a in g.elements:
         assert iota * left_translation(lab, a) * iota == right_translation(lab, a)
+
+
+def test_wreath_on_a_centralizer():
+    # C_{S_5}((0 1)) has order 12 and centre <(0 1)>: Gamma has order
+    # 2 * 144 / 2; with generator tags that missed (0 1) it came out 72
+    c = centralizer(named_group("s5"), closure([parse_cycles("(0 1)", 5)]))
+    r = verify_wreath_quotient(c)
+    assert r.actual_order == r.formula_order == 144
+    assert r.passed
+
+
+def test_gamma_of_a_group_without_generators():
+    g = named_group("d4")
+    bare = PermutationGroup(g.degree, g.elements)
+    gg = build_gamma(bare)
+    assert gg.gamma == build_gamma(g).gamma
+    assert verify_wreath_quotient(bare).passed
 
 
 def test_center_and_ea2():

@@ -9,8 +9,9 @@ import pytest
 
 from birkhoffsym.birkhoff import analytic_facet_sets, birkhoff_vertices
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.hull import (IncidenceStructure, certify_vertices,
-                              facet_enumeration, incidence_of,
+from birkhoffsym.exact import _eliminate, rank
+from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
+                              certify_vertices, facet_enumeration, incidence_of,
                               polytope_from_document, polytope_to_document,
                               validate_polytope)
 
@@ -125,6 +126,39 @@ def test_empty_rejected():
 def test_hull_bounds():
     with pytest.raises(PreconditionError):
         facet_enumeration([(i,) for i in range(200)])
+    # dimension 11: the chart stops once its basis passes the bound
+    simplex = [tuple(int(i == j) for j in range(11)) for i in range(12)]
+    with pytest.raises(PreconditionError, match="hull bound 10"):
+        facet_enumeration(simplex)
+    # B_5's 120 vertices are refused here; verify_symmetry_group lifts the
+    # bounds for its own input only
+    with pytest.raises(PreconditionError):
+        facet_enumeration([m.entries for m in birkhoff_vertices(5)])
+
+
+def rank_greedy_basis(points):
+    """The chart basis the way it was first written: keep p - points[0]
+    when it raises the rank of the differences kept so far."""
+    base = points[0]
+    kept = []
+    for p in points[1:]:
+        diff = tuple(a - b for a, b in zip(p, base))
+        if rank(kept + [diff]) > len(kept):
+            kept.append(diff)
+    return kept
+
+
+def test_one_pass_chart_keeps_the_rank_greedy_basis():
+    rng = random.Random(7)
+    cases = [[tuple(map(Fraction, m.entries)) for m in birkhoff_vertices(4)]]
+    for _ in range(10):
+        cases.append(random_point_set(rng))
+    for pts in cases:
+        d, base, basis, pivot_rows, _ = _affine_chart(pts)
+        want = rank_greedy_basis(pts)
+        assert basis == want
+        assert d == len(want) == affine_dim(pts)
+        assert pivot_rows == _eliminate([list(u) for u in want])[1]
 
 
 def test_incidence_of_dedups_rows():

@@ -171,6 +171,27 @@ def test_centralizer_hand_cases():
         centralizer(s3, named_group("c4"))
 
 
+def test_centralizer_tags_generate_it():
+    # C_{S_5}((0 1)) = <(0 1)> x Sym{2,3,4} has order 12; tagging its first
+    # four non-identity members gave (3 4), (2 3), (2 3 4), (2 4 3), which
+    # generate only Sym{2,3,4}
+    c = centralizer(named_group("s5"), closure([parse_cycles("(0 1)", 5)]))
+    assert c.order == 12
+    assert closure(c.generator_perms()).order == 12
+    assert len(c.generators) == 3  # greedy: no tag lies in the span of earlier ones
+
+
+def test_subgroup_from_indices_tags_generate_it():
+    # without generator indices, the first two non-identity members of S_4,
+    # (2 3) and (1 2), generate only a copy of S_3
+    s4 = symmetric_group(4)
+    sub = indexed(s4).subgroup_from_indices(s4, list(range(24)))
+    assert sub.order == 24
+    assert closure(sub.generator_perms()).order == 24
+    for u in regular_subgroups(s4):
+        assert closure(u.generator_perms()).order == u.order
+
+
 def test_indexed_group_table():
     g = named_group("s3")
     ig = indexed(g)

@@ -13,7 +13,7 @@ from birkhoffsym.combiso import comb_equivalent
 from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.hull import facet_enumeration
 from birkhoffsym.gamma import verify_wreath_quotient
-from birkhoffsym.perm import centralizer, named_group
+from birkhoffsym.perm import PermutationGroup, centralizer, named_group
 from birkhoffsym.reppoly import (MatrixGroup, load_exceptional_c6,
                                  matrix_closure,
                                  matrix_from_rows,
@@ -170,6 +170,25 @@ def test_element_group_without_generators():
     assert eg.generator_perms() == []
     assert "order=6" in repr(eg)
     assert centralizer(eg, eg).order == 6  # abelian
+
+
+def test_gamma_of_element_group_without_generators():
+    # Gamma must come from a generating set of the elements, not from the
+    # empty generator list (which left only inversion: order 2)
+    g = load_exceptional_c6()
+    eg = MatrixGroup(g.dim, g.elements, []).element_group()
+    r = verify_wreath_quotient(eg)
+    assert r.actual_order == 12
+    assert r.passed
+
+
+def test_matrix_group_from_perm_group_without_generators():
+    # the first two non-identity members of S_4, (2 3) and (1 2), span
+    # only a copy of S_3
+    s4 = named_group("s4")
+    bare = PermutationGroup(s4.degree, s4.elements)
+    assert matrix_group_from_perm_group(bare).order == 24
+    assert regular_matrix_group(PermutationGroup(3, named_group("s3").elements)).order == 6
 
 
 def test_uniqueness_n3():
