@@ -28,7 +28,7 @@ from .perm import Permutation
 from .reports import Report, render_report
 
 
-def _load_group(arg: str) -> tuple[str, PermutationGroup]:
+def _load_group(arg: str, max_order: int) -> tuple[str, PermutationGroup]:
     if arg.lower() in builtin_group_names():
         return arg.lower(), named_group(arg.lower())
     path = Path(arg)
@@ -36,7 +36,7 @@ def _load_group(arg: str) -> tuple[str, PermutationGroup]:
         raise PreconditionError(
             f"unknown group {arg!r}: not a built-in name "
             f"({', '.join(builtin_group_names())}) and not a file")
-    return "G", group_from_generator_lines(path.read_text().splitlines())
+    return "G", group_from_generator_lines(path.read_text().splitlines(), max_order)
 
 
 def _subgroup_name(base_name: str, group: PermutationGroup,
@@ -114,7 +114,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_cd_lattice(args):
-    name, group = _load_group(args.group)
+    name, group = _load_group(args.group, args.bound)
     r = cd.cd_lattice(group, bound=args.bound)
     members = [{
         "name": _subgroup_name(name, group, sub),
@@ -140,13 +140,13 @@ def _cmd_sn_cent_est(args):
 
 
 def _cmd_wreath(args):
-    _, group = _load_group(args.group)
+    _, group = _load_group(args.group, gamma.MAX_GAMMA_BASE)
     r = gamma.verify_wreath_quotient(group)
     return r.passed, {"group": args.group}, r
 
 
 def _cmd_regular_pairs(args):
-    _, group = _load_group(args.group)
+    _, group = _load_group(args.group, gamma.MAX_GAMMA_BASE)
     gg = gamma.build_gamma(group)
     pairs = gamma.commuting_regular_pairs(group, gg)
 
@@ -168,7 +168,7 @@ def _cmd_regular_pairs(args):
 
 
 def _cmd_normalizer(args):
-    _, group = _load_group(args.group)
+    _, group = _load_group(args.group, gamma.MAX_NORMALIZER_BASE)
     r = gamma.normalizer_in_full_symmetric(group)
     return r.passed, {"group": args.group}, r
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
 
@@ -180,6 +180,30 @@ def _eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[i
         if r == len(rows):
             break
     return rows, pivots
+
+
+def _independent_rows(vectors: Iterable[Sequence[Fraction]]
+                      ) -> Iterator[tuple[int, Sequence[Fraction]]]:
+    """Yield (position, vector) for the greedy independent subsequence.
+
+    One pass: each vector is reduced against the ones kept before it and
+    is kept when a nonzero remainder is left, which picks the same vectors
+    as one rank test per vector.  Lazy, so a caller can stop as soon as
+    it has enough, or too many.
+    """
+    reduced = []  # (remainder scaled to pivot 1, its pivot column)
+    for i, v in enumerate(vectors):
+        rem = v
+        for row, c in reduced:
+            f = rem[c]
+            if f:
+                rem = [a - f * b for a, b in zip(rem, row)]
+        pivot = next((c for c, x in enumerate(rem) if x), None)
+        if pivot is None:
+            continue
+        pv = rem[pivot]
+        reduced.append(([x / pv for x in rem], pivot))
+        yield i, v
 
 
 def rank(matrix: RationalMatrix | Sequence[Sequence]) -> int:

@@ -25,11 +25,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .errors import PreconditionError
 from .perm import (Permutation, PermutationGroup, centralizer, closure,
                    generating_set, indexed, regular_subgroups)
+
+MAX_GAMMA_BASE = 30  # largest |G| whose Gamma(G) is built
+MAX_NORMALIZER_BASE = 6  # largest |G| for the brute-force normalizer
 
 
 class GroupLabelling:
@@ -82,7 +86,7 @@ def inversion_map(lab: GroupLabelling) -> Permutation:
     return Permutation(lab.position(x.inverse()) for x in lab.elements)
 
 
-def build_gamma(group: PermutationGroup, max_size: int = 30) -> GammaGroup:
+def build_gamma(group: PermutationGroup, max_size: int = MAX_GAMMA_BASE) -> GammaGroup:
     """Construct Gamma(G) with tagged generators lambda[g], rho[g], inv,
     g running over G's generators (a greedy generating set of G's elements
     when G carries none)."""
@@ -164,19 +168,22 @@ def commuting_regular_pairs(group: PermutationGroup,
     centralize each other elementwise.  U = V is allowed and occurs
     exactly when U is abelian.  Complete by completeness of the
     regular-subgroup search plus exhaustive pair testing.
+
+    The pair test compares the generating tags regular_subgroups gives:
+    the elements commuting with a fixed x form a subgroup, so each of V's
+    generators, commuting with U's, commutes with all of U, and the same
+    argument with the roles swapped gives all of V.
     """
     if gamma is None:
         gamma = build_gamma(group)
     regs = regular_subgroups(gamma.gamma)
-    ig = indexed(gamma.gamma)
-    table = ig.table
-    reg_idx = [sorted(ig.index[p.images] for p in u.elements) for u in regs]
+    # (x, w -> w * x) per generator, so x * y == y * x reads my(x) == mx(y)
+    gens = [[(p.images, itemgetter(*p.images)) for p in u.generator_perms()]
+            for u in regs]
     pairs = []
     for a in range(len(regs)):
         for b in range(a, len(regs)):
-            ok = all(table[x][y] == table[y][x]
-                     for x in reg_idx[a] for y in reg_idx[b])
-            if ok:
+            if all(my(x) == mx(y) for x, mx in gens[a] for y, my in gens[b]):
                 pairs.append((regs[a], regs[b]))
     return pairs
 
@@ -223,7 +230,7 @@ class NormalizerReport:
 
 
 def normalizer_in_full_symmetric(group: PermutationGroup,
-                                 max_size: int = 6) -> NormalizerReport:
+                                 max_size: int = MAX_NORMALIZER_BASE) -> NormalizerReport:
     """Exhaustively compute N_{Sym(G)}(Gamma(G)) and compare with
     Aut(G)*Gamma(G) as sets of permutations of the labelling.
 

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .exact import (RationalMatrix, _eliminate, affine_dimension,
-                    as_fraction_vector, dot, format_rational, inverse,
-                    parse_rational, primitive_vector, rank, vec_sub)
+from .exact import (RationalMatrix, _eliminate, _independent_rows,
+                    affine_dimension, as_fraction_vector, dot,
+                    format_rational, inverse, parse_rational,
+                    primitive_vector, rank, vec_sub)
 
 MAX_VERTICES = 30
 MAX_DIM = 10
@@ -88,9 +90,8 @@ class IncidenceStructure:
 def _affine_chart(points, max_dim=None):
     """Greedy affinely independent basis and pivot data for the chart.
 
-    One pass: each difference p - points[0] is reduced against the
-    differences already kept and is kept when a nonzero remainder is
-    left, which is the same greedy basis as a rank test per point.  Raises
+    The basis is the greedy independent subsequence of the differences
+    p - points[0], picked in one pass by _independent_rows.  Raises
     PreconditionError as soon as the basis exceeds max_dim, if given.
 
     Returns (d, base, basis_diffs, pivot_rows, m_inv) where the chart map
@@ -99,23 +100,11 @@ def _affine_chart(points, max_dim=None):
     """
     base = points[0]
     basis_diffs = []
-    reduced = []  # (remainder, its first nonzero column), one per kept diff
-    for p in points[1:]:
-        diff = vec_sub(p, base)
-        rem = diff
-        for row, c in reduced:
-            f = rem[c]
-            if f:
-                rem = [a - f * b for a, b in zip(rem, row)]
-        pivot = next((c for c, x in enumerate(rem) if x), None)
-        if pivot is None:
-            continue
+    for _, diff in _independent_rows(vec_sub(p, base) for p in points[1:]):
         basis_diffs.append(diff)
         if max_dim is not None and len(basis_diffs) > max_dim:
             raise PreconditionError(
                 f"affine dimension exceeds hull bound {max_dim}")
-        pv = rem[pivot]
-        reduced.append(([x / pv for x in rem], pivot))
     d = len(basis_diffs)
     # pivot rows: coordinates where the d basis columns are invertible
     _, pivot_rows = _eliminate([list(u) for u in basis_diffs])
@@ -132,12 +121,7 @@ def _dd_extreme_rays(ineqs: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, 
     """
     dim = len(ineqs[0])
     # deterministic greedy choice of dim independent inequalities
-    chosen: list[int] = []
-    for i in range(len(ineqs)):
-        if len(chosen) == dim:
-            break
-        if rank([ineqs[j] for j in chosen] + [ineqs[i]]) > len(chosen):
-            chosen.append(i)
+    chosen = [i for i, _ in islice(_independent_rows(ineqs), dim)]
     if len(chosen) < dim:
         raise ValueError("cone is not pointed: inequalities do not span")
     n_mat = RationalMatrix.from_rows([ineqs[i] for i in chosen])

@@ -11,14 +11,17 @@ Conventions, fixed once and used everywhere:
   all bijections, so sorted element lists always start with the identity.
 
 Groups here stay small (a few thousand elements at the very most), which is
-why explicit element lists and index-based multiplication tables beat any
-stabilizer-chain machinery in both simplicity and, at this scale, speed.
+why explicit element lists beat any stabilizer-chain machinery in both
+simplicity and, at this scale, speed.  `closure` and `regular_subgroups`
+compose image tuples; only routines reading most products of a group of
+order at most 200 use the multiplication table of `IndexedGroup`.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import NotASubgroupError, PreconditionError
@@ -174,9 +177,6 @@ class PermutationGroup:
     def identity(self) -> Permutation:
         return self.elements[0]
 
-    def element_set(self) -> frozenset[Permutation]:
-        return self._element_set
-
     def __contains__(self, p: Permutation) -> bool:
         return p in self._element_set
 
@@ -222,7 +222,7 @@ def saturate(seeds: Iterable, gens: Sequence, mul: Callable,
                     nxt.append(prod)
                     if cap is not None and len(known) > cap:
                         raise PreconditionError(
-                            f"closure exceeded {cap} elements")
+                            f"closure exceeds bound {cap}")
         frontier = nxt
     return known
 
@@ -268,29 +268,19 @@ def symmetric_group(n: int) -> PermutationGroup:
 
 class IndexedGroup:
     """Index-level view of a group: elements as positions in the sorted
-    list, products looked up in a table.  Built lazily because the table
-    costs order^2 memory; only routines doing heavy subgroup arithmetic
-    use it.
-    """
+    list, products looked up in a full order^2 table.  Users read most of
+    it, on groups of order at most 200 by default: `all_subgroups`,
+    `centralizer`, `generating_set`, `cd` and `gamma.automorphisms`.  The
+    Gamma(G) searches (`regular_subgroups`, `commuting_regular_pairs`)
+    build none."""
 
-    __slots__ = ("degree", "elems", "index", "inv", "table", "identity_index")
+    __slots__ = ("index", "inv", "table", "identity_index")
 
     def __init__(self, group: PermutationGroup):
-        self.degree = group.degree
-        self.elems = [p.images for p in group.elements]
-        self.index = {img: i for i, img in enumerate(self.elems)}
-        n = len(self.elems)
-        ident = tuple(range(self.degree))
-        self.identity_index = self.index[ident]
-        inv = [0] * n
-        for i, img in enumerate(self.elems):
-            inv_img = [0] * self.degree
-            for a, b in enumerate(img):
-                inv_img[b] = a
-            inv[i] = self.index[tuple(inv_img)]
-        self.inv = inv
-        idx = self.index
-        elems = self.elems
+        elems = [p.images for p in group.elements]
+        idx = self.index = {img: i for i, img in enumerate(elems)}
+        self.identity_index = idx[tuple(range(group.degree))]
+        self.inv = [idx[p.inverse().images] for p in group.elements]
         self.table = [
             [idx[tuple(a[x] for x in b)] for b in elems]  # row a, col b: a*b
             for a in elems
@@ -298,7 +288,7 @@ class IndexedGroup:
 
     @property
     def order(self) -> int:
-        return len(self.elems)
+        return len(self.table)
 
     def closure_indices(self, seeds: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by the seed indices.
@@ -356,15 +346,14 @@ class IndexedGroup:
         """The subgroup of `group` with the given member indices, tagged
         with gen_indices, or with generating_indices(members) when none
         are given."""
-        gens = _tagged(group, gen_indices or self.generating_indices(members))
+        gens = _tagged(group.elements[i] for i in
+                       gen_indices or self.generating_indices(members))
         return PermutationGroup(group.degree, [group.elements[i] for i in members],
                                 gens)
 
 
-def _tagged(group: PermutationGroup,
-            indices: Iterable[int]) -> tuple[tuple[str, Permutation], ...]:
-    return tuple((group.elements[i].cycle_string(), group.elements[i])
-                 for i in indices)
+def _tagged(perms: Iterable[Permutation]) -> tuple[tuple[str, Permutation], ...]:
+    return tuple((p.cycle_string(), p) for p in perms)
 
 
 @lru_cache(maxsize=16)
@@ -378,7 +367,7 @@ def generating_set(group: PermutationGroup) -> tuple[tuple[str, Permutation], ..
     if group.generators:
         return group.generators
     ig = indexed(group)
-    return _tagged(group, ig.generating_indices(range(ig.order)))
+    return _tagged(group.elements[i] for i in ig.generating_indices(range(ig.order)))
 
 
 def centralizer(group: PermutationGroup, sub: PermutationGroup) -> PermutationGroup:
@@ -429,16 +418,17 @@ def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[Permutation
 
 def regular_subgroups(group: PermutationGroup, base: int = 0,
                       max_degree: int = 24, max_order: int = 1500) -> list[PermutationGroup]:
-    """All sharply transitive (regular) subgroups of G.
+    """All sharply transitive (regular) subgroups of G, each tagged with
+    the fiber choices that found it, which generate it.
 
     A regular subgroup U has exactly one element sending `base` to each
     point, so U picks one element from each fiber {g in G : g(base) = x}.
-    The search branches over the least point whose fiber element is not yet
-    determined and closes after each choice; a partial set is pruned as
-    soon as its closure exceeds the degree or hits one fiber twice.  Both
-    conditions hold for every subset of a regular subgroup, so no regular
-    subgroup is ever pruned, and each is found exactly once because all its
-    fiber choices are forced.
+    The search branches over the least uncovered point, its fiber in
+    sorted order, and closes breadth-first on image tuples over the
+    choices so far plus the new one, pruning as soon as one fiber is hit
+    twice (so also past m = degree elements).  Every element reached lies
+    in <current, extra>, so no choice inside a regular subgroup is pruned,
+    and each is found once because all its fiber choices are forced.
     """
     m = group.degree
     if m > max_degree:
@@ -447,60 +437,53 @@ def regular_subgroups(group: PermutationGroup, base: int = 0,
         raise PreconditionError(f"order {group.order} exceeds bound {max_order}")
     if group.order % m != 0:
         return []
-    ig = indexed(group)
-    elems = ig.elems
-    fibers: list[list[int]] = [[] for _ in range(m)]
-    for i, img in enumerate(elems):
-        fibers[img[base]].append(i)
+    fibers: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    for p in group.elements:
+        fibers[p.images[base]].append(p.images)
     if any(not f for f in fibers):
         return []  # not transitive, so no transitive subgroup exists
+    # w -> w * g; on degree 1 itemgetter returns an int, but the search
+    # never closes there
+    right_mul = {p.images: itemgetter(*p.images) for p in group.elements}
+    results: list[tuple[frozenset, list]] = []
 
-    table = ig.table
-    results: list[frozenset[int]] = []
-
-    def close_with(current: frozenset[int], extra: int) -> Optional[frozenset[int]]:
-        # closure of current (already a subgroup) plus one element, pruned
-        # on size > m or on two elements sharing a fiber
-        point_of: dict[int, int] = {elems[i][base]: i for i in current}
+    def close_with(current: frozenset, gens: list,
+                   extra: tuple[int, ...]) -> Optional[frozenset]:
+        # <current, extra> with current = <gens>; None on a repeated fiber
+        steps = [right_mul[g] for g in gens] + [right_mul[extra]]
         known = set(current)
-        frontier = [extra]
-        x = elems[extra][base]
-        if x in point_of:
-            return None
-        point_of[x] = extra
-        known.add(extra)
-        while frontier:
-            a = frontier.pop()
-            row_a = table[a]
-            for b in list(known):
-                for p in (row_a[b], table[b][a]):
-                    if p not in known:
-                        x = elems[p][base]
-                        if x in point_of:
-                            return None
-                        if len(known) >= m:
-                            return None
-                        point_of[x] = p
-                        known.add(p)
-                        frontier.append(p)
+        covered = {w[base] for w in current}
+        # products of current by gens stay in current, so only current *
+        # extra is new; every new element is multiplied by all steps
+        pending = [steps[-1](w) for w in current]
+        while pending:
+            fresh = []
+            for p in pending:
+                if p not in known:
+                    if p[base] in covered:
+                        return None
+                    covered.add(p[base])
+                    known.add(p)
+                    fresh.append(p)
+            pending = [step(w) for w in fresh for step in steps]
         return frozenset(known)
 
-    def extend(current: frozenset[int]) -> None:
+    def extend(current: frozenset, gens: list) -> None:
         if len(current) == m:
-            results.append(current)
+            results.append((current, gens))
             return
-        covered = {elems[i][base] for i in current}
+        covered = {w[base] for w in current}
         x = min(p for p in range(m) if p not in covered)
         for g in fibers[x]:
-            closed = close_with(current, g)
+            closed = close_with(current, gens, g)
             if closed is not None:
-                extend(closed)
+                extend(closed, gens + [g])
 
-    extend(frozenset({ig.identity_index}))
-    subs = []
-    for members in sorted(results, key=sorted):
-        sub = ig.subgroup_from_indices(group, sorted(members))
-        subs.append(sub)
+    extend(frozenset({tuple(range(m))}), [])
+    perm_of = {p.images: p for p in group.elements}
+    subs = [PermutationGroup(m, [perm_of[w] for w in members],
+                             _tagged(perm_of[g] for g in gens))
+            for members, gens in results]
     subs.sort(key=lambda h: tuple(p.images for p in h.elements))
     return subs
 
@@ -544,12 +527,14 @@ def named_group(name: str) -> PermutationGroup:
     return closure(gens, tags=list(gen_texts))
 
 
-def group_from_generator_lines(lines: Iterable[str]) -> PermutationGroup:
+def group_from_generator_lines(lines: Iterable[str],
+                               max_order: Optional[int] = None) -> PermutationGroup:
     """Build a group from cycle-notation generator lines.
 
     The degree is one plus the largest point mentioned; blank lines and
     lines starting with # are skipped.  A file of only "()" lines gives the
-    trivial group of degree 1.
+    trivial group of degree 1.  The closure stops with PreconditionError
+    as soon as it passes max_order elements, if given.
     """
     texts = []
     for raw in lines:
@@ -567,4 +552,4 @@ def group_from_generator_lines(lines: Iterable[str]) -> PermutationGroup:
                     max_point = max(max_point, int(tok))
     degree = max_point + 1 if max_point >= 0 else 1
     gens = [parse_cycles(t, degree) for t in texts]
-    return closure(gens, tags=texts)
+    return closure(gens, tags=texts, max_order=max_order)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from birkhoffsym import perm
 from birkhoffsym.birkhoff import (SymmetryDecomposition, reconstruct_symmetry)
 from birkhoffsym.cli import main
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
@@ -132,6 +133,31 @@ def test_group_file_input(tmp_path, capsys):
     assert code == 0
     assert doc["details"]["gamma_order"] == 6
     assert doc["details"]["normalizer_order"] == 6
+
+
+@pytest.mark.parametrize("command, bound", [
+    ("regular-pairs", 30), ("wreath", 30), ("normalizer", 6),
+    ("cd-lattice", 50)])
+def test_group_file_closure_stops_at_the_bound(tmp_path, capsys, monkeypatch,
+                                                command, bound):
+    # S_9 has 362880 elements; each command refuses it at its own bound
+    path = tmp_path / "s9.txt"
+    path.write_text("(0 1)\n(0 1 2 3 4 5 6 7 8)\n")
+    products = []
+    compose = perm._compose_images
+
+    def counting(w, g):
+        products.append(w)
+        return compose(w, g)
+
+    monkeypatch.setattr(perm, "_compose_images", counting)
+    argv = [command, "--group", str(path)]
+    if command == "cd-lattice":
+        argv += ["--bound", str(bound)]
+    assert main(argv) == 3
+    assert f"exceeds bound {bound}" in capsys.readouterr().err
+    # breadth-first, so at most bound + 1 elements met both generators
+    assert len(products) <= 2 * (bound + 1)
 
 
 def test_unknown_group_name(capsys):

@@ -1,8 +1,11 @@
 """Tests for the two-sided translation group Gamma(G): order formula,
 kernel description, regular subgroups, commuting pairs, normalizer."""
 
+from functools import lru_cache
+
 import pytest
 
+from birkhoffsym import perm
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.gamma import (GroupLabelling, automorphisms, build_gamma,
                                commuting_regular_pairs,
@@ -134,6 +137,60 @@ def test_gamma_s3_commuting_pairs():
         rho = sum(1 for p in u.elements if p in gg.rho_sub)
         shapes.append((lam, rho))
     assert sorted(shapes) == [(2, 3)] * 3 + [(3, 2)] * 3
+
+
+@lru_cache(maxsize=None)
+def gamma_and_regulars(name):
+    gg = build_gamma(named_group(name))
+    return gg, tuple(regular_subgroups(gg.gamma))
+
+
+def elementwise_pairs(regs):
+    """Pairs of regular subgroups all of whose elements commute, by
+    composing every pair of image tuples directly."""
+    elems = [[p.images for p in u.elements] for u in regs]
+
+    def commute(x, y):
+        return tuple(x[i] for i in y) == tuple(y[i] for i in x)
+
+    return [(regs[a], regs[b])
+            for a in range(len(regs)) for b in range(a, len(regs))
+            if all(commute(x, y) for x in elems[a] for y in elems[b])]
+
+
+@pytest.mark.parametrize("name", ["s3", "d4", "q8", "c4", "c6"])
+def test_commuting_pairs_match_elementwise_oracle(name):
+    gg, regs = gamma_and_regulars(name)
+    pairs = commuting_regular_pairs(named_group(name), gg)
+    assert pairs == elementwise_pairs(list(regs))
+
+
+@pytest.mark.parametrize("name, count", [("s3", 8), ("s4", 100), ("d4", 16),
+                                         ("q8", 16)])
+def test_gamma_regular_subgroup_counts(name, count):
+    gg, regs = gamma_and_regulars(name)
+    assert len(regs) == count
+    assert len(set(regs)) == count
+    assert all(is_regular(gg.gamma, u) for u in regs)
+
+
+def test_gamma_s4_regular_subgroup_tags_generate_them():
+    _, regs = gamma_and_regulars("s4")
+    for u in regs:
+        assert closure(u.generator_perms()) == u
+
+
+def test_commuting_pairs_build_no_table(monkeypatch):
+    def refuse(self, group):
+        raise AssertionError(f"table built for a group of order {group.order}")
+
+    perm.indexed.cache_clear()  # a cached table would hide a call
+    monkeypatch.setattr(perm.IndexedGroup, "__init__", refuse)
+    g = named_group("s4")
+    gg = build_gamma(g)
+    pairs = commuting_regular_pairs(g, gg)
+    assert len(pairs) == 1
+    assert {pairs[0][0], pairs[0][1]} == {gg.lambda_sub, gg.rho_sub}
 
 
 def test_automorphism_count_s3():

@@ -4,16 +4,19 @@ hyperplane-spanning oracle in hull_oracle.py."""
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
+from birkhoffsym import exact, hull
 from birkhoffsym.birkhoff import analytic_facet_sets, birkhoff_vertices
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.exact import _eliminate, rank
+from birkhoffsym.exact import _eliminate, _independent_rows, rank
 from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
                               certify_vertices, facet_enumeration, incidence_of,
                               polytope_from_document, polytope_to_document,
                               validate_polytope)
+from birkhoffsym.reppoly import default_catalog, representation_polytope
 
 from hull_oracle import affine_dim, oracle_facets, random_point_set
 
@@ -159,6 +162,56 @@ def test_one_pass_chart_keeps_the_rank_greedy_basis():
         assert basis == want
         assert d == len(want) == affine_dim(pts)
         assert pivot_rows == _eliminate([list(u) for u in want])[1]
+
+
+def rank_greedy_start(ineqs):
+    """The DD start the way it was first written: keep an inequality
+    when it raises the rank of the ones kept so far, until there are as
+    many as coordinates."""
+    chosen = []
+    for i, c in enumerate(ineqs):
+        if len(chosen) == len(c):
+            break
+        if rank([ineqs[j] for j in chosen] + [c]) > len(chosen):
+            chosen.append(i)
+    return chosen
+
+
+def test_dd_start_keeps_the_rank_greedy_choice(monkeypatch):
+    systems = []
+    dd = hull._dd_extreme_rays
+
+    def spy(ineqs):
+        systems.append(ineqs)
+        return dd(ineqs)
+
+    monkeypatch.setattr(hull, "_dd_extreme_rays", spy)
+    for n in (3, 4):
+        hull.facet_enumeration([m.entries for m in birkhoff_vertices(n)])
+        for entry in default_catalog(n):
+            representation_polytope(entry.matrix_group)
+    assert len(systems) == 2 + len(default_catalog(3)) + len(default_catalog(4))
+    for ineqs in systems:
+        dim = len(ineqs[0])
+        chosen = [i for i, _ in islice(_independent_rows(ineqs), dim)]
+        assert chosen == rank_greedy_start(ineqs)
+        assert len(chosen) == dim
+
+
+def test_facet_enumeration_rank_calls_are_pinned(monkeypatch):
+    # machine-independent gate: the chart and the DD start pick their
+    # independent rows in one pass each, with no rank() call
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return rank(matrix)
+
+    monkeypatch.setattr(exact, "rank", counting)
+    monkeypatch.setattr(hull, "rank", counting)
+    p = facet_enumeration([m.entries for m in birkhoff_vertices(4)])
+    assert p.n_facets == 16
+    assert len(calls) == 0
 
 
 def test_incidence_of_dedups_rows():

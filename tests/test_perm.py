@@ -220,6 +220,18 @@ def test_regular_subgroups_counts():
     assert len(cyclic) == 3
 
 
+def test_regular_subgroups_degree_one_and_c2():
+    trivial = group_from_generator_lines(["()"])
+    assert trivial.degree == 1
+    (u,) = regular_subgroups(trivial)
+    assert u == trivial
+    assert u.generators == ()
+    c2 = named_group("c2")
+    (u,) = regular_subgroups(c2)
+    assert u == c2
+    assert u.generator_perms() == [parse_cycles("(0 1)", 2)]
+
+
 def test_is_regular_negative():
     s3 = named_group("s3")
     c2 = closure([parse_cycles("(0 1)", 3)])
