@@ -43,6 +43,7 @@ from .perm import (
     PermutationGroup,
     all_subgroups,
     closure,
+    is_regular,
     named_group,
     regular_subgroups,
     symmetric_group,

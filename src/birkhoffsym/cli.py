@@ -91,6 +91,9 @@ def _cmd_verify_symmetry_group(args):
 
 def _cmd_decompose(args):
     import math
+    if not 3 <= args.n <= birkhoff.MAX_N:
+        raise PreconditionError(
+            f"decomposition supports 3 <= n <= {birkhoff.MAX_N}")
     n_points = math.factorial(args.n)
     if args.identity:
         alpha = Permutation(range(n_points))

@@ -8,7 +8,8 @@ For a finite group G acting on itself, the maps
 
 generate a subgroup Gamma(G) of Sym(G).  Everything here works with G's
 elements identified with their positions in the canonical sorted element
-list, so Gamma(G) is an ordinary permutation group on |G| points.
+list, so Gamma(G) is an ordinary permutation group on |G| points; the
+three maps come from `perm.regular_action`.
 
 Facts verified computationally by this module:
 
@@ -30,60 +31,21 @@ from typing import Optional
 
 from .errors import PreconditionError
 from .perm import (Permutation, PermutationGroup, centralizer, closure,
-                   generating_set, indexed, regular_subgroups)
+                   generating_set, indexed, regular_action, regular_subgroups)
 
 MAX_GAMMA_BASE = 30  # largest |G| whose Gamma(G) is built
 MAX_NORMALIZER_BASE = 6  # largest |G| for the brute-force normalizer
 
 
-class GroupLabelling:
-    """Identification of an abstract group's elements with 0..|G|-1.
-
-    Position 0 is always the identity: elements are sorted by image tuple
-    and the identity's tuple (0, 1, ..., m-1) is the lexicographic minimum
-    over all bijections.
-    """
-
-    __slots__ = ("group", "elements", "index")
-
-    def __init__(self, group: PermutationGroup):
-        self.group = group
-        self.elements = group.elements
-        self.index = {p: i for i, p in enumerate(self.elements)}
-        assert self.elements[0].is_identity()
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    def position(self, p: Permutation) -> int:
-        return self.index[p]
-
-
 class GammaGroup:
-    __slots__ = ("base", "gamma", "lambda_sub", "rho_sub", "iota")
+    __slots__ = ("gamma", "lambda_sub", "rho_sub", "iota")
 
-    def __init__(self, base: GroupLabelling, gamma: PermutationGroup,
-                 lambda_sub: PermutationGroup, rho_sub: PermutationGroup,
-                 iota: Permutation):
-        self.base = base
+    def __init__(self, gamma: PermutationGroup, lambda_sub: PermutationGroup,
+                 rho_sub: PermutationGroup, iota: Permutation):
         self.gamma = gamma
         self.lambda_sub = lambda_sub
         self.rho_sub = rho_sub
         self.iota = iota
-
-
-def left_translation(lab: GroupLabelling, g: Permutation) -> Permutation:
-    return Permutation(lab.position(g * x) for x in lab.elements)
-
-
-def right_translation(lab: GroupLabelling, g: Permutation) -> Permutation:
-    ginv = g.inverse()
-    return Permutation(lab.position(x * ginv) for x in lab.elements)
-
-
-def inversion_map(lab: GroupLabelling) -> Permutation:
-    return Permutation(lab.position(x.inverse()) for x in lab.elements)
 
 
 def build_gamma(group: PermutationGroup, max_size: int = MAX_GAMMA_BASE) -> GammaGroup:
@@ -93,28 +55,17 @@ def build_gamma(group: PermutationGroup, max_size: int = MAX_GAMMA_BASE) -> Gamm
     if group.order > max_size:
         raise PreconditionError(
             f"group of order {group.order} exceeds bound {max_size}")
-    lab = GroupLabelling(group)
-    generators = generating_set(group)
-    gen_perms = []
-    gen_tags = []
-    for tag, g in generators:
-        gen_perms.append(left_translation(lab, g))
-        gen_tags.append(f"lambda[{tag}]")
-        gen_perms.append(right_translation(lab, g))
-        gen_tags.append(f"rho[{tag}]")
-    iota = inversion_map(lab)
-    gen_perms.append(iota)
-    gen_tags.append("inv")
-    gamma = closure(gen_perms, tags=gen_tags)
-    lam_elems = [left_translation(lab, g) for g in group.elements]
-    rho_elems = [right_translation(lab, g) for g in group.elements]
-    lam_gens = tuple((f"lambda[{tag}]", left_translation(lab, g))
-                     for tag, g in generators)
-    rho_gens = tuple((f"rho[{tag}]", right_translation(lab, g))
-                     for tag, g in generators)
-    lambda_sub = PermutationGroup(lab.size, lam_elems, lam_gens)
-    rho_sub = PermutationGroup(lab.size, rho_elems, rho_gens)
-    return GammaGroup(lab, gamma, lambda_sub, rho_sub, iota)
+    lams, rhos, iota = regular_action(group)
+    index = indexed(group).index
+    generators = [(tag, index[g.images]) for tag, g in generating_set(group)]
+    lam_gens = tuple((f"lambda[{tag}]", lams[g]) for tag, g in generators)
+    rho_gens = tuple((f"rho[{tag}]", rhos[g]) for tag, g in generators)
+    tagged = [*itertools.chain.from_iterable(zip(lam_gens, rho_gens)),
+              ("inv", iota)]
+    gamma = closure([p for _, p in tagged], tags=[tag for tag, _ in tagged])
+    lambda_sub = PermutationGroup(group.order, lams, lam_gens)
+    rho_sub = PermutationGroup(group.order, rhos, rho_gens)
+    return GammaGroup(gamma, lambda_sub, rho_sub, iota)
 
 
 def is_elementary_abelian_2(group: PermutationGroup) -> bool:
@@ -145,13 +96,9 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
     z = centralizer(group, group)
     ea2 = is_elementary_abelian_2(group)
     formula = 2 * group.order ** 2 // z.order
-    lab = gg.base
-    kernel_pass = True
-    for g in group.elements:
-        lam_rho = left_translation(lab, g) * right_translation(lab, g)
-        if lam_rho.is_identity() != (g in z):
-            kernel_pass = False
-            break
+    lams, rhos, _ = regular_action(group)
+    kernel_pass = all((lam * rho).is_identity() == (g in z)
+                      for g, lam, rho in zip(group.elements, lams, rhos))
     actual = gg.gamma.order
     if ea2:
         return WreathReport(group.order, z.order, True, formula,

@@ -14,7 +14,10 @@ Groups here stay small (a few thousand elements at the very most), which is
 why explicit element lists beat any stabilizer-chain machinery in both
 simplicity and, at this scale, speed.  `closure` and `regular_subgroups`
 compose image tuples; only routines reading most products of a group of
-order at most 200 use the multiplication table of `IndexedGroup`.
+order at most 200 use the multiplication table of `IndexedGroup`.  That
+table is also the group's one regular action: `regular_action` reads the
+left and right translations and the inversion of G on its own element
+indices off it.
 """
 
 from __future__ import annotations
@@ -270,7 +273,9 @@ class IndexedGroup:
     """Index-level view of a group: elements as positions in the sorted
     list, products looked up in a full order^2 table.  Users read most of
     it, on groups of order at most 200 by default: `all_subgroups`,
-    `centralizer`, `generating_set`, `cd` and `gamma.automorphisms`.  The
+    `centralizer`, `generating_set`, `cd`, `gamma.automorphisms`, and
+    `regular_action`, which gives `gamma.build_gamma`, the vertex maps of
+    `reppoly` and the B_n transformation law their translations.  The
     Gamma(G) searches (`regular_subgroups`, `commuting_regular_pairs`)
     build none."""
 
@@ -359,6 +364,18 @@ def _tagged(perms: Iterable[Permutation]) -> tuple[tuple[str, Permutation], ...]
 @lru_cache(maxsize=16)
 def indexed(group: PermutationGroup) -> IndexedGroup:
     return IndexedGroup(group)
+
+
+def regular_action(group: PermutationGroup) -> tuple[
+        list[Permutation], list[Permutation], Permutation]:
+    """G acting on its own element indices, everything in element order:
+    lams[g] is x -> g x (table row g), rhos[g] is x -> x g^-1 (the table
+    column at g^-1) and iota is x -> x^-1."""
+    ig = indexed(group)
+    table = ig.table
+    lams = [Permutation(row) for row in table]
+    rhos = [Permutation(row[h] for row in table) for h in ig.inv]
+    return lams, rhos, Permutation(ig.inv)
 
 
 def generating_set(group: PermutationGroup) -> tuple[tuple[str, Permutation], ...]:

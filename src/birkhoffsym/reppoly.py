@@ -25,10 +25,9 @@ from .birkhoff import birkhoff_vertices, permutation_matrix
 from .combiso import comb_automorphisms, comb_equivalent
 from .errors import PreconditionError
 from .exact import RationalMatrix, inverse, parse_rational
-from .gamma import GroupLabelling, left_translation
 from .hull import Polytope, certify_vertices, facet_enumeration, incidence_of
-from .perm import (Permutation, PermutationGroup, generating_set, named_group,
-                   saturate)
+from .perm import (Permutation, PermutationGroup, generating_set, indexed,
+                   named_group, regular_action, saturate)
 
 MAX_CLOSURE = 500
 MAX_POLYTOPE_ELEMENTS = 30
@@ -51,12 +50,6 @@ class MatrixGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def index(self, matrix: RationalMatrix) -> int:
-        return self._index[matrix]
-
-    def inverse_indices(self) -> list[int]:
-        return [self._index[inverse(m)] for m in self.elements]
 
     def element_group(self) -> PermutationGroup:
         """The abstract group as permutations, via left translation on
@@ -115,11 +108,12 @@ def matrix_group_from_perm_group(group: PermutationGroup) -> MatrixGroup:
 def regular_matrix_group(group: PermutationGroup) -> MatrixGroup:
     """Left regular representation: |G| x |G| permutation matrices of the
     translation action of G on itself."""
-    lab = GroupLabelling(group)
-    gens = [g for _, g in generating_set(group)] or [group.identity]
-    return matrix_closure(
-        [permutation_matrix(left_translation(lab, g)) for g in gens],
-        bound=max(MAX_CLOSURE, group.order))
+    ig = indexed(group)
+    lams, _, _ = regular_action(group)
+    gens = ([ig.index[g.images] for _, g in generating_set(group)]
+            or [ig.identity_index])
+    return matrix_closure([permutation_matrix(lams[g]) for g in gens],
+                          bound=max(MAX_CLOSURE, group.order))
 
 
 def representation_polytope(mgroup: MatrixGroup) -> Polytope:
@@ -140,16 +134,10 @@ def representation_polytope(mgroup: MatrixGroup) -> Polytope:
 def translation_vertex_maps(mgroup: MatrixGroup) -> tuple[
         list[Permutation], list[Permutation], Permutation]:
     """Vertex permutations of the element list: left translations
-    x -> g x, right translations x -> x g^-1, and inversion x -> x^-1."""
-    inv = mgroup.inverse_indices()
-    lams = []
-    rhos = []
-    for g_idx, g in enumerate(mgroup.elements):
-        g_inv = mgroup.elements[inv[g_idx]]
-        lams.append(Permutation(mgroup.index(g * x) for x in mgroup.elements))
-        rhos.append(Permutation(mgroup.index(x * g_inv) for x in mgroup.elements))
-    iota = Permutation(inv)
-    return lams, rhos, iota
+    x -> g x, right translations x -> x g^-1, and inversion x -> x^-1.
+    The regular action of the element group, whose element order is the
+    matrix order."""
+    return regular_action(mgroup.element_group())
 
 
 @dataclass
@@ -191,8 +179,7 @@ def matrix_from_rows(rows: list[list]) -> RationalMatrix:
         if len(row) != dim:
             raise ValueError("matrix rows must be square")
         for cell in row:
-            entries.append(parse_rational(cell) if isinstance(cell, str)
-                           else cell)
+            entries.append(parse_rational(str(cell)))
     return RationalMatrix(dim, dim, entries)
 
 

@@ -6,11 +6,13 @@ import itertools
 import random
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from birkhoffsym import birkhoff
 from birkhoffsym.birkhoff import (FacetLabel, InconsistentSymmetryError,
                                   NotFacetSymmetryError,
                                   SymmetryDecomposition, analytic_facet_sets,
@@ -21,7 +23,7 @@ from birkhoffsym.birkhoff import (FacetLabel, InconsistentSymmetryError,
                                   verify_symmetry_group,
                                   verify_transformation_law)
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.perm import Permutation
+from birkhoffsym.perm import Permutation, symmetric_group
 
 
 perm_strategy = st.integers(2, 5).flatmap(
@@ -118,6 +120,25 @@ def test_verify_transformation_law_n3():
     assert r.passed
     assert r.translation_cases == 36 * 9
     assert r.inversion_cases == 9
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_symmetric_group_lists_the_vertex_order(n):
+    # the law check reads products off symmetric_group(n)'s table by
+    # vertex index
+    assert symmetric_group(n).elements == sn_enumeration(n)
+
+
+def test_transformation_law_detects_swapped_sets(monkeypatch):
+    sets = dict(analytic_facet_sets(3))
+    a01, a10 = FacetLabel(0, 1), FacetLabel(1, 0)
+    sets[a01], sets[a10] = sets[a10], sets[a01]
+    monkeypatch.setattr(birkhoff, "analytic_facet_sets", lambda n: sets)
+    r = verify_transformation_law(3)
+    assert not r.passed
+    # A_01 and A_10 are swapped by inversion too, so only the
+    # translation half of the law can see it
+    assert r.failures and all(f.startswith("sigma=") for f in r.failures)
 
 
 def test_verify_transformation_law_out_of_range():
@@ -228,6 +249,23 @@ def test_verify_symmetry_group_n4():
     assert r.facets_match_analytic
     assert r.aut_order == 1152 == r.expected_order
     assert r.roundtrip_failures == 0
+
+
+def test_verify_symmetry_group_counts_failing_generators(monkeypatch):
+    real = birkhoff.comb_automorphisms
+
+    def one_bad_generator(inc):
+        aut = real(inc)
+        # swapping the first two vertices maps A_11 onto no A_kl
+        swap = Permutation([1, 0] + list(range(2, aut.degree)))
+        return SimpleNamespace(order=aut.order,
+                               generators=(swap,) + aut.generators[1:])
+
+    monkeypatch.setattr(birkhoff, "comb_automorphisms", one_bad_generator)
+    r = verify_symmetry_group(3)
+    assert r.aut_order == r.expected_order
+    assert r.roundtrip_failures == 1
+    assert not r.passed
 
 
 def test_verify_symmetry_group_out_of_range():

@@ -107,6 +107,12 @@ def test_decompose_needs_alpha_or_identity(capsys):
     assert main(["decompose", "3"]) == 3
 
 
+def test_decompose_checks_n_before_building_alpha(capsys):
+    # the identity on 40! vertices used to be built first: OverflowError
+    assert main(["decompose", "40", "--identity"]) == 3
+    assert "3 <= n <= 5" in capsys.readouterr().err
+
+
 def test_cd_lattice_s4(capsys):
     code, doc = run_json(capsys, ["cd-lattice", "--group", "s4"])
     assert code == 0
@@ -265,6 +271,15 @@ def test_rep_polytope_document(tmp_path, capsys):
     assert code == 0
     assert doc["details"]["order"] == 6
     assert doc["details"]["matrix_dim"] == 2
+
+
+@pytest.mark.parametrize("cell", [1.0, True])
+def test_rep_polytope_takes_only_integers_and_rationals(tmp_path, capsys, cell):
+    doc_in = {"dim": 2, "generators": [[["0", "-1"], [cell, "1"]]]}
+    path = tmp_path / "rot6.json"
+    path.write_text(json.dumps(doc_in))
+    assert main(["rep-polytope", "--group", str(path)]) == 3
+    assert "not a rational literal" in capsys.readouterr().err
 
 
 def test_rep_polytope_unknown_group(capsys):

@@ -7,37 +7,35 @@ import pytest
 
 from birkhoffsym import perm
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.gamma import (GroupLabelling, automorphisms, build_gamma,
+from birkhoffsym.gamma import (automorphisms, build_gamma,
                                commuting_regular_pairs,
-                               inversion_map, is_elementary_abelian_2,
-                               left_translation, normalizer_in_full_symmetric,
-                               right_translation, verify_wreath_quotient)
+                               is_elementary_abelian_2,
+                               normalizer_in_full_symmetric,
+                               verify_wreath_quotient)
 from birkhoffsym.perm import (PermutationGroup, named_group, regular_subgroups,
                               all_subgroups, centralizer, closure, is_regular,
-                              parse_cycles)
+                              parse_cycles, regular_action)
 
 
 def test_translations_are_actions():
     g = named_group("s3")
-    lab = GroupLabelling(g)
-    for a in g.elements:
-        for b in g.elements:
-            lam = left_translation(lab, a) * left_translation(lab, b)
-            assert lam == left_translation(lab, a * b)
-            rho = right_translation(lab, a) * right_translation(lab, b)
-            assert rho == right_translation(lab, a * b)
+    lams, rhos, _ = regular_action(g)
+    index = {p: i for i, p in enumerate(g.elements)}
+    for a, pa in enumerate(g.elements):
+        for b, pb in enumerate(g.elements):
+            ab = index[pa * pb]
+            assert lams[a] * lams[b] == lams[ab]
+            assert rhos[a] * rhos[b] == rhos[ab]
             # left and right translations always commute
-            assert (left_translation(lab, a) * right_translation(lab, b)
-                    == right_translation(lab, b) * left_translation(lab, a))
+            assert lams[a] * rhos[b] == rhos[b] * lams[a]
 
 
 def test_inversion_conjugates_left_to_right():
     g = named_group("s3")
-    lab = GroupLabelling(g)
-    iota = inversion_map(lab)
+    lams, rhos, iota = regular_action(g)
     assert (iota * iota).is_identity()
-    for a in g.elements:
-        assert iota * left_translation(lab, a) * iota == right_translation(lab, a)
+    for lam, rho in zip(lams, rhos):
+        assert iota * lam * iota == rho
 
 
 def test_wreath_on_a_centralizer():
@@ -185,9 +183,9 @@ def test_commuting_pairs_build_no_table(monkeypatch):
         raise AssertionError(f"table built for a group of order {group.order}")
 
     perm.indexed.cache_clear()  # a cached table would hide a call
-    monkeypatch.setattr(perm.IndexedGroup, "__init__", refuse)
     g = named_group("s4")
-    gg = build_gamma(g)
+    gg = build_gamma(g)  # reads the table of G, not of Gamma(G)
+    monkeypatch.setattr(perm.IndexedGroup, "__init__", refuse)
     pairs = commuting_regular_pairs(g, gg)
     assert len(pairs) == 1
     assert {pairs[0][0], pairs[0][1]} == {gg.lambda_sub, gg.rho_sub}
@@ -214,7 +212,6 @@ def test_normalizer_size_cap():
 
 def test_wreath_kernel_property_c6():
     # in an abelian group every lambda_g rho_g is conjugation by g = identity
-    g = named_group("c6")
-    lab = GroupLabelling(g)
-    for a in g.elements:
-        assert (left_translation(lab, a) * right_translation(lab, a)).is_identity()
+    lams, rhos, _ = regular_action(named_group("c6"))
+    for lam, rho in zip(lams, rhos):
+        assert (lam * rho).is_identity()

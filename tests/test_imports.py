@@ -1,12 +1,15 @@
-"""Every module-level import in the package modules is used.
+"""Every module-level import in the package modules is used, and every
+definition is read.
 
 Deleting code tends to leave its imports behind; this walks each module's
 syntax tree (stdlib `ast`, nothing imported) and reports names bound by a
 top-level import that the module never reads.  `__init__.py` is skipped
 because its imports are the package's re-exports, and `__future__`
-imports bind no name."""
+imports bind no name.  Likewise a helper whose last caller is gone, or
+that only tests call, is reported unless `__init__` exports it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,63 @@ def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Optional, Sequence\n"
                      "def f(x: Optional[int]) -> 'Sequence': return x\n")
     assert imported_names(tree).keys() - read_names(tree) == {"os"}
+
+
+def definitions(tree: ast.Module):
+    """(name, node) for each module-level function or class and each
+    non-dunder method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield item.name, item
+
+
+def reads(tree: ast.AST) -> Counter:
+    """How often each name is read, as a bare name or as an attribute."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out[node.attr] += 1
+    return out
+
+
+def dead_definitions(trees: dict[str, ast.Module],
+                     exported: set[str]) -> list[str]:
+    """module.name of every definition that no package code reads outside
+    the definition's own body and that `__init__` does not export."""
+    total = Counter()
+    for tree in trees.values():
+        total += reads(tree)
+    dead = []
+    for module, tree in trees.items():
+        for name, node in definitions(tree):
+            if name not in exported and total[name] - reads(node)[name] <= 0:
+                dead.append(f"{module}.{name}")
+    return dead
+
+
+def test_no_dead_definitions():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    exported = set(imported_names(ast.parse((PACKAGE / "__init__.py").read_text())))
+    assert dead_definitions(trees, exported) == []
+
+
+def test_detects_a_dead_definition():
+    tree = ast.parse("def used(): return 1\n"
+                     "def unused(): return used()\n"
+                     "def recursive(n): return recursive(n - 1)\n"
+                     "class C:\n"
+                     "    def __len__(self): return 0\n"
+                     "    def method(self): return 0\n"
+                     "    def read(self): return self.read\n"
+                     "C().method\n")
+    assert dead_definitions({"m": tree}, {"C"}) == [
+        "m.unused", "m.recursive", "m.read"]

@@ -14,7 +14,8 @@ from birkhoffsym.perm import (IndexedGroup, Permutation, PermutationGroup,
                               all_subgroups, builtin_group_names, centralizer,
                               closure, group_from_generator_lines, indexed,
                               is_regular, named_group, parse_cycles,
-                              regular_subgroups, symmetric_group)
+                              regular_action, regular_subgroups,
+                              symmetric_group)
 
 
 def perm_strategy(degree):
@@ -200,6 +201,19 @@ def test_indexed_group_table():
         for b in range(g.order):
             assert elems[ig.table[a][b]] == elems[a] * elems[b]
         assert (elems[a] * elems[ig.inv[a]]).is_identity()
+
+
+@pytest.mark.parametrize("name", ["s3", "s4", "d4", "q8"])
+def test_regular_action_matches_products(name):
+    g = named_group(name)
+    elems = g.elements
+    index = {p: i for i, p in enumerate(elems)}
+    lams, rhos, iota = regular_action(g)
+    assert [p.images for p in lams] == [
+        tuple(index[a * x] for x in elems) for a in elems]
+    assert [p.images for p in rhos] == [
+        tuple(index[x * a.inverse()] for x in elems) for a in elems]
+    assert iota.images == tuple(index[x.inverse()] for x in elems)
 
 
 def test_regular_subgroups_counts():

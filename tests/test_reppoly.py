@@ -7,14 +7,15 @@ from fractions import Fraction
 import pytest
 
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.exact import RationalMatrix
+from birkhoffsym.exact import RationalMatrix, inverse
 from birkhoffsym.hull import incidence_of
 from birkhoffsym.combiso import comb_equivalent
 from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.hull import facet_enumeration
 from birkhoffsym.gamma import verify_wreath_quotient
 from birkhoffsym.perm import PermutationGroup, centralizer, named_group
-from birkhoffsym.reppoly import (MatrixGroup, load_exceptional_c6,
+from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
+                                 load_exceptional_c6,
                                  matrix_closure,
                                  matrix_from_rows,
                                  matrix_group_from_document,
@@ -112,6 +113,21 @@ def test_translation_maps_are_group_actions():
     for a in lams:
         for b in rhos:
             assert a * b == b * a
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_translation_maps_match_matrix_products(n):
+    # every catalog group, the C_6 fixture included, against products of
+    # the matrices themselves
+    for entry in default_catalog(n):
+        elems = entry.matrix_group.elements
+        index = {m: i for i, m in enumerate(elems)}
+        lams, rhos, iota = translation_vertex_maps(entry.matrix_group)
+        assert [p.images for p in lams] == [
+            tuple(index[g * x] for x in elems) for g in elems], entry.name
+        assert [p.images for p in rhos] == [
+            tuple(index[x * inverse(g)] for x in elems) for g in elems], entry.name
+        assert iota.images == tuple(index[inverse(x)] for x in elems), entry.name
 
 
 def test_gamma_acts_standard_s3():
