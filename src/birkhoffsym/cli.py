@@ -250,9 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=200)
 
     p = add("sn-cent-est", _cmd_sn_cent_est,
-            "centralizer order estimate across all subgroups of S_n")
+            "centralizer order estimate across all subgroups of S_n, n = 4, 5, 6")
     p.add_argument("n", type=int)
-    p.add_argument("--bound", type=int, default=200)
+    p.add_argument("--bound", type=int, default=720,
+                   help="largest group order to enumerate (default 720 = |S_6|)")
 
     p = add("wreath", _cmd_wreath,
             "order formula 2|G|^2/|Z(G)| and kernel check for Gamma(G)")

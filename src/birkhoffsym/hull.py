@@ -301,11 +301,14 @@ def certify_vertices(polytope: Polytope) -> list[bool]:
 
 
 def polytope_from_document(doc: dict) -> list[tuple[Fraction, ...]]:
-    """Read the vertex list from a polytope document {"vertices": [["p/q",...]]}."""
-    if "vertices" not in doc:
-        raise ValueError('polytope document lacks "vertices"')
-    return [tuple(parse_rational(str(entry)) for entry in row)
-            for row in doc["vertices"]]
+    """Read the vertex list from a polytope document {"vertices": [["p/q",...]]}.
+    A document of another shape raises ValueError."""
+    if not isinstance(doc, dict) or "vertices" not in doc:
+        raise ValueError('polytope document must be an object with "vertices"')
+    rows = doc["vertices"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError('"vertices" must be a list of coordinate lists')
+    return [tuple(parse_rational(str(entry)) for entry in row) for row in rows]
 
 
 def polytope_to_document(polytope: Polytope) -> dict:

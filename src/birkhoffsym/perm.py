@@ -14,10 +14,15 @@ Groups here stay small (a few thousand elements at the very most), which is
 why explicit element lists beat any stabilizer-chain machinery in both
 simplicity and, at this scale, speed.  `closure` and `regular_subgroups`
 compose image tuples; only routines reading most products of a group of
-order at most 200 use the multiplication table of `IndexedGroup`.  That
-table is also the group's one regular action: `regular_action` reads the
-left and right translations and the inversion of G on its own element
-indices off it.
+order at most 720 (S_6) use the multiplication table of `IndexedGroup`.
+That table is also the group's one regular action: `regular_action` reads
+the left and right translations and the inversion of G on its own element
+indices off it.  `subgroup_classes` enumerates subgroups up to conjugacy
+on the same table, by cyclic extension; `all_subgroups` lists them all.
+
+Cycle notation names points by number, and the degree follows from the
+largest point named, so `parse_cycles` and `group_from_generator_lines`
+refuse points at or above MAX_DEGREE before any image list is built.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import NotASubgroupError, PreconditionError
+
+MAX_DEGREE = 4096  # points 0..MAX_DEGREE-1 are the most cycle notation may name
 
 
 class Permutation:
@@ -124,8 +131,11 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse cycle notation like "(0 1)(2 3)" into a permutation of the
     given degree.  "()" or an empty string is the identity.  Points may be
-    separated by spaces or commas.  Repeated points are rejected.
+    separated by spaces or commas.  Repeated points, and degrees above
+    MAX_DEGREE, are rejected.
     """
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree {degree} exceeds the cap {MAX_DEGREE}")
     s = text.strip()
     if s in ("", "()"):
         return Permutation.identity(degree)
@@ -272,7 +282,7 @@ def symmetric_group(n: int) -> PermutationGroup:
 class IndexedGroup:
     """Index-level view of a group: elements as positions in the sorted
     list, products looked up in a full order^2 table.  Users read most of
-    it, on groups of order at most 200 by default: `all_subgroups`,
+    it, on groups of order at most 720 (S_6): `subgroup_classes`,
     `centralizer`, `generating_set`, `cd`, `gamma.automorphisms`, and
     `regular_action`, which gives `gamma.build_gamma`, the vertex maps of
     `reppoly` and the B_n transformation law their translations.  The
@@ -299,7 +309,7 @@ class IndexedGroup:
         """Subgroup generated by the seed indices.
 
         The same breadth-first loop as `saturate`, kept inline over table
-        rows: all_subgroups runs it for every (subgroup, element) pair, and
+        rows: subgroup_classes runs it once per extension it tries, and
         routing it through saturate's product callback made 700 closures
         in S_5 about 1.3x slower.
         """
@@ -329,6 +339,17 @@ class IndexedGroup:
         members = list(indices)
         return frozenset(g for g, row in enumerate(table)
                          if all(row[h] == table[h][g] for h in members))
+
+    def normalizer(self, members: frozenset[int],
+                   gens: Iterable[int]) -> list[int]:
+        """Indices m, ascending, with m g m^-1 in `members` for every given
+        g.  Passing a generating set of the subgroup H with those members
+        is enough for N_G(H): m H m^-1 is then a subset of H of the same
+        size."""
+        table, inv = self.table, self.inv
+        gens = list(gens)
+        return [m for m, row in enumerate(table)
+                if all(table[row[g]][inv[m]] in members for g in gens)]
 
     def generating_indices(self, members: Sequence[int]) -> list[int]:
         """A generating set of the subgroup with the given member indices,
@@ -400,37 +421,88 @@ def centralizer(group: PermutationGroup, sub: PermutationGroup) -> PermutationGr
     return ig.subgroup_from_indices(group, sorted(members))
 
 
-def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[PermutationGroup]:
-    """Every subgroup of G, by closing single-element extensions.
+SubgroupClass = list[tuple[frozenset[int], tuple[int, ...]]]
 
-    Any subgroup K = <g1, ..., gk> is reached: the chain of closures of its
-    generator prefixes consists of subgroups, each obtained from the
-    previous by one extension, so a worklist over (found subgroup, extra
-    element) pairs is exhaustive.  Results are sorted by (order, element
-    list) for determinism.
+
+def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[SubgroupClass]:
+    """Every subgroup of G up to conjugacy, by cyclic extension (Holt,
+    Eick & O'Brien, Handbook of Computational Group Theory, 2005).
+
+    Returns the conjugacy classes in the order found.  A class lists each
+    of its subgroups as (member indices, generator indices) on the table
+    of `indexed(group)`, the queued representative first; every other
+    member x K x^-1 carries the generators of K conjugated by x.
+
+    One representative H per class is extended.  N = N_G(H) is read off
+    the table from H's generators, and H is extended by one g per orbit
+    of G \\ H under g -> h g (h in H) and g -> m g m^-1 (m in N).  When
+    <H, g> is new, its whole class is recorded and <H, g> alone is queued.
+    Nothing is lost: <H, h g> = <H, g>, and m <H, g> m^-1 = <H, m g m^-1>
+    because m normalizes H, so for every k outside H, <H, k> is
+    m <H, g> m^-1 for the representative g of k's orbit and some m in N,
+    and lies in the class of a closure tried.  Conjugating by x carries
+    the extensions of H to those of x H x^-1, so the same holds for every
+    member of a recorded class.  By induction along a chain 1 < <g1> <
+    <g1, g2> < ... < K, every subgroup K lies in a recorded class.
     """
     if group.order > bound:
         raise PreconditionError(
             f"group of order {group.order} exceeds subgroup-enumeration bound {bound}")
     ig = indexed(group)
-    n = ig.order
-    trivial = frozenset({ig.identity_index})
-    found: dict[frozenset[int], tuple[int, ...]] = {trivial: ()}
-    queue = [trivial]
-    while queue:
-        members = queue.pop()
-        gens = found[members]
-        for g in range(n):
-            if g in members:
+    table, inv, n = ig.table, ig.inv, ig.order
+    classes: list[SubgroupClass] = []
+    found: set[frozenset[int]] = set()
+    queue: list[tuple[frozenset[int], tuple[int, ...], list[int]]] = []
+
+    def record(members: frozenset[int], gens: tuple[int, ...]) -> None:
+        norm = ig.normalizer(members, gens)
+        # x K x^-1 depends only on the coset x N: one x per coset
+        covered = bytearray(n)
+        cls: SubgroupClass = []
+        for x in range(n):
+            if covered[x]:
                 continue
+            row, x_inv = table[x], inv[x]
+            for m in norm:
+                covered[row[m]] = 1
+            conj = frozenset(table[row[a]][x_inv] for a in members)
+            cls.append((conj, tuple(table[row[a]][x_inv] for a in gens)))
+            found.add(conj)
+        classes.append(cls)
+        queue.append((members, gens, norm))
+
+    record(frozenset({ig.identity_index}), ())
+    while queue:
+        members, gens, norm = queue.pop()
+        done = bytearray(n)
+        for h in members:
+            done[h] = 1
+        for g in range(n):
+            if done[g]:
+                continue
+            # the orbit of g: the cosets H (m g m^-1), m in N
+            for m in norm:
+                c = table[table[m][g]][inv[m]]
+                if not done[c]:
+                    for h in members:
+                        done[table[h][c]] = 1
             closed = ig.closure_indices(gens + (g,))
             if closed not in found:
-                found[closed] = gens + (g,)
-                queue.append(closed)
-    subs = [ig.subgroup_from_indices(group, sorted(members), gens)
-            for members, gens in found.items()]
-    subs.sort(key=lambda h: (h.order, tuple(p.images for p in h.elements)))
-    return subs
+                record(closed, gens + (g,))
+    return classes
+
+
+def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[PermutationGroup]:
+    """Every subgroup of G, from `subgroup_classes`, tagged with the
+    generators found for it and sorted by (order, element list): on
+    element indices that is (order, ascending member indices)."""
+    subs = sorted(((sorted(members), gens)
+                   for cls in subgroup_classes(group, bound)
+                   for members, gens in cls),
+                  key=lambda sub: (len(sub[0]), sub[0]))
+    ig = indexed(group)
+    return [ig.subgroup_from_indices(group, members, gens)
+            for members, gens in subs]
 
 
 def regular_subgroups(group: PermutationGroup, base: int = 0,
@@ -548,8 +620,8 @@ def group_from_generator_lines(lines: Iterable[str],
                                max_order: Optional[int] = None) -> PermutationGroup:
     """Build a group from cycle-notation generator lines.
 
-    The degree is one plus the largest point mentioned; blank lines and
-    lines starting with # are skipped.  A file of only "()" lines gives the
+    The degree is one plus the largest point mentioned, which must lie
+    below MAX_DEGREE; blank lines and lines starting with # are skipped.  A file of only "()" lines gives the
     trivial group of degree 1.  The closure stops with PreconditionError
     as soon as it passes max_order elements, if given.
     """
@@ -567,6 +639,9 @@ def group_from_generator_lines(lines: Iterable[str],
             for tok in re.split(r"[\s,]+", body.strip()):
                 if tok:
                     max_point = max(max_point, int(tok))
+                    if max_point >= MAX_DEGREE:
+                        raise ValueError(f"point {max_point} exceeds the cap: "
+                                         f"points run below {MAX_DEGREE}")
     degree = max_point + 1 if max_point >= 0 else 1
     gens = [parse_cycles(t, degree) for t in texts]
     return closure(gens, tags=texts, max_order=max_order)

@@ -186,12 +186,16 @@ def matrix_from_rows(rows: list[list]) -> RationalMatrix:
 def matrix_group_from_document(doc: dict) -> "CatalogEntry":
     """Parse {"name", "dim", "generators", "order"?, "expect_equivalent"?}
     where each generator is a dim x dim array of integers or "p/q"
-    strings."""
-    if "generators" not in doc or "dim" not in doc:
+    strings.  A document of another shape raises ValueError."""
+    if not isinstance(doc, dict) or "generators" not in doc or "dim" not in doc:
         raise ValueError("matrix group document needs 'dim' and 'generators'")
-    dim = doc["dim"]
+    dim, gen_docs = doc["dim"], doc["generators"]
+    if type(dim) is not int or not isinstance(gen_docs, list):
+        raise ValueError("'dim' must be an integer and 'generators' a list")
     gens = []
-    for rows in doc["generators"]:
+    for rows in gen_docs:
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("each generator must be a list of rows")
         if len(rows) != dim:
             raise ValueError("generator does not match declared dim")
         gens.append(matrix_from_rows(rows))

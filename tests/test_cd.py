@@ -7,7 +7,7 @@ from birkhoffsym.cd import cd_lattice, cd_measure, verify_centralizer_estimate
 from birkhoffsym.errors import NotASubgroupError, PreconditionError
 from birkhoffsym.perm import (Permutation, PermutationGroup, all_subgroups,
                               centralizer, closure, named_group, parse_cycles,
-                              symmetric_group)
+                              subgroup_classes, symmetric_group)
 
 
 def _sub(degree, *cycle_texts):
@@ -110,10 +110,25 @@ def test_centralizer_estimate_s5():
     assert r.passed
 
 
+def test_centralizer_estimate_s6():
+    # the known counts: 1455 subgroups of S_6 in 56 conjugacy classes
+    assert len(subgroup_classes(symmetric_group(6), bound=720)) == 56
+    r = verify_centralizer_estimate(6)
+    assert r.group_order == 720
+    assert r.subgroup_count == 1455
+    assert r.max_measure == 720
+    assert r.equality_orders == [1, 720]
+    assert r.violations == []
+    assert r.passed
+
+
 def test_centralizer_estimate_rejects_other_n():
-    for n in (2, 3, 6):
+    # n = 6 joined the supported range with cyclic extension
+    for n in (2, 3, 7):
         with pytest.raises(PreconditionError):
             verify_centralizer_estimate(n)
+    with pytest.raises(PreconditionError):
+        verify_centralizer_estimate(6, bound=200)
 
 
 def test_cd_lattice_two_element_iff_trivial_center_extremes():

@@ -166,6 +166,24 @@ def test_group_file_closure_stops_at_the_bound(tmp_path, capsys, monkeypatch,
     assert len(products) <= 2 * (bound + 1)
 
 
+def test_group_file_degree_cap(tmp_path, capsys):
+    # the point sets the degree; far past the cap, the image list alone
+    # would not fit in memory (MemoryError before the cap existed)
+    path = tmp_path / "wide.txt"
+    path.write_text("(0 1000000000000000)\n")
+    assert main(["cd-lattice", "--group", str(path)]) == 3
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_sn_cent_est_s6_within_the_default_bound(capsys):
+    code, doc = run_json(capsys, ["sn-cent-est", "6"])
+    assert code == 0
+    assert doc["details"]["subgroup_count"] == 1455
+    assert doc["details"]["equality_orders"] == [1, 720]
+    assert main(["sn-cent-est", "6", "--bound", "200"]) == 3
+    assert main(["sn-cent-est", "7"]) == 3
+
+
 def test_unknown_group_name(capsys):
     assert main(["wreath", "--group", "zzz"]) == 3
 
@@ -247,6 +265,21 @@ def test_hull_cli_bad_inputs(tmp_path, capsys):
     nokey = tmp_path / "nokey.json"
     nokey.write_text(json.dumps({"points": []}))
     assert main(["hull", str(nokey)]) == 3
+
+
+@pytest.mark.parametrize("command, text", [
+    ("hull", "5"),
+    ("rep-polytope", "5"),
+    ("rep-polytope", '{"dim": 2, "generators": [5]}'),
+])
+def test_json_of_the_wrong_shape_exits_3(tmp_path, capsys, command, text):
+    # these raised TypeError past main's handler: traceback and exit 1
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = [command, str(path)] if command == "hull" else [
+        command, "--group", str(path)]
+    assert main(argv) == 3
+    assert "invalid input" in capsys.readouterr().err
 
 
 def test_rep_polytope_builtin(capsys):

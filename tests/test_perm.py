@@ -3,18 +3,25 @@ subgroup enumeration.  The subgroup counts are cross-checked by an
 independent pair-closure oracle (valid because every subgroup of the
 groups used here is generated by at most two elements)."""
 
+import functools
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birkhoffsym.errors import NotASubgroupError, PreconditionError
-from birkhoffsym.perm import (IndexedGroup, Permutation, PermutationGroup,
-                              all_subgroups, builtin_group_names, centralizer,
-                              closure, group_from_generator_lines, indexed,
-                              is_regular, named_group, parse_cycles,
-                              regular_action, regular_subgroups,
+from birkhoffsym.perm import (MAX_DEGREE, IndexedGroup, Permutation,
+                              PermutationGroup, all_subgroups,
+                              builtin_group_names, centralizer, closure,
+                              group_from_generator_lines, indexed, is_regular,
+                              named_group, parse_cycles, regular_action,
+                              regular_subgroups, subgroup_classes,
                               symmetric_group)
 
 
@@ -63,6 +70,21 @@ def test_parse_cycles_validation():
         parse_cycles("(0 1)(1 2)", 3)  # repeated point
     with pytest.raises(ValueError):
         parse_cycles("(0 5)", 3)  # out of range
+
+
+def test_degree_cap_comes_before_any_image_list():
+    # a point far past the cap used to allocate an image list of that size
+    # (MemoryError here); now ValueError, checked before any list exists
+    huge = 10 ** 15
+    with pytest.raises(ValueError, match="cap"):
+        parse_cycles("(0 1)", huge)
+    with pytest.raises(ValueError, match="cap"):
+        group_from_generator_lines([f"(0 {huge})"])
+    with pytest.raises(ValueError, match="cap"):
+        parse_cycles("(0 1)", MAX_DEGREE + 1)
+    with pytest.raises(ValueError, match="cap"):
+        group_from_generator_lines([f"(0 {MAX_DEGREE})"])
+    assert group_from_generator_lines([f"(0 {MAX_DEGREE - 1})"]).degree == MAX_DEGREE
 
 
 def test_immutability():
@@ -122,9 +144,11 @@ def test_named_group_unknown():
         named_group("e8")
 
 
+@functools.lru_cache(maxsize=None)
 def pair_closure_subgroups(group):
     """Oracle: distinct closures of all 1- and 2-element subsets.
-    Complete exactly when every subgroup is 2-generated."""
+    Complete exactly when every subgroup is 2-generated.  Cached, since
+    two tests ask for S_5's (7260 closures)."""
     seen = set()
     elems = group.elements
     for i, a in enumerate(elems):
@@ -153,6 +177,100 @@ def test_subgroup_count_s5():
     subs = all_subgroups(g)
     assert len(subs) == 156
     assert len(pair_closure_subgroups(g)) == 156
+
+
+def relabelled(name, seed):
+    """The named group rebuilt from generator lines, as a group file holds
+    them: a seeded random generating set on a seeded relabelling of the
+    points."""
+    g = named_group(name)
+    rng = random.Random(seed)
+    while True:
+        gens = [rng.choice(g.elements) for _ in range(rng.choice((2, 3)))]
+        if closure(gens).order == g.order:
+            break
+    label = list(range(g.degree))
+    rng.shuffle(label)
+    relabel = Permutation(label)
+    return group_from_generator_lines(
+        [(relabel * p * relabel.inverse()).cycle_string() for p in gens])
+
+
+def _element_lists(subs):
+    return [tuple(p.images for p in h.elements) for h in subs]
+
+
+@pytest.mark.parametrize("group", [
+    *[pytest.param(named_group(name), id=name) for name in builtin_group_names()],
+    *[pytest.param(relabelled(name, seed), id=f"{name}-relabelled-{seed}")
+      for name, seed in (("s4", 11), ("s5", 12), ("d4", 13), ("q8", 14))],
+])
+def test_all_subgroups_match_pair_closure_oracle(group):
+    # every group here has only 2-generated subgroups, so the oracle is
+    # complete; the list must match it exactly, in (order, elements) order
+    subs = all_subgroups(group)
+    want = sorted(pair_closure_subgroups(group), key=lambda e: (len(e), e))
+    assert _element_lists(subs) == want
+    for h in subs:
+        tags = h.generator_perms() or [h.identity]
+        assert closure(tags).elements == h.elements
+
+
+def test_subgroup_classes_are_conjugacy_classes():
+    # each class is one full orbit of G acting by conjugation, first
+    # member queued; classes are disjoint
+    g = named_group("s4")
+    ig = indexed(g)
+    seen = set()
+    for cls in subgroup_classes(g):
+        members = cls[0][0]
+        orbit = {frozenset(ig.table[ig.table[x][a]][ig.inv[x]] for a in members)
+                 for x in range(ig.order)}
+        assert {k for k, _ in cls} == orbit
+        assert len(cls) == len(orbit)
+        assert not orbit & seen
+        seen |= orbit
+    assert len(seen) == 30
+
+
+def test_subgroup_closure_calls_are_pinned(monkeypatch):
+    # machine-independent gate: one closure per extension orbit of one
+    # subgroup per conjugacy class; closing every (subgroup, element) pair
+    # took 577 (S_4) and 17509 (S_5)
+    calls = []
+    original = IndexedGroup.closure_indices
+
+    def counting(self, seeds):
+        calls.append(seeds)
+        return original(self, seeds)
+
+    monkeypatch.setattr(IndexedGroup, "closure_indices", counting)
+    counts = {}
+    for name in ("s4", "s5"):
+        calls.clear()
+        subs = all_subgroups(named_group(name))
+        counts[name] = (len(subs), len(calls))
+    assert counts == {"s4": (30, 25), "s5": (156, 85)}
+
+
+def test_all_subgroups_ignore_the_hash_seed():
+    # set iteration order changes with PYTHONHASHSEED; subgroups and tags
+    # must not
+    code = ("from birkhoffsym.perm import all_subgroups, named_group\n"
+            "for name in ('s4', 'd4'):\n"
+            "    for h in all_subgroups(named_group(name)):\n"
+            "        print(h.order, [p.images for p in h.elements],"
+            " [t for t, _ in h.generators])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 def test_all_subgroups_bound():
