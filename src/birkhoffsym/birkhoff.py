@@ -15,14 +15,13 @@ Together these identities force every incidence-preserving vertex
 bijection alpha to have the shape alpha(pi) = sigma pi^eps tau, and
 decompose_symmetry extracts that certified triple.
 
-Vertex indices are positions in the lexicographic enumeration of S_n
-image tuples, the same order `perm` uses for group elements, so vertex
-labellings agree across modules.
+Vertex indices are positions in `perm.symmetric_group(n).elements`, the
+lexicographic order of S_n image tuples, so vertex labellings agree
+across modules.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -60,14 +59,8 @@ class SymmetryDecomposition:
 
 
 @lru_cache(maxsize=8)
-def sn_enumeration(n: int) -> tuple[Permutation, ...]:
-    """The fixed vertex order of B_n: S_n sorted by image tuple."""
-    return tuple(Permutation(p) for p in itertools.permutations(range(n)))
-
-
-@lru_cache(maxsize=8)
 def _sn_index(n: int) -> dict[tuple[int, ...], int]:
-    return {p.images: v for v, p in enumerate(sn_enumeration(n))}
+    return {p.images: v for v, p in enumerate(symmetric_group(n).elements)}
 
 
 def permutation_matrix(perm: Permutation) -> RationalMatrix:
@@ -81,7 +74,7 @@ def permutation_matrix(perm: Permutation) -> RationalMatrix:
 def birkhoff_vertices(n: int) -> list[RationalMatrix]:
     if not 1 <= n <= MAX_N:
         raise PreconditionError(f"vertex enumeration supports 1 <= n <= {MAX_N}")
-    return [permutation_matrix(p) for p in sn_enumeration(n)]
+    return [permutation_matrix(p) for p in symmetric_group(n).elements]
 
 
 @lru_cache(maxsize=8)
@@ -94,7 +87,7 @@ def analytic_facet_sets(n: int) -> Mapping[FacetLabel, frozenset[int]]:
     """
     if n < 3:
         raise PreconditionError("facet description requires n >= 3")
-    perms = sn_enumeration(n)
+    perms = symmetric_group(n).elements
     out: dict[FacetLabel, frozenset[int]] = {}
     for i in range(n):
         for j in range(n):
@@ -153,8 +146,9 @@ def verify_transformation_law(n: int) -> LawReport:
     whose element order is the vertex order."""
     if not 3 <= n <= 4:
         raise PreconditionError("transformation law check supports 3 <= n <= 4")
-    perms = sn_enumeration(n)
-    ig = indexed(symmetric_group(n))
+    group = symmetric_group(n)
+    perms = group.elements
+    ig = indexed(group)
     table, inv = ig.table, ig.inv
     sets = analytic_facet_sets(n)
     failures = []
@@ -184,7 +178,8 @@ def verify_transformation_law(n: int) -> LawReport:
 def inversion_vertex_map(n: int) -> Permutation:
     """The vertex permutation pi -> pi^-1 of the S_n enumeration."""
     index = _sn_index(n)
-    return Permutation(index[p.inverse().images] for p in sn_enumeration(n))
+    return Permutation(index[p.inverse().images]
+                       for p in symmetric_group(n).elements)
 
 
 def _facet_image_map(n, alpha, sets, set_index):
@@ -210,7 +205,7 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
     """
     if not 3 <= n <= MAX_N:
         raise PreconditionError(f"decomposition supports 3 <= n <= {MAX_N}")
-    perms = sn_enumeration(n)
+    perms = symmetric_group(n).elements
     if alpha.degree != len(perms):
         raise PreconditionError(
             f"alpha must permute {len(perms)} vertices, got degree {alpha.degree}")
@@ -261,7 +256,7 @@ def reconstruct_symmetry(n: int, dec: SymmetryDecomposition) -> Permutation:
     index = _sn_index(n)
     return Permutation(
         index[(dec.sigma * (p if dec.epsilon == 1 else p.inverse()) * dec.tau).images]
-        for p in sn_enumeration(n))
+        for p in symmetric_group(n).elements)
 
 
 @dataclass

@@ -55,7 +55,7 @@ from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 from .hull import IncidenceStructure
-from .perm import Permutation
+from .perm import Permutation, saturate
 
 
 def _refined_colors(incs: list[IncidenceStructure],
@@ -261,19 +261,6 @@ class AutomorphismGroup:
                 f"orbit_lengths={list(self.orbit_lengths)})")
 
 
-def _orbit(point: int, gens: list[tuple[int, ...]]) -> set[int]:
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = g[x]
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
-
-
 def comb_automorphisms(inc: IncidenceStructure) -> AutomorphismGroup:
     """The group of all vertex permutations preserving the incidence, as a
     stabilizer chain with strong generators (see the module docstring for
@@ -305,7 +292,7 @@ def comb_automorphisms(inc: IncidenceStructure) -> AutomorphismGroup:
             witness = _search(plan, order[:k] + (w,))
             if witness is not None:
                 level.append(witness)
-                orbit = _orbit(b, level)
+                orbit = saturate([b], level, lambda x, g: g[x])
         base.append(b)
         orbit_lengths.append(len(orbit))
         witnesses.extend(level)

@@ -4,7 +4,13 @@ Everything downstream (hull computations, rank tests, matrix groups) must be
 exact: a single rounded pivot can change a face lattice.  Numbers are
 `fractions.Fraction`, which keeps values auto-reduced with a positive
 denominator, so equality is literal equality.  Matrices are immutable
-row-major tuples; elimination routines copy into lists of lists internally.
+row-major tuples.
+
+There is one row reduction, `_independent_rows`: a lazy one-pass
+generator that keeps the greedy independent rows with their reduced
+forms and pivot columns.  `rank` counts its rows, `inverse` reduces
+[M | I] with it, and the hull's affine chart and double-description start
+take their rows and pivots from it.
 
 Text form of a rational is "p/q" with q > 0, or just "p" when q == 1.
 """
@@ -110,9 +116,6 @@ class RationalMatrix:
     def col(self, j: int) -> tuple[Fraction, ...]:
         return self.entries[j::self.cols]
 
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
@@ -146,55 +149,25 @@ class RationalMatrix:
         return self.rows == self.cols and self == RationalMatrix.identity(self.rows)
 
 
-def _eliminate(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place forward elimination.  Returns (rows, pivot column indices).
-
-    Pivot choice is the first nonzero entry scanning columns left to right,
-    rows top to bottom; exact arithmetic makes the choice a determinism
-    concern only, not a stability one.
-    """
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pv
-                row_i = rows[i]
-                row_r = rows[r]
-                for j in range(c, ncols):
-                    row_i[j] -= f * row_r[j]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def _independent_rows(vectors: Iterable[Sequence[Fraction]]
-                      ) -> Iterator[tuple[int, Sequence[Fraction]]]:
-    """Yield (position, vector) for the greedy independent subsequence.
+                      ) -> Iterator[tuple[int, Sequence[Fraction],
+                                          list[Fraction], int]]:
+    """Yield (position, vector, reduced, pivot) for the greedy independent
+    subsequence: the one row reduction of this module.
 
     One pass: each vector is reduced against the ones kept before it and
     is kept when a nonzero remainder is left, which picks the same vectors
-    as one rank test per vector.  Lazy, so a caller can stop as soon as
-    it has enough, or too many.
+    as one rank test per vector.  `reduced` is that remainder scaled so
+    its entry at `pivot`, its first nonzero column, is 1; it is zero at
+    the pivot of every row kept before it.  So the kept rows sorted by
+    pivot are an echelon form of the span, and the pivot set is the one
+    any elimination finds.  Lazy, so a caller can stop as soon as it has
+    enough, or too many.
     """
-    reduced = []  # (remainder scaled to pivot 1, its pivot column)
+    kept = []  # (reduced, pivot)
     for i, v in enumerate(vectors):
         rem = v
-        for row, c in reduced:
+        for row, c in kept:
             f = rem[c]
             if f:
                 rem = [a - f * b for a, b in zip(rem, row)]
@@ -202,18 +175,18 @@ def _independent_rows(vectors: Iterable[Sequence[Fraction]]
         if pivot is None:
             continue
         pv = rem[pivot]
-        reduced.append(([x / pv for x in rem], pivot))
-        yield i, v
+        reduced = [x / pv for x in rem]
+        kept.append((reduced, pivot))
+        yield i, v, reduced, pivot
 
 
 def rank(matrix: RationalMatrix | Sequence[Sequence]) -> int:
-    """Exact rank by fraction-free-in-spirit Gaussian elimination."""
+    """Exact rank: the number of rows `_independent_rows` keeps."""
     if isinstance(matrix, RationalMatrix):
-        rows = matrix.row_list()
+        rows = (matrix.row(i) for i in range(matrix.rows))
     else:
-        rows = [[Fraction(e) for e in r] for r in matrix]
-    _, pivots = _eliminate(rows)
-    return len(pivots)
+        rows = ([Fraction(e) for e in r] for r in matrix)
+    return sum(1 for _ in _independent_rows(rows))
 
 
 def affine_dimension(points: Sequence[Sequence[Fraction]]) -> int:
@@ -232,20 +205,26 @@ def affine_dimension(points: Sequence[Sequence[Fraction]]) -> int:
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:
-    """Exact inverse of a square invertible matrix (Gauss-Jordan)."""
+    """Exact inverse of a square invertible matrix: reduce [M | I] in one
+    pass, then clear each kept row at the pivots of the rows kept after
+    it, which leaves the row of [I | M^-1] at its pivot."""
     n = matrix.rows
     if matrix.cols != n:
         raise ValueError("inverse of non-square matrix")
-    rows = [list(matrix.row(i)) + [Fraction(1) if j == i else Fraction(0)
-                                   for j in range(n)] for i in range(n)]
-    rows, pivots = _eliminate(rows)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    for i in range(n - 1, -1, -1):
-        pv = rows[i][i]
-        rows[i] = [e / pv for e in rows[i]]
-        for k in range(i):
-            f = rows[k][i]
-            if f != 0:
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[i])]
-    return RationalMatrix.from_rows([r[n:] for r in rows])
+    augmented = [list(matrix.row(i)) + [Fraction(int(j == i)) for j in range(n)]
+                 for i in range(n)]
+    kept = []
+    for _, _, row, pivot in _independent_rows(augmented):
+        if pivot >= n:
+            raise ValueError("matrix is singular")
+        kept.append((row, pivot))
+    out: list = [None] * n
+    done = []  # rows already zero at every other pivot
+    for row, pivot in reversed(kept):
+        for later, c in done:
+            f = row[c]
+            if f:
+                row = [a - f * b for a, b in zip(row, later)]
+        done.append((row, pivot))
+        out[pivot] = row[n:]
+    return RationalMatrix.from_rows(out)

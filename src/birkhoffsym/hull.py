@@ -19,7 +19,9 @@ positive coefficients.
 
 Everything is exact; a facet's incidence row is recomputed from its lifted
 inequality against all input points, so bookkeeping errors cannot survive
-the final validity assertions.
+the final validity assertions.  That checked incidence is also the whole
+certificate `certify_vertices` reads, so the chart is built once per hull
+and no rank is taken after the double description.
 """
 
 from __future__ import annotations
@@ -30,10 +32,9 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .exact import (RationalMatrix, _eliminate, _independent_rows,
-                    affine_dimension, as_fraction_vector, dot,
-                    format_rational, inverse, parse_rational,
-                    primitive_vector, rank, vec_sub)
+from .exact import (RationalMatrix, _independent_rows, affine_dimension,
+                    as_fraction_vector, dot, format_rational, inverse,
+                    parse_rational, primitive_vector, vec_sub)
 
 MAX_VERTICES = 30
 MAX_DIM = 10
@@ -91,7 +92,8 @@ def _affine_chart(points, max_dim=None):
     """Greedy affinely independent basis and pivot data for the chart.
 
     The basis is the greedy independent subsequence of the differences
-    p - points[0], picked in one pass by _independent_rows.  Raises
+    p - points[0], picked in one pass by _independent_rows; the pivot
+    rows are the sorted pivots of the same pass.  Raises
     PreconditionError as soon as the basis exceeds max_dim, if given.
 
     Returns (d, base, basis_diffs, pivot_rows, m_inv) where the chart map
@@ -99,15 +101,17 @@ def _affine_chart(points, max_dim=None):
     hull and Q^d.
     """
     base = points[0]
-    basis_diffs = []
-    for _, diff in _independent_rows(vec_sub(p, base) for p in points[1:]):
+    basis_diffs, pivot_rows = [], []
+    for _, diff, _, pivot in _independent_rows(
+            vec_sub(p, base) for p in points[1:]):
         basis_diffs.append(diff)
+        pivot_rows.append(pivot)
         if max_dim is not None and len(basis_diffs) > max_dim:
             raise PreconditionError(
                 f"affine dimension exceeds hull bound {max_dim}")
     d = len(basis_diffs)
     # pivot rows: coordinates where the d basis columns are invertible
-    _, pivot_rows = _eliminate([list(u) for u in basis_diffs])
+    pivot_rows.sort()
     m = RationalMatrix.from_rows(
         [[u[r] for u in basis_diffs] for r in pivot_rows])
     return d, base, basis_diffs, pivot_rows, inverse(m)
@@ -121,7 +125,7 @@ def _dd_extreme_rays(ineqs: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, 
     """
     dim = len(ineqs[0])
     # deterministic greedy choice of dim independent inequalities
-    chosen = [i for i, _ in islice(_independent_rows(ineqs), dim)]
+    chosen = [i for i, *_ in islice(_independent_rows(ineqs), dim)]
     if len(chosen) < dim:
         raise ValueError("cone is not pointed: inequalities do not span")
     n_mat = RationalMatrix.from_rows([ineqs[i] for i in chosen])
@@ -283,20 +287,26 @@ def validate_polytope(polytope: Polytope) -> None:
 def certify_vertices(polytope: Polytope) -> list[bool]:
     """For each input point: is it a 0-dimensional face of the hull?
 
-    A point is a vertex iff the chart gradients of its tight facets have
-    full rank d; the gradient of facet f in the chart with basis u_1..u_d
-    is (<normal_f, u_k>)_k.
+    Read off the incidence alone: point v is a vertex iff every input
+    point tight on all facets through v equals v.  facet_enumeration has
+    checked that each facet inequality holds at every point and is tight
+    exactly on its row.  So the facets through v cut out a face F of the
+    hull, and F = conv(the points in F); when those points all equal v,
+    F = {v} and v is a vertex.  Conversely every face of a polytope is
+    the intersection of the facets containing it, so a vertex passes
+    when the facet list is complete; a missing facet could only turn a
+    vertex into a failure, never certify a point that is not one.
+    Duplicates of a vertex sit on the same facets and certify with it.
     """
-    if polytope.dim == 0:
-        return [True] * polytope.n_vertices
-    _, _, basis_diffs, _, _ = _affine_chart(list(polytope.vertices))
-    gradients = [tuple(dot(f.normal, u) for u in basis_diffs)
-                 for f in polytope.facets]
+    pts = polytope.vertices
+    tight = polytope.tight_sets()
     out = []
-    for v in range(polytope.n_vertices):
-        rows = [gradients[fi] for fi, row in enumerate(polytope.incidence)
-                if row[v]]
-        out.append(bool(rows) and rank(rows) == polytope.dim)
+    for v, p in enumerate(pts):
+        face = set(range(len(pts)))
+        for s in tight:
+            if v in s:
+                face &= s
+        out.append(all(pts[u] == p for u in face))
     return out
 
 

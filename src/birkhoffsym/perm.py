@@ -262,8 +262,11 @@ def closure(generators: Sequence[Permutation],
     return PermutationGroup(degree, [Permutation(t) for t in seen], tagged)
 
 
+@lru_cache(maxsize=8)
 def symmetric_group(n: int) -> PermutationGroup:
-    """S_n on points 0..n-1 with transposition and n-cycle generators."""
+    """S_n on points 0..n-1 with transposition and n-cycle generators.
+    Cached, since the group is immutable; its element order, by image
+    tuple, is the vertex order of B_n."""
     import itertools
     if n < 1:
         raise ValueError("symmetric_group needs n >= 1")
@@ -296,10 +299,11 @@ class IndexedGroup:
         idx = self.index = {img: i for i, img in enumerate(elems)}
         self.identity_index = idx[tuple(range(group.degree))]
         self.inv = [idx[p.inverse().images] for p in group.elements]
-        self.table = [
-            [idx[tuple(a[x] for x in b)] for b in elems]  # row a, col b: a*b
-            for a in elems
-        ]
+        if group.degree == 1:  # itemgetter(0) returns an int, not a tuple
+            self.table = [[0]]
+        else:
+            columns = [itemgetter(*b) for b in elems]  # column b: a -> a*b
+            self.table = [[idx[col(a)] for col in columns] for a in elems]
 
     @property
     def order(self) -> int:

@@ -108,3 +108,38 @@ def random_point_set(rng, max_points: int = 8, max_dim: int = 3):
         if p not in uniq:
             uniq.append(p)
     return uniq
+
+
+def rank_certified_vertices(polytope) -> list[bool]:
+    """The rank certificate of vertexhood, in sympy: point v is a vertex
+    iff the facets through it have gradients of full rank `dim` along the
+    affine hull, the gradient of facet f being (<normal_f, p - p_0>) over
+    all points p.  It needs the facets and the affine hull, where the
+    package's certify_vertices reads the incidence only."""
+    pts = polytope.vertices
+    if polytope.dim == 0:
+        return [True] * len(pts)
+    p0 = _row(pts[0])
+    diffs = sympy.Matrix([[a - b for a, b in zip(_row(p), p0)]
+                          for p in pts[1:]])
+    out = []
+    for v in range(len(pts)):
+        normals = [_row(f.normal) for f, row
+                   in zip(polytope.facets, polytope.incidence) if row[v]]
+        out.append(bool(normals)
+                   and (sympy.Matrix(normals) * diffs.T).rank() == polytope.dim)
+    return out
+
+
+def with_duplicates_and_interior_points(rng, pts):
+    """pts plus, at seeded places, a copy of one point (a vertex iff that
+    point is one), the midpoint of two distinct points and the centroid
+    (never vertices)."""
+    extra = [rng.choice(pts)]
+    a, b = rng.sample(pts, 2)
+    extra.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    extra.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+    out = list(pts)
+    for q in extra:
+        out.insert(rng.randint(0, len(out)), q)
+    return out

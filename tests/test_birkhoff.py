@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoffsym import birkhoff
+from birkhoffsym import birkhoff, perm
 from birkhoffsym.birkhoff import (FacetLabel, InconsistentSymmetryError,
                                   NotFacetSymmetryError,
                                   SymmetryDecomposition, analytic_facet_sets,
                                   birkhoff_vertices, decompose_symmetry,
                                   inversion_vertex_map, permutation_matrix,
-                                  reconstruct_symmetry, sn_enumeration,
+                                  reconstruct_symmetry,
                                   verify_intersection_table,
                                   verify_symmetry_group,
                                   verify_transformation_law)
@@ -124,9 +124,11 @@ def test_verify_transformation_law_n3():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_symmetric_group_lists_the_vertex_order(n):
-    # the law check reads products off symmetric_group(n)'s table by
-    # vertex index
-    assert symmetric_group(n).elements == sn_enumeration(n)
+    # B_n's vertices, and the law check's table indices, follow
+    # symmetric_group(n)'s elements: image tuples in lexicographic order
+    assert [p.images for p in symmetric_group(n).elements] == list(
+        itertools.permutations(range(n)))
+    assert symmetric_group(n) is symmetric_group(n)
 
 
 def test_transformation_law_detects_swapped_sets(monkeypatch):
@@ -182,8 +184,8 @@ def test_inversion_map_is_involution_and_decomposes():
 def test_all_triples_distinct_n3():
     # 2 * (3!)^2 = 72 distinct vertex maps, one per (sigma, tau, eps)
     maps = set()
-    for sigma in sn_enumeration(3):
-        for tau in sn_enumeration(3):
+    for sigma in symmetric_group(3).elements:
+        for tau in symmetric_group(3).elements:
             for eps in (1, -1):
                 dec = SymmetryDecomposition(sigma, tau, eps)
                 maps.add(reconstruct_symmetry(3, dec).images)
@@ -201,9 +203,21 @@ def test_decompose_roundtrip_n3(sig, tau, eps):
     assert reconstruct_symmetry(3, back).images == alpha.images
 
 
+def test_decompose_n5_builds_no_multiplication_table(monkeypatch):
+    def forbidden(group):
+        raise AssertionError("decompose built a multiplication table")
+
+    monkeypatch.setattr(perm, "IndexedGroup", forbidden)
+    monkeypatch.setattr(birkhoff, "indexed", forbidden)
+    perm.indexed.cache_clear()
+    dec = SymmetryDecomposition(Permutation((1, 2, 0, 4, 3)),
+                                Permutation((0, 2, 1, 3, 4)), -1)
+    assert decompose_symmetry(5, reconstruct_symmetry(5, dec)) == dec
+
+
 def test_decompose_roundtrip_n4_sample():
     rng = random.Random(7)
-    perms = sn_enumeration(4)
+    perms = symmetric_group(4).elements
     for _ in range(20):
         dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms),
                                     rng.choice((1, -1)))

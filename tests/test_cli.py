@@ -132,6 +132,14 @@ def test_cd_lattice_s3_and_d4(capsys):
     assert sorted(doc["details"]["lattice"]) == ["C2", "C4", "D4", "V4", "V4"]
 
 
+def test_cd_lattice_of_the_trivial_group_file(tmp_path, capsys):
+    path = tmp_path / "trivial.txt"
+    path.write_text("()\n")
+    code, doc = run_json(capsys, ["cd-lattice", "--group", str(path)])
+    assert code == 0
+    assert doc["details"]["lattice"] == ["1"]
+
+
 def test_group_file_input(tmp_path, capsys):
     path = tmp_path / "c3.txt"
     path.write_text("# one generator per line\n(0 1 2)\n")

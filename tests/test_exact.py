@@ -1,6 +1,7 @@
 """Tests for exact rational arithmetic and linear algebra, with sympy as
 the independent oracle for rank / inverse."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,33 @@ def test_inverse_matches_sympy(rows):
     got = inverse(m)
     assert (m * got).is_identity()
     assert (got * m).is_identity()
+
+
+def test_inverse_equals_sympy_on_seeded_matrices():
+    rng = random.Random(20261018)
+    for size in (1, 2, 3, 4, 5, 6, 6, 8):
+        while True:
+            # sparse entries, so some pivots need a later row
+            rows = [[Fraction(rng.choice((0, 0, rng.randint(-9, 9))),
+                              rng.randint(1, 5)) for _ in range(size)]
+                    for _ in range(size)]
+            s = sympy.Matrix(rows)
+            if s.det() != 0:
+                break
+        want = s.inv()
+        got = inverse(RationalMatrix.from_rows(rows))
+        assert all(got[i, j] == Fraction(str(want[i, j]))
+                   for i in range(size) for j in range(size))
+
+
+def test_inverse_rejects_a_singular_matrix():
+    # third row = first + second, and column 0 has its first nonzero
+    # entry in the second row
+    rows = [[0, 2, 1], [3, 1, 0], [3, 3, 1]]
+    assert sympy.Matrix(rows).det() == 0
+    assert rank(rows) == 2
+    with pytest.raises(ValueError, match="singular"):
+        inverse(RationalMatrix.from_rows(rows))
 
 
 def test_matrix_shape_errors():

@@ -7,18 +7,21 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+import sympy
 
 from birkhoffsym import exact, hull
 from birkhoffsym.birkhoff import analytic_facet_sets, birkhoff_vertices
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.exact import _eliminate, _independent_rows, rank
+from birkhoffsym.exact import _independent_rows, rank
 from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
                               certify_vertices, facet_enumeration, incidence_of,
                               polytope_from_document, polytope_to_document,
                               validate_polytope)
 from birkhoffsym.reppoly import default_catalog, representation_polytope
 
-from hull_oracle import affine_dim, oracle_facets, random_point_set
+from hull_oracle import (affine_dim, oracle_facets, random_point_set,
+                         rank_certified_vertices,
+                         with_duplicates_and_interior_points)
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -161,7 +164,9 @@ def test_one_pass_chart_keeps_the_rank_greedy_basis():
         want = rank_greedy_basis(pts)
         assert basis == want
         assert d == len(want) == affine_dim(pts)
-        assert pivot_rows == _eliminate([list(u) for u in want])[1]
+        rref_pivots = sympy.Matrix(
+            [[sympy.Rational(x) for x in u] for u in want]).rref()[1]
+        assert pivot_rows == list(rref_pivots)
 
 
 def rank_greedy_start(ineqs):
@@ -193,25 +198,91 @@ def test_dd_start_keeps_the_rank_greedy_choice(monkeypatch):
     assert len(systems) == 2 + len(default_catalog(3)) + len(default_catalog(4))
     for ineqs in systems:
         dim = len(ineqs[0])
-        chosen = [i for i, _ in islice(_independent_rows(ineqs), dim)]
+        chosen = [i for i, *_ in islice(_independent_rows(ineqs), dim)]
         assert chosen == rank_greedy_start(ineqs)
         assert len(chosen) == dim
 
 
 def test_facet_enumeration_rank_calls_are_pinned(monkeypatch):
     # machine-independent gate: the chart and the DD start pick their
-    # independent rows in one pass each, with no rank() call
-    calls = []
+    # independent rows in one pass each, vertex certification reads the
+    # incidence, so a hull takes no rank() and builds one chart
+    ranks, charts = [], []
+    chart = hull._affine_chart
 
-    def counting(matrix):
-        calls.append(matrix)
+    def counting_rank(matrix):
+        ranks.append(matrix)
         return rank(matrix)
 
-    monkeypatch.setattr(exact, "rank", counting)
-    monkeypatch.setattr(hull, "rank", counting)
+    def counting_chart(*args):
+        charts.append(args)
+        return chart(*args)
+
+    monkeypatch.setattr(exact, "rank", counting_rank)
+    monkeypatch.setattr(hull, "_affine_chart", counting_chart)
     p = facet_enumeration([m.entries for m in birkhoff_vertices(4)])
     assert p.n_facets == 16
-    assert len(calls) == 0
+    hulls = 1
+    for n in (3, 4):
+        for entry in default_catalog(n):
+            representation_polytope(entry.matrix_group)
+            hulls += 1
+    assert len(ranks) == 0
+    assert len(charts) == hulls
+
+
+def test_certify_vertices_reads_only_the_incidence(monkeypatch):
+    p = facet_enumeration([m.entries for m in birkhoff_vertices(4)])
+
+    def forbidden(*args):
+        raise AssertionError("certify_vertices did linear algebra")
+
+    for module, name in ((exact, "rank"), (exact, "dot"), (hull, "dot"),
+                         (hull, "_affine_chart")):
+        monkeypatch.setattr(module, name, forbidden)
+    assert certify_vertices(p) == [True] * 24
+
+
+@pytest.mark.parametrize("n, start, new", [(3, 5, 8), (4, 10, 61),
+                                           (5, 17, 881)])
+def test_dd_ray_counts_are_pinned(monkeypatch, n, start, new):
+    # every DD ray, start or new, is made primitive once; the insertion
+    # order carries the cost, so a change of it shows here first
+    made = []
+    primitive = hull.primitive_vector
+    dd = hull._dd_extreme_rays
+    counts = []
+
+    def spy_primitive(values):
+        made.append(values)
+        return primitive(values)
+
+    def spy_dd(ineqs):
+        before = len(made)
+        rays = dd(ineqs)
+        start_rays = len(ineqs[0])
+        counts.append((start_rays, len(made) - before - start_rays, len(rays)))
+        return rays
+
+    monkeypatch.setattr(hull, "primitive_vector", spy_primitive)
+    monkeypatch.setattr(hull, "_dd_extreme_rays", spy_dd)
+    p = hull._facet_enumeration([m.entries for m in birkhoff_vertices(n)])
+    assert counts == [(start, new, p.n_facets)]
+    assert p.n_facets == n * n
+
+
+def test_certify_vertices_matches_the_rank_certificate():
+    cases = [[m.entries for m in birkhoff_vertices(n)] for n in (3, 4)]
+    for n in (3, 4):
+        cases += [[m.entries for m in entry.matrix_group.elements]
+                  for entry in default_catalog(n)]
+    rng = random.Random(20261018)
+    for _ in range(25):
+        cases.append(with_duplicates_and_interior_points(
+            rng, random_point_set(rng)))
+    for pts in cases:
+        p = facet_enumeration(pts)
+        assert certify_vertices(p) == rank_certified_vertices(p), pts
 
 
 def test_incidence_of_dedups_rows():

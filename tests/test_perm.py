@@ -321,6 +321,11 @@ def test_indexed_group_table():
         assert (elems[a] * elems[ig.inv[a]]).is_identity()
 
 
+def test_indexed_table_of_the_trivial_group():
+    # on one point itemgetter returns an int, not an image tuple
+    assert indexed(group_from_generator_lines(["()"])).table == [[0]]
+
+
 @pytest.mark.parametrize("name", ["s3", "s4", "d4", "q8"])
 def test_regular_action_matches_products(name):
     g = named_group(name)
