@@ -1,16 +1,21 @@
-"""Exact rational arithmetic and linear algebra.
+"""Exact rational arithmetic and linear algebra on integers.
 
 Everything downstream (hull computations, rank tests, matrix groups) must be
-exact: a single rounded pivot can change a face lattice.  Numbers are
-`fractions.Fraction`, which keeps values auto-reduced with a positive
-denominator, so equality is literal equality.  Matrices are immutable
-row-major tuples.
+exact: a single rounded pivot can change a face lattice.  `Fraction` is the
+boundary type: rationals are parsed into it, formatted from it, and a
+`RationalMatrix` shows its entries as Fractions.  The arithmetic runs on
+`int`: a rational vector is scaled once by the lcm of its denominators
+(`clear_denominators`), a matrix keeps its entries as integer numerators
+over one common denominator, and every elimination is fraction-free.
+Matrices are immutable row-major tuples.
 
-There is one row reduction, `_independent_rows`: a lazy one-pass
-generator that keeps the greedy independent rows with their reduced
-forms and pivot columns.  `rank` counts its rows, `inverse` reduces
-[M | I] with it, and the hull's affine chart and double-description start
-take their rows and pivots from it.
+There are two row reductions, both on integer rows.  `_independent_rows`
+is a lazy one-pass generator that keeps the greedy independent rows with
+their pivot columns: `rank` counts its rows, and the hull's affine chart
+and double-description start take their rows and pivots from it.
+`_gauss_jordan` is Bareiss's fraction-free Gauss-Jordan elimination of a
+square matrix: it returns the determinant up to sign and the adjugate
+with the same sign, behind `inverse` and the double-description start.
 
 Text form of a rational is "p/q" with q > 0, or just "p" when q == 1.
 """
@@ -19,7 +24,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 Rational = Fraction
@@ -48,7 +54,7 @@ def format_rational(x: Fraction | int) -> str:
 
 
 def as_fraction_vector(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
@@ -61,37 +67,67 @@ def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...
     return tuple(a - b for a, b in zip(u, v))
 
 
-def primitive_vector(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def clear_denominators(values: Iterable[Fraction | int]
+                       ) -> tuple[int, tuple[int, ...]]:
+    """(L, L * values) for L the lcm of the denominators, the least
+    positive scale that makes every entry an integer.  Reads numerators
+    and denominators only; no Fraction arithmetic."""
+    values = tuple(values)
+    scale = lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
+def primitive_vector(values: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive rational so entries are
     integers with gcd 1.  The direction (sign pattern) is preserved; for an
     inequality normal, flipping signs would reverse the inequality, so only
     positive scaling is ever applied.
     """
-    vals = [Fraction(v) for v in values]
-    if all(v == 0 for v in vals):
+    _, ints = clear_denominators(values)
+    g = gcd(*ints)
+    if g == 0:
         raise ValueError("primitive_vector of zero vector")
-    denom_lcm = 1
-    for v in vals:
-        d = v.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(v * denom_lcm) for v in vals]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    return tuple(Fraction(n // g) for n in ints)
+    return ints if g == 1 else tuple(x // g for x in ints)
 
 
 class RationalMatrix:
-    """Immutable dense matrix over the rationals, row-major."""
+    """Immutable dense matrix over the rationals, row-major.
 
-    __slots__ = ("rows", "cols", "entries")
+    `entries` are the Fractions; `_num` holds them as integer numerators
+    over the one common denominator `_den` > 0, the lcm of the entries'
+    denominators, and products, inverses and equality are computed there.
+    That form is canonical, so it is equal exactly when `entries` are."""
+
+    __slots__ = ("rows", "cols", "entries", "_num", "_den", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(Fraction(e) for e in entries)
+        self.entries = as_fraction_vector(entries)
         if len(self.entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        self._den, self._num = clear_denominators(self.entries)
+        self._hash = None
+
+    @classmethod
+    def _over(cls, rows: int, cols: int, nums: Sequence[int],
+              den: int) -> "RationalMatrix":
+        """The matrix nums / den for integers nums and den > 0."""
+        g = gcd(den, *nums)
+        if g > 1:
+            nums = [x // g for x in nums]
+            den //= g
+        # after dividing by the common gcd, den is the lcm of the entries'
+        # reduced denominators, as __init__ would have found it
+        self = object.__new__(cls)
+        self.rows = rows
+        self.cols = cols
+        self._num = tuple(nums)
+        self._den = den
+        self._hash = None
+        self.entries = (tuple(map(Fraction, nums)) if den == 1
+                        else tuple(Fraction(x, den) for x in nums))
+        return self
 
     @classmethod
     def from_rows(cls, row_data: Sequence[Sequence]) -> "RationalMatrix":
@@ -103,8 +139,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, (Fraction(1) if i == j else Fraction(0)
-                          for i in range(n) for j in range(n)))
+        return cls._over(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -113,32 +148,24 @@ class RationalMatrix:
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        return self.entries[j::self.cols]
-
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        out = []
-        other_cols = [other.col(j) for j in range(other.cols)]
-        for i in range(self.rows):
-            r = self.row(i)
-            for c in other_cols:
-                out.append(dot(r, c))
-        return RationalMatrix(self.rows, other.cols, out)
-
-    def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        if self.cols != len(v):
-            raise ValueError("shape mismatch in matrix-vector product")
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
+        a, b, k, w = self._num, other._num, self.cols, other.cols
+        cols = [b[j::w] for j in range(w)]
+        out = [sum(map(mul, a[i * k:(i + 1) * k], c))
+               for i in range(self.rows) for c in cols]
+        return RationalMatrix._over(self.rows, w, out, self._den * other._den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, self.entries))
+        return self._hash
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(format_rational(e) for e in self.row(i))
@@ -149,43 +176,76 @@ class RationalMatrix:
         return self.rows == self.cols and self == RationalMatrix.identity(self.rows)
 
 
-def _independent_rows(vectors: Iterable[Sequence[Fraction]]
-                      ) -> Iterator[tuple[int, Sequence[Fraction],
-                                          list[Fraction], int]]:
-    """Yield (position, vector, reduced, pivot) for the greedy independent
-    subsequence: the one row reduction of this module.
+def _independent_rows(vectors: Iterable[Sequence[int]]
+                      ) -> Iterator[tuple[int, int]]:
+    """Yield (position, pivot) for the greedy independent subsequence of
+    integer vectors: the one-pass row reduction of this module.
 
-    One pass: each vector is reduced against the ones kept before it and
-    is kept when a nonzero remainder is left, which picks the same vectors
-    as one rank test per vector.  `reduced` is that remainder scaled so
-    its entry at `pivot`, its first nonzero column, is 1; it is zero at
-    the pivot of every row kept before it.  So the kept rows sorted by
-    pivot are an echelon form of the span, and the pivot set is the one
-    any elimination finds.  Lazy, so a caller can stop as soon as it has
-    enough, or too many.
+    Each vector is reduced, fraction-free, against the rows kept before
+    it and is kept when a nonzero remainder is left, which picks the same
+    vectors as one rank test per vector.  A remainder is cleared at a
+    kept row's pivot c by rem <- row[c] * rem - rem[c] * row, a nonzero
+    multiple of the rational elimination step, so every zero pattern and
+    pivot is the one the rational elimination finds.  The kept row is the
+    remainder divided by its gcd; `pivot` is its first nonzero column,
+    and it is zero at the pivot of every row kept before it.  So the kept
+    rows sorted by pivot are an echelon form of the span.  Lazy, so a
+    caller can stop as soon as it has enough, or too many.
     """
-    kept = []  # (reduced, pivot)
+    kept = []  # (primitive remainder, pivot)
     for i, v in enumerate(vectors):
         rem = v
         for row, c in kept:
             f = rem[c]
             if f:
-                rem = [a - f * b for a, b in zip(rem, row)]
+                p = row[c]
+                rem = [p * a - f * b for a, b in zip(rem, row)]
         pivot = next((c for c, x in enumerate(rem) if x), None)
         if pivot is None:
             continue
-        pv = rem[pivot]
-        reduced = [x / pv for x in rem]
-        kept.append((reduced, pivot))
-        yield i, v, reduced, pivot
+        g = gcd(*rem)
+        kept.append(([x // g for x in rem], pivot))
+        yield i, pivot
+
+
+def _gauss_jordan(rows: Sequence[Sequence[int]]
+                  ) -> tuple[int, list[list[int]]]:
+    """(D, A) with M A = D I and D != 0, for a square integer matrix M.
+
+    Bareiss's fraction-free Gauss-Jordan elimination of [M | I]: at step
+    k every row but the pivot row becomes (p_k row - f row_k) / p_{k-1},
+    an exact division, and the entries stay minors of [M | I].  The left
+    block ends as D I with D = +-det M, and the right block is then
+    D M^-1.  Raises ValueError when M is singular.
+    """
+    n = len(rows)
+    work = [list(r) + [int(i == j) for j in range(n)]
+            for i, r in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if work[i][k]), None)
+        if p is None:
+            raise ValueError("matrix is singular")
+        work[k], work[p] = work[p], work[k]
+        pivot_row = work[k]
+        pk = pivot_row[k]
+        for i in range(n):
+            f = work[i][k]
+            if i != k:
+                work[i] = [(pk * a - f * b) // prev
+                           for a, b in zip(work[i], pivot_row)]
+        prev = pk
+    return prev, [r[n:] for r in work]
 
 
 def rank(matrix: RationalMatrix | Sequence[Sequence]) -> int:
-    """Exact rank: the number of rows `_independent_rows` keeps."""
+    """Exact rank: the number of rows `_independent_rows` keeps, each row
+    scaled to integers first."""
     if isinstance(matrix, RationalMatrix):
-        rows = (matrix.row(i) for i in range(matrix.rows))
+        num, c = matrix._num, matrix.cols
+        rows = (num[i * c:(i + 1) * c] for i in range(matrix.rows))
     else:
-        rows = ([Fraction(e) for e in r] for r in matrix)
+        rows = (clear_denominators(Fraction(e) for e in r)[1] for r in matrix)
     return sum(1 for _ in _independent_rows(rows))
 
 
@@ -205,26 +265,14 @@ def affine_dimension(points: Sequence[Sequence[Fraction]]) -> int:
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:
-    """Exact inverse of a square invertible matrix: reduce [M | I] in one
-    pass, then clear each kept row at the pivots of the rows kept after
-    it, which leaves the row of [I | M^-1] at its pivot."""
+    """Exact inverse of a square invertible matrix: with M = N / q for
+    the integer numerators N, M^-1 = q N^-1 = q A / D for (D, A) the
+    fraction-free Gauss-Jordan of N."""
     n = matrix.rows
     if matrix.cols != n:
         raise ValueError("inverse of non-square matrix")
-    augmented = [list(matrix.row(i)) + [Fraction(int(j == i)) for j in range(n)]
-                 for i in range(n)]
-    kept = []
-    for _, _, row, pivot in _independent_rows(augmented):
-        if pivot >= n:
-            raise ValueError("matrix is singular")
-        kept.append((row, pivot))
-    out: list = [None] * n
-    done = []  # rows already zero at every other pivot
-    for row, pivot in reversed(kept):
-        for later, c in done:
-            f = row[c]
-            if f:
-                row = [a - f * b for a, b in zip(row, later)]
-        done.append((row, pivot))
-        out[pivot] = row[n:]
-    return RationalMatrix.from_rows(out)
+    num = matrix._num
+    det, adj = _gauss_jordan([num[i * n:(i + 1) * n] for i in range(n)])
+    sign = 1 if det > 0 else -1
+    q = matrix._den * sign
+    return RationalMatrix._over(n, n, [q * x for r in adj for x in r], det * sign)

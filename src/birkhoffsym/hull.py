@@ -1,27 +1,35 @@
-"""Exact facet enumeration for small rational polytopes.
+"""Exact facet enumeration for small rational polytopes, on integers.
 
-Pipeline: given points in Q^a, compute the affine hull, pass to a full-
-dimensional chart in Q^d via an invertible pivot submatrix, translate the
-centroid to the origin, and run the double description method on the
-polar cone.  Polar rays then lift back to ambient facet inequalities
-normal.x <= offset.
+Pipeline: given points in Q^a, scale them all by the lcm L of their
+denominators, take the affine chart (the projection onto the pivot
+coordinates of one fraction-free row reduction, an invertible linear map
+of the affine hull), move the centroid to the origin with every
+coordinate multiplied by the number of points, and run the double
+description method on the polar cone.  Polar rays then lift back to
+ambient facet inequalities normal.x <= offset.  Each of these steps is
+an invertible linear map or a positive scaling, so the double
+description meets the same rays in the same order as it would over the
+unscaled rational chart.  `Fraction` appears only at the boundary: the
+input points are read as Fractions, and the output Facets are built from
+primitive integer inequalities.
 
 The double description step maintains, for a growing system of homogeneous
 inequalities <c, y> >= 0 in R^{d+1}, the extreme rays of the intersection
-cone together with each ray's exact set of tight inequalities.  When a new
-inequality c splits the rays, adjacent (positive, negative) pairs combine
-into new rays on the hyperplane of c.  Adjacency is the standard
-combinatorial test: no third ray's tight set contains the intersection of
-the pair's tight sets.  A new ray's tight set is exactly
-(tight(p) n tight(m)) u {c}: any processed c' with <c', new> = 0 forces
-<c', p> = <c', m> = 0 because both values are nonnegative and combine with
-positive coefficients.
+cone together with each ray's exact set of tight inequalities, held as a
+bitmask.  When a new inequality c splits the rays, adjacent (positive,
+negative) pairs combine into new rays on the hyperplane of c.  Adjacency
+is the standard combinatorial test (Fukuda & Prodon 1996): no third
+ray's tight set contains the intersection of the pair's tight sets, and
+that intersection must have at least d - 1 members.  A new ray's tight
+set is exactly (tight(p) n tight(m)) u {c}: any processed c' with
+<c', new> = 0 forces <c', p> = <c', m> = 0 because both values are
+nonnegative and combine with positive coefficients.
 
 Everything is exact; a facet's incidence row is recomputed from its lifted
-inequality against all input points, so bookkeeping errors cannot survive
-the final validity assertions.  That checked incidence is also the whole
-certificate `certify_vertices` reads, so the chart is built once per hull
-and no rank is taken after the double description.
+inequality against all scaled input points, so bookkeeping errors cannot
+survive the final validity assertions.  That checked incidence is also
+the whole certificate `certify_vertices` reads, so the chart is built
+once per hull and no rank is taken after the double description.
 """
 
 from __future__ import annotations
@@ -29,12 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .exact import (RationalMatrix, _independent_rows, affine_dimension,
-                    as_fraction_vector, dot, format_rational, inverse,
-                    parse_rational, primitive_vector, vec_sub)
+from .exact import (_gauss_jordan, _independent_rows, affine_dimension,
+                    as_fraction_vector, clear_denominators, dot,
+                    format_rational, parse_rational, primitive_vector)
 
 MAX_VERTICES = 30
 MAX_DIM = 10
@@ -88,85 +97,93 @@ class IncidenceStructure:
                 for row in self.rows]
 
 
-def _affine_chart(points, max_dim=None):
-    """Greedy affinely independent basis and pivot data for the chart.
+def _affine_chart(points: Sequence[Sequence[int]],
+                  max_dim: Optional[int] = None) -> list[int]:
+    """Pivot rows of the affine hull of integer points.
 
-    The basis is the greedy independent subsequence of the differences
-    p - points[0], picked in one pass by _independent_rows; the pivot
-    rows are the sorted pivots of the same pass.  Raises
-    PreconditionError as soon as the basis exceeds max_dim, if given.
-
-    Returns (d, base, basis_diffs, pivot_rows, m_inv) where the chart map
-    is x -> m_inv * (x - base)[pivot_rows], a bijection between the affine
-    hull and Q^d.
+    One pass of _independent_rows over the differences p - points[0]
+    keeps a greedy basis of the direction space, in echelon form; its
+    pivots, sorted, are the chart's coordinates.  The d x d block of the
+    echelon basis at the pivot rows is triangular with a nonzero
+    diagonal, so the projection x -> (x - points[0])[pivot_rows] maps the
+    affine hull one-to-one onto Q^d: that projection is the chart, and
+    it needs no inverse.  Raises PreconditionError as soon as
+    the basis exceeds max_dim, if given.
     """
     base = points[0]
-    basis_diffs, pivot_rows = [], []
-    for _, diff, _, pivot in _independent_rows(
-            vec_sub(p, base) for p in points[1:]):
-        basis_diffs.append(diff)
+    pivot_rows = []
+    for _, pivot in _independent_rows(
+            [a - b for a, b in zip(p, base)] for p in points[1:]):
         pivot_rows.append(pivot)
-        if max_dim is not None and len(basis_diffs) > max_dim:
+        if max_dim is not None and len(pivot_rows) > max_dim:
             raise PreconditionError(
                 f"affine dimension exceeds hull bound {max_dim}")
-    d = len(basis_diffs)
-    # pivot rows: coordinates where the d basis columns are invertible
     pivot_rows.sort()
-    m = RationalMatrix.from_rows(
-        [[u[r] for u in basis_diffs] for r in pivot_rows])
-    return d, base, basis_diffs, pivot_rows, inverse(m)
+    return pivot_rows
 
 
-def _dd_extreme_rays(ineqs: list[tuple[Fraction, ...]]) -> list[tuple[Fraction, ...]]:
-    """Extreme rays of {y : <c, y> >= 0 for all c in ineqs}.
+def _dd_extreme_rays(ineqs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Extreme rays of {y : <c, y> >= 0 for all c in ineqs}, all integer.
 
     Requires the cone to be pointed (the inequality normals span the
-    space); raises otherwise.  Rays are returned primitive.
+    space); raises otherwise.  Rays are returned primitive.  Tight sets
+    are bitmasks over inequality positions.  Two rays of a pointed cone
+    in dimension dim are adjacent only if their common tight set has
+    rank dim - 2, so fewer than dim - 2 common inequalities rule a pair
+    out before the scan over the other rays.
     """
     dim = len(ineqs[0])
     # deterministic greedy choice of dim independent inequalities
-    chosen = [i for i, *_ in islice(_independent_rows(ineqs), dim)]
+    chosen = [i for i, _ in islice(_independent_rows(ineqs), dim)]
     if len(chosen) < dim:
         raise ValueError("cone is not pointed: inequalities do not span")
-    n_mat = RationalMatrix.from_rows([ineqs[i] for i in chosen])
-    n_inv = inverse(n_mat)
-    rays = [primitive_vector(n_inv.col(j)) for j in range(dim)]
-    tight = []
-    for ray in rays:
-        tight.append({i for i in chosen if dot(ineqs[i], ray) == 0})
-    remaining = [i for i in range(len(ineqs)) if i not in chosen]
+    # start: the columns of N^-1 = adj / det for the chosen rows N; ray j
+    # is tight exactly on the chosen inequalities other than chosen[j]
+    det, adj = _gauss_jordan([ineqs[i] for i in chosen])
+    sign = 1 if det > 0 else -1
+    rays = [primitive_vector([sign * row[j] for row in adj])
+            for j in range(dim)]
+    chosen_mask = sum(1 << i for i in chosen)
+    tight = [chosen_mask ^ (1 << i) for i in chosen]
+    remaining = [i for i in range(len(ineqs)) if not chosen_mask >> i & 1]
+    need = dim - 2
 
     for ci in remaining:
         c = ineqs[ci]
-        vals = [dot(c, ray) for ray in rays]
+        bit = 1 << ci
+        vals = [sum(map(mul, c, ray)) for ray in rays]
         neg = [k for k, v in enumerate(vals) if v < 0]
         if not neg:
             for k, v in enumerate(vals):
                 if v == 0:
-                    tight[k].add(ci)
+                    tight[k] |= bit
             continue
         pos = [k for k, v in enumerate(vals) if v > 0]
         zero = [k for k, v in enumerate(vals) if v == 0]
         new_rays = []
         new_tight = []
         for p in pos:
+            tp, rp, vp = tight[p], rays[p], vals[p]
             for m in neg:
-                common = tight[p] & tight[m]
-                adjacent = True
-                for r in range(len(rays)):
-                    if r != p and r != m and common <= tight[r]:
-                        adjacent = False
-                        break
-                if not adjacent:
+                common = tp & tight[m]
+                if common.bit_count() < need:
                     continue
-                combo = tuple(vals[p] * rays[m][t] - vals[m] * rays[p][t]
-                              for t in range(dim))
-                new_rays.append(primitive_vector(combo))
-                new_tight.append(common | {ci})
-        keep = pos + zero
-        rays = [rays[k] for k in keep] + new_rays
-        tight = [tight[k] | ({ci} if k in zero else set())
-                 for k in keep] + new_tight
+                # adjacent iff only p and m are tight on all of common
+                holders = 0
+                for t in tight:
+                    if t & common == common:
+                        holders += 1
+                        if holders > 2:
+                            break
+                if holders > 2:
+                    continue
+                vm, rm = vals[m], rays[m]
+                new_rays.append(primitive_vector(
+                    [vp * b - vm * a for a, b in zip(rp, rm)]))
+                new_tight.append(common | bit)
+        rays = [rays[k] for k in pos] + [rays[k] for k in zero] + new_rays
+        tight = ([tight[k] for k in pos] + [tight[k] | bit for k in zero]
+                 + new_tight)
     return rays
 
 
@@ -196,57 +213,58 @@ def _facet_enumeration(points: Sequence[Sequence],
     if max_vertices is not None and len(pts) > max_vertices:
         raise PreconditionError(
             f"{len(pts)} points exceed hull bound {max_vertices}")
-    d, base, _, pivot_rows, m_inv = _affine_chart(pts, max_dim)
+    # one scale L for all points: from here to the Facets, only ints
+    scale, flat = clear_denominators(x for p in pts for x in p)
+    scaled = [flat[i * ambient:(i + 1) * ambient] for i in range(len(pts))]
+    pivot_rows = _affine_chart(scaled, max_dim)
+    d = len(pivot_rows)
     if d == 0:
         return Polytope(ambient, pts, (), (), 0)
 
-    coords = [m_inv.apply([p[r] - base[r] for r in pivot_rows]) for p in pts]
-    n = len(pts)
-    centroid = tuple(sum((c[k] for c in coords), Fraction(0)) / n
-                     for k in range(d))
-    shifted = [vec_sub(c, centroid) for c in coords]
-
-    # polar cone in R^{d+1}: rays (t, y) with t >= 0 and <w_i, y> <= t
-    guard = (Fraction(1),) + (Fraction(0),) * d
+    base = scaled[0]
+    coords = [[p[r] - base[r] for r in pivot_rows] for p in scaled]
+    n = len(scaled)
+    total = [sum(c[k] for c in coords) for k in range(d)]
+    # polar cone in R^{d+1} of the points shifted by the centroid and
+    # scaled by n: rays (t, y) with t >= 0 and <n c - total, y> <= t
+    guard = (1,) + (0,) * d
     seen = {guard}
     ineqs = [guard]
-    for w in shifted:
-        c = (Fraction(1),) + tuple(-x for x in w)
-        if c not in seen:
-            seen.add(c)
-            ineqs.append(c)
+    for c in coords:
+        ineq = (1,) + tuple(s - n * x for x, s in zip(c, total))
+        if ineq not in seen:
+            seen.add(ineq)
+            ineqs.append(ineq)
     rays = _dd_extreme_rays(ineqs)
 
-    facets = []
-    for ray in rays:
-        t = ray[0]
+    # ray (t, y): n <y, X[pivots]> <= t + n <y, base[pivots]> + <y, total>
+    # for the scaled points X = L x, an inequality on x over the pivots
+    packed = set()
+    for t, *y in rays:
         if t <= 0:
             raise ValueError("unbounded polar: input not full-dimensional in chart")
-        v = tuple(x / t for x in ray[1:])
-        # chart inequality <v, c> <= beta, c the chart coordinates
-        beta = Fraction(1) + dot(v, centroid)
-        n_r = tuple(dot(m_inv.col(k), v) for k in range(d))
-        normal = [Fraction(0)] * ambient
+        normal = [0] * ambient
         for k, r in enumerate(pivot_rows):
-            normal[r] = n_r[k]
-        offset = beta + sum((n_r[k] * base[r] for k, r in enumerate(pivot_rows)),
-                            Fraction(0))
-        packed = primitive_vector(tuple(normal) + (offset,))
-        facets.append(Facet(packed[:-1], packed[-1]))
-
-    facets = sorted(set(facets), key=lambda f: (f.normal, f.offset))
-    if len(facets) != len(rays):
+            normal[r] = n * scale * y[k]
+        offset = (t + n * sum(y[k] * base[r] for k, r in enumerate(pivot_rows))
+                  + sum(map(mul, y, total)))
+        packed.add(primitive_vector(normal + [offset]))
+    if len(packed) != len(rays):
         raise ValueError("duplicate facets from distinct polar rays")
+    packed = sorted(packed)
 
     incidence = []
     tight_seen = set()
-    for f in facets:
+    at_pivots = [[p[r] for r in pivot_rows] for p in scaled]
+    for f in packed:
+        normal = [f[r] for r in pivot_rows]
+        bound = f[-1] * scale
         row = []
-        for p in pts:
-            value = dot(f.normal, p)
-            if value > f.offset:
+        for p in at_pivots:
+            value = sum(map(mul, normal, p))
+            if value > bound:
                 raise ValueError("facet inequality violated by an input point")
-            row.append(value == f.offset)
+            row.append(value == bound)
         if not any(row):
             raise ValueError("facet tight at no vertex")
         key = tuple(row)
@@ -254,6 +272,8 @@ def _facet_enumeration(points: Sequence[Sequence],
             raise ValueError("two facets share a tight vertex set")
         tight_seen.add(key)
         incidence.append(row)
+    facets = [Facet(tuple(map(Fraction, f[:-1])), Fraction(f[-1]))
+              for f in packed]
     return Polytope(ambient, pts, facets, incidence, d)
 
 

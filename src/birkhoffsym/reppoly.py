@@ -173,14 +173,12 @@ def verify_gamma_acts(mgroup: MatrixGroup) -> GammaActsReport:
 
 
 def matrix_from_rows(rows: list[list]) -> RationalMatrix:
-    dim = len(rows)
-    entries = []
+    parsed = []
     for row in rows:
-        if len(row) != dim:
+        if len(row) != len(rows):
             raise ValueError("matrix rows must be square")
-        for cell in row:
-            entries.append(parse_rational(str(cell)))
-    return RationalMatrix(dim, dim, entries)
+        parsed.append([parse_rational(str(cell)) for cell in row])
+    return RationalMatrix.from_rows(parsed)
 
 
 def matrix_group_from_document(doc: dict) -> "CatalogEntry":

@@ -1,15 +1,24 @@
-"""Brute-force facet oracle used to cross-check facet_enumeration.
+"""Reference hulls used to cross-check facet_enumeration.
 
-Independent of the package under test: all linear algebra is sympy, and
-the algorithm is the naive one: try every hyperplane spanned by input
-subsets, keep those with all points on one side.  Only sensible at toy
-scale (n <= 8 points, affine dimension <= 3).
+The brute-force facet oracle is independent of the package under test:
+all linear algebra is sympy, and the algorithm is the naive one: try
+every hyperplane spanned by input subsets, keep those with all points on
+one side.  Only sensible at toy scale (n <= 8 points, affine dimension
+<= 3).
+
+`fraction_facet_enumeration` is the package's double description as it
+ran on Fractions before it moved to integers; it borrows only the
+package's output types and must reproduce the integer hull exactly.
 """
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import sympy
+
+from birkhoffsym.errors import PreconditionError
+from birkhoffsym.hull import Facet, Polytope
 
 
 def _row(point):
@@ -143,3 +152,214 @@ def with_duplicates_and_interior_points(rng, pts):
     for q in extra:
         out.insert(rng.randint(0, len(out)), q)
     return out
+
+
+# --- the Fraction double description, kept as a reference ----------------
+#
+# The package's hull before it moved to integers: the same pipeline on
+# Fractions (chart through the inverse of a pivot block, centroid at the
+# origin, double description on the polar, lift, checked incidence), with
+# set-valued tight sets and no adjacency pre-filter.  Its matrices are
+# lists of rows; everything else is as it was in the package.
+
+def _dot(u, v):
+    if len(u) != len(v):
+        raise ValueError("dot of vectors with different lengths")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def _vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def _primitive_vector(values):
+    vals = [Fraction(v) for v in values]
+    if all(v == 0 for v in vals):
+        raise ValueError("primitive_vector of zero vector")
+    denom_lcm = 1
+    for v in vals:
+        d = v.denominator
+        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
+    ints = [int(v * denom_lcm) for v in vals]
+    g = 0
+    for n in ints:
+        g = gcd(g, abs(n))
+    return tuple(Fraction(n // g) for n in ints)
+
+
+def _independent_rows(vectors):
+    kept = []  # (reduced, pivot)
+    for i, v in enumerate(vectors):
+        rem = v
+        for row, c in kept:
+            f = rem[c]
+            if f:
+                rem = [a - f * b for a, b in zip(rem, row)]
+        pivot = next((c for c, x in enumerate(rem) if x), None)
+        if pivot is None:
+            continue
+        pv = rem[pivot]
+        reduced = [x / pv for x in rem]
+        kept.append((reduced, pivot))
+        yield i, v, reduced, pivot
+
+
+def _inverse(rows):
+    n = len(rows)
+    augmented = [list(rows[i]) + [Fraction(int(j == i)) for j in range(n)]
+                 for i in range(n)]
+    kept = []
+    for _, _, row, pivot in _independent_rows(augmented):
+        if pivot >= n:
+            raise ValueError("matrix is singular")
+        kept.append((row, pivot))
+    out = [None] * n
+    done = []  # rows already zero at every other pivot
+    for row, pivot in reversed(kept):
+        for later, c in done:
+            f = row[c]
+            if f:
+                row = [a - f * b for a, b in zip(row, later)]
+        done.append((row, pivot))
+        out[pivot] = row[n:]
+    return out
+
+
+def _col(rows, j):
+    return tuple(row[j] for row in rows)
+
+
+def _affine_chart(points, max_dim=None):
+    base = points[0]
+    basis_diffs, pivot_rows = [], []
+    for _, diff, _, pivot in _independent_rows(
+            _vec_sub(p, base) for p in points[1:]):
+        basis_diffs.append(diff)
+        pivot_rows.append(pivot)
+        if max_dim is not None and len(basis_diffs) > max_dim:
+            raise PreconditionError(
+                f"affine dimension exceeds hull bound {max_dim}")
+    d = len(basis_diffs)
+    pivot_rows.sort()
+    m = [[u[r] for u in basis_diffs] for r in pivot_rows]
+    return d, base, basis_diffs, pivot_rows, _inverse(m) if d else []
+
+
+def _dd_extreme_rays(ineqs):
+    dim = len(ineqs[0])
+    chosen = [i for i, *_ in itertools.islice(_independent_rows(ineqs), dim)]
+    if len(chosen) < dim:
+        raise ValueError("cone is not pointed: inequalities do not span")
+    n_inv = _inverse([ineqs[i] for i in chosen])
+    rays = [_primitive_vector(_col(n_inv, j)) for j in range(dim)]
+    tight = []
+    for ray in rays:
+        tight.append({i for i in chosen if _dot(ineqs[i], ray) == 0})
+    remaining = [i for i in range(len(ineqs)) if i not in chosen]
+
+    for ci in remaining:
+        c = ineqs[ci]
+        vals = [_dot(c, ray) for ray in rays]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        if not neg:
+            for k, v in enumerate(vals):
+                if v == 0:
+                    tight[k].add(ci)
+            continue
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        zero = [k for k, v in enumerate(vals) if v == 0]
+        new_rays = []
+        new_tight = []
+        for p in pos:
+            for m in neg:
+                common = tight[p] & tight[m]
+                adjacent = True
+                for r in range(len(rays)):
+                    if r != p and r != m and common <= tight[r]:
+                        adjacent = False
+                        break
+                if not adjacent:
+                    continue
+                combo = tuple(vals[p] * rays[m][t] - vals[m] * rays[p][t]
+                              for t in range(dim))
+                new_rays.append(_primitive_vector(combo))
+                new_tight.append(common | {ci})
+        keep = pos + zero
+        rays = [rays[k] for k in keep] + new_rays
+        tight = [tight[k] | ({ci} if k in zero else set())
+                 for k in keep] + new_tight
+    return rays
+
+
+def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
+    """The Fraction reference hull: a Polytope that the package's
+    integer facet enumeration must reproduce exactly."""
+    if len(points) == 0:
+        raise ValueError("no points")
+    pts = [tuple(Fraction(v) for v in p) for p in points]
+    ambient = len(pts[0])
+    if any(len(p) != ambient for p in pts):
+        raise ValueError("points of mixed dimension")
+    if max_vertices is not None and len(pts) > max_vertices:
+        raise PreconditionError(
+            f"{len(pts)} points exceed hull bound {max_vertices}")
+    d, base, _, pivot_rows, m_inv = _affine_chart(pts, max_dim)
+    if d == 0:
+        return Polytope(ambient, pts, (), (), 0)
+
+    coords = [tuple(_dot(row, [p[r] - base[r] for r in pivot_rows])
+                    for row in m_inv) for p in pts]
+    n = len(pts)
+    centroid = tuple(sum((c[k] for c in coords), Fraction(0)) / n
+                     for k in range(d))
+    shifted = [_vec_sub(c, centroid) for c in coords]
+
+    # polar cone in R^{d+1}: rays (t, y) with t >= 0 and <w_i, y> <= t
+    guard = (Fraction(1),) + (Fraction(0),) * d
+    seen = {guard}
+    ineqs = [guard]
+    for w in shifted:
+        c = (Fraction(1),) + tuple(-x for x in w)
+        if c not in seen:
+            seen.add(c)
+            ineqs.append(c)
+    rays = _dd_extreme_rays(ineqs)
+
+    facets = []
+    for ray in rays:
+        t = ray[0]
+        if t <= 0:
+            raise ValueError("unbounded polar: input not full-dimensional in chart")
+        v = tuple(x / t for x in ray[1:])
+        # chart inequality <v, c> <= beta, c the chart coordinates
+        beta = Fraction(1) + _dot(v, centroid)
+        n_r = tuple(_dot(_col(m_inv, k), v) for k in range(d))
+        normal = [Fraction(0)] * ambient
+        for k, r in enumerate(pivot_rows):
+            normal[r] = n_r[k]
+        offset = beta + sum((n_r[k] * base[r] for k, r in enumerate(pivot_rows)),
+                            Fraction(0))
+        packed = _primitive_vector(tuple(normal) + (offset,))
+        facets.append(Facet(packed[:-1], packed[-1]))
+
+    facets = sorted(set(facets), key=lambda f: (f.normal, f.offset))
+    if len(facets) != len(rays):
+        raise ValueError("duplicate facets from distinct polar rays")
+
+    incidence = []
+    tight_seen = set()
+    for f in facets:
+        row = []
+        for p in pts:
+            value = _dot(f.normal, p)
+            if value > f.offset:
+                raise ValueError("facet inequality violated by an input point")
+            row.append(value == f.offset)
+        if not any(row):
+            raise ValueError("facet tight at no vertex")
+        key = tuple(row)
+        if key in tight_seen:
+            raise ValueError("two facets share a tight vertex set")
+        tight_seen.add(key)
+        incidence.append(row)
+    return Polytope(ambient, pts, facets, incidence, d)

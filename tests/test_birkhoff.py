@@ -54,7 +54,7 @@ def test_vertices_doubly_stochastic():
         for m in birkhoff_vertices(n):
             for i in range(n):
                 assert sum(m.row(i), Fraction(0)) == 1
-                assert sum(m.col(i), Fraction(0)) == 1
+                assert sum(m.entries[i::n], Fraction(0)) == 1
     assert len(birkhoff_vertices(4)) == 24
 
 

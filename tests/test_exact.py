@@ -9,9 +9,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoffsym.exact import (RationalMatrix, affine_dimension, dot,
-                               format_rational, inverse, parse_rational,
-                               primitive_vector, rank, vec_sub)
+from birkhoffsym.exact import (RationalMatrix, _gauss_jordan, affine_dimension,
+                               clear_denominators, dot, format_rational,
+                               inverse, parse_rational, primitive_vector, rank,
+                               vec_sub)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -150,6 +151,58 @@ def test_inverse_rejects_a_singular_matrix():
         inverse(RationalMatrix.from_rows(rows))
 
 
+def random_rows(rng, rows, cols, den=5):
+    # sparse entries, so some pivots need a later row
+    return [[Fraction(rng.choice((0, 0, rng.randint(-9, 9))), rng.randint(1, den))
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def test_gauss_jordan_gives_det_and_adjugate():
+    rng = random.Random(11)
+    singular = 0
+    for size in [1, 2, 3, 4, 5, 6, 7] * 6:
+        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(size)]
+                for _ in range(size)]
+        s = sympy.Matrix(rows)
+        if s.det() == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                _gauss_jordan(rows)
+            continue
+        det, adj = _gauss_jordan(rows)
+        assert all(type(x) is int for r in adj for x in r)
+        assert abs(det) == abs(s.det())
+        sign = 1 if det == s.det() else -1
+        assert sympy.Matrix(adj) == sign * s.adjugate()
+    assert singular > 0
+
+
+def test_integer_products_match_sympy():
+    rng = random.Random(12)
+    for rows, inner, cols in [(1, 1, 1), (2, 3, 4), (3, 3, 3), (4, 2, 5),
+                              (6, 6, 6)] * 4:
+        a_rows = random_rows(rng, rows, inner, 7)
+        b_rows = random_rows(rng, inner, cols, 9)
+        got = RationalMatrix.from_rows(a_rows) * RationalMatrix.from_rows(b_rows)
+        want = sympy.Matrix(a_rows) * sympy.Matrix(b_rows)
+        assert (got.rows, got.cols) == (rows, cols)
+        assert got.entries == tuple(Fraction(str(x)) for x in want)
+        assert all(type(x) is Fraction for x in got.entries)
+        # numerators over the lcm of the entry denominators, as a matrix
+        # built from those entries holds them
+        built = RationalMatrix(rows, cols, got.entries)
+        assert (got._den, got._num) == (built._den, built._num)
+        assert got == built and hash(got) == hash(built)
+        assert repr(got) == repr(built)
+
+
+def test_clear_denominators():
+    assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 4]) == (
+        6, (3, -4, 24))
+    assert clear_denominators([0, 0]) == (1, (0, 0))
+    assert clear_denominators([]) == (1, ())
+
+
 def test_matrix_shape_errors():
     with pytest.raises(ValueError):
         RationalMatrix(2, 2, [1, 2, 3])
@@ -163,7 +216,7 @@ def test_matrix_accessors():
     m = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert m[0, 1] == 2
     assert m.row(1) == (4, 5, 6)
-    assert m.col(2) == (3, 6)
+    assert m.entries[2::3] == (3, 6)
     assert RationalMatrix.identity(3).is_identity()
     assert not m.is_identity()
 

@@ -1,7 +1,10 @@
 """Tests for exact facet enumeration: hand-checked polytopes, degenerate
 inputs, vertex certification, and agreement with the brute-force
-hyperplane-spanning oracle in hull_oracle.py."""
+hyperplane-spanning oracle and the Fraction reference hull in
+hull_oracle.py."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import islice
@@ -12,14 +15,16 @@ import sympy
 from birkhoffsym import exact, hull
 from birkhoffsym.birkhoff import analytic_facet_sets, birkhoff_vertices
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.exact import _independent_rows, rank
+from birkhoffsym.exact import (RationalMatrix, _independent_rows,
+                               clear_denominators, inverse, rank)
 from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
                               certify_vertices, facet_enumeration, incidence_of,
                               polytope_from_document, polytope_to_document,
                               validate_polytope)
 from birkhoffsym.reppoly import default_catalog, representation_polytope
 
-from hull_oracle import (affine_dim, oracle_facets, random_point_set,
+from hull_oracle import (affine_dim, fraction_facet_enumeration,
+                         oracle_facets, random_point_set,
                          rank_certified_vertices,
                          with_duplicates_and_interior_points)
 
@@ -154,18 +159,28 @@ def rank_greedy_basis(points):
     return kept
 
 
+def scaled_points(pts):
+    """The points times the lcm of all their denominators, as the hull
+    scales them."""
+    _, flat = clear_denominators(x for p in pts for x in p)
+    k = len(pts[0])
+    return [flat[i * k:(i + 1) * k] for i in range(len(pts))]
+
+
 def test_one_pass_chart_keeps_the_rank_greedy_basis():
     rng = random.Random(7)
     cases = [[tuple(map(Fraction, m.entries)) for m in birkhoff_vertices(4)]]
     for _ in range(10):
         cases.append(random_point_set(rng))
     for pts in cases:
-        d, base, basis, pivot_rows, _ = _affine_chart(pts)
-        want = rank_greedy_basis(pts)
+        scaled = scaled_points(pts)
+        pivot_rows = _affine_chart(scaled)
+        diffs = [tuple(a - b for a, b in zip(p, scaled[0])) for p in scaled[1:]]
+        basis = [diffs[i] for i, _ in _independent_rows(diffs)]
+        want = rank_greedy_basis(scaled)
         assert basis == want
-        assert d == len(want) == affine_dim(pts)
-        rref_pivots = sympy.Matrix(
-            [[sympy.Rational(x) for x in u] for u in want]).rref()[1]
+        assert len(pivot_rows) == len(want) == affine_dim(pts)
+        rref_pivots = sympy.Matrix(want).rref()[1]
         assert pivot_rows == list(rref_pivots)
 
 
@@ -197,6 +212,7 @@ def test_dd_start_keeps_the_rank_greedy_choice(monkeypatch):
             representation_polytope(entry.matrix_group)
     assert len(systems) == 2 + len(default_catalog(3)) + len(default_catalog(4))
     for ineqs in systems:
+        assert all(type(x) is int for c in ineqs for x in c)
         dim = len(ineqs[0])
         chosen = [i for i, *_ in islice(_independent_rows(ineqs), dim)]
         assert chosen == rank_greedy_start(ineqs)
@@ -260,6 +276,7 @@ def test_dd_ray_counts_are_pinned(monkeypatch, n, start, new):
     def spy_dd(ineqs):
         before = len(made)
         rays = dd(ineqs)
+        assert all(type(x) is int for v in made[before:] for x in v)
         start_rays = len(ineqs[0])
         counts.append((start_rays, len(made) - before - start_rays, len(rays)))
         return rays
@@ -343,3 +360,147 @@ def test_oracle_agreement_random():
         p = facet_enumeration(pts)
         assert tight_families(p) == oracle_facets(pts), pts
         validate_polytope(p)
+
+
+def conjugated(points_of_group, dim, rng):
+    """The element vectors of P^-1 G P for a seeded rational P with p/q
+    entries, G given by its row-major element vectors."""
+    while True:
+        p = RationalMatrix.from_rows(
+            [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]
+             for _ in range(dim)])
+        if rank(p) == dim:
+            break
+    p_inv = inverse(p)
+    return [(p_inv * RationalMatrix(dim, dim, g) * p).entries
+            for g in points_of_group]
+
+
+def same_polytope(got, want):
+    return ((got.ambient_dim, got.vertices, got.facets, got.incidence, got.dim)
+            == (want.ambient_dim, want.vertices, want.facets, want.incidence,
+                want.dim)
+            and all(type(x) is Fraction for f in got.facets
+                    for x in f.normal + (f.offset,)))
+
+
+def reference_cases():
+    """B_3, B_4, both catalogs, each catalog group conjugated by a p/q
+    matrix, 120 seeded random sets with a duplicate, a midpoint and the
+    centroid added, and one set with denominators near 10^9."""
+    cases = [[m.entries for m in birkhoff_vertices(n)] for n in (3, 4)]
+    rng = random.Random(20261019)
+    for n in (3, 4):
+        for entry in default_catalog(n):
+            mgroup = entry.matrix_group
+            elements = [m.entries for m in mgroup.elements]
+            cases.append(elements)
+            cases.append(conjugated(elements, mgroup.dim, rng))
+    for _ in range(120):
+        cases.append(with_duplicates_and_interior_points(
+            rng, random_point_set(rng, 10, 5)))
+    cases.append([tuple(Fraction(rng.randint(-10 ** 9, 10 ** 9),
+                                 rng.randint(10 ** 9 - 99, 10 ** 9))
+                        for _ in range(4)) for _ in range(9)])
+    return cases
+
+
+def test_integer_hull_matches_the_fraction_reference():
+    for pts in reference_cases():
+        want = fraction_facet_enumeration(pts)
+        assert same_polytope(hull._facet_enumeration(pts), want), pts
+
+
+def test_integer_hull_matches_the_fraction_reference_on_b5():
+    pts = [m.entries for m in birkhoff_vertices(5)]
+    assert same_polytope(hull._facet_enumeration(pts),
+                         fraction_facet_enumeration(pts))
+
+
+def test_dd_extreme_rays_sees_only_ints(monkeypatch):
+    # the int-only gate: the double description receives and returns
+    # integer tuples, whatever rationals the points had
+    calls = []
+    dd = hull._dd_extreme_rays
+
+    def spy(ineqs):
+        rays = dd(ineqs)
+        calls.append((ineqs, rays))
+        return rays
+
+    monkeypatch.setattr(hull, "_dd_extreme_rays", spy)
+    cases = reference_cases()
+    for pts in cases:
+        hull._facet_enumeration(pts)
+    assert len(calls) == sum(1 for pts in cases if affine_dim(pts) > 0)
+    for ineqs, rays in calls:
+        for vectors in (ineqs, rays):
+            assert all(type(v) is tuple for v in vectors)
+            assert all(type(x) is int for v in vectors for x in v)
+
+
+FRACTION_OPERATIONS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__divmod__", "__pow__", "__rpow__", "__neg__",
+    "__pos__", "__abs__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+    "__bool__", "__hash__")
+
+
+def test_hull_makes_no_fraction_arithmetic(monkeypatch):
+    # Fractions are read in (numerator, denominator) and written out
+    # (one constructor per facet entry); in between, nothing
+    rng = random.Random(3)
+    elements = [m.entries for m in default_catalog(3)[0].matrix_group.elements]
+    octahedron = [tuple(Fraction(s * (i == j), 3) for j in range(3))
+                  for i in range(3) for s in (2, -5)]
+    cases = [[m.entries for m in birkhoff_vertices(4)],
+             conjugated(elements, 3, rng),
+             with_duplicates_and_interior_points(rng, octahedron)]
+    used = []
+    for name in FRACTION_OPERATIONS:
+        original = getattr(Fraction, name)
+
+        def counted(*args, _name=name, _original=original):
+            used.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    polytopes = [hull._facet_enumeration(pts) for pts in cases]
+    monkeypatch.undo()
+    assert used == []
+    assert [p.n_facets for p in polytopes] == [16, 9, 8]
+
+
+# sha256 of the canonical JSON of polytope_to_document, taken from the
+# Fraction hull: the integer hull must write the same bytes
+DOCUMENT_DIGESTS = {
+    ("B", 3): "78b1dcecff13dc2dde90335cec37536f5b87aca1b3f94284f18fc26a28a61874",
+    ("B", 4): "0f344b83396f31433a854fa219e7b98b4935b5e388adfed234199a6ea93e69f2",
+    (3, "s3_standard"): "75308af90f2bb6f149a7c7bc1a11b1ccd5c697bd7f413c92c0d707dbf694d598",
+    (3, "c6_exceptional"): "749f8a12e5a37ee0948630178e46d4d0833aa9fef4cc52e65d32558a4682307e",
+    (3, "c6_regular"): "69f1ff57607ee74f1087eaa42a87aeb2b5c9a1800cab6149c9d01ac433a7a932",
+    (3, "s3_regular"): "542113375b9c84550f549e1d5fcd3808e1fb128765d75be650db38849748e0ab",
+    (3, "c4_regular"): "7d6fda2774c9a8014f1e7ea1f7870d5ce976472914477dd2134d977ebbe43388",
+    (3, "v4_regular"): "878d73aaf73937a304187ec90d10231fabcb53fbb5fe666b82f0e9de8d0664fe",
+    (4, "s4_standard"): "15bf6c47e0b4b3bc9bba446a8fb9e34b84d34cd6772f91da71a94ef61de28154",
+    (4, "d4_standard"): "ca1c70e477b3b130923e412dc7aaa70b8b60a23220a0dd5755148639533168f8",
+    (4, "c4_regular"): "7d6fda2774c9a8014f1e7ea1f7870d5ce976472914477dd2134d977ebbe43388",
+}
+
+
+def document_digest(polytope):
+    text = json.dumps(polytope_to_document(polytope), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_polytope_documents_are_pinned():
+    got = {("B", n): document_digest(
+        facet_enumeration([m.entries for m in birkhoff_vertices(n)]))
+        for n in (3, 4)}
+    for n in (3, 4):
+        for entry in default_catalog(n):
+            got[n, entry.name] = document_digest(
+                representation_polytope(entry.matrix_group))
+    assert got == DOCUMENT_DIGESTS
