@@ -15,6 +15,13 @@ Together these identities force every incidence-preserving vertex
 bijection alpha to have the shape alpha(pi) = sigma pi^eps tau, and
 decompose_symmetry extracts that certified triple.
 
+verify_transformation_law checks the translation law on the four
+generators of S_n x S_n only: both sides are actions of that group, so
+the law for the generators gives it for all (n!)^2 pairs (the argument
+is in its docstring).  Vertex maps pi -> sigma pi^eps tau are composed on
+image tuples and looked up in the vertex index; no multiplication table
+of S_n is built here.
+
 Vertex indices are positions in `perm.symmetric_group(n).elements`, the
 lexicographic order of S_n image tuples, so vertex labellings agree
 across modules.
@@ -32,7 +39,7 @@ from .combiso import comb_automorphisms
 from .errors import PreconditionError
 from .exact import RationalMatrix
 from .hull import _facet_enumeration, incidence_of
-from .perm import Permutation, indexed, symmetric_group
+from .perm import Permutation, symmetric_group
 
 MAX_N = 5
 
@@ -131,61 +138,87 @@ def verify_intersection_table(n: int) -> TableReport:
 
 @dataclass
 class LawReport:
+    """`translation_cases` = (n!)^2 n^2 is the number of (sigma, tau, i, j)
+    cases the verdict covers, `generator_cases` = 4 n^2 the number of
+    cases checked directly (see `verify_transformation_law`), and
+    `inversion_cases` = n^2 the cases of A_ij^-1 = A_ji."""
     n: int
     translation_cases: int
     inversion_cases: int
+    generator_cases: int
     failures: list[str]
     passed: bool
+
+
+def _vertex_images(n: int, sigma: Permutation, tau: Permutation,
+                   epsilon: int) -> list[int]:
+    """Vertex images of pi -> sigma pi^epsilon tau, composed on image
+    tuples, so no Permutation is built per vertex when epsilon = 1."""
+    index = _sn_index(n)
+    s, t = sigma.images, tau.images
+    out = []
+    for p in symmetric_group(n).elements:
+        p = (p if epsilon == 1 else p.inverse()).images
+        out.append(index[tuple([s[p[x]] for x in t])])
+    return out
 
 
 def verify_transformation_law(n: int) -> LawReport:
     """Check sigma A_ij tau^-1 = A_{tau(i), sigma(j)} for all sigma, tau
     and all (i, j), and A_ij^-1 = A_ji.
 
-    Products and inverses are read off the multiplication table of S_n,
-    whose element order is the vertex order."""
-    if not 3 <= n <= 4:
-        raise PreconditionError("transformation law check supports 3 <= n <= 4")
-    group = symmetric_group(n)
-    perms = group.elements
-    ig = indexed(group)
-    table, inv = ig.table, ig.inv
+    The certificate: S_n x S_n acts on vertex sets by (sigma, tau).X =
+    {sigma pi tau^-1 : pi in X} and on labels by (sigma, tau).(i, j) =
+    (tau(i), sigma(j)); the law says that the labelling (i, j) -> A_ij
+    commutes with the two actions.  If it commutes with g and with h, it
+    commutes with gh, because (gh).A_L = g.(h.A_L) = g.A_{h.L} =
+    A_{g.(h.L)} = A_{(gh).L}.  Every element of the finite group S_n x S_n
+    is a product of its generators ((0 1), 1), ((0 1 ... n-1), 1),
+    (1, (0 1)) and (1, (0 1 ... n-1)) (an inverse is a power), so
+    checking those four on all n^2 labels proves the law for all (n!)^2
+    pairs.  Nothing here depends on the sets themselves, so a family that
+    breaks the law at some pair breaks it at some generator, and each
+    failure names that generator and the label.
+    """
+    if not 3 <= n <= MAX_N:
+        raise PreconditionError(
+            f"transformation law check supports 3 <= n <= {MAX_N}")
     sets = analytic_facet_sets(n)
+    one = Permutation.identity(n)
+    sn_gens = [g for _, g in symmetric_group(n).generators]
+    gens = [(g, one) for g in sn_gens] + [(one, g) for g in sn_gens]
     failures = []
-    translation_cases = 0
-    for sigma, row in zip(perms, table):
-        for tau, tau_inv in zip(perms, inv):
-            for i in range(n):
-                for j in range(n):
-                    translation_cases += 1
-                    image = frozenset(table[row[v]][tau_inv]
-                                      for v in sets[FacetLabel(i, j)])
-                    if image != sets[FacetLabel(tau(i), sigma(j))]:
-                        failures.append(
-                            f"sigma={sigma.cycle_string()} tau={tau.cycle_string()} "
-                            f"A({i},{j})")
-    inversion_cases = 0
+    for sigma, tau in gens:
+        image_of = _vertex_images(n, sigma, tau.inverse(), 1)
+        for i in range(n):
+            for j in range(n):
+                image = frozenset(image_of[v] for v in sets[FacetLabel(i, j)])
+                if image != sets[FacetLabel(tau(i), sigma(j))]:
+                    failures.append(
+                        f"sigma={sigma.cycle_string()} "
+                        f"tau={tau.cycle_string()} A({i},{j})")
+    image_of = _vertex_images(n, one, one, -1)
     for i in range(n):
         for j in range(n):
-            inversion_cases += 1
-            image = frozenset(inv[v] for v in sets[FacetLabel(i, j)])
+            image = frozenset(image_of[v] for v in sets[FacetLabel(i, j)])
             if image != sets[FacetLabel(j, i)]:
                 failures.append(f"inversion A({i},{j})")
-    return LawReport(n, translation_cases, inversion_cases, failures,
-                     not failures)
+    return LawReport(n=n, translation_cases=factorial(n) ** 2 * n * n,
+                     inversion_cases=n * n, generator_cases=len(gens) * n * n,
+                     failures=failures, passed=not failures)
 
 
 def inversion_vertex_map(n: int) -> Permutation:
     """The vertex permutation pi -> pi^-1 of the S_n enumeration."""
-    index = _sn_index(n)
-    return Permutation(index[p.inverse().images]
-                       for p in symmetric_group(n).elements)
+    one = Permutation.identity(n)
+    return Permutation(_vertex_images(n, one, one, -1))
 
 
 def _facet_image_map(n, alpha, sets, set_index):
     image_map = {}
+    images = alpha.images
     for label, members in sets.items():
-        image = frozenset(alpha(v) for v in members)
+        image = frozenset([images[v] for v in members])
         target = set_index.get(image)
         if target is None:
             raise NotFacetSymmetryError("not a facet symmetry")
@@ -218,7 +251,6 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
         for i in range(n))
     if row_constant:
         epsilon = 1
-        working = alpha
     else:
         col_constant = all(
             len({image_map[FacetLabel(i, j)].j for j in range(n)}) == 1
@@ -226,8 +258,8 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
         if not col_constant:
             raise InconsistentSymmetryError("inconsistent")
         epsilon = -1
-        working = alpha * inversion_vertex_map(n)
-        image_map = _facet_image_map(n, working, sets, set_index)
+        image_map = _facet_image_map(n, alpha * inversion_vertex_map(n),
+                                     sets, set_index)
         if not all(len({image_map[FacetLabel(i, j)].i for j in range(n)}) == 1
                    for i in range(n)):
             raise InconsistentSymmetryError("inconsistent")
@@ -243,20 +275,14 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
     except ValueError as exc:
         raise InconsistentSymmetryError("inconsistent") from exc
 
-    index = _sn_index(n)
-    for v, p in enumerate(perms):
-        reconstructed = sigma * (p if epsilon == 1 else p.inverse()) * tau
-        if index[reconstructed.images] != alpha(v):
-            raise InconsistentSymmetryError("inconsistent")
+    if _vertex_images(n, sigma, tau, epsilon) != list(alpha.images):
+        raise InconsistentSymmetryError("inconsistent")
     return SymmetryDecomposition(sigma, tau, epsilon)
 
 
 def reconstruct_symmetry(n: int, dec: SymmetryDecomposition) -> Permutation:
     """The vertex permutation pi -> sigma pi^eps tau of a decomposition."""
-    index = _sn_index(n)
-    return Permutation(
-        index[(dec.sigma * (p if dec.epsilon == 1 else p.inverse()) * dec.tau).images]
-        for p in symmetric_group(n).elements)
+    return Permutation(_vertex_images(n, dec.sigma, dec.tau, dec.epsilon))
 
 
 @dataclass

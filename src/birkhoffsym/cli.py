@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 from . import birkhoff, cd, gamma, hull, reppoly
@@ -59,6 +60,15 @@ def _subgroup_name(base_name: str, group: PermutationGroup,
         if involutions == 1:
             return "Q8"
     return f"order{sub.order}"
+
+
+def _read_json(path: str):
+    """The JSON document in a file; nesting too deep for the decoder is
+    refused as malformed input, like any other decoding error."""
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _read_alpha(path: str, n_points: int) -> Permutation:
@@ -182,7 +192,7 @@ def _cmd_uniqueness(args):
 
 
 def _cmd_hull(args):
-    doc = json.loads(Path(args.vertices).read_text())
+    doc = _read_json(args.vertices)
     points = hull.polytope_from_document(doc)
     polytope = hull.facet_enumeration(points)
     details = hull.polytope_to_document(polytope)
@@ -199,7 +209,7 @@ def _cmd_rep_polytope(args):
             raise PreconditionError(
                 f"unknown group {args.group!r}: not a built-in name and not a file")
         mgroup = reppoly.matrix_group_from_document(
-            json.loads(path.read_text())).matrix_group
+            _read_json(path)).matrix_group
     polytope = reppoly.representation_polytope(mgroup)
     details = hull.polytope_to_document(polytope)
     details["order"] = mgroup.order
@@ -207,7 +217,10 @@ def _cmd_rep_polytope(args):
     return True, {"group": args.group}, details
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.  Parsing
+    keeps no state on it, so `main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="birkhoffsym",
         description="Exact verification of the combinatorial symmetries of "

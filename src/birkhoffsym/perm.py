@@ -46,6 +46,14 @@ class Permutation:
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """A permutation whose image tuple is known to be a bijection, such
+        as a product or an inverse of permutations: no validation."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
@@ -65,13 +73,13 @@ class Permutation:
         if self.degree != other.degree:
             raise ValueError("composing permutations of different degrees")
         img = self.images
-        return Permutation(img[x] for x in other.images)
+        return Permutation._unchecked(tuple([img[x] for x in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, x in enumerate(self.images):
             inv[x] = i
-        return Permutation(inv)
+        return Permutation._unchecked(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(x == i for i, x in enumerate(self.images))
@@ -259,7 +267,9 @@ def closure(generators: Sequence[Permutation],
     if tags is None:
         tags = [g.cycle_string() for g in generators]
     tagged = tuple(zip(tags, generators))
-    return PermutationGroup(degree, [Permutation(t) for t in seen], tagged)
+    # every member is a product of the (validated) generators
+    return PermutationGroup(degree, [Permutation._unchecked(t) for t in seen],
+                            tagged)
 
 
 @lru_cache(maxsize=8)

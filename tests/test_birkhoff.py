@@ -24,6 +24,7 @@ from birkhoffsym.birkhoff import (FacetLabel, InconsistentSymmetryError,
                                   verify_transformation_law)
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.perm import Permutation, symmetric_group
+from law_oracle import full_transformation_law
 
 
 perm_strategy = st.integers(2, 5).flatmap(
@@ -143,9 +144,66 @@ def test_transformation_law_detects_swapped_sets(monkeypatch):
     assert r.failures and all(f.startswith("sigma=") for f in r.failures)
 
 
+def _law_test_families(n: int, mutants: int):
+    """The true sets, two families that also obey the law (the facets
+    F_ij, and every A_ij equal to the whole vertex set), the whole family
+    transposed, rows 0 and 1 swapped (the left generators still hold),
+    columns 0 and 1 swapped (the right ones still hold), and seeded
+    mutants of three kinds in turn: one vertex moved between two A_ij,
+    two labels swapped, and A_ij <-> A_ji."""
+    base = dict(analytic_facet_sets(n))
+    everything = frozenset(range(factorial(n)))
+    swap = {0: 1, 1: 0}
+    yield base
+    yield {label: everything - members for label, members in base.items()}
+    yield {label: everything for label in base}
+    yield {FacetLabel(l.j, l.i): members for l, members in base.items()}
+    yield {FacetLabel(swap.get(l.i, l.i), l.j): members
+           for l, members in base.items()}
+    yield {FacetLabel(l.i, swap.get(l.j, l.j)): members
+           for l, members in base.items()}
+    rng = random.Random(1000 + n)
+    labels = list(base)
+    for k in range(mutants):
+        sets = dict(base)
+        a, b = rng.sample(labels, 2)
+        if k % 3 == 0:
+            v = rng.choice(sorted(sets[a]))
+            sets[a], sets[b] = sets[a] - {v}, sets[b] | {v}
+        elif k % 3 == 1:
+            sets[a], sets[b] = sets[b], sets[a]
+        else:
+            i, j = rng.sample(range(n), 2)
+            a, b = FacetLabel(i, j), FacetLabel(j, i)
+            sets[a], sets[b] = sets[b], sets[a]
+        yield sets
+
+
+@pytest.mark.parametrize("n,mutants", [(3, 36), (4, 18)])
+def test_generator_certificate_agrees_with_the_full_loop(n, mutants,
+                                                         monkeypatch):
+    verdicts = []
+    for sets in _law_test_families(n, mutants):
+        monkeypatch.setattr(birkhoff, "analytic_facet_sets",
+                            lambda m, sets=sets: sets)
+        got = verify_transformation_law(n)
+        want = full_transformation_law(n, sets)
+        assert got.passed == want.passed
+        assert bool(got.failures) == bool(want.failures)
+        # the generators are among the pairs, with the same failure text
+        assert set(got.failures) <= set(want.failures)
+        assert (got.translation_cases, got.inversion_cases) == (
+            want.translation_cases, want.inversion_cases)
+        assert got.generator_cases == 4 * n * n
+        verdicts.append(got.passed)
+    assert verdicts[:3] == [True, True, True]
+    assert not any(verdicts[3:])
+
+
 def test_verify_transformation_law_out_of_range():
-    with pytest.raises(PreconditionError):
-        verify_transformation_law(5)
+    for n in (2, birkhoff.MAX_N + 1):
+        with pytest.raises(PreconditionError):
+            verify_transformation_law(n)
 
 
 def test_decompose_identity():
@@ -208,11 +266,11 @@ def test_decompose_n5_builds_no_multiplication_table(monkeypatch):
         raise AssertionError("decompose built a multiplication table")
 
     monkeypatch.setattr(perm, "IndexedGroup", forbidden)
-    monkeypatch.setattr(birkhoff, "indexed", forbidden)
     perm.indexed.cache_clear()
     dec = SymmetryDecomposition(Permutation((1, 2, 0, 4, 3)),
                                 Permutation((0, 2, 1, 3, 4)), -1)
     assert decompose_symmetry(5, reconstruct_symmetry(5, dec)) == dec
+    assert verify_transformation_law(5).passed
 
 
 def test_decompose_roundtrip_n4_sample():

@@ -6,6 +6,7 @@ The entry-point test runs the ``birkhoffsym`` script when one is on
 under ``[project.scripts]`` in ``pyproject.toml`` the way the generated
 wrapper runs it, so it also passes with a plain ``PYTHONPATH=src``."""
 
+import argparse
 import json
 import shutil
 import subprocess
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from birkhoffsym import perm
+from birkhoffsym import cli, perm
 from birkhoffsym.birkhoff import (SymmetryDecomposition, reconstruct_symmetry)
 from birkhoffsym.cli import main
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
@@ -290,6 +291,17 @@ def test_json_of_the_wrong_shape_exits_3(tmp_path, capsys, command, text):
     assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["hull", "rep-polytope"])
+def test_json_nested_too_deeply_exits_3(tmp_path, capsys, command):
+    # the decoder's RecursionError went past main's handler: traceback, exit 1
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [command, str(path)] if command == "hull" else [
+        command, "--group", str(path)]
+    assert main(argv) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_rep_polytope_builtin(capsys):
     code, doc = run_json(capsys, ["rep-polytope", "--group", "c4"])
     assert code == 0
@@ -378,3 +390,65 @@ def test_module_invocation():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_verify_transform_b5(capsys):
+    code, doc = run_json(capsys, ["verify-transform", "5"])
+    assert code == 0
+    d = doc["details"]
+    assert d["passed"] is True and d["failures"] == []
+    assert d["translation_cases"] == 360000
+    assert d["inversion_cases"] == 25
+    assert d["generator_cases"] == 100
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    assert main(["verify-table", "3"]) == 0
+    assert "birkhoffsym" in built
+    first = len(built)
+    assert main(["verify-table", "3"]) == 0
+    assert len(built) == first
+    cli.build_parser.cache_clear()
+
+
+def test_one_process_answers_like_fresh_processes(tmp_path, capsys,
+                                                   monkeypatch):
+    """The cached parser carries nothing from one call to the next."""
+    monkeypatch.setenv("COLUMNS", "80")
+    dec = SymmetryDecomposition(parse_cycles("(0 2)", 3),
+                                parse_cycles("(1 2)", 3), -1)
+    alpha = tmp_path / "alpha.txt"
+    alpha.write_text("\n".join(map(str, reconstruct_symmetry(3, dec).images)))
+    runs = [["decompose", "3", "--identity"], ["decompose", "3", str(alpha)],
+            ["decompose", "--identity"], ["verify-table", "3"]]
+    in_process = []
+    for argv in runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0]
+    for argv, (code, out, err) in zip(runs, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "birkhoffsym.cli"] + argv,
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code
+        assert proc.stderr == err
+        if out:
+            want, got = json.loads(proc.stdout), json.loads(out)
+            want.pop("runtime_ms")
+            got.pop("runtime_ms")
+            assert got == want
+        else:
+            assert proc.stdout == ""

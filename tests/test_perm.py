@@ -87,6 +87,17 @@ def test_degree_cap_comes_before_any_image_list():
     assert group_from_generator_lines([f"(0 {MAX_DEGREE - 1})"]).degree == MAX_DEGREE
 
 
+@given(perm_strategy(6), perm_strategy(6))
+def test_products_and_inverses_are_permutations(a, b):
+    # both skip validation; the validating constructor must accept them
+    for p in (a * b, a.inverse()):
+        assert type(p.images) is tuple
+        assert Permutation(p.images) == p
+        assert hash(p) == hash(Permutation(p.images))
+    with pytest.raises(AttributeError):
+        (a * b).images = a.images
+
+
 def test_immutability():
     p = Permutation.identity(3)
     with pytest.raises(AttributeError):
