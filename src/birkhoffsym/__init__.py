@@ -36,7 +36,6 @@ from .hull import (
     Polytope,
     facet_enumeration,
     incidence_of,
-    validate_polytope,
 )
 from .perm import (
     Permutation,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotASubgroupError, PreconditionError
-from .perm import (PermutationGroup, centralizer, indexed, subgroup_classes,
+from .perm import (PermutationGroup, centralizer, subgroup_classes,
                    symmetric_group)
 
 
@@ -36,28 +36,30 @@ class CDReport:
     subnormal_pass: bool
 
 
-def _is_subgroup_indices(ig, members: frozenset[int]) -> bool:
-    table = ig.table
+def _is_subgroup_indices(group: PermutationGroup, members: frozenset[int]) -> bool:
+    table = group.table
     return all(table[a][b] in members for a in members for b in members)
 
 
-def _subnormal_by_normalizer_chain(ig, members: frozenset[int]) -> bool:
+def _subnormal_by_normalizer_chain(group: PermutationGroup,
+                                   members: frozenset[int]) -> bool:
     """Iterate H <= N_G(H) <= N_G(N_G(H)) <= ... until a fixed point;
     subnormal verdict = the chain reaches all of G."""
     current = members
     while True:
-        nxt = frozenset(ig.normalizer(current, current))
-        if len(nxt) == ig.order:
+        nxt = frozenset(group.normalizer_indices(current, current))
+        if len(nxt) == group.order:
             return True
         if nxt == current:
             return False
         current = nxt
 
 
-def _class_measures(ig, classes) -> list[int]:
+def _class_measures(group: PermutationGroup, classes) -> list[int]:
     """m_G of each conjugacy class, from its first member's generators:
     C_G(x H x^-1) = x C_G(H) x^-1, so the measure is a class invariant."""
-    return [len(cls[0][0]) * len(ig.centralizer(cls[0][1])) for cls in classes]
+    return [len(cls[0][0]) * len(group.centralizer_indices(cls[0][1]))
+            for cls in classes]
 
 
 def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
@@ -70,32 +72,31 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
     generators, sorted by (order, element list).
     """
     classes = subgroup_classes(group, bound=bound)
-    ig = indexed(group)
-    measures = _class_measures(ig, classes)
+    measures = _class_measures(group, classes)
     max_measure = max(measures)
     lattice_pairs = sorted(
         ((members, gens) for cls, measure in zip(classes, measures)
          if measure == max_measure for members, gens in cls),
         key=lambda sub: (len(sub[0]), sorted(sub[0])))
     lattice_sets = {hs for hs, _ in lattice_pairs}
-    table = ig.table
+    table = group.table
     closure_pass = True
     for hs, h_gens in lattice_pairs:
-        if ig.centralizer(h_gens) not in lattice_sets:
+        if group.centralizer_indices(h_gens) not in lattice_sets:
             closure_pass = False
         for ks, _ in lattice_pairs:
             if frozenset(hs & ks) not in lattice_sets:
                 closure_pass = False
             product = frozenset(table[a][b] for a in hs for b in ks)
-            if not _is_subgroup_indices(ig, product) or product not in lattice_sets:
+            if not _is_subgroup_indices(group, product) or product not in lattice_sets:
                 closure_pass = False
-    subnormal_pass = all(_subnormal_by_normalizer_chain(ig, hs)
+    subnormal_pass = all(_subnormal_by_normalizer_chain(group, hs)
                          for hs, _ in lattice_pairs)
     return CDReport(
         group_order=group.order,
         subgroup_count=sum(len(cls) for cls in classes),
         max_measure=max_measure,
-        lattice=[ig.subgroup_from_indices(group, sorted(hs), gens)
+        lattice=[group.subgroup_from_indices(sorted(hs), gens)
                  for hs, gens in lattice_pairs],
         closure_pass=closure_pass,
         subnormal_pass=subnormal_pass,
@@ -123,7 +124,7 @@ def verify_centralizer_estimate(n: int, bound: int = 720) -> CentralizerEstimate
             f"centralizer estimate check supports n in {{4, 5, 6}}, got {n}")
     group = symmetric_group(n)
     classes = subgroup_classes(group, bound=bound)
-    measures = _class_measures(indexed(group), classes)
+    measures = _class_measures(group, classes)
     full = group.order
     equality_orders = []
     violations = []

@@ -23,9 +23,9 @@ from pathlib import Path
 
 from . import birkhoff, cd, gamma, hull, reppoly
 from .errors import PreconditionError
-from .perm import (PermutationGroup, builtin_group_names,
-                   group_from_generator_lines, named_group)
-from .perm import Permutation
+from .perm import (REGULAR_MAX_DEGREE, Permutation, PermutationGroup,
+                   builtin_group_names, group_from_generator_lines,
+                   named_group)
 from .reports import Report, render_report
 
 
@@ -159,9 +159,11 @@ def _cmd_wreath(args):
 
 
 def _cmd_regular_pairs(args):
-    _, group = _load_group(args.group, gamma.MAX_GAMMA_BASE)
-    gg = gamma.build_gamma(group)
-    pairs = gamma.commuting_regular_pairs(group, gg)
+    # Gamma(G) acts on |G| points: refuse G above the search's degree bound
+    # while loading it, before Gamma(G) is closed
+    _, group = _load_group(args.group, REGULAR_MAX_DEGREE)
+    gamma_group = gamma.build_gamma(group)
+    pairs = gamma.commuting_regular_pairs(gamma_group)
 
     def describe(u: PermutationGroup) -> dict:
         return {"order": u.order,
@@ -169,7 +171,7 @@ def _cmd_regular_pairs(args):
 
     details = {
         "group_order": group.order,
-        "gamma_order": gg.gamma.order,
+        "gamma_order": gamma_group.order,
         "pair_count": len(pairs),
         "pairs": [{
             "u": describe(u),

@@ -11,9 +11,8 @@ Matrices are immutable row-major tuples.
 
 There are two row reductions, both on integer rows.  `_independent_rows`
 is a lazy one-pass generator that keeps the greedy independent rows with
-their pivot columns: `rank` counts its rows, and the hull's affine chart
-and double-description start take their rows and pivots from it.
-`_gauss_jordan` is Bareiss's fraction-free Gauss-Jordan elimination of a
+their pivot columns: the hull's affine chart and double-description
+start take their rows and pivots from it.  `_gauss_jordan` is Bareiss's fraction-free Gauss-Jordan elimination of a
 square matrix: it returns the determinant up to sign and the adjugate
 with the same sign, behind `inverse` and the double-description start.
 
@@ -27,8 +26,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
@@ -55,16 +52,6 @@ def format_rational(x: Fraction | int) -> str:
 
 def as_fraction_vector(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("dot of vectors with different lengths")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def clear_denominators(values: Iterable[Fraction | int]
@@ -236,32 +223,6 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]
                            for a, b in zip(work[i], pivot_row)]
         prev = pk
     return prev, [r[n:] for r in work]
-
-
-def rank(matrix: RationalMatrix | Sequence[Sequence]) -> int:
-    """Exact rank: the number of rows `_independent_rows` keeps, each row
-    scaled to integers first."""
-    if isinstance(matrix, RationalMatrix):
-        num, c = matrix._num, matrix.cols
-        rows = (num[i * c:(i + 1) * c] for i in range(matrix.rows))
-    else:
-        rows = (clear_denominators(Fraction(e) for e in r)[1] for r in matrix)
-    return sum(1 for _ in _independent_rows(rows))
-
-
-def affine_dimension(points: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine hull of a nonempty point set.
-
-    A single point has affine dimension 0.  Raises ValueError on an empty
-    input because the empty affine hull has no meaningful dimension here.
-    """
-    if len(points) == 0:
-        raise ValueError("affine_dimension of empty point set")
-    base = points[0]
-    diffs = [vec_sub(p, base) for p in points[1:]]
-    if not diffs:
-        return 0
-    return rank(diffs)
 
 
 def inverse(matrix: RationalMatrix) -> RationalMatrix:

@@ -9,7 +9,8 @@ For a finite group G acting on itself, the maps
 generate a subgroup Gamma(G) of Sym(G).  Everything here works with G's
 elements identified with their positions in the canonical sorted element
 list, so Gamma(G) is an ordinary permutation group on |G| points; the
-three maps come from `perm.regular_action`.
+three maps come from `perm.regular_action`.  `build_gamma` returns
+Gamma(G) itself, a `PermutationGroup` tagged with its generators.
 
 Facts verified computationally by this module:
 
@@ -31,41 +32,27 @@ from typing import Optional
 
 from .errors import PreconditionError
 from .perm import (Permutation, PermutationGroup, centralizer, closure,
-                   generating_set, indexed, regular_action, regular_subgroups)
+                   generating_set, regular_action, regular_subgroups)
 
 MAX_GAMMA_BASE = 30  # largest |G| whose Gamma(G) is built
 MAX_NORMALIZER_BASE = 6  # largest |G| for the brute-force normalizer
 
 
-class GammaGroup:
-    __slots__ = ("gamma", "lambda_sub", "rho_sub", "iota")
-
-    def __init__(self, gamma: PermutationGroup, lambda_sub: PermutationGroup,
-                 rho_sub: PermutationGroup, iota: Permutation):
-        self.gamma = gamma
-        self.lambda_sub = lambda_sub
-        self.rho_sub = rho_sub
-        self.iota = iota
-
-
-def build_gamma(group: PermutationGroup, max_size: int = MAX_GAMMA_BASE) -> GammaGroup:
-    """Construct Gamma(G) with tagged generators lambda[g], rho[g], inv,
-    g running over G's generators (a greedy generating set of G's elements
-    when G carries none)."""
+def build_gamma(group: PermutationGroup,
+                max_size: int = MAX_GAMMA_BASE) -> PermutationGroup:
+    """Gamma(G) with tagged generators lambda[g], rho[g] (in pairs), then
+    inv, g running over G's generators (a greedy generating set of G's
+    elements when G carries none)."""
     if group.order > max_size:
         raise PreconditionError(
             f"group of order {group.order} exceeds bound {max_size}")
     lams, rhos, iota = regular_action(group)
-    index = indexed(group).index
-    generators = [(tag, index[g.images]) for tag, g in generating_set(group)]
-    lam_gens = tuple((f"lambda[{tag}]", lams[g]) for tag, g in generators)
-    rho_gens = tuple((f"rho[{tag}]", rhos[g]) for tag, g in generators)
-    tagged = [*itertools.chain.from_iterable(zip(lam_gens, rho_gens)),
-              ("inv", iota)]
-    gamma = closure([p for _, p in tagged], tags=[tag for tag, _ in tagged])
-    lambda_sub = PermutationGroup(group.order, lams, lam_gens)
-    rho_sub = PermutationGroup(group.order, rhos, rho_gens)
-    return GammaGroup(gamma, lambda_sub, rho_sub, iota)
+    tagged = []
+    for tag, g in generating_set(group):
+        i = group.index[g.images]
+        tagged += [(f"lambda[{tag}]", lams[i]), (f"rho[{tag}]", rhos[i])]
+    tagged.append(("inv", iota))
+    return closure([p for _, p in tagged], tags=[tag for tag, _ in tagged])
 
 
 def is_elementary_abelian_2(group: PermutationGroup) -> bool:
@@ -92,14 +79,14 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
     elementary abelian 2-group the order formula does not apply; the
     report carries the flag and the actual order instead of a verdict.
     """
-    gg = build_gamma(group)
+    gamma = build_gamma(group)
     z = centralizer(group, group)
     ea2 = is_elementary_abelian_2(group)
     formula = 2 * group.order ** 2 // z.order
     lams, rhos, _ = regular_action(group)
     kernel_pass = all((lam * rho).is_identity() == (g in z)
                       for g, lam, rho in zip(group.elements, lams, rhos))
-    actual = gg.gamma.order
+    actual = gamma.order
     if ea2:
         return WreathReport(group.order, z.order, True, formula,
                             None, actual, kernel_pass, kernel_pass)
@@ -108,22 +95,20 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
                         kernel_pass and actual == formula)
 
 
-def commuting_regular_pairs(group: PermutationGroup,
-                            gamma: Optional[GammaGroup] = None
+def commuting_regular_pairs(gamma: PermutationGroup
                             ) -> list[tuple[PermutationGroup, PermutationGroup]]:
-    """All unordered pairs {U, V} of regular subgroups of Gamma(G) that
-    centralize each other elementwise.  U = V is allowed and occurs
-    exactly when U is abelian.  Complete by completeness of the
-    regular-subgroup search plus exhaustive pair testing.
+    """All unordered pairs {U, V} of regular subgroups of Gamma(G), as
+    `build_gamma(G)` returns it, that centralize each other elementwise.
+    U = V is allowed and occurs exactly when U is abelian.  Complete by
+    completeness of the regular-subgroup search plus exhaustive pair
+    testing.
 
     The pair test compares the generating tags regular_subgroups gives:
     the elements commuting with a fixed x form a subgroup, so each of V's
     generators, commuting with U's, commutes with all of U, and the same
     argument with the roles swapped gives all of V.
     """
-    if gamma is None:
-        gamma = build_gamma(group)
-    regs = regular_subgroups(gamma.gamma)
+    regs = regular_subgroups(gamma)
     # (x, w -> w * x) per generator, so x * y == y * x reads my(x) == mx(y)
     gens = [[(p.images, itemgetter(*p.images)) for p in u.generator_perms()]
             for u in regs]
@@ -140,22 +125,19 @@ def automorphisms(group: PermutationGroup) -> list[Permutation]:
     over bijections fixing the identity and preserving the multiplication
     table.  Exponential; meant for |G| <= 6 where it is its own proof.
     """
-    ig = indexed(group)
-    n = ig.order
-    table = ig.table
-    e = ig.identity_index
-    others = [i for i in range(n) if i != e]
+    n = group.order
+    table = group.table
+    others = range(1, n)  # the identity sits at 0
     auts = []
     order_of = {}
     for i in range(n):
         k, j = 1, i
-        while j != e:
+        while j != 0:
             j = table[j][i]
             k += 1
         order_of[i] = k
     for image in itertools.permutations(others):
         alpha = [0] * n
-        alpha[e] = e
         for src, dst in zip(others, image):
             alpha[src] = dst
         if any(order_of[src] != order_of[alpha[src]] for src in others):
@@ -188,24 +170,23 @@ def normalizer_in_full_symmetric(group: PermutationGroup,
     if group.order > max_size:
         raise PreconditionError(
             f"group of order {group.order} exceeds normalizer bound {max_size}")
-    gg = build_gamma(group)
+    gamma = build_gamma(group)
     m = group.order
-    gamma_set = frozenset(p.images for p in gg.gamma.elements)
-    gens = [p.images for p in gg.gamma.generator_perms()]
+    gens = [p.images for p in gamma.generator_perms()]
     normalizer = []
     for cand in itertools.permutations(range(m)):
         inv = [0] * m
         for i, x in enumerate(cand):
             inv[x] = i
-        if all(tuple(cand[g[inv[x]]] for x in range(m)) in gamma_set
+        if all(tuple(cand[g[inv[x]]] for x in range(m)) in gamma.index
                for g in gens):
             normalizer.append(cand)
     auts = automorphisms(group)
-    product = {(a * g).images for a in auts for g in gg.gamma.elements}
+    product = {(a * g).images for a in auts for g in gamma.elements}
     norm_set = set(normalizer)
     return NormalizerReport(
         group_order=group.order,
-        gamma_order=gg.gamma.order,
+        gamma_order=gamma.order,
         normalizer_order=len(norm_set),
         aut_order=len(auts),
         aut_gamma_order=len(product),

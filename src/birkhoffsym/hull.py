@@ -41,9 +41,9 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import PreconditionError
-from .exact import (_gauss_jordan, _independent_rows, affine_dimension,
-                    as_fraction_vector, clear_denominators, dot,
-                    format_rational, parse_rational, primitive_vector)
+from .exact import (_gauss_jordan, _independent_rows, as_fraction_vector,
+                    clear_denominators, format_rational, parse_rational,
+                    primitive_vector)
 
 MAX_VERTICES = 30
 MAX_DIM = 10
@@ -280,28 +280,6 @@ def _facet_enumeration(points: Sequence[Sequence],
 def incidence_of(polytope: Polytope) -> IncidenceStructure:
     canon = sorted({tuple(bool(x) for x in row) for row in polytope.incidence})
     return IncidenceStructure(polytope.n_vertices, canon)
-
-
-def validate_polytope(polytope: Polytope) -> None:
-    """Assert the structural invariants; raises AssertionError on defect.
-
-    Checks: every vertex satisfies every inequality; each facet's tight
-    set has affine dimension dim-1; tight sets pairwise distinct.
-    """
-    pts = polytope.vertices
-    for f, row in zip(polytope.facets, polytope.incidence):
-        for p, hit in zip(pts, row):
-            value = dot(f.normal, p)
-            assert value <= f.offset
-            assert (value == f.offset) == hit
-        tight_pts = [p for p, hit in zip(pts, row) if hit]
-        assert tight_pts, "facet with empty tight set"
-        assert affine_dimension(tight_pts) == polytope.dim - 1
-    seen = {tuple(row) for row in polytope.incidence}
-    assert len(seen) == len(polytope.facets)
-    if polytope.dim >= 1:
-        for v in range(polytope.n_vertices):
-            assert not all(row[v] for row in polytope.incidence)
 
 
 def certify_vertices(polytope: Polytope) -> list[bool]:

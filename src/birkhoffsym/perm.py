@@ -13,8 +13,11 @@ Conventions, fixed once and used everywhere:
 Groups here stay small (a few thousand elements at the very most), which is
 why explicit element lists beat any stabilizer-chain machinery in both
 simplicity and, at this scale, speed.  `closure` and `regular_subgroups`
-compose image tuples; only routines reading most products of a group of
-order at most 720 (S_6) use the multiplication table of `IndexedGroup`.
+compose image tuples.  The multiplication table belongs to the group:
+`PermutationGroup.table` works on positions in the sorted element list,
+so the identity is always at 0, and it is built on first read and kept
+with the group.  Only routines reading most products of a group of
+order at most 720 (S_6) read it; Gamma(S_4) never builds one.
 That table is also the group's one regular action: `regular_action` reads
 the left and right translations and the inversion of G on its own element
 indices off it.  `subgroup_classes` enumerates subgroups up to conjugacy
@@ -35,6 +38,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import NotASubgroupError, PreconditionError
 
 MAX_DEGREE = 4096  # points 0..MAX_DEGREE-1 are the most cycle notation may name
+REGULAR_MAX_DEGREE = 24  # largest degree regular_subgroups searches
+REGULAR_MAX_ORDER = 1500  # largest order regular_subgroups searches
 
 
 class Permutation:
@@ -171,9 +176,14 @@ class PermutationGroup:
 
     `generators` carries (tag, permutation) pairs for reporting; tags are
     free-form labels.  Equality ignores tags and compares element sets.
+    `index` maps each element's image tuple to its position in the list,
+    so the identity sits at 0.  The multiplication table on those
+    positions, `table`, and the inverse of each position, `inv`, are
+    built on first read and kept with the group; a group no caller asks
+    for them never builds them.
     """
 
-    __slots__ = ("degree", "elements", "generators", "_element_set")
+    __slots__ = ("degree", "elements", "generators", "index", "_table", "_inv")
 
     def __init__(self, degree: int, elements: Sequence[Permutation],
                  generators: Sequence[tuple[str, Permutation]] = ()):
@@ -185,7 +195,10 @@ class PermutationGroup:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "generators", tuple(generators))
-        object.__setattr__(self, "_element_set", frozenset(elements))
+        object.__setattr__(self, "index",
+                           {p.images: i for i, p in enumerate(elements)})
+        object.__setattr__(self, "_table", None)
+        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PermutationGroup is immutable")
@@ -199,7 +212,7 @@ class PermutationGroup:
         return self.elements[0]
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._element_set
+        return p.images in self.index
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PermutationGroup)
@@ -215,10 +228,110 @@ class PermutationGroup:
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
         return (self.degree == other.degree
-                and self._element_set <= other._element_set)
+                and self.index.keys() <= other.index.keys())
 
     def generator_perms(self) -> list[Permutation]:
         return [p for _, p in self.generators]
+
+    @property
+    def table(self) -> list[list[int]]:
+        """table[a][b] is the position of elements[a] * elements[b].
+        Its readers read most of it, on groups of order at most 720
+        (S_6): `subgroup_classes`, `centralizer`, `generating_set`, `cd`,
+        `gamma.automorphisms`, and `regular_action`, which gives
+        `gamma.build_gamma`, the vertex maps of `reppoly` and the B_n
+        transformation law their translations.  The Gamma(G) searches
+        (`regular_subgroups`, `commuting_regular_pairs`) read none."""
+        if self._table is None:
+            idx = self.index  # image tuples in element order
+            if self.degree == 1:  # itemgetter(0) returns an int, not a tuple
+                table = [[0]]
+            else:
+                columns = [itemgetter(*b) for b in idx]  # column b: a -> a*b
+                table = [[idx[col(a)] for col in columns] for a in idx]
+            object.__setattr__(self, "_table", table)
+        return self._table
+
+    @property
+    def inv(self) -> list[int]:
+        """inv[a] is the position of the inverse of elements[a]."""
+        if self._inv is None:
+            idx = self.index
+            object.__setattr__(self, "_inv",
+                               [idx[p.inverse().images] for p in self.elements])
+        return self._inv
+
+    def closure_indices(self, seeds: Iterable[int]) -> frozenset[int]:
+        """Positions of the subgroup generated by the seed positions.
+
+        The same breadth-first loop as `saturate`, kept inline over table
+        rows: subgroup_classes runs it once per extension it tries, and
+        routing it through saturate's product callback made 700 closures
+        in S_5 about 1.3x slower.
+        """
+        table = self.table
+        seeds = list(dict.fromkeys(seeds))
+        known = {0}
+        known.update(seeds)
+        frontier = list(known)
+        while frontier:
+            nxt = []
+            for w in frontier:
+                row = table[w]
+                for s in seeds:
+                    p = row[s]
+                    if p not in known:
+                        known.add(p)
+                        nxt.append(p)
+            frontier = nxt
+        return frozenset(known)
+
+    def centralizer_indices(self, indices: Iterable[int]) -> frozenset[int]:
+        """Positions of the elements commuting with every given position.
+        Passing a generating set of H is enough for C_G(H): the elements
+        commuting with a fixed g form a subgroup, so if it holds H's
+        generators it holds all of H."""
+        table = self.table
+        members = list(indices)
+        return frozenset(g for g, row in enumerate(table)
+                         if all(row[h] == table[h][g] for h in members))
+
+    def normalizer_indices(self, members: frozenset[int],
+                           gens: Iterable[int]) -> list[int]:
+        """Positions m, ascending, with m g m^-1 in `members` for every
+        given g.  Passing a generating set of the subgroup H with those
+        members is enough for N_G(H): m H m^-1 is then a subset of H of
+        the same size."""
+        table, inv = self.table, self.inv
+        gens = list(gens)
+        return [m for m, row in enumerate(table)
+                if all(table[row[g]][inv[m]] in members for g in gens)]
+
+    def generating_indices(self, members: Sequence[int]) -> list[int]:
+        """A generating set of the subgroup with the given member
+        positions, chosen greedily in the given order: a member is taken
+        only when it lies outside the closure of the ones taken before,
+        and the scan stops once that closure is the whole subgroup."""
+        gens: list[int] = []
+        span = frozenset({0})
+        for i in members:
+            if len(span) == len(members):
+                break
+            if i not in span:
+                gens.append(i)
+                span = self.closure_indices(gens)
+        return gens
+
+    def subgroup_from_indices(self, members: Sequence[int],
+                              gen_indices: Sequence[int] = ()) -> "PermutationGroup":
+        """The subgroup with the given member positions, tagged with
+        gen_indices, or with generating_indices(members) when none are
+        given."""
+        elements = self.elements
+        gens = _tagged(elements[i] for i in
+                       gen_indices or self.generating_indices(members))
+        return PermutationGroup(self.degree, [elements[i] for i in members],
+                                gens)
 
 
 def saturate(seeds: Iterable, gens: Sequence, mul: Callable,
@@ -292,113 +405,8 @@ def symmetric_group(n: int) -> PermutationGroup:
     return PermutationGroup(n, elements, gens)
 
 
-class IndexedGroup:
-    """Index-level view of a group: elements as positions in the sorted
-    list, products looked up in a full order^2 table.  Users read most of
-    it, on groups of order at most 720 (S_6): `subgroup_classes`,
-    `centralizer`, `generating_set`, `cd`, `gamma.automorphisms`, and
-    `regular_action`, which gives `gamma.build_gamma`, the vertex maps of
-    `reppoly` and the B_n transformation law their translations.  The
-    Gamma(G) searches (`regular_subgroups`, `commuting_regular_pairs`)
-    build none."""
-
-    __slots__ = ("index", "inv", "table", "identity_index")
-
-    def __init__(self, group: PermutationGroup):
-        elems = [p.images for p in group.elements]
-        idx = self.index = {img: i for i, img in enumerate(elems)}
-        self.identity_index = idx[tuple(range(group.degree))]
-        self.inv = [idx[p.inverse().images] for p in group.elements]
-        if group.degree == 1:  # itemgetter(0) returns an int, not a tuple
-            self.table = [[0]]
-        else:
-            columns = [itemgetter(*b) for b in elems]  # column b: a -> a*b
-            self.table = [[idx[col(a)] for col in columns] for a in elems]
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
-
-    def closure_indices(self, seeds: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by the seed indices.
-
-        The same breadth-first loop as `saturate`, kept inline over table
-        rows: subgroup_classes runs it once per extension it tries, and
-        routing it through saturate's product callback made 700 closures
-        in S_5 about 1.3x slower.
-        """
-        table = self.table
-        seeds = list(dict.fromkeys(seeds))
-        known = {self.identity_index}
-        known.update(seeds)
-        frontier = list(known)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                row = table[w]
-                for s in seeds:
-                    p = row[s]
-                    if p not in known:
-                        known.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        return frozenset(known)
-
-    def centralizer(self, indices: Iterable[int]) -> frozenset[int]:
-        """Indices of the elements commuting with every given index.
-        Passing a generating set of H is enough for C_G(H): the elements
-        commuting with a fixed g form a subgroup, so if it holds H's
-        generators it holds all of H."""
-        table = self.table
-        members = list(indices)
-        return frozenset(g for g, row in enumerate(table)
-                         if all(row[h] == table[h][g] for h in members))
-
-    def normalizer(self, members: frozenset[int],
-                   gens: Iterable[int]) -> list[int]:
-        """Indices m, ascending, with m g m^-1 in `members` for every given
-        g.  Passing a generating set of the subgroup H with those members
-        is enough for N_G(H): m H m^-1 is then a subset of H of the same
-        size."""
-        table, inv = self.table, self.inv
-        gens = list(gens)
-        return [m for m, row in enumerate(table)
-                if all(table[row[g]][inv[m]] in members for g in gens)]
-
-    def generating_indices(self, members: Sequence[int]) -> list[int]:
-        """A generating set of the subgroup with the given member indices,
-        chosen greedily in the given order: a member is taken only when it
-        lies outside the closure of the ones taken before, and the scan
-        stops once that closure is the whole subgroup."""
-        gens: list[int] = []
-        span = frozenset({self.identity_index})
-        for i in members:
-            if len(span) == len(members):
-                break
-            if i not in span:
-                gens.append(i)
-                span = self.closure_indices(gens)
-        return gens
-
-    def subgroup_from_indices(self, group: PermutationGroup,
-                              members: Sequence[int],
-                              gen_indices: Sequence[int] = ()) -> PermutationGroup:
-        """The subgroup of `group` with the given member indices, tagged
-        with gen_indices, or with generating_indices(members) when none
-        are given."""
-        gens = _tagged(group.elements[i] for i in
-                       gen_indices or self.generating_indices(members))
-        return PermutationGroup(group.degree, [group.elements[i] for i in members],
-                                gens)
-
-
 def _tagged(perms: Iterable[Permutation]) -> tuple[tuple[str, Permutation], ...]:
     return tuple((p.cycle_string(), p) for p in perms)
-
-
-@lru_cache(maxsize=16)
-def indexed(group: PermutationGroup) -> IndexedGroup:
-    return IndexedGroup(group)
 
 
 def regular_action(group: PermutationGroup) -> tuple[
@@ -406,11 +414,10 @@ def regular_action(group: PermutationGroup) -> tuple[
     """G acting on its own element indices, everything in element order:
     lams[g] is x -> g x (table row g), rhos[g] is x -> x g^-1 (the table
     column at g^-1) and iota is x -> x^-1."""
-    ig = indexed(group)
-    table = ig.table
+    table, inv = group.table, group.inv
     lams = [Permutation(row) for row in table]
-    rhos = [Permutation(row[h] for row in table) for h in ig.inv]
-    return lams, rhos, Permutation(ig.inv)
+    rhos = [Permutation(row[h] for row in table) for h in inv]
+    return lams, rhos, Permutation(inv)
 
 
 def generating_set(group: PermutationGroup) -> tuple[tuple[str, Permutation], ...]:
@@ -418,8 +425,8 @@ def generating_set(group: PermutationGroup) -> tuple[tuple[str, Permutation], ..
     generating set of its elements tagged with their cycle strings."""
     if group.generators:
         return group.generators
-    ig = indexed(group)
-    return _tagged(group.elements[i] for i in ig.generating_indices(range(ig.order)))
+    return _tagged(group.elements[i]
+                   for i in group.generating_indices(range(group.order)))
 
 
 def centralizer(group: PermutationGroup, sub: PermutationGroup) -> PermutationGroup:
@@ -427,12 +434,11 @@ def centralizer(group: PermutationGroup, sub: PermutationGroup) -> PermutationGr
     of H's elements when H carries no generators."""
     if not sub.is_subgroup_of(group):
         raise NotASubgroupError("centralizer: H is not a subgroup of G")
-    ig = indexed(group)
-    members = ig.centralizer(ig.index[h.images]
-                             for h in sub.generator_perms() or sub.elements)
+    members = group.centralizer_indices(
+        group.index[h.images] for h in sub.generator_perms() or sub.elements)
     if len(members) == group.order:
         return group  # keeps G's own generators
-    return ig.subgroup_from_indices(group, sorted(members))
+    return group.subgroup_from_indices(sorted(members))
 
 
 SubgroupClass = list[tuple[frozenset[int], tuple[int, ...]]]
@@ -443,9 +449,9 @@ def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[Subgroup
     Eick & O'Brien, Handbook of Computational Group Theory, 2005).
 
     Returns the conjugacy classes in the order found.  A class lists each
-    of its subgroups as (member indices, generator indices) on the table
-    of `indexed(group)`, the queued representative first; every other
-    member x K x^-1 carries the generators of K conjugated by x.
+    of its subgroups as (member indices, generator indices) on the
+    group's table, the queued representative first; every other member
+    x K x^-1 carries the generators of K conjugated by x.
 
     One representative H per class is extended.  N = N_G(H) is read off
     the table from H's generators, and H is extended by one g per orbit
@@ -462,14 +468,13 @@ def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[Subgroup
     if group.order > bound:
         raise PreconditionError(
             f"group of order {group.order} exceeds subgroup-enumeration bound {bound}")
-    ig = indexed(group)
-    table, inv, n = ig.table, ig.inv, ig.order
+    table, inv, n = group.table, group.inv, group.order
     classes: list[SubgroupClass] = []
     found: set[frozenset[int]] = set()
     queue: list[tuple[frozenset[int], tuple[int, ...], list[int]]] = []
 
     def record(members: frozenset[int], gens: tuple[int, ...]) -> None:
-        norm = ig.normalizer(members, gens)
+        norm = group.normalizer_indices(members, gens)
         # x K x^-1 depends only on the coset x N: one x per coset
         covered = bytearray(n)
         cls: SubgroupClass = []
@@ -485,7 +490,7 @@ def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[Subgroup
         classes.append(cls)
         queue.append((members, gens, norm))
 
-    record(frozenset({ig.identity_index}), ())
+    record(frozenset({0}), ())
     while queue:
         members, gens, norm = queue.pop()
         done = bytearray(n)
@@ -500,7 +505,7 @@ def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[Subgroup
                 if not done[c]:
                     for h in members:
                         done[table[h][c]] = 1
-            closed = ig.closure_indices(gens + (g,))
+            closed = group.closure_indices(gens + (g,))
             if closed not in found:
                 record(closed, gens + (g,))
     return classes
@@ -509,23 +514,25 @@ def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[Subgroup
 def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[PermutationGroup]:
     """Every subgroup of G, from `subgroup_classes`, tagged with the
     generators found for it and sorted by (order, element list): on
-    element indices that is (order, ascending member indices)."""
+    element indices that is (order, ascending member indices).  No
+    package code calls it; it stays exported as the public form of
+    `subgroup_classes`, one group per subgroup, and the tests count
+    subgroups with it."""
     subs = sorted(((sorted(members), gens)
                    for cls in subgroup_classes(group, bound)
                    for members, gens in cls),
                   key=lambda sub: (len(sub[0]), sub[0]))
-    ig = indexed(group)
-    return [ig.subgroup_from_indices(group, members, gens)
+    return [group.subgroup_from_indices(members, gens)
             for members, gens in subs]
 
 
-def regular_subgroups(group: PermutationGroup, base: int = 0,
-                      max_degree: int = 24, max_order: int = 1500) -> list[PermutationGroup]:
+def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     """All sharply transitive (regular) subgroups of G, each tagged with
-    the fiber choices that found it, which generate it.
+    the fiber choices that found it, which generate it.  G may have
+    degree at most REGULAR_MAX_DEGREE and order at most REGULAR_MAX_ORDER.
 
-    A regular subgroup U has exactly one element sending `base` to each
-    point, so U picks one element from each fiber {g in G : g(base) = x}.
+    A regular subgroup U has exactly one element sending point 0 to each
+    point, so U picks one element from each fiber {g in G : g(0) = x}.
     The search branches over the least uncovered point, its fiber in
     sorted order, and closes breadth-first on image tuples over the
     choices so far plus the new one, pruning as soon as one fiber is hit
@@ -534,15 +541,16 @@ def regular_subgroups(group: PermutationGroup, base: int = 0,
     and each is found once because all its fiber choices are forced.
     """
     m = group.degree
-    if m > max_degree:
-        raise PreconditionError(f"degree {m} exceeds bound {max_degree}")
-    if group.order > max_order:
-        raise PreconditionError(f"order {group.order} exceeds bound {max_order}")
+    if m > REGULAR_MAX_DEGREE:
+        raise PreconditionError(f"degree {m} exceeds bound {REGULAR_MAX_DEGREE}")
+    if group.order > REGULAR_MAX_ORDER:
+        raise PreconditionError(
+            f"order {group.order} exceeds bound {REGULAR_MAX_ORDER}")
     if group.order % m != 0:
         return []
     fibers: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
     for p in group.elements:
-        fibers[p.images[base]].append(p.images)
+        fibers[p.images[0]].append(p.images)
     if any(not f for f in fibers):
         return []  # not transitive, so no transitive subgroup exists
     # w -> w * g; on degree 1 itemgetter returns an int, but the search
@@ -555,7 +563,7 @@ def regular_subgroups(group: PermutationGroup, base: int = 0,
         # <current, extra> with current = <gens>; None on a repeated fiber
         steps = [right_mul[g] for g in gens] + [right_mul[extra]]
         known = set(current)
-        covered = {w[base] for w in current}
+        covered = {w[0] for w in current}
         # products of current by gens stay in current, so only current *
         # extra is new; every new element is multiplied by all steps
         pending = [steps[-1](w) for w in current]
@@ -563,9 +571,9 @@ def regular_subgroups(group: PermutationGroup, base: int = 0,
             fresh = []
             for p in pending:
                 if p not in known:
-                    if p[base] in covered:
+                    if p[0] in covered:
                         return None
-                    covered.add(p[base])
+                    covered.add(p[0])
                     known.add(p)
                     fresh.append(p)
             pending = [step(w) for w in fresh for step in steps]
@@ -575,7 +583,7 @@ def regular_subgroups(group: PermutationGroup, base: int = 0,
         if len(current) == m:
             results.append((current, gens))
             return
-        covered = {w[base] for w in current}
+        covered = {w[0] for w in current}
         x = min(p for p in range(m) if p not in covered)
         for g in fibers[x]:
             closed = close_with(current, gens, g)

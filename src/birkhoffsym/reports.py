@@ -12,11 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from fractions import Fraction
 from typing import Any
-
-from .exact import format_rational
-from .perm import Permutation, PermutationGroup
 
 
 @dataclasses.dataclass
@@ -29,30 +25,18 @@ class Report:
 
 
 def jsonable(value: Any) -> Any:
-    """Recursively convert exact-arithmetic and group-theory values to
-    plain JSON data."""
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, Permutation):
-        return value.cycle_string()
-    if isinstance(value, PermutationGroup):
-        return {"degree": value.degree, "order": value.order}
+    """Recursively convert a report payload to plain JSON data.  The
+    commands hand over strings, integers, booleans, None, lists, tuples,
+    dicts and report dataclasses; exact values arrive already formatted."""
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if isinstance(value, float):
         return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (frozenset, set)):
-        return sorted(jsonable(v) for v in value)
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if hasattr(value, "entries") and hasattr(value, "rows"):
-        return [[format_rational(value[(i, j)]) for j in range(value.cols)]
-                for i in range(value.rows)]
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

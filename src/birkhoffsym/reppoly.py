@@ -26,7 +26,7 @@ from .combiso import comb_automorphisms, comb_equivalent
 from .errors import PreconditionError
 from .exact import RationalMatrix, inverse, parse_rational
 from .hull import Polytope, certify_vertices, facet_enumeration, incidence_of
-from .perm import (Permutation, PermutationGroup, generating_set, indexed,
+from .perm import (Permutation, PermutationGroup, closure, generating_set,
                    named_group, regular_action, saturate)
 
 MAX_CLOSURE = 500
@@ -56,15 +56,18 @@ class MatrixGroup:
         element indices.  The translation by element a sends index 0
         (the identity matrix) to a, so sorting the permutations by image
         tuple reproduces the matrix order: position i holds the
-        translation by element i.  Each generator is tagged with its
-        cycle string."""
+        translation by element i.  Only the generators are translated,
+        |generators| * |G| matrix products: the translations form a group
+        isomorphic to G, so their closure gives the rest, and each
+        generator is tagged with its cycle string.  A group built without
+        generators translates all its elements and carries no tags."""
         def translation(a: RationalMatrix) -> Permutation:
             return Permutation(self._index[a * x] for x in self.elements)
 
-        gens = [translation(g) for g in self.generators]
-        return PermutationGroup(self.order,
-                                [translation(a) for a in self.elements],
-                                [(p.cycle_string(), p) for p in gens])
+        if not self.generators:
+            return PermutationGroup(self.order,
+                                    [translation(a) for a in self.elements])
+        return closure([translation(g) for g in self.generators])
 
 
 def matrix_closure(generators: list[RationalMatrix],
@@ -108,10 +111,8 @@ def matrix_group_from_perm_group(group: PermutationGroup) -> MatrixGroup:
 def regular_matrix_group(group: PermutationGroup) -> MatrixGroup:
     """Left regular representation: |G| x |G| permutation matrices of the
     translation action of G on itself."""
-    ig = indexed(group)
     lams, _, _ = regular_action(group)
-    gens = ([ig.index[g.images] for _, g in generating_set(group)]
-            or [ig.identity_index])
+    gens = [group.index[g.images] for _, g in generating_set(group)] or [0]
     return matrix_closure([permutation_matrix(lams[g]) for g in gens],
                           bound=max(MAX_CLOSURE, group.order))
 

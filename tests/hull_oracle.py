@@ -4,7 +4,8 @@ The brute-force facet oracle is independent of the package under test:
 all linear algebra is sympy, and the algorithm is the naive one: try
 every hyperplane spanned by input subsets, keep those with all points on
 one side.  Only sensible at toy scale (n <= 8 points, affine dimension
-<= 3).
+<= 3).  `validate_polytope` checks a finished hull's invariants the
+same way, in Fraction and sympy.
 
 `fraction_facet_enumeration` is the package's double description as it
 ran on Fractions before it moved to integers; it borrows only the
@@ -138,6 +139,33 @@ def rank_certified_vertices(polytope) -> list[bool]:
         out.append(bool(normals)
                    and (sympy.Matrix(normals) * diffs.T).rank() == polytope.dim)
     return out
+
+
+def validate_polytope(polytope) -> None:
+    """Assert the structural invariants of a hull; raises AssertionError
+    on a defect.  Inequalities are evaluated in Fraction and affine
+    dimensions taken in sympy, so the check shares no linear algebra
+    with the integer hull it checks.
+
+    Checks: every vertex satisfies every inequality, with equality
+    exactly where the incidence says so; each facet's tight set has
+    affine dimension dim - 1; tight sets are pairwise distinct; above
+    dimension 0 no vertex lies on every facet.
+    """
+    pts = polytope.vertices
+    for f, row in zip(polytope.facets, polytope.incidence):
+        for p, hit in zip(pts, row):
+            value = _dot(f.normal, p)
+            assert value <= f.offset
+            assert (value == f.offset) == hit
+        tight_pts = [p for p, hit in zip(pts, row) if hit]
+        assert tight_pts, "facet with empty tight set"
+        assert affine_dim(tight_pts) == polytope.dim - 1
+    seen = {tuple(row) for row in polytope.incidence}
+    assert len(seen) == len(polytope.facets)
+    if polytope.dim >= 1:
+        for v in range(polytope.n_vertices):
+            assert not all(row[v] for row in polytope.incidence)
 
 
 def with_duplicates_and_interior_points(rng, pts):

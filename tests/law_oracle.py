@@ -9,14 +9,13 @@ n <= 4: it makes (n!)^2 n^2 frozenset comparisons.
 """
 
 from birkhoffsym.birkhoff import FacetLabel, LawReport
-from birkhoffsym.perm import indexed, symmetric_group
+from birkhoffsym.perm import symmetric_group
 
 
 def full_transformation_law(n: int, sets) -> LawReport:
     group = symmetric_group(n)
     perms = group.elements
-    ig = indexed(group)
-    table, inv = ig.table, ig.inv
+    table, inv = group.table, group.inv
     failures = []
     translation_cases = 0
     for sigma, row in zip(perms, table):

@@ -13,7 +13,7 @@ from birkhoffsym.gamma import (build_gamma, commuting_regular_pairs,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
 from birkhoffsym.hull import facet_enumeration
-from birkhoffsym.perm import named_group
+from birkhoffsym.perm import PermutationGroup, named_group, regular_action
 from birkhoffsym.reppoly import (load_exceptional_c6,
                                  matrix_group_from_perm_group,
                                  uniqueness_check, verify_gamma_acts)
@@ -110,22 +110,25 @@ def test_criterion_06_gamma_order_formula():
     assert ok
 
 
+def lambda_and_rho(group):
+    lams, rhos, _ = regular_action(group)
+    return (PermutationGroup(group.order, lams),
+            PermutationGroup(group.order, rhos))
+
+
 def test_criterion_07_commuting_regular_pairs():
     t0 = time.perf_counter()
     g4 = named_group("s4")
-    gg4 = build_gamma(g4)
-    pairs4 = commuting_regular_pairs(g4, gg4)
+    pairs4 = commuting_regular_pairs(build_gamma(g4))
     secs = time.perf_counter() - t0
     only_lambda_rho = (len(pairs4) == 1 and
-                       {pairs4[0][0], pairs4[0][1]}
-                       == {gg4.lambda_sub, gg4.rho_sub})
+                       {pairs4[0][0], pairs4[0][1]} == set(lambda_and_rho(g4)))
 
-    g3 = named_group("s3")
-    gg3 = build_gamma(g3)
-    pairs3 = commuting_regular_pairs(g3, gg3)
+    lambda3, rho3 = lambda_and_rho(named_group("s3"))
+    pairs3 = commuting_regular_pairs(build_gamma(named_group("s3")))
     self_paired = [u for u, v in pairs3 if u == v]
-    shapes = {(sum(1 for p in u.elements if p in gg3.lambda_sub),
-               sum(1 for p in u.elements if p in gg3.rho_sub))
+    shapes = {(sum(1 for p in u.elements if p in lambda3),
+               sum(1 for p in u.elements if p in rho3))
               for u in self_paired}
     extra_ok = (len(pairs3) == 7
                 and all(u.order == 6 and

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from birkhoffsym import cli, perm
+from birkhoffsym import cli, gamma, perm
 from birkhoffsym.birkhoff import (SymmetryDecomposition, reconstruct_symmetry)
 from birkhoffsym.cli import main
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
@@ -151,7 +151,7 @@ def test_group_file_input(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, bound", [
-    ("regular-pairs", 30), ("wreath", 30), ("normalizer", 6),
+    ("regular-pairs", 24), ("wreath", 30), ("normalizer", 6),
     ("cd-lattice", 50)])
 def test_group_file_closure_stops_at_the_bound(tmp_path, capsys, monkeypatch,
                                                 command, bound):
@@ -173,6 +173,24 @@ def test_group_file_closure_stops_at_the_bound(tmp_path, capsys, monkeypatch,
     assert f"exceeds bound {bound}" in capsys.readouterr().err
     # breadth-first, so at most bound + 1 elements met both generators
     assert len(products) <= 2 * (bound + 1)
+
+
+def test_regular_pairs_refuses_d13_before_building_gamma(tmp_path, capsys,
+                                                         monkeypatch):
+    # Gamma(D_13) acts on 26 points, past the regular-subgroup search's
+    # degree bound: D_13 is refused while it is loaded, not after
+    # Gamma(D_13) (1 352 elements) has been closed
+    path = tmp_path / "d13.txt"
+    path.write_text("(0 1 2 3 4 5 6 7 8 9 10 11 12)\n"
+                    "(1 12)(2 11)(3 10)(4 9)(5 8)(6 7)\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_gamma called")
+
+    monkeypatch.setattr(gamma, "build_gamma", refuse)
+    assert main(["regular-pairs", "--group", str(path)]) == 3
+    assert (f"exceeds bound {perm.REGULAR_MAX_DEGREE}"
+            in capsys.readouterr().err)
 
 
 def test_group_file_degree_cap(tmp_path, capsys):

@@ -9,10 +9,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoffsym.exact import (RationalMatrix, _gauss_jordan, affine_dimension,
-                               clear_denominators, dot, format_rational,
-                               inverse, parse_rational, primitive_vector, rank,
-                               vec_sub)
+from birkhoffsym.exact import (RationalMatrix, _gauss_jordan,
+                               _independent_rows, clear_denominators,
+                               format_rational, inverse, parse_rational,
+                               primitive_vector)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -78,15 +78,6 @@ def test_primitive_vector_scale_invariant(vec, scale):
     assert tuple(ratio * x for x in a) == tuple(vec)
 
 
-def test_vector_helpers():
-    u = (Fraction(1), Fraction(2))
-    v = (Fraction(3), Fraction(-1))
-    assert dot(u, v) == 1
-    assert vec_sub(u, v) == (-2, 3)
-    with pytest.raises(ValueError):
-        dot(u, (Fraction(1),))
-
-
 matrices_3 = st.lists(
     st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3)
 
@@ -107,7 +98,9 @@ def test_matrix_product_matches_sympy(a_rows, b_rows):
                     lambda rows: len({len(r) for r in rows}) == 1))
 @settings(max_examples=60)
 def test_rank_matches_sympy(rows):
-    assert rank(rows) == sympy.Matrix(rows).rank()
+    cleared = [clear_denominators(map(Fraction, r))[1] for r in rows]
+    assert (sum(1 for _ in _independent_rows(cleared))
+            == sympy.Matrix(rows).rank())
 
 
 @given(matrices_3)
@@ -146,7 +139,7 @@ def test_inverse_rejects_a_singular_matrix():
     # entry in the second row
     rows = [[0, 2, 1], [3, 1, 0], [3, 3, 1]]
     assert sympy.Matrix(rows).det() == 0
-    assert rank(rows) == 2
+    assert sympy.Matrix(rows).rank() == 2
     with pytest.raises(ValueError, match="singular"):
         inverse(RationalMatrix.from_rows(rows))
 
@@ -219,23 +212,3 @@ def test_matrix_accessors():
     assert m.entries[2::3] == (3, 6)
     assert RationalMatrix.identity(3).is_identity()
     assert not m.is_identity()
-
-
-def test_affine_dimension_cases():
-    with pytest.raises(ValueError):
-        affine_dimension([])
-    p = (Fraction(1), Fraction(2))
-    assert affine_dimension([p]) == 0
-    assert affine_dimension([p, p]) == 0
-    segment = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))]
-    assert affine_dimension(segment) == 1
-    triangle = segment + [(Fraction(0), Fraction(1))]
-    assert affine_dimension(triangle) == 2
-
-
-def test_affine_dimension_matches_sympy_on_birkhoff_vertices():
-    from birkhoffsym.birkhoff import birkhoff_vertices
-    vs = [m.entries for m in birkhoff_vertices(3)]
-    diffs = sympy.Matrix([[a - b for a, b in zip(v, vs[0])] for v in vs[1:]])
-    assert diffs.rank() == 4
-    assert affine_dimension(vs) == 4

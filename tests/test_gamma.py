@@ -17,6 +17,13 @@ from birkhoffsym.perm import (PermutationGroup, named_group, regular_subgroups,
                               parse_cycles, regular_action)
 
 
+def translation_subgroups(group):
+    """lambda(G), rho(G) and iota, the pieces Gamma(G) is generated from."""
+    lams, rhos, iota = regular_action(group)
+    return (PermutationGroup(group.order, lams),
+            PermutationGroup(group.order, rhos), iota)
+
+
 def test_translations_are_actions():
     g = named_group("s3")
     lams, rhos, _ = regular_action(g)
@@ -50,8 +57,7 @@ def test_wreath_on_a_centralizer():
 def test_gamma_of_a_group_without_generators():
     g = named_group("d4")
     bare = PermutationGroup(g.degree, g.elements)
-    gg = build_gamma(bare)
-    assert gg.gamma == build_gamma(g).gamma
+    assert build_gamma(bare) == build_gamma(g)
     assert verify_wreath_quotient(bare).passed
 
 
@@ -86,13 +92,20 @@ def test_wreath_elementary_abelian_2_violation():
 
 def test_gamma_s3_structure():
     g = named_group("s3")
-    gg = build_gamma(g)
-    assert gg.gamma.order == 72
-    assert gg.lambda_sub.order == 6
-    assert gg.rho_sub.order == 6
-    assert gg.iota in gg.gamma
-    assert gg.lambda_sub.is_subgroup_of(gg.gamma)
-    assert gg.rho_sub.is_subgroup_of(gg.gamma)
+    gamma = build_gamma(g)
+    lambda_sub, rho_sub, iota = translation_subgroups(g)
+    assert gamma.order == 72
+    assert lambda_sub.order == 6
+    assert rho_sub.order == 6
+    assert iota in gamma
+    assert lambda_sub.is_subgroup_of(gamma)
+    assert rho_sub.is_subgroup_of(gamma)
+
+
+def test_build_gamma_tags():
+    gamma = build_gamma(named_group("s3"))
+    assert [tag for tag, _ in gamma.generators] == [
+        "lambda[(0 1)]", "rho[(0 1)]", "lambda[(0 1 2)]", "rho[(0 1 2)]", "inv"]
 
 
 def test_build_gamma_size_cap():
@@ -102,27 +115,28 @@ def test_build_gamma_size_cap():
 
 def test_gamma_s3_regular_subgroups_two_paths():
     g = named_group("s3")
-    gg = build_gamma(g)
-    regs = regular_subgroups(gg.gamma)
+    gamma = build_gamma(g)
+    lambda_sub, rho_sub, _ = translation_subgroups(g)
+    regs = regular_subgroups(gamma)
     assert len(regs) == 8
-    assert gg.lambda_sub in regs
-    assert gg.rho_sub in regs
+    assert lambda_sub in regs
+    assert rho_sub in regs
     cyclic = [u for u in regs if max(p.order() for p in u.elements) == 6]
     assert len(cyclic) == 6
     # independent path: full subgroup enumeration filtered by regularity
-    exhaustive = [h for h in all_subgroups(gg.gamma, bound=400)
-                  if is_regular(gg.gamma, h)]
+    exhaustive = [h for h in all_subgroups(gamma, bound=400)
+                  if is_regular(gamma, h)]
     assert set(exhaustive) == set(regs)
 
 
 def test_gamma_s3_commuting_pairs():
     g = named_group("s3")
-    gg = build_gamma(g)
-    pairs = commuting_regular_pairs(g, gg)
+    lambda_sub, rho_sub, _ = translation_subgroups(g)
+    pairs = commuting_regular_pairs(build_gamma(g))
     assert len(pairs) == 7
     non_self = [(u, v) for u, v in pairs if u != v]
     assert len(non_self) == 1
-    assert {non_self[0][0], non_self[0][1]} == {gg.lambda_sub, gg.rho_sub}
+    assert {non_self[0][0], non_self[0][1]} == {lambda_sub, rho_sub}
     self_paired = [u for u, v in pairs if u == v]
     assert len(self_paired) == 6
     # the self-paired ones are cyclic of order 6 and realize exactly the
@@ -131,16 +145,16 @@ def test_gamma_s3_commuting_pairs():
     for u in self_paired:
         assert u.order == 6
         assert max(p.order() for p in u.elements) == 6
-        lam = sum(1 for p in u.elements if p in gg.lambda_sub)
-        rho = sum(1 for p in u.elements if p in gg.rho_sub)
+        lam = sum(1 for p in u.elements if p in lambda_sub)
+        rho = sum(1 for p in u.elements if p in rho_sub)
         shapes.append((lam, rho))
     assert sorted(shapes) == [(2, 3)] * 3 + [(3, 2)] * 3
 
 
 @lru_cache(maxsize=None)
 def gamma_and_regulars(name):
-    gg = build_gamma(named_group(name))
-    return gg, tuple(regular_subgroups(gg.gamma))
+    gamma = build_gamma(named_group(name))
+    return gamma, tuple(regular_subgroups(gamma))
 
 
 def elementwise_pairs(regs):
@@ -158,18 +172,18 @@ def elementwise_pairs(regs):
 
 @pytest.mark.parametrize("name", ["s3", "d4", "q8", "c4", "c6"])
 def test_commuting_pairs_match_elementwise_oracle(name):
-    gg, regs = gamma_and_regulars(name)
-    pairs = commuting_regular_pairs(named_group(name), gg)
+    gamma, regs = gamma_and_regulars(name)
+    pairs = commuting_regular_pairs(gamma)
     assert pairs == elementwise_pairs(list(regs))
 
 
 @pytest.mark.parametrize("name, count", [("s3", 8), ("s4", 100), ("d4", 16),
                                          ("q8", 16)])
 def test_gamma_regular_subgroup_counts(name, count):
-    gg, regs = gamma_and_regulars(name)
+    gamma, regs = gamma_and_regulars(name)
     assert len(regs) == count
     assert len(set(regs)) == count
-    assert all(is_regular(gg.gamma, u) for u in regs)
+    assert all(is_regular(gamma, u) for u in regs)
 
 
 def test_gamma_s4_regular_subgroup_tags_generate_them():
@@ -179,16 +193,16 @@ def test_gamma_s4_regular_subgroup_tags_generate_them():
 
 
 def test_commuting_pairs_build_no_table(monkeypatch):
-    def refuse(self, group):
-        raise AssertionError(f"table built for a group of order {group.order}")
+    def refuse(group):
+        raise AssertionError(f"table read for a group of order {group.order}")
 
-    perm.indexed.cache_clear()  # a cached table would hide a call
     g = named_group("s4")
-    gg = build_gamma(g)  # reads the table of G, not of Gamma(G)
-    monkeypatch.setattr(perm.IndexedGroup, "__init__", refuse)
-    pairs = commuting_regular_pairs(g, gg)
+    gamma = build_gamma(g)  # reads the table of G, not of Gamma(G)
+    lambda_sub, rho_sub, _ = translation_subgroups(g)
+    monkeypatch.setattr(perm.PermutationGroup, "table", property(refuse))
+    pairs = commuting_regular_pairs(gamma)
     assert len(pairs) == 1
-    assert {pairs[0][0], pairs[0][1]} == {gg.lambda_sub, gg.rho_sub}
+    assert {pairs[0][0], pairs[0][1]} == {lambda_sub, rho_sub}
 
 
 def test_automorphism_count_s3():

@@ -12,20 +12,19 @@ from itertools import islice
 import pytest
 import sympy
 
-from birkhoffsym import exact, hull
+from birkhoffsym import hull
 from birkhoffsym.birkhoff import analytic_facet_sets, birkhoff_vertices
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.exact import (RationalMatrix, _independent_rows,
-                               clear_denominators, inverse, rank)
+                               clear_denominators, inverse)
 from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
                               certify_vertices, facet_enumeration, incidence_of,
-                              polytope_from_document, polytope_to_document,
-                              validate_polytope)
+                              polytope_from_document, polytope_to_document)
 from birkhoffsym.reppoly import default_catalog, representation_polytope
 
 from hull_oracle import (affine_dim, fraction_facet_enumeration,
                          oracle_facets, random_point_set,
-                         rank_certified_vertices,
+                         rank_certified_vertices, validate_polytope,
                          with_duplicates_and_interior_points)
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -154,7 +153,7 @@ def rank_greedy_basis(points):
     kept = []
     for p in points[1:]:
         diff = tuple(a - b for a, b in zip(p, base))
-        if rank(kept + [diff]) > len(kept):
+        if sympy.Matrix(kept + [diff]).rank() > len(kept):
             kept.append(diff)
     return kept
 
@@ -192,7 +191,7 @@ def rank_greedy_start(ineqs):
     for i, c in enumerate(ineqs):
         if len(chosen) == len(c):
             break
-        if rank([ineqs[j] for j in chosen] + [c]) > len(chosen):
+        if sympy.Matrix([ineqs[j] for j in chosen] + [c]).rank() > len(chosen):
             chosen.append(i)
     return chosen
 
@@ -221,20 +220,16 @@ def test_dd_start_keeps_the_rank_greedy_choice(monkeypatch):
 
 def test_facet_enumeration_rank_calls_are_pinned(monkeypatch):
     # machine-independent gate: the chart and the DD start pick their
-    # independent rows in one pass each, vertex certification reads the
-    # incidence, so a hull takes no rank() and builds one chart
-    ranks, charts = [], []
+    # independent rows in one pass each and vertex certification reads
+    # the incidence, so a hull takes no rank (the package has none left)
+    # and builds one chart
+    charts = []
     chart = hull._affine_chart
-
-    def counting_rank(matrix):
-        ranks.append(matrix)
-        return rank(matrix)
 
     def counting_chart(*args):
         charts.append(args)
         return chart(*args)
 
-    monkeypatch.setattr(exact, "rank", counting_rank)
     monkeypatch.setattr(hull, "_affine_chart", counting_chart)
     p = facet_enumeration([m.entries for m in birkhoff_vertices(4)])
     assert p.n_facets == 16
@@ -243,7 +238,6 @@ def test_facet_enumeration_rank_calls_are_pinned(monkeypatch):
         for entry in default_catalog(n):
             representation_polytope(entry.matrix_group)
             hulls += 1
-    assert len(ranks) == 0
     assert len(charts) == hulls
 
 
@@ -253,7 +247,7 @@ def test_certify_vertices_reads_only_the_incidence(monkeypatch):
     def forbidden(*args):
         raise AssertionError("certify_vertices did linear algebra")
 
-    for module, name in ((exact, "rank"), (exact, "dot"), (hull, "dot"),
+    for module, name in ((hull, "_independent_rows"), (hull, "_gauss_jordan"),
                          (hull, "_affine_chart")):
         monkeypatch.setattr(module, name, forbidden)
     assert certify_vertices(p) == [True] * 24
@@ -369,7 +363,7 @@ def conjugated(points_of_group, dim, rng):
         p = RationalMatrix.from_rows(
             [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]
              for _ in range(dim)])
-        if rank(p) == dim:
+        if sympy.Matrix(dim, dim, p.entries).rank() == dim:
             break
     p_inv = inverse(p)
     return [(p_inv * RationalMatrix(dim, dim, g) * p).entries

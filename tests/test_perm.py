@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birkhoffsym.errors import NotASubgroupError, PreconditionError
-from birkhoffsym.perm import (MAX_DEGREE, IndexedGroup, Permutation,
+from birkhoffsym.perm import (MAX_DEGREE, Permutation,
                               PermutationGroup, all_subgroups,
                               builtin_group_names, centralizer, closure,
-                              group_from_generator_lines, indexed, is_regular,
+                              group_from_generator_lines, is_regular,
                               named_group, parse_cycles, regular_action,
                               regular_subgroups, subgroup_classes,
                               symmetric_group)
@@ -231,12 +231,11 @@ def test_subgroup_classes_are_conjugacy_classes():
     # each class is one full orbit of G acting by conjugation, first
     # member queued; classes are disjoint
     g = named_group("s4")
-    ig = indexed(g)
     seen = set()
     for cls in subgroup_classes(g):
         members = cls[0][0]
-        orbit = {frozenset(ig.table[ig.table[x][a]][ig.inv[x]] for a in members)
-                 for x in range(ig.order)}
+        orbit = {frozenset(g.table[g.table[x][a]][g.inv[x]] for a in members)
+                 for x in range(g.order)}
         assert {k for k, _ in cls} == orbit
         assert len(cls) == len(orbit)
         assert not orbit & seen
@@ -249,13 +248,13 @@ def test_subgroup_closure_calls_are_pinned(monkeypatch):
     # subgroup per conjugacy class; closing every (subgroup, element) pair
     # took 577 (S_4) and 17509 (S_5)
     calls = []
-    original = IndexedGroup.closure_indices
+    original = PermutationGroup.closure_indices
 
     def counting(self, seeds):
         calls.append(seeds)
         return original(self, seeds)
 
-    monkeypatch.setattr(IndexedGroup, "closure_indices", counting)
+    monkeypatch.setattr(PermutationGroup, "closure_indices", counting)
     counts = {}
     for name in ("s4", "s5"):
         calls.clear()
@@ -315,7 +314,7 @@ def test_subgroup_from_indices_tags_generate_it():
     # without generator indices, the first two non-identity members of S_4,
     # (2 3) and (1 2), generate only a copy of S_3
     s4 = symmetric_group(4)
-    sub = indexed(s4).subgroup_from_indices(s4, list(range(24)))
+    sub = s4.subgroup_from_indices(list(range(24)))
     assert sub.order == 24
     assert closure(sub.generator_perms()).order == 24
     for u in regular_subgroups(s4):
@@ -324,17 +323,35 @@ def test_subgroup_from_indices_tags_generate_it():
 
 def test_indexed_group_table():
     g = named_group("s3")
-    ig = indexed(g)
     elems = g.elements
     for a in range(g.order):
         for b in range(g.order):
-            assert elems[ig.table[a][b]] == elems[a] * elems[b]
-        assert (elems[a] * elems[ig.inv[a]]).is_identity()
+            assert elems[g.table[a][b]] == elems[a] * elems[b]
+        assert (elems[a] * elems[g.inv[a]]).is_identity()
 
 
 def test_indexed_table_of_the_trivial_group():
     # on one point itemgetter returns an int, not an image tuple
-    assert indexed(group_from_generator_lines(["()"])).table == [[0]]
+    assert group_from_generator_lines(["()"]).table == [[0]]
+
+
+def test_group_index_puts_the_identity_at_zero():
+    for name in builtin_group_names():
+        g = named_group(name)
+        assert g.index[tuple(range(g.degree))] == 0
+        assert [g.index[p.images] for p in g.elements] == list(range(g.order))
+        assert g.table[0] == list(range(g.order))
+
+
+def test_table_is_built_on_first_read_and_kept():
+    g = named_group("d4")
+    assert g._table is None and g._inv is None
+    assert g.order == 8 and g.elements[3] in g
+    assert g._table is None  # membership reads the index only
+    table = g.table
+    assert g.table is table
+    assert g._inv is None  # the inverses are built on their own first read
+    assert g.inv is g.inv
 
 
 @pytest.mark.parametrize("name", ["s3", "s4", "d4", "q8"])

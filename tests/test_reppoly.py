@@ -13,7 +13,8 @@ from birkhoffsym.combiso import comb_equivalent
 from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.hull import facet_enumeration
 from birkhoffsym.gamma import verify_wreath_quotient
-from birkhoffsym.perm import PermutationGroup, centralizer, named_group
+from birkhoffsym.perm import (Permutation, PermutationGroup, centralizer,
+                              named_group)
 from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
                                  load_exceptional_c6,
                                  matrix_closure,
@@ -177,6 +178,44 @@ def test_element_group_feeds_gamma():
     r = verify_wreath_quotient(eg)
     assert r.passed
     assert r.actual_order == 12  # abelian of order 6: 2 * 36 / 6
+
+
+def every_translation(mgroup):
+    """The element group built the direct way: the left translation by
+    every element, |G|^2 matrix products."""
+    index = {m: i for i, m in enumerate(mgroup.elements)}
+
+    def translation(a):
+        return Permutation(index[a * x] for x in mgroup.elements)
+
+    return PermutationGroup(mgroup.order,
+                            [translation(a) for a in mgroup.elements],
+                            [(t.cycle_string(), t) for t in
+                             map(translation, mgroup.generators)])
+
+
+def test_element_group_is_the_group_of_all_translations():
+    groups = [entry.matrix_group for n in (3, 4) for entry in default_catalog(n)]
+    groups.append(matrix_closure([RationalMatrix.identity(2)]))
+    for mgroup in groups:
+        eg, want = mgroup.element_group(), every_translation(mgroup)
+        assert eg.elements == want.elements
+        assert eg.generators == want.generators
+
+
+def test_element_group_translates_only_the_generators(monkeypatch):
+    mgroup = matrix_group_from_perm_group(named_group("s4"))
+    products = []
+    mul = RationalMatrix.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "__mul__", counting)
+    mgroup.element_group()
+    # |generators| * |G|, where translating every element took |G|^2 = 576
+    assert len(products) == len(mgroup.generators) * mgroup.order == 48
 
 
 def test_element_group_without_generators():
