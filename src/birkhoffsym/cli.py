@@ -31,7 +31,7 @@ from .reports import Report, render_report
 
 def _load_group(arg: str, max_order: int) -> tuple[str, PermutationGroup]:
     if arg.lower() in builtin_group_names():
-        return arg.lower(), named_group(arg.lower())
+        return arg.lower(), named_group(arg.lower(), max_order)
     path = Path(arg)
     if not path.is_file():
         raise PreconditionError(

@@ -16,9 +16,10 @@ Facts verified computationally by this module:
 
 * |Gamma(G)| = 2|G|^2 / |Z(G)| unless G is an elementary abelian 2-group
   (where iota and the lambda/rho distinction collapse).
-* The commuting regular subgroup pairs of Gamma(G), found by complete
-  search; for G = S_n with a two-element Chermak-Delgado lattice the only
-  pair is {lambda(G), rho(G)}.
+* The commuting regular subgroup pairs of Gamma(G): a complete search
+  for the regular subgroups, each paired with its centralizer in Sym(G),
+  the only regular group it can commute with; for G = S_n with a
+  two-element Chermak-Delgado lattice the only pair is {lambda(G), rho(G)}.
 * The normalizer of Gamma(G) in the full symmetric group equals
   Aut(G) * Gamma(G) (brute force, small G only).
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 from .errors import PreconditionError
@@ -98,25 +98,30 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
 def commuting_regular_pairs(gamma: PermutationGroup
                             ) -> list[tuple[PermutationGroup, PermutationGroup]]:
     """All unordered pairs {U, V} of regular subgroups of Gamma(G), as
-    `build_gamma(G)` returns it, that centralize each other elementwise.
-    U = V is allowed and occurs exactly when U is abelian.  Complete by
-    completeness of the regular-subgroup search plus exhaustive pair
-    testing.
+    `build_gamma(G)` returns it, that centralize each other elementwise,
+    in the order of `regular_subgroups`, U first.  U = V is allowed and
+    occurs exactly when U is abelian.
 
-    The pair test compares the generating tags regular_subgroups gives:
-    the elements commuting with a fixed x form a subgroup, so each of V's
-    generators, commuting with U's, commutes with all of U, and the same
-    argument with the roles swapped gives all of V.
+    No pair is tested.  The centralizer C of a regular U in Sym(Omega) is
+    regular and is read off U's elements: with u_x the element sending 0
+    to x, c_v(x) = u_x(v) commutes with every u_w, since u_w u_x =
+    u_{u_w(x)}.  So the image tuples of C are the columns of U's rows
+    taken in the order of u(0), which is their sorted order.  A regular V
+    commuting with U lies in C and has its order, so V = C: U has a
+    partner exactly when those columns lie in Gamma, and then C is one of
+    the regular subgroups.  Complete by completeness of the
+    regular-subgroup search.
     """
     regs = regular_subgroups(gamma)
-    # (x, w -> w * x) per generator, so x * y == y * x reads my(x) == mx(y)
-    gens = [[(p.images, itemgetter(*p.images)) for p in u.generator_perms()]
-            for u in regs]
+    position = {tuple(p.images for p in u.elements): a
+                for a, u in enumerate(regs)}
     pairs = []
-    for a in range(len(regs)):
-        for b in range(a, len(regs)):
-            if all(my(x) == mx(y) for x, mx in gens[a] for y, my in gens[b]):
-                pairs.append((regs[a], regs[b]))
+    for a, u in enumerate(regs):
+        columns = list(zip(*(p.images for p in u.elements)))
+        if all(c in gamma.index for c in columns):
+            b = position[tuple(sorted(columns))]
+            if b >= a:
+                pairs.append((u, regs[b]))
     return pairs
 
 

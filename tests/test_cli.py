@@ -150,6 +150,21 @@ def test_group_file_input(tmp_path, capsys):
     assert doc["details"]["normalizer_order"] == 6
 
 
+def count_products(monkeypatch) -> list:
+    """The list that every product `perm.saturate` takes is appended to."""
+    products = []
+    saturate = perm.saturate
+
+    def counting(seeds, gens, mul, cap=None):
+        def counted(w, g):
+            products.append(w)
+            return mul(w, g)
+        return saturate(seeds, gens, counted, cap)
+
+    monkeypatch.setattr(perm, "saturate", counting)
+    return products
+
+
 @pytest.mark.parametrize("command, bound", [
     ("regular-pairs", 24), ("wreath", 30), ("normalizer", 6),
     ("cd-lattice", 50)])
@@ -158,20 +173,24 @@ def test_group_file_closure_stops_at_the_bound(tmp_path, capsys, monkeypatch,
     # S_9 has 362880 elements; each command refuses it at its own bound
     path = tmp_path / "s9.txt"
     path.write_text("(0 1)\n(0 1 2 3 4 5 6 7 8)\n")
-    products = []
-    compose = perm._compose_images
-
-    def counting(w, g):
-        products.append(w)
-        return compose(w, g)
-
-    monkeypatch.setattr(perm, "_compose_images", counting)
+    products = count_products(monkeypatch)
     argv = [command, "--group", str(path)]
     if command == "cd-lattice":
         argv += ["--bound", str(bound)]
     assert main(argv) == 3
     assert f"exceeds bound {bound}" in capsys.readouterr().err
     # breadth-first, so at most bound + 1 elements met both generators
+    assert len(products) <= 2 * (bound + 1)
+
+
+@pytest.mark.parametrize("command, name, bound", [
+    ("regular-pairs", "s5", 24), ("normalizer", "s4", 6)])
+def test_builtin_name_closure_stops_at_the_bound(capsys, monkeypatch,
+                                                 command, name, bound):
+    # a built-in name is closed only up to the command's bound as well
+    products = count_products(monkeypatch)
+    assert main([command, "--group", name]) == 3
+    assert f"exceeds bound {bound}" in capsys.readouterr().err
     assert len(products) <= 2 * (bound + 1)
 
 

@@ -1,10 +1,12 @@
 """Tests for the two-sided translation group Gamma(G): order formula,
 kernel description, regular subgroups, commuting pairs, normalizer."""
 
+import random
 from functools import lru_cache
 
 import pytest
 
+import regular_oracle
 from birkhoffsym import perm
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.gamma import (automorphisms, build_gamma,
@@ -12,9 +14,10 @@ from birkhoffsym.gamma import (automorphisms, build_gamma,
                                is_elementary_abelian_2,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
-from birkhoffsym.perm import (PermutationGroup, named_group, regular_subgroups,
-                              all_subgroups, centralizer, closure, is_regular,
-                              parse_cycles, regular_action)
+from birkhoffsym.perm import (Permutation, PermutationGroup, named_group,
+                              regular_subgroups, all_subgroups, centralizer,
+                              closure, is_regular, parse_cycles,
+                              regular_action)
 
 
 def translation_subgroups(group):
@@ -190,6 +193,57 @@ def test_gamma_s4_regular_subgroup_tags_generate_them():
     _, regs = gamma_and_regulars("s4")
     for u in regs:
         assert closure(u.generator_perms()) == u
+
+
+def listed(groups):
+    """Elements and tags of each group, in order: what `==` on groups
+    does not compare."""
+    return [(u.elements, u.generators) for u in groups]
+
+
+def assert_matches_oracle(gamma, regs):
+    """The regular subgroups and the commuting pairs are the lists the
+    unpruned search and the pair loop give, tags and order included."""
+    assert listed(regs) == listed(regular_oracle.regular_subgroups(gamma))
+    assert (listed(sum(commuting_regular_pairs(gamma), ()))
+            == listed(sum(regular_oracle.commuting_pairs(list(regs)), ())))
+
+
+@pytest.mark.parametrize("name", ["c2", "c3", "c4", "c6", "v4", "s3", "d4",
+                                  "q8", "s4"])
+def test_regular_search_matches_oracle(name):
+    assert_matches_oracle(*gamma_and_regulars(name))
+
+
+def relabelled_generating_set(name, seed):
+    """G generated by seeded random elements until they give all of G,
+    conjugated by a seeded relabelling of its points."""
+    rng = random.Random(seed)
+    group = named_group(name)
+    pi = Permutation(rng.sample(range(group.degree), group.degree))
+    gens = []
+    while not gens or closure(gens).order < group.order:
+        gens.append(rng.choice(group.elements))
+    return closure([pi * g * pi.inverse() for g in gens])
+
+
+@pytest.mark.parametrize("name, seed", [("s3", 1), ("c6", 2), ("d4", 3),
+                                        ("q8", 4), ("s4", 5), ("s4", 6)])
+def test_regular_search_on_relabelled_groups_matches_oracle(name, seed):
+    gamma = build_gamma(relabelled_generating_set(name, seed))
+    assert_matches_oracle(gamma, regular_subgroups(gamma))
+
+
+@pytest.mark.parametrize("name", ["c6", "s3", "d4", "q8", "s4"])
+def test_regular_subgroup_elements_are_semiregular(name):
+    # a non-identity element of a regular group fixes no point, and all
+    # its cycles have one length
+    _, regs = gamma_and_regulars(name)
+    for u in regs:
+        for p in u.elements[1:]:
+            lengths = [len(c) for c in p.cycles()]
+            assert sum(lengths) == p.degree
+            assert len(set(lengths)) == 1
 
 
 def test_commuting_pairs_build_no_table(monkeypatch):

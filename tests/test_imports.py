@@ -1,5 +1,5 @@
-"""Every module-level import in the package modules is used, and every
-definition is read.
+"""Every module-level import in the package modules and in the tests is
+used, and every package definition is read.
 
 Deleting code tends to leave its imports behind; this walks each module's
 syntax tree (stdlib `ast`, nothing imported) and reports names bound by a
@@ -18,6 +18,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "birkhoffsym"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 # Exports that no package module reads, each with the reason it stays.
 KEPT_EXPORTS = {
@@ -68,12 +69,22 @@ def test_modules_found():
     assert {p.name for p in MODULES} >= {"perm.py", "exact.py", "cli.py"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_no_unused_module_imports(path):
+def unused_imports(path: Path) -> dict[str, int]:
     tree = ast.parse(path.read_text(), filename=str(path))
     used = read_names(tree)
-    unused = {name: line for name, line in imported_names(tree).items()
-              if name not in used}
+    return {name: line for name, line in imported_names(tree).items()
+            if name not in used}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    unused = unused_imports(path)
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_no_unused_test_imports(path):
+    unused = unused_imports(path)
     assert not unused, f"{path.name}: unused imports {unused}"
 
 

@@ -2,7 +2,6 @@
 translation action on their vertices, and the B_n equivalence catalog."""
 
 import json
-from fractions import Fraction
 
 import pytest
 
