@@ -17,9 +17,10 @@ Facts verified computationally by this module:
 * |Gamma(G)| = 2|G|^2 / |Z(G)| unless G is an elementary abelian 2-group
   (where iota and the lambda/rho distinction collapse).
 * The commuting regular subgroup pairs of Gamma(G): a complete search
-  for the regular subgroups, each paired with its centralizer in Sym(G),
-  the only regular group it can commute with; for G = S_n with a
-  two-element Chermak-Delgado lattice the only pair is {lambda(G), rho(G)}.
+  for the regular subgroups up to conjugacy, each paired with its
+  centralizer in Sym(G), the only regular group it can commute with; for
+  G = S_n with a two-element Chermak-Delgado lattice the only pair is
+  {lambda(G), rho(G)}.
 * The normalizer of Gamma(G) in the full symmetric group equals
   Aut(G) * Gamma(G) (brute force, small G only).
 """
@@ -32,7 +33,8 @@ from typing import Optional
 
 from .errors import PreconditionError
 from .perm import (Permutation, PermutationGroup, centralizer, closure,
-                   generating_set, regular_action, regular_subgroups)
+                   generating_set, regular_action)
+from .regular import regular_conjugates, regular_representatives
 
 MAX_GAMMA_BASE = 30  # largest |G| whose Gamma(G) is built
 MAX_NORMALIZER_BASE = 6  # largest |G| for the brute-force normalizer
@@ -109,19 +111,27 @@ def commuting_regular_pairs(gamma: PermutationGroup
     taken in the order of u(0), which is their sorted order.  A regular V
     commuting with U lies in C and has its order, so V = C: U has a
     partner exactly when those columns lie in Gamma, and then C is one of
-    the regular subgroups.  Complete by completeness of the
-    regular-subgroup search.
+    the regular subgroups.
+
+    Only classes are searched.  Conjugating by x in Gamma carries C to
+    the centralizer of x U x^-1, so having a partner is a property of
+    U's Gamma-class, which is its Gamma_0-class (Gamma = Gamma_0 U for a
+    transitive U).  `regular_representatives` meets every such class;
+    only the representatives with a partner are expanded into their
+    Gamma_0-conjugates, and only those become groups.  Complete by
+    completeness of that search.
     """
-    regs = regular_subgroups(gamma)
+    partnered = [u for u in regular_representatives(gamma)
+                 if all(c in gamma.index for c in zip(*sorted(u)))]
+    regs = regular_conjugates(gamma, partnered)
     position = {tuple(p.images for p in u.elements): a
                 for a, u in enumerate(regs)}
     pairs = []
     for a, u in enumerate(regs):
-        columns = list(zip(*(p.images for p in u.elements)))
-        if all(c in gamma.index for c in columns):
-            b = position[tuple(sorted(columns))]
-            if b >= a:
-                pairs.append((u, regs[b]))
+        # a conjugate of a partnered U is partnered: its partner is listed
+        b = position[tuple(sorted(zip(*(p.images for p in u.elements))))]
+        if b >= a:
+            pairs.append((u, regs[b]))
     return pairs
 
 

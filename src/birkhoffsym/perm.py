@@ -12,17 +12,24 @@ Conventions, fixed once and used everywhere:
 
 Groups here stay small (a few thousand elements at the very most), which is
 why explicit element lists beat any stabilizer-chain machinery in both
-simplicity and, at this scale, speed.  `closure` and `regular_subgroups`
-multiply image tuples with one `operator.itemgetter` per right factor,
-so each product runs in C.  The multiplication table belongs to the
-group: `PermutationGroup.table` works on positions in the sorted element
-list, so the identity is always at 0, and it is built on first read and
-kept with the group.  Only routines reading most products of a group of
-order at most 720 (S_6) read it; Gamma(S_4) never builds one.
+simplicity and, at this scale, speed.  `closure` and the regular-subgroup
+search in `regular` multiply image tuples with one `operator.itemgetter`
+per right factor (`_right_mul`), so each product runs in C.  The
+multiplication table belongs to the group: `PermutationGroup.table`
+works on positions in the sorted element list, so the identity is always
+at 0, and it is built on first read and kept with the group.  Only
+routines reading most products of a group of order at most 720 (S_6)
+read it; Gamma(S_4) never builds one.
 That table is also the group's one regular action: `regular_action` reads
 the left and right translations and the inversion of G on its own element
 indices off it.  `subgroup_classes` enumerates subgroups up to conjugacy
 on the same table, by cyclic extension; `all_subgroups` lists them all.
+Regular subgroups are searched up to conjugacy too, in `regular` and
+with no table: a regular U is transitive, so G = G_0 U for the stabilizer
+G_0 of point 0, and every G-conjugate of U is a G_0-conjugate.  The
+search tries one first fiber choice per conjugacy class under the
+stabilizer of points 0 and 1, which meets every class;
+`regular_subgroups` expands every class into its members.
 
 Cycle notation names points by number, and the degree follows from the
 largest point named, so `parse_cycles` and `group_from_generator_lines`
@@ -39,8 +46,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import NotASubgroupError, PreconditionError
 
 MAX_DEGREE = 4096  # points 0..MAX_DEGREE-1 are the most cycle notation may name
-REGULAR_MAX_DEGREE = 24  # largest degree regular_subgroups searches
-REGULAR_MAX_ORDER = 1500  # largest order regular_subgroups searches
+REGULAR_MAX_DEGREE = 24  # largest degree regular.regular_representatives searches
+REGULAR_MAX_ORDER = 1500  # largest order regular.regular_representatives searches
 
 
 class Permutation:
@@ -242,15 +249,12 @@ class PermutationGroup:
         (S_6): `subgroup_classes`, `centralizer`, `generating_set`, `cd`,
         `gamma.automorphisms`, and `regular_action`, which gives
         `gamma.build_gamma`, the vertex maps of `reppoly` and the B_n
-        transformation law their translations.  The Gamma(G) searches
-        (`regular_subgroups`, `commuting_regular_pairs`) read none."""
+        transformation law their translations.  The regular-subgroup
+        search and `commuting_regular_pairs` read none."""
         if self._table is None:
             idx = self.index  # image tuples in element order
-            if self.degree == 1:  # itemgetter(0) returns an int, not a tuple
-                table = [[0]]
-            else:
-                columns = [itemgetter(*b) for b in idx]  # column b: a -> a*b
-                table = [[idx[col(a)] for col in columns] for a in idx]
+            columns = [_right_mul(b) for b in idx]  # column b: a -> a*b
+            table = [[idx[col(a)] for col in columns] for a in idx]
             object.__setattr__(self, "_table", table)
         return self._table
 
@@ -363,27 +367,31 @@ def saturate(seeds: Iterable, gens: Sequence, mul: Callable,
     return known
 
 
+def _right_mul(g: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """w -> w * g on image tuples, run in C: itemgetter(*g)(w)[i] is
+    w[g[i]].  On one point itemgetter would return an int, and the only
+    permutation there is the identity, so `tuple` stands in for it."""
+    return itemgetter(*g) if len(g) > 1 else tuple
+
+
 def _apply(w: tuple[int, ...], step: Callable) -> tuple[int, ...]:
-    return step(w)  # w * g for step = itemgetter(*g.images)
+    return step(w)  # w * g for step = _right_mul(g.images)
 
 
 def closure(generators: Sequence[Permutation],
             tags: Optional[Sequence[str]] = None,
             max_order: Optional[int] = None) -> PermutationGroup:
     """Group generated by the given permutations, by breadth-first closure
-    on image tuples: itemgetter(*g.images) maps w to w * g.  max_order
+    on image tuples: _right_mul(g.images) maps w to w * g.  max_order
     aborts runaway closures."""
     if not generators:
         raise ValueError("closure needs at least one generator or a degree hint")
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators act on different point sets")
-    if degree == 1:  # itemgetter(0) returns an int, not a tuple
-        seen = {(0,)}
-    else:
-        seen = saturate([tuple(range(degree))],
-                        [itemgetter(*g.images) for g in generators],
-                        _apply, max_order)
+    seen = saturate([tuple(range(degree))],
+                    [_right_mul(g.images) for g in generators],
+                    _apply, max_order)
     if tags is None:
         tags = [g.cycle_string() for g in generators]
     tagged = tuple(zip(tags, generators))
@@ -533,105 +541,19 @@ def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[Permutation
             for members, gens in subs]
 
 
-def _one_cycle_length(images: tuple[int, ...]) -> bool:
-    """Whether every cycle of the permutation has the same length."""
-    seen = bytearray(len(images))
-    length = 0
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        x, n = start, 0
-        while not seen[x]:
-            seen[x] = 1
-            x = images[x]
-            n += 1
-        if length and n != length:
-            return False
-        length = n
-    return True
-
-
 def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
-    """All sharply transitive (regular) subgroups of G, each tagged with
-    the fiber choices that found it, which generate it.  G may have
-    degree at most REGULAR_MAX_DEGREE and order at most REGULAR_MAX_ORDER.
+    """All sharply transitive (regular) subgroups of G, sorted by element
+    list, each tagged with its fiber choices, which generate it.
 
-    A regular subgroup U has exactly one element sending point 0 to each
-    point, so U picks one element from each fiber {g in G : g(0) = x}.
-    The search branches over the least uncovered point, its fiber in
-    sorted order, and closes breadth-first on image tuples over the
-    choices so far plus the new one, pruning as soon as one fiber is hit
-    twice (so also past m = degree elements).  Every element reached lies
-    in <current, extra>, so no choice inside a regular subgroup is pruned,
-    and each is found once because all its fiber choices are forced.
-
-    Only semiregular elements are branched on: those whose cycles all
-    have one length.  In a regular U, a non-identity u fixes no point
-    (u and the identity would both send it to itself), and neither does
-    u^k for 0 < k < ord(u), so every cycle of u has length ord(u).  A
-    choice g outside this set lies in no regular subgroup, and its branch
-    could only end pruned.  Dropping it therefore finds the same groups
-    with the same fiber choices; on Gamma(S_4) it keeps 10 to 24 of the
-    48 elements of each fiber.
-    """
-    m = group.degree
-    if m > REGULAR_MAX_DEGREE:
-        raise PreconditionError(f"degree {m} exceeds bound {REGULAR_MAX_DEGREE}")
-    if group.order > REGULAR_MAX_ORDER:
-        raise PreconditionError(
-            f"order {group.order} exceeds bound {REGULAR_MAX_ORDER}")
-    if group.order % m != 0:
-        return []
-    fibers: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    for p in group.elements:
-        fibers[p.images[0]].append(p.images)
-    if any(not f for f in fibers):
-        return []  # not transitive, so no transitive subgroup exists
-    # fiber 0 is never branched on: the identity covers point 0
-    fibers[1:] = [[g for g in f if _one_cycle_length(g)] for f in fibers[1:]]
-    # w -> w * g for each choice; degree 1 has none
-    right_mul = {g: itemgetter(*g) for f in fibers[1:] for g in f}
-    results: list[tuple[frozenset, list]] = []
-
-    def close_with(current: frozenset, gens: list,
-                   extra: tuple[int, ...]) -> Optional[frozenset]:
-        # <current, extra> with current = <gens>; None on a repeated fiber
-        steps = [right_mul[g] for g in gens] + [right_mul[extra]]
-        known = set(current)
-        covered = {w[0] for w in current}
-        # products of current by gens stay in current, so only current *
-        # extra is new; every new element is multiplied by all steps
-        pending = [steps[-1](w) for w in current]
-        while pending:
-            fresh = []
-            for p in pending:
-                if p not in known:
-                    if p[0] in covered:
-                        return None
-                    covered.add(p[0])
-                    known.add(p)
-                    fresh.append(p)
-            pending = [step(w) for w in fresh for step in steps]
-        return frozenset(known)
-
-    def extend(current: frozenset, gens: list) -> None:
-        if len(current) == m:
-            results.append((current, gens))
-            return
-        covered = {w[0] for w in current}
-        x = min(p for p in range(m) if p not in covered)
-        for g in fibers[x]:
-            closed = close_with(current, gens, g)
-            if closed is not None:
-                extend(closed, gens + [g])
-
-    extend(frozenset({tuple(range(m))}), [])
-    perm_of = {p.images: p for p in group.elements}
-    subs = [PermutationGroup(m, [perm_of[w] for w in members],
-                             _tagged(perm_of[g] for g in gens))
-            for members, gens in results]
-    subs.sort(key=lambda h: tuple(p.images for p in h.elements))
-    return subs
+    They are the G_0-conjugates of `regular.regular_representatives`, the
+    way `all_subgroups` lists every member of `subgroup_classes`: a
+    regular U is transitive, so G = G_0 U and each G-conjugate of U is a
+    G_0-conjugate, and the search meets every class.  No package code
+    calls it; `commuting_regular_pairs` expands only the classes that
+    have a partner."""
+    # imported here: regular imports perm
+    from .regular import regular_conjugates, regular_representatives
+    return regular_conjugates(group, regular_representatives(group))
 
 
 def is_regular(group: PermutationGroup, sub: PermutationGroup, base: int = 0) -> bool:

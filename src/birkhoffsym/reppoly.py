@@ -44,7 +44,8 @@ class MatrixGroup:
         self.dim = dim
         self.elements = list(elements)
         self.generators = list(generators)
-        assert self.elements[0].is_identity()
+        if not self.elements or not self.elements[0].is_identity():
+            raise ValueError("element list must start with the identity")
         self._index = {m: i for i, m in enumerate(self.elements)}
 
     @property

@@ -1,8 +1,9 @@
 """Reference search for regular subgroups and commuting regular pairs.
 
 `regular_subgroups` is the search as it ran before it branched only on
-semiregular fiber elements: every element of each fiber is tried, and it
-must find the same groups with the same tags in the same order.
+semiregular fiber elements and before its first choice was pruned by
+conjugation: every element of each fiber is tried, at every level, and
+it must find the same groups with the same tags in the same order.
 `commuting_pairs` is the pair loop that `commuting_regular_pairs` ran
 before it read each group's partner off its centralizer: every pair of
 regular subgroups is tested on their generators.  Only sensible up to

@@ -30,6 +30,9 @@ KEPT_EXPORTS = {
     "all_subgroups": "every subgroup as a group, the public form of "
                      "subgroup_classes and the subgroup-count oracle",
     "is_regular": "checks a subgroup against regular_subgroups independently",
+    "regular_subgroups": "every regular subgroup as a group, the public form "
+                         "of regular_representatives, as all_subgroups is "
+                         "of subgroup_classes",
 }
 
 
@@ -176,3 +179,24 @@ def test_detects_a_dead_definition():
                      "C().method\n")
     assert dead_definitions({"m": tree}, {"C"}) == [
         "m.unused", "m.recursive", "m.read"]
+
+
+def assert_statements(tree: ast.AST) -> list[int]:
+    """Line of each `assert` statement: `python -O` drops them, so a check
+    the package relies on must raise explicitly."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements_in_the_package(path):
+    lines = assert_statements(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name}: assert statements on lines {lines}"
+
+
+def test_detects_an_assert_statement():
+    tree = ast.parse('def f(x):\n'
+                     '    """an assert in a docstring is text"""\n'
+                     '    assert x, "message"\n'
+                     '    return x\n')
+    assert assert_statements(tree) == [3]

@@ -217,6 +217,15 @@ def test_element_group_translates_only_the_generators(monkeypatch):
     assert len(products) == len(mgroup.generators) * mgroup.order == 48
 
 
+def test_matrix_group_refuses_a_list_not_led_by_the_identity():
+    # an explicit check, not an assert that python -O drops
+    g = matrix_closure([matrix_from_rows([["0", "-1"], ["1", "1"]])])
+    with pytest.raises(ValueError, match="identity"):
+        MatrixGroup(g.dim, g.elements[1:], [])
+    with pytest.raises(ValueError, match="identity"):
+        MatrixGroup(g.dim, [], [])
+
+
 def test_element_group_without_generators():
     g = matrix_closure([matrix_from_rows([["0", "-1"], ["1", "1"]])])
     eg = MatrixGroup(g.dim, g.elements, []).element_group()
