@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping
 
@@ -67,7 +68,26 @@ class SymmetryDecomposition:
 
 @lru_cache(maxsize=8)
 def _sn_index(n: int) -> dict[tuple[int, ...], int]:
+    """Vertex index of each image tuple; the keys run in vertex order."""
     return {p.images: v for v, p in enumerate(symmetric_group(n).elements)}
+
+
+@lru_cache(maxsize=8)
+def _sn_inverse_images(n: int) -> tuple[tuple[int, ...], ...]:
+    """Image tuples of pi^-1 for the vertices pi, in vertex order."""
+    return tuple(p.inverse().images for p in symmetric_group(n).elements)
+
+
+@lru_cache(maxsize=8)
+def _facet_lookup(n: int) -> tuple[tuple[itemgetter, ...], dict]:
+    """(getters, position) for the facet sets A_ij, with i n + j the
+    position of A_ij: getters[i n + j] reads the images of A_ij's members
+    off a vertex map's image tuple, and position maps each set A_ij back
+    to i n + j."""
+    sets = analytic_facet_sets(n)
+    labels = [FacetLabel(i, j) for i in range(n) for j in range(n)]
+    return (tuple(itemgetter(*sets[label]) for label in labels),
+            {sets[label]: k for k, label in enumerate(labels)})
 
 
 def permutation_matrix(perm: Permutation) -> RationalMatrix:
@@ -152,15 +172,13 @@ class LawReport:
 
 def _vertex_images(n: int, sigma: Permutation, tau: Permutation,
                    epsilon: int) -> list[int]:
-    """Vertex images of pi -> sigma pi^epsilon tau, composed on image
-    tuples, so no Permutation is built per vertex when epsilon = 1."""
+    """Vertex images of pi -> sigma pi^epsilon tau for n >= 2, composed
+    on image tuples, so no Permutation is built per vertex."""
     index = _sn_index(n)
-    s, t = sigma.images, tau.images
-    out = []
-    for p in symmetric_group(n).elements:
-        p = (p if epsilon == 1 else p.inverse()).images
-        out.append(index[tuple([s[p[x]] for x in t])])
-    return out
+    s, after_tau = sigma.images, itemgetter(*tau.images)
+    domain = index if epsilon == 1 else _sn_inverse_images(n)
+    # (p tau)[x] = p[tau[x]], then (sigma p tau)[x] = sigma[(p tau)[x]]
+    return [index[itemgetter(*after_tau(p))(s)] for p in domain]
 
 
 def verify_transformation_law(n: int) -> LawReport:
@@ -208,22 +226,15 @@ def verify_transformation_law(n: int) -> LawReport:
                      failures=failures, passed=not failures)
 
 
-def inversion_vertex_map(n: int) -> Permutation:
-    """The vertex permutation pi -> pi^-1 of the S_n enumeration."""
-    one = Permutation.identity(n)
-    return Permutation(_vertex_images(n, one, one, -1))
-
-
-def _facet_image_map(n, alpha, sets, set_index):
-    image_map = {}
-    images = alpha.images
-    for label, members in sets.items():
-        image = frozenset([images[v] for v in members])
-        target = set_index.get(image)
-        if target is None:
-            raise NotFacetSymmetryError("not a facet symmetry")
-        image_map[label] = target
-    return image_map
+def _facet_image_map(n: int, images: tuple[int, ...]) -> list[int]:
+    """At position i n + j, the position k n + l of alpha(A_ij) = A_kl for
+    the vertex map alpha with these images.  Raises NotFacetSymmetryError
+    when some alpha(A_ij) is not a facet set."""
+    getters, position = _facet_lookup(n)
+    out = [position.get(frozenset(get(images))) for get in getters]
+    if None in out:
+        raise NotFacetSymmetryError("not a facet symmetry")
+    return out
 
 
 def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
@@ -231,7 +242,8 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
 
     Steps: (1) each A_ij must map onto some A_kl; (2) the image of a row
     family {A_i*} is a row family (epsilon = +1) or a column family
-    (epsilon = -1; compose with inversion and redo); (3) with row-to-row
+    (epsilon = -1; compose with inversion iota, which sends A_ij to
+    alpha(A_ji) because iota(A_ij) = A_ji); (3) with row-to-row
     images A_ij -> A_{r(i), c(j)}, the law sigma A_ij tau^-1 =
     A_{tau(i), sigma(j)} gives tau = r^-1 and sigma = c; (4) the triple is
     verified pointwise on all n! vertices before being returned.
@@ -242,32 +254,28 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
     if alpha.degree != len(perms):
         raise PreconditionError(
             f"alpha must permute {len(perms)} vertices, got degree {alpha.degree}")
-    sets = analytic_facet_sets(n)
-    set_index = {members: label for label, members in sets.items()}
+    # image_map[i n + j] = k n + l for alpha(A_ij) = A_kl
+    image_map = _facet_image_map(n, alpha.images)
+    starts = range(0, n * n, n)
 
-    image_map = _facet_image_map(n, alpha, sets, set_index)
-    row_constant = all(
-        len({image_map[FacetLabel(i, j)].i for j in range(n)}) == 1
-        for i in range(n))
-    if row_constant:
+    def row_to_row(image_map):
+        return all(len({k // n for k in image_map[a:a + n]}) == 1
+                   for a in starts)
+
+    if row_to_row(image_map):
         epsilon = 1
     else:
-        col_constant = all(
-            len({image_map[FacetLabel(i, j)].j for j in range(n)}) == 1
-            for i in range(n))
-        if not col_constant:
+        if not all(len({k % n for k in image_map[a:a + n]}) == 1
+                   for a in starts):
             raise InconsistentSymmetryError("inconsistent")
         epsilon = -1
-        image_map = _facet_image_map(n, alpha * inversion_vertex_map(n),
-                                     sets, set_index)
-        if not all(len({image_map[FacetLabel(i, j)].i for j in range(n)}) == 1
-                   for i in range(n)):
+        image_map = [image_map[j * n + i] for i in range(n) for j in range(n)]
+        if not row_to_row(image_map):
             raise InconsistentSymmetryError("inconsistent")
 
-    r = [image_map[FacetLabel(i, 0)].i for i in range(n)]
-    c = [image_map[FacetLabel(0, j)].j for j in range(n)]
-    if any(image_map[FacetLabel(i, j)].j != c[j]
-           for i in range(n) for j in range(n)):
+    r = [image_map[a] // n for a in starts]
+    c = [k % n for k in image_map[:n]]
+    if any(image_map[a + j] % n != c[j] for a in starts for j in range(n)):
         raise InconsistentSymmetryError("inconsistent")
     try:
         tau = Permutation(r).inverse()

@@ -3,7 +3,9 @@
 Each subcommand runs exactly one library operation and prints a single
 JSON report to stdout (diagnostics go to stderr).  Exit status: 0 when
 the check passed, 1 when it ran and failed, 2 on usage errors, 3 on
-violated preconditions or malformed inputs.
+violated preconditions or malformed inputs, 4 when an internal
+certificate broke (`errors.InvariantError`: the program is at fault, not
+the input).
 
 Group arguments accept a built-in name (s3, s4, s5, c2, c3, c4, c6, v4,
 d4, q8) or a path to a text file with one generator in cycle notation
@@ -22,7 +24,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from . import birkhoff, cd, gamma, hull, reppoly
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .perm import (REGULAR_MAX_DEGREE, Permutation, PermutationGroup,
                    builtin_group_names, group_from_generator_lines,
                    named_group)
@@ -311,6 +313,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"internal certificate failed: {exc}", file=sys.stderr)
+        return 4
     runtime_ms = int((time.perf_counter() - start) * 1000)
     report = Report(command=args.command, inputs=inputs, passed=passed,
                     details=details, runtime_ms=runtime_ms)

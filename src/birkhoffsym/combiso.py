@@ -54,6 +54,7 @@ from collections import Counter
 from math import prod
 from typing import NamedTuple, Optional, Sequence
 
+from .errors import InvariantError
 from .hull import IncidenceStructure
 from .perm import Permutation, saturate
 
@@ -264,8 +265,9 @@ class AutomorphismGroup:
 def comb_automorphisms(inc: IncidenceStructure) -> AutomorphismGroup:
     """The group of all vertex permutations preserving the incidence, as a
     stabilizer chain with strong generators (see the module docstring for
-    why the orbit pruning loses nothing).  Raises on duplicate facet
-    rows."""
+    why the orbit pruning loses nothing).  Raises ValueError on duplicate
+    facet rows, and InvariantError if a strong generator found by the
+    search does not preserve the incidence."""
     rows = inc.tight_sets()
     if len(set(rows)) != len(rows):
         raise ValueError("not a polytope incidence")
@@ -299,7 +301,7 @@ def comb_automorphisms(inc: IncidenceStructure) -> AutomorphismGroup:
     group = AutomorphismGroup(n, base, orbit_lengths,
                               [Permutation(g) for g in witnesses], rows)
     if not all(g in group for g in group.generators):
-        raise AssertionError("a generator does not preserve the incidence")
+        raise InvariantError("a generator does not preserve the incidence")
     return group
 
 

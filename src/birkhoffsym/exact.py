@@ -3,11 +3,14 @@
 Everything downstream (hull computations, rank tests, matrix groups) must be
 exact: a single rounded pivot can change a face lattice.  `Fraction` is the
 boundary type: rationals are parsed into it, formatted from it, and a
-`RationalMatrix` shows its entries as Fractions.  The arithmetic runs on
-`int`: a rational vector is scaled once by the lcm of its denominators
-(`clear_denominators`), a matrix keeps its entries as integer numerators
-over one common denominator, and every elimination is fraction-free.
-Matrices are immutable row-major tuples.
+`RationalMatrix` shows its entries as Fractions.  Nothing else enters:
+`as_fraction_vector` refuses floats and any other non-rational with
+TypeError.  The arithmetic runs on `int`: a rational vector is scaled once
+by the lcm of its denominators (`clear_denominators`), a matrix keeps only
+its entries' integer numerators over one common denominator, and every
+elimination is fraction-free.  A matrix builds its Fraction entries the
+first time they are read, so products, inverses, hashing and equality
+build none.  Matrices are immutable row-major tuples.
 
 There are two row reductions, both on integer rows.  `_independent_rows`
 is a lazy one-pass generator that keeps the greedy independent rows with
@@ -24,6 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -44,14 +48,28 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction | int) -> str:
     """Render a rational as "p/q", or "p" when the denominator is 1."""
-    x = Fraction(x)
+    if type(x) is int:
+        return str(x)
+    if type(x) is not Fraction:
+        (x,) = as_fraction_vector((x,))
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
 def as_fraction_vector(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    """The values as Fractions.  Only rationals are accepted: a float (or
+    any other non-`numbers.Rational`) raises TypeError rather than enter
+    exact arithmetic as its binary expansion."""
+    out = []
+    for v in values:
+        if type(v) is not Fraction:
+            if type(v) is not int and not isinstance(v, Rational):
+                raise TypeError(
+                    f"not an exact rational: {v!r} of type {type(v).__name__}")
+            v = Fraction(v)
+        out.append(v)
+    return tuple(out)
 
 
 def clear_denominators(values: Iterable[Fraction | int]
@@ -68,9 +86,13 @@ def primitive_vector(values: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale a nonzero rational vector by a positive rational so entries are
     integers with gcd 1.  The direction (sign pattern) is preserved; for an
     inequality normal, flipping signs would reverse the inequality, so only
-    positive scaling is ever applied.
+    positive scaling is ever applied.  An all-`int` vector, such as every
+    ray of the double description, is divided by its gcd directly.
     """
-    _, ints = clear_denominators(values)
+    if all(type(x) is int for x in values):
+        ints = tuple(values)
+    else:
+        _, ints = clear_denominators(values)
     g = gcd(*ints)
     if g == 0:
         raise ValueError("primitive_vector of zero vector")
@@ -80,20 +102,21 @@ def primitive_vector(values: Sequence[Fraction | int]) -> tuple[int, ...]:
 class RationalMatrix:
     """Immutable dense matrix over the rationals, row-major.
 
-    `entries` are the Fractions; `_num` holds them as integer numerators
+    A matrix holds only its canonical form: the integer numerators `_num`
     over the one common denominator `_den` > 0, the lcm of the entries'
-    denominators, and products, inverses and equality are computed there.
-    That form is canonical, so it is equal exactly when `entries` are."""
+    reduced denominators.  Products, inverses, equality and the hash are
+    computed on that form, which is equal exactly when the entries are.
+    `entries`, the Fractions, are built on first read and kept."""
 
-    __slots__ = ("rows", "cols", "entries", "_num", "_den", "_hash")
+    __slots__ = ("rows", "cols", "_entries", "_num", "_den", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         self.rows = rows
         self.cols = cols
-        self.entries = as_fraction_vector(entries)
-        if len(self.entries) != rows * cols:
+        self._entries = as_fraction_vector(entries)
+        if len(self._entries) != rows * cols:
             raise ValueError("entry count does not match shape")
-        self._den, self._num = clear_denominators(self.entries)
+        self._den, self._num = clear_denominators(self._entries)
         self._hash = None
 
     @classmethod
@@ -112,9 +135,16 @@ class RationalMatrix:
         self._num = tuple(nums)
         self._den = den
         self._hash = None
-        self.entries = (tuple(map(Fraction, nums)) if den == 1
-                        else tuple(Fraction(x, den) for x in nums))
+        self._entries = None
         return self
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        if self._entries is None:
+            den = self._den
+            self._entries = (tuple(map(Fraction, self._num)) if den == 1
+                             else tuple(Fraction(x, den) for x in self._num))
+        return self._entries
 
     @classmethod
     def from_rows(cls, row_data: Sequence[Sequence]) -> "RationalMatrix":
@@ -151,7 +181,7 @@ class RationalMatrix:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self.entries))
+            self._hash = hash((self.rows, self.cols, self._den, self._num))
         return self._hash
 
     def __repr__(self) -> str:

@@ -27,9 +27,12 @@ nonnegative and combine with positive coefficients.
 
 Everything is exact; a facet's incidence row is recomputed from its lifted
 inequality against all scaled input points, so bookkeeping errors cannot
-survive the final validity assertions.  That checked incidence is also
-the whole certificate `certify_vertices` reads, so the chart is built
-once per hull and no rank is taken after the double description.
+survive the final validity checks.  Those raise InvariantError, since a
+violated inequality, a facet tight at no point, an unbounded polar and
+two facets with one inequality or one tight set are faults of this
+module, never of the input.  That checked incidence is also the whole
+certificate `certify_vertices` reads, so the chart is built once per
+hull and no rank is taken after the double description.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from itertools import islice
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .exact import (_gauss_jordan, _independent_rows, as_fraction_vector,
                     clear_denominators, format_rational, parse_rational,
                     primitive_vector)
@@ -242,7 +245,8 @@ def _facet_enumeration(points: Sequence[Sequence],
     packed = set()
     for t, *y in rays:
         if t <= 0:
-            raise ValueError("unbounded polar: input not full-dimensional in chart")
+            raise InvariantError(
+                "unbounded polar: input not full-dimensional in chart")
         normal = [0] * ambient
         for k, r in enumerate(pivot_rows):
             normal[r] = n * scale * y[k]
@@ -250,7 +254,7 @@ def _facet_enumeration(points: Sequence[Sequence],
                   + sum(map(mul, y, total)))
         packed.add(primitive_vector(normal + [offset]))
     if len(packed) != len(rays):
-        raise ValueError("duplicate facets from distinct polar rays")
+        raise InvariantError("duplicate facets from distinct polar rays")
     packed = sorted(packed)
 
     incidence = []
@@ -263,13 +267,14 @@ def _facet_enumeration(points: Sequence[Sequence],
         for p in at_pivots:
             value = sum(map(mul, normal, p))
             if value > bound:
-                raise ValueError("facet inequality violated by an input point")
+                raise InvariantError(
+                    "facet inequality violated by an input point")
             row.append(value == bound)
         if not any(row):
-            raise ValueError("facet tight at no vertex")
+            raise InvariantError("facet tight at no vertex")
         key = tuple(row)
         if key in tight_seen:
-            raise ValueError("two facets share a tight vertex set")
+            raise InvariantError("two facets share a tight vertex set")
         tight_seen.add(key)
         incidence.append(row)
     facets = [Facet(tuple(map(Fraction, f[:-1])), Fraction(f[-1]))

@@ -17,7 +17,7 @@ from birkhoffsym.birkhoff import (FacetLabel, InconsistentSymmetryError,
                                   NotFacetSymmetryError,
                                   SymmetryDecomposition, analytic_facet_sets,
                                   birkhoff_vertices, decompose_symmetry,
-                                  inversion_vertex_map, permutation_matrix,
+                                  permutation_matrix,
                                   reconstruct_symmetry,
                                   verify_intersection_table,
                                   verify_symmetry_group,
@@ -231,7 +231,9 @@ def test_decompose_rejects_vertex_swap():
 
 def test_inversion_map_is_involution_and_decomposes():
     for n in (3, 4):
-        iota = inversion_vertex_map(n)
+        perms = symmetric_group(n).elements
+        index = {p: v for v, p in enumerate(perms)}
+        iota = Permutation([index[p.inverse()] for p in perms])
         assert (iota * iota).is_identity()
         dec = decompose_symmetry(n, iota)
         assert dec.sigma.is_identity()

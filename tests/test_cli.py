@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from birkhoffsym import cli, gamma, perm
+from birkhoffsym import cli, combiso, gamma, hull, perm
 from birkhoffsym.birkhoff import (SymmetryDecomposition, reconstruct_symmetry)
 from birkhoffsym.cli import main
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
@@ -311,6 +311,34 @@ def test_hull_cli_bad_inputs(tmp_path, capsys):
     nokey = tmp_path / "nokey.json"
     nokey.write_text(json.dumps({"points": []}))
     assert main(["hull", str(nokey)]) == 3
+
+
+def test_broken_certificates_exit_4(tmp_path, capsys, monkeypatch):
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps(
+        {"vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]}))
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"vertices": [["0", "0"], ["1"]]}))
+    dd, search = hull._dd_extreme_rays, combiso._search
+
+    def one_ray_twice(ineqs):  # two facets with one inequality
+        rays = dd(ineqs)
+        return rays + rays[:1]
+
+    def swapped_witness(plan, prefix=()):  # not a symmetry of B_3
+        witness = search(plan, prefix)
+        return witness and (witness[1], witness[0]) + witness[2:]
+
+    monkeypatch.setattr(hull, "_dd_extreme_rays", one_ray_twice)
+    assert main(["hull", str(square)]) == 4
+    assert "internal certificate failed" in capsys.readouterr().err
+    # bad input is still refused as such, before any certificate
+    assert main(["hull", str(mixed)]) == 3
+    assert "invalid input" in capsys.readouterr().err
+    monkeypatch.undo()
+    monkeypatch.setattr(combiso, "_search", swapped_witness)
+    assert main(["verify-symmetry-group", "3"]) == 4
+    assert "does not preserve the incidence" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, text", [

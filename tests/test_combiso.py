@@ -8,8 +8,10 @@ from functools import lru_cache
 
 import pytest
 
+from birkhoffsym import combiso
 from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.combiso import comb_automorphisms, comb_equivalent
+from birkhoffsym.errors import InvariantError
 from birkhoffsym.hull import (IncidenceStructure, facet_enumeration,
                               incidence_of)
 from birkhoffsym.perm import Permutation, closure
@@ -157,6 +159,21 @@ def test_duplicate_rows_rejected():
     inc = IncidenceStructure(3, [[True, True, False], [True, True, False]])
     with pytest.raises(ValueError, match="not a polytope incidence"):
         comb_automorphisms(inc)
+
+
+def test_a_generator_breaking_the_incidence_raises_invariant_error(
+        monkeypatch):
+    # every witness composed with the vertex swap (0 1), which is not a
+    # symmetry of B_3, so no witness is one either
+    search = combiso._search
+
+    def broken(plan, prefix=()):
+        witness = search(plan, prefix)
+        return witness and (witness[1], witness[0]) + witness[2:]
+
+    monkeypatch.setattr(combiso, "_search", broken)
+    with pytest.raises(InvariantError, match="does not preserve"):
+        comb_automorphisms(birkhoff_incidence(3))
 
 
 def test_equivalent_relabelled_square():

@@ -9,10 +9,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from birkhoffsym import exact
 from birkhoffsym.exact import (RationalMatrix, _gauss_jordan,
-                               _independent_rows, clear_denominators,
-                               format_rational, inverse, parse_rational,
-                               primitive_vector)
+                               _independent_rows, as_fraction_vector,
+                               clear_denominators, format_rational, inverse,
+                               parse_rational, primitive_vector)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -46,6 +47,38 @@ def test_format_rational_plain_integers():
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(Fraction(-9, 3)) == "-3"
     assert format_rational(Fraction(1, 3)) == "1/3"
+
+
+def test_format_rational_of_an_int():
+    assert format_rational(7) == "7"
+    assert format_rational(-12) == "-12"
+    assert format_rational(True) == "1"
+
+
+def test_floats_are_refused_at_the_boundary():
+    got = as_fraction_vector([1, Fraction(1, 2), True])
+    assert got == (1, Fraction(1, 2), 1)
+    assert all(type(x) is Fraction for x in got)
+    for bad in (0.5, 1.0, "1/2", None, complex(1, 0)):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            as_fraction_vector([1, bad])
+    with pytest.raises(TypeError):
+        RationalMatrix(1, 2, [Fraction(1, 3), 0.1])
+    with pytest.raises(TypeError):
+        format_rational(0.5)
+
+
+def test_primitive_vector_of_ints_reads_no_denominators(monkeypatch):
+    # every double-description ray is all-int: it is divided by its gcd
+    def refuse(values):
+        raise AssertionError("clear_denominators called")
+
+    monkeypatch.setattr(exact, "clear_denominators", refuse)
+    assert primitive_vector((4, -6, 0)) == (2, -3, 0)
+    assert primitive_vector([0, 5]) == (0, 1)
+    assert primitive_vector((3, 7)) == (3, 7)
+    with pytest.raises(ValueError):
+        primitive_vector((0, 0))
 
 
 def test_primitive_vector_cases():
@@ -187,6 +220,66 @@ def test_integer_products_match_sympy():
         assert (got._den, got._num) == (built._den, built._num)
         assert got == built and hash(got) == hash(built)
         assert repr(got) == repr(built)
+
+
+def fraction_product(a, b):
+    # the textbook product, in Fraction arithmetic
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def fraction_inverse(rows):
+    # Gauss-Jordan elimination of [M | I] in Fraction arithmetic
+    n = len(rows)
+    work = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)]
+            for i, r in enumerate(rows)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if work[i][k] != 0)
+        work[k], work[p] = work[p], work[k]
+        pivot = work[k][k]
+        work[k] = [x / pivot for x in work[k]]
+        for i in range(n):
+            if i != k and work[i][k] != 0:
+                f = work[i][k]
+                work[i] = [x - f * y for x, y in zip(work[i], work[k])]
+    return [r[n:] for r in work]
+
+
+def assert_holds(got, want_rows):
+    # the canonical form of a product or an inverse is the one a matrix
+    # built from the Fraction entries holds: equal, equally hashed, and
+    # with the same entries once they are read
+    want = RationalMatrix.from_rows(want_rows)
+    assert got._entries is None  # nothing built before the first read
+    assert got == want and hash(got) == hash(want)
+    assert got._entries is None  # == and hash read only the integer form
+    assert got.entries == want.entries
+    assert all(type(x) is Fraction for x in got.entries)
+    assert got.entries is got.entries  # built once, then kept
+
+
+def test_canonical_form_of_products_and_inverses():
+    rng = random.Random(20261019)
+    inverted = 0
+    for size in [1, 2, 3, 4, 5] * 6:
+        # dense a, so most are invertible; sparse b
+        a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+              for _ in range(size)] for _ in range(size)]
+        b = random_rows(rng, size, size, 4)
+        ma, mb = RationalMatrix.from_rows(a), RationalMatrix.from_rows(b)
+        assert_holds(ma * mb, fraction_product(a, b))
+        if sympy.Matrix(a).det() != 0:
+            inverted += 1
+            assert_holds(inverse(ma), fraction_inverse(a))
+    assert inverted > 20
+    # the hash ignores how a matrix was made: numerators with a common
+    # factor, a product, an identity
+    assert hash(RationalMatrix.from_rows([[Fraction(2, 4), 1]])) == hash(
+        RationalMatrix.from_rows([[Fraction(1, 2), Fraction(3, 3)]]))
+    two = RationalMatrix.from_rows([[2, 0], [0, 2]])
+    half = RationalMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    assert two * half == RationalMatrix.identity(2)
+    assert hash(two * half) == hash(RationalMatrix.from_rows([[1, 0], [0, 1]]))
 
 
 def test_clear_denominators():

@@ -14,7 +14,7 @@ import sympy
 
 from birkhoffsym import hull
 from birkhoffsym.birkhoff import analytic_facet_sets, birkhoff_vertices
-from birkhoffsym.errors import PreconditionError
+from birkhoffsym.errors import InvariantError, PreconditionError
 from birkhoffsym.exact import (RationalMatrix, _independent_rows,
                                clear_denominators, inverse)
 from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
@@ -131,6 +131,47 @@ def test_mixed_dimension_rejected():
 def test_empty_rejected():
     with pytest.raises(ValueError):
         facet_enumeration([])
+
+
+def test_float_points_rejected():
+    # 0.1 is not 1/10 in binary; it would come back as the vertex
+    # 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="not an exact rational"):
+        facet_enumeration([(0, 0), (0.1, 0), (0, 1)])
+    assert facet_enumeration([(0, 0), (Fraction(1, 10), 0), (0, 1)]
+                             ).vertices[1] == (Fraction(1, 10), 0)
+
+
+def combine(a, b, k):
+    # a + k b on polar rays (t, y), a valid inequality tight where both are
+    return tuple(x + k * y for x, y in zip(a, b))
+
+
+# Each damage breaks one certificate checked after the double
+# description.  A polar ray (t, y) is the facet <y, x> <= t of the
+# centred points; the triangle's three facets meet pairwise in a vertex.
+RAY_DAMAGE = {
+    "duplicate facets": lambda rays: rays + rays[:1],
+    "violated": lambda rays: [combine((rays[0][0],) + rays[0][1:],
+                                      (0,) + rays[0][1:], 1)] + rays[1:],
+    "tight at no vertex": lambda rays: [combine(rays[0], rays[0][:1] + (0, 0),
+                                                1)] + rays[1:],
+    "share a tight vertex set": lambda rays: rays + [
+        combine(rays[0], rays[1], 1), combine(rays[0], rays[1], 2)],
+    "unbounded polar": lambda rays: [combine(rays[0], rays[0][:1] + (0, 0),
+                                             -2)] + rays[1:],
+}
+
+
+@pytest.mark.parametrize("message", sorted(RAY_DAMAGE))
+def test_broken_facet_certificates_raise_invariant_error(monkeypatch, message):
+    dd = hull._dd_extreme_rays
+    monkeypatch.setattr(hull, "_dd_extreme_rays",
+                        lambda ineqs: RAY_DAMAGE[message](dd(ineqs)))
+    with pytest.raises(InvariantError, match=message) as caught:
+        facet_enumeration([(0, 0), (1, 0), (0, 1)])
+    # a fault of the hull, so no handler of bad input may catch it
+    assert not isinstance(caught.value, ValueError)
 
 
 def test_hull_bounds():

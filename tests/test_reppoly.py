@@ -217,6 +217,36 @@ def test_element_group_translates_only_the_generators(monkeypatch):
     assert len(products) == len(mgroup.generators) * mgroup.order == 48
 
 
+def test_only_the_hulled_elements_build_fraction_entries(monkeypatch):
+    # products, inverses and hashes run on the integer form: the closure
+    # and the hull build Fraction entries for the 24 elements alone, and
+    # the translations of element_group for none
+    gens = matrix_group_from_perm_group(named_group("s4")).generators
+    made = []
+    over, init = RationalMatrix._over.__func__, RationalMatrix.__init__
+
+    def recording_over(cls, *args):
+        made.append(over(cls, *args))
+        return made[-1]
+
+    def recording_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(RationalMatrix, "_over", classmethod(recording_over))
+    monkeypatch.setattr(RationalMatrix, "__init__", recording_init)
+    mgroup = matrix_closure(gens)
+    representation_polytope(mgroup)
+    filled = {id(m) for m in made if m._entries is not None}
+    assert len(made) > 24 * len(gens)
+    assert filled == {id(m) for m in mgroup.elements}
+    assert len(filled) == mgroup.order == 24
+    made.clear()
+    mgroup.element_group()
+    assert len(made) == 48
+    assert all(m._entries is None for m in made)
+
+
 def test_matrix_group_refuses_a_list_not_led_by_the_identity():
     # an explicit check, not an assert that python -O drops
     g = matrix_closure([matrix_from_rows([["0", "-1"], ["1", "1"]])])
