@@ -42,11 +42,10 @@ from .perm import (
     PermutationGroup,
     all_subgroups,
     closure,
-    is_regular,
     named_group,
-    regular_subgroups,
     symmetric_group,
 )
+from .regular import is_regular, regular_subgroups
 from .reppoly import (
     MatrixGroup,
     default_catalog,

@@ -67,18 +67,6 @@ class SymmetryDecomposition:
 
 
 @lru_cache(maxsize=8)
-def _sn_index(n: int) -> dict[tuple[int, ...], int]:
-    """Vertex index of each image tuple; the keys run in vertex order."""
-    return {p.images: v for v, p in enumerate(symmetric_group(n).elements)}
-
-
-@lru_cache(maxsize=8)
-def _sn_inverse_images(n: int) -> tuple[tuple[int, ...], ...]:
-    """Image tuples of pi^-1 for the vertices pi, in vertex order."""
-    return tuple(p.inverse().images for p in symmetric_group(n).elements)
-
-
-@lru_cache(maxsize=8)
 def _facet_lookup(n: int) -> tuple[tuple[itemgetter, ...], dict]:
     """(getters, position) for the facet sets A_ij, with i n + j the
     position of A_ij: getters[i n + j] reads the images of A_ij's members
@@ -173,10 +161,13 @@ class LawReport:
 def _vertex_images(n: int, sigma: Permutation, tau: Permutation,
                    epsilon: int) -> list[int]:
     """Vertex images of pi -> sigma pi^epsilon tau for n >= 2, composed
-    on image tuples, so no Permutation is built per vertex."""
-    index = _sn_index(n)
+    on image tuples, so no Permutation is built per vertex.  The keys of
+    S_n's index are the vertices' image tuples in vertex order."""
+    group = symmetric_group(n)
+    index = group.index
     s, after_tau = sigma.images, itemgetter(*tau.images)
-    domain = index if epsilon == 1 else _sn_inverse_images(n)
+    domain = (index if epsilon == 1
+              else [group.elements[i].images for i in group.inv])
     # (p tau)[x] = p[tau[x]], then (sigma p tau)[x] = sigma[(p tau)[x]]
     return [index[itemgetter(*after_tau(p))(s)] for p in domain]
 

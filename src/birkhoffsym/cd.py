@@ -36,11 +36,6 @@ class CDReport:
     subnormal_pass: bool
 
 
-def _is_subgroup_indices(group: PermutationGroup, members: frozenset[int]) -> bool:
-    table = group.table
-    return all(table[a][b] in members for a in members for b in members)
-
-
 def _subnormal_by_normalizer_chain(group: PermutationGroup,
                                    members: frozenset[int]) -> bool:
     """Iterate H <= N_G(H) <= N_G(N_G(H)) <= ... until a fixed point;
@@ -67,9 +62,11 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
 
     closure_pass: for all H, K in the lattice, H n K, the set product HK
     (checked to be a subgroup first), and C_G(H) are again lattice
-    members.  subnormal_pass: every member's iterated normalizer chain
-    reaches G.  Members come from `subgroup_classes` as index sets with
-    generators, sorted by (order, element list).
+    members.  HK always lies inside <H, K>, the closure of both generator
+    lists, so it is a subgroup exactly when it equals that closure.
+    subnormal_pass: every member's iterated normalizer chain reaches G.
+    Members come from `subgroup_classes` as index sets with generators,
+    sorted by (order, element list).
     """
     classes = subgroup_classes(group, bound=bound)
     measures = _class_measures(group, classes)
@@ -84,11 +81,12 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
     for hs, h_gens in lattice_pairs:
         if group.centralizer_indices(h_gens) not in lattice_sets:
             closure_pass = False
-        for ks, _ in lattice_pairs:
+        for ks, k_gens in lattice_pairs:
             if frozenset(hs & ks) not in lattice_sets:
                 closure_pass = False
             product = frozenset(table[a][b] for a in hs for b in ks)
-            if not _is_subgroup_indices(group, product) or product not in lattice_sets:
+            if (product != group.closure_indices(h_gens + k_gens)
+                    or product not in lattice_sets):
                 closure_pass = False
     subnormal_pass = all(_subnormal_by_normalizer_chain(group, hs)
                          for hs, _ in lattice_pairs)

@@ -25,9 +25,9 @@ from pathlib import Path
 
 from . import birkhoff, cd, gamma, hull, reppoly
 from .errors import InvariantError, PreconditionError
-from .perm import (REGULAR_MAX_DEGREE, Permutation, PermutationGroup,
-                   builtin_group_names, group_from_generator_lines,
-                   named_group)
+from .perm import (Permutation, PermutationGroup, builtin_group_names,
+                   group_from_generator_lines, named_group)
+from .regular import REGULAR_MAX_DEGREE
 from .reports import Report, render_report
 
 

@@ -294,7 +294,7 @@ def comb_automorphisms(inc: IncidenceStructure) -> AutomorphismGroup:
             witness = _search(plan, order[:k] + (w,))
             if witness is not None:
                 level.append(witness)
-                orbit = saturate([b], level, lambda x, g: g[x])
+                orbit = saturate([b], [g.__getitem__ for g in level])
         base.append(b)
         orbit_lengths.append(len(orbit))
         witnesses.extend(level)

@@ -9,15 +9,17 @@ TypeError.  The arithmetic runs on `int`: a rational vector is scaled once
 by the lcm of its denominators (`clear_denominators`), a matrix keeps only
 its entries' integer numerators over one common denominator, and every
 elimination is fraction-free.  A matrix builds its Fraction entries the
-first time they are read, so products, inverses, hashing and equality
-build none.  Matrices are immutable row-major tuples.
+first time they are read, so products, hashing and equality build none.
+Matrices are immutable row-major tuples.
 
 There are two row reductions, both on integer rows.  `_independent_rows`
 is a lazy one-pass generator that keeps the greedy independent rows with
 their pivot columns: the hull's affine chart and double-description
-start take their rows and pivots from it.  `_gauss_jordan` is Bareiss's fraction-free Gauss-Jordan elimination of a
-square matrix: it returns the determinant up to sign and the adjugate
-with the same sign, behind `inverse` and the double-description start.
+start take their rows and pivots from it, and `reppoly.matrix_closure`
+checks that a generator is invertible by its rank.  `_gauss_jordan` is
+Bareiss's fraction-free Gauss-Jordan elimination of a square matrix: it
+returns the determinant up to sign and the adjugate with the same sign,
+D M^-1, for the double-description start.
 
 Text form of a rational is "p/q" with q > 0, or just "p" when q == 1.
 """
@@ -104,7 +106,7 @@ class RationalMatrix:
 
     A matrix holds only its canonical form: the integer numerators `_num`
     over the one common denominator `_den` > 0, the lcm of the entries'
-    reduced denominators.  Products, inverses, equality and the hash are
+    reduced denominators.  Products, equality and the hash are
     computed on that form, which is equal exactly when the entries are.
     `entries`, the Fractions, are built on first read and kept."""
 
@@ -254,16 +256,3 @@ def _gauss_jordan(rows: Sequence[Sequence[int]]
         prev = pk
     return prev, [r[n:] for r in work]
 
-
-def inverse(matrix: RationalMatrix) -> RationalMatrix:
-    """Exact inverse of a square invertible matrix: with M = N / q for
-    the integer numerators N, M^-1 = q N^-1 = q A / D for (D, A) the
-    fraction-free Gauss-Jordan of N."""
-    n = matrix.rows
-    if matrix.cols != n:
-        raise ValueError("inverse of non-square matrix")
-    num = matrix._num
-    det, adj = _gauss_jordan([num[i * n:(i + 1) * n] for i in range(n)])
-    sign = 1 if det > 0 else -1
-    q = matrix._den * sign
-    return RationalMatrix._over(n, n, [q * x for r in adj for x in r], det * sign)

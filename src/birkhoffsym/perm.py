@@ -12,9 +12,12 @@ Conventions, fixed once and used everywhere:
 
 Groups here stay small (a few thousand elements at the very most), which is
 why explicit element lists beat any stabilizer-chain machinery in both
-simplicity and, at this scale, speed.  `closure` and the regular-subgroup
-search in `regular` multiply image tuples with one `operator.itemgetter`
-per right factor (`_right_mul`), so each product runs in C.  The
+simplicity and, at this scale, speed.  `saturate` is the package's one
+breadth-first closure: the closure of some seeds under unary steps.  A
+step is a product by a fixed factor or the action of a fixed
+permutation on points, and it runs in C where it can: `closure` and the
+regular-subgroup search in `regular` multiply image tuples with one
+`operator.itemgetter` per right factor (`_right_mul`).  The
 multiplication table belongs to the group: `PermutationGroup.table`
 works on positions in the sorted element list, so the identity is always
 at 0, and it is built on first read and kept with the group.  Only
@@ -24,12 +27,6 @@ That table is also the group's one regular action: `regular_action` reads
 the left and right translations and the inversion of G on its own element
 indices off it.  `subgroup_classes` enumerates subgroups up to conjugacy
 on the same table, by cyclic extension; `all_subgroups` lists them all.
-Regular subgroups are searched up to conjugacy too, in `regular` and
-with no table: a regular U is transitive, so G = G_0 U for the stabilizer
-G_0 of point 0, and every G-conjugate of U is a G_0-conjugate.  The
-search tries one first fiber choice per conjugacy class under the
-stabilizer of points 0 and 1, which meets every class;
-`regular_subgroups` expands every class into its members.
 
 Cycle notation names points by number, and the degree follows from the
 largest point named, so `parse_cycles` and `group_from_generator_lines`
@@ -46,8 +43,6 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import NotASubgroupError, PreconditionError
 
 MAX_DEGREE = 4096  # points 0..MAX_DEGREE-1 are the most cycle notation may name
-REGULAR_MAX_DEGREE = 24  # largest degree regular.regular_representatives searches
-REGULAR_MAX_ORDER = 1500  # largest order regular.regular_representatives searches
 
 
 class Permutation:
@@ -268,29 +263,13 @@ class PermutationGroup:
         return self._inv
 
     def closure_indices(self, seeds: Iterable[int]) -> frozenset[int]:
-        """Positions of the subgroup generated by the seed positions.
-
-        The same breadth-first loop as `saturate`, kept inline over table
-        rows: subgroup_classes runs it once per extension it tries, and
-        routing it through saturate's product callback made 700 closures
-        in S_5 about 1.3x slower.
-        """
+        """Positions of the subgroup generated by the seed positions: the
+        closure of the identity and the seeds under left multiplication by
+        the seeds, table row s read as the step w -> s w."""
+        seeds = list(seeds)
         table = self.table
-        seeds = list(dict.fromkeys(seeds))
-        known = {0}
-        known.update(seeds)
-        frontier = list(known)
-        while frontier:
-            nxt = []
-            for w in frontier:
-                row = table[w]
-                for s in seeds:
-                    p = row[s]
-                    if p not in known:
-                        known.add(p)
-                        nxt.append(p)
-            frontier = nxt
-        return frozenset(known)
+        return frozenset(saturate([0, *seeds],
+                                  [table[s].__getitem__ for s in seeds]))
 
     def centralizer_indices(self, indices: Iterable[int]) -> frozenset[int]:
         """Positions of the elements commuting with every given position.
@@ -340,26 +319,30 @@ class PermutationGroup:
                                 gens)
 
 
-def saturate(seeds: Iterable, gens: Sequence, mul: Callable,
+def saturate(seeds: Iterable, steps: Sequence[Callable],
              cap: Optional[int] = None) -> set:
-    """Closure of the seeds under right multiplication by the generators.
+    """Closure of the seeds under the unary steps.
 
-    Breadth-first: every known w is extended to mul(w, g) for each g until
-    nothing new appears.  For a finite group, seeding with the identity
-    yields the subgroup the generators generate, because each element is
-    a positive word in them.  More than `cap` elements raises
-    PreconditionError, so a runaway (or infinite) closure stops early.
+    Breadth-first: every known w is extended to step(w) for each step
+    until nothing new appears, which is the orbit algorithm (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
+    With the steps the products by the generators of a finite group and
+    the identity among the seeds, the closure is the subgroup they
+    generate, because each element is a positive word in them; with the
+    steps the permutations of a group acting on points, it is the orbit
+    of the seeds.  More than `cap` elements raises PreconditionError, so
+    a runaway (or infinite) closure stops early.
     """
     known = set(seeds)
     frontier = list(known)
     while frontier:
         nxt = []
         for w in frontier:
-            for g in gens:
-                prod = mul(w, g)
-                if prod not in known:
-                    known.add(prod)
-                    nxt.append(prod)
+            for step in steps:
+                p = step(w)
+                if p not in known:
+                    known.add(p)
+                    nxt.append(p)
                     if cap is not None and len(known) > cap:
                         raise PreconditionError(
                             f"closure exceeds bound {cap}")
@@ -374,27 +357,23 @@ def _right_mul(g: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...
     return itemgetter(*g) if len(g) > 1 else tuple
 
 
-def _apply(w: tuple[int, ...], step: Callable) -> tuple[int, ...]:
-    return step(w)  # w * g for step = _right_mul(g.images)
-
-
 def closure(generators: Sequence[Permutation],
             tags: Optional[Sequence[str]] = None,
             max_order: Optional[int] = None) -> PermutationGroup:
     """Group generated by the given permutations, by breadth-first closure
     on image tuples: _right_mul(g.images) maps w to w * g.  max_order
-    aborts runaway closures."""
+    aborts runaway closures.  Tags, when given, label the generators one
+    for one; a list of another length raises ValueError."""
     if not generators:
         raise ValueError("closure needs at least one generator or a degree hint")
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators act on different point sets")
-    seen = saturate([tuple(range(degree))],
-                    [_right_mul(g.images) for g in generators],
-                    _apply, max_order)
     if tags is None:
         tags = [g.cycle_string() for g in generators]
-    tagged = tuple(zip(tags, generators))
+    tagged = tuple(zip(tags, generators, strict=True))
+    seen = saturate([tuple(range(degree))],
+                    [_right_mul(g.images) for g in generators], max_order)
     # every member is a product of the (validated) generators
     return PermutationGroup(degree, [Permutation._unchecked(t) for t in seen],
                             tagged)
@@ -539,30 +518,6 @@ def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[Permutation
                   key=lambda sub: (len(sub[0]), sub[0]))
     return [group.subgroup_from_indices(members, gens)
             for members, gens in subs]
-
-
-def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
-    """All sharply transitive (regular) subgroups of G, sorted by element
-    list, each tagged with its fiber choices, which generate it.
-
-    They are the G_0-conjugates of `regular.regular_representatives`, the
-    way `all_subgroups` lists every member of `subgroup_classes`: a
-    regular U is transitive, so G = G_0 U and each G-conjugate of U is a
-    G_0-conjugate, and the search meets every class.  No package code
-    calls it; `commuting_regular_pairs` expands only the classes that
-    have a partner."""
-    # imported here: regular imports perm
-    from .regular import regular_conjugates, regular_representatives
-    return regular_conjugates(group, regular_representatives(group))
-
-
-def is_regular(group: PermutationGroup, sub: PermutationGroup, base: int = 0) -> bool:
-    """Sharp transitivity check: |U| equals the degree and the images of
-    `base` under U hit every point exactly once."""
-    if not sub.is_subgroup_of(group):
-        raise NotASubgroupError("is_regular: not a subgroup")
-    hits = {p(base) for p in sub.elements}
-    return sub.order == group.degree and len(hits) == group.degree
 
 
 _BUILTIN_GENERATORS: dict[str, tuple[int, tuple[str, ...]]] = {

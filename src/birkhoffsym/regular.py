@@ -6,18 +6,20 @@ is a conjugate by G_0, the stabilizer of point 0: U is transitive, so
 G = G_0 U, and x u U u^-1 x^-1 = x U x^-1.  `regular_representatives`
 searches for at least one U in each of those classes, on image tuples
 and with no multiplication table; `regular_conjugates` expands the
-classes a caller keeps into tagged groups.  `perm.regular_subgroups`
-lists every class, and `gamma.commuting_regular_pairs` only those with a
-partner.
+classes a caller keeps into tagged groups.  `regular_subgroups` lists
+every class, and `gamma.commuting_regular_pairs` only those with a
+partner.  `is_regular` checks one subgroup directly.
 """
 
 from __future__ import annotations
 
 from typing import Collection, Iterable, Optional
 
-from .errors import PreconditionError
-from .perm import (REGULAR_MAX_DEGREE, REGULAR_MAX_ORDER, PermutationGroup,
-                   _right_mul, _tagged)
+from .errors import NotASubgroupError, PreconditionError
+from .perm import PermutationGroup, _right_mul, _tagged, saturate
+
+REGULAR_MAX_DEGREE = 24  # largest degree regular_representatives searches
+REGULAR_MAX_ORDER = 1500  # largest order regular_representatives searches
 
 
 def _one_cycle_length(images: tuple[int, ...]) -> bool:
@@ -41,11 +43,15 @@ def _one_cycle_length(images: tuple[int, ...]) -> bool:
 def _close_regular(current: frozenset, steps: list) -> Optional[frozenset]:
     """<current, extra> for current = <gens>, where steps are the right
     multiplications w -> w * g by gens and, last, by extra; None as soon
-    as two elements send point 0 to the same point."""
+    as two elements send point 0 to the same point.
+
+    A breadth-first closure of its own rather than `perm.saturate`, for
+    two reasons: it stops in the middle of the closure as soon as two
+    elements land in one fiber, where most branches of the search end,
+    and it seeds only from current * extra, since the products of current
+    by gens stay in current."""
     known = set(current)
     covered = {w[0] for w in current}
-    # products of current by gens stay in current, so only current * extra
-    # is new; every new element is multiplied by all steps
     pending = [steps[-1](w) for w in current]
     while pending:
         fresh = []
@@ -157,10 +163,7 @@ def _forced_choices(members: Collection[tuple[int, ...]]) -> list[tuple[int, ...
     orbit, choices = {0}, []
     while len(orbit) < len(members):
         choices.append(in_fiber[min(in_fiber.keys() - orbit)])
-        frontier = orbit
-        while frontier:
-            frontier = {g[p] for p in frontier for g in choices} - orbit
-            orbit |= frontier
+        orbit = saturate([0], [g.__getitem__ for g in choices])
     return choices
 
 
@@ -183,3 +186,25 @@ def regular_conjugates(group: PermutationGroup,
                              _tagged(elements[index[g]]
                                      for g in _forced_choices(members)))
             for members in sorted(tuple(sorted(u)) for u in found)]
+
+
+def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
+    """All sharply transitive (regular) subgroups of G, sorted by element
+    list, each tagged with its fiber choices, which generate it.
+
+    They are the G_0-conjugates of `regular_representatives`, the way
+    `perm.all_subgroups` lists every member of `perm.subgroup_classes`: a
+    regular U is transitive, so G = G_0 U and each G-conjugate of U is a
+    G_0-conjugate, and the search meets every class.  No package code
+    calls it; `commuting_regular_pairs` expands only the classes that
+    have a partner."""
+    return regular_conjugates(group, regular_representatives(group))
+
+
+def is_regular(group: PermutationGroup, sub: PermutationGroup, base: int = 0) -> bool:
+    """Sharp transitivity check: |U| equals the degree and the images of
+    `base` under U hit every point exactly once."""
+    if not sub.is_subgroup_of(group):
+        raise NotASubgroupError("is_regular: not a subgroup")
+    hits = {p(base) for p in sub.elements}
+    return sub.order == group.degree and len(hits) == group.degree

@@ -16,7 +16,6 @@ comparison doubles as a regression check.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -24,7 +23,7 @@ from typing import Optional
 from .birkhoff import birkhoff_vertices, permutation_matrix
 from .combiso import comb_automorphisms, comb_equivalent
 from .errors import PreconditionError
-from .exact import RationalMatrix, inverse, parse_rational
+from .exact import RationalMatrix, _independent_rows, parse_rational
 from .hull import Polytope, certify_vertices, facet_enumeration, incidence_of
 from .perm import (Permutation, PermutationGroup, closure, generating_set,
                    named_group, regular_action, saturate)
@@ -77,8 +76,11 @@ def matrix_closure(generators: list[RationalMatrix],
 
     A finite set of invertible matrices containing the identity and
     closed under products is a group (each element's powers cycle), so
-    plain product saturation suffices.  Exceeding the bound raises,
-    since the closure may well be infinite.
+    plain product saturation suffices; left and right products by the
+    generators close to the same set, and `g.__mul__` is the left one.
+    A generator is invertible when its integer numerator rows are
+    independent.  Exceeding the bound raises, since the closure may well
+    be infinite.
     """
     if not generators:
         raise PreconditionError("matrix closure needs at least one generator")
@@ -86,13 +88,12 @@ def matrix_closure(generators: list[RationalMatrix],
     for g in generators:
         if g.rows != g.cols or g.rows != dim:
             raise PreconditionError("generators must be square of equal size")
-        try:
-            inverse(g)
-        except ValueError as exc:
-            raise PreconditionError("generator is not invertible") from exc
+        rows = (g._num[i:i + dim] for i in range(0, dim * dim, dim))
+        if sum(1 for _ in _independent_rows(rows)) < dim:
+            raise PreconditionError("generator is not invertible")
     ident = RationalMatrix.identity(dim)
     try:
-        seen = saturate([ident], generators, operator.mul, bound)
+        seen = saturate([ident], [g.__mul__ for g in generators], bound)
     except PreconditionError as exc:
         raise PreconditionError("group not finite at this bound") from exc
     others = sorted((m for m in seen if m != ident),

@@ -14,8 +14,8 @@ from operator import itemgetter
 from typing import Optional
 
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.perm import (REGULAR_MAX_DEGREE, REGULAR_MAX_ORDER,
-                              PermutationGroup, _tagged)
+from birkhoffsym.perm import PermutationGroup, _tagged
+from birkhoffsym.regular import REGULAR_MAX_DEGREE, REGULAR_MAX_ORDER
 
 
 def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:

@@ -1,6 +1,8 @@
 """Tests for the Chermak-Delgado measure, lattice, and the |U||C(U)| <= n!
 estimate in symmetric groups."""
 
+from collections import Counter
+
 import pytest
 
 from birkhoffsym.cd import cd_lattice, cd_measure, verify_centralizer_estimate
@@ -129,6 +131,25 @@ def test_centralizer_estimate_rejects_other_n():
             verify_centralizer_estimate(n)
     with pytest.raises(PreconditionError):
         verify_centralizer_estimate(6, bound=200)
+
+
+def test_product_subgroup_criterion_matches_all_pairs():
+    # HK lies in <H, K>, so cd_lattice takes HK for a subgroup exactly when
+    # it equals the closure of both generator lists; checked against all
+    # |HK|^2 products over every pair of subgroups of S_4, non-subgroup
+    # products such as <(0 1)><(0 2)> included
+    group = symmetric_group(4)
+    table = group.table
+    subs = [sub for cls in subgroup_classes(group) for sub in cls]
+    verdicts = Counter()
+    for hs, h_gens in subs:
+        for ks, k_gens in subs:
+            product = frozenset(table[a][b] for a in hs for b in ks)
+            closed = all(table[a][b] in product
+                         for a in product for b in product)
+            assert (product == group.closure_indices(h_gens + k_gens)) == closed
+            verdicts[closed] += 1
+    assert len(subs) == 30 and verdicts[True] and verdicts[False]
 
 
 def test_cd_lattice_two_element_iff_trivial_center_extremes():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from birkhoffsym import cli, combiso, gamma, hull, perm
+from birkhoffsym import cli, combiso, gamma, hull, perm, regular
 from birkhoffsym.birkhoff import (SymmetryDecomposition, reconstruct_symmetry)
 from birkhoffsym.cli import main
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
@@ -151,15 +151,17 @@ def test_group_file_input(tmp_path, capsys):
 
 
 def count_products(monkeypatch) -> list:
-    """The list that every product `perm.saturate` takes is appended to."""
+    """The list that every step `perm.saturate` takes is appended to."""
     products = []
     saturate = perm.saturate
 
-    def counting(seeds, gens, mul, cap=None):
-        def counted(w, g):
-            products.append(w)
-            return mul(w, g)
-        return saturate(seeds, gens, counted, cap)
+    def counting(seeds, steps, cap=None):
+        def counted(step):
+            def run(w):
+                products.append(w)
+                return step(w)
+            return run
+        return saturate(seeds, [counted(step) for step in steps], cap)
 
     monkeypatch.setattr(perm, "saturate", counting)
     return products
@@ -208,7 +210,7 @@ def test_regular_pairs_refuses_d13_before_building_gamma(tmp_path, capsys,
 
     monkeypatch.setattr(gamma, "build_gamma", refuse)
     assert main(["regular-pairs", "--group", str(path)]) == 3
-    assert (f"exceeds bound {perm.REGULAR_MAX_DEGREE}"
+    assert (f"exceeds bound {regular.REGULAR_MAX_DEGREE}"
             in capsys.readouterr().err)
 
 

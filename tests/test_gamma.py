@@ -15,9 +15,9 @@ from birkhoffsym.gamma import (automorphisms, build_gamma,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
 from birkhoffsym.perm import (Permutation, PermutationGroup, named_group,
-                              regular_subgroups, all_subgroups, centralizer,
-                              closure, is_regular, parse_cycles,
-                              regular_action)
+                              all_subgroups, centralizer, closure,
+                              parse_cycles, regular_action)
+from birkhoffsym.regular import is_regular, regular_subgroups
 
 
 def translation_subgroups(group):

@@ -16,7 +16,7 @@ from birkhoffsym import hull
 from birkhoffsym.birkhoff import analytic_facet_sets, birkhoff_vertices
 from birkhoffsym.errors import InvariantError, PreconditionError
 from birkhoffsym.exact import (RationalMatrix, _independent_rows,
-                               clear_denominators, inverse)
+                               clear_denominators)
 from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
                               certify_vertices, facet_enumeration, incidence_of,
                               polytope_from_document, polytope_to_document)
@@ -404,9 +404,10 @@ def conjugated(points_of_group, dim, rng):
         p = RationalMatrix.from_rows(
             [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]
              for _ in range(dim)])
-        if sympy.Matrix(dim, dim, p.entries).rank() == dim:
+        s = sympy.Matrix(dim, dim, p.entries)
+        if s.rank() == dim:
             break
-    p_inv = inverse(p)
+    p_inv = RationalMatrix(dim, dim, (Fraction(str(x)) for x in s.inv()))
     return [(p_inv * RationalMatrix(dim, dim, g) * p).entries
             for g in points_of_group]
 

@@ -8,7 +8,8 @@ because its imports are the package's re-exports, and `__future__`
 imports bind no name.  Likewise a helper whose last caller is gone, or
 that only tests call, is reported.  An export from `__init__` is not a
 reader: a name no package module reads is kept only when KEPT_EXPORTS
-lists it, with the reason it stays."""
+lists it, with the reason it stays.  A package module imported inside a
+function, where an import cycle would hide, is reported too."""
 
 import ast
 from collections import Counter
@@ -179,6 +180,33 @@ def test_detects_a_dead_definition():
                      "C().method\n")
     assert dead_definitions({"m": tree}, {"C"}) == [
         "m.unused", "m.recursive", "m.read"]
+
+
+def function_level_package_imports(tree: ast.AST) -> list[int]:
+    """Line of each relative import inside a function: a package module
+    imported there hides an import cycle between package modules."""
+    return sorted({node.lineno for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and node.level > 0})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_package_imports(path):
+    lines = function_level_package_imports(
+        ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name}: package imports inside functions on lines {lines}"
+
+
+def test_detects_a_function_level_package_import():
+    tree = ast.parse("from .perm import closure\n"
+                     "def f():\n"
+                     "    import itertools\n"
+                     "    from .regular import regular_subgroups\n"
+                     "    def g():\n"
+                     "        from . import gamma\n"
+                     "    return itertools, regular_subgroups, g\n")
+    assert function_level_package_imports(tree) == [4, 6]
 
 
 def assert_statements(tree: ast.AST) -> list[int]:

@@ -16,13 +16,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from birkhoffsym.errors import NotASubgroupError, PreconditionError
+from birkhoffsym.gamma import build_gamma
 from birkhoffsym.perm import (MAX_DEGREE, Permutation,
                               PermutationGroup, all_subgroups,
                               builtin_group_names, centralizer, closure,
-                              group_from_generator_lines, is_regular,
-                              named_group, parse_cycles, regular_action,
-                              regular_subgroups, subgroup_classes,
-                              symmetric_group)
+                              group_from_generator_lines, named_group,
+                              parse_cycles, regular_action, saturate,
+                              subgroup_classes, symmetric_group)
+from birkhoffsym.regular import is_regular, regular_subgroups
 
 
 def perm_strategy(degree):
@@ -130,6 +131,45 @@ def test_closure_cap():
     gens = [parse_cycles("(0 1)", 5), parse_cycles("(0 1 2 3 4)", 5)]
     with pytest.raises(PreconditionError):
         closure(gens, max_order=100)
+
+
+def test_closure_refuses_a_tag_list_of_another_length():
+    # a short tag list used to drop the untagged generators from the
+    # group's generators while the elements still came from all of them
+    gens = [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)]
+    for tags in (["t"], ["a", "b", "c"]):
+        with pytest.raises(ValueError):
+            closure(gens, tags=tags)
+    assert closure(gens, tags=["a", "b"]).generators == (("a", gens[0]),
+                                                        ("b", gens[1]))
+
+
+def test_saturate_gives_orbits_and_stops_at_the_cap():
+    g = parse_cycles("(0 1 2)(3 4)", 6).images
+    h = parse_cycles("(2 5)", 6).images
+    steps = [g.__getitem__, h.__getitem__]
+    assert saturate([0], steps) == {0, 1, 2, 5}
+    assert saturate([3], steps) == {3, 4}
+    assert saturate([0, 3], steps) == {0, 1, 2, 3, 4, 5}
+    with pytest.raises(PreconditionError, match="exceeds bound 3"):
+        saturate([0], steps, cap=3)
+
+
+@pytest.mark.parametrize("name", ["s5", "gamma_s3"])
+def test_closure_indices_match_closure(name):
+    # left products by the seeds close to the subgroup the seeds generate,
+    # the one `closure` finds from the seed permutations
+    group = (symmetric_group(5) if name == "s5"
+             else build_gamma(named_group("s3")))
+    rng = random.Random(15)
+    orders = set()
+    for _ in range(40):
+        seeds = rng.sample(range(group.order), rng.randint(0, 3))
+        got = group.closure_indices(seeds)
+        sub = closure([group.elements[s] for s in seeds] or [group.identity])
+        assert got == {group.index[p.images] for p in sub.elements}
+        orders.add(len(got))
+    assert len(orders) > 3
 
 
 def test_builtin_structure():

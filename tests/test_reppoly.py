@@ -6,7 +6,7 @@ import json
 import pytest
 
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.exact import RationalMatrix, inverse
+from birkhoffsym.exact import RationalMatrix
 from birkhoffsym.hull import incidence_of
 from birkhoffsym.combiso import comb_equivalent
 from birkhoffsym.birkhoff import birkhoff_vertices
@@ -51,8 +51,11 @@ def test_closure_s3_permutation_matrices():
 
 
 def test_closure_rejects_singular_generator():
-    with pytest.raises(PreconditionError, match="not invertible"):
-        matrix_closure([matrix_from_rows([["1", "1"], ["1", "1"]])])
+    # the second has rank 2: third row = first + second, p/q entries
+    for rows in ([["1", "1"], ["1", "1"]],
+                 [["0", "1", "1/2"], ["3/2", "1/2", "0"], ["3/2", "3/2", "1/2"]]):
+        with pytest.raises(PreconditionError, match="not invertible"):
+            matrix_closure([matrix_from_rows(rows)])
 
 
 def test_closure_rejects_infinite_group():
@@ -122,12 +125,15 @@ def test_translation_maps_match_matrix_products(n):
     for entry in default_catalog(n):
         elems = entry.matrix_group.elements
         index = {m: i for i, m in enumerate(elems)}
+        # the inverse of x in the group is the element y with x y = 1
+        inverse = {x: next(y for y in elems if (x * y).is_identity())
+                   for x in elems}
         lams, rhos, iota = translation_vertex_maps(entry.matrix_group)
         assert [p.images for p in lams] == [
             tuple(index[g * x] for x in elems) for g in elems], entry.name
         assert [p.images for p in rhos] == [
-            tuple(index[x * inverse(g)] for x in elems) for g in elems], entry.name
-        assert iota.images == tuple(index[inverse(x)] for x in elems), entry.name
+            tuple(index[x * inverse[g]] for x in elems) for g in elems], entry.name
+        assert iota.images == tuple(index[inverse[x]] for x in elems), entry.name
 
 
 def test_gamma_acts_standard_s3():
