@@ -45,7 +45,6 @@ from .perm import (
     named_group,
     symmetric_group,
 )
-from .regular import is_regular, regular_subgroups
 from .reppoly import (
     MatrixGroup,
     default_catalog,

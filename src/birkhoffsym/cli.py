@@ -27,7 +27,6 @@ from . import birkhoff, cd, gamma, hull, reppoly
 from .errors import InvariantError, PreconditionError
 from .perm import (Permutation, PermutationGroup, builtin_group_names,
                    group_from_generator_lines, named_group)
-from .regular import REGULAR_MAX_DEGREE
 from .reports import Report, render_report
 
 
@@ -163,7 +162,7 @@ def _cmd_wreath(args):
 def _cmd_regular_pairs(args):
     # Gamma(G) acts on |G| points: refuse G above the search's degree bound
     # while loading it, before Gamma(G) is closed
-    _, group = _load_group(args.group, REGULAR_MAX_DEGREE)
+    _, group = _load_group(args.group, gamma.REGULAR_MAX_DEGREE)
     gamma_group = gamma.build_gamma(group)
     pairs = gamma.commuting_regular_pairs(gamma_group)
 

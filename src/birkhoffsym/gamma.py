@@ -16,11 +16,12 @@ Facts verified computationally by this module:
 
 * |Gamma(G)| = 2|G|^2 / |Z(G)| unless G is an elementary abelian 2-group
   (where iota and the lambda/rho distinction collapse).
-* The commuting regular subgroup pairs of Gamma(G): a complete search
-  for the regular subgroups up to conjugacy, each paired with its
-  centralizer in Sym(G), the only regular group it can commute with; for
-  G = S_n with a two-element Chermak-Delgado lattice the only pair is
-  {lambda(G), rho(G)}.
+* The commuting regular subgroup pairs of Gamma(G): each regular U can
+  commute only with its centralizer in Sym(G), which is regular, so one
+  search over fiber choices, pruned by the centralizer in Gamma of the
+  choices so far, finds exactly the U whose centralizer lies in Gamma,
+  and their partners; for G = S_n with a two-element Chermak-Delgado
+  lattice the only pair is {lambda(G), rho(G)}.
 * The normalizer of Gamma(G) in the full symmetric group equals
   Aut(G) * Gamma(G) (brute force, small G only).
 """
@@ -29,15 +30,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
-from .errors import PreconditionError
-from .perm import (Permutation, PermutationGroup, centralizer, closure,
-                   generating_set, regular_action)
-from .regular import regular_conjugates, regular_representatives
+from .errors import InvariantError, PreconditionError
+from .perm import (Permutation, PermutationGroup, _right_mul, _tagged,
+                   centralizer, closure, generating_set, regular_action,
+                   saturate)
 
 MAX_GAMMA_BASE = 30  # largest |G| whose Gamma(G) is built
 MAX_NORMALIZER_BASE = 6  # largest |G| for the brute-force normalizer
+REGULAR_MAX_DEGREE = 24  # largest degree of Gamma the regular-pair search takes
+REGULAR_MAX_ORDER = 1500  # largest order of Gamma the regular-pair search takes
 
 
 def build_gamma(group: PermutationGroup,
@@ -97,41 +101,136 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
                         kernel_pass and actual == formula)
 
 
+def _one_cycle_length(images: tuple[int, ...]) -> bool:
+    """Whether every cycle of the permutation has the same length."""
+    seen = bytearray(len(images))
+    length = 0
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        x, n = start, 0
+        while not seen[x]:
+            seen[x] = 1
+            x = images[x]
+            n += 1
+        if length and n != length:
+            return False
+        length = n
+    return True
+
+
+def _narrow(cents: list, g: tuple[int, ...], g_mul) -> Optional[list]:
+    """The (c, c_mul) of each fiber in `cents` that commute with g, or None
+    at the first fiber left empty."""
+    narrowed = []
+    for cent in cents:
+        cent = [(c, c_mul) for c, c_mul in cent if g_mul(c) == c_mul(g)]
+        if not cent:
+            return None
+        narrowed.append(cent)
+    return narrowed
+
+
+def _partnered_regular_subgroups(gamma: PermutationGroup) -> list[tuple]:
+    """(members, choices, partner) for every regular subgroup U of Gamma
+    whose centralizer in Sym(Omega) lies in Gamma: U's and its partner's
+    sorted image tuples, and the fiber choices that found U, which
+    generate it.  Gamma may have degree at most REGULAR_MAX_DEGREE and
+    order at most REGULAR_MAX_ORDER.
+
+    A regular U has exactly one element sending point 0 to each point, so
+    U picks one element from each fiber {g in Gamma : g(0) = x}.  The
+    search takes the least point its closure has not covered and tries
+    the elements of that fiber in sorted order; the choice is the one
+    element of U there, so each U is found once, by the same choices as
+    an unpruned search.  Only semiregular elements are tried: a
+    non-identity u in U fixes no point, and neither does u^k for
+    0 < k < ord(u), so every cycle of u has length ord(u).  A choice is
+    closed with the earlier ones by `saturate`, and dropped when the
+    closure passes m = degree elements or hits one fiber twice.
+
+    The prune: for each fiber 1..m-1 the search carries the elements of
+    Gamma that commute with every choice so far, and drops a choice that
+    leaves one of these sets empty.  The centralizer in Sym(Omega) of a
+    regular group is regular (Dixon & Mortimer, Permutation Groups, 1996,
+    section 4.2), so a U with a partner V in Gamma has V inside
+    C_Gamma(choices) at every step, and V meets every fiber: no such U is
+    pruned.  At a leaf the kept elements, with the identity, are
+    C_Gamma(U); it has at least m elements and lies in the regular group
+    C_Sym(U) of order m, so it is C_Sym(U), and U's partner lies in Gamma
+    and is found too.
+    """
+    m = gamma.degree
+    if m > REGULAR_MAX_DEGREE:
+        raise PreconditionError(f"degree {m} exceeds bound {REGULAR_MAX_DEGREE}")
+    if gamma.order > REGULAR_MAX_ORDER:
+        raise PreconditionError(
+            f"order {gamma.order} exceeds bound {REGULAR_MAX_ORDER}")
+    identity = tuple(range(m))
+    fibers: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
+    for p in gamma.elements:
+        fibers[p.images[0]].append(p.images)
+    branches: dict[int, list] = {}
+    found = []
+
+    def extend(current: frozenset, choices: list, steps: list,
+               cents: list) -> None:
+        if len(current) == m:
+            partner = [identity, *(c for cent in cents for c, _ in cent)]
+            found.append((tuple(sorted(current)), choices,
+                          tuple(sorted(partner))))
+            return
+        covered = {w[0] for w in current}
+        x = min(p for p in range(m) if p not in covered)
+        if x not in branches:  # few fibers are reached: filter on first visit
+            branches[x] = [(g, _right_mul(g)) for g in fibers[x]
+                           if _one_cycle_length(g)]
+        for g, g_mul in branches[x]:
+            narrowed = _narrow(cents, g, g_mul)
+            if narrowed is None:
+                continue
+            more = steps + [g_mul]
+            try:
+                closed = saturate(current, more, m)
+            except PreconditionError:
+                continue
+            if len({w[0] for w in closed}) == len(closed):
+                extend(frozenset(closed), choices + [g], more, narrowed)
+
+    extend(frozenset({identity}), [], [],
+           [[(c, _right_mul(c)) for c in fiber] for fiber in fibers[1:]])
+    return found
+
+
 def commuting_regular_pairs(gamma: PermutationGroup
                             ) -> list[tuple[PermutationGroup, PermutationGroup]]:
     """All unordered pairs {U, V} of regular subgroups of Gamma(G), as
     `build_gamma(G)` returns it, that centralize each other elementwise,
-    in the order of `regular_subgroups`, U first.  U = V is allowed and
-    occurs exactly when U is abelian.
+    sorted by U's element list, U first.  U = V is allowed and occurs
+    exactly when U is abelian.  Each group is tagged with the fiber
+    choices that found it.
 
-    No pair is tested.  The centralizer C of a regular U in Sym(Omega) is
-    regular and is read off U's elements: with u_x the element sending 0
-    to x, c_v(x) = u_x(v) commutes with every u_w, since u_w u_x =
-    u_{u_w(x)}.  So the image tuples of C are the columns of U's rows
-    taken in the order of u(0), which is their sorted order.  A regular V
-    commuting with U lies in C and has its order, so V = C: U has a
-    partner exactly when those columns lie in Gamma, and then C is one of
-    the regular subgroups.
-
-    Only classes are searched.  Conjugating by x in Gamma carries C to
-    the centralizer of x U x^-1, so having a partner is a property of
-    U's Gamma-class, which is its Gamma_0-class (Gamma = Gamma_0 U for a
-    transitive U).  `regular_representatives` meets every such class;
-    only the representatives with a partner are expanded into their
-    Gamma_0-conjugates, and only those become groups.  Complete by
-    completeness of that search.
+    No pair is tested.  A regular V commuting with a regular U lies in
+    C_Sym(U), which is regular of the same order, so V = C_Sym(U): U has
+    a partner exactly when C_Sym(U) lies in Gamma.  The search finds
+    those U and their partners and no other regular subgroup; a partner
+    missing from its list is a broken certificate (InvariantError).
     """
-    partnered = [u for u in regular_representatives(gamma)
-                 if all(c in gamma.index for c in zip(*sorted(u)))]
-    regs = regular_conjugates(gamma, partnered)
-    position = {tuple(p.images for p in u.elements): a
-                for a, u in enumerate(regs)}
+    found = sorted(_partnered_regular_subgroups(gamma), key=itemgetter(0))
+    position = {members: a for a, (members, _, _) in enumerate(found)}
+    elements, index = gamma.elements, gamma.index
+    groups = [PermutationGroup(gamma.degree,
+                               [elements[index[w]] for w in members],
+                               _tagged(elements[index[g]] for g in choices))
+              for members, choices, _ in found]
     pairs = []
-    for a, u in enumerate(regs):
-        # a conjugate of a partnered U is partnered: its partner is listed
-        b = position[tuple(sorted(zip(*(p.images for p in u.elements))))]
+    for a, (_, _, partner) in enumerate(found):
+        b = position.get(partner)
+        if b is None:
+            raise InvariantError("the partner of a regular subgroup was "
+                                 "not found by the search")
         if b >= a:
-            pairs.append((u, regs[b]))
+            pairs.append((groups[a], groups[b]))
     return pairs
 
 

@@ -16,7 +16,7 @@ simplicity and, at this scale, speed.  `saturate` is the package's one
 breadth-first closure: the closure of some seeds under unary steps.  A
 step is a product by a fixed factor or the action of a fixed
 permutation on points, and it runs in C where it can: `closure` and the
-regular-subgroup search in `regular` multiply image tuples with one
+regular-pair search in `gamma` multiply image tuples with one
 `operator.itemgetter` per right factor (`_right_mul`).  The
 multiplication table belongs to the group: `PermutationGroup.table`
 works on positions in the sorted element list, so the identity is always
@@ -244,8 +244,8 @@ class PermutationGroup:
         (S_6): `subgroup_classes`, `centralizer`, `generating_set`, `cd`,
         `gamma.automorphisms`, and `regular_action`, which gives
         `gamma.build_gamma`, the vertex maps of `reppoly` and the B_n
-        transformation law their translations.  The regular-subgroup
-        search and `commuting_regular_pairs` read none."""
+        transformation law their translations.
+        `gamma.commuting_regular_pairs` and its search read none."""
         if self._table is None:
             idx = self.index  # image tuples in element order
             columns = [_right_mul(b) for b in idx]  # column b: a -> a*b

@@ -24,28 +24,22 @@ class Report:
     runtime_ms: int
 
 
-def jsonable(value: Any) -> Any:
-    """Recursively convert a report payload to plain JSON data.  The
+def _fields(value: Any) -> dict:
+    """`json.dumps` hook for what it cannot encode itself: a report
+    dataclass becomes its fields; any other type has no JSON form.  The
     commands hand over strings, integers, booleans, None, lists, tuples,
     dicts and report dataclasses; exact values arrive already formatted."""
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: jsonable(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def render_report(report: Report) -> str:
     doc = {
         "command": report.command,
-        "inputs": jsonable(report.inputs),
+        "inputs": report.inputs,
         "pass": report.passed,
-        "details": jsonable(report.details),
+        "details": report.details,
         "runtime_ms": report.runtime_ms,
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(doc, sort_keys=True, indent=2, default=_fields)

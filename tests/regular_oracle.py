@@ -1,21 +1,22 @@
 """Reference search for regular subgroups and commuting regular pairs.
 
-`regular_subgroups` is the search as it ran before it branched only on
-semiregular fiber elements and before its first choice was pruned by
-conjugation: every element of each fiber is tried, at every level, and
-it must find the same groups with the same tags in the same order.
-`commuting_pairs` is the pair loop that `commuting_regular_pairs` ran
-before it read each group's partner off its centralizer: every pair of
-regular subgroups is tested on their generators.  Only sensible up to
-Gamma(S_4), where the search tries 6 288 closures.
+`regular_subgroups` is the fiber search with no pruning: every element
+of each fiber is tried, at every level, and every regular subgroup is
+found, tagged with the fiber choices that found it.  The search in
+`gamma` is the same search restricted to semiregular elements and
+pruned by the centralizer of its choices, so it must find the ones with
+a partner with the same tags in the same order.  `commuting_pairs` is
+the pair loop: every pair of regular subgroups is tested on their
+generators.  `is_regular` checks one subgroup directly.  Only sensible
+up to Gamma(S_4), where the search tries 6 288 closures.
 """
 
 from operator import itemgetter
 from typing import Optional
 
-from birkhoffsym.errors import PreconditionError
+from birkhoffsym.errors import NotASubgroupError, PreconditionError
 from birkhoffsym.perm import PermutationGroup, _tagged
-from birkhoffsym.regular import REGULAR_MAX_DEGREE, REGULAR_MAX_ORDER
+from birkhoffsym.gamma import REGULAR_MAX_DEGREE, REGULAR_MAX_ORDER
 
 
 def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
@@ -90,6 +91,14 @@ def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     subs.sort(key=lambda h: tuple(p.images for p in h.elements))
     return subs
 
+
+def is_regular(group: PermutationGroup, sub: PermutationGroup, base: int = 0) -> bool:
+    """Sharp transitivity check: |U| equals the degree and the images of
+    `base` under U hit every point exactly once."""
+    if not sub.is_subgroup_of(group):
+        raise NotASubgroupError("is_regular: not a subgroup")
+    hits = {p(base) for p in sub.elements}
+    return sub.order == group.degree and len(hits) == group.degree
 
 
 def commuting_pairs(regs: list[PermutationGroup]

@@ -16,13 +16,12 @@ from pathlib import Path
 
 import pytest
 
-from birkhoffsym import cli, combiso, gamma, hull, perm, regular
+from birkhoffsym import cli, combiso, gamma, hull, perm
 from birkhoffsym.birkhoff import (SymmetryDecomposition, reconstruct_symmetry)
 from birkhoffsym.cli import main
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
                               polytope_to_document)
 from birkhoffsym.perm import Permutation, parse_cycles
-from birkhoffsym.reports import jsonable
 
 
 def run_json(capsys, argv):
@@ -210,8 +209,24 @@ def test_regular_pairs_refuses_d13_before_building_gamma(tmp_path, capsys,
 
     monkeypatch.setattr(gamma, "build_gamma", refuse)
     assert main(["regular-pairs", "--group", str(path)]) == 3
-    assert (f"exceeds bound {regular.REGULAR_MAX_DEGREE}"
+    assert (f"exceeds bound {gamma.REGULAR_MAX_DEGREE}"
             in capsys.readouterr().err)
+
+
+def test_regular_pairs_missing_partner_is_a_broken_certificate(capsys,
+                                                               monkeypatch):
+    # a search that loses lambda(S_3) leaves rho(S_3) without its partner:
+    # exit 4, not a KeyError traceback
+    search = gamma._partnered_regular_subgroups
+
+    def dropping(gamma_group):
+        found = search(gamma_group)
+        lost = next(f for f in found if f[0] != f[2])
+        return [f for f in found if f is not lost]
+
+    monkeypatch.setattr(gamma, "_partnered_regular_subgroups", dropping)
+    assert main(["regular-pairs", "--group", "s3"]) == 4
+    assert "partner" in capsys.readouterr().err
 
 
 def test_group_file_degree_cap(tmp_path, capsys):
@@ -274,7 +289,8 @@ def test_hull_cli(tmp_path, capsys):
     assert d["dim"] == 2
     assert d["inequality_convention"] == "normal.x <= offset"
     points = polytope_from_document(json.loads(path.read_text()))
-    assert d == jsonable(polytope_to_document(facet_enumeration(points)))
+    assert d == json.loads(json.dumps(
+        polytope_to_document(facet_enumeration(points))))
 
 
 def test_verify_symmetry_group_b5(capsys):

@@ -7,7 +7,9 @@ from functools import lru_cache
 import pytest
 
 import regular_oracle
-from birkhoffsym import perm, regular
+from regular_oracle import is_regular, regular_subgroups
+from birkhoffsym import gamma as gamma_module
+from birkhoffsym import perm
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.gamma import (automorphisms, build_gamma,
                                commuting_regular_pairs,
@@ -16,8 +18,8 @@ from birkhoffsym.gamma import (automorphisms, build_gamma,
                                verify_wreath_quotient)
 from birkhoffsym.perm import (Permutation, PermutationGroup, named_group,
                               all_subgroups, centralizer, closure,
-                              parse_cycles, regular_action)
-from birkhoffsym.regular import is_regular, regular_subgroups
+                              group_from_generator_lines, parse_cycles,
+                              regular_action)
 
 
 def translation_subgroups(group):
@@ -202,9 +204,8 @@ def listed(groups):
 
 
 def assert_matches_oracle(gamma, regs):
-    """The regular subgroups and the commuting pairs are the lists the
-    unpruned search and the pair loop give, tags and order included."""
-    assert listed(regs) == listed(regular_oracle.regular_subgroups(gamma))
+    """The commuting pairs are the list the pair loop gives on the regular
+    subgroups `regs` of the unpruned search, tags and order included."""
     assert (listed(sum(commuting_regular_pairs(gamma), ()))
             == listed(sum(regular_oracle.commuting_pairs(list(regs)), ())))
 
@@ -234,6 +235,33 @@ def test_regular_search_on_relabelled_groups_matches_oracle(name, seed):
     assert_matches_oracle(gamma, regular_subgroups(gamma))
 
 
+# generator lines of groups no built-in covers, with their orders
+GENERATOR_LINE_GROUPS = {
+    "trivial": (["()"], 1),
+    "a4": (["(0 1 2)", "(1 2 3)"], 12),
+    "d10": (["(0 1 2 3 4)", "(1 4)(2 3)"], 10),
+    "d12": (["(0 1 2 3 4 5)", "(1 5)(2 4)"], 12),
+    "c3xs3": (["(0 1 2)", "(3 4 5)", "(3 4)"], 18),
+    "d16": (["(0 1 2 3 4 5 6 7)", "(1 7)(2 6)(3 5)"], 16),
+    # Q_16 = <a, b | a^8, b^2 = a^4, b a b^-1 = a^-1> on a^i b^j -> i + 8j
+    "q16": (["(0 1 2 3 4 5 6 7)(8 9 10 11 12 13 14 15)",
+             "(0 8 4 12)(1 15 5 11)(2 14 6 10)(3 13 7 9)"], 16),
+    "f20": (["(0 1 2 3 4)", "(1 2 4 3)"], 20),
+    "f21": (["(0 1 2 3 4 5 6)", "(1 2 4)(3 6 5)"], 21),
+    # SL(2,3) on the nonzero vectors of F_3^2, (x, y) -> 3x + y - 1
+    "sl23": (["(0 3 6)(1 7 4)", "(0 5 1 2)(3 6 7 4)"], 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_LINE_GROUPS))
+def test_regular_search_on_generator_line_groups_matches_oracle(name):
+    lines, order = GENERATOR_LINE_GROUPS[name]
+    group = group_from_generator_lines(lines)
+    assert group.order == order
+    gamma = build_gamma(group)
+    assert_matches_oracle(gamma, regular_subgroups(gamma))
+
+
 def stabilizer_classes(gamma, groups):
     """The classes of the given groups under conjugation by Gamma_0, the
     stabilizer of point 0, each a set of member sets of image tuples, by
@@ -255,35 +283,51 @@ def stabilizer_classes(gamma, groups):
                          + [("s3", 1), ("c6", 2), ("d4", 3), ("q8", 4),
                             ("s4", 5), ("s4", 6)])
 def test_pruned_search_meets_every_stabilizer_class(name, seed):
+    # the search finds exactly the regular subgroups whose centralizer in
+    # Sym(Omega), the columns of their rows, lies in Gamma, each with that
+    # centralizer as its partner; having one is a property of the
+    # Gamma_0-class, so every class is met in all of its members or none
     group = (named_group(name) if seed is None
              else relabelled_generating_set(name, seed))
     gamma = build_gamma(group)
-    found = regular.regular_representatives(gamma)
-    classes = stabilizer_classes(gamma, regular_oracle.regular_subgroups(gamma))
-    assert all(any(u in c for u in found) for c in classes)
-    assert all(any(u in c for c in classes) for u in found)
+    found = {members: partner for members, _, partner
+             in gamma_module._partnered_regular_subgroups(gamma)}
+    regs = regular_oracle.regular_subgroups(gamma)
+    columns = {tuple(p.images for p in u.elements):
+               tuple(sorted(zip(*(p.images for p in u.elements))))
+               for u in regs}
+    assert found == {members: c for members, c in columns.items()
+                     if all(col in gamma.index for col in c)}
+    for c in stabilizer_classes(gamma, regs):
+        met = {tuple(sorted(members)) in found for members in c}
+        assert len(met) == 1
 
 
 def test_regular_search_closures_are_pinned(monkeypatch):
-    # machine-independent gate: one first fiber choice per orbit of the
-    # stabilizer of points 0 and 1; trying every semiregular first choice
-    # took 22 closures on Gamma(S_3) and 1 640 on Gamma(S_4)
-    calls = []
-    original = regular._close_regular
+    # machine-independent gate, (subgroups found, closures, centralizer
+    # narrowings); the closures must stay within the 10 and 533 that the
+    # search up to Gamma_0-conjugacy took
+    closures, narrowings = [], []
+    saturate, narrow = gamma_module.saturate, gamma_module._narrow
 
-    def counting(current, steps):
-        calls.append(len(steps))
-        return original(current, steps)
+    def counting_saturate(*args):
+        closures.append(1)
+        return saturate(*args)
 
-    monkeypatch.setattr(regular, "_close_regular", counting)
+    def counting_narrow(*args):
+        narrowings.append(1)
+        return narrow(*args)
+
+    monkeypatch.setattr(gamma_module, "saturate", counting_saturate)
+    monkeypatch.setattr(gamma_module, "_narrow", counting_narrow)
     counts = {}
     for name in ("s3", "s4"):
-        calls.clear()
-        found = regular.regular_representatives(build_gamma(named_group(name)))
-        counts[name] = (len(found), len(calls))
-    # (representatives, closures); the 8 and 100 regular subgroups fall
-    # into 2 and 7 classes
-    assert counts == {"s3": (3, 10), "s4": (34, 533)}
+        closures.clear()
+        narrowings.clear()
+        found = gamma_module._partnered_regular_subgroups(
+            build_gamma(named_group(name)))
+        counts[name] = (len(found), len(closures), len(narrowings))
+    assert counts == {"s3": (8, 10, 18), "s4": (2, 6, 120)}
 
 
 def test_commuting_pairs_build_groups_only_for_the_pair(monkeypatch):

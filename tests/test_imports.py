@@ -9,7 +9,9 @@ imports bind no name.  Likewise a helper whose last caller is gone, or
 that only tests call, is reported.  An export from `__init__` is not a
 reader: a name no package module reads is kept only when KEPT_EXPORTS
 lists it, with the reason it stays.  A package module imported inside a
-function, where an import cycle would hide, is reported too."""
+function, where an import cycle would hide, is reported too, and so is a
+reference module `tests/*_oracle.py` that no test module imports: pytest
+does not collect it, so nothing else would notice it going unused."""
 
 import ast
 from collections import Counter
@@ -30,10 +32,6 @@ KEPT_EXPORTS = {
                   "computes it per class on element indices",
     "all_subgroups": "every subgroup as a group, the public form of "
                      "subgroup_classes and the subgroup-count oracle",
-    "is_regular": "checks a subgroup against regular_subgroups independently",
-    "regular_subgroups": "every regular subgroup as a group, the public form "
-                         "of regular_representatives, as all_subgroups is "
-                         "of subgroup_classes",
 }
 
 
@@ -228,3 +226,41 @@ def test_detects_an_assert_statement():
                      '    assert x, "message"\n'
                      '    return x\n')
     assert assert_statements(tree) == [3]
+
+
+def imported_modules(tree: ast.AST) -> set[str]:
+    """Top-level name of each module an absolute import anywhere in the
+    tree names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def unused_oracles(trees: dict[str, ast.Module]) -> list[str]:
+    """Each `*_oracle` module that no `test_*` module imports."""
+    imported = set().union(*(imported_modules(tree)
+                             for name, tree in trees.items()
+                             if name.startswith("test_")))
+    return sorted(name for name in trees
+                  if name.endswith("_oracle") and name not in imported)
+
+
+def test_every_oracle_is_imported_by_a_test():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in TEST_MODULES}
+    assert {"hull_oracle", "law_oracle", "regular_oracle"} <= trees.keys()
+    assert unused_oracles(trees) == []
+
+
+def test_detects_an_oracle_no_test_imports():
+    # an import by another oracle does not count
+    trees = {"a_oracle": ast.parse("import b_oracle\n"),
+             "b_oracle": ast.parse("X = 1\n"),
+             "c_oracle": ast.parse("X = 2\n"),
+             "test_m": ast.parse("def f():\n    from c_oracle import X\n"
+                                 "    return X\n")}
+    assert unused_oracles(trees) == ["a_oracle", "b_oracle"]

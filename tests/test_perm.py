@@ -1,7 +1,8 @@
-"""Tests for permutations, groups, closures, subgroup and regular
-subgroup enumeration.  The subgroup counts are cross-checked by an
-independent pair-closure oracle (valid because every subgroup of the
-groups used here is generated by at most two elements)."""
+"""Tests for permutations, groups, closures, subgroup enumeration, and
+the regular-subgroup oracle against it.  The subgroup counts are
+cross-checked by an independent pair-closure oracle (valid because
+every subgroup of the groups used here is generated by at most two
+elements)."""
 
 import functools
 import itertools
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from regular_oracle import is_regular, regular_subgroups
 from birkhoffsym.errors import NotASubgroupError, PreconditionError
 from birkhoffsym.gamma import build_gamma
 from birkhoffsym.perm import (MAX_DEGREE, Permutation,
@@ -23,7 +25,6 @@ from birkhoffsym.perm import (MAX_DEGREE, Permutation,
                               group_from_generator_lines, named_group,
                               parse_cycles, regular_action, saturate,
                               subgroup_classes, symmetric_group)
-from birkhoffsym.regular import is_regular, regular_subgroups
 
 
 def perm_strategy(degree):
