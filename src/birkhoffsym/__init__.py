@@ -35,7 +35,6 @@ from .hull import (
     IncidenceStructure,
     Polytope,
     facet_enumeration,
-    incidence_of,
 )
 from .perm import (
     Permutation,

@@ -39,7 +39,7 @@ from typing import Mapping
 from .combiso import comb_automorphisms
 from .errors import PreconditionError
 from .exact import RationalMatrix
-from .hull import _facet_enumeration, incidence_of
+from .hull import _facet_enumeration
 from .perm import Permutation, symmetric_group
 
 MAX_N = 5
@@ -316,12 +316,12 @@ def verify_symmetry_group(n: int) -> SymmetryGroupReport:
             f"symmetry group verification supports 3 <= n <= {MAX_N}")
     vertices = [m.entries for m in birkhoff_vertices(n)]
     polytope = _facet_enumeration(vertices)
-    inc = incidence_of(polytope)
+    inc = polytope.incidence
     analytic = analytic_facet_sets(n)
     n_fact = factorial(n)
     complements = {frozenset(range(n_fact)) - members
                    for members in analytic.values()}
-    facets_match = set(polytope.tight_sets()) == complements
+    facets_match = set(inc.tight_sets) == complements
 
     aut = comb_automorphisms(inc)
     expected = 2 * n_fact ** 2

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from functools import lru_cache
@@ -101,7 +102,6 @@ def _cmd_verify_symmetry_group(args):
 
 
 def _cmd_decompose(args):
-    import math
     if not 3 <= args.n <= birkhoff.MAX_N:
         raise PreconditionError(
             f"decomposition supports 3 <= n <= {birkhoff.MAX_N}")
@@ -204,8 +204,8 @@ def _cmd_hull(args):
 
 def _cmd_rep_polytope(args):
     if args.group.lower() in builtin_group_names():
-        mgroup = reppoly.matrix_group_from_perm_group(
-            named_group(args.group.lower()))
+        mgroup = reppoly.matrix_group_from_perm_group(named_group(
+            args.group.lower(), reppoly.MAX_POLYTOPE_ELEMENTS))
     else:
         path = Path(args.group)
         if not path.is_file():

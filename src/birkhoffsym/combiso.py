@@ -4,7 +4,8 @@ A combinatorial symmetry of a polytope is a vertex bijection that maps
 faces onto faces; since every face is an intersection of facets and the
 facets are exactly the maximal proper faces, it is determined by mapping
 facet tight-sets onto facet tight-sets.  This module searches for such
-bijections directly on IncidenceStructure data.
+bijections directly on an IncidenceStructure: the tight sets as the
+hull checked them, and the facets through each vertex.
 
 One backtracking engine serves both problems.  `_search` finds the first
 vertex bijection P -> Q that extends a fixed prefix of assignments.
@@ -67,14 +68,7 @@ def _refined_colors(incs: list[IncidenceStructure],
     across structures because each round shares one signature table.
     `seeds` gives initial vertex colors (all equal when omitted).
     """
-    all_rows = [inc.tight_sets() for inc in incs]
-    all_vfac = []
-    for inc, rows in zip(incs, all_rows):
-        vf = [[] for _ in range(inc.n_vertices)]
-        for fi, row in enumerate(rows):
-            for v in row:
-                vf[v].append(fi)
-        all_vfac.append(vf)
+    all_rows = [inc.tight_sets for inc in incs]
     if seeds is None:
         vcolors = [[0] * inc.n_vertices for inc in incs]
     else:
@@ -94,9 +88,9 @@ def _refined_colors(incs: list[IncidenceStructure],
         new_v = []
         for si, inc in enumerate(incs):
             cur = []
-            for v in range(inc.n_vertices):
+            for v, facets in enumerate(inc.vertex_facets):
                 key = (vcolors[si][v],
-                       tuple(sorted(new_f[si][fi] for fi in all_vfac[si][v])))
+                       tuple(sorted(new_f[si][fi] for fi in facets)))
                 cur.append(table2.setdefault(key, len(table2)))
             new_v.append(cur)
         if new_v == vcolors and new_f == fcolors:
@@ -123,8 +117,8 @@ def _plan(inc_p: IncidenceStructure,
     np_, nq = inc_p.n_vertices, inc_q.n_vertices
     if np_ != nq or inc_p.n_facets != inc_q.n_facets:
         return None
-    rows_p = inc_p.tight_sets()
-    rows_q = inc_q.tight_sets()
+    rows_p = inc_p.tight_sets
+    rows_q = inc_q.tight_sets
     if len(set(rows_p)) != len(rows_p) or len(set(rows_q)) != len(rows_q):
         return None
     if sorted(len(r) for r in rows_p) != sorted(len(r) for r in rows_q):
@@ -135,10 +129,8 @@ def _plan(inc_p: IncidenceStructure,
 
     nf = inc_p.n_facets
     full_mask = (1 << nf) - 1
-    qrows_with = [0] * nq
-    for fi, row in enumerate(rows_q):
-        for w in row:
-            qrows_with[w] |= 1 << fi
+    qrows_with = [sum(1 << fi for fi in facets)
+                  for facets in inc_q.vertex_facets]
     qrows_without = [full_mask ^ m for m in qrows_with]
 
     size_mask = {}
@@ -152,10 +144,7 @@ def _plan(inc_p: IncidenceStructure,
     # static assignment order: grow along shared facets for early pruning
     order: list[int] = []
     placed = [False] * np_
-    vfac_p = [[] for _ in range(np_)]
-    for fi, row in enumerate(rows_p):
-        for v in row:
-            vfac_p[v].append(fi)
+    vfac_p = inc_p.vertex_facets
     color_class_size = Counter(colors_p)
     facet_touched = [False] * nf
     for _ in range(np_):
@@ -177,7 +166,8 @@ def _plan(inc_p: IncidenceStructure,
         order=tuple(order),
         candidates=tuple(tuple(w for w in range(nq) if colors_q[w] == colors_p[v])
                          for v in range(np_)),
-        inside=tuple(tuple(row[v] for row in inc_p.rows) for v in range(np_)),
+        inside=tuple(tuple(fi in facets for fi in range(nf))
+                     for facets in map(frozenset, vfac_p)),
         qrows_with=tuple(qrows_with),
         qrows_without=tuple(qrows_without),
         init_cand=tuple(init_cand),
@@ -266,9 +256,9 @@ def comb_automorphisms(inc: IncidenceStructure) -> AutomorphismGroup:
     """The group of all vertex permutations preserving the incidence, as a
     stabilizer chain with strong generators (see the module docstring for
     why the orbit pruning loses nothing).  Raises ValueError on duplicate
-    facet rows, and InvariantError if a strong generator found by the
+    tight sets, and InvariantError if a strong generator found by the
     search does not preserve the incidence."""
-    rows = inc.tight_sets()
+    rows = inc.tight_sets
     if len(set(rows)) != len(rows):
         raise ValueError("not a polytope incidence")
     n = inc.n_vertices

@@ -12,14 +12,13 @@ elimination is fraction-free.  A matrix builds its Fraction entries the
 first time they are read, so products, hashing and equality build none.
 Matrices are immutable row-major tuples.
 
-There are two row reductions, both on integer rows.  `_independent_rows`
-is a lazy one-pass generator that keeps the greedy independent rows with
-their pivot columns: the hull's affine chart and double-description
-start take their rows and pivots from it, and `reppoly.matrix_closure`
-checks that a generator is invertible by its rank.  `_gauss_jordan` is
-Bareiss's fraction-free Gauss-Jordan elimination of a square matrix: it
-returns the determinant up to sign and the adjugate with the same sign,
-D M^-1, for the double-description start.
+There is one row reduction, on integer rows: `_independent_rows`, a lazy
+one-pass generator that keeps the greedy independent rows with their
+pivot columns and reduced rows.  The hull's affine chart takes its pivots
+from it, the double-description start its independent inequalities and,
+from two more passes over [N | I], the columns of N^-1, and
+`reppoly.matrix_closure` checks that a generator is invertible by its
+rank.
 
 Text form of a rational is "p/q" with q > 0, or just "p" when q == 1.
 """
@@ -196,20 +195,22 @@ class RationalMatrix:
 
 
 def _independent_rows(vectors: Iterable[Sequence[int]]
-                      ) -> Iterator[tuple[int, int]]:
-    """Yield (position, pivot) for the greedy independent subsequence of
-    integer vectors: the one-pass row reduction of this module.
+                      ) -> Iterator[tuple[int, int, list[int]]]:
+    """Yield (position, pivot, row) for the greedy independent subsequence
+    of integer vectors: the one row reduction of this module.
 
     Each vector is reduced, fraction-free, against the rows kept before
     it and is kept when a nonzero remainder is left, which picks the same
     vectors as one rank test per vector.  A remainder is cleared at a
     kept row's pivot c by rem <- row[c] * rem - rem[c] * row, a nonzero
     multiple of the rational elimination step, so every zero pattern and
-    pivot is the one the rational elimination finds.  The kept row is the
-    remainder divided by its gcd; `pivot` is its first nonzero column,
+    pivot is the one the rational elimination finds.  The kept `row` is
+    the remainder divided by its gcd; `pivot` is its first nonzero column,
     and it is zero at the pivot of every row kept before it.  So the kept
-    rows sorted by pivot are an echelon form of the span.  Lazy, so a
-    caller can stop as soon as it has enough, or too many.
+    rows sorted by pivot are an echelon form of the span, and fed through
+    again in descending pivot order they come out zero at every pivot but
+    their own.  Lazy, so a caller can stop as soon as it has enough, or
+    too many.  The caller must not modify a yielded row.
     """
     kept = []  # (primitive remainder, pivot)
     for i, v in enumerate(vectors):
@@ -223,36 +224,6 @@ def _independent_rows(vectors: Iterable[Sequence[int]]
         if pivot is None:
             continue
         g = gcd(*rem)
-        kept.append(([x // g for x in rem], pivot))
-        yield i, pivot
-
-
-def _gauss_jordan(rows: Sequence[Sequence[int]]
-                  ) -> tuple[int, list[list[int]]]:
-    """(D, A) with M A = D I and D != 0, for a square integer matrix M.
-
-    Bareiss's fraction-free Gauss-Jordan elimination of [M | I]: at step
-    k every row but the pivot row becomes (p_k row - f row_k) / p_{k-1},
-    an exact division, and the entries stay minors of [M | I].  The left
-    block ends as D I with D = +-det M, and the right block is then
-    D M^-1.  Raises ValueError when M is singular.
-    """
-    n = len(rows)
-    work = [list(r) + [int(i == j) for j in range(n)]
-            for i, r in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if work[i][k]), None)
-        if p is None:
-            raise ValueError("matrix is singular")
-        work[k], work[p] = work[p], work[k]
-        pivot_row = work[k]
-        pk = pivot_row[k]
-        for i in range(n):
-            f = work[i][k]
-            if i != k:
-                work[i] = [(pk * a - f * b) // prev
-                           for a, b in zip(work[i], pivot_row)]
-        prev = pk
-    return prev, [r[n:] for r in work]
-
+        row = [x // g for x in rem]
+        kept.append((row, pivot))
+        yield i, pivot, row

@@ -25,14 +25,16 @@ set is exactly (tight(p) n tight(m)) u {c}: any processed c' with
 <c', new> = 0 forces <c', p> = <c', m> = 0 because both values are
 nonnegative and combine with positive coefficients.
 
-Everything is exact; a facet's incidence row is recomputed from its lifted
+Everything is exact; a facet's tight set is recomputed from its lifted
 inequality against all scaled input points, so bookkeeping errors cannot
 survive the final validity checks.  Those raise InvariantError, since a
 violated inequality, a facet tight at no point, an unbounded polar and
 two facets with one inequality or one tight set are faults of this
-module, never of the input.  That checked incidence is also the whole
-certificate `certify_vertices` reads, so the chart is built once per
-hull and no rank is taken after the double description.
+module, never of the input.  The checked tight sets, in facet order,
+are the polytope's one incidence, an `IncidenceStructure` that also
+lists the facets through each vertex.  It is the whole certificate
+`certify_vertices` reads, so the chart is built once per hull and no
+rank is taken after the double description.
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
-from .exact import (_gauss_jordan, _independent_rows, as_fraction_vector,
-                    clear_denominators, format_rational, parse_rational,
-                    primitive_vector)
+from .exact import (_independent_rows, as_fraction_vector, clear_denominators,
+                    format_rational, parse_rational, primitive_vector)
 
 MAX_VERTICES = 30
 MAX_DIM = 10
@@ -58,14 +60,40 @@ class Facet:
     offset: Fraction
 
 
+class IncidenceStructure:
+    """Vertex-facet incidence with the geometry stripped: `tight_sets`,
+    the vertices on each facet as frozensets in facet order, and
+    `vertex_facets`, the facets through each vertex in increasing order.
+    A vertex outside 0..n_vertices-1 raises ValueError."""
+
+    __slots__ = ("n_vertices", "tight_sets", "vertex_facets")
+
+    def __init__(self, n_vertices: int, tight_sets: Iterable[Iterable[int]]):
+        self.n_vertices = n_vertices
+        self.tight_sets = tuple(map(frozenset, tight_sets))
+        vertex_facets = [[] for _ in range(n_vertices)]
+        for fi, tight in enumerate(self.tight_sets):
+            for v in tight:
+                if not 0 <= v < n_vertices:
+                    raise ValueError(f"incidence names vertex {v} of "
+                                     f"{n_vertices}")
+                vertex_facets[v].append(fi)
+        self.vertex_facets = tuple(map(tuple, vertex_facets))
+
+    @property
+    def n_facets(self) -> int:
+        return len(self.tight_sets)
+
+
 class Polytope:
     __slots__ = ("ambient_dim", "vertices", "facets", "incidence", "dim")
 
-    def __init__(self, ambient_dim: int, vertices, facets, incidence, dim: int):
+    def __init__(self, ambient_dim: int, vertices, facets,
+                 incidence: IncidenceStructure, dim: int):
         self.ambient_dim = ambient_dim
         self.vertices = tuple(vertices)
         self.facets = tuple(facets)
-        self.incidence = tuple(tuple(row) for row in incidence)
+        self.incidence = incidence
         self.dim = dim
 
     @property
@@ -75,29 +103,6 @@ class Polytope:
     @property
     def n_facets(self) -> int:
         return len(self.facets)
-
-    def tight_sets(self) -> list[frozenset[int]]:
-        return [frozenset(v for v, hit in enumerate(row) if hit)
-                for row in self.incidence]
-
-
-class IncidenceStructure:
-    """Vertex-facet incidence with the geometry stripped; rows are facet
-    rows of booleans.  The constructor stores rows as given; incidence_of
-    is the canonical producer and emits deduplicated, sorted rows."""
-
-    __slots__ = ("n_vertices", "n_facets", "rows")
-
-    def __init__(self, n_vertices: int, rows: Sequence[Sequence[bool]]):
-        self.n_vertices = n_vertices
-        self.rows = tuple(tuple(bool(x) for x in row) for row in rows)
-        if any(len(row) != n_vertices for row in self.rows):
-            raise ValueError("incidence row of wrong length")
-        self.n_facets = len(self.rows)
-
-    def tight_sets(self) -> list[frozenset[int]]:
-        return [frozenset(v for v, hit in enumerate(row) if hit)
-                for row in self.rows]
 
 
 def _affine_chart(points: Sequence[Sequence[int]],
@@ -115,7 +120,7 @@ def _affine_chart(points: Sequence[Sequence[int]],
     """
     base = points[0]
     pivot_rows = []
-    for _, pivot in _independent_rows(
+    for _, pivot, _ in _independent_rows(
             [a - b for a, b in zip(p, base)] for p in points[1:]):
         pivot_rows.append(pivot)
         if max_dim is not None and len(pivot_rows) > max_dim:
@@ -137,14 +142,23 @@ def _dd_extreme_rays(ineqs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """
     dim = len(ineqs[0])
     # deterministic greedy choice of dim independent inequalities
-    chosen = [i for i, _ in islice(_independent_rows(ineqs), dim)]
+    chosen = [i for i, *_ in islice(_independent_rows(ineqs), dim)]
     if len(chosen) < dim:
         raise ValueError("cone is not pointed: inequalities do not span")
-    # start: the columns of N^-1 = adj / det for the chosen rows N; ray j
-    # is tight exactly on the chosen inequalities other than chosen[j]
-    det, adj = _gauss_jordan([ineqs[i] for i in chosen])
-    sign = 1 if det > 0 else -1
-    rays = [primitive_vector([sign * row[j] for row in adj])
+    # start: the columns of N^-1 for the chosen rows N; ray j is tight
+    # exactly on the chosen inequalities other than chosen[j].  [N | I] in
+    # echelon form, reduced again from the last pivot up, has rows
+    # D_p e_p | R_p, each a combination of the rows of [N | I], so
+    # R_p / D_p is row p of N^-1, and the lcm of the D_p clears the
+    # denominators of every column
+    eye = [0] * dim
+    echelon = sorted((pivot, row) for _, pivot, row in _independent_rows(
+        [*ineqs[i], *eye[:k], 1, *eye[k + 1:]] for k, i in enumerate(chosen)))
+    diagonal = sorted((pivot, row) for _, pivot, row in _independent_rows(
+        row for _, row in reversed(echelon)))
+    scale = lcm(*(row[p] for p, row in diagonal))
+    rays = [primitive_vector([row[dim + j] * (scale // row[p])
+                              for p, row in diagonal])
             for j in range(dim)]
     chosen_mask = sum(1 << i for i in chosen)
     tight = [chosen_mask ^ (1 << i) for i in chosen]
@@ -222,7 +236,7 @@ def _facet_enumeration(points: Sequence[Sequence],
     pivot_rows = _affine_chart(scaled, max_dim)
     d = len(pivot_rows)
     if d == 0:
-        return Polytope(ambient, pts, (), (), 0)
+        return Polytope(ambient, pts, (), IncidenceStructure(len(pts), ()), 0)
 
     base = scaled[0]
     coords = [[p[r] - base[r] for r in pivot_rows] for p in scaled]
@@ -257,34 +271,28 @@ def _facet_enumeration(points: Sequence[Sequence],
         raise InvariantError("duplicate facets from distinct polar rays")
     packed = sorted(packed)
 
-    incidence = []
-    tight_seen = set()
+    tight_sets = []
     at_pivots = [[p[r] for r in pivot_rows] for p in scaled]
     for f in packed:
         normal = [f[r] for r in pivot_rows]
         bound = f[-1] * scale
-        row = []
-        for p in at_pivots:
+        tight = []
+        for v, p in enumerate(at_pivots):
             value = sum(map(mul, normal, p))
             if value > bound:
                 raise InvariantError(
                     "facet inequality violated by an input point")
-            row.append(value == bound)
-        if not any(row):
+            if value == bound:
+                tight.append(v)
+        if not tight:
             raise InvariantError("facet tight at no vertex")
-        key = tuple(row)
-        if key in tight_seen:
-            raise InvariantError("two facets share a tight vertex set")
-        tight_seen.add(key)
-        incidence.append(row)
+        tight_sets.append(frozenset(tight))
+    if len(set(tight_sets)) != len(tight_sets):
+        raise InvariantError("two facets share a tight vertex set")
     facets = [Facet(tuple(map(Fraction, f[:-1])), Fraction(f[-1]))
               for f in packed]
-    return Polytope(ambient, pts, facets, incidence, d)
-
-
-def incidence_of(polytope: Polytope) -> IncidenceStructure:
-    canon = sorted({tuple(bool(x) for x in row) for row in polytope.incidence})
-    return IncidenceStructure(polytope.n_vertices, canon)
+    return Polytope(ambient, pts, facets,
+                    IncidenceStructure(len(pts), tight_sets), d)
 
 
 def certify_vertices(polytope: Polytope) -> list[bool]:
@@ -293,7 +301,7 @@ def certify_vertices(polytope: Polytope) -> list[bool]:
     Read off the incidence alone: point v is a vertex iff every input
     point tight on all facets through v equals v.  facet_enumeration has
     checked that each facet inequality holds at every point and is tight
-    exactly on its row.  So the facets through v cut out a face F of the
+    exactly on its tight set.  So the facets through v cut out a face F of the
     hull, and F = conv(the points in F); when those points all equal v,
     F = {v} and v is a vertex.  Conversely every face of a polytope is
     the intersection of the facets containing it, so a vertex passes
@@ -302,13 +310,11 @@ def certify_vertices(polytope: Polytope) -> list[bool]:
     Duplicates of a vertex sit on the same facets and certify with it.
     """
     pts = polytope.vertices
-    tight = polytope.tight_sets()
+    tight = polytope.incidence.tight_sets
+    everything = frozenset(range(len(pts)))
     out = []
-    for v, p in enumerate(pts):
-        face = set(range(len(pts)))
-        for s in tight:
-            if v in s:
-                face &= s
+    for p, facets in zip(pts, polytope.incidence.vertex_facets):
+        face = everything.intersection(*(tight[fi] for fi in facets))
         out.append(all(pts[u] == p for u in face))
     return out
 
@@ -334,5 +340,6 @@ def polytope_to_document(polytope: Polytope) -> dict:
         "vertices": [[format_rational(x) for x in p] for p in polytope.vertices],
         "facets": [{"normal": [format_rational(x) for x in f.normal],
                     "offset": format_rational(f.offset)} for f in polytope.facets],
-        "incidence": [[1 if hit else 0 for hit in row] for row in polytope.incidence],
+        "incidence": [[int(v in tight) for v in range(polytope.n_vertices)]
+                      for tight in polytope.incidence.tight_sets],
     }

@@ -35,6 +35,7 @@ refuse points at or above MAX_DEGREE before any image list is built.
 
 from __future__ import annotations
 
+import itertools
 import re
 from functools import lru_cache
 from operator import itemgetter
@@ -384,7 +385,6 @@ def symmetric_group(n: int) -> PermutationGroup:
     """S_n on points 0..n-1 with transposition and n-cycle generators.
     Cached, since the group is immutable; its element order, by image
     tuple, is the vertex order of B_n."""
-    import itertools
     if n < 1:
         raise ValueError("symmetric_group needs n >= 1")
     elements = [Permutation(p) for p in itertools.permutations(range(n))]

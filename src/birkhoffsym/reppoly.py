@@ -24,7 +24,7 @@ from .birkhoff import birkhoff_vertices, permutation_matrix
 from .combiso import comb_automorphisms, comb_equivalent
 from .errors import PreconditionError
 from .exact import RationalMatrix, _independent_rows, parse_rational
-from .hull import Polytope, certify_vertices, facet_enumeration, incidence_of
+from .hull import Polytope, certify_vertices, facet_enumeration
 from .perm import (Permutation, PermutationGroup, closure, generating_set,
                    named_group, regular_action, saturate)
 
@@ -134,15 +134,6 @@ def representation_polytope(mgroup: MatrixGroup) -> Polytope:
     return polytope
 
 
-def translation_vertex_maps(mgroup: MatrixGroup) -> tuple[
-        list[Permutation], list[Permutation], Permutation]:
-    """Vertex permutations of the element list: left translations
-    x -> g x, right translations x -> x g^-1, and inversion x -> x^-1.
-    The regular action of the element group, whose element order is the
-    matrix order."""
-    return regular_action(mgroup.element_group())
-
-
 @dataclass
 class GammaActsReport:
     group_order: int
@@ -157,11 +148,12 @@ def verify_gamma_acts(mgroup: MatrixGroup) -> GammaActsReport:
     """Check that every left and every right translation of the element
     set is a combinatorial symmetry of the representation polytope.
     Inversion is checked too but reported separately: it preserves the
-    hull only for special representations."""
-    polytope = representation_polytope(mgroup)
-    inc = incidence_of(polytope)
-    aut = comb_automorphisms(inc)
-    lams, rhos, iota = translation_vertex_maps(mgroup)
+    hull only for special representations.  The vertex maps are the
+    regular action of the element group, whose element order is the
+    matrix order: left translations x -> g x, right translations
+    x -> x g^-1, and inversion x -> x^-1."""
+    aut = comb_automorphisms(representation_polytope(mgroup).incidence)
+    lams, rhos, iota = regular_action(mgroup.element_group())
     lambda_pass = all(p in aut for p in lams)
     rho_pass = all(p in aut for p in rhos)
     iota_in = iota in aut
@@ -298,7 +290,6 @@ def uniqueness_check(n: int,
         catalog = default_catalog(n)
     reference = facet_enumeration(
         [m.entries for m in birkhoff_vertices(n)])
-    reference_inc = incidence_of(reference)
     entry_reports = []
     for entry in catalog:
         if (entry.declared_order is not None
@@ -307,8 +298,7 @@ def uniqueness_check(n: int,
                 f"catalog entry {entry.name}: closure order "
                 f"{entry.matrix_group.order} != declared {entry.declared_order}")
         polytope = representation_polytope(entry.matrix_group)
-        inc = incidence_of(polytope)
-        witness = comb_equivalent(inc, reference_inc)
+        witness = comb_equivalent(polytope.incidence, reference.incidence)
         equivalent = witness is not None
         ok = entry.expect_equivalent is None or equivalent == entry.expect_equivalent
         entry_reports.append(EntryReport(

@@ -19,7 +19,7 @@ from math import gcd
 import sympy
 
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.hull import Facet, Polytope
+from birkhoffsym.hull import Facet, IncidenceStructure, Polytope
 
 
 def _row(point):
@@ -134,8 +134,9 @@ def rank_certified_vertices(polytope) -> list[bool]:
                           for p in pts[1:]])
     out = []
     for v in range(len(pts)):
-        normals = [_row(f.normal) for f, row
-                   in zip(polytope.facets, polytope.incidence) if row[v]]
+        normals = [_row(f.normal) for f, tight
+                   in zip(polytope.facets, polytope.incidence.tight_sets)
+                   if v in tight]
         out.append(bool(normals)
                    and (sympy.Matrix(normals) * diffs.T).rank() == polytope.dim)
     return out
@@ -147,25 +148,31 @@ def validate_polytope(polytope) -> None:
     dimensions taken in sympy, so the check shares no linear algebra
     with the integer hull it checks.
 
-    Checks: every vertex satisfies every inequality, with equality
-    exactly where the incidence says so; each facet's tight set has
-    affine dimension dim - 1; tight sets are pairwise distinct; above
-    dimension 0 no vertex lies on every facet.
+    Checks: there is one tight set per facet, and the facets through
+    each vertex are exactly those whose tight set holds it; every vertex
+    satisfies every inequality, with equality exactly on the facet's
+    tight set; each tight set has affine dimension dim - 1; tight sets
+    are pairwise distinct; above dimension 0 no vertex lies on every
+    facet.
     """
     pts = polytope.vertices
-    for f, row in zip(polytope.facets, polytope.incidence):
-        for p, hit in zip(pts, row):
+    tight_sets = polytope.incidence.tight_sets
+    assert len(tight_sets) == len(polytope.facets)
+    assert polytope.incidence.vertex_facets == tuple(
+        tuple(fi for fi, tight in enumerate(tight_sets) if v in tight)
+        for v in range(len(pts)))
+    for f, tight in zip(polytope.facets, tight_sets):
+        for v, p in enumerate(pts):
             value = _dot(f.normal, p)
             assert value <= f.offset
-            assert (value == f.offset) == hit
-        tight_pts = [p for p, hit in zip(pts, row) if hit]
+            assert (value == f.offset) == (v in tight)
+        tight_pts = [pts[v] for v in tight]
         assert tight_pts, "facet with empty tight set"
         assert affine_dim(tight_pts) == polytope.dim - 1
-    seen = {tuple(row) for row in polytope.incidence}
-    assert len(seen) == len(polytope.facets)
+    assert len(set(tight_sets)) == len(polytope.facets)
     if polytope.dim >= 1:
         for v in range(polytope.n_vertices):
-            assert not all(row[v] for row in polytope.incidence)
+            assert not all(v in tight for tight in tight_sets)
 
 
 def with_duplicates_and_interior_points(rng, pts):
@@ -333,7 +340,7 @@ def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
             f"{len(pts)} points exceed hull bound {max_vertices}")
     d, base, _, pivot_rows, m_inv = _affine_chart(pts, max_dim)
     if d == 0:
-        return Polytope(ambient, pts, (), (), 0)
+        return Polytope(ambient, pts, (), IncidenceStructure(len(pts), ()), 0)
 
     coords = [tuple(_dot(row, [p[r] - base[r] for r in pivot_rows])
                     for row in m_inv) for p in pts]
@@ -374,20 +381,19 @@ def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
     if len(facets) != len(rays):
         raise ValueError("duplicate facets from distinct polar rays")
 
-    incidence = []
-    tight_seen = set()
+    tight_sets = []
     for f in facets:
-        row = []
-        for p in pts:
+        tight = set()
+        for v, p in enumerate(pts):
             value = _dot(f.normal, p)
             if value > f.offset:
                 raise ValueError("facet inequality violated by an input point")
-            row.append(value == f.offset)
-        if not any(row):
+            if value == f.offset:
+                tight.add(v)
+        if not tight:
             raise ValueError("facet tight at no vertex")
-        key = tuple(row)
-        if key in tight_seen:
+        if tight in tight_sets:
             raise ValueError("two facets share a tight vertex set")
-        tight_seen.add(key)
-        incidence.append(row)
-    return Polytope(ambient, pts, facets, incidence, d)
+        tight_sets.append(tight)
+    return Polytope(ambient, pts, facets,
+                    IncidenceStructure(len(pts), tight_sets), d)

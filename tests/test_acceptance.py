@@ -193,7 +193,7 @@ def test_criterion_11_hull_oracle_equivalence():
     ok = True
     for _ in range(50):
         pts = random_point_set(rng)
-        got = frozenset(facet_enumeration(pts).tight_sets())
+        got = frozenset(facet_enumeration(pts).incidence.tight_sets)
         want = oracle_facets(pts)
         if got != want:
             ok = False

@@ -185,13 +185,16 @@ def test_group_file_closure_stops_at_the_bound(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command, name, bound", [
-    ("regular-pairs", "s5", 24), ("normalizer", "s4", 6)])
+    ("regular-pairs", "s5", 24), ("normalizer", "s4", 6),
+    ("rep-polytope", "s5", 30)])
 def test_builtin_name_closure_stops_at_the_bound(capsys, monkeypatch,
                                                  command, name, bound):
-    # a built-in name is closed only up to the command's bound as well
+    # a built-in name is closed only up to the command's bound as well;
+    # for rep-polytope that is the polytope's element bound, so S_5 is
+    # refused before its 120 elements and their matrices are built
     products = count_products(monkeypatch)
     assert main([command, "--group", name]) == 3
-    assert f"exceeds bound {bound}" in capsys.readouterr().err
+    assert f"closure exceeds bound {bound}" in capsys.readouterr().err
     assert len(products) <= 2 * (bound + 1)
 
 

@@ -12,22 +12,20 @@ from birkhoffsym import combiso
 from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.combiso import comb_automorphisms, comb_equivalent
 from birkhoffsym.errors import InvariantError
-from birkhoffsym.hull import (IncidenceStructure, facet_enumeration,
-                              incidence_of)
-from birkhoffsym.perm import Permutation, closure
-from birkhoffsym.reppoly import (default_catalog, representation_polytope,
-                                 translation_vertex_maps)
+from birkhoffsym.hull import IncidenceStructure, facet_enumeration
+from birkhoffsym.perm import Permutation, closure, regular_action
+from birkhoffsym.reppoly import default_catalog, representation_polytope
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 
 def square_incidence():
-    return incidence_of(facet_enumeration(SQUARE))
+    return facet_enumeration(SQUARE).incidence
 
 
 def simplex_incidence(k):
     # k+1 vertices, facets omit one vertex each
-    rows = [[v != f for v in range(k + 1)] for f in range(k + 1)]
+    rows = [set(range(k + 1)) - {f} for f in range(k + 1)]
     return IncidenceStructure(k + 1, rows)
 
 
@@ -54,14 +52,14 @@ def test_five_simplex_automorphisms():
 
 @lru_cache(maxsize=None)
 def birkhoff_incidence(n):
-    return incidence_of(facet_enumeration(
-        [m.entries for m in birkhoff_vertices(n)]))
+    return facet_enumeration(
+        [m.entries for m in birkhoff_vertices(n)]).incidence
 
 
 @lru_cache(maxsize=None)
 def catalog_incidences():
-    return {f"{n}-{entry.name}": incidence_of(
-                representation_polytope(entry.matrix_group))
+    return {f"{n}-{entry.name}":
+                representation_polytope(entry.matrix_group).incidence
             for n in (3, 4) for entry in default_catalog(n)}
 
 
@@ -72,7 +70,7 @@ def maps_rows_onto_rows(images, rows):
 def brute_force_order(inc):
     """Number of vertex permutations mapping the tight sets onto
     themselves, by trying every permutation."""
-    rows = set(inc.tight_sets())
+    rows = set(inc.tight_sets)
     return sum(1 for images in itertools.permutations(range(inc.n_vertices))
                if maps_rows_onto_rows(images, rows))
 
@@ -87,7 +85,7 @@ def cycles_incidence():
     # refinement cannot split the 7 vertices, so the search for a map
     # taking a triangle vertex to a 4-cycle vertex has to fail
     edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
-    return IncidenceStructure(7, [[v in e for v in range(7)] for e in edges])
+    return IncidenceStructure(7, edges)
 
 
 @lru_cache(maxsize=None)
@@ -119,22 +117,22 @@ def test_strong_generators_generate_the_group(name):
     aut = comb_automorphisms(inc)
     group = generated(aut)
     assert group.order == aut.order
-    rows = set(inc.tight_sets())
+    rows = set(inc.tight_sets)
     assert all(maps_rows_onto_rows(p.images, rows) for p in group.elements)
 
 
 def test_automorphisms_map_facets_onto_facets():
     inc = square_incidence()
-    rows = set(inc.tight_sets())
+    rows = set(inc.tight_sets)
     for p in generated(comb_automorphisms(inc)).elements:
         assert {frozenset(p(v) for v in row) for row in rows} == rows
 
 
 def test_membership_tests_the_incidence():
     entry = default_catalog(4)[0]  # S_4 standard: its polytope is B_4
-    aut = comb_automorphisms(incidence_of(
-        representation_polytope(entry.matrix_group)))
-    lams, rhos, _ = translation_vertex_maps(entry.matrix_group)
+    aut = comb_automorphisms(
+        representation_polytope(entry.matrix_group).incidence)
+    lams, rhos, _ = regular_action(entry.matrix_group.element_group())
     assert all(p in aut for p in lams + rhos)
     swap = list(range(24))
     swap[0], swap[1] = swap[1], swap[0]
@@ -156,7 +154,7 @@ def test_chain_size_is_pinned():
 
 
 def test_duplicate_rows_rejected():
-    inc = IncidenceStructure(3, [[True, True, False], [True, True, False]])
+    inc = IncidenceStructure(3, [{0, 1}, {0, 1}])
     with pytest.raises(ValueError, match="not a polytope incidence"):
         comb_automorphisms(inc)
 
@@ -179,13 +177,14 @@ def test_a_generator_breaking_the_incidence_raises_invariant_error(
 def test_equivalent_relabelled_square():
     inc = square_incidence()
     relabel = (2, 0, 3, 1)
-    rows = [[row[relabel[v]] for v in range(4)] for row in inc.rows]
+    rows = [{v for v in range(4) if relabel[v] in row}
+            for row in inc.tight_sets]
     other = IncidenceStructure(4, rows)
     witness = comb_equivalent(inc, other)
     assert witness is not None
     # the witness maps every tight set of inc onto a tight set of other
-    target = set(other.tight_sets())
-    for row in inc.tight_sets():
+    target = set(other.tight_sets)
+    for row in inc.tight_sets:
         assert frozenset(witness[v] for v in row) in target
 
 
@@ -200,6 +199,6 @@ def test_square_vs_simplex4_not_equivalent():
 
 def test_birkhoff3_automorphisms():
     verts = [m.entries for m in birkhoff_vertices(3)]
-    inc = incidence_of(facet_enumeration(verts))
+    inc = facet_enumeration(verts).incidence
     aut = comb_automorphisms(inc)
     assert aut.order == 72  # 2 * (3!)^2

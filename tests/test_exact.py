@@ -1,6 +1,7 @@
 """Tests for exact rational arithmetic and linear algebra, with sympy as
 the independent oracle for rank / inverse."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,11 +10,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoffsym import exact
-from birkhoffsym.exact import (RationalMatrix, _gauss_jordan,
-                               _independent_rows, as_fraction_vector,
-                               clear_denominators, format_rational,
-                               parse_rational, primitive_vector)
+from birkhoffsym import exact, hull
+from birkhoffsym.exact import (RationalMatrix, _independent_rows,
+                               as_fraction_vector, clear_denominators,
+                               format_rational, parse_rational,
+                               primitive_vector)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -136,85 +137,67 @@ def test_rank_matches_sympy(rows):
             == sympy.Matrix(rows).rank())
 
 
-def checked_inverse(rows):
-    """M^-1 read off `_gauss_jordan`: with M = N / q for the integer
-    numerators N, the elimination gives (D, A) with N A = D I, checked
-    here in integer arithmetic, and M^-1 = q A / D."""
-    n = len(rows)
-    q, flat = clear_denominators([Fraction(x) for r in rows for x in r])
-    num = [flat[i * n:(i + 1) * n] for i in range(n)]
-    det, adj = _gauss_jordan(num)
-    assert all(type(x) is int for r in adj for x in r)
-    assert [[sum(num[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)] == [[det * (i == j) for j in range(n)]
-                                   for i in range(n)]
-    return [[Fraction(q * x, det) for x in r] for r in adj]
-
-
-def sympy_inverse(rows):
-    inv = sympy.Matrix(rows).inv()
-    return [[Fraction(str(inv[i, j])) for j in range(len(rows))]
-            for i in range(len(rows))]
-
-
-@given(matrices_3)
-@settings(max_examples=40)
-def test_inverse_matches_sympy(rows):
-    if sympy.Matrix(rows).det() == 0:
-        with pytest.raises(ValueError):
-            checked_inverse(rows)
-        return
-    assert checked_inverse(rows) == sympy_inverse(rows)
-
-
-def test_inverse_equals_sympy_on_seeded_matrices():
-    rng = random.Random(20261018)
-    for size in (1, 2, 3, 4, 5, 6, 6, 8):
-        while True:
-            # sparse entries, so some pivots need a later row
-            rows = [[Fraction(rng.choice((0, 0, rng.randint(-9, 9))),
-                              rng.randint(1, 5)) for _ in range(size)]
-                    for _ in range(size)]
-            if sympy.Matrix(rows).det() != 0:
-                break
-        got = checked_inverse(rows)
-        assert got == sympy_inverse(rows) == fraction_inverse(rows)
-
-
-def test_inverse_rejects_a_singular_matrix():
-    # third row = first + second, and column 0 has its first nonzero
-    # entry in the second row
-    rows = [[0, 2, 1], [3, 1, 0], [3, 3, 1]]
-    assert sympy.Matrix(rows).det() == 0
-    assert sympy.Matrix(rows).rank() == 2
-    with pytest.raises(ValueError, match="singular"):
-        _gauss_jordan(rows)
-
-
 def random_rows(rng, rows, cols, den=5):
     # sparse entries, so some pivots need a later row
     return [[Fraction(rng.choice((0, 0, rng.randint(-9, 9))), rng.randint(1, den))
              for _ in range(cols)] for _ in range(rows)]
 
 
-def test_gauss_jordan_gives_det_and_adjugate():
-    rng = random.Random(11)
-    singular = 0
-    for size in [1, 2, 3, 4, 5, 6, 7] * 6:
-        rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(size)]
-                for _ in range(size)]
-        s = sympy.Matrix(rows)
-        if s.det() == 0:
-            singular += 1
-            with pytest.raises(ValueError, match="singular"):
-                _gauss_jordan(rows)
-            continue
-        det, adj = _gauss_jordan(rows)
-        assert all(type(x) is int for r in adj for x in r)
-        assert abs(det) == abs(s.det())
-        sign = 1 if det == s.det() else -1
-        assert sympy.Matrix(adj) == sign * s.adjugate()
-    assert singular > 0
+def assert_start_rays_are_inverse_columns(rows):
+    """d independent inequalities in d coordinates leave the double
+    description nothing to insert, so its rays are its start: each must
+    be a column of M^-1 scaled by a positive factor to a primitive
+    integer vector.  A rational M enters as its integer numerators N = qM
+    (q > 0), whose inverse has the same columns up to the factor 1/q."""
+    n = len(rows)
+    _, flat = clear_denominators([Fraction(x) for r in rows for x in r])
+    rays = hull._dd_extreme_rays([flat[i * n:(i + 1) * n] for i in range(n)])
+    inv = sympy.Matrix(rows).inv()
+    assert len(rays) == n
+    for j, ray in enumerate(rays):
+        column = [Fraction(str(x)) for x in inv.col(j)]
+        k = next(i for i, x in enumerate(column) if x)
+        factor = ray[k] / column[k]
+        assert factor > 0
+        assert list(ray) == [factor * x for x in column]
+        assert math.gcd(*ray) == 1
+
+
+@given(matrices_3)
+@settings(max_examples=40)
+def test_inverse_matches_sympy(rows):
+    if sympy.Matrix(rows).det() == 0:
+        _, flat = clear_denominators([x for r in rows for x in r])
+        with pytest.raises(ValueError, match="not pointed"):
+            hull._dd_extreme_rays([flat[0:3], flat[3:6], flat[6:9]])
+        return
+    assert_start_rays_are_inverse_columns(rows)
+
+
+def test_dd_start_rays_are_the_inverse_columns():
+    rng = random.Random(20261018)
+    negative = 0
+    for size in list(range(1, 10)) * 20:
+        while True:
+            # sparse entries, so some pivots need a later row
+            rows = [[rng.choice((0, 0, rng.randint(-9, 9)))
+                     for _ in range(size)] for _ in range(size)]
+            det = int(sympy.Matrix(rows).det())
+            if det:
+                break
+        negative += det < 0
+        assert_start_rays_are_inverse_columns(rows)
+    assert negative > 0
+
+
+def test_inverse_rejects_a_singular_matrix():
+    # third row = first + second, and column 0 has its first nonzero
+    # entry in the second row
+    rows = [(0, 2, 1), (3, 1, 0), (3, 3, 1)]
+    assert sympy.Matrix(rows).det() == 0
+    assert sympy.Matrix(rows).rank() == 2
+    with pytest.raises(ValueError, match="not pointed"):
+        hull._dd_extreme_rays(rows)
 
 
 def test_integer_products_match_sympy():
@@ -240,23 +223,6 @@ def fraction_product(a, b):
     # the textbook product, in Fraction arithmetic
     return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
              for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def fraction_inverse(rows):
-    # Gauss-Jordan elimination of [M | I] in Fraction arithmetic
-    n = len(rows)
-    work = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)]
-            for i, r in enumerate(rows)]
-    for k in range(n):
-        p = next(i for i in range(k, n) if work[i][k] != 0)
-        work[k], work[p] = work[p], work[k]
-        pivot = work[k][k]
-        work[k] = [x / pivot for x in work[k]]
-        for i in range(n):
-            if i != k and work[i][k] != 0:
-                f = work[i][k]
-                work[i] = [x - f * y for x, y in zip(work[i], work[k])]
-    return [r[n:] for r in work]
 
 
 def assert_holds(got, want_rows):

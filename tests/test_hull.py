@@ -18,7 +18,7 @@ from birkhoffsym.errors import InvariantError, PreconditionError
 from birkhoffsym.exact import (RationalMatrix, _independent_rows,
                                clear_denominators)
 from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
-                              certify_vertices, facet_enumeration, incidence_of,
+                              certify_vertices, facet_enumeration,
                               polytope_from_document, polytope_to_document)
 from birkhoffsym.reppoly import default_catalog, representation_polytope
 
@@ -31,7 +31,7 @@ SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 
 def tight_families(polytope):
-    return frozenset(polytope.tight_sets())
+    return frozenset(polytope.incidence.tight_sets)
 
 
 def test_square():
@@ -49,7 +49,7 @@ def test_triangle_in_3d():
     p = facet_enumeration([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert p.dim == 2
     assert p.n_facets == 3
-    assert all(len(s) == 2 for s in p.tight_sets())
+    assert all(len(s) == 2 for s in p.incidence.tight_sets)
     validate_polytope(p)
 
 
@@ -58,7 +58,7 @@ def test_cube():
     p = facet_enumeration(verts)
     assert p.dim == 3
     assert p.n_facets == 6
-    assert all(len(s) == 4 for s in p.tight_sets())
+    assert all(len(s) == 4 for s in p.incidence.tight_sets)
     validate_polytope(p)
 
 
@@ -66,7 +66,7 @@ def test_octahedron():
     verts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     p = facet_enumeration(verts)
     assert p.n_facets == 8
-    assert all(len(s) == 3 for s in p.tight_sets())
+    assert all(len(s) == 3 for s in p.incidence.tight_sets)
     validate_polytope(p)
 
 
@@ -216,7 +216,7 @@ def test_one_pass_chart_keeps_the_rank_greedy_basis():
         scaled = scaled_points(pts)
         pivot_rows = _affine_chart(scaled)
         diffs = [tuple(a - b for a, b in zip(p, scaled[0])) for p in scaled[1:]]
-        basis = [diffs[i] for i, _ in _independent_rows(diffs)]
+        basis = [diffs[i] for i, *_ in _independent_rows(diffs)]
         want = rank_greedy_basis(scaled)
         assert basis == want
         assert len(pivot_rows) == len(want) == affine_dim(pts)
@@ -288,8 +288,7 @@ def test_certify_vertices_reads_only_the_incidence(monkeypatch):
     def forbidden(*args):
         raise AssertionError("certify_vertices did linear algebra")
 
-    for module, name in ((hull, "_independent_rows"), (hull, "_gauss_jordan"),
-                         (hull, "_affine_chart")):
+    for module, name in ((hull, "_independent_rows"), (hull, "_affine_chart")):
         monkeypatch.setattr(module, name, forbidden)
     assert certify_vertices(p) == [True] * 24
 
@@ -337,12 +336,13 @@ def test_certify_vertices_matches_the_rank_certificate():
         assert certify_vertices(p) == rank_certified_vertices(p), pts
 
 
-def test_incidence_of_dedups_rows():
-    p = facet_enumeration(SQUARE)
-    inc = incidence_of(p)
-    assert inc.n_facets == 4
-    doubled = IncidenceStructure(4, list(p.incidence) + list(p.incidence))
-    assert doubled.n_facets == 8  # constructor stores rows as given
+def test_incidence_refuses_a_vertex_out_of_range():
+    inc = IncidenceStructure(3, [{0, 1}, [1, 2]])
+    assert inc.tight_sets == (frozenset({0, 1}), frozenset({1, 2}))
+    assert inc.vertex_facets == ((0,), (0, 1), (1,))
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match="vertex"):
+            IncidenceStructure(3, [{0, 1}, {1, bad}])
 
 
 def test_document_roundtrip():
@@ -365,7 +365,7 @@ def test_birkhoff3_facets_are_analytic_complements():
     assert p.dim == 4
     assert p.n_vertices == 6
     assert p.n_facets == 9
-    assert all(len(s) == 4 for s in p.tight_sets())
+    assert all(len(s) == 4 for s in p.incidence.tight_sets)
     analytic = analytic_facet_sets(3)
     complements = {frozenset(range(6)) - s for s in analytic.values()}
     assert tight_families(p) == complements
@@ -413,9 +413,10 @@ def conjugated(points_of_group, dim, rng):
 
 
 def same_polytope(got, want):
-    return ((got.ambient_dim, got.vertices, got.facets, got.incidence, got.dim)
-            == (want.ambient_dim, want.vertices, want.facets, want.incidence,
-                want.dim)
+    return ((got.ambient_dim, got.vertices, got.facets, got.dim,
+             got.incidence.tight_sets, got.incidence.vertex_facets)
+            == (want.ambient_dim, want.vertices, want.facets, want.dim,
+                want.incidence.tight_sets, want.incidence.vertex_facets)
             and all(type(x) is Fraction for f in got.facets
                     for x in f.normal + (f.offset,)))
 

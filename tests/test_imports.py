@@ -8,9 +8,10 @@ because its imports are the package's re-exports, and `__future__`
 imports bind no name.  Likewise a helper whose last caller is gone, or
 that only tests call, is reported.  An export from `__init__` is not a
 reader: a name no package module reads is kept only when KEPT_EXPORTS
-lists it, with the reason it stays.  A package module imported inside a
-function, where an import cycle would hide, is reported too, and so is a
-reference module `tests/*_oracle.py` that no test module imports: pytest
+lists it, with the reason it stays.  An import inside a function of a
+package module is reported too: a package module imported there hides
+an import cycle, and any import there escapes the unused-import check,
+which reads module-level imports only.  So is a reference module `tests/*_oracle.py` that no test module imports: pytest
 does not collect it, so nothing else would notice it going unused."""
 
 import ast
@@ -180,31 +181,39 @@ def test_detects_a_dead_definition():
         "m.unused", "m.recursive", "m.read"]
 
 
-def function_level_package_imports(tree: ast.AST) -> list[int]:
-    """Line of each relative import inside a function: a package module
-    imported there hides an import cycle between package modules."""
+def function_level_imports(tree: ast.AST) -> list[int]:
+    """Line of each import inside a function: a package module imported
+    there hides an import cycle between package modules, and any module
+    imported there escapes `unused_imports`."""
     return sorted({node.lineno for fn in ast.walk(tree)
                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                    for node in ast.walk(fn)
-                   if isinstance(node, ast.ImportFrom) and node.level > 0})
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_level_package_imports(path):
-    lines = function_level_package_imports(
+    lines = function_level_imports(
         ast.parse(path.read_text(), filename=str(path)))
-    assert not lines, f"{path.name}: package imports inside functions on lines {lines}"
+    assert not lines, f"{path.name}: imports inside functions on lines {lines}"
 
 
 def test_detects_a_function_level_package_import():
+    # a standard-library import counts as much as a package one, in a
+    # method as in a module-level function
     tree = ast.parse("from .perm import closure\n"
+                     "import math\n"
                      "def f():\n"
                      "    import itertools\n"
                      "    from .regular import regular_subgroups\n"
                      "    def g():\n"
                      "        from . import gamma\n"
-                     "    return itertools, regular_subgroups, g\n")
-    assert function_level_package_imports(tree) == [4, 6]
+                     "    return itertools, regular_subgroups, g\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        import math as m\n"
+                     "        return m\n")
+    assert function_level_imports(tree) == [4, 5, 7, 11]
 
 
 def assert_statements(tree: ast.AST) -> list[int]:

@@ -7,13 +7,12 @@ import pytest
 
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.exact import RationalMatrix
-from birkhoffsym.hull import incidence_of
 from birkhoffsym.combiso import comb_equivalent
 from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.hull import facet_enumeration
 from birkhoffsym.gamma import verify_wreath_quotient
 from birkhoffsym.perm import (Permutation, PermutationGroup, centralizer,
-                              named_group)
+                              named_group, regular_action)
 from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
                                  load_exceptional_c6,
                                  matrix_closure,
@@ -22,7 +21,7 @@ from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
                                  matrix_group_from_perm_group,
                                  regular_matrix_group,
                                  representation_polytope,
-                                 translation_vertex_maps, uniqueness_check,
+                                 uniqueness_check,
                                  verify_gamma_acts)
 
 
@@ -101,14 +100,14 @@ def test_representation_polytope_size_cap():
 def test_simplex_property_of_regular_c6():
     # every 5-subset of the 6 vertices spans a facet
     p = representation_polytope(matrix_group_from_perm_group(named_group("c6")))
-    assert sorted(len(s) for s in p.tight_sets()) == [5] * 6
-    assert frozenset(p.tight_sets()) == frozenset(
+    assert sorted(len(s) for s in p.incidence.tight_sets) == [5] * 6
+    assert frozenset(p.incidence.tight_sets) == frozenset(
         frozenset(set(range(6)) - {v}) for v in range(6))
 
 
 def test_translation_maps_are_group_actions():
     g = matrix_group_from_perm_group(named_group("s3"))
-    lams, rhos, iota = translation_vertex_maps(g)
+    lams, rhos, iota = regular_action(g.element_group())
     assert len(lams) == len(rhos) == 6
     assert (iota * iota).is_identity()
     assert lams[0].is_identity() and rhos[0].is_identity()
@@ -128,7 +127,8 @@ def test_translation_maps_match_matrix_products(n):
         # the inverse of x in the group is the element y with x y = 1
         inverse = {x: next(y for y in elems if (x * y).is_identity())
                    for x in elems}
-        lams, rhos, iota = translation_vertex_maps(entry.matrix_group)
+        lams, rhos, iota = regular_action(
+            entry.matrix_group.element_group())
         assert [p.images for p in lams] == [
             tuple(index[g * x] for x in elems) for g in elems], entry.name
         assert [p.images for p in rhos] == [
@@ -310,9 +310,9 @@ def test_uniqueness_n3():
 def test_uniqueness_witnesses_verify_independently():
     # re-check each equivalence witness against the incidences directly
     r = uniqueness_check(3)
-    reference = incidence_of(facet_enumeration(
-        [m.entries for m in birkhoff_vertices(3)]))
-    ref_rows = set(reference.tight_sets())
+    reference = facet_enumeration(
+        [m.entries for m in birkhoff_vertices(3)]).incidence
+    ref_rows = set(reference.tight_sets)
     equivalent = [e for e in r.entries if e.equivalent]
     assert len(equivalent) == 2
     by_name = {
@@ -320,9 +320,9 @@ def test_uniqueness_witnesses_verify_independently():
         "c6_exceptional": load_exceptional_c6(),
     }
     for e in equivalent:
-        inc = incidence_of(representation_polytope(by_name[e.name]))
+        inc = representation_polytope(by_name[e.name]).incidence
         assert inc.n_facets == reference.n_facets
-        for row in inc.tight_sets():
+        for row in inc.tight_sets:
             assert frozenset(e.witness[v] for v in row) in ref_rows
 
 
@@ -373,7 +373,7 @@ def test_catalog_declared_order_mismatch_raises():
 def test_exceptional_c6_equivalence_witness_direct():
     # the pair that makes uniqueness fail at n = 3: an order-6 group in
     # dimension 4 whose polytope has the B_3 incidence
-    reference = incidence_of(facet_enumeration(
-        [m.entries for m in birkhoff_vertices(3)]))
-    inc = incidence_of(representation_polytope(load_exceptional_c6()))
+    reference = facet_enumeration(
+        [m.entries for m in birkhoff_vertices(3)]).incidence
+    inc = representation_polytope(load_exceptional_c6()).incidence
     assert comb_equivalent(inc, reference) is not None
