@@ -149,7 +149,7 @@ def _cmd_cd_lattice(args):
 
 
 def _cmd_sn_cent_est(args):
-    r = cd.verify_centralizer_estimate(args.n, bound=args.bound)
+    r = cd.verify_centralizer_estimate(args.n)
     return r.passed, {"n": args.n}, r
 
 
@@ -268,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sn-cent-est", _cmd_sn_cent_est,
             "centralizer order estimate across all subgroups of S_n, n = 4, 5, 6")
     p.add_argument("n", type=int)
-    p.add_argument("--bound", type=int, default=720,
-                   help="largest group order to enumerate (default 720 = |S_6|)")
 
     p = add("wreath", _cmd_wreath,
             "order formula 2|G|^2/|Z(G)| and kernel check for Gamma(G)")

@@ -35,8 +35,7 @@ from typing import Optional
 
 from .errors import InvariantError, PreconditionError
 from .perm import (Permutation, PermutationGroup, _right_mul, _tagged,
-                   centralizer, closure, generating_set, regular_action,
-                   saturate)
+                   closure, regular_action, saturate)
 
 MAX_GAMMA_BASE = 30  # largest |G| whose Gamma(G) is built
 MAX_NORMALIZER_BASE = 6  # largest |G| for the brute-force normalizer
@@ -44,17 +43,16 @@ REGULAR_MAX_DEGREE = 24  # largest degree of Gamma the regular-pair search takes
 REGULAR_MAX_ORDER = 1500  # largest order of Gamma the regular-pair search takes
 
 
-def build_gamma(group: PermutationGroup,
-                max_size: int = MAX_GAMMA_BASE) -> PermutationGroup:
+def build_gamma(group: PermutationGroup) -> PermutationGroup:
     """Gamma(G) with tagged generators lambda[g], rho[g] (in pairs), then
-    inv, g running over G's generators (a greedy generating set of G's
-    elements when G carries none)."""
-    if group.order > max_size:
+    inv, g running over G's generators; G may have order at most
+    MAX_GAMMA_BASE."""
+    if group.order > MAX_GAMMA_BASE:
         raise PreconditionError(
-            f"group of order {group.order} exceeds bound {max_size}")
+            f"group of order {group.order} exceeds bound {MAX_GAMMA_BASE}")
     lams, rhos, iota = regular_action(group)
     tagged = []
-    for tag, g in generating_set(group):
+    for tag, g in group.generators:
         i = group.index[g.images]
         tagged += [(f"lambda[{tag}]", lams[i]), (f"rho[{tag}]", rhos[i])]
     tagged.append(("inv", iota))
@@ -81,22 +79,24 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
     """Check |Gamma(G)| = 2|G|^2/|Z(G)| and the kernel description.
 
     The kernel check: lambda_z rho_z is the identity map exactly for
-    central z (x -> z x z^-1 = x for all x iff z central).  For an
+    central z (x -> z x z^-1 = x for all x iff z central).  The centre
+    Z(G) is the set of positions commuting with G's generators.  For an
     elementary abelian 2-group the order formula does not apply; the
     report carries the flag and the actual order instead of a verdict.
     """
     gamma = build_gamma(group)
-    z = centralizer(group, group)
+    center = group.centralizer_indices(
+        group.index[g.images] for g in group.generator_perms())
     ea2 = is_elementary_abelian_2(group)
-    formula = 2 * group.order ** 2 // z.order
+    formula = 2 * group.order ** 2 // len(center)
     lams, rhos, _ = regular_action(group)
-    kernel_pass = all((lam * rho).is_identity() == (g in z)
-                      for g, lam, rho in zip(group.elements, lams, rhos))
+    kernel_pass = all((lam * rho).is_identity() == (i in center)
+                      for i, (lam, rho) in enumerate(zip(lams, rhos)))
     actual = gamma.order
     if ea2:
-        return WreathReport(group.order, z.order, True, formula,
+        return WreathReport(group.order, len(center), True, formula,
                             None, actual, kernel_pass, kernel_pass)
-    return WreathReport(group.order, z.order, False, formula, formula,
+    return WreathReport(group.order, len(center), False, formula, formula,
                         actual, kernel_pass,
                         kernel_pass and actual == formula)
 
@@ -272,18 +272,18 @@ class NormalizerReport:
     passed: bool
 
 
-def normalizer_in_full_symmetric(group: PermutationGroup,
-                                 max_size: int = MAX_NORMALIZER_BASE) -> NormalizerReport:
+def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
     """Exhaustively compute N_{Sym(G)}(Gamma(G)) and compare with
-    Aut(G)*Gamma(G) as sets of permutations of the labelling.
+    Aut(G)*Gamma(G) as sets of permutations of the labelling, for |G| at
+    most MAX_NORMALIZER_BASE.
 
     Conjugating the tagged generators into Gamma suffices for membership:
     pi <gens> pi^-1 = <pi gens pi^-1> is a subgroup of Gamma of equal
     order, hence equal to it.
     """
-    if group.order > max_size:
-        raise PreconditionError(
-            f"group of order {group.order} exceeds normalizer bound {max_size}")
+    if group.order > MAX_NORMALIZER_BASE:
+        raise PreconditionError(f"group of order {group.order} exceeds "
+                                f"normalizer bound {MAX_NORMALIZER_BASE}")
     gamma = build_gamma(group)
     m = group.order
     gens = [p.images for p in gamma.generator_perms()]

@@ -9,6 +9,9 @@ Conventions, fixed once and used everywhere:
 * Group elements are kept fully enumerated, sorted by image tuple.  The
   identity's image tuple (0, 1, ..., m-1) is the lexicographic minimum of
   all bijections, so sorted element lists always start with the identity.
+* A group carries the generating set it was built from: every
+  constructor here has one by construction, so none is ever recovered
+  from the element list.
 
 Groups here stay small (a few thousand elements at the very most), which is
 why explicit element lists beat any stabilizer-chain machinery in both
@@ -41,7 +44,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import NotASubgroupError, PreconditionError
+from .errors import PreconditionError
 
 MAX_DEGREE = 4096  # points 0..MAX_DEGREE-1 are the most cycle notation may name
 
@@ -176,10 +179,13 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
 
 class PermutationGroup:
-    """A finite permutation group given by its full, sorted element list.
+    """A finite permutation group given by its full, sorted element list
+    and a generating set.
 
-    `generators` carries (tag, permutation) pairs for reporting; tags are
-    free-form labels.  Equality ignores tags and compares element sets.
+    `generators` carries (tag, permutation) pairs; tags are free-form
+    labels, and the tagged permutations generate the group (the trivial
+    group may carry none).  Equality ignores tags and compares element
+    sets.
     `index` maps each element's image tuple to its position in the list,
     so the identity sits at 0.  The multiplication table on those
     positions, `table`, and the inverse of each position, `inv`, are
@@ -190,7 +196,7 @@ class PermutationGroup:
     __slots__ = ("degree", "elements", "generators", "index", "_table", "_inv")
 
     def __init__(self, degree: int, elements: Sequence[Permutation],
-                 generators: Sequence[tuple[str, Permutation]] = ()):
+                 generators: Sequence[tuple[str, Permutation]]):
         # sorted on the image tuples, not through Permutation.__lt__
         by_images = {p.images: p for p in elements}
         keys = sorted(by_images)
@@ -228,7 +234,7 @@ class PermutationGroup:
         return hash((self.degree, self.elements))
 
     def __repr__(self) -> str:
-        gens = ", ".join(tag for tag, _ in self.generators) or "full list"
+        gens = ", ".join(tag for tag, _ in self.generators)
         return f"PermutationGroup(degree={self.degree}, order={self.order}, gens=[{gens}])"
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
@@ -242,7 +248,7 @@ class PermutationGroup:
     def table(self) -> list[list[int]]:
         """table[a][b] is the position of elements[a] * elements[b].
         Its readers read most of it, on groups of order at most 720
-        (S_6): `subgroup_classes`, `centralizer`, `generating_set`, `cd`,
+        (S_6): `subgroup_classes`, `centralizer_indices`, `cd`,
         `gamma.automorphisms`, and `regular_action`, which gives
         `gamma.build_gamma`, the vertex maps of `reppoly` and the B_n
         transformation law their translations.
@@ -293,31 +299,13 @@ class PermutationGroup:
         return [m for m, row in enumerate(table)
                 if all(table[row[g]][inv[m]] in members for g in gens)]
 
-    def generating_indices(self, members: Sequence[int]) -> list[int]:
-        """A generating set of the subgroup with the given member
-        positions, chosen greedily in the given order: a member is taken
-        only when it lies outside the closure of the ones taken before,
-        and the scan stops once that closure is the whole subgroup."""
-        gens: list[int] = []
-        span = frozenset({0})
-        for i in members:
-            if len(span) == len(members):
-                break
-            if i not in span:
-                gens.append(i)
-                span = self.closure_indices(gens)
-        return gens
-
     def subgroup_from_indices(self, members: Sequence[int],
-                              gen_indices: Sequence[int] = ()) -> "PermutationGroup":
-        """The subgroup with the given member positions, tagged with
-        gen_indices, or with generating_indices(members) when none are
-        given."""
+                              gen_indices: Sequence[int]) -> "PermutationGroup":
+        """The subgroup with the given member positions, tagged with the
+        positions gen_indices, which generate it."""
         elements = self.elements
-        gens = _tagged(elements[i] for i in
-                       gen_indices or self.generating_indices(members))
         return PermutationGroup(self.degree, [elements[i] for i in members],
-                                gens)
+                                _tagged(elements[i] for i in gen_indices))
 
 
 def saturate(seeds: Iterable, steps: Sequence[Callable],
@@ -412,27 +400,6 @@ def regular_action(group: PermutationGroup) -> tuple[
     lams = [Permutation(row) for row in table]
     rhos = [Permutation(row[h] for row in table) for h in inv]
     return lams, rhos, Permutation(inv)
-
-
-def generating_set(group: PermutationGroup) -> tuple[tuple[str, Permutation], ...]:
-    """The group's tagged generators, or, when it carries none, a greedy
-    generating set of its elements tagged with their cycle strings."""
-    if group.generators:
-        return group.generators
-    return _tagged(group.elements[i]
-                   for i in group.generating_indices(range(group.order)))
-
-
-def centralizer(group: PermutationGroup, sub: PermutationGroup) -> PermutationGroup:
-    """C_G(H): the elements of G commuting with H's generators, or with all
-    of H's elements when H carries no generators."""
-    if not sub.is_subgroup_of(group):
-        raise NotASubgroupError("centralizer: H is not a subgroup of G")
-    members = group.centralizer_indices(
-        group.index[h.images] for h in sub.generator_perms() or sub.elements)
-    if len(members) == group.order:
-        return group  # keeps G's own generators
-    return group.subgroup_from_indices(sorted(members))
 
 
 SubgroupClass = list[tuple[frozenset[int], tuple[int, ...]]]

@@ -25,10 +25,9 @@ from .combiso import comb_automorphisms, comb_equivalent
 from .errors import PreconditionError
 from .exact import RationalMatrix, _independent_rows, parse_rational
 from .hull import Polytope, certify_vertices, facet_enumeration
-from .perm import (Permutation, PermutationGroup, closure, generating_set,
-                   named_group, regular_action, saturate)
+from .perm import (Permutation, PermutationGroup, closure, named_group,
+                   regular_action, saturate)
 
-MAX_CLOSURE = 500
 MAX_POLYTOPE_ELEMENTS = 30
 
 
@@ -59,19 +58,14 @@ class MatrixGroup:
         translation by element i.  Only the generators are translated,
         |generators| * |G| matrix products: the translations form a group
         isomorphic to G, so their closure gives the rest, and each
-        generator is tagged with its cycle string.  A group built without
-        generators translates all its elements and carries no tags."""
+        generator is tagged with its cycle string."""
         def translation(a: RationalMatrix) -> Permutation:
             return Permutation(self._index[a * x] for x in self.elements)
 
-        if not self.generators:
-            return PermutationGroup(self.order,
-                                    [translation(a) for a in self.elements])
         return closure([translation(g) for g in self.generators])
 
 
-def matrix_closure(generators: list[RationalMatrix],
-                   bound: int = MAX_CLOSURE) -> MatrixGroup:
+def matrix_closure(generators: list[RationalMatrix]) -> MatrixGroup:
     """Close a generator list under multiplication.
 
     A finite set of invertible matrices containing the identity and
@@ -79,8 +73,9 @@ def matrix_closure(generators: list[RationalMatrix],
     plain product saturation suffices; left and right products by the
     generators close to the same set, and `g.__mul__` is the left one.
     A generator is invertible when its integer numerator rows are
-    independent.  Exceeding the bound raises, since the closure may well
-    be infinite.
+    independent.  The closure stops with PreconditionError once it passes
+    MAX_POLYTOPE_ELEMENTS, the most any hull here takes, so an infinite
+    group stops there too.
     """
     if not generators:
         raise PreconditionError("matrix closure needs at least one generator")
@@ -92,10 +87,8 @@ def matrix_closure(generators: list[RationalMatrix],
         if sum(1 for _ in _independent_rows(rows)) < dim:
             raise PreconditionError("generator is not invertible")
     ident = RationalMatrix.identity(dim)
-    try:
-        seen = saturate([ident], [g.__mul__ for g in generators], bound)
-    except PreconditionError as exc:
-        raise PreconditionError("group not finite at this bound") from exc
+    seen = saturate([ident], [g.__mul__ for g in generators],
+                    MAX_POLYTOPE_ELEMENTS)
     others = sorted((m for m in seen if m != ident),
                     key=lambda m: m.entries)
     return MatrixGroup(dim, [ident] + others, list(generators))
@@ -105,18 +98,16 @@ def matrix_group_from_perm_group(group: PermutationGroup) -> MatrixGroup:
     """Permutation matrices of a permutation group, acting on its own
     points.  For a cyclic shift on |G| points this is the regular
     representation; for S_n on n points it is the standard one."""
-    gens = [g for _, g in generating_set(group)] or [group.identity]
-    return matrix_closure([permutation_matrix(g) for g in gens],
-                          bound=max(MAX_CLOSURE, group.order))
+    gens = group.generator_perms() or [group.identity]
+    return matrix_closure([permutation_matrix(g) for g in gens])
 
 
 def regular_matrix_group(group: PermutationGroup) -> MatrixGroup:
     """Left regular representation: |G| x |G| permutation matrices of the
     translation action of G on itself."""
     lams, _, _ = regular_action(group)
-    gens = [group.index[g.images] for _, g in generating_set(group)] or [0]
-    return matrix_closure([permutation_matrix(lams[g]) for g in gens],
-                          bound=max(MAX_CLOSURE, group.order))
+    gens = [group.index[g.images] for g in group.generator_perms()] or [0]
+    return matrix_closure([permutation_matrix(lams[g]) for g in gens])
 
 
 def representation_polytope(mgroup: MatrixGroup) -> Polytope:

@@ -13,7 +13,8 @@ from birkhoffsym.gamma import (build_gamma, commuting_regular_pairs,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
 from birkhoffsym.hull import facet_enumeration
-from birkhoffsym.perm import PermutationGroup, named_group, regular_action
+from birkhoffsym.perm import (PermutationGroup, _tagged, named_group,
+                              regular_action)
 from birkhoffsym.reppoly import (load_exceptional_c6,
                                  matrix_group_from_perm_group,
                                  uniqueness_check, verify_gamma_acts)
@@ -111,9 +112,10 @@ def test_criterion_06_gamma_order_formula():
 
 
 def lambda_and_rho(group):
+    """lambda(G) and rho(G), each tagged with all its elements."""
     lams, rhos, _ = regular_action(group)
-    return (PermutationGroup(group.order, lams),
-            PermutationGroup(group.order, rhos))
+    return (PermutationGroup(group.order, lams, _tagged(lams)),
+            PermutationGroup(group.order, rhos, _tagged(rhos)))
 
 
 def test_criterion_07_commuting_regular_pairs():

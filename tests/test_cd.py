@@ -8,7 +8,7 @@ import pytest
 from birkhoffsym.cd import cd_lattice, cd_measure, verify_centralizer_estimate
 from birkhoffsym.errors import NotASubgroupError, PreconditionError
 from birkhoffsym.perm import (Permutation, PermutationGroup, all_subgroups,
-                              centralizer, closure, named_group, parse_cycles,
+                              closure, named_group, parse_cycles,
                               subgroup_classes, symmetric_group)
 
 
@@ -39,7 +39,9 @@ def test_centralizer_matches_brute_force_oracle(name):
     measures = []
     for sub in all_subgroups(g):
         want = _oracle_centralizer(g, sub)
-        assert set(centralizer(g, sub).elements) == want
+        got = g.centralizer_indices(g.index[h.images]
+                                    for h in sub.generator_perms())
+        assert {g.elements[i] for i in got} == want
         assert cd_measure(g, sub) == sub.order * len(want)
         measures.append(sub.order * len(want))
     assert cd_lattice(g).max_measure == max(measures)
@@ -129,8 +131,6 @@ def test_centralizer_estimate_rejects_other_n():
     for n in (2, 3, 7):
         with pytest.raises(PreconditionError):
             verify_centralizer_estimate(n)
-    with pytest.raises(PreconditionError):
-        verify_centralizer_estimate(6, bound=200)
 
 
 def test_product_subgroup_criterion_matches_all_pairs():

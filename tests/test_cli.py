@@ -19,6 +19,7 @@ import pytest
 from birkhoffsym import cli, combiso, gamma, hull, perm
 from birkhoffsym.birkhoff import (SymmetryDecomposition, reconstruct_symmetry)
 from birkhoffsym.cli import main
+from birkhoffsym.exact import RationalMatrix
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
                               polytope_to_document)
 from birkhoffsym.perm import Permutation, parse_cycles
@@ -198,6 +199,27 @@ def test_builtin_name_closure_stops_at_the_bound(capsys, monkeypatch,
     assert len(products) <= 2 * (bound + 1)
 
 
+def test_matrix_group_document_closure_stops_at_the_bound(tmp_path, capsys,
+                                                          monkeypatch):
+    # the permutation matrices of (0 1) and (0 1 2 3 4) generate S_5: the
+    # closure stops past the polytope's 30 elements, not at 120
+    gens = [[[int(p[j] == i) for j in range(5)] for i in range(5)]
+            for p in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))]
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps({"dim": 5, "generators": gens}))
+    products = []
+    mul = RationalMatrix.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(RationalMatrix, "__mul__", counting)
+    assert main(["rep-polytope", "--group", str(path)]) == 3
+    assert "closure exceeds bound 30" in capsys.readouterr().err
+    assert len(products) <= 2 * (30 + 1)
+
+
 def test_regular_pairs_refuses_d13_before_building_gamma(tmp_path, capsys,
                                                          monkeypatch):
     # Gamma(D_13) acts on 26 points, past the regular-subgroup search's
@@ -246,7 +268,6 @@ def test_sn_cent_est_s6_within_the_default_bound(capsys):
     assert code == 0
     assert doc["details"]["subgroup_count"] == 1455
     assert doc["details"]["equality_orders"] == [1, 720]
-    assert main(["sn-cent-est", "6", "--bound", "200"]) == 3
     assert main(["sn-cent-est", "7"]) == 3
 
 

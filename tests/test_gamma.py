@@ -16,17 +16,18 @@ from birkhoffsym.gamma import (automorphisms, build_gamma,
                                is_elementary_abelian_2,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
-from birkhoffsym.perm import (Permutation, PermutationGroup, named_group,
-                              all_subgroups, centralizer, closure,
+from birkhoffsym.perm import (Permutation, PermutationGroup, _tagged,
+                              named_group, all_subgroups, closure,
                               group_from_generator_lines, parse_cycles,
                               regular_action)
 
 
 def translation_subgroups(group):
-    """lambda(G), rho(G) and iota, the pieces Gamma(G) is generated from."""
+    """lambda(G), rho(G) and iota, the pieces Gamma(G) is generated from;
+    each translation group is tagged with all its elements."""
     lams, rhos, iota = regular_action(group)
-    return (PermutationGroup(group.order, lams),
-            PermutationGroup(group.order, rhos), iota)
+    return (PermutationGroup(group.order, lams, _tagged(lams)),
+            PermutationGroup(group.order, rhos, _tagged(rhos)), iota)
 
 
 def test_translations_are_actions():
@@ -51,25 +52,21 @@ def test_inversion_conjugates_left_to_right():
 
 
 def test_wreath_on_a_centralizer():
-    # C_{S_5}((0 1)) has order 12 and centre <(0 1)>: Gamma has order
-    # 2 * 144 / 2; with generator tags that missed (0 1) it came out 72
-    c = centralizer(named_group("s5"), closure([parse_cycles("(0 1)", 5)]))
+    # C_{S_5}((0 1)) = <(0 1)> x Sym{2,3,4} has order 12 and centre
+    # <(0 1)>: Gamma has order 2 * 144 / 2; with generator tags that missed
+    # (0 1) it came out 72
+    c = closure([parse_cycles(t, 5) for t in ("(0 1)", "(2 3)", "(2 3 4)")])
+    assert c.order == 12
     r = verify_wreath_quotient(c)
+    assert r.center_order == 2
     assert r.actual_order == r.formula_order == 144
     assert r.passed
 
 
-def test_gamma_of_a_group_without_generators():
-    g = named_group("d4")
-    bare = PermutationGroup(g.degree, g.elements)
-    assert build_gamma(bare) == build_gamma(g)
-    assert verify_wreath_quotient(bare).passed
-
-
 def test_center_and_ea2():
     for name, order in {"s3": 1, "c6": 6, "d4": 2, "q8": 2}.items():
-        g = named_group(name)
-        assert centralizer(g, g).order == order, name
+        r = verify_wreath_quotient(named_group(name))
+        assert r.center_order == order, name
     assert is_elementary_abelian_2(named_group("v4"))
     assert not is_elementary_abelian_2(named_group("c4"))
 

@@ -11,8 +11,12 @@ reader: a name no package module reads is kept only when KEPT_EXPORTS
 lists it, with the reason it stays.  An import inside a function of a
 package module is reported too: a package module imported there hides
 an import cycle, and any import there escapes the unused-import check,
-which reads module-level imports only.  So is a reference module `tests/*_oracle.py` that no test module imports: pytest
-does not collect it, so nothing else would notice it going unused."""
+which reads module-level imports only.  So is a reference module
+`tests/*_oracle.py` that no test module imports: pytest does not collect
+it, so nothing else would notice it going unused.  And so is a defaulted
+parameter of a package function that no package call passes, by keyword
+or by position: a knob only its default ever sets is kept only when
+KEPT_PARAMETERS lists it, with the reason it stays."""
 
 import ast
 from collections import Counter
@@ -33,6 +37,18 @@ KEPT_EXPORTS = {
                   "computes it per class on element indices",
     "all_subgroups": "every subgroup as a group, the public form of "
                      "subgroup_classes and the subgroup-count oracle",
+}
+
+# Defaulted parameters that no package call passes, each with the reason
+# it stays.
+KEPT_PARAMETERS = {
+    "cli.main(argv)": "the tests and bench/worker.py run commands in "
+                      "process through it",
+    "perm.all_subgroups(bound)": "all_subgroups is a test-only export, and "
+                                 "the tests enumerate Gamma(S_3) past the "
+                                 "default",
+    "reppoly.uniqueness_check(catalog)": "bench/worker.py passes conjugated "
+                                         "catalogs",
 }
 
 
@@ -273,3 +289,83 @@ def test_detects_an_oracle_no_test_imports():
              "test_m": ast.parse("def f():\n    from c_oracle import X\n"
                                  "    return X\n")}
     assert unused_oracles(trees) == ["a_oracle", "b_oracle"]
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(qualified name, callee name, position, parameter) for each
+    parameter with a default of each function, method and nested function
+    in the module.  `position` counts the explicit arguments of a call
+    that reach the parameter, so it is None for a keyword-only one; a
+    method's receiver is not counted, and a class's `__init__` is called
+    by the class name."""
+    owners = {item: node for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) for item in node.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = owners.get(fn)
+        callee = owner.name if owner and fn.name == "__init__" else fn.name
+        qualified = f"{owner.name}.{fn.name}" if owner else fn.name
+        receiver = owner is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in fn.decorator_list)
+        positional = fn.args.posonlyargs + fn.args.args
+        for i in range(len(positional) - len(fn.args.defaults), len(positional)):
+            yield (qualified, callee, i + 1 - receiver, positional[i].arg)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield qualified, callee, None, arg.arg
+
+
+def unset_parameters(trees: dict[str, ast.Module]) -> list[str]:
+    """module.function(parameter) for each defaulted parameter that no
+    call in the trees passes, matching calls by the callee's bare or
+    attribute name.  A call with *args passes every positional parameter,
+    one with **kwargs every parameter."""
+    passed: dict[str, tuple[int, set]] = {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            count = (float("inf") if any(isinstance(a, ast.Starred)
+                                         for a in call.args)
+                     else len(call.args))
+            keywords = {k.arg for k in call.keywords}
+            most, names = passed.get(name, (0, set()))
+            passed[name] = (max(most, count), names | keywords)
+    unset = []
+    for module, tree in trees.items():
+        for qualified, callee, position, arg in defaulted_parameters(tree):
+            most, names = passed.get(callee, (0, set()))
+            if not (arg in names or None in names
+                    or (position is not None and most >= position)):
+                unset.append(f"{module}.{qualified}({arg})")
+    return unset
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    # an entry no longer reported is stale
+    assert sorted(unset_parameters(package_trees())) == sorted(KEPT_PARAMETERS)
+
+
+def test_detects_a_parameter_no_call_passes():
+    tree = ast.parse("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+                     "def g(x=0): pass\n"
+                     "def h(y=0): pass\n"
+                     "class C:\n"
+                     "    def __init__(self, p=0, q=1): pass\n"
+                     "    def m(self, r=0, s=1): pass\n"
+                     "    @staticmethod\n"
+                     "    def n(t=0, u=1): pass\n"
+                     "f(0, 1, e=5)\n"
+                     "g(*[])\n"
+                     "h(**{})\n"
+                     "C(0).m(1)\n"
+                     "C.n(1)\n")
+    assert unset_parameters({"m": tree}) == [
+        "m.f(c)", "m.f(d)", "m.C.__init__(q)", "m.C.m(s)", "m.C.n(u)"]

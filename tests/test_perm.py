@@ -17,14 +17,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from regular_oracle import is_regular, regular_subgroups
-from birkhoffsym.errors import NotASubgroupError, PreconditionError
-from birkhoffsym.gamma import build_gamma
+from birkhoffsym.cd import cd_lattice
+from birkhoffsym.errors import PreconditionError
+from birkhoffsym.gamma import build_gamma, commuting_regular_pairs
 from birkhoffsym.perm import (MAX_DEGREE, Permutation,
                               PermutationGroup, all_subgroups,
-                              builtin_group_names, centralizer, closure,
+                              builtin_group_names, closure,
                               group_from_generator_lines, named_group,
                               parse_cycles, regular_action, saturate,
                               subgroup_classes, symmetric_group)
+from birkhoffsym.reppoly import default_catalog
 
 
 def perm_strategy(degree):
@@ -115,8 +117,9 @@ def test_group_constructor_sorts_and_requires_identity():
     g = symmetric_group(3)
     assert g.elements[0].is_identity()
     assert list(g.elements) == sorted(g.elements)
+    t = parse_cycles("(0 1)", 3)
     with pytest.raises(ValueError):
-        PermutationGroup(3, [parse_cycles("(0 1)", 3)])
+        PermutationGroup(3, [t], [("(0 1)", t)])
 
 
 def test_closure_matches_itertools_for_s3_s4():
@@ -331,35 +334,54 @@ def test_all_subgroups_bound():
 
 def test_centralizer_hand_cases():
     s3 = named_group("s3")
-    a3 = closure([parse_cycles("(0 1 2)", 3)])
-    assert centralizer(s3, a3).order == 3
-    c2 = closure([parse_cycles("(0 1)", 3)])
-    assert centralizer(s3, c2).order == 2
-    triv = closure([Permutation.identity(3)])
-    assert centralizer(s3, triv) == s3
-    with pytest.raises(NotASubgroupError):
-        centralizer(s3, named_group("c4"))
 
+    def centralizer_order(*cycle_texts):
+        return len(s3.centralizer_indices(
+            s3.index[parse_cycles(t, 3).images] for t in cycle_texts))
 
-def test_centralizer_tags_generate_it():
-    # C_{S_5}((0 1)) = <(0 1)> x Sym{2,3,4} has order 12; tagging its first
-    # four non-identity members gave (3 4), (2 3), (2 3 4), (2 4 3), which
-    # generate only Sym{2,3,4}
-    c = centralizer(named_group("s5"), closure([parse_cycles("(0 1)", 5)]))
-    assert c.order == 12
-    assert closure(c.generator_perms()).order == 12
-    assert len(c.generators) == 3  # greedy: no tag lies in the span of earlier ones
+    assert centralizer_order("(0 1 2)") == 3
+    assert centralizer_order("(0 1)") == 2
+    assert centralizer_order() == 6  # the trivial subgroup's empty generating set
+    assert centralizer_order("(0 1)", "(0 1 2)") == 1
 
 
 def test_subgroup_from_indices_tags_generate_it():
-    # without generator indices, the first two non-identity members of S_4,
-    # (2 3) and (1 2), generate only a copy of S_3
     s4 = symmetric_group(4)
-    sub = s4.subgroup_from_indices(list(range(24)))
-    assert sub.order == 24
-    assert closure(sub.generator_perms()).order == 24
     for u in regular_subgroups(s4):
         assert closure(u.generator_perms()).order == u.order
+
+
+def constructed_groups() -> list[tuple[str, PermutationGroup]]:
+    """(label, group) for groups built by each of the package's group
+    constructors: symmetric groups, built-in names, generator lines,
+    subgroup enumeration, the Chermak-Delgado lattice, the regular-pair
+    search, Gamma(G) and the element groups of matrix groups."""
+    groups = [(f"S_{n}", symmetric_group(n)) for n in range(1, 6)]
+    groups += [(name, named_group(name)) for name in builtin_group_names()]
+    groups.append(("lines-trivial", group_from_generator_lines(["()"])))
+    groups += [(f"S_4-subgroup-{i}", h)
+               for i, h in enumerate(all_subgroups(symmetric_group(4)))]
+    groups += [(f"D_4-cd-{i}", h)
+               for i, h in enumerate(cd_lattice(named_group("d4")).lattice)]
+    for i, (u, v) in enumerate(commuting_regular_pairs(
+            build_gamma(named_group("s3")))):
+        groups += [(f"Gamma(S_3)-pair-{i}-u", u), (f"Gamma(S_3)-pair-{i}-v", v)]
+    groups += [(f"Gamma({name})", build_gamma(named_group(name)))
+               for name in ("s3", "q8", "c6")]
+    groups += [(f"{entry.name}-{n}", entry.matrix_group.element_group())
+               for n in (3, 4) for entry in default_catalog(n)]
+    return groups
+
+
+CONSTRUCTED_GROUPS = constructed_groups()
+
+
+@pytest.mark.parametrize("group", [g for _, g in CONSTRUCTED_GROUPS],
+                         ids=[label for label, _ in CONSTRUCTED_GROUPS])
+def test_every_constructed_group_is_generated_by_its_tags(group):
+    # the trivial group may carry no tags; every other one carries its own
+    # generating set
+    assert closure(group.generator_perms() or [group.identity]) == group
 
 
 def test_indexed_group_table():

@@ -11,8 +11,8 @@ from birkhoffsym.combiso import comb_equivalent
 from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.hull import facet_enumeration
 from birkhoffsym.gamma import verify_wreath_quotient
-from birkhoffsym.perm import (Permutation, PermutationGroup, centralizer,
-                              named_group, regular_action)
+from birkhoffsym.perm import (Permutation, PermutationGroup, named_group,
+                              regular_action)
 from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
                                  load_exceptional_c6,
                                  matrix_closure,
@@ -59,8 +59,8 @@ def test_closure_rejects_singular_generator():
 
 def test_closure_rejects_infinite_group():
     shear = matrix_from_rows([["1", "1"], ["0", "1"]])
-    with pytest.raises(PreconditionError, match="not finite at this bound"):
-        matrix_closure([shear], bound=100)
+    with pytest.raises(PreconditionError, match="closure exceeds bound 30"):
+        matrix_closure([shear])
 
 
 def test_closure_rejects_mixed_sizes():
@@ -257,37 +257,9 @@ def test_matrix_group_refuses_a_list_not_led_by_the_identity():
     # an explicit check, not an assert that python -O drops
     g = matrix_closure([matrix_from_rows([["0", "-1"], ["1", "1"]])])
     with pytest.raises(ValueError, match="identity"):
-        MatrixGroup(g.dim, g.elements[1:], [])
+        MatrixGroup(g.dim, g.elements[1:], g.generators)
     with pytest.raises(ValueError, match="identity"):
-        MatrixGroup(g.dim, [], [])
-
-
-def test_element_group_without_generators():
-    g = matrix_closure([matrix_from_rows([["0", "-1"], ["1", "1"]])])
-    eg = MatrixGroup(g.dim, g.elements, []).element_group()
-    assert eg.order == 6
-    assert eg.generator_perms() == []
-    assert "order=6" in repr(eg)
-    assert centralizer(eg, eg).order == 6  # abelian
-
-
-def test_gamma_of_element_group_without_generators():
-    # Gamma must come from a generating set of the elements, not from the
-    # empty generator list (which left only inversion: order 2)
-    g = load_exceptional_c6()
-    eg = MatrixGroup(g.dim, g.elements, []).element_group()
-    r = verify_wreath_quotient(eg)
-    assert r.actual_order == 12
-    assert r.passed
-
-
-def test_matrix_group_from_perm_group_without_generators():
-    # the first two non-identity members of S_4, (2 3) and (1 2), span
-    # only a copy of S_3
-    s4 = named_group("s4")
-    bare = PermutationGroup(s4.degree, s4.elements)
-    assert matrix_group_from_perm_group(bare).order == 24
-    assert regular_matrix_group(PermutationGroup(3, named_group("s3").elements)).order == 6
+        MatrixGroup(g.dim, [], g.generators)
 
 
 def test_uniqueness_n3():
