@@ -14,6 +14,7 @@ at the trivial and full subgroups (n = 4, 5 and 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import NotASubgroupError, PreconditionError
 from .perm import PermutationGroup, subgroup_classes, symmetric_group
@@ -85,7 +86,8 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
         for ks, k_gens in lattice_pairs:
             if frozenset(hs & ks) not in lattice_sets:
                 closure_pass = False
-            product = frozenset(table[a][b] for a in hs for b in ks)
+            product = frozenset(chain.from_iterable(
+                map(table[a].__getitem__, ks) for a in hs))
             if (product != group.closure_indices(h_gens + k_gens)
                     or product not in lattice_sets):
                 closure_pass = False

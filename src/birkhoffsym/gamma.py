@@ -121,10 +121,14 @@ def _one_cycle_length(images: tuple[int, ...]) -> bool:
 
 def _narrow(cents: list, g: tuple[int, ...], g_mul) -> Optional[list]:
     """The (c, c_mul) of each fiber in `cents` that commute with g, or None
-    at the first fiber left empty."""
+    at the first fiber left empty.  c g and g c must agree at point 0
+    first, c(g(0)) == g(c(0)); only the c that pass this are multiplied
+    out."""
+    g0 = g[0]
     narrowed = []
     for cent in cents:
-        cent = [(c, c_mul) for c, c_mul in cent if g_mul(c) == c_mul(g)]
+        cent = [(c, c_mul) for c, c_mul in cent
+                if c[g0] == g[c[0]] and g_mul(c) == c_mul(g)]
         if not cent:
             return None
         narrowed.append(cent)

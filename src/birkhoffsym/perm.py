@@ -23,9 +23,14 @@ regular-pair search in `gamma` multiply image tuples with one
 `operator.itemgetter` per right factor (`_right_mul`).  The
 multiplication table belongs to the group: `PermutationGroup.table`
 works on positions in the sorted element list, so the identity is always
-at 0, and it is built on first read and kept with the group.  Only
-routines reading most products of a group of order at most 720 (S_6)
-read it; Gamma(S_4) never builds one.
+at 0, and it is built on first read and kept with the group.  It is
+built along the Cayley graph of the tagged generators: row s y is row s
+gathered at row y, one C-level `itemgetter` call per row, so it relies
+on the generating-set contract above, and a tag set that does not
+generate the group raises InvariantError.  `centralizer_indices` and
+`normalizer_indices` read whole columns of it, in C, not one product at
+a time.  Only routines reading most products of a group of order at
+most 720 (S_6) read it; Gamma(S_4) never builds one.
 That table is also the group's one regular action: `regular_action` reads
 the left and right translations and the inversion of G on its own element
 indices off it.  `subgroup_classes` enumerates subgroups up to conjugacy
@@ -41,10 +46,11 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
-from operator import itemgetter
+from itertools import compress, count
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 
 MAX_DEGREE = 4096  # points 0..MAX_DEGREE-1 are the most cycle notation may name
 
@@ -252,11 +258,44 @@ class PermutationGroup:
         `gamma.automorphisms`, and `regular_action`, which gives
         `gamma.build_gamma`, the vertex maps of `reppoly` and the B_n
         transformation law their translations.
-        `gamma.commuting_regular_pairs` and its search read none."""
+        `gamma.commuting_regular_pairs` and its search read none.
+
+        Built along the Cayley graph of the tagged generators: each
+        generator's row is looked up product by product, and every other
+        row is a known row gathered at another, table[s y][b] =
+        table[s][table[y][b]], one C-level `itemgetter` per row.  This
+        relies on the tags generating the group: a tag outside the
+        element list, a product outside it, or a row no word in the
+        tags reaches raises InvariantError, never a partial table."""
         if self._table is None:
-            idx = self.index  # image tuples in element order
-            columns = [_right_mul(b) for b in idx]  # column b: a -> a*b
-            table = [[idx[col(a)] for col in columns] for a in idx]
+            idx = self.index
+            n = len(idx)
+            table: list = [None] * n
+            table[0] = list(range(n))
+            try:
+                gens = [idx[g.images] for g in self.generator_perms()]
+                for s in gens:
+                    if table[s] is None:  # g b for each b, looked up
+                        g = self.elements[s].images
+                        table[s] = [idx[_right_mul(b)(g)] for b in idx]
+            except KeyError:
+                raise InvariantError("a generator or one of its products "
+                                     "lies outside the element list") from None
+
+            def left_mul(s: int) -> Callable[[int], int]:
+                """y -> s y, building row s y from rows s and y on first reach."""
+                row_s = table[s]
+
+                def step(y: int) -> int:
+                    p = row_s[y]
+                    if table[p] is None:
+                        table[p] = list(itemgetter(*table[y])(row_s))
+                    return p
+                return step
+
+            if len(saturate([0], [left_mul(s) for s in gens])) < n:
+                raise InvariantError("the tagged generators do not generate "
+                                     "the group: table rows left unreached")
             object.__setattr__(self, "_table", table)
         return self._table
 
@@ -282,22 +321,30 @@ class PermutationGroup:
         """Positions of the elements commuting with every given position.
         Passing a generating set of H is enough for C_G(H): the elements
         commuting with a fixed g form a subgroup, so if it holds H's
-        generators it holds all of H."""
+        generators it holds all of H.  C(h) is read off whole columns:
+        the g with table[g][h] == table[h][g]."""
         table = self.table
-        members = list(indices)
-        return frozenset(g for g, row in enumerate(table)
-                         if all(row[h] == table[h][g] for h in members))
+        cent = frozenset(range(len(table)))
+        for h in indices:
+            cent = cent.intersection(compress(
+                count(), map(eq, map(itemgetter(h), table), table[h])))
+        return cent
 
     def normalizer_indices(self, members: frozenset[int],
                            gens: Iterable[int]) -> list[int]:
         """Positions m, ascending, with m g m^-1 in `members` for every
         given g.  Passing a generating set of the subgroup H with those
         members is enough for N_G(H): m H m^-1 is then a subset of H of
-        the same size."""
+        the same size.  For each g, m g m^-1 is read for every m at once:
+        column g gives m g, whose row is read at m^-1."""
         table, inv = self.table, self.inv
-        gens = list(gens)
-        return [m for m, row in enumerate(table)
-                if all(table[row[g]][inv[m]] in members for g in gens)]
+        norm = set(range(len(table)))
+        for g in gens:
+            conj = map(list.__getitem__,
+                       map(table.__getitem__, map(itemgetter(g), table)), inv)
+            norm.intersection_update(
+                compress(count(), map(members.__contains__, conj)))
+        return sorted(norm)
 
     def subgroup_from_indices(self, members: Sequence[int],
                               gen_indices: Sequence[int]) -> "PermutationGroup":

@@ -383,6 +383,20 @@ def test_broken_certificates_exit_4(tmp_path, capsys, monkeypatch):
     assert "does not preserve the incidence" in capsys.readouterr().err
 
 
+def test_tags_that_do_not_generate_the_group_exit_4(capsys, monkeypatch):
+    # a group whose tags generate a proper subgroup has no table to read
+    close = perm.closure
+
+    def first_tag_only(generators, tags=None, max_order=None):
+        group = close(generators, tags, max_order)
+        return perm.PermutationGroup(group.degree, group.elements,
+                                     group.generators[:1])
+
+    monkeypatch.setattr(perm, "closure", first_tag_only)
+    assert main(["cd-lattice", "--group", "s3"]) == 4
+    assert "do not generate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, text", [
     ("hull", "5"),
     ("rep-polytope", "5"),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from regular_oracle import is_regular, regular_subgroups
 from birkhoffsym.cd import cd_lattice
-from birkhoffsym.errors import PreconditionError
+from birkhoffsym.errors import InvariantError, PreconditionError
 from birkhoffsym.gamma import build_gamma, commuting_regular_pairs
 from birkhoffsym.perm import (MAX_DEGREE, Permutation,
                               PermutationGroup, all_subgroups,
@@ -391,6 +391,74 @@ def test_indexed_group_table():
         for b in range(g.order):
             assert elems[g.table[a][b]] == elems[a] * elems[b]
         assert (elems[a] * elems[g.inv[a]]).is_identity()
+
+
+def product_position(group, a, b):
+    """Oracle: the position of elements[a] * elements[b], multiplied out
+    as permutations and looked up in the index, entry by entry."""
+    elems = group.elements
+    return group.index[(elems[a] * elems[b]).images]
+
+
+TABLE_GROUPS = [
+    *[(name, functools.partial(named_group, name))
+      for name in builtin_group_names()],
+    ("S_6", functools.partial(symmetric_group, 6)),
+    *[(f"Gamma({name})", functools.partial(build_gamma, named_group(name)))
+      for name in builtin_group_names() if named_group(name).order <= 8],
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in TABLE_GROUPS],
+                         ids=[label for label, _ in TABLE_GROUPS])
+def test_cayley_graph_table_matches_the_products(build):
+    group = build()
+    n = group.order
+    assert group.table == [[product_position(group, a, b) for b in range(n)]
+                           for a in range(n)]
+
+
+def test_cayley_graph_table_of_gamma_s4_at_random_entries():
+    group = build_gamma(named_group("s4"))
+    table = group.table
+    assert group.order == 1152 and len(table) == 1152
+    rng = random.Random(19)
+    for _ in range(20000):
+        a, b = rng.randrange(1152), rng.randrange(1152)
+        assert table[a][b] == product_position(group, a, b)
+
+
+def test_table_refuses_tags_that_do_not_generate_the_group():
+    # the table is read along the tags' Cayley graph, so tags generating
+    # a proper subgroup, or a tag outside the group, break its certificate
+    s3 = named_group("s3")
+    swap, turn = parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)
+    proper = PermutationGroup(3, s3.elements, [("(0 1)", swap)])
+    with pytest.raises(InvariantError, match="do not generate"):
+        proper.table
+    assert proper._table is None  # no partial table is kept
+    c3 = named_group("c3")
+    outside = PermutationGroup(3, c3.elements,
+                               [("(0 1 2)", turn), ("(0 1)", swap)])
+    with pytest.raises(InvariantError, match="outside the element list"):
+        outside.table
+
+
+@pytest.mark.parametrize("name", ["s4", "s5", "d4", "q8"])
+def test_column_scans_match_a_per_element_oracle(name):
+    group = named_group(name)
+    n, elems, index = group.order, group.elements, group.index
+    rng = random.Random(name)
+    for _ in range(12):
+        hs = rng.sample(range(n), rng.randint(0, 3))
+        members = frozenset(rng.sample(range(n), rng.randint(1, n)))
+        assert group.centralizer_indices(hs) == {
+            g for g in range(n)
+            if all(elems[g] * elems[h] == elems[h] * elems[g] for h in hs)}
+        assert group.normalizer_indices(members, hs) == [
+            m for m in range(n)
+            if all(index[(elems[m] * elems[g] * elems[m].inverse()).images]
+                   in members for g in hs)]
 
 
 def test_indexed_table_of_the_trivial_group():
