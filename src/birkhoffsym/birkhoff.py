@@ -38,7 +38,7 @@ from typing import Mapping
 
 from .combiso import comb_automorphisms
 from .errors import PreconditionError
-from .exact import RationalMatrix
+from .exact import RationalMatrix, _common_form
 from .hull import _facet_enumeration
 from .perm import Permutation, symmetric_group
 
@@ -82,8 +82,10 @@ def permutation_matrix(perm: Permutation) -> RationalMatrix:
     """P(pi) with P(pi)[i][j] = 1 iff pi(j) = i, so P is a homomorphism:
     P(pi sigma) = P(pi) P(sigma)."""
     n = perm.degree
-    return RationalMatrix(n, n, (1 if perm(j) == i else 0
-                                 for i in range(n) for j in range(n)))
+    nums = [0] * (n * n)
+    for j, i in enumerate(perm.images):
+        nums[i * n + j] = 1
+    return RationalMatrix._over(n, n, nums, 1)
 
 
 def birkhoff_vertices(n: int) -> list[RationalMatrix]:
@@ -314,8 +316,8 @@ def verify_symmetry_group(n: int) -> SymmetryGroupReport:
     if not 3 <= n <= MAX_N:
         raise PreconditionError(
             f"symmetry group verification supports 3 <= n <= {MAX_N}")
-    vertices = [m.entries for m in birkhoff_vertices(n)]
-    polytope = _facet_enumeration(vertices)
+    scale, rows = _common_form(birkhoff_vertices(n))
+    polytope = _facet_enumeration(rows, scale)
     inc = polytope.incidence
     analytic = analytic_facet_sets(n)
     n_fact = factorial(n)

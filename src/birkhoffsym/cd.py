@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import Iterable
 
 from .errors import NotASubgroupError, PreconditionError
 from .perm import PermutationGroup, subgroup_classes, symmetric_group
@@ -39,17 +40,18 @@ class CDReport:
 
 
 def _subnormal_by_normalizer_chain(group: PermutationGroup,
-                                   members: frozenset[int]) -> bool:
+                                   members: frozenset[int],
+                                   gens: Iterable[int]) -> bool:
     """Iterate H <= N_G(H) <= N_G(N_G(H)) <= ... until a fixed point;
-    subnormal verdict = the chain reaches all of G."""
+    subnormal verdict = the chain reaches all of G.  N_G(H) is read off
+    the generators of H; a later term has only its members to offer."""
     current = members
-    while True:
-        nxt = frozenset(group.normalizer_indices(current, current))
-        if len(nxt) == group.order:
-            return True
+    while len(current) < group.order:
+        nxt = frozenset(group.normalizer_indices(current, gens))
         if nxt == current:
             return False
-        current = nxt
+        current = gens = nxt
+    return True
 
 
 def _class_measures(group: PermutationGroup, classes) -> list[int]:
@@ -91,8 +93,8 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
             if (product != group.closure_indices(h_gens + k_gens)
                     or product not in lattice_sets):
                 closure_pass = False
-    subnormal_pass = all(_subnormal_by_normalizer_chain(group, hs)
-                         for hs, _ in lattice_pairs)
+    subnormal_pass = all(_subnormal_by_normalizer_chain(group, hs, h_gens)
+                         for hs, h_gens in lattice_pairs)
     return CDReport(
         group_order=group.order,
         subgroup_count=sum(len(cls) for cls in classes),

@@ -1,15 +1,18 @@
 """Exact rational arithmetic and linear algebra on integers.
 
 Everything downstream (hull computations, rank tests, matrix groups) must be
-exact: a single rounded pivot can change a face lattice.  `Fraction` is the
-boundary type: rationals are parsed into it, formatted from it, and a
-`RationalMatrix` shows its entries as Fractions.  Nothing else enters:
-`as_fraction_vector` refuses floats and any other non-rational with
-TypeError.  The arithmetic runs on `int`: a rational vector is scaled once
-by the lcm of its denominators (`clear_denominators`), a matrix keeps only
-its entries' integer numerators over one common denominator, and every
-elimination is fraction-free.  A matrix builds its Fraction entries the
-first time they are read, so products, hashing and equality build none.
+exact: a single rounded pivot can change a face lattice.  A rational is
+carried as integers over one positive denominator wherever the package
+passes it on: text is read into an integer pair (`_rational_pair`) and
+written from one (`_format_over`), a matrix keeps only its entries'
+integer numerators over one common denominator, and the matrices of a
+group share the lcm of theirs (`_common_form`).  `Fraction` is kept only
+where a caller passes or reads one: `parse_rational`, `format_rational`,
+the entries of a `RationalMatrix` (built the first time they are read, so
+products, hashing and equality build none) and `as_fraction_vector`,
+which refuses floats and any other non-rational with TypeError.  A
+rational vector is scaled once by the lcm of its denominators
+(`clear_denominators`), and every elimination is fraction-free.
 Matrices are immutable row-major tuples.
 
 There is one row reduction, on integer rows: `_independent_rows`, a lazy
@@ -35,8 +38,9 @@ from typing import Iterable, Iterator, Sequence
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (integers, optional sign) into a Fraction."""
+def _rational_pair(text: str) -> tuple[int, int]:
+    """Parse "p/q" or "p" (integers, optional sign) into the pair (p, q)
+    with q > 0, not reduced."""
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
@@ -44,7 +48,12 @@ def parse_rational(text: str) -> Fraction:
     q = int(m.group(2)) if m.group(2) is not None else 1
     if q == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(p, q)
+    return (-p, -q) if q < 0 else (p, q)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q" or "p" (integers, optional sign) into a Fraction."""
+    return Fraction(*_rational_pair(text))
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -56,6 +65,15 @@ def format_rational(x: Fraction | int) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _format_over(num: int, den: int) -> str:
+    """The text of num / den for den > 0, as `format_rational` writes it,
+    reduced with one gcd."""
+    g = gcd(num, den)
+    if g != den:
+        return f"{num // g}/{den // g}"
+    return str(num // g)
 
 
 def as_fraction_vector(values: Iterable) -> tuple[Fraction, ...]:
@@ -148,14 +166,6 @@ class RationalMatrix:
         return self._entries
 
     @classmethod
-    def from_rows(cls, row_data: Sequence[Sequence]) -> "RationalMatrix":
-        rows = len(row_data)
-        cols = len(row_data[0]) if rows else 0
-        if any(len(r) != cols for r in row_data):
-            raise ValueError("ragged rows")
-        return cls(rows, cols, (e for r in row_data for e in r))
-
-    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
         return cls._over(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
 
@@ -192,6 +202,18 @@ class RationalMatrix:
 
     def is_identity(self) -> bool:
         return self.rows == self.cols and self == RationalMatrix.identity(self.rows)
+
+
+def _common_form(matrices: Iterable[RationalMatrix]
+                 ) -> tuple[int, list[tuple[int, ...]]]:
+    """(L, rows) for L the lcm of the matrices' denominators and row k
+    the integer entries of matrix k times L, row-major: every matrix over
+    one denominator, with no Fraction built."""
+    matrices = list(matrices)
+    scale = lcm(*(m._den for m in matrices))
+    return scale, [m._num if m._den == scale
+                   else tuple(x * (scale // m._den) for x in m._num)
+                   for m in matrices]
 
 
 def _independent_rows(vectors: Iterable[Sequence[int]]

@@ -1,7 +1,8 @@
 """Exact facet enumeration for small rational polytopes, on integers.
 
 Pipeline: given points in Q^a, scale them all by the lcm L of their
-denominators, take the affine chart (the projection onto the pivot
+denominators (points passed as integer rows over one denominator L come
+scaled already), take the affine chart (the projection onto the pivot
 coordinates of one fraction-free row reduction, an invertible linear map
 of the affine hull), move the centroid to the origin with every
 coordinate multiplied by the number of points, and run the double
@@ -9,9 +10,13 @@ description method on the polar cone.  Polar rays then lift back to
 ambient facet inequalities normal.x <= offset.  Each of these steps is
 an invertible linear map or a positive scaling, so the double
 description meets the same rays in the same order as it would over the
-unscaled rational chart.  `Fraction` appears only at the boundary: the
-input points are read as Fractions, and the output Facets are built from
-primitive integer inequalities.
+unscaled rational chart.  `Fraction` appears only at the boundary, and
+only for a caller that passes or reads one: rational input points have
+their denominators cleared once, and `Polytope.vertices` builds the points
+as Fractions the first time it is read.  The matrix groups pass integer
+rows over their common denominator, each Facet holds its primitive
+integer inequality, and `polytope_to_document` writes the text from the
+integers, so that path builds no Fraction at all.
 
 The double description step maintains, for a growing system of homogeneous
 inequalities <c, y> >= 0 in R^{d+1}, the extreme rays of the intersection
@@ -47,8 +52,8 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
-from .exact import (_independent_rows, as_fraction_vector, clear_denominators,
-                    format_rational, parse_rational, primitive_vector)
+from .exact import (_format_over, _independent_rows, as_fraction_vector,
+                    clear_denominators, parse_rational, primitive_vector)
 
 MAX_VERTICES = 30
 MAX_DIM = 10
@@ -56,8 +61,9 @@ MAX_DIM = 10
 
 @dataclass(frozen=True)
 class Facet:
-    normal: tuple[Fraction, ...]
-    offset: Fraction
+    """The inequality normal.x <= offset, primitive: integers with gcd 1."""
+    normal: tuple[int, ...]
+    offset: int
 
 
 class IncidenceStructure:
@@ -86,19 +92,34 @@ class IncidenceStructure:
 
 
 class Polytope:
-    __slots__ = ("ambient_dim", "vertices", "facets", "incidence", "dim")
+    """The hull of the input points, held as `rows`, the points times
+    `scale` as integer tuples in input order.  `vertices`, the points as
+    Fraction tuples, are built on first read and kept."""
 
-    def __init__(self, ambient_dim: int, vertices, facets,
+    __slots__ = ("ambient_dim", "rows", "scale", "facets", "incidence", "dim",
+                 "_vertices")
+
+    def __init__(self, ambient_dim: int, rows, scale: int, facets,
                  incidence: IncidenceStructure, dim: int):
         self.ambient_dim = ambient_dim
-        self.vertices = tuple(vertices)
+        self.rows = tuple(rows)
+        self.scale = scale
         self.facets = tuple(facets)
         self.incidence = incidence
         self.dim = dim
+        self._vertices = None
+
+    @property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._vertices is None:
+            scale = self.scale
+            self._vertices = tuple(tuple(Fraction(x, scale) for x in row)
+                                   for row in self.rows)
+        return self._vertices
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.rows)
 
     @property
     def n_facets(self) -> int:
@@ -204,43 +225,53 @@ def _dd_extreme_rays(ineqs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return rays
 
 
-def facet_enumeration(points: Sequence[Sequence]) -> Polytope:
-    """Facets, incidence, and dimension of the convex hull of the points.
+def facet_enumeration(points: Sequence[Sequence],
+                      denominator: int = 1) -> Polytope:
+    """Facets, incidence, and dimension of the convex hull of the points,
+    each divided by `denominator`, a positive integer.
 
-    Points are any rationals; duplicates and non-extreme points are
+    Points are any rationals; integer points are read as they are, with
+    no Fraction, so a caller holding integer rows over one denominator
+    passes those two.  Duplicates and non-extreme points are
     tolerated (they simply end up positive on no facet certificate).  A
     0-dimensional input yields zero facets.  Inputs above MAX_VERTICES
     points or affine dimension MAX_DIM are refused before the double
     description starts.
     """
-    return _facet_enumeration(points, MAX_VERTICES, MAX_DIM)
+    return _facet_enumeration(points, denominator, MAX_VERTICES, MAX_DIM)
 
 
-def _facet_enumeration(points: Sequence[Sequence],
+def _facet_enumeration(points: Sequence[Sequence], denominator: int = 1,
                        max_vertices: Optional[int] = None,
                        max_dim: Optional[int] = None) -> Polytope:
     """facet_enumeration with the size bounds given per call (None: no
     bound), for callers that know their input, such as B_n's vertices."""
     if len(points) == 0:
         raise ValueError("no points")
-    pts = [as_fraction_vector(p) for p in points]
-    ambient = len(pts[0])
-    if any(len(p) != ambient for p in pts):
-        raise ValueError("points of mixed dimension")
-    if max_vertices is not None and len(pts) > max_vertices:
-        raise PreconditionError(
-            f"{len(pts)} points exceed hull bound {max_vertices}")
+    if type(denominator) is not int or denominator < 1:
+        raise ValueError(f"denominator must be a positive integer, "
+                         f"got {denominator!r}")
     # one scale L for all points: from here to the Facets, only ints
-    scale, flat = clear_denominators(x for p in pts for x in p)
-    scaled = [flat[i * ambient:(i + 1) * ambient] for i in range(len(pts))]
+    scale, flat = denominator, tuple(x for p in points for x in p)
+    if not set(map(type, flat)) <= {int}:
+        scale, flat = clear_denominators(as_fraction_vector(flat))
+        scale *= denominator
+    ambient = len(points[0])
+    if any(len(p) != ambient for p in points):
+        raise ValueError("points of mixed dimension")
+    if max_vertices is not None and len(points) > max_vertices:
+        raise PreconditionError(
+            f"{len(points)} points exceed hull bound {max_vertices}")
+    n = len(points)
+    scaled = [flat[i * ambient:(i + 1) * ambient] for i in range(n)]
     pivot_rows = _affine_chart(scaled, max_dim)
     d = len(pivot_rows)
     if d == 0:
-        return Polytope(ambient, pts, (), IncidenceStructure(len(pts), ()), 0)
+        return Polytope(ambient, scaled, scale, (), IncidenceStructure(n, ()),
+                        0)
 
     base = scaled[0]
     coords = [[p[r] - base[r] for r in pivot_rows] for p in scaled]
-    n = len(scaled)
     total = [sum(c[k] for c in coords) for k in range(d)]
     # polar cone in R^{d+1} of the points shifted by the centroid and
     # scaled by n: rays (t, y) with t >= 0 and <n c - total, y> <= t
@@ -289,10 +320,9 @@ def _facet_enumeration(points: Sequence[Sequence],
         tight_sets.append(frozenset(tight))
     if len(set(tight_sets)) != len(tight_sets):
         raise InvariantError("two facets share a tight vertex set")
-    facets = [Facet(tuple(map(Fraction, f[:-1])), Fraction(f[-1]))
-              for f in packed]
-    return Polytope(ambient, pts, facets,
-                    IncidenceStructure(len(pts), tight_sets), d)
+    return Polytope(ambient, scaled, scale,
+                    [Facet(f[:-1], f[-1]) for f in packed],
+                    IncidenceStructure(n, tight_sets), d)
 
 
 def certify_vertices(polytope: Polytope) -> list[bool]:
@@ -309,7 +339,7 @@ def certify_vertices(polytope: Polytope) -> list[bool]:
     vertex into a failure, never certify a point that is not one.
     Duplicates of a vertex sit on the same facets and certify with it.
     """
-    pts = polytope.vertices
+    pts = polytope.rows
     tight = polytope.incidence.tight_sets
     everything = frozenset(range(len(pts)))
     out = []
@@ -331,15 +361,20 @@ def polytope_from_document(doc: dict) -> list[tuple[Fraction, ...]]:
 
 
 def polytope_to_document(polytope: Polytope) -> dict:
+    """The hull as a JSON-ready document, every number written from the
+    integers: a point coordinate as x / scale, a facet as its primitive
+    inequality."""
+    scale = polytope.scale
     return {
         "inequality_convention": "normal.x <= offset",
         "ambient_dim": polytope.ambient_dim,
         "dim": polytope.dim,
         "n_vertices": polytope.n_vertices,
         "n_facets": polytope.n_facets,
-        "vertices": [[format_rational(x) for x in p] for p in polytope.vertices],
-        "facets": [{"normal": [format_rational(x) for x in f.normal],
-                    "offset": format_rational(f.offset)} for f in polytope.facets],
+        "vertices": [[_format_over(x, scale) for x in row]
+                     for row in polytope.rows],
+        "facets": [{"normal": list(map(str, f.normal)), "offset": str(f.offset)}
+                   for f in polytope.facets],
         "incidence": [[int(v in tight) for v in range(polytope.n_vertices)]
                       for tight in polytope.incidence.tight_sets],
     }

@@ -18,12 +18,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from math import lcm
+from operator import itemgetter
 from typing import Optional
 
 from .birkhoff import birkhoff_vertices, permutation_matrix
 from .combiso import comb_automorphisms, comb_equivalent
-from .errors import PreconditionError
-from .exact import RationalMatrix, _independent_rows, parse_rational
+from .errors import InvariantError, PreconditionError
+from .exact import (RationalMatrix, _common_form, _independent_rows,
+                    _rational_pair)
 from .hull import Polytope, certify_vertices, facet_enumeration
 from .perm import (Permutation, PermutationGroup, closure, named_group,
                    regular_action, saturate)
@@ -73,9 +76,11 @@ def matrix_closure(generators: list[RationalMatrix]) -> MatrixGroup:
     plain product saturation suffices; left and right products by the
     generators close to the same set, and `g.__mul__` is the left one.
     A generator is invertible when its integer numerator rows are
-    independent.  The closure stops with PreconditionError once it passes
-    MAX_POLYTOPE_ELEMENTS, the most any hull here takes, so an infinite
-    group stops there too.
+    independent.  The elements after the identity are sorted by their
+    integer entries over the group's common denominator, which is the
+    order of their Fraction entries.  The closure stops with
+    PreconditionError once it passes MAX_POLYTOPE_ELEMENTS, the most any
+    hull here takes, so an infinite group stops there too.
     """
     if not generators:
         raise PreconditionError("matrix closure needs at least one generator")
@@ -89,8 +94,9 @@ def matrix_closure(generators: list[RationalMatrix]) -> MatrixGroup:
     ident = RationalMatrix.identity(dim)
     seen = saturate([ident], [g.__mul__ for g in generators],
                     MAX_POLYTOPE_ELEMENTS)
-    others = sorted((m for m in seen if m != ident),
-                    key=lambda m: m.entries)
+    others = [m for m in seen if m != ident]
+    _, keys = _common_form(others)
+    others = [m for _, m in sorted(zip(keys, others), key=itemgetter(0))]
     return MatrixGroup(dim, [ident] + others, list(generators))
 
 
@@ -112,16 +118,25 @@ def regular_matrix_group(group: PermutationGroup) -> MatrixGroup:
 
 def representation_polytope(mgroup: MatrixGroup) -> Polytope:
     """Convex hull of the row-major vectorized elements, vertex i being
-    element i.  Every element must be a genuine vertex (no matrix may
-    fall inside the hull of the others); the facet certificates of the
-    hull are checked to confirm that."""
+    element i, hulled as integer rows over the group's common denominator.
+
+    Every element is a vertex, so a failed vertex certificate is a fault
+    of the hull, an InvariantError, never of the input.  The argument:
+    left multiplication by g is a linear map of the matrices that sends
+    the element set G onto itself, so it maps P(G) = conv(G) onto itself
+    and vertices to vertices.  Every vertex of the hull of a finite set
+    lies in the set, so some element a is a vertex, and then so is
+    b = (b a^-1) a for every element b.  `certify_vertices` checks it on
+    the hull's incidence all the same."""
     if mgroup.order > MAX_POLYTOPE_ELEMENTS:
         raise PreconditionError(
             f"representation polytope supports at most "
             f"{MAX_POLYTOPE_ELEMENTS} elements")
-    polytope = facet_enumeration([m.entries for m in mgroup.elements])
+    scale, rows = _common_form(mgroup.elements)
+    polytope = facet_enumeration(rows, scale)
     if not all(certify_vertices(polytope)):
-        raise ValueError("an element vectorization is not a vertex of the hull")
+        raise InvariantError(
+            "an element vectorization is not a vertex of the hull")
     return polytope
 
 
@@ -159,12 +174,16 @@ def verify_gamma_acts(mgroup: MatrixGroup) -> GammaActsReport:
 
 
 def matrix_from_rows(rows: list[list]) -> RationalMatrix:
-    parsed = []
+    """The square matrix of integer or "p/q" cells, read as integer pairs
+    and put over the lcm of their denominators."""
+    pairs = []
     for row in rows:
         if len(row) != len(rows):
             raise ValueError("matrix rows must be square")
-        parsed.append([parse_rational(str(cell)) for cell in row])
-    return RationalMatrix.from_rows(parsed)
+        pairs.extend(_rational_pair(str(cell)) for cell in row)
+    scale = lcm(*(q for _, q in pairs))
+    return RationalMatrix._over(len(rows), len(rows),
+                                [p * (scale // q) for p, q in pairs], scale)
 
 
 def matrix_group_from_document(doc: dict) -> "CatalogEntry":
@@ -279,8 +298,8 @@ def uniqueness_check(n: int,
         raise PreconditionError("uniqueness check supports n in {3, 4}")
     if catalog is None:
         catalog = default_catalog(n)
-    reference = facet_enumeration(
-        [m.entries for m in birkhoff_vertices(n)])
+    scale, rows = _common_form(birkhoff_vertices(n))
+    reference = facet_enumeration(rows, scale)
     entry_reports = []
     for entry in catalog:
         if (entry.declared_order is not None

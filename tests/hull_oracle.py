@@ -9,7 +9,9 @@ same way, in Fraction and sympy.
 
 `fraction_facet_enumeration` is the package's double description as it
 ran on Fractions before it moved to integers; it borrows only the
-package's output types and must reproduce the integer hull exactly.
+package's output types (a Polytope holds its points as integer rows over
+one denominator, and a Facet its primitive integer inequality) and must
+reproduce the integer hull exactly.
 """
 
 import itertools
@@ -175,6 +177,19 @@ def validate_polytope(polytope) -> None:
             assert not all(v in tight for tight in tight_sets)
 
 
+def same_polytope(got, want) -> bool:
+    """Two hulls agree in every part: the points, as Fractions and as
+    integer rows over the same scale, the facets with their integer
+    inequalities, the dimension and the incidence."""
+    return ((got.ambient_dim, got.vertices, got.facets, got.dim,
+             got.incidence.tight_sets, got.incidence.vertex_facets)
+            == (want.ambient_dim, want.vertices, want.facets, want.dim,
+                want.incidence.tight_sets, want.incidence.vertex_facets)
+            and (got.rows, got.scale) == (want.rows, want.scale)
+            and all(type(x) is int for f in got.facets
+                    for x in f.normal + (f.offset,)))
+
+
 def with_duplicates_and_interior_points(rng, pts):
     """pts plus, at seeded places, a copy of one point (a vertex iff that
     point is one), the midpoint of two distinct points and the centroid
@@ -326,6 +341,16 @@ def _dd_extreme_rays(ineqs):
     return rays
 
 
+def _integer_rows(pts):
+    """(rows, L): the Fraction points times the lcm L of their
+    denominators, as integer tuples, the form a Polytope holds."""
+    scale = 1
+    for p in pts:
+        for x in p:
+            scale = scale * x.denominator // gcd(scale, x.denominator)
+    return [tuple(int(x * scale) for x in p) for p in pts], scale
+
+
 def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
     """The Fraction reference hull: a Polytope that the package's
     integer facet enumeration must reproduce exactly."""
@@ -339,8 +364,10 @@ def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
         raise PreconditionError(
             f"{len(pts)} points exceed hull bound {max_vertices}")
     d, base, _, pivot_rows, m_inv = _affine_chart(pts, max_dim)
+    rows, scale = _integer_rows(pts)
     if d == 0:
-        return Polytope(ambient, pts, (), IncidenceStructure(len(pts), ()), 0)
+        return Polytope(ambient, rows, scale, (),
+                        IncidenceStructure(len(pts), ()), 0)
 
     coords = [tuple(_dot(row, [p[r] - base[r] for r in pivot_rows])
                     for row in m_inv) for p in pts]
@@ -374,7 +401,7 @@ def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
             normal[r] = n_r[k]
         offset = beta + sum((n_r[k] * base[r] for k, r in enumerate(pivot_rows)),
                             Fraction(0))
-        packed = _primitive_vector(tuple(normal) + (offset,))
+        packed = tuple(map(int, _primitive_vector(tuple(normal) + (offset,))))
         facets.append(Facet(packed[:-1], packed[-1]))
 
     facets = sorted(set(facets), key=lambda f: (f.normal, f.offset))
@@ -395,5 +422,5 @@ def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
         if tight in tight_sets:
             raise ValueError("two facets share a tight vertex set")
         tight_sets.append(tight)
-    return Polytope(ambient, pts, facets,
+    return Polytope(ambient, rows, scale, facets,
                     IncidenceStructure(len(pts), tight_sets), d)

@@ -5,11 +5,12 @@ from collections import Counter
 
 import pytest
 
-from birkhoffsym.cd import cd_lattice, cd_measure, verify_centralizer_estimate
+from birkhoffsym.cd import (_subnormal_by_normalizer_chain, cd_lattice,
+                            cd_measure, verify_centralizer_estimate)
 from birkhoffsym.errors import NotASubgroupError, PreconditionError
 from birkhoffsym.perm import (Permutation, PermutationGroup, all_subgroups,
-                              closure, named_group, parse_cycles,
-                              subgroup_classes, symmetric_group)
+                              builtin_group_names, closure, named_group,
+                              parse_cycles, subgroup_classes, symmetric_group)
 
 
 def _sub(degree, *cycle_texts):
@@ -159,3 +160,60 @@ def test_cd_lattice_two_element_iff_trivial_center_extremes():
     lattice_orders = sorted(h.order for h in r.lattice)
     assert lattice_orders == [1, 24]
     assert len(r.lattice) == 2
+
+
+def _subnormal_by_members(group, members):
+    """The normalizer chain read off every member of each term, H itself
+    included: the definition, with no generator shortcut."""
+    current = members
+    while True:
+        nxt = frozenset(group.normalizer_indices(current, current))
+        if len(nxt) == group.order:
+            return True
+        if nxt == current:
+            return False
+        current = nxt
+
+
+SUBGROUP_COUNTS = {"c2": 2, "c3": 2, "c4": 3, "c6": 4, "d4": 10, "q8": 6,
+                   "s3": 6, "s4": 30, "s5": 156, "v4": 5}
+
+
+@pytest.mark.parametrize("name", builtin_group_names())
+def test_subnormal_chain_from_generators_keeps_every_verdict(name):
+    # the chain starts from H's generators and stops at once on H = G;
+    # every subgroup of every built-in group keeps its verdict
+    group = named_group(name)
+    subs = [sub for cls in subgroup_classes(group, bound=group.order)
+            for sub in cls]
+    assert len(subs) == SUBGROUP_COUNTS[name]
+    verdicts = Counter()
+    for members, gens in subs:
+        got = _subnormal_by_normalizer_chain(group, members, gens)
+        assert got == _subnormal_by_members(group, members), (members, gens)
+        verdicts[got] += 1
+    # every subgroup of a nilpotent group is subnormal, and a group that is
+    # not nilpotent, such as S_3, S_4 or S_5, has one that is not
+    nilpotent = name not in ("s3", "s4", "s5")
+    assert (verdicts[False] == 0) == nilpotent
+
+
+def test_subnormal_chain_reads_the_generators_only(monkeypatch):
+    group = symmetric_group(5)
+    read = []
+    normalizer = PermutationGroup.normalizer_indices
+
+    def recording(self, members, gens):
+        gens = list(gens)
+        read.append(len(gens))
+        return normalizer(self, members, gens)
+
+    monkeypatch.setattr(PermutationGroup, "normalizer_indices", recording)
+    everything = frozenset(range(group.order))
+    assert _subnormal_by_normalizer_chain(group, everything, [1, 2])
+    assert read == []  # H = G: no normalizer is read
+    gens = [group.index[(1, 2, 0, 3, 4)], group.index[(0, 1, 3, 4, 2)]]
+    a5 = frozenset(group.closure_indices(gens))
+    assert len(a5) == 60
+    assert _subnormal_by_normalizer_chain(group, a5, gens)
+    assert read == [2]  # N(A_5) = S_5 from A_5's two generators

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from birkhoffsym import cli, combiso, gamma, hull, perm
+from birkhoffsym import cli, combiso, gamma, hull, perm, reppoly
 from birkhoffsym.birkhoff import (SymmetryDecomposition, reconstruct_symmetry)
 from birkhoffsym.cli import main
 from birkhoffsym.exact import RationalMatrix
@@ -395,6 +395,20 @@ def test_tags_that_do_not_generate_the_group_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(perm, "closure", first_tag_only)
     assert main(["cd-lattice", "--group", "s3"]) == 4
     assert "do not generate" in capsys.readouterr().err
+
+
+def test_a_group_element_off_the_vertices_exits_4(capsys, monkeypatch):
+    # G acts transitively on its own hull's vertices, so an element that
+    # fails its vertex certificate is a broken certificate, not bad input
+    certify = reppoly.certify_vertices
+
+    def last_fails(polytope):
+        return certify(polytope)[:-1] + [False]
+
+    monkeypatch.setattr(reppoly, "certify_vertices", last_fails)
+    assert main(["rep-polytope", "--group", "s3"]) == 4
+    assert ("internal certificate failed: an element vectorization is not "
+            "a vertex") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, text", [

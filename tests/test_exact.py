@@ -11,12 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birkhoffsym import exact, hull
-from birkhoffsym.exact import (RationalMatrix, _independent_rows,
+from birkhoffsym.exact import (RationalMatrix, _format_over,
+                               _independent_rows, _rational_pair,
                                as_fraction_vector, clear_denominators,
                                format_rational, parse_rational,
                                primitive_vector)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def matrix_of(rows):
+    """The matrix with these rows of rationals."""
+    return RationalMatrix(len(rows), len(rows[0]), [x for r in rows for x in r])
 
 
 def test_parse_rational_forms():
@@ -42,6 +48,36 @@ def test_parse_rational_zero_denominator():
 @given(rationals)
 def test_format_parse_roundtrip(x):
     assert parse_rational(format_rational(x)) == x
+
+
+def rational_text(sign, digits, zeros):
+    return ("-" if sign else "") + "0" * zeros + str(digits)
+
+
+big = st.one_of(st.sampled_from([0, 1]), st.integers(0, 10 ** 30))
+
+
+@given(st.booleans(), big, st.integers(0, 3), st.none() | st.tuples(
+    st.booleans(), big.filter(bool), st.integers(0, 3)), st.booleans())
+def test_integer_parse_and_render_match_the_fraction_path(
+        sign, p, zeros, denominator, padded):
+    # negative and unit denominators, zero, leading zeros, 30 digits
+    text = rational_text(sign, p, zeros)
+    if denominator is not None:
+        text += "/" + rational_text(*denominator)
+    if padded:
+        text = f"  {text} "
+    num, den = _rational_pair(text)
+    assert den > 0 and Fraction(num, den) == parse_rational(text)
+    assert _format_over(num, den) == format_rational(parse_rational(text))
+
+
+@pytest.mark.parametrize("bad", ["1/0", "-3/-0", "0/000", "", "x", "1.5",
+                                 "1/2/3", "1/ 2", "++1", "1e3", "0x10"])
+def test_integer_parse_refuses_what_parse_rational_refuses(bad):
+    for parse in (_rational_pair, parse_rational):
+        with pytest.raises(ValueError):
+            parse(bad)
 
 
 def test_format_rational_plain_integers():
@@ -119,8 +155,8 @@ matrices_3 = st.lists(
 @given(matrices_3, matrices_3)
 @settings(max_examples=40)
 def test_matrix_product_matches_sympy(a_rows, b_rows):
-    a = RationalMatrix.from_rows(a_rows)
-    b = RationalMatrix.from_rows(b_rows)
+    a = matrix_of(a_rows)
+    b = matrix_of(b_rows)
     got = a * b
     want = sympy.Matrix(a_rows) * sympy.Matrix(b_rows)
     assert all(got[i, j] == Fraction(str(want[i, j]))
@@ -206,7 +242,7 @@ def test_integer_products_match_sympy():
                               (6, 6, 6)] * 4:
         a_rows = random_rows(rng, rows, inner, 7)
         b_rows = random_rows(rng, inner, cols, 9)
-        got = RationalMatrix.from_rows(a_rows) * RationalMatrix.from_rows(b_rows)
+        got = matrix_of(a_rows) * matrix_of(b_rows)
         want = sympy.Matrix(a_rows) * sympy.Matrix(b_rows)
         assert (got.rows, got.cols) == (rows, cols)
         assert got.entries == tuple(Fraction(str(x)) for x in want)
@@ -229,7 +265,7 @@ def assert_holds(got, want_rows):
     # the canonical form of a product is the one a matrix
     # built from the Fraction entries holds: equal, equally hashed, and
     # with the same entries once they are read
-    want = RationalMatrix.from_rows(want_rows)
+    want = matrix_of(want_rows)
     assert got._entries is None  # nothing built before the first read
     assert got == want and hash(got) == hash(want)
     assert got._entries is None  # == and hash read only the integer form
@@ -244,16 +280,16 @@ def test_canonical_form_of_products():
         a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
               for _ in range(size)] for _ in range(size)]
         b = random_rows(rng, size, size, 4)
-        ma, mb = RationalMatrix.from_rows(a), RationalMatrix.from_rows(b)
+        ma, mb = matrix_of(a), matrix_of(b)
         assert_holds(ma * mb, fraction_product(a, b))
     # the hash ignores how a matrix was made: numerators with a common
     # factor, a product, an identity
-    assert hash(RationalMatrix.from_rows([[Fraction(2, 4), 1]])) == hash(
-        RationalMatrix.from_rows([[Fraction(1, 2), Fraction(3, 3)]]))
-    two = RationalMatrix.from_rows([[2, 0], [0, 2]])
-    half = RationalMatrix.from_rows([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+    assert hash(matrix_of([[Fraction(2, 4), 1]])) == hash(
+        matrix_of([[Fraction(1, 2), Fraction(3, 3)]]))
+    two = matrix_of([[2, 0], [0, 2]])
+    half = matrix_of([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
     assert two * half == RationalMatrix.identity(2)
-    assert hash(two * half) == hash(RationalMatrix.from_rows([[1, 0], [0, 1]]))
+    assert hash(two * half) == hash(matrix_of([[1, 0], [0, 1]]))
 
 
 def test_clear_denominators():
@@ -267,13 +303,11 @@ def test_matrix_shape_errors():
     with pytest.raises(ValueError):
         RationalMatrix(2, 2, [1, 2, 3])
     with pytest.raises(ValueError):
-        RationalMatrix.from_rows([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        RationalMatrix.from_rows([[1, 2]]) * RationalMatrix.from_rows([[1, 2]])
+        matrix_of([[1, 2]]) * matrix_of([[1, 2]])
 
 
 def test_matrix_accessors():
-    m = RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    m = matrix_of([[1, 2, 3], [4, 5, 6]])
     assert m[0, 1] == 2
     assert m.row(1) == (4, 5, 6)
     assert m.entries[2::3] == (3, 6)

@@ -24,7 +24,8 @@ from birkhoffsym.reppoly import default_catalog, representation_polytope
 
 from hull_oracle import (affine_dim, fraction_facet_enumeration,
                          oracle_facets, random_point_set,
-                         rank_certified_vertices, validate_polytope,
+                         rank_certified_vertices, same_polytope,
+                         validate_polytope,
                          with_duplicates_and_interior_points)
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -140,6 +141,24 @@ def test_float_points_rejected():
         facet_enumeration([(0, 0), (0.1, 0), (0, 1)])
     assert facet_enumeration([(0, 0), (Fraction(1, 10), 0), (0, 1)]
                              ).vertices[1] == (Fraction(1, 10), 0)
+
+
+def test_integer_points_over_a_denominator():
+    # rows over a denominator are the points rows / denominator, whether
+    # the rows are integers or rationals; the denominator must be a
+    # positive integer
+    thirds = facet_enumeration([(0, 0), (2, 0), (1, 3)], 6)
+    want = facet_enumeration([(0, 0), (Fraction(1, 3), 0), (Fraction(1, 6),
+                                                           Fraction(1, 2))])
+    mixed = facet_enumeration([(0, 0), (Fraction(2, 3), 0), (Fraction(1, 3),
+                                                             1)], 2)
+    for got in (thirds, mixed):
+        assert (got.vertices, got.facets, got.incidence.tight_sets) == (
+            want.vertices, want.facets, want.incidence.tight_sets)
+        assert polytope_to_document(got) == polytope_to_document(want)
+    for bad in (0, -6, Fraction(6), 6.0):
+        with pytest.raises(ValueError, match="denominator"):
+            facet_enumeration([(0, 0), (2, 0), (1, 3)], bad)
 
 
 def combine(a, b, k):
@@ -401,24 +420,15 @@ def conjugated(points_of_group, dim, rng):
     """The element vectors of P^-1 G P for a seeded rational P with p/q
     entries, G given by its row-major element vectors."""
     while True:
-        p = RationalMatrix.from_rows(
-            [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(dim)]
-             for _ in range(dim)])
+        p = RationalMatrix(dim, dim, [
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            for _ in range(dim * dim)])
         s = sympy.Matrix(dim, dim, p.entries)
         if s.rank() == dim:
             break
     p_inv = RationalMatrix(dim, dim, (Fraction(str(x)) for x in s.inv()))
     return [(p_inv * RationalMatrix(dim, dim, g) * p).entries
             for g in points_of_group]
-
-
-def same_polytope(got, want):
-    return ((got.ambient_dim, got.vertices, got.facets, got.dim,
-             got.incidence.tight_sets, got.incidence.vertex_facets)
-            == (want.ambient_dim, want.vertices, want.facets, want.dim,
-                want.incidence.tight_sets, want.incidence.vertex_facets)
-            and all(type(x) is Fraction for f in got.facets
-                    for x in f.normal + (f.offset,)))
 
 
 def reference_cases():
@@ -485,8 +495,8 @@ FRACTION_OPERATIONS = (
 
 
 def test_hull_makes_no_fraction_arithmetic(monkeypatch):
-    # Fractions are read in (numerator, denominator) and written out
-    # (one constructor per facet entry); in between, nothing
+    # Fractions are read in (numerator, denominator); from there to the
+    # Facets, which hold integers, nothing
     rng = random.Random(3)
     elements = [m.entries for m in default_catalog(3)[0].matrix_group.elements]
     octahedron = [tuple(Fraction(s * (i == j), 3) for j in range(3))

@@ -2,14 +2,20 @@
 translation action on their vertices, and the B_n equivalence catalog."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from birkhoffsym import cli
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.exact import RationalMatrix
+from birkhoffsym.exact import RationalMatrix, _common_form
 from birkhoffsym.combiso import comb_equivalent
-from birkhoffsym.birkhoff import birkhoff_vertices
-from birkhoffsym.hull import facet_enumeration
+from birkhoffsym.birkhoff import birkhoff_vertices, verify_symmetry_group
+from birkhoffsym.hull import facet_enumeration, polytope_to_document
 from birkhoffsym.gamma import verify_wreath_quotient
 from birkhoffsym.perm import (Permutation, PermutationGroup, named_group,
                               regular_action)
@@ -23,6 +29,8 @@ from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
                                  representation_polytope,
                                  uniqueness_check,
                                  verify_gamma_acts)
+
+from hull_oracle import same_polytope
 
 
 def test_closure_identity_only():
@@ -223,34 +231,114 @@ def test_element_group_translates_only_the_generators(monkeypatch):
     assert len(products) == len(mgroup.generators) * mgroup.order == 48
 
 
-def test_only_the_hulled_elements_build_fraction_entries(monkeypatch):
-    # products, inverses and hashes run on the integer form: the closure
-    # and the hull build Fraction entries for the 24 elements alone, and
-    # the translations of element_group for none
-    gens = matrix_group_from_perm_group(named_group("s4")).generators
+def conjugated_document(entry, rng):
+    """The catalog entry as a matrix-group document of P^-1 g P for each
+    generator g, P seeded with p/q entries.  Each cell is written as k p /
+    k q for a seeded k of either sign, so the texts are not reduced."""
+    mgroup = entry.matrix_group
+    dim = mgroup.dim
+    while True:
+        p = sympy.Matrix(dim, dim, [
+            sympy.Rational(rng.randint(-3, 3), rng.randint(1, 4))
+            for _ in range(dim * dim)])
+        if p.rank() == dim:
+            break
+    p_inv = p.inv()
+
+    def text(x):
+        k = rng.choice((1, 2, 3, -1, -2))
+        return f"{k * x.p}/{k * x.q}"
+
+    gens = [p_inv * sympy.Matrix(dim, dim, [sympy.Rational(str(x))
+                                            for x in g.entries]) * p
+            for g in mgroup.generators]
+    return {"name": entry.name, "dim": dim, "order": mgroup.order,
+            "expect_equivalent": entry.expect_equivalent,
+            "generators": [[[text(g[i, j]) for j in range(dim)]
+                            for i in range(dim)] for g in gens]}
+
+
+def conjugated_catalog(n, seed):
+    rng = random.Random(seed)
+    return [conjugated_document(entry, rng) for entry in default_catalog(n)]
+
+
+def test_the_matrix_group_path_builds_no_fraction(tmp_path, capsys,
+                                                  monkeypatch):
+    # machine-independent gate: from the parsed "p/q" text to the report,
+    # a matrix group's rationals stay integers over one denominator, so no
+    # Fraction is built: not in parsing, closure, sorting, the hull, the
+    # vertex certificates or the document
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps(conjugated_catalog(4, 1)[0]))
+    docs = conjugated_catalog(4, 2)
+    c6 = conjugated_catalog(3, 3)[1]
+    assert c6["name"] == "c6_exceptional"
     made = []
-    over, init = RationalMatrix._over.__func__, RationalMatrix.__init__
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    code = cli.main(["rep-polytope", "--group", str(path)])
+    report = uniqueness_check(4, [matrix_group_from_document(doc)
+                                  for doc in docs])
+    acts = verify_gamma_acts(matrix_group_from_document(c6).matrix_group)
+    symmetry = verify_symmetry_group(4)
+    monkeypatch.undo()
+    assert made == []
+    assert code == 0 and json.loads(capsys.readouterr().out)["pass"]
+    assert report.passed and acts.passed and symmetry.passed
+    # the translations of element_group make |generators| * |G| products
+    # and fill no entries
+    mgroup = matrix_group_from_perm_group(named_group("s4"))
+    products = []
+    over = RationalMatrix._over.__func__
 
     def recording_over(cls, *args):
-        made.append(over(cls, *args))
-        return made[-1]
-
-    def recording_init(self, *args):
-        made.append(self)
-        init(self, *args)
+        products.append(over(cls, *args))
+        return products[-1]
 
     monkeypatch.setattr(RationalMatrix, "_over", classmethod(recording_over))
-    monkeypatch.setattr(RationalMatrix, "__init__", recording_init)
-    mgroup = matrix_closure(gens)
-    representation_polytope(mgroup)
-    filled = {id(m) for m in made if m._entries is not None}
-    assert len(made) > 24 * len(gens)
-    assert filled == {id(m) for m in mgroup.elements}
-    assert len(filled) == mgroup.order == 24
-    made.clear()
     mgroup.element_group()
-    assert len(made) == 48
-    assert all(m._entries is None for m in made)
+    assert len(products) == 48
+    assert all(m._entries is None for m in products)
+
+
+@pytest.mark.parametrize("n, seed", [(3, 11), (4, 12)])
+def test_the_integer_path_matches_the_fraction_path(n, seed):
+    # each catalog group conjugated by a p/q matrix: the integer sort key
+    # gives the order of the Fraction entries, and the hull of the
+    # integer rows over their denominator is the hull of the entries
+    for doc in conjugated_catalog(n, seed):
+        mgroup = matrix_group_from_document(doc).matrix_group
+        others = mgroup.elements[1:]
+        assert others == sorted(others, key=lambda m: m.entries)
+        scale, rows = _common_form(mgroup.elements)
+        assert scale > 1, doc["name"]  # p/q entries, not integers
+        got = facet_enumeration(rows, scale)
+        want = facet_enumeration([m.entries for m in mgroup.elements])
+        assert same_polytope(got, want), doc["name"]
+        assert (polytope_to_document(got) == polytope_to_document(want)
+                == polytope_to_document(representation_polytope(mgroup)))
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(max_denominator=10 ** 6), min_size=n, max_size=n),
+    min_size=n, max_size=n)), st.integers(1, 5))
+@settings(max_examples=60)
+def test_matrix_from_rows_matches_the_fraction_entries(rows, k):
+    # cells written as k p / k q, reduced or not, make the matrix the
+    # Fraction entries make
+    cells = [[f"{k * x.numerator}/{k * x.denominator}" for x in row]
+             for row in rows]
+    got = matrix_from_rows(cells)
+    want = RationalMatrix(len(rows), len(rows),
+                          [x for row in rows for x in row])
+    assert (got._den, got._num) == (want._den, want._num)
+    assert got.entries == want.entries
 
 
 def test_matrix_group_refuses_a_list_not_led_by_the_identity():
@@ -321,6 +409,14 @@ def test_document_parsing_errors():
         matrix_group_from_document(
             {"dim": 2, "order": 5,
              "generators": [[["0", "-1"], ["1", "0"]]]})
+    # the cells, as integer pairs: square rows, no zero denominator, no
+    # float written as a decimal
+    for rows, message in (([["1", "0"], ["0"]], "square"),
+                          ([["1", "0", "0"], ["0", "1", "0"]], "square"),
+                          ([["1", "1/0"], ["0", "1"]], "zero denominator"),
+                          ([["1", 0.5], ["0", "1"]], "not a rational")):
+        with pytest.raises(ValueError, match=message):
+            matrix_group_from_document({"dim": 2, "generators": [rows]})
 
 
 def test_document_roundtrip_c6_fixture():
