@@ -24,7 +24,7 @@ from .birkhoff import (
 from .cd import cd_lattice, cd_measure, verify_centralizer_estimate
 from .combiso import comb_automorphisms, comb_equivalent
 from .errors import NotASubgroupError, PreconditionError
-from .exact import RationalMatrix, parse_rational, primitive_vector
+from .exact import RationalMatrix, primitive_vector
 from .gamma import (
     build_gamma,
     commuting_regular_pairs,

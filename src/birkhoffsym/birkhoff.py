@@ -85,7 +85,7 @@ def permutation_matrix(perm: Permutation) -> RationalMatrix:
     nums = [0] * (n * n)
     for j, i in enumerate(perm.images):
         nums[i * n + j] = 1
-    return RationalMatrix._over(n, n, nums, 1)
+    return RationalMatrix(n, n, nums, 1)
 
 
 def birkhoff_vertices(n: int) -> list[RationalMatrix]:

@@ -195,9 +195,8 @@ def _cmd_uniqueness(args):
 
 
 def _cmd_hull(args):
-    doc = _read_json(args.vertices)
-    points = hull.polytope_from_document(doc)
-    polytope = hull.facet_enumeration(points)
+    rows, scale = hull.polytope_from_document(_read_json(args.vertices))
+    polytope = hull.facet_enumeration(rows, scale)
     details = hull.polytope_to_document(polytope)
     return True, {"vertices": args.vertices}, details
 

@@ -2,18 +2,13 @@
 
 Everything downstream (hull computations, rank tests, matrix groups) must be
 exact: a single rounded pivot can change a face lattice.  A rational is
-carried as integers over one positive denominator wherever the package
-passes it on: text is read into an integer pair (`_rational_pair`) and
-written from one (`_format_over`), a matrix keeps only its entries'
-integer numerators over one common denominator, and the matrices of a
-group share the lcm of theirs (`_common_form`).  `Fraction` is kept only
-where a caller passes or reads one: `parse_rational`, `format_rational`,
-the entries of a `RationalMatrix` (built the first time they are read, so
-products, hashing and equality build none) and `as_fraction_vector`,
-which refuses floats and any other non-rational with TypeError.  A
-rational vector is scaled once by the lcm of its denominators
-(`clear_denominators`), and every elimination is fraction-free.
-Matrices are immutable row-major tuples.
+integers over one positive denominator from the text to the report: text
+is read into an integer pair (`_rational_pair`), pairs are put over the
+lcm of their denominators (`_over_lcm`) and a number is written from its
+pair (`_format_over`).  A matrix keeps its entries' integer numerators
+over one common denominator, and the matrices of a group share the lcm of
+theirs (`_common_form`).  Every elimination is fraction-free.  Matrices
+are immutable row-major tuples.
 
 There is one row reduction, on integer rows: `_independent_rows`, a lazy
 one-pass generator that keeps the greedy independent rows with their
@@ -29,9 +24,7 @@ Text form of a rational is "p/q" with q > 0, or just "p" when q == 1.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -51,130 +44,61 @@ def _rational_pair(text: str) -> tuple[int, int]:
     return (-p, -q) if q < 0 else (p, q)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (integers, optional sign) into a Fraction."""
-    return Fraction(*_rational_pair(text))
-
-
-def format_rational(x: Fraction | int) -> str:
-    """Render a rational as "p/q", or "p" when the denominator is 1."""
-    if type(x) is int:
-        return str(x)
-    if type(x) is not Fraction:
-        (x,) = as_fraction_vector((x,))
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _format_over(num: int, den: int) -> str:
-    """The text of num / den for den > 0, as `format_rational` writes it,
-    reduced with one gcd."""
+    """The text of num / den for den > 0, reduced with one gcd: "p/q" with
+    q > 1, or "p"."""
     g = gcd(num, den)
     if g != den:
         return f"{num // g}/{den // g}"
     return str(num // g)
 
 
-def as_fraction_vector(values: Iterable) -> tuple[Fraction, ...]:
-    """The values as Fractions.  Only rationals are accepted: a float (or
-    any other non-`numbers.Rational`) raises TypeError rather than enter
-    exact arithmetic as its binary expansion."""
-    out = []
-    for v in values:
-        if type(v) is not Fraction:
-            if type(v) is not int and not isinstance(v, Rational):
-                raise TypeError(
-                    f"not an exact rational: {v!r} of type {type(v).__name__}")
-            v = Fraction(v)
-        out.append(v)
-    return tuple(out)
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """(nums, L) for L the lcm of the denominators q > 0 of the pairs
+    (p, q): each p / q as the integer p * (L / q) over L."""
+    scale = lcm(*(q for _, q in pairs))
+    return [p * (scale // q) for p, q in pairs], scale
 
 
-def clear_denominators(values: Iterable[Fraction | int]
-                       ) -> tuple[int, tuple[int, ...]]:
-    """(L, L * values) for L the lcm of the denominators, the least
-    positive scale that makes every entry an integer.  Reads numerators
-    and denominators only; no Fraction arithmetic."""
-    values = tuple(values)
-    scale = lcm(*(v.denominator for v in values))
-    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
-
-
-def primitive_vector(values: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector by a positive rational so entries are
-    integers with gcd 1.  The direction (sign pattern) is preserved; for an
-    inequality normal, flipping signs would reverse the inequality, so only
-    positive scaling is ever applied.  An all-`int` vector, such as every
-    ray of the double description, is divided by its gcd directly.
-    """
-    if all(type(x) is int for x in values):
-        ints = tuple(values)
-    else:
-        _, ints = clear_denominators(values)
-    g = gcd(*ints)
+def primitive_vector(values: Sequence[int]) -> tuple[int, ...]:
+    """A nonzero integer vector divided by the gcd of its entries.  The
+    direction (sign pattern) is preserved; for an inequality normal,
+    flipping signs would reverse the inequality, so only positive scaling
+    is ever applied."""
+    g = gcd(*values)
     if g == 0:
         raise ValueError("primitive_vector of zero vector")
-    return ints if g == 1 else tuple(x // g for x in ints)
+    return tuple(values) if g == 1 else tuple(x // g for x in values)
 
 
 class RationalMatrix:
-    """Immutable dense matrix over the rationals, row-major.
+    """Immutable dense matrix over the rationals, row-major: the integer
+    numerators `nums` over the denominator `den` > 0.
 
-    A matrix holds only its canonical form: the integer numerators `_num`
-    over the one common denominator `_den` > 0, the lcm of the entries'
-    reduced denominators.  Products, equality and the hash are
-    computed on that form, which is equal exactly when the entries are.
-    `entries`, the Fractions, are built on first read and kept."""
+    A matrix holds only its canonical form, `_num` over `_den` divided by
+    their common gcd, so `_den` is the lcm of the entries' reduced
+    denominators.  Products, equality and the hash are computed on that
+    form, which is equal exactly when the entries are."""
 
-    __slots__ = ("rows", "cols", "_entries", "_num", "_den", "_hash")
+    __slots__ = ("rows", "cols", "_num", "_den", "_hash")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable):
-        self.rows = rows
-        self.cols = cols
-        self._entries = as_fraction_vector(entries)
-        if len(self._entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        self._den, self._num = clear_denominators(self._entries)
-        self._hash = None
-
-    @classmethod
-    def _over(cls, rows: int, cols: int, nums: Sequence[int],
-              den: int) -> "RationalMatrix":
-        """The matrix nums / den for integers nums and den > 0."""
+    def __init__(self, rows: int, cols: int, nums: Sequence[int], den: int):
+        if len(nums) != rows * cols or den < 1:
+            raise ValueError("need rows * cols numerators over a positive "
+                             "denominator")
         g = gcd(den, *nums)
         if g > 1:
             nums = [x // g for x in nums]
             den //= g
-        # after dividing by the common gcd, den is the lcm of the entries'
-        # reduced denominators, as __init__ would have found it
-        self = object.__new__(cls)
         self.rows = rows
         self.cols = cols
         self._num = tuple(nums)
         self._den = den
         self._hash = None
-        self._entries = None
-        return self
-
-    @property
-    def entries(self) -> tuple[Fraction, ...]:
-        if self._entries is None:
-            den = self._den
-            self._entries = (tuple(map(Fraction, self._num)) if den == 1
-                             else tuple(Fraction(x, den) for x in self._num))
-        return self._entries
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._over(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
-
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -183,7 +107,7 @@ class RationalMatrix:
         cols = [b[j::w] for j in range(w)]
         out = [sum(map(mul, a[i * k:(i + 1) * k], c))
                for i in range(self.rows) for c in cols]
-        return RationalMatrix._over(self.rows, w, out, self._den * other._den)
+        return RationalMatrix(self.rows, w, out, self._den * other._den)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix)
@@ -196,7 +120,9 @@ class RationalMatrix:
         return self._hash
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(format_rational(e) for e in self.row(i))
+        nums, den, c = self._num, self._den, self.cols
+        body = "; ".join(" ".join(_format_over(x, den)
+                                  for x in nums[i * c:(i + 1) * c])
                          for i in range(self.rows))
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
@@ -208,7 +134,7 @@ def _common_form(matrices: Iterable[RationalMatrix]
                  ) -> tuple[int, list[tuple[int, ...]]]:
     """(L, rows) for L the lcm of the matrices' denominators and row k
     the integer entries of matrix k times L, row-major: every matrix over
-    one denominator, with no Fraction built."""
+    one denominator."""
     matrices = list(matrices)
     scale = lcm(*(m._den for m in matrices))
     return scale, [m._num if m._den == scale

@@ -1,8 +1,7 @@
 """Exact facet enumeration for small rational polytopes, on integers.
 
-Pipeline: given points in Q^a, scale them all by the lcm L of their
-denominators (points passed as integer rows over one denominator L come
-scaled already), take the affine chart (the projection onto the pivot
+Pipeline: given integer points over one denominator L (the rational
+points times L), take the affine chart (the projection onto the pivot
 coordinates of one fraction-free row reduction, an invertible linear map
 of the affine hull), move the centroid to the origin with every
 coordinate multiplied by the number of points, and run the double
@@ -10,13 +9,10 @@ description method on the polar cone.  Polar rays then lift back to
 ambient facet inequalities normal.x <= offset.  Each of these steps is
 an invertible linear map or a positive scaling, so the double
 description meets the same rays in the same order as it would over the
-unscaled rational chart.  `Fraction` appears only at the boundary, and
-only for a caller that passes or reads one: rational input points have
-their denominators cleared once, and `Polytope.vertices` builds the points
-as Fractions the first time it is read.  The matrix groups pass integer
-rows over their common denominator, each Facet holds its primitive
-integer inequality, and `polytope_to_document` writes the text from the
-integers, so that path builds no Fraction at all.
+unscaled rational chart.  A vertex document is read from its "p/q" text
+into integer rows over the lcm of its denominators, each Facet holds
+its primitive integer inequality, and `polytope_to_document` writes the
+text from the integers.
 
 The double description step maintains, for a growing system of homogeneous
 inequalities <c, y> >= 0 in R^{d+1}, the extreme rays of the intersection
@@ -45,15 +41,14 @@ rank is taken after the double description.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
-from .exact import (_format_over, _independent_rows, as_fraction_vector,
-                    clear_denominators, parse_rational, primitive_vector)
+from .exact import (_format_over, _independent_rows, _over_lcm,
+                    _rational_pair, primitive_vector)
 
 MAX_VERTICES = 30
 MAX_DIM = 10
@@ -93,11 +88,9 @@ class IncidenceStructure:
 
 class Polytope:
     """The hull of the input points, held as `rows`, the points times
-    `scale` as integer tuples in input order.  `vertices`, the points as
-    Fraction tuples, are built on first read and kept."""
+    `scale` as integer tuples in input order."""
 
-    __slots__ = ("ambient_dim", "rows", "scale", "facets", "incidence", "dim",
-                 "_vertices")
+    __slots__ = ("ambient_dim", "rows", "scale", "facets", "incidence", "dim")
 
     def __init__(self, ambient_dim: int, rows, scale: int, facets,
                  incidence: IncidenceStructure, dim: int):
@@ -107,15 +100,6 @@ class Polytope:
         self.facets = tuple(facets)
         self.incidence = incidence
         self.dim = dim
-        self._vertices = None
-
-    @property
-    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._vertices is None:
-            scale = self.scale
-            self._vertices = tuple(tuple(Fraction(x, scale) for x in row)
-                                   for row in self.rows)
-        return self._vertices
 
     @property
     def n_vertices(self) -> int:
@@ -225,14 +209,13 @@ def _dd_extreme_rays(ineqs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return rays
 
 
-def facet_enumeration(points: Sequence[Sequence],
+def facet_enumeration(points: Sequence[Sequence[int]],
                       denominator: int = 1) -> Polytope:
     """Facets, incidence, and dimension of the convex hull of the points,
     each divided by `denominator`, a positive integer.
 
-    Points are any rationals; integer points are read as they are, with
-    no Fraction, so a caller holding integer rows over one denominator
-    passes those two.  Duplicates and non-extreme points are
+    Every coordinate must be an `int`: anything else, a float, a Fraction
+    or a bool, raises TypeError.  Duplicates and non-extreme points are
     tolerated (they simply end up positive on no facet certificate).  A
     0-dimensional input yields zero facets.  Inputs above MAX_VERTICES
     points or affine dimension MAX_DIM are refused before the double
@@ -241,7 +224,7 @@ def facet_enumeration(points: Sequence[Sequence],
     return _facet_enumeration(points, denominator, MAX_VERTICES, MAX_DIM)
 
 
-def _facet_enumeration(points: Sequence[Sequence], denominator: int = 1,
+def _facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
                        max_vertices: Optional[int] = None,
                        max_dim: Optional[int] = None) -> Polytope:
     """facet_enumeration with the size bounds given per call (None: no
@@ -251,11 +234,11 @@ def _facet_enumeration(points: Sequence[Sequence], denominator: int = 1,
     if type(denominator) is not int or denominator < 1:
         raise ValueError(f"denominator must be a positive integer, "
                          f"got {denominator!r}")
-    # one scale L for all points: from here to the Facets, only ints
     scale, flat = denominator, tuple(x for p in points for x in p)
     if not set(map(type, flat)) <= {int}:
-        scale, flat = clear_denominators(as_fraction_vector(flat))
-        scale *= denominator
+        x = next(x for x in flat if type(x) is not int)
+        raise TypeError(f"hull coordinate {x!r} of type {type(x).__name__} "
+                        f"is not an int")
     ambient = len(points[0])
     if any(len(p) != ambient for p in points):
         raise ValueError("points of mixed dimension")
@@ -349,15 +332,24 @@ def certify_vertices(polytope: Polytope) -> list[bool]:
     return out
 
 
-def polytope_from_document(doc: dict) -> list[tuple[Fraction, ...]]:
-    """Read the vertex list from a polytope document {"vertices": [["p/q",...]]}.
-    A document of another shape raises ValueError."""
+def polytope_from_document(doc: dict) -> tuple[list[tuple[int, ...]], int]:
+    """(rows, L): the points of a polytope document
+    {"vertices": [["p/q", ...], ...]} as integer rows over the lcm L of
+    their denominators.  More than MAX_VERTICES points raise
+    PreconditionError before a cell is read; a document of another shape
+    raises ValueError."""
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise ValueError('polytope document must be an object with "vertices"')
     rows = doc["vertices"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError('"vertices" must be a list of coordinate lists')
-    return [tuple(parse_rational(str(entry)) for entry in row) for row in rows]
+    if len(rows) > MAX_VERTICES:
+        raise PreconditionError(
+            f"{len(rows)} points exceed hull bound {MAX_VERTICES}")
+    nums, scale = _over_lcm([_rational_pair(str(cell))
+                             for row in rows for cell in row])
+    cells = iter(nums)
+    return [tuple(islice(cells, len(row))) for row in rows], scale
 
 
 def polytope_to_document(polytope: Polytope) -> dict:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from math import lcm
 from operator import itemgetter
 from typing import Optional
 
@@ -26,7 +25,7 @@ from .birkhoff import birkhoff_vertices, permutation_matrix
 from .combiso import comb_automorphisms, comb_equivalent
 from .errors import InvariantError, PreconditionError
 from .exact import (RationalMatrix, _common_form, _independent_rows,
-                    _rational_pair)
+                    _over_lcm, _rational_pair)
 from .hull import Polytope, certify_vertices, facet_enumeration
 from .perm import (Permutation, PermutationGroup, closure, named_group,
                    regular_action, saturate)
@@ -78,7 +77,7 @@ def matrix_closure(generators: list[RationalMatrix]) -> MatrixGroup:
     A generator is invertible when its integer numerator rows are
     independent.  The elements after the identity are sorted by their
     integer entries over the group's common denominator, which is the
-    order of their Fraction entries.  The closure stops with
+    lexicographic order of their entries.  The closure stops with
     PreconditionError once it passes MAX_POLYTOPE_ELEMENTS, the most any
     hull here takes, so an infinite group stops there too.
     """
@@ -181,9 +180,7 @@ def matrix_from_rows(rows: list[list]) -> RationalMatrix:
         if len(row) != len(rows):
             raise ValueError("matrix rows must be square")
         pairs.extend(_rational_pair(str(cell)) for cell in row)
-    scale = lcm(*(q for _, q in pairs))
-    return RationalMatrix._over(len(rows), len(rows),
-                                [p * (scale // q) for p, q in pairs], scale)
+    return RationalMatrix(len(rows), len(rows), *_over_lcm(pairs))
 
 
 def matrix_group_from_document(doc: dict) -> "CatalogEntry":
@@ -195,6 +192,8 @@ def matrix_group_from_document(doc: dict) -> "CatalogEntry":
     dim, gen_docs = doc["dim"], doc["generators"]
     if type(dim) is not int or not isinstance(gen_docs, list):
         raise ValueError("'dim' must be an integer and 'generators' a list")
+    if dim < 1:
+        raise ValueError(f"'dim' must be at least 1, got {dim}")
     gens = []
     for rows in gen_docs:
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):

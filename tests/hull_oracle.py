@@ -12,16 +12,67 @@ ran on Fractions before it moved to integers; it borrows only the
 package's output types (a Polytope holds its points as integer rows over
 one denominator, and a Facet its primitive integer inequality) and must
 reproduce the integer hull exactly.
+
+The package takes and gives rationals only as integers over one
+denominator.  The converters below (`integer_form`, `integer_points`,
+`hull_of`, `birkhoff_rows`, `rational_matrix`, `entries`, `points_of`)
+give the tests, which state their cases in Fractions, that form and
+back.
 """
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import sympy
 
+from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.hull import Facet, IncidenceStructure, Polytope
+from birkhoffsym.exact import RationalMatrix
+from birkhoffsym.hull import (Facet, IncidenceStructure, Polytope,
+                              facet_enumeration)
+
+
+def integer_form(values):
+    """(nums, L): the rationals as integers over the lcm L of their
+    reduced denominators."""
+    values = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def integer_points(points):
+    """(rows, L): the rational points as integer rows over one
+    denominator, the form facet_enumeration takes."""
+    nums, scale = integer_form([x for p in points for x in p])
+    cells = iter(nums)
+    return [tuple(itertools.islice(cells, len(p))) for p in points], scale
+
+
+def hull_of(points):
+    """facet_enumeration of rational points."""
+    return facet_enumeration(*integer_points(points))
+
+
+def birkhoff_rows(n):
+    """B_n's vertices as integer rows; a permutation matrix is over 1."""
+    return [m._num for m in birkhoff_vertices(n)]
+
+
+def rational_matrix(rows, cols, values):
+    """The RationalMatrix of these rationals, row-major."""
+    return RationalMatrix(rows, cols, *integer_form(values))
+
+
+def entries(matrix):
+    """A RationalMatrix's entries as Fractions, row-major."""
+    return tuple(Fraction(x, matrix._den) for x in matrix._num)
+
+
+def points_of(polytope):
+    """A Polytope's points as Fraction tuples: its rows over its scale."""
+    return [tuple(Fraction(x, polytope.scale) for x in row)
+            for row in polytope.rows]
 
 
 def _row(point):
@@ -128,7 +179,7 @@ def rank_certified_vertices(polytope) -> list[bool]:
     affine hull, the gradient of facet f being (<normal_f, p - p_0>) over
     all points p.  It needs the facets and the affine hull, where the
     package's certify_vertices reads the incidence only."""
-    pts = polytope.vertices
+    pts = points_of(polytope)
     if polytope.dim == 0:
         return [True] * len(pts)
     p0 = _row(pts[0])
@@ -157,7 +208,7 @@ def validate_polytope(polytope) -> None:
     are pairwise distinct; above dimension 0 no vertex lies on every
     facet.
     """
-    pts = polytope.vertices
+    pts = points_of(polytope)
     tight_sets = polytope.incidence.tight_sets
     assert len(tight_sets) == len(polytope.facets)
     assert polytope.incidence.vertex_facets == tuple(
@@ -178,12 +229,12 @@ def validate_polytope(polytope) -> None:
 
 
 def same_polytope(got, want) -> bool:
-    """Two hulls agree in every part: the points, as Fractions and as
-    integer rows over the same scale, the facets with their integer
-    inequalities, the dimension and the incidence."""
-    return ((got.ambient_dim, got.vertices, got.facets, got.dim,
+    """Two hulls agree in every part: the points, as integer rows over
+    the same scale, the facets with their integer inequalities, the
+    dimension and the incidence."""
+    return ((got.ambient_dim, got.facets, got.dim,
              got.incidence.tight_sets, got.incidence.vertex_facets)
-            == (want.ambient_dim, want.vertices, want.facets, want.dim,
+            == (want.ambient_dim, want.facets, want.dim,
                 want.incidence.tight_sets, want.incidence.vertex_facets)
             and (got.rows, got.scale) == (want.rows, want.scale)
             and all(type(x) is int for f in got.facets
@@ -341,16 +392,6 @@ def _dd_extreme_rays(ineqs):
     return rays
 
 
-def _integer_rows(pts):
-    """(rows, L): the Fraction points times the lcm L of their
-    denominators, as integer tuples, the form a Polytope holds."""
-    scale = 1
-    for p in pts:
-        for x in p:
-            scale = scale * x.denominator // gcd(scale, x.denominator)
-    return [tuple(int(x * scale) for x in p) for p in pts], scale
-
-
 def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
     """The Fraction reference hull: a Polytope that the package's
     integer facet enumeration must reproduce exactly."""
@@ -364,7 +405,7 @@ def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
         raise PreconditionError(
             f"{len(pts)} points exceed hull bound {max_vertices}")
     d, base, _, pivot_rows, m_inv = _affine_chart(pts, max_dim)
-    rows, scale = _integer_rows(pts)
+    rows, scale = integer_points(pts)
     if d == 0:
         return Polytope(ambient, rows, scale, (),
                         IncidenceStructure(len(pts), ()), 0)

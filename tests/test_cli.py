@@ -8,9 +8,11 @@ wrapper runs it, so it also passes with a plain ``PYTHONPATH=src``."""
 
 import argparse
 import json
+import random
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -23,6 +25,8 @@ from birkhoffsym.exact import RationalMatrix
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
                               polytope_to_document)
 from birkhoffsym.perm import Permutation, parse_cycles
+
+from hull_oracle import random_point_set
 
 
 def run_json(capsys, argv):
@@ -312,9 +316,9 @@ def test_hull_cli(tmp_path, capsys):
     assert d["n_facets"] == 4
     assert d["dim"] == 2
     assert d["inequality_convention"] == "normal.x <= offset"
-    points = polytope_from_document(json.loads(path.read_text()))
+    rows, scale = polytope_from_document(json.loads(path.read_text()))
     assert d == json.loads(json.dumps(
-        polytope_to_document(facet_enumeration(points))))
+        polytope_to_document(facet_enumeration(rows, scale))))
 
 
 def test_verify_symmetry_group_b5(capsys):
@@ -342,6 +346,48 @@ def test_hull_cli_refuses_large_inputs(tmp_path, capsys):
                       for i in range(12)]}))
     assert main(["hull", str(simplex)]) == 3
     assert "exceeds hull bound 10" in capsys.readouterr().err
+
+
+def test_hull_cli_refuses_too_many_points_before_reading_a_cell(tmp_path,
+                                                                capsys):
+    # the bound is checked on the row count, so a malformed last cell of
+    # a 31-row document is never read
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(
+        {"vertices": [[str(i), str(i * i)] for i in range(30)] + [["x", "1"]]}))
+    assert main(["hull", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "31 points exceed hull bound 30" in err
+    assert "not a rational literal" not in err
+
+
+def spelled(x, rng):
+    """The rational x as "p/q" text: reduced, unreduced, with a negative
+    denominator, or as a plain JSON int when x is an integer."""
+    p, q = x.numerator, x.denominator
+    k = rng.choice((1, 2, 3, 7))
+    return rng.choice([f"{p}/{q}" if q > 1 else str(p), f"{k * p}/{k * q}",
+                       f"{-k * p}/{-k * q}"] + [p] * (q == 1))
+
+
+def test_hull_document_does_not_depend_on_spelling(tmp_path, capsys):
+    # the scale comes from the denominators as written, so 2/4, 3/-6, 1/2
+    # and an unreduced integer such as 4/2 must all give the same bytes
+    rng = random.Random(20261019)
+    path = tmp_path / "points.json"
+    cases = [[(Fraction(1, 2), Fraction(0)), (Fraction(-1, 3), Fraction(2)),
+              (Fraction(0), Fraction(-5, 6)), (Fraction(1, 4), Fraction(1, 4))]]
+    cases += [random_point_set(rng, 8, 3) for _ in range(25)]
+    for pts in cases:
+        outputs = set()
+        for _ in range(5):
+            path.write_text(json.dumps(
+                {"vertices": [[spelled(x, rng) for x in p] for p in pts]}))
+            assert main(["hull", str(path)]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            del doc["runtime_ms"]
+            outputs.add(json.dumps(doc, sort_keys=True))
+        assert len(outputs) == 1, pts
 
 
 def test_hull_cli_bad_inputs(tmp_path, capsys):
@@ -459,6 +505,17 @@ def test_rep_polytope_document(tmp_path, capsys):
     assert code == 0
     assert doc["details"]["order"] == 6
     assert doc["details"]["matrix_dim"] == 2
+
+
+def test_matrix_group_document_of_dimension_0(tmp_path, capsys):
+    # refused by name, not by an error from inside the closure
+    path = tmp_path / "dim0.json"
+    for dim in (0, -1):
+        path.write_text(json.dumps({"dim": dim, "generators": [[]]}))
+        assert main(["rep-polytope", "--group", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"'dim' must be at least 1, got {dim}" in err
+        assert "range()" not in err
 
 
 @pytest.mark.parametrize("cell", [1.0, True])

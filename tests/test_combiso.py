@@ -9,12 +9,13 @@ from functools import lru_cache
 import pytest
 
 from birkhoffsym import combiso
-from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.combiso import comb_automorphisms, comb_equivalent
 from birkhoffsym.errors import InvariantError
 from birkhoffsym.hull import IncidenceStructure, facet_enumeration
 from birkhoffsym.perm import Permutation, closure, regular_action
 from birkhoffsym.reppoly import default_catalog, representation_polytope
+
+from hull_oracle import birkhoff_rows
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -52,8 +53,7 @@ def test_five_simplex_automorphisms():
 
 @lru_cache(maxsize=None)
 def birkhoff_incidence(n):
-    return facet_enumeration(
-        [m.entries for m in birkhoff_vertices(n)]).incidence
+    return facet_enumeration(birkhoff_rows(n)).incidence
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +198,6 @@ def test_square_vs_simplex4_not_equivalent():
 
 
 def test_birkhoff3_automorphisms():
-    verts = [m.entries for m in birkhoff_vertices(3)]
-    inc = facet_enumeration(verts).incidence
+    inc = facet_enumeration(birkhoff_rows(3)).incidence
     aut = comb_automorphisms(inc)
     assert aut.order == 72  # 2 * (3!)^2

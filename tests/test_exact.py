@@ -10,44 +10,47 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoffsym import exact, hull
+from birkhoffsym import hull
 from birkhoffsym.exact import (RationalMatrix, _format_over,
-                               _independent_rows, _rational_pair,
-                               as_fraction_vector, clear_denominators,
-                               format_rational, parse_rational,
+                               _independent_rows, _over_lcm, _rational_pair,
                                primitive_vector)
+
+from hull_oracle import entries, integer_form, rational_matrix
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 def matrix_of(rows):
     """The matrix with these rows of rationals."""
-    return RationalMatrix(len(rows), len(rows[0]), [x for r in rows for x in r])
+    return rational_matrix(len(rows), len(rows[0]), [x for r in rows for x in r])
 
 
 def test_parse_rational_forms():
-    assert parse_rational("3") == Fraction(3)
-    assert parse_rational("-7") == Fraction(-7)
-    assert parse_rational("2/4") == Fraction(1, 2)
-    assert parse_rational("-2/4") == Fraction(-1, 2)
-    assert parse_rational("6/-4") == Fraction(-3, 2)
-    assert parse_rational("  5/3 ") == Fraction(5, 3)
+    # the integer pair as written, with the sign moved to the numerator
+    assert _rational_pair("3") == (3, 1)
+    assert _rational_pair("-7") == (-7, 1)
+    assert _rational_pair("2/4") == (2, 4)
+    assert _rational_pair("-2/4") == (-2, 4)
+    assert _rational_pair("6/-4") == (-6, 4)
+    assert _rational_pair("-6/-9") == (6, 9)
+    assert _rational_pair("  5/3 ") == (5, 3)
 
 
 @pytest.mark.parametrize("bad", ["", "x", "1.5", "1/2/3", "1/ 2", "++1"])
 def test_parse_rational_rejects(bad):
-    with pytest.raises(ValueError):
-        parse_rational(bad)
+    with pytest.raises(ValueError, match="not a rational literal"):
+        _rational_pair(bad)
 
 
 def test_parse_rational_zero_denominator():
-    with pytest.raises(ValueError):
-        parse_rational("1/0")
+    with pytest.raises(ValueError, match="zero denominator"):
+        _rational_pair("1/0")
 
 
 @given(rationals)
 def test_format_parse_roundtrip(x):
-    assert parse_rational(format_rational(x)) == x
+    text = _format_over(x.numerator, x.denominator)
+    assert _rational_pair(text) == (x.numerator, x.denominator)
 
 
 def rational_text(sign, digits, zeros):
@@ -61,56 +64,56 @@ big = st.one_of(st.sampled_from([0, 1]), st.integers(0, 10 ** 30))
     st.booleans(), big.filter(bool), st.integers(0, 3)), st.booleans())
 def test_integer_parse_and_render_match_the_fraction_path(
         sign, p, zeros, denominator, padded):
-    # negative and unit denominators, zero, leading zeros, 30 digits
+    # negative and unit denominators, zero, leading zeros, 30 digits; the
+    # reference value is built from the parts the text was written from
     text = rational_text(sign, p, zeros)
+    want = Fraction(-p if sign else p)
     if denominator is not None:
         text += "/" + rational_text(*denominator)
+        want /= -denominator[1] if denominator[0] else denominator[1]
     if padded:
         text = f"  {text} "
     num, den = _rational_pair(text)
-    assert den > 0 and Fraction(num, den) == parse_rational(text)
-    assert _format_over(num, den) == format_rational(parse_rational(text))
+    assert den > 0 and Fraction(num, den) == want
+    assert _format_over(num, den) == (
+        str(want.numerator) if want.denominator == 1
+        else f"{want.numerator}/{want.denominator}")
 
 
 @pytest.mark.parametrize("bad", ["1/0", "-3/-0", "0/000", "", "x", "1.5",
                                  "1/2/3", "1/ 2", "++1", "1e3", "0x10"])
 def test_integer_parse_refuses_what_parse_rational_refuses(bad):
-    for parse in (_rational_pair, parse_rational):
-        with pytest.raises(ValueError):
-            parse(bad)
+    with pytest.raises(ValueError):
+        _rational_pair(bad)
 
 
 def test_format_rational_plain_integers():
-    assert format_rational(Fraction(4, 2)) == "2"
-    assert format_rational(Fraction(-9, 3)) == "-3"
-    assert format_rational(Fraction(1, 3)) == "1/3"
+    assert _format_over(4, 2) == "2"
+    assert _format_over(-9, 3) == "-3"
+    assert _format_over(1, 3) == "1/3"
+    assert _format_over(-6, 4) == "-3/2"
 
 
 def test_format_rational_of_an_int():
-    assert format_rational(7) == "7"
-    assert format_rational(-12) == "-12"
-    assert format_rational(True) == "1"
+    assert _format_over(7, 1) == "7"
+    assert _format_over(-12, 1) == "-12"
+    assert _format_over(0, 5) == "0"
 
 
 def test_floats_are_refused_at_the_boundary():
-    got = as_fraction_vector([1, Fraction(1, 2), True])
-    assert got == (1, Fraction(1, 2), 1)
-    assert all(type(x) is Fraction for x in got)
-    for bad in (0.5, 1.0, "1/2", None, complex(1, 0)):
-        with pytest.raises(TypeError, match="not an exact rational"):
-            as_fraction_vector([1, bad])
-    with pytest.raises(TypeError):
-        RationalMatrix(1, 2, [Fraction(1, 3), 0.1])
-    with pytest.raises(TypeError):
-        format_rational(0.5)
+    # a rational is integers over a positive denominator: a float, a
+    # Fraction or a string as a numerator is refused, not converted
+    for bad in (0.5, 1.0, Fraction(1, 2), "1/2", None):
+        with pytest.raises(TypeError):
+            RationalMatrix(1, 2, [1, bad], 1)
+        with pytest.raises(TypeError):
+            primitive_vector([1, bad])
+        with pytest.raises(TypeError, match="is not an int"):
+            hull.facet_enumeration([(0, 0), (1, bad)])
 
 
-def test_primitive_vector_of_ints_reads_no_denominators(monkeypatch):
+def test_primitive_vector_of_ints_reads_no_denominators():
     # every double-description ray is all-int: it is divided by its gcd
-    def refuse(values):
-        raise AssertionError("clear_denominators called")
-
-    monkeypatch.setattr(exact, "clear_denominators", refuse)
     assert primitive_vector((4, -6, 0)) == (2, -3, 0)
     assert primitive_vector([0, 5]) == (0, 1)
     assert primitive_vector((3, 7)) == (3, 7)
@@ -119,31 +122,26 @@ def test_primitive_vector_of_ints_reads_no_denominators(monkeypatch):
 
 
 def test_primitive_vector_cases():
-    assert primitive_vector((Fraction(2, 3), Fraction(4, 3))) == (1, 2)
-    assert primitive_vector((Fraction(-2), Fraction(4))) == (-1, 2)
-    assert primitive_vector((Fraction(0), Fraction(5, 7))) == (0, 1)
+    assert primitive_vector((2, 4)) == (1, 2)
+    assert primitive_vector((-2, 4)) == (-1, 2)
+    assert primitive_vector((0, 5)) == (0, 1)
+    assert primitive_vector([-9]) == (-1,)
     with pytest.raises(ValueError):
-        primitive_vector((Fraction(0), Fraction(0)))
+        primitive_vector((0, 0))
 
 
-@given(st.lists(rationals, min_size=1, max_size=6), st.fractions(
-    min_value=Fraction(1, 16), max_value=20, max_denominator=16))
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=6),
+       st.integers(1, 20))
 def test_primitive_vector_scale_invariant(vec, scale):
     if all(v == 0 for v in vec):
         return
     a = primitive_vector(vec)
-    b = primitive_vector(tuple(scale * v for v in vec))
-    assert a == b
-    ints = [x.numerator for x in a]
-    assert all(x.denominator == 1 for x in a)
-    from math import gcd
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
-    assert g == 1
+    assert a == primitive_vector(tuple(scale * v for v in vec))
+    assert all(type(x) is int for x in a)
+    assert math.gcd(*a) == 1
     # same direction: original = positive multiple of primitive
     nz = next(i for i, v in enumerate(vec) if v != 0)
-    ratio = vec[nz] / a[nz]
+    ratio = Fraction(vec[nz], a[nz])
     assert ratio > 0
     assert tuple(ratio * x for x in a) == tuple(vec)
 
@@ -159,8 +157,7 @@ def test_matrix_product_matches_sympy(a_rows, b_rows):
     b = matrix_of(b_rows)
     got = a * b
     want = sympy.Matrix(a_rows) * sympy.Matrix(b_rows)
-    assert all(got[i, j] == Fraction(str(want[i, j]))
-               for i in range(3) for j in range(3))
+    assert entries(got) == tuple(Fraction(str(x)) for x in want)
 
 
 @given(st.lists(st.lists(rationals, min_size=2, max_size=4),
@@ -168,7 +165,7 @@ def test_matrix_product_matches_sympy(a_rows, b_rows):
                     lambda rows: len({len(r) for r in rows}) == 1))
 @settings(max_examples=60)
 def test_rank_matches_sympy(rows):
-    cleared = [clear_denominators(map(Fraction, r))[1] for r in rows]
+    cleared = [integer_form(r)[0] for r in rows]
     assert (sum(1 for _ in _independent_rows(cleared))
             == sympy.Matrix(rows).rank())
 
@@ -186,7 +183,7 @@ def assert_start_rays_are_inverse_columns(rows):
     integer vector.  A rational M enters as its integer numerators N = qM
     (q > 0), whose inverse has the same columns up to the factor 1/q."""
     n = len(rows)
-    _, flat = clear_denominators([Fraction(x) for r in rows for x in r])
+    flat, _ = integer_form([x for r in rows for x in r])
     rays = hull._dd_extreme_rays([flat[i * n:(i + 1) * n] for i in range(n)])
     inv = sympy.Matrix(rows).inv()
     assert len(rays) == n
@@ -203,7 +200,7 @@ def assert_start_rays_are_inverse_columns(rows):
 @settings(max_examples=40)
 def test_inverse_matches_sympy(rows):
     if sympy.Matrix(rows).det() == 0:
-        _, flat = clear_denominators([x for r in rows for x in r])
+        flat, _ = integer_form([x for r in rows for x in r])
         with pytest.raises(ValueError, match="not pointed"):
             hull._dd_extreme_rays([flat[0:3], flat[3:6], flat[6:9]])
         return
@@ -245,11 +242,10 @@ def test_integer_products_match_sympy():
         got = matrix_of(a_rows) * matrix_of(b_rows)
         want = sympy.Matrix(a_rows) * sympy.Matrix(b_rows)
         assert (got.rows, got.cols) == (rows, cols)
-        assert got.entries == tuple(Fraction(str(x)) for x in want)
-        assert all(type(x) is Fraction for x in got.entries)
+        assert entries(got) == tuple(Fraction(str(x)) for x in want)
         # numerators over the lcm of the entry denominators, as a matrix
         # built from those entries holds them
-        built = RationalMatrix(rows, cols, got.entries)
+        built = rational_matrix(rows, cols, entries(got))
         assert (got._den, got._num) == (built._den, built._num)
         assert got == built and hash(got) == hash(built)
         assert repr(got) == repr(built)
@@ -262,16 +258,13 @@ def fraction_product(a, b):
 
 
 def assert_holds(got, want_rows):
-    # the canonical form of a product is the one a matrix
-    # built from the Fraction entries holds: equal, equally hashed, and
-    # with the same entries once they are read
+    # the canonical form of a product is the one a matrix built from
+    # the Fraction entries holds: equal, equally hashed, with the same
+    # entries and the same integer form
     want = matrix_of(want_rows)
-    assert got._entries is None  # nothing built before the first read
     assert got == want and hash(got) == hash(want)
-    assert got._entries is None  # == and hash read only the integer form
-    assert got.entries == want.entries
-    assert all(type(x) is Fraction for x in got.entries)
-    assert got.entries is got.entries  # built once, then kept
+    assert (got._den, got._num) == (want._den, want._num)
+    assert entries(got) == tuple(x for row in want_rows for x in row)
 
 
 def test_canonical_form_of_products():
@@ -293,23 +286,31 @@ def test_canonical_form_of_products():
 
 
 def test_clear_denominators():
-    assert clear_denominators([Fraction(1, 2), Fraction(-2, 3), 4]) == (
-        6, (3, -4, 24))
-    assert clear_denominators([0, 0]) == (1, (0, 0))
-    assert clear_denominators([]) == (1, ())
+    # pairs as read, reduced or not, over the lcm of their denominators
+    assert _over_lcm([(1, 2), (-2, 3), (4, 1)]) == ([3, -4, 24], 6)
+    assert _over_lcm([(2, 4), (3, 6)]) == ([6, 6], 12)
+    assert _over_lcm([(0, 1), (0, 1)]) == ([0, 0], 1)
+    assert _over_lcm([]) == ([], 1)
 
 
 def test_matrix_shape_errors():
     with pytest.raises(ValueError):
-        RationalMatrix(2, 2, [1, 2, 3])
+        RationalMatrix(2, 2, [1, 2, 3], 1)
+    for den in (0, -2):
+        with pytest.raises(ValueError, match="positive denominator"):
+            RationalMatrix(1, 1, [1], den)
     with pytest.raises(ValueError):
         matrix_of([[1, 2]]) * matrix_of([[1, 2]])
 
 
 def test_matrix_accessors():
-    m = matrix_of([[1, 2, 3], [4, 5, 6]])
-    assert m[0, 1] == 2
-    assert m.row(1) == (4, 5, 6)
-    assert m.entries[2::3] == (3, 6)
+    # the constructor keeps the canonical form, numerators and
+    # denominator divided by their gcd; repr writes the reduced entries
+    m = RationalMatrix(2, 3, [2, 4, 6, 8, 10, -3], 4)
+    assert (m.rows, m.cols, m._den, m._num) == (2, 3, 4, (2, 4, 6, 8, 10, -3))
+    half = RationalMatrix(1, 2, [2, 4], 4)
+    assert (half._den, half._num) == (2, (1, 2))
+    assert repr(m) == "RationalMatrix(2x3: 1/2 1 3/2; 2 5/2 -3/4)"
+    assert RationalMatrix(2, 2, [3, 0, 0, 3], 3) == RationalMatrix.identity(2)
     assert RationalMatrix.identity(3).is_identity()
     assert not m.is_identity()

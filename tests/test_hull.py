@@ -15,17 +15,17 @@ import sympy
 from birkhoffsym import hull
 from birkhoffsym.birkhoff import analytic_facet_sets, birkhoff_vertices
 from birkhoffsym.errors import InvariantError, PreconditionError
-from birkhoffsym.exact import (RationalMatrix, _independent_rows,
-                               clear_denominators)
+from birkhoffsym.exact import _independent_rows
 from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
                               certify_vertices, facet_enumeration,
                               polytope_from_document, polytope_to_document)
 from birkhoffsym.reppoly import default_catalog, representation_polytope
 
-from hull_oracle import (affine_dim, fraction_facet_enumeration,
-                         oracle_facets, random_point_set,
-                         rank_certified_vertices, same_polytope,
-                         validate_polytope,
+from hull_oracle import (affine_dim, birkhoff_rows, entries,
+                         fraction_facet_enumeration, hull_of, integer_points,
+                         oracle_facets, points_of, random_point_set,
+                         rank_certified_vertices, rational_matrix,
+                         same_polytope, validate_polytope,
                          with_duplicates_and_interior_points)
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -113,13 +113,13 @@ def test_collinear_middle_point():
 
 
 def test_square_with_center():
-    p = facet_enumeration(SQUARE + [(Fraction(1, 2), Fraction(1, 2))])
+    p = hull_of(SQUARE + [(Fraction(1, 2), Fraction(1, 2))])
     assert p.n_facets == 4
     assert certify_vertices(p) == [True, True, True, True, False]
 
 
 def test_square_with_edge_midpoint():
-    p = facet_enumeration(SQUARE + [(Fraction(1, 2), 0)])
+    p = hull_of(SQUARE + [(Fraction(1, 2), 0)])
     assert p.n_facets == 4
     assert certify_vertices(p) == [True, True, True, True, False]
 
@@ -134,27 +134,36 @@ def test_empty_rejected():
         facet_enumeration([])
 
 
-def test_float_points_rejected():
+def test_float_points_rejected(monkeypatch):
     # 0.1 is not 1/10 in binary; it would come back as the vertex
-    # 3602879701896397/36028797018963968
-    with pytest.raises(TypeError, match="not an exact rational"):
-        facet_enumeration([(0, 0), (0.1, 0), (0, 1)])
-    assert facet_enumeration([(0, 0), (Fraction(1, 10), 0), (0, 1)]
-                             ).vertices[1] == (Fraction(1, 10), 0)
+    # 3602879701896397/36028797018963968.  Only ints are coordinates: a
+    # rational is an integer over the denominator, so a Fraction, and a
+    # bool, are refused too, before any arithmetic
+    def forbidden(*args):
+        raise AssertionError("the hull started on a refused point")
+
+    monkeypatch.setattr(hull, "_affine_chart", forbidden)
+    for bad in (0.1, Fraction(1, 10), True):
+        with pytest.raises(TypeError, match="is not an int"):
+            facet_enumeration([(0, 0), (bad, 0), (0, 1)])
+        with pytest.raises(TypeError, match="is not an int"):
+            hull._facet_enumeration([(0, 0), (0, 1), (bad, 0)], 10)
+    monkeypatch.undo()
+    assert points_of(facet_enumeration([(0, 0), (1, 0), (0, 10)], 10)
+                     )[1] == (Fraction(1, 10), 0)
 
 
 def test_integer_points_over_a_denominator():
-    # rows over a denominator are the points rows / denominator, whether
-    # the rows are integers or rationals; the denominator must be a
-    # positive integer
+    # rows over a denominator are the points rows / denominator, whatever
+    # common factor the rows and the denominator share; the denominator
+    # must be a positive integer
     thirds = facet_enumeration([(0, 0), (2, 0), (1, 3)], 6)
-    want = facet_enumeration([(0, 0), (Fraction(1, 3), 0), (Fraction(1, 6),
-                                                           Fraction(1, 2))])
-    mixed = facet_enumeration([(0, 0), (Fraction(2, 3), 0), (Fraction(1, 3),
-                                                             1)], 2)
-    for got in (thirds, mixed):
-        assert (got.vertices, got.facets, got.incidence.tight_sets) == (
-            want.vertices, want.facets, want.incidence.tight_sets)
+    want = hull_of([(0, 0), (Fraction(1, 3), 0), (Fraction(1, 6),
+                                                 Fraction(1, 2))])
+    unreduced = facet_enumeration([(0, 0), (8, 0), (4, 12)], 24)
+    for got in (thirds, unreduced):
+        assert (points_of(got), got.facets, got.incidence.tight_sets) == (
+            points_of(want), want.facets, want.incidence.tight_sets)
         assert polytope_to_document(got) == polytope_to_document(want)
     for bad in (0, -6, Fraction(6), 6.0):
         with pytest.raises(ValueError, match="denominator"):
@@ -203,7 +212,7 @@ def test_hull_bounds():
     # B_5's 120 vertices are refused here; verify_symmetry_group lifts the
     # bounds for its own input only
     with pytest.raises(PreconditionError):
-        facet_enumeration([m.entries for m in birkhoff_vertices(5)])
+        facet_enumeration(birkhoff_rows(5))
 
 
 def rank_greedy_basis(points):
@@ -221,14 +230,12 @@ def rank_greedy_basis(points):
 def scaled_points(pts):
     """The points times the lcm of all their denominators, as the hull
     scales them."""
-    _, flat = clear_denominators(x for p in pts for x in p)
-    k = len(pts[0])
-    return [flat[i * k:(i + 1) * k] for i in range(len(pts))]
+    return integer_points(pts)[0]
 
 
 def test_one_pass_chart_keeps_the_rank_greedy_basis():
     rng = random.Random(7)
-    cases = [[tuple(map(Fraction, m.entries)) for m in birkhoff_vertices(4)]]
+    cases = [[entries(m) for m in birkhoff_vertices(4)]]
     for _ in range(10):
         cases.append(random_point_set(rng))
     for pts in cases:
@@ -266,7 +273,7 @@ def test_dd_start_keeps_the_rank_greedy_choice(monkeypatch):
 
     monkeypatch.setattr(hull, "_dd_extreme_rays", spy)
     for n in (3, 4):
-        hull.facet_enumeration([m.entries for m in birkhoff_vertices(n)])
+        hull.facet_enumeration(birkhoff_rows(n))
         for entry in default_catalog(n):
             representation_polytope(entry.matrix_group)
     assert len(systems) == 2 + len(default_catalog(3)) + len(default_catalog(4))
@@ -291,7 +298,7 @@ def test_facet_enumeration_rank_calls_are_pinned(monkeypatch):
         return chart(*args)
 
     monkeypatch.setattr(hull, "_affine_chart", counting_chart)
-    p = facet_enumeration([m.entries for m in birkhoff_vertices(4)])
+    p = facet_enumeration(birkhoff_rows(4))
     assert p.n_facets == 16
     hulls = 1
     for n in (3, 4):
@@ -302,7 +309,7 @@ def test_facet_enumeration_rank_calls_are_pinned(monkeypatch):
 
 
 def test_certify_vertices_reads_only_the_incidence(monkeypatch):
-    p = facet_enumeration([m.entries for m in birkhoff_vertices(4)])
+    p = facet_enumeration(birkhoff_rows(4))
 
     def forbidden(*args):
         raise AssertionError("certify_vertices did linear algebra")
@@ -336,22 +343,22 @@ def test_dd_ray_counts_are_pinned(monkeypatch, n, start, new):
 
     monkeypatch.setattr(hull, "primitive_vector", spy_primitive)
     monkeypatch.setattr(hull, "_dd_extreme_rays", spy_dd)
-    p = hull._facet_enumeration([m.entries for m in birkhoff_vertices(n)])
+    p = hull._facet_enumeration(birkhoff_rows(n))
     assert counts == [(start, new, p.n_facets)]
     assert p.n_facets == n * n
 
 
 def test_certify_vertices_matches_the_rank_certificate():
-    cases = [[m.entries for m in birkhoff_vertices(n)] for n in (3, 4)]
+    cases = [birkhoff_rows(n) for n in (3, 4)]
     for n in (3, 4):
-        cases += [[m.entries for m in entry.matrix_group.elements]
+        cases += [[entries(m) for m in entry.matrix_group.elements]
                   for entry in default_catalog(n)]
     rng = random.Random(20261018)
     for _ in range(25):
         cases.append(with_duplicates_and_interior_points(
             rng, random_point_set(rng)))
     for pts in cases:
-        p = facet_enumeration(pts)
+        p = hull_of(pts)
         assert certify_vertices(p) == rank_certified_vertices(p), pts
 
 
@@ -369,8 +376,7 @@ def test_document_roundtrip():
     doc = polytope_to_document(p)
     assert doc["n_facets"] == 3
     assert doc["dim"] == 2
-    back = polytope_from_document(doc)
-    assert back == [tuple(map(Fraction, v)) for v in [(0, 0), (1, 0), (0, 1)]]
+    assert polytope_from_document(doc) == ([(0, 0), (1, 0), (0, 1)], 1)
 
 
 def test_document_requires_vertices():
@@ -379,8 +385,7 @@ def test_document_requires_vertices():
 
 
 def test_birkhoff3_facets_are_analytic_complements():
-    verts = [m.entries for m in birkhoff_vertices(3)]
-    p = facet_enumeration(verts)
+    p = facet_enumeration(birkhoff_rows(3))
     assert p.dim == 4
     assert p.n_vertices == 6
     assert p.n_facets == 9
@@ -401,7 +406,7 @@ def test_oracle_agreement_fixed_cases():
         [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
     ]
     for pts in cases:
-        p = facet_enumeration(pts)
+        p = hull_of(pts)
         assert p.dim == affine_dim([tuple(map(Fraction, q)) for q in pts])
         assert tight_families(p) == oracle_facets(
             [tuple(map(Fraction, q)) for q in pts])
@@ -411,7 +416,7 @@ def test_oracle_agreement_random():
     rng = random.Random(20260819)
     for _ in range(20):
         pts = random_point_set(rng)
-        p = facet_enumeration(pts)
+        p = hull_of(pts)
         assert tight_families(p) == oracle_facets(pts), pts
         validate_polytope(p)
 
@@ -420,14 +425,14 @@ def conjugated(points_of_group, dim, rng):
     """The element vectors of P^-1 G P for a seeded rational P with p/q
     entries, G given by its row-major element vectors."""
     while True:
-        p = RationalMatrix(dim, dim, [
+        p = rational_matrix(dim, dim, [
             Fraction(rng.randint(-3, 3), rng.randint(1, 4))
             for _ in range(dim * dim)])
-        s = sympy.Matrix(dim, dim, p.entries)
+        s = sympy.Matrix(dim, dim, entries(p))
         if s.rank() == dim:
             break
-    p_inv = RationalMatrix(dim, dim, (Fraction(str(x)) for x in s.inv()))
-    return [(p_inv * RationalMatrix(dim, dim, g) * p).entries
+    p_inv = rational_matrix(dim, dim, [Fraction(str(x)) for x in s.inv()])
+    return [entries(p_inv * rational_matrix(dim, dim, g) * p)
             for g in points_of_group]
 
 
@@ -435,12 +440,12 @@ def reference_cases():
     """B_3, B_4, both catalogs, each catalog group conjugated by a p/q
     matrix, 120 seeded random sets with a duplicate, a midpoint and the
     centroid added, and one set with denominators near 10^9."""
-    cases = [[m.entries for m in birkhoff_vertices(n)] for n in (3, 4)]
+    cases = [birkhoff_rows(n) for n in (3, 4)]
     rng = random.Random(20261019)
     for n in (3, 4):
         for entry in default_catalog(n):
             mgroup = entry.matrix_group
-            elements = [m.entries for m in mgroup.elements]
+            elements = [entries(m) for m in mgroup.elements]
             cases.append(elements)
             cases.append(conjugated(elements, mgroup.dim, rng))
     for _ in range(120):
@@ -455,11 +460,12 @@ def reference_cases():
 def test_integer_hull_matches_the_fraction_reference():
     for pts in reference_cases():
         want = fraction_facet_enumeration(pts)
-        assert same_polytope(hull._facet_enumeration(pts), want), pts
+        assert same_polytope(hull._facet_enumeration(*integer_points(pts)),
+                             want), pts
 
 
 def test_integer_hull_matches_the_fraction_reference_on_b5():
-    pts = [m.entries for m in birkhoff_vertices(5)]
+    pts = birkhoff_rows(5)
     assert same_polytope(hull._facet_enumeration(pts),
                          fraction_facet_enumeration(pts))
 
@@ -478,7 +484,7 @@ def test_dd_extreme_rays_sees_only_ints(monkeypatch):
     monkeypatch.setattr(hull, "_dd_extreme_rays", spy)
     cases = reference_cases()
     for pts in cases:
-        hull._facet_enumeration(pts)
+        hull._facet_enumeration(*integer_points(pts))
     assert len(calls) == sum(1 for pts in cases if affine_dim(pts) > 0)
     for ineqs, rays in calls:
         for vectors in (ineqs, rays):
@@ -495,15 +501,15 @@ FRACTION_OPERATIONS = (
 
 
 def test_hull_makes_no_fraction_arithmetic(monkeypatch):
-    # Fractions are read in (numerator, denominator); from there to the
-    # Facets, which hold integers, nothing
+    # the points come in as integer rows over one denominator; from there
+    # to the Facets, which hold integers, nothing
     rng = random.Random(3)
-    elements = [m.entries for m in default_catalog(3)[0].matrix_group.elements]
+    elements = [entries(m) for m in default_catalog(3)[0].matrix_group.elements]
     octahedron = [tuple(Fraction(s * (i == j), 3) for j in range(3))
                   for i in range(3) for s in (2, -5)]
-    cases = [[m.entries for m in birkhoff_vertices(4)],
-             conjugated(elements, 3, rng),
-             with_duplicates_and_interior_points(rng, octahedron)]
+    cases = [integer_points(pts) for pts in (
+        birkhoff_rows(4), conjugated(elements, 3, rng),
+        with_duplicates_and_interior_points(rng, octahedron))]
     used = []
     for name in FRACTION_OPERATIONS:
         original = getattr(Fraction, name)
@@ -513,7 +519,7 @@ def test_hull_makes_no_fraction_arithmetic(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(Fraction, name, counted)
-    polytopes = [hull._facet_enumeration(pts) for pts in cases]
+    polytopes = [hull._facet_enumeration(*case) for case in cases]
     monkeypatch.undo()
     assert used == []
     assert [p.n_facets for p in polytopes] == [16, 9, 8]
@@ -544,7 +550,7 @@ def document_digest(polytope):
 
 def test_polytope_documents_are_pinned():
     got = {("B", n): document_digest(
-        facet_enumeration([m.entries for m in birkhoff_vertices(n)]))
+        facet_enumeration(birkhoff_rows(n)))
         for n in (3, 4)}
     for n in (3, 4):
         for entry in default_catalog(n):

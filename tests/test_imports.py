@@ -107,6 +107,21 @@ def test_no_unused_test_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_fraction_module_is_imported(path):
+    # a rational is integers over one denominator from text to report;
+    # `fractions` and `numbers` would bring back a second number form
+    modules = imported_modules(ast.parse(path.read_text(), filename=str(path)))
+    assert not modules & {"fractions", "numbers"}, path.name
+
+
+def test_detects_a_fraction_module_import():
+    tree = ast.parse("from fractions import Fraction\nimport numbers.abc\n"
+                     "from .exact import RationalMatrix\n")
+    assert imported_modules(tree) == {"fractions", "numbers"}
+
+
 def test_detects_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Optional, Sequence\n"
                      "def f(x: Optional[int]) -> 'Sequence': return x\n")

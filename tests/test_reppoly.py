@@ -14,7 +14,7 @@ from birkhoffsym import cli
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.exact import RationalMatrix, _common_form
 from birkhoffsym.combiso import comb_equivalent
-from birkhoffsym.birkhoff import birkhoff_vertices, verify_symmetry_group
+from birkhoffsym.birkhoff import verify_symmetry_group
 from birkhoffsym.hull import facet_enumeration, polytope_to_document
 from birkhoffsym.gamma import verify_wreath_quotient
 from birkhoffsym.perm import (Permutation, PermutationGroup, named_group,
@@ -30,7 +30,8 @@ from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
                                  uniqueness_check,
                                  verify_gamma_acts)
 
-from hull_oracle import same_polytope
+from hull_oracle import (birkhoff_rows, entries, hull_of, rational_matrix,
+                         same_polytope)
 
 
 def test_closure_identity_only():
@@ -177,7 +178,7 @@ def test_load_exceptional_c6():
     assert g.dim == 4
     assert g.order == 6
     # not a 0/1 matrix group: some entry is negative
-    assert any(e < 0 for m in g.elements for e in m.entries)
+    assert any(e < 0 for m in g.elements for e in m._num)
     eg = g.element_group()
     assert max(p.order() for p in eg.elements) == 6  # cyclic of order 6
 
@@ -249,8 +250,8 @@ def conjugated_document(entry, rng):
         k = rng.choice((1, 2, 3, -1, -2))
         return f"{k * x.p}/{k * x.q}"
 
-    gens = [p_inv * sympy.Matrix(dim, dim, [sympy.Rational(str(x))
-                                            for x in g.entries]) * p
+    gens = [p_inv * sympy.Matrix(dim, dim, [sympy.Rational(x, g._den)
+                                            for x in g._num]) * p
             for g in mgroup.generators]
     return {"name": entry.name, "dim": dim, "order": mgroup.order,
             "expect_equivalent": entry.expect_equivalent,
@@ -266,11 +267,15 @@ def conjugated_catalog(n, seed):
 def test_the_matrix_group_path_builds_no_fraction(tmp_path, capsys,
                                                   monkeypatch):
     # machine-independent gate: from the parsed "p/q" text to the report,
-    # a matrix group's rationals stay integers over one denominator, so no
-    # Fraction is built: not in parsing, closure, sorting, the hull, the
-    # vertex certificates or the document
+    # a matrix group's rationals, and a vertex document's, stay integers
+    # over one denominator, so no Fraction is built: not in parsing,
+    # closure, sorting, the hull, the vertex certificates or the document
     path = tmp_path / "s4.json"
     path.write_text(json.dumps(conjugated_catalog(4, 1)[0]))
+    vertices = tmp_path / "vertices.json"
+    vertices.write_text(json.dumps({"vertices": [
+        ["0", "0", "1/3"], ["2/4", "0", "0"], ["0", "-3/-6", "0"],
+        ["1/5", "1/7", "6/-9"], [1, 1, 1]]}))
     docs = conjugated_catalog(4, 2)
     c6 = conjugated_catalog(3, 3)[1]
     assert c6["name"] == "c6_exceptional"
@@ -283,28 +288,18 @@ def test_the_matrix_group_path_builds_no_fraction(tmp_path, capsys,
 
     monkeypatch.setattr(Fraction, "__new__", counting)
     code = cli.main(["rep-polytope", "--group", str(path)])
+    out = capsys.readouterr().out
+    hull_code = cli.main(["hull", str(vertices)])
     report = uniqueness_check(4, [matrix_group_from_document(doc)
                                   for doc in docs])
     acts = verify_gamma_acts(matrix_group_from_document(c6).matrix_group)
     symmetry = verify_symmetry_group(4)
     monkeypatch.undo()
     assert made == []
-    assert code == 0 and json.loads(capsys.readouterr().out)["pass"]
+    assert code == 0 and json.loads(out)["pass"]
+    assert hull_code == 0
+    assert json.loads(capsys.readouterr().out)["details"]["n_facets"] == 6
     assert report.passed and acts.passed and symmetry.passed
-    # the translations of element_group make |generators| * |G| products
-    # and fill no entries
-    mgroup = matrix_group_from_perm_group(named_group("s4"))
-    products = []
-    over = RationalMatrix._over.__func__
-
-    def recording_over(cls, *args):
-        products.append(over(cls, *args))
-        return products[-1]
-
-    monkeypatch.setattr(RationalMatrix, "_over", classmethod(recording_over))
-    mgroup.element_group()
-    assert len(products) == 48
-    assert all(m._entries is None for m in products)
 
 
 @pytest.mark.parametrize("n, seed", [(3, 11), (4, 12)])
@@ -315,11 +310,11 @@ def test_the_integer_path_matches_the_fraction_path(n, seed):
     for doc in conjugated_catalog(n, seed):
         mgroup = matrix_group_from_document(doc).matrix_group
         others = mgroup.elements[1:]
-        assert others == sorted(others, key=lambda m: m.entries)
+        assert others == sorted(others, key=entries)
         scale, rows = _common_form(mgroup.elements)
         assert scale > 1, doc["name"]  # p/q entries, not integers
         got = facet_enumeration(rows, scale)
-        want = facet_enumeration([m.entries for m in mgroup.elements])
+        want = hull_of([entries(m) for m in mgroup.elements])
         assert same_polytope(got, want), doc["name"]
         assert (polytope_to_document(got) == polytope_to_document(want)
                 == polytope_to_document(representation_polytope(mgroup)))
@@ -335,10 +330,10 @@ def test_matrix_from_rows_matches_the_fraction_entries(rows, k):
     cells = [[f"{k * x.numerator}/{k * x.denominator}" for x in row]
              for row in rows]
     got = matrix_from_rows(cells)
-    want = RationalMatrix(len(rows), len(rows),
-                          [x for row in rows for x in row])
+    want = rational_matrix(len(rows), len(rows),
+                           [x for row in rows for x in row])
     assert (got._den, got._num) == (want._den, want._num)
-    assert got.entries == want.entries
+    assert entries(got) == tuple(x for row in rows for x in row)
 
 
 def test_matrix_group_refuses_a_list_not_led_by_the_identity():
@@ -370,8 +365,7 @@ def test_uniqueness_n3():
 def test_uniqueness_witnesses_verify_independently():
     # re-check each equivalence witness against the incidences directly
     r = uniqueness_check(3)
-    reference = facet_enumeration(
-        [m.entries for m in birkhoff_vertices(3)]).incidence
+    reference = facet_enumeration(birkhoff_rows(3)).incidence
     ref_rows = set(reference.tight_sets)
     equivalent = [e for e in r.entries if e.equivalent]
     assert len(equivalent) == 2
@@ -441,7 +435,6 @@ def test_catalog_declared_order_mismatch_raises():
 def test_exceptional_c6_equivalence_witness_direct():
     # the pair that makes uniqueness fail at n = 3: an order-6 group in
     # dimension 4 whose polytope has the B_3 incidence
-    reference = facet_enumeration(
-        [m.entries for m in birkhoff_vertices(3)]).incidence
+    reference = facet_enumeration(birkhoff_rows(3)).incidence
     inc = representation_polytope(load_exceptional_c6()).incidence
     assert comb_equivalent(inc, reference) is not None
