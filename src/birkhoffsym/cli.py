@@ -160,9 +160,9 @@ def _cmd_wreath(args):
 
 
 def _cmd_regular_pairs(args):
-    # Gamma(G) acts on |G| points: refuse G above the search's degree bound
+    # Gamma(G) is built only for |G| <= MAX_GAMMA_BASE: refuse a larger G
     # while loading it, before Gamma(G) is closed
-    _, group = _load_group(args.group, gamma.REGULAR_MAX_DEGREE)
+    _, group = _load_group(args.group, gamma.MAX_GAMMA_BASE)
     gamma_group = gamma.build_gamma(group)
     pairs = gamma.commuting_regular_pairs(gamma_group)
 

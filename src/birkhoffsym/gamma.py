@@ -10,7 +10,10 @@ generate a subgroup Gamma(G) of Sym(G).  Everything here works with G's
 elements identified with their positions in the canonical sorted element
 list, so Gamma(G) is an ordinary permutation group on |G| points; the
 three maps come from `perm.regular_action`.  `build_gamma` returns
-Gamma(G) itself, a `PermutationGroup` tagged with its generators.
+Gamma(G) itself, a `PermutationGroup` tagged with its generators, for
+|G| up to MAX_GAMMA_BASE = 120 (S_5): `perm.closure` grows it one whole
+coset at a time.  Gamma acts on |G| points, so the same bound holds for
+the regular-pair search, whose choices are closed by cosets too.
 
 Facts verified computationally by this module:
 
@@ -37,10 +40,8 @@ from .errors import InvariantError, PreconditionError
 from .perm import (Permutation, PermutationGroup, _right_mul, _tagged,
                    closure, regular_action, saturate)
 
-MAX_GAMMA_BASE = 30  # largest |G| whose Gamma(G) is built
+MAX_GAMMA_BASE = 120  # largest |G| whose Gamma(G) is built
 MAX_NORMALIZER_BASE = 6  # largest |G| for the brute-force normalizer
-REGULAR_MAX_DEGREE = 24  # largest degree of Gamma the regular-pair search takes
-REGULAR_MAX_ORDER = 1500  # largest order of Gamma the regular-pair search takes
 
 
 def build_gamma(group: PermutationGroup) -> PermutationGroup:
@@ -139,8 +140,7 @@ def _partnered_regular_subgroups(gamma: PermutationGroup) -> list[tuple]:
     """(members, choices, partner) for every regular subgroup U of Gamma
     whose centralizer in Sym(Omega) lies in Gamma: U's and its partner's
     sorted image tuples, and the fiber choices that found U, which
-    generate it.  Gamma may have degree at most REGULAR_MAX_DEGREE and
-    order at most REGULAR_MAX_ORDER.
+    generate it.
 
     A regular U has exactly one element sending point 0 to each point, so
     U picks one element from each fiber {g in Gamma : g(0) = x}.  The
@@ -149,9 +149,10 @@ def _partnered_regular_subgroups(gamma: PermutationGroup) -> list[tuple]:
     element of U there, so each U is found once, by the same choices as
     an unpruned search.  Only semiregular elements are tried: a
     non-identity u in U fixes no point, and neither does u^k for
-    0 < k < ord(u), so every cycle of u has length ord(u).  A choice is
-    closed with the earlier ones by `saturate`, and dropped when the
-    closure passes m = degree elements or hits one fiber twice.
+    0 < k < ord(u), so every cycle of u has length ord(u).  A choice g
+    is closed with the group of the earlier ones, H, by right cosets H p
+    (`saturate`'s coset mode), and dropped when the closure passes
+    m = degree elements or hits one fiber twice.
 
     The prune: for each fiber 1..m-1 the search carries the elements of
     Gamma that commute with every choice so far, and drops a choice that
@@ -165,11 +166,6 @@ def _partnered_regular_subgroups(gamma: PermutationGroup) -> list[tuple]:
     and is found too.
     """
     m = gamma.degree
-    if m > REGULAR_MAX_DEGREE:
-        raise PreconditionError(f"degree {m} exceeds bound {REGULAR_MAX_DEGREE}")
-    if gamma.order > REGULAR_MAX_ORDER:
-        raise PreconditionError(
-            f"order {gamma.order} exceeds bound {REGULAR_MAX_ORDER}")
     identity = tuple(range(m))
     fibers: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
     for p in gamma.elements:
@@ -195,7 +191,8 @@ def _partnered_regular_subgroups(gamma: PermutationGroup) -> list[tuple]:
                 continue
             more = steps + [g_mul]
             try:
-                closed = saturate(current, more, m)
+                closed = saturate(current, more, m,
+                                  lambda p: map(_right_mul(p), current))
             except PreconditionError:
                 continue
             if len({w[0] for w in closed}) == len(closed):

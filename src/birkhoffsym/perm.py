@@ -6,35 +6,27 @@ Conventions, fixed once and used everywhere:
   image tuple, so p(i) == p.images[i].
 * Composition is right-to-left: (p * q)(x) = p(q(x)), i.e. q acts first.
 * Cycle notation uses the same point labels: "(0 1 2)(3 4)", identity "()".
-* Group elements are kept fully enumerated, sorted by image tuple.  The
-  identity's image tuple (0, 1, ..., m-1) is the lexicographic minimum of
-  all bijections, so sorted element lists always start with the identity.
-* A group carries the generating set it was built from: every
-  constructor here has one by construction, so none is ever recovered
-  from the element list.
+* Group elements are kept fully enumerated, sorted by image tuple, so
+  the identity (0, 1, ..., m-1) comes first.
+* A group carries the generating set it was built from; none is ever
+  recovered from the element list.
 
-Groups here stay small (a few thousand elements at the very most), which is
-why explicit element lists beat any stabilizer-chain machinery in both
-simplicity and, at this scale, speed.  `saturate` is the package's one
-breadth-first closure: the closure of some seeds under unary steps.  A
-step is a product by a fixed factor or the action of a fixed
-permutation on points, and it runs in C where it can: `closure` and the
-regular-pair search in `gamma` multiply image tuples with one
-`operator.itemgetter` per right factor (`_right_mul`).  The
-multiplication table belongs to the group: `PermutationGroup.table`
-works on positions in the sorted element list, so the identity is always
-at 0, and it is built on first read and kept with the group.  It is
-built along the Cayley graph of the tagged generators: row s y is row s
-gathered at row y, one C-level `itemgetter` call per row, so it relies
-on the generating-set contract above, and a tag set that does not
-generate the group raises InvariantError.  `centralizer_indices` and
-`normalizer_indices` read whole columns of it, in C, not one product at
-a time.  Only routines reading most products of a group of order at
-most 720 (S_6) read it; Gamma(S_4) never builds one.
-That table is also the group's one regular action: `regular_action` reads
-the left and right translations and the inversion of G on its own element
-indices off it.  `subgroup_classes` enumerates subgroups up to conjugacy
-on the same table, by cyclic extension; `all_subgroups` lists them all.
+Groups stay small (a few thousand elements at most), where explicit
+element lists beat stabilizer chains in simplicity and speed.
+`saturate` is the package's one closure.  Plain, it runs breadth-first
+under unary steps: products by fixed factors, in C as one
+`operator.itemgetter` per factor (`_right_mul`), or permutations of
+points.  In coset mode it grows a subgroup H to <H, g> one whole coset
+at a time (Dimino's algorithm): `closure`, `closure_indices` and the
+regular-pair search in `gamma` build their groups so.
+`PermutationGroup.table` is the multiplication table on positions in
+the element list (identity at 0), built on first read along the Cayley
+graph of the tagged generators, so tags that do not generate the group
+raise InvariantError.  `centralizer_indices` and `normalizer_indices`
+read whole columns of it in C.  Only routines reading most products of
+a group of order at most 720 build it; Gamma(S_4) never does.
+`regular_action` reads G's translations and inversion off it, and
+`subgroup_classes` enumerates subgroups up to conjugacy on it.
 
 Cycle notation names points by number, and the degree follows from the
 largest point named, so `parse_cycles` and `group_from_generator_lines`
@@ -47,6 +39,7 @@ import itertools
 import re
 from functools import lru_cache
 from itertools import compress, count
+from math import lcm
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -103,12 +96,7 @@ class Permutation:
         return all(x == i for i, x in enumerate(self.images))
 
     def order(self) -> int:
-        n = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            n += 1
-        return n
+        return lcm(*map(len, self.cycles()))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its least point,
@@ -191,12 +179,9 @@ class PermutationGroup:
     `generators` carries (tag, permutation) pairs; tags are free-form
     labels, and the tagged permutations generate the group (the trivial
     group may carry none).  Equality ignores tags and compares element
-    sets.
-    `index` maps each element's image tuple to its position in the list,
-    so the identity sits at 0.  The multiplication table on those
-    positions, `table`, and the inverse of each position, `inv`, are
-    built on first read and kept with the group; a group no caller asks
-    for them never builds them.
+    sets.  `index` maps each image tuple to its position in the list.
+    The table on those positions, `table`, and the inverse positions,
+    `inv`, are built on first read and kept with the group.
     """
 
     __slots__ = ("degree", "elements", "generators", "index", "_table", "_inv")
@@ -253,20 +238,14 @@ class PermutationGroup:
     @property
     def table(self) -> list[list[int]]:
         """table[a][b] is the position of elements[a] * elements[b].
-        Its readers read most of it, on groups of order at most 720
-        (S_6): `subgroup_classes`, `centralizer_indices`, `cd`,
-        `gamma.automorphisms`, and `regular_action`, which gives
-        `gamma.build_gamma`, the vertex maps of `reppoly` and the B_n
-        transformation law their translations.
-        `gamma.commuting_regular_pairs` and its search read none.
 
         Built along the Cayley graph of the tagged generators: each
         generator's row is looked up product by product, and every other
         row is a known row gathered at another, table[s y][b] =
-        table[s][table[y][b]], one C-level `itemgetter` per row.  This
-        relies on the tags generating the group: a tag outside the
-        element list, a product outside it, or a row no word in the
-        tags reaches raises InvariantError, never a partial table."""
+        table[s][table[y][b]], one C-level `itemgetter` per row.  A tag
+        outside the element list, a product outside it, or a row no
+        word in the tags reaches raises InvariantError, never a partial
+        table."""
         if self._table is None:
             idx = self.index
             n = len(idx)
@@ -309,13 +288,19 @@ class PermutationGroup:
         return self._inv
 
     def closure_indices(self, seeds: Iterable[int]) -> frozenset[int]:
-        """Positions of the subgroup generated by the seed positions: the
-        closure of the identity and the seeds under left multiplication by
-        the seeds, table row s read as the step w -> s w."""
-        seeds = list(seeds)
+        """Positions of the subgroup generated by the seed positions,
+        grown one seed at a time by `saturate`'s coset mode: steps
+        w -> t w (row t) for the seeds t so far, left cosets p H read off
+        row p at H's positions."""
         table = self.table
-        return frozenset(saturate([0, *seeds],
-                                  [table[s].__getitem__ for s in seeds]))
+        members, steps = {0}, []
+        for s in seeds:
+            steps.append(table[s].__getitem__)
+            if s not in members:
+                members = saturate(
+                    members, steps, None,
+                    lambda p, h=members: map(table[p].__getitem__, h))
+        return frozenset(members)
 
     def centralizer_indices(self, indices: Iterable[int]) -> frozenset[int]:
         """Positions of the elements commuting with every given position.
@@ -356,28 +341,38 @@ class PermutationGroup:
 
 
 def saturate(seeds: Iterable, steps: Sequence[Callable],
-             cap: Optional[int] = None) -> set:
-    """Closure of the seeds under the unary steps.
+             cap: Optional[int] = None,
+             coset: Optional[Callable[..., Iterable]] = None) -> set:
+    """Closure of the seeds under the unary steps, breadth-first: each
+    known w is extended to step(w) for each step until nothing new
+    appears (the orbit algorithm; Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, 4.1).  With the steps products by
+    generators of a finite group and the identity seeded, this is the
+    subgroup they generate; with permutations of points, the orbit.
 
-    Breadth-first: every known w is extended to step(w) for each step
-    until nothing new appears, which is the orbit algorithm (Holt, Eick &
-    O'Brien, Handbook of Computational Group Theory, 2005, section 4.1).
-    With the steps the products by the generators of a finite group and
-    the identity among the seeds, the closure is the subgroup they
-    generate, because each element is a positive word in them; with the
-    steps the permutations of a group acting on points, it is the orbit
-    of the seeds.  More than `cap` elements raises PreconditionError, so
-    a runaway (or infinite) closure stops early.
+    Coset mode (Dimino's algorithm; Butler, Fundamental Algorithms for
+    Permutation Groups, LNCS 559, 1991): the seeds are a subgroup H, the
+    steps multiply by every generator of <H, g> on one side, and
+    coset(p) is p's coset of H on the other: H p for steps w -> w s,
+    p H for w -> s w.  The known set stays a union of such cosets, and
+    one element of each is extended: (H r) s = H (r s) is known iff r s
+    is.  So the result is closed under every generator, hence <H, g>,
+    and each new coset costs one C-level call, not |H| products.
+    More than `cap` elements (checked per coset) raises
+    PreconditionError, so a runaway or infinite closure stops early.
     """
     known = set(seeds)
-    frontier = list(known)
+    frontier = list(known) if coset is None else [next(iter(known))]
     while frontier:
         nxt = []
         for w in frontier:
             for step in steps:
                 p = step(w)
                 if p not in known:
-                    known.add(p)
+                    if coset is None:
+                        known.add(p)
+                    else:
+                        known.update(coset(p))
                     nxt.append(p)
                     if cap is not None and len(known) > cap:
                         raise PreconditionError(
@@ -396,10 +391,12 @@ def _right_mul(g: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...
 def closure(generators: Sequence[Permutation],
             tags: Optional[Sequence[str]] = None,
             max_order: Optional[int] = None) -> PermutationGroup:
-    """Group generated by the given permutations, by breadth-first closure
-    on image tuples: _right_mul(g.images) maps w to w * g.  max_order
-    aborts runaway closures.  Tags, when given, label the generators one
-    for one; a list of another length raises ValueError."""
+    """Group generated by the given permutations on image tuples, one
+    generator g at a time: a g already in the group H is skipped, else H
+    grows to <H, g> by `saturate`'s coset mode, steps _right_mul of each
+    generator so far, right cosets H p.  max_order aborts runaways.
+    Tags, when given, label the generators one for one; a list of
+    another length raises ValueError."""
     if not generators:
         raise ValueError("closure needs at least one generator or a degree hint")
     degree = generators[0].degree
@@ -408,8 +405,12 @@ def closure(generators: Sequence[Permutation],
     if tags is None:
         tags = [g.cycle_string() for g in generators]
     tagged = tuple(zip(tags, generators, strict=True))
-    seen = saturate([tuple(range(degree))],
-                    [_right_mul(g.images) for g in generators], max_order)
+    seen, steps = {tuple(range(degree))}, []
+    for g in generators:
+        steps.append(_right_mul(g.images))
+        if g.images not in seen:
+            seen = saturate(seen, steps, max_order,
+                            lambda p, h=seen: map(_right_mul(p), h))
     # every member is a product of the (validated) generators
     return PermutationGroup(degree, [Permutation._unchecked(t) for t in seen],
                             tagged)
@@ -521,10 +522,9 @@ def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[Subgroup
 
 def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[PermutationGroup]:
     """Every subgroup of G, from `subgroup_classes`, tagged with the
-    generators found for it and sorted by (order, element list): on
-    element indices that is (order, ascending member indices).  No
-    package code calls it; it stays exported as the public form of
-    `subgroup_classes`, one group per subgroup, and the tests count
+    generators found for it and sorted by (order, element list), that
+    is (order, ascending member indices).  The public form of
+    `subgroup_classes`, one group per subgroup; the tests count
     subgroups with it."""
     subs = sorted(((sorted(members), gens)
                    for cls in subgroup_classes(group, bound)
@@ -570,9 +570,9 @@ def group_from_generator_lines(lines: Iterable[str],
     """Build a group from cycle-notation generator lines.
 
     The degree is one plus the largest point mentioned, which must lie
-    below MAX_DEGREE; blank lines and lines starting with # are skipped.  A file of only "()" lines gives the
-    trivial group of degree 1.  The closure stops with PreconditionError
-    as soon as it passes max_order elements, if given.
+    below MAX_DEGREE; blank lines and # comments are skipped.  A file of
+    only "()" lines gives the trivial group of degree 1.  The closure
+    stops with PreconditionError past max_order elements, if given.
     """
     texts = []
     for raw in lines:

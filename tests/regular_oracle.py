@@ -16,7 +16,11 @@ from typing import Optional
 
 from birkhoffsym.errors import NotASubgroupError, PreconditionError
 from birkhoffsym.perm import PermutationGroup, _tagged
-from birkhoffsym.gamma import REGULAR_MAX_DEGREE, REGULAR_MAX_ORDER
+
+# The unpruned search is exponential in the degree, so it keeps a bound
+# of its own: Gamma(S_4), 24 points and 1 152 elements, is its largest.
+REGULAR_MAX_DEGREE = 24
+REGULAR_MAX_ORDER = 1500
 
 
 def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:

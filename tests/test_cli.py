@@ -155,24 +155,41 @@ def test_group_file_input(tmp_path, capsys):
 
 
 def count_products(monkeypatch) -> list:
-    """The list that every step `perm.saturate` takes is appended to."""
+    """The list that every step `perm.saturate` takes, and every element
+    of a coset it adds whole, is appended to."""
     products = []
     saturate = perm.saturate
 
-    def counting(seeds, steps, cap=None):
+    def counting(seeds, steps, cap=None, coset=None):
         def counted(step):
             def run(w):
                 products.append(w)
                 return step(w)
             return run
-        return saturate(seeds, [counted(step) for step in steps], cap)
+
+        def counted_coset(p):
+            members = list(coset(p))
+            products.extend(members)
+            return members
+        return saturate(seeds, [counted(step) for step in steps], cap,
+                        coset and counted_coset)
 
     monkeypatch.setattr(perm, "saturate", counting)
     return products
 
 
+def test_gamma_s4_closure_products_are_pinned(monkeypatch):
+    # machine-independent gate: steps taken plus coset elements added to
+    # build Gamma(S_4), 1 152 elements; the breadth-first closure took
+    # 5 808 steps, one per (element, generator)
+    s4 = perm.named_group("s4")
+    products = count_products(monkeypatch)
+    assert gamma.build_gamma(s4).order == 1152
+    assert len(products) == 148 + 1151
+
+
 @pytest.mark.parametrize("command, bound", [
-    ("regular-pairs", 24), ("wreath", 30), ("normalizer", 6),
+    ("regular-pairs", 120), ("wreath", 120), ("normalizer", 6),
     ("cd-lattice", 50)])
 def test_group_file_closure_stops_at_the_bound(tmp_path, capsys, monkeypatch,
                                                 command, bound):
@@ -190,8 +207,7 @@ def test_group_file_closure_stops_at_the_bound(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command, name, bound", [
-    ("regular-pairs", "s5", 24), ("normalizer", "s4", 6),
-    ("rep-polytope", "s5", 30)])
+    ("normalizer", "s4", 6), ("rep-polytope", "s5", 30)])
 def test_builtin_name_closure_stops_at_the_bound(capsys, monkeypatch,
                                                  command, name, bound):
     # a built-in name is closed only up to the command's bound as well;
@@ -224,21 +240,21 @@ def test_matrix_group_document_closure_stops_at_the_bound(tmp_path, capsys,
     assert len(products) <= 2 * (30 + 1)
 
 
-def test_regular_pairs_refuses_d13_before_building_gamma(tmp_path, capsys,
+def test_regular_pairs_refuses_d61_before_building_gamma(tmp_path, capsys,
                                                          monkeypatch):
-    # Gamma(D_13) acts on 26 points, past the regular-subgroup search's
-    # degree bound: D_13 is refused while it is loaded, not after
-    # Gamma(D_13) (1 352 elements) has been closed
-    path = tmp_path / "d13.txt"
-    path.write_text("(0 1 2 3 4 5 6 7 8 9 10 11 12)\n"
-                    "(1 12)(2 11)(3 10)(4 9)(5 8)(6 7)\n")
+    # D_61 has 122 elements, past the bound on |G| for Gamma(G): it is
+    # refused while it is loaded, not after Gamma(D_61) (29 768 elements)
+    # has been closed
+    path = tmp_path / "d61.txt"
+    path.write_text("(" + " ".join(map(str, range(61))) + ")\n"
+                    + "".join(f"({i} {61 - i})" for i in range(1, 31)) + "\n")
 
     def refuse(*args, **kwargs):
         raise AssertionError("build_gamma called")
 
     monkeypatch.setattr(gamma, "build_gamma", refuse)
     assert main(["regular-pairs", "--group", str(path)]) == 3
-    assert (f"exceeds bound {gamma.REGULAR_MAX_DEGREE}"
+    assert (f"exceeds bound {gamma.MAX_GAMMA_BASE}"
             in capsys.readouterr().err)
 
 

@@ -3,9 +3,10 @@
 Each example writes one input file and runs `cli.main` on it in this
 process, so the cached parser is reused from call to call.  Whatever the
 file holds, the command must end with a documented exit status (0 pass,
-1 fail, 2 usage, 3 refused input) and print no traceback.  The readers:
-the cycle-notation group file, the `decompose` alpha file, the `hull`
-vertex document and the `rep-polytope` matrix-group document."""
+1 fail, 2 usage, 3 refused input) and print no traceback, and a refusal
+must not be a Python internal error passed off as invalid input.  The
+readers: the cycle-notation group file, the `decompose` alpha file, the
+`hull` vertex document and the `rep-polytope` matrix-group document."""
 
 import contextlib
 import io
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from birkhoffsym.cli import main
 
 FUZZ = settings(max_examples=60, deadline=None)
+PYTHON_INTERNALS = ("range()", "object of type", "argument of type")
 
 
 def run_on_file(tmp_path_factory, argv_of, text):
@@ -30,6 +32,11 @@ def run_on_file(tmp_path_factory, argv_of, text):
             code = exc.code
     assert code in (0, 1, 2, 3), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 3:
+        # a refusal names the input, not a Python internal that leaked
+        # through as "invalid input"
+        assert not any(leak in err.getvalue() for leak in PYTHON_INTERNALS), \
+            err.getvalue()
     if code in (0, 1):
         assert "pass" in json.loads(out.getvalue())
 

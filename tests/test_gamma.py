@@ -112,7 +112,7 @@ def test_build_gamma_tags():
 
 def test_build_gamma_size_cap():
     with pytest.raises(PreconditionError):
-        build_gamma(named_group("s5"))  # 120 > default cap 30
+        build_gamma(perm.symmetric_group(6))  # 720 > cap MAX_GAMMA_BASE 120
 
 
 def test_gamma_s3_regular_subgroups_two_paths():

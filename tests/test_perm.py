@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,15 @@ def test_call_inverse_order():
 @given(perm_strategy(6), perm_strategy(6), perm_strategy(6))
 def test_associativity(a, b, c):
     assert (a * b) * c == a * (b * c)
+
+
+@given(st.integers(1, 9).flatmap(perm_strategy))
+def test_order_is_the_least_power_giving_the_identity(p):
+    # the lcm of the cycle lengths, against repeated multiplication
+    k, q = 1, p
+    while not q.is_identity():
+        q, k = q * p, k + 1
+    assert p.order() == k
 
 
 @given(perm_strategy(7))
@@ -174,6 +184,77 @@ def test_closure_indices_match_closure(name):
         assert got == {group.index[p.images] for p in sub.elements}
         orders.add(len(got))
     assert len(orders) > 3
+
+
+def bfs_closure(gens, degree):
+    """The group the image tuples generate, breadth-first with one product
+    per (element, generator) and no cosets: the oracle for coset mode."""
+    known = {tuple(range(degree))}
+    frontier = list(known)
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                p = tuple(w[i] for i in g)
+                if p not in known:
+                    known.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return known
+
+
+def random_generating_set(seed):
+    """Degree 1..7 by seed; odd seeds draw each generator from the
+    permutations keeping blocks of at most 3 points, so the group stays
+    small enough for a table.  A redundant generator (a product of two
+    drawn ones) and the identity are put in at random places."""
+    rng = random.Random(seed)
+    degree = seed % 7 + 1
+    points = rng.sample(range(degree), degree)
+    blocks = ([points[i:i + 3] for i in range(0, degree, 3)] if seed % 2
+              else [points])
+
+    def draw():
+        images = list(range(degree))
+        for block in blocks:
+            for a, b in zip(block, rng.sample(block, len(block))):
+                images[a] = b
+        return tuple(images)
+
+    gens = [draw() for _ in range(rng.randint(1, 3))]
+    a, b = rng.choice(gens), rng.choice(gens)
+    for extra in (tuple(a[i] for i in b), tuple(range(degree))):
+        gens.insert(rng.randint(0, len(gens)), extra)
+    return degree, gens
+
+
+@pytest.mark.parametrize("seed", range(42))
+def test_coset_closures_match_a_plain_breadth_first_closure(seed):
+    degree, gens = random_generating_set(seed)
+    group = closure([Permutation(g) for g in gens])
+    assert set(group.index) == bfs_closure(gens, degree)
+    if group.order <= 720:
+        rng = random.Random(seed)
+        seeds = rng.sample(gens, rng.randint(1, len(gens)))
+        got = group.closure_indices(group.index[g] for g in seeds)
+        assert ({group.elements[i].images for i in got}
+                == bfs_closure(seeds, degree))
+
+
+def test_coset_mode_stops_at_the_cap():
+    # S_4 grown from H = <(0 1)> by right cosets H p: 12 cosets of 2
+    h = {(0, 1, 2, 3), (1, 0, 2, 3)}
+    steps = [itemgetter(1, 0, 2, 3), itemgetter(1, 2, 3, 0)]
+
+    def coset(p):
+        return map(itemgetter(*p), h)
+
+    assert len(saturate(h, steps, 24, coset)) == 24
+    with pytest.raises(PreconditionError, match="exceeds bound 23"):
+        saturate(h, steps, 23, coset)
+    gens = [parse_cycles("(0 1)", 4), parse_cycles("(0 1 2 3)", 4)]
+    with pytest.raises(PreconditionError, match="exceeds bound 23"):
+        closure(gens, max_order=23)
 
 
 def test_builtin_structure():
