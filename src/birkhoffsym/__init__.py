@@ -8,7 +8,6 @@ explicit multiplication tables.  No floating point anywhere.
 """
 
 from .birkhoff import (
-    FacetLabel,
     InconsistentSymmetryError,
     NotFacetSymmetryError,
     SymmetryDecomposition,
@@ -16,7 +15,6 @@ from .birkhoff import (
     birkhoff_vertices,
     decompose_symmetry,
     permutation_matrix,
-    reconstruct_symmetry,
     verify_intersection_table,
     verify_symmetry_group,
     verify_transformation_law,

@@ -15,6 +15,10 @@ Together these identities force every incidence-preserving vertex
 bijection alpha to have the shape alpha(pi) = sigma pi^eps tau, and
 decompose_symmetry extracts that certified triple.
 
+A facet set has one name here, its position i n + j: A_ij is entry
+i n + j of `analytic_facet_sets(n)`, and a map of facet sets is a list of
+positions.
+
 verify_transformation_law checks the translation law on the four
 generators of S_n x S_n only: both sides are actions of that group, so
 the law for the generators gives it for all (n!)^2 pairs (the argument
@@ -33,8 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import itemgetter
-from types import MappingProxyType
-from typing import Mapping
+from typing import Optional, Sequence
 
 from .combiso import comb_automorphisms
 from .errors import PreconditionError
@@ -54,12 +57,6 @@ class InconsistentSymmetryError(ValueError):
 
 
 @dataclass(frozen=True)
-class FacetLabel:
-    i: int
-    j: int
-
-
-@dataclass(frozen=True)
 class SymmetryDecomposition:
     sigma: Permutation
     tau: Permutation
@@ -68,14 +65,12 @@ class SymmetryDecomposition:
 
 @lru_cache(maxsize=8)
 def _facet_lookup(n: int) -> tuple[tuple[itemgetter, ...], dict]:
-    """(getters, position) for the facet sets A_ij, with i n + j the
-    position of A_ij: getters[i n + j] reads the images of A_ij's members
-    off a vertex map's image tuple, and position maps each set A_ij back
-    to i n + j."""
+    """(getters, position) for the facet sets: getters[k] reads the
+    images of the members of the set at position k off a vertex map's
+    image tuple, and position maps each set back to k."""
     sets = analytic_facet_sets(n)
-    labels = [FacetLabel(i, j) for i in range(n) for j in range(n)]
-    return (tuple(itemgetter(*sets[label]) for label in labels),
-            {sets[label]: k for k, label in enumerate(labels)})
+    return (tuple(itemgetter(*members) for members in sets),
+            {members: k for k, members in enumerate(sets)})
 
 
 def permutation_matrix(perm: Permutation) -> RationalMatrix:
@@ -95,22 +90,19 @@ def birkhoff_vertices(n: int) -> list[RationalMatrix]:
 
 
 @lru_cache(maxsize=8)
-def analytic_facet_sets(n: int) -> Mapping[FacetLabel, frozenset[int]]:
-    """A_ij = {pi : pi(i) = j} as index sets into the vertex enumeration.
+def analytic_facet_sets(n: int) -> tuple[frozenset[int], ...]:
+    """A_ij = {pi : pi(i) = j} at position i n + j, as index sets into the
+    vertex enumeration.
 
-    Cached and read-only, since every caller shares the one mapping.  For
-    n <= 2 these sets do not describe facets (B_1 is a point, B_2 a
-    segment with only 2 facets), so such n is rejected.
+    Cached, and a tuple, since every caller shares it.  For n <= 2 these
+    sets do not describe facets (B_1 is a point, B_2 a segment with only
+    2 facets), so such n is rejected.
     """
     if n < 3:
         raise PreconditionError("facet description requires n >= 3")
     perms = symmetric_group(n).elements
-    out: dict[FacetLabel, frozenset[int]] = {}
-    for i in range(n):
-        for j in range(n):
-            out[FacetLabel(i, j)] = frozenset(
-                v for v, p in enumerate(perms) if p(i) == j)
-    return MappingProxyType(out)
+    return tuple(frozenset(v for v, p in enumerate(perms) if p(i) == j)
+                 for i in range(n) for j in range(n))
 
 
 @dataclass
@@ -130,11 +122,11 @@ def verify_intersection_table(n: int) -> TableReport:
     cases = 0
     for i in range(n):
         for j in range(n):
-            a = sets[FacetLabel(i, j)]
+            a = sets[i * n + j]
             for k in range(n):
                 for l in range(n):
                     cases += 1
-                    got = len(a & sets[FacetLabel(k, l)])
+                    got = len(a & sets[k * n + l])
                     if i == k and j == l:
                         want = factorial(n - 1)
                     elif i == k or j == l:
@@ -160,18 +152,20 @@ class LawReport:
     passed: bool
 
 
-def _vertex_images(n: int, sigma: Permutation, tau: Permutation,
-                   epsilon: int) -> list[int]:
-    """Vertex images of pi -> sigma pi^epsilon tau for n >= 2, composed
-    on image tuples, so no Permutation is built per vertex.  The keys of
-    S_n's index are the vertices' image tuples in vertex order."""
+def _vertex_images(n: int, sigma: Sequence[int], tau: Sequence[int],
+                   epsilon: int) -> list[Optional[int]]:
+    """Vertex images of pi -> sigma pi^epsilon tau for n >= 2, with sigma
+    and tau given as image tuples and composed on image tuples, so no
+    Permutation is built per vertex.  The keys of S_n's index are the
+    vertices' image tuples in vertex order.  When sigma or tau is not a
+    bijection, no composite is one, and every image is None."""
     group = symmetric_group(n)
     index = group.index
-    s, after_tau = sigma.images, itemgetter(*tau.images)
+    after_tau = itemgetter(*tau)
     domain = (index if epsilon == 1
               else [group.elements[i].images for i in group.inv])
     # (p tau)[x] = p[tau[x]], then (sigma p tau)[x] = sigma[(p tau)[x]]
-    return [index[itemgetter(*after_tau(p))(s)] for p in domain]
+    return [index.get(itemgetter(*after_tau(p))(sigma)) for p in domain]
 
 
 def verify_transformation_law(n: int) -> LawReport:
@@ -200,46 +194,38 @@ def verify_transformation_law(n: int) -> LawReport:
     gens = [(g, one) for g in sn_gens] + [(one, g) for g in sn_gens]
     failures = []
     for sigma, tau in gens:
-        image_of = _vertex_images(n, sigma, tau.inverse(), 1)
+        image_of = _vertex_images(n, sigma.images, tau.inverse().images, 1)
         for i in range(n):
             for j in range(n):
-                image = frozenset(image_of[v] for v in sets[FacetLabel(i, j)])
-                if image != sets[FacetLabel(tau(i), sigma(j))]:
+                image = frozenset(image_of[v] for v in sets[i * n + j])
+                if image != sets[tau(i) * n + sigma(j)]:
                     failures.append(
                         f"sigma={sigma.cycle_string()} "
                         f"tau={tau.cycle_string()} A({i},{j})")
-    image_of = _vertex_images(n, one, one, -1)
+    image_of = _vertex_images(n, one.images, one.images, -1)
     for i in range(n):
         for j in range(n):
-            image = frozenset(image_of[v] for v in sets[FacetLabel(i, j)])
-            if image != sets[FacetLabel(j, i)]:
+            image = frozenset(image_of[v] for v in sets[i * n + j])
+            if image != sets[j * n + i]:
                 failures.append(f"inversion A({i},{j})")
     return LawReport(n=n, translation_cases=factorial(n) ** 2 * n * n,
                      inversion_cases=n * n, generator_cases=len(gens) * n * n,
                      failures=failures, passed=not failures)
 
 
-def _facet_image_map(n: int, images: tuple[int, ...]) -> list[int]:
-    """At position i n + j, the position k n + l of alpha(A_ij) = A_kl for
-    the vertex map alpha with these images.  Raises NotFacetSymmetryError
-    when some alpha(A_ij) is not a facet set."""
-    getters, position = _facet_lookup(n)
-    out = [position.get(frozenset(get(images))) for get in getters]
-    if None in out:
-        raise NotFacetSymmetryError("not a facet symmetry")
-    return out
-
-
 def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
     """Certified normal form (sigma, tau, epsilon) of a vertex bijection.
 
-    Steps: (1) each A_ij must map onto some A_kl; (2) the image of a row
-    family {A_i*} is a row family (epsilon = +1) or a column family
-    (epsilon = -1; compose with inversion iota, which sends A_ij to
-    alpha(A_ji) because iota(A_ij) = A_ji); (3) with row-to-row
-    images A_ij -> A_{r(i), c(j)}, the law sigma A_ij tau^-1 =
-    A_{tau(i), sigma(j)} gives tau = r^-1 and sigma = c; (4) the triple is
-    verified pointwise on all n! vertices before being returned.
+    Steps: (1) map the facets, each A_ij onto some A_kl, else
+    NotFacetSymmetryError; (2) try epsilon = +1, then epsilon = -1, for
+    which alpha after inversion iota sends A_ij to alpha(A_ji), since
+    iota(A_ij) = A_ji: with images A_ij -> A_{r(i), c(j)}, the law
+    sigma A_ij tau^-1 = A_{tau(i), sigma(j)} gives tau = r^-1, sigma = c;
+    (3) the certificate: return the first triple whose map agrees with
+    alpha on all n! vertices.  A map pi -> sigma pi^eps tau reads back its
+    own triple, and no two triples give one map (n >= 3), so
+    InconsistentSymmetryError, no triple agreeing, means alpha has no
+    such form.
     """
     if not 3 <= n <= MAX_N:
         raise PreconditionError(f"decomposition supports 3 <= n <= {MAX_N}")
@@ -247,43 +233,21 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
     if alpha.degree != len(perms):
         raise PreconditionError(
             f"alpha must permute {len(perms)} vertices, got degree {alpha.degree}")
+    getters, position = _facet_lookup(n)
     # image_map[i n + j] = k n + l for alpha(A_ij) = A_kl
-    image_map = _facet_image_map(n, alpha.images)
-    starts = range(0, n * n, n)
-
-    def row_to_row(image_map):
-        return all(len({k // n for k in image_map[a:a + n]}) == 1
-                   for a in starts)
-
-    if row_to_row(image_map):
-        epsilon = 1
-    else:
-        if not all(len({k % n for k in image_map[a:a + n]}) == 1
-                   for a in starts):
-            raise InconsistentSymmetryError("inconsistent")
-        epsilon = -1
+    image_map = [position.get(frozenset(get(alpha.images))) for get in getters]
+    if None in image_map:
+        raise NotFacetSymmetryError("not a facet symmetry")
+    images = list(alpha.images)
+    for epsilon in (1, -1):
+        r = [k // n for k in image_map[::n]]
+        tau = sorted(range(n), key=r.__getitem__)  # r^-1
+        sigma = [k % n for k in image_map[:n]]
+        if _vertex_images(n, sigma, tau, epsilon) == images:
+            return SymmetryDecomposition(Permutation(sigma), Permutation(tau),
+                                         epsilon)
         image_map = [image_map[j * n + i] for i in range(n) for j in range(n)]
-        if not row_to_row(image_map):
-            raise InconsistentSymmetryError("inconsistent")
-
-    r = [image_map[a] // n for a in starts]
-    c = [k % n for k in image_map[:n]]
-    if any(image_map[a + j] % n != c[j] for a in starts for j in range(n)):
-        raise InconsistentSymmetryError("inconsistent")
-    try:
-        tau = Permutation(r).inverse()
-        sigma = Permutation(c)
-    except ValueError as exc:
-        raise InconsistentSymmetryError("inconsistent") from exc
-
-    if _vertex_images(n, sigma, tau, epsilon) != list(alpha.images):
-        raise InconsistentSymmetryError("inconsistent")
-    return SymmetryDecomposition(sigma, tau, epsilon)
-
-
-def reconstruct_symmetry(n: int, dec: SymmetryDecomposition) -> Permutation:
-    """The vertex permutation pi -> sigma pi^eps tau of a decomposition."""
-    return Permutation(_vertex_images(n, dec.sigma, dec.tau, dec.epsilon))
+    raise InconsistentSymmetryError("inconsistent")
 
 
 @dataclass
@@ -321,8 +285,7 @@ def verify_symmetry_group(n: int) -> SymmetryGroupReport:
     inc = polytope.incidence
     analytic = analytic_facet_sets(n)
     n_fact = factorial(n)
-    complements = {frozenset(range(n_fact)) - members
-                   for members in analytic.values()}
+    complements = {frozenset(range(n_fact)) - members for members in analytic}
     facets_match = set(inc.tight_sets) == complements
 
     aut = comb_automorphisms(inc)

@@ -106,12 +106,14 @@ def _cmd_decompose(args):
         raise PreconditionError(
             f"decomposition supports 3 <= n <= {birkhoff.MAX_N}")
     n_points = math.factorial(args.n)
+    # --alpha wins over the positional file when both are given
+    path = args.alpha if args.alpha is not None else args.alpha_positional
     if args.identity:
         alpha = Permutation(range(n_points))
         inputs = {"n": args.n, "alpha": "identity"}
-    elif args.alpha is not None:
-        alpha = _read_alpha(args.alpha, n_points)
-        inputs = {"n": args.n, "alpha": args.alpha}
+    elif path is not None:
+        alpha = _read_alpha(path, n_points)
+        inputs = {"n": args.n, "alpha": path}
     else:
         raise PreconditionError("decompose needs --alpha <file> or --identity")
     try:
@@ -204,7 +206,7 @@ def _cmd_hull(args):
 def _cmd_rep_polytope(args):
     if args.group.lower() in builtin_group_names():
         mgroup = reppoly.matrix_group_from_perm_group(named_group(
-            args.group.lower(), reppoly.MAX_POLYTOPE_ELEMENTS))
+            args.group.lower(), hull.MAX_VERTICES))
     else:
         path = Path(args.group)
         if not path.is_file():
@@ -298,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "alpha_positional", None) is not None and args.alpha is None:
-        args.alpha = args.alpha_positional
     start = time.perf_counter()
     try:
         passed, inputs, details = args.handler(args)

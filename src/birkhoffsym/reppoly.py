@@ -26,11 +26,9 @@ from .combiso import comb_automorphisms, comb_equivalent
 from .errors import InvariantError, PreconditionError
 from .exact import (RationalMatrix, _common_form, _independent_rows,
                     _over_lcm, _rational_pair)
-from .hull import Polytope, certify_vertices, facet_enumeration
+from .hull import MAX_VERTICES, Polytope, certify_vertices, facet_enumeration
 from .perm import (Permutation, PermutationGroup, closure, named_group,
                    regular_action, saturate)
-
-MAX_POLYTOPE_ELEMENTS = 30
 
 
 class MatrixGroup:
@@ -78,8 +76,8 @@ def matrix_closure(generators: list[RationalMatrix]) -> MatrixGroup:
     independent.  The elements after the identity are sorted by their
     integer entries over the group's common denominator, which is the
     lexicographic order of their entries.  The closure stops with
-    PreconditionError once it passes MAX_POLYTOPE_ELEMENTS, the most any
-    hull here takes, so an infinite group stops there too.
+    PreconditionError once it passes `hull.MAX_VERTICES`, the most points
+    a hull takes, so an infinite group stops there too.
     """
     if not generators:
         raise PreconditionError("matrix closure needs at least one generator")
@@ -91,8 +89,7 @@ def matrix_closure(generators: list[RationalMatrix]) -> MatrixGroup:
         if sum(1 for _ in _independent_rows(rows)) < dim:
             raise PreconditionError("generator is not invertible")
     ident = RationalMatrix.identity(dim)
-    seen = saturate([ident], [g.__mul__ for g in generators],
-                    MAX_POLYTOPE_ELEMENTS)
+    seen = saturate([ident], [g.__mul__ for g in generators], MAX_VERTICES)
     others = [m for m in seen if m != ident]
     _, keys = _common_form(others)
     others = [m for _, m in sorted(zip(keys, others), key=itemgetter(0))]
@@ -127,10 +124,10 @@ def representation_polytope(mgroup: MatrixGroup) -> Polytope:
     lies in the set, so some element a is a vertex, and then so is
     b = (b a^-1) a for every element b.  `certify_vertices` checks it on
     the hull's incidence all the same."""
-    if mgroup.order > MAX_POLYTOPE_ELEMENTS:
+    if mgroup.order > MAX_VERTICES:
         raise PreconditionError(
             f"representation polytope supports at most "
-            f"{MAX_POLYTOPE_ELEMENTS} elements")
+            f"{MAX_VERTICES} elements")
     scale, rows = _common_form(mgroup.elements)
     polytope = facet_enumeration(rows, scale)
     if not all(certify_vertices(polytope)):
@@ -184,9 +181,11 @@ def matrix_from_rows(rows: list[list]) -> RationalMatrix:
 
 
 def matrix_group_from_document(doc: dict) -> "CatalogEntry":
-    """Parse {"name", "dim", "generators", "order"?, "expect_equivalent"?}
+    """Parse {"name"?, "dim", "generators", "order"?, "expect_equivalent"?}
     where each generator is a dim x dim array of integers or "p/q"
-    strings.  A document of another shape raises ValueError."""
+    strings, "name" is a string, "order" an integer and
+    "expect_equivalent" a boolean; null is the same as leaving a field
+    out.  A document of another shape raises ValueError."""
     if not isinstance(doc, dict) or "generators" not in doc or "dim" not in doc:
         raise ValueError("matrix group document needs 'dim' and 'generators'")
     dim, gen_docs = doc["dim"], doc["generators"]
@@ -194,6 +193,11 @@ def matrix_group_from_document(doc: dict) -> "CatalogEntry":
         raise ValueError("'dim' must be an integer and 'generators' a list")
     if dim < 1:
         raise ValueError(f"'dim' must be at least 1, got {dim}")
+    for field, kind, what in (("order", int, "an integer"),
+                              ("expect_equivalent", bool, "a boolean"),
+                              ("name", str, "a string")):
+        if doc.get(field) is not None and type(doc[field]) is not kind:
+            raise ValueError(f"'{field}' must be {what}")
     gens = []
     for rows in gen_docs:
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
@@ -207,7 +211,7 @@ def matrix_group_from_document(doc: dict) -> "CatalogEntry":
         raise ValueError(
             f"closure has order {mgroup.order}, document declares {declared}")
     return CatalogEntry(
-        name=doc.get("name", "unnamed"),
+        name="unnamed" if doc.get("name") is None else doc["name"],
         matrix_group=mgroup,
         expect_equivalent=doc.get("expect_equivalent"),
         declared_order=declared,

@@ -12,18 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birkhoffsym import birkhoff, perm
-from birkhoffsym.birkhoff import (FacetLabel, InconsistentSymmetryError,
+from birkhoffsym.birkhoff import (InconsistentSymmetryError,
                                   NotFacetSymmetryError,
                                   SymmetryDecomposition, analytic_facet_sets,
                                   birkhoff_vertices, decompose_symmetry,
                                   permutation_matrix,
-                                  reconstruct_symmetry,
                                   verify_intersection_table,
                                   verify_symmetry_group,
                                   verify_transformation_law)
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.perm import Permutation, symmetric_group
-from law_oracle import full_transformation_law
+from law_oracle import full_transformation_law, symmetry_images
 
 
 perm_strategy = st.integers(2, 5).flatmap(
@@ -77,11 +76,11 @@ def test_analytic_sets_sizes():
     for n in (3, 4):
         sets = analytic_facet_sets(n)
         assert len(sets) == n * n
-        assert all(len(s) == factorial(n - 1) for s in sets.values())
-        # one shared, read-only mapping per n
+        assert all(len(s) == factorial(n - 1) for s in sets)
+        # one shared, read-only tuple per n
         assert analytic_facet_sets(n) is sets
         with pytest.raises(TypeError):
-            sets[FacetLabel(0, 0)] = frozenset()
+            sets[0] = frozenset()
 
 
 def _oracle_pair_counts(n):
@@ -99,7 +98,7 @@ def test_intersection_table_against_oracle(n):
     oracle = _oracle_pair_counts(n)
     sets = analytic_facet_sets(n)
     for (i, j, k, l), count in oracle.items():
-        assert len(sets[FacetLabel(i, j)] & sets[FacetLabel(k, l)]) == count
+        assert len(sets[i * n + j] & sets[k * n + l]) == count
         if i == k and j == l:
             assert count == factorial(n - 1)
         elif i == k or j == l:
@@ -135,8 +134,8 @@ def test_symmetric_group_lists_the_vertex_order(n):
 
 
 def test_transformation_law_detects_swapped_sets(monkeypatch):
-    sets = dict(analytic_facet_sets(3))
-    a01, a10 = FacetLabel(0, 1), FacetLabel(1, 0)
+    sets = list(analytic_facet_sets(3))
+    a01, a10 = 0 * 3 + 1, 1 * 3 + 0
     sets[a01], sets[a10] = sets[a10], sets[a01]
     monkeypatch.setattr(birkhoff, "analytic_facet_sets", lambda n: sets)
     r = verify_transformation_law(3)
@@ -153,22 +152,20 @@ def _law_test_families(n: int, mutants: int):
     columns 0 and 1 swapped (the right ones still hold), and seeded
     mutants of three kinds in turn: one vertex moved between two A_ij,
     two labels swapped, and A_ij <-> A_ji."""
-    base = dict(analytic_facet_sets(n))
+    base = list(analytic_facet_sets(n))
     everything = frozenset(range(factorial(n)))
     swap = {0: 1, 1: 0}
+    pairs = [(i, j) for i in range(n) for j in range(n)]
     yield base
-    yield {label: everything - members for label, members in base.items()}
-    yield {label: everything for label in base}
-    yield {FacetLabel(l.j, l.i): members for l, members in base.items()}
-    yield {FacetLabel(swap.get(l.i, l.i), l.j): members
-           for l, members in base.items()}
-    yield {FacetLabel(l.i, swap.get(l.j, l.j)): members
-           for l, members in base.items()}
+    yield [everything - members for members in base]
+    yield [everything for _ in base]
+    yield [base[j * n + i] for i, j in pairs]
+    yield [base[swap.get(i, i) * n + j] for i, j in pairs]
+    yield [base[i * n + swap.get(j, j)] for i, j in pairs]
     rng = random.Random(1000 + n)
-    labels = list(base)
     for k in range(mutants):
-        sets = dict(base)
-        a, b = rng.sample(labels, 2)
+        sets = list(base)
+        a, b = rng.sample(range(n * n), 2)
         if k % 3 == 0:
             v = rng.choice(sorted(sets[a]))
             sets[a], sets[b] = sets[a] - {v}, sets[b] | {v}
@@ -176,7 +173,7 @@ def _law_test_families(n: int, mutants: int):
             sets[a], sets[b] = sets[b], sets[a]
         else:
             i, j = rng.sample(range(n), 2)
-            a, b = FacetLabel(i, j), FacetLabel(j, i)
+            a, b = i * n + j, j * n + i
             sets[a], sets[b] = sets[b], sets[a]
         yield sets
 
@@ -250,7 +247,7 @@ def test_all_triples_distinct_n3():
         for tau in symmetric_group(3).elements:
             for eps in (1, -1):
                 dec = SymmetryDecomposition(sigma, tau, eps)
-                maps.add(reconstruct_symmetry(3, dec).images)
+                maps.add(tuple(symmetry_images(3, dec)))
     assert len(maps) == 72
 
 
@@ -259,10 +256,10 @@ def test_all_triples_distinct_n3():
 @settings(max_examples=40, deadline=None)
 def test_decompose_roundtrip_n3(sig, tau, eps):
     dec = SymmetryDecomposition(Permutation(sig), Permutation(tau), eps)
-    alpha = reconstruct_symmetry(3, dec)
+    alpha = Permutation(symmetry_images(3, dec))
     back = decompose_symmetry(3, alpha)
     assert back == dec
-    assert reconstruct_symmetry(3, back).images == alpha.images
+    assert symmetry_images(3, back) == list(alpha.images)
 
 
 def test_decompose_n5_builds_no_multiplication_table(monkeypatch):
@@ -272,7 +269,7 @@ def test_decompose_n5_builds_no_multiplication_table(monkeypatch):
     monkeypatch.setattr(perm.PermutationGroup, "table", property(forbidden))
     dec = SymmetryDecomposition(Permutation((1, 2, 0, 4, 3)),
                                 Permutation((0, 2, 1, 3, 4)), -1)
-    assert decompose_symmetry(5, reconstruct_symmetry(5, dec)) == dec
+    assert decompose_symmetry(5, Permutation(symmetry_images(5, dec))) == dec
     assert verify_transformation_law(5).passed
 
 
@@ -282,7 +279,7 @@ def test_decompose_roundtrip_n4_sample():
     for _ in range(20):
         dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms),
                                     rng.choice((1, -1)))
-        alpha = reconstruct_symmetry(4, dec)
+        alpha = Permutation(symmetry_images(4, dec))
         assert decompose_symmetry(4, alpha) == dec
 
 
@@ -300,8 +297,41 @@ def test_decompose_rejects_non_symmetry_shuffles():
         except (NotFacetSymmetryError, InconsistentSymmetryError):
             rejected += 1
             continue
-        assert reconstruct_symmetry(3, dec).images == alpha.images
+        assert symmetry_images(3, dec) == list(alpha.images)
     assert rejected > 0
+
+
+def _all_triples(n):
+    perms = symmetric_group(n).elements
+    return [SymmetryDecomposition(sigma, tau, eps)
+            for sigma in perms for tau in perms for eps in (1, -1)]
+
+
+def test_decompose_every_bijection_of_b3():
+    # the pointwise check is the one certificate: over all 720 vertex
+    # bijections of B_3, the 72 symmetries come back as the triples they
+    # were built from, and every other bijection already fails as a map
+    # of facet sets
+    built = {tuple(symmetry_images(3, dec)): dec for dec in _all_triples(3)}
+    assert len(built) == 72
+    found, not_facet = {}, 0
+    for images in itertools.permutations(range(6)):
+        try:
+            found[images] = decompose_symmetry(3, Permutation(images))
+        except NotFacetSymmetryError:
+            not_facet += 1
+        except InconsistentSymmetryError:
+            pytest.fail(f"{images} maps facets to facets without the shape")
+    assert found == built
+    assert len(set(found.values())) == 72
+    assert not_facet == 648
+
+
+def test_decompose_every_triple_of_b4():
+    triples = _all_triples(4)
+    assert len(triples) == 1152
+    for dec in triples:
+        assert decompose_symmetry(4, Permutation(symmetry_images(4, dec))) == dec
 
 
 def test_verify_symmetry_group_n3():

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from birkhoffsym import cli, combiso, gamma, hull, perm, reppoly
-from birkhoffsym.birkhoff import (SymmetryDecomposition, reconstruct_symmetry)
+from birkhoffsym.birkhoff import SymmetryDecomposition
 from birkhoffsym.cli import main
 from birkhoffsym.exact import RationalMatrix
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
@@ -27,6 +27,7 @@ from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
 from birkhoffsym.perm import Permutation, parse_cycles
 
 from hull_oracle import random_point_set
+from law_oracle import symmetry_images
 
 
 def run_json(capsys, argv):
@@ -80,10 +81,10 @@ def test_decompose_identity(capsys):
 def test_decompose_alpha_file(tmp_path, capsys):
     dec = SymmetryDecomposition(parse_cycles("(0 1)", 3),
                                 Permutation.identity(3), 1)
-    alpha = reconstruct_symmetry(3, dec)
+    images = symmetry_images(3, dec)
     path = tmp_path / "alpha.txt"
     path.write_text("# vertex images\n" +
-                    "\n".join(str(x) for x in alpha.images) + "\n")
+                    "\n".join(str(x) for x in images) + "\n")
     code, doc = run_json(capsys, ["decompose", "3", "--alpha", str(path)])
     assert code == 0
     assert doc["details"] == {"sigma": "(0 1)", "tau": "()", "epsilon": 1}
@@ -91,6 +92,20 @@ def test_decompose_alpha_file(tmp_path, capsys):
     code2, doc2 = run_json(capsys, ["decompose", "3", str(path)])
     assert code2 == 0
     assert doc2["details"] == doc["details"]
+
+
+def test_decompose_alpha_option_wins_over_the_positional_file(tmp_path,
+                                                              capsys):
+    option, positional = tmp_path / "option.txt", tmp_path / "positional.txt"
+    for path, sigma in ((option, "(0 1)"), (positional, "(1 2)")):
+        dec = SymmetryDecomposition(parse_cycles(sigma, 3),
+                                    Permutation.identity(3), 1)
+        path.write_text("\n".join(map(str, symmetry_images(3, dec))))
+    code, doc = run_json(capsys, ["decompose", "3", str(positional),
+                                  "--alpha", str(option)])
+    assert code == 0
+    assert doc["inputs"] == {"n": 3, "alpha": str(option)}
+    assert doc["details"] == {"sigma": "(0 1)", "tau": "()", "epsilon": 1}
 
 
 def test_decompose_rejecting_alpha(tmp_path, capsys):
@@ -534,6 +549,28 @@ def test_matrix_group_document_of_dimension_0(tmp_path, capsys):
         assert "range()" not in err
 
 
+@pytest.mark.parametrize("cell, field, value, what", [
+    ("1", "order", True, "an integer"),
+    ("1", "order", 1.0, "an integer"),
+    ("-1", "order", "2", "an integer"),
+    ("1", "expect_equivalent", 1, "a boolean"),
+    ("1", "expect_equivalent", "true", "a boolean"),
+    ("1", "name", 7, "a string"),
+])
+def test_matrix_group_document_fields_are_typed(tmp_path, capsys, cell,
+                                                field, value, what):
+    # the declared order used to be only compared with the closure's, so
+    # true and 1.0 passed for the group {1} and "2" was refused as
+    # "closure has order 2, document declares 2"
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"dim": 1, "generators": [[[cell]]],
+                                field: value}))
+    assert main(["rep-polytope", "--group", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert f"invalid input: '{field}' must be {what}" in err
+    assert "declares" not in err
+
+
 @pytest.mark.parametrize("cell", [1.0, True])
 def test_rep_polytope_takes_only_integers_and_rationals(tmp_path, capsys, cell):
     doc_in = {"dim": 2, "generators": [[["0", "-1"], [cell, "1"]]]}
@@ -635,7 +672,7 @@ def test_one_process_answers_like_fresh_processes(tmp_path, capsys,
     dec = SymmetryDecomposition(parse_cycles("(0 2)", 3),
                                 parse_cycles("(1 2)", 3), -1)
     alpha = tmp_path / "alpha.txt"
-    alpha.write_text("\n".join(map(str, reconstruct_symmetry(3, dec).images)))
+    alpha.write_text("\n".join(map(str, symmetry_images(3, dec))))
     runs = [["decompose", "3", "--identity"], ["decompose", "3", str(alpha)],
             ["decompose", "--identity"], ["verify-table", "3"]]
     in_process = []

@@ -391,7 +391,7 @@ def test_birkhoff3_facets_are_analytic_complements():
     assert p.n_facets == 9
     assert all(len(s) == 4 for s in p.incidence.tight_sets)
     analytic = analytic_facet_sets(3)
-    complements = {frozenset(range(6)) - s for s in analytic.values()}
+    complements = {frozenset(range(6)) - s for s in analytic}
     assert tight_families(p) == complements
     validate_polytope(p)
     assert certify_vertices(p) == [True] * 6

@@ -31,8 +31,6 @@ TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 # Exports that no package module reads, each with the reason it stays.
 KEPT_EXPORTS = {
     "verify_gamma_acts": "called by bench/worker.py",
-    "reconstruct_symmetry": "the inverse of decompose_symmetry, for "
-                            "building a B_n symmetry from (sigma, tau, eps)",
     "cd_measure": "the Chermak-Delgado measure of one subgroup; cd_lattice "
                   "computes it per class on element indices",
     "all_subgroups": "every subgroup as a group, the public form of "

@@ -413,6 +413,22 @@ def test_document_parsing_errors():
             matrix_group_from_document({"dim": 2, "generators": [rows]})
 
 
+def test_document_fields_read_back_typed_or_by_default():
+    gens = [[["-1"]]]
+    entry = matrix_group_from_document(
+        {"dim": 1, "generators": gens, "name": "c2", "order": 2,
+         "expect_equivalent": True})
+    assert (entry.name, entry.declared_order, entry.expect_equivalent) == (
+        "c2", 2, True)
+    # a null field is a field left out
+    for extra in ({}, {"name": None, "order": None,
+                       "expect_equivalent": None}):
+        entry = matrix_group_from_document(
+            {"dim": 1, "generators": gens, **extra})
+        assert (entry.name, entry.declared_order,
+                entry.expect_equivalent) == ("unnamed", None, None)
+
+
 def test_document_roundtrip_c6_fixture():
     import importlib.resources as resources
     text = resources.files("birkhoffsym").joinpath(
