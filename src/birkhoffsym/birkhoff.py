@@ -190,7 +190,7 @@ def verify_transformation_law(n: int) -> LawReport:
             f"transformation law check supports 3 <= n <= {MAX_N}")
     sets = analytic_facet_sets(n)
     one = Permutation.identity(n)
-    sn_gens = [g for _, g in symmetric_group(n).generators]
+    sn_gens = symmetric_group(n).generators
     gens = [(g, one) for g in sn_gens] + [(one, g) for g in sn_gens]
     failures = []
     for sigma, tau in gens:

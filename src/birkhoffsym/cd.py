@@ -26,7 +26,7 @@ def cd_measure(group: PermutationGroup, sub: PermutationGroup) -> int:
     if not sub.is_subgroup_of(group):
         raise NotASubgroupError("cd_measure: H is not a subgroup of G")
     return sub.order * len(group.centralizer_indices(
-        group.index[h.images] for h in sub.generator_perms()))
+        group.index[h.images] for h in sub.generators))
 
 
 @dataclass

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from . import birkhoff, cd, gamma, hull, reppoly
 from .errors import InvariantError, PreconditionError
+from .exact import _integer, _integers
 from .perm import (Permutation, PermutationGroup, builtin_group_names,
                    group_from_generator_lines, named_group)
 from .reports import Report, render_report
@@ -65,21 +66,17 @@ def _subgroup_name(base_name: str, group: PermutationGroup,
 
 
 def _read_json(path: str):
-    """The JSON document in a file; nesting too deep for the decoder is
-    refused as malformed input, like any other decoding error."""
+    """The JSON document in a file; nesting too deep for the decoder, or
+    an integer too long for `int`, is refused as malformed input."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), parse_int=_integer)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _read_alpha(path: str, n_points: int) -> Permutation:
-    images = []
-    for line in Path(path).read_text().splitlines():
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        images.append(int(s))
+    lines = map(str.strip, Path(path).read_text().splitlines())
+    images = _integers([s for s in lines if s and not s.startswith("#")])
     if len(images) != n_points:
         raise PreconditionError(
             f"alpha file lists {len(images)} images, expected {n_points}")
@@ -136,7 +133,7 @@ def _cmd_cd_lattice(args):
         "name": _subgroup_name(name, group, sub),
         "order": sub.order,
         "generators": [g.cycle_string() for g in
-                       (sub.generator_perms() or sub.elements[:1])],
+                       (sub.generators or sub.elements[:1])],
     } for sub in r.lattice]
     details = {
         "group_order": r.group_order,

@@ -23,24 +23,52 @@ Text form of a rational is "p/q" with q > 0, or just "p" when q == 1.
 
 from __future__ import annotations
 
-import re
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+
+def _integer(text: str) -> int:
+    """The value of a decimal literal, an optional minus sign and ASCII
+    digits, no more than `int` converts; anything else raises ValueError
+    naming the text.  Every reader of integers in input uses it."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an integer: {_shown(text)}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"integer too long: {_shown(text)}") from None
+
+
+def _integers(texts: Sequence[str]) -> list[int]:
+    """`_integer` of each text.  When the texts hold ASCII digits and
+    minus signs only, `int` alone reads them in one C-level `map`."""
+    joined = "".join(texts)
+    if joined.isascii() and joined.replace("-", "").isdigit():
+        try:
+            return list(map(int, texts))
+        except ValueError:  # a misplaced "-" or too many digits
+            pass
+    return list(map(_integer, texts))
+
+
+def _shown(text: str) -> str:
+    """`text` quoted for an error message, cut to 24 characters."""
+    if len(text) <= 24:
+        return repr(text)
+    return f"{text[:24]!r}... ({len(text)} characters)"
 
 
 def _rational_pair(text: str) -> tuple[int, int]:
-    """Parse "p/q" or "p" (integers, optional sign) into the pair (p, q)
-    with q > 0, not reduced."""
-    m = _RATIONAL_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"not a rational literal: {text!r}")
-    p = int(m.group(1))
-    q = int(m.group(2)) if m.group(2) is not None else 1
+    """Parse "p/q" or "p" (decimal integers, optional minus sign) into
+    the pair (p, q) with q > 0, not reduced."""
+    num, slash, den = text.strip().partition("/")
+    try:
+        p, q = _integer(num), _integer(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"not a rational literal: {_shown(text)}") from None
     if q == 0:
-        raise ValueError(f"zero denominator: {text!r}")
+        raise ValueError(f"zero denominator: {_shown(text)}")
     return (-p, -q) if q < 0 else (p, q)
 
 

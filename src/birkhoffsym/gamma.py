@@ -10,7 +10,7 @@ generate a subgroup Gamma(G) of Sym(G).  Everything here works with G's
 elements identified with their positions in the canonical sorted element
 list, so Gamma(G) is an ordinary permutation group on |G| points; the
 three maps come from `perm.regular_action`.  `build_gamma` returns
-Gamma(G) itself, a `PermutationGroup` tagged with its generators, for
+Gamma(G) itself, a `PermutationGroup` generated by those maps, for
 |G| up to MAX_GAMMA_BASE = 120 (S_5): `perm.closure` grows it one whole
 coset at a time.  Gamma acts on |G| points, so the same bound holds for
 the regular-pair search, whose choices are closed by cosets too.
@@ -37,27 +37,23 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import InvariantError, PreconditionError
-from .perm import (Permutation, PermutationGroup, _right_mul, _tagged,
-                   closure, regular_action, saturate)
+from .perm import (Permutation, PermutationGroup, _right_mul, closure,
+                   regular_action, saturate)
 
 MAX_GAMMA_BASE = 120  # largest |G| whose Gamma(G) is built
 MAX_NORMALIZER_BASE = 6  # largest |G| for the brute-force normalizer
 
 
 def build_gamma(group: PermutationGroup) -> PermutationGroup:
-    """Gamma(G) with tagged generators lambda[g], rho[g] (in pairs), then
-    inv, g running over G's generators; G may have order at most
+    """Gamma(G) with generators lambda_g, rho_g (in pairs), then iota, g
+    running over G's generators; G may have order at most
     MAX_GAMMA_BASE."""
     if group.order > MAX_GAMMA_BASE:
         raise PreconditionError(
             f"group of order {group.order} exceeds bound {MAX_GAMMA_BASE}")
     lams, rhos, iota = regular_action(group)
-    tagged = []
-    for tag, g in group.generators:
-        i = group.index[g.images]
-        tagged += [(f"lambda[{tag}]", lams[i]), (f"rho[{tag}]", rhos[i])]
-    tagged.append(("inv", iota))
-    return closure([p for _, p in tagged], tags=[tag for tag, _ in tagged])
+    gens = [group.index[g.images] for g in group.generators]
+    return closure([p for i in gens for p in (lams[i], rhos[i])] + [iota])
 
 
 def is_elementary_abelian_2(group: PermutationGroup) -> bool:
@@ -87,7 +83,7 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
     """
     gamma = build_gamma(group)
     center = group.centralizer_indices(
-        group.index[g.images] for g in group.generator_perms())
+        group.index[g.images] for g in group.generators)
     ea2 = is_elementary_abelian_2(group)
     formula = 2 * group.order ** 2 // len(center)
     lams, rhos, _ = regular_action(group)
@@ -208,7 +204,7 @@ def commuting_regular_pairs(gamma: PermutationGroup
     """All unordered pairs {U, V} of regular subgroups of Gamma(G), as
     `build_gamma(G)` returns it, that centralize each other elementwise,
     sorted by U's element list, U first.  U = V is allowed and occurs
-    exactly when U is abelian.  Each group is tagged with the fiber
+    exactly when U is abelian.  Each group is generated by the fiber
     choices that found it.
 
     No pair is tested.  A regular V commuting with a regular U lies in
@@ -220,9 +216,8 @@ def commuting_regular_pairs(gamma: PermutationGroup
     found = sorted(_partnered_regular_subgroups(gamma), key=itemgetter(0))
     position = {members: a for a, (members, _, _) in enumerate(found)}
     elements, index = gamma.elements, gamma.index
-    groups = [PermutationGroup(gamma.degree,
-                               [elements[index[w]] for w in members],
-                               _tagged(elements[index[g]] for g in choices))
+    groups = [PermutationGroup([elements[index[w]] for w in members],
+                               [elements[index[g]] for g in choices])
               for members, choices, _ in found]
     pairs = []
     for a, (_, _, partner) in enumerate(found):
@@ -278,7 +273,7 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
     Aut(G)*Gamma(G) as sets of permutations of the labelling, for |G| at
     most MAX_NORMALIZER_BASE.
 
-    Conjugating the tagged generators into Gamma suffices for membership:
+    Conjugating the generators into Gamma suffices for membership:
     pi <gens> pi^-1 = <pi gens pi^-1> is a subgroup of Gamma of equal
     order, hence equal to it.
     """
@@ -287,7 +282,7 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
                                 f"normalizer bound {MAX_NORMALIZER_BASE}")
     gamma = build_gamma(group)
     m = group.order
-    gens = [p.images for p in gamma.generator_perms()]
+    gens = [p.images for p in gamma.generators]
     normalizer = []
     for cand in itertools.permutations(range(m)):
         inv = [0] * m

@@ -21,7 +21,7 @@ at a time (Dimino's algorithm): `closure`, `closure_indices` and the
 regular-pair search in `gamma` build their groups so.
 `PermutationGroup.table` is the multiplication table on positions in
 the element list (identity at 0), built on first read along the Cayley
-graph of the tagged generators, so tags that do not generate the group
+graph of the generators, so generators that do not generate the group
 raise InvariantError.  `centralizer_indices` and `normalizer_indices`
 read whole columns of it in C.  Only routines reading most products of
 a group of order at most 720 build it; Gamma(S_4) never does.
@@ -29,8 +29,9 @@ a group of order at most 720 build it; Gamma(S_4) never does.
 `subgroup_classes` enumerates subgroups up to conjugacy on it.
 
 Cycle notation names points by number, and the degree follows from the
-largest point named, so `parse_cycles` and `group_from_generator_lines`
-refuse points at or above MAX_DEGREE before any image list is built.
+largest point named.  `_cycle_points` reads it for `parse_cycles` and
+`group_from_generator_lines` alike; they refuse a degree, or a point,
+past MAX_DEGREE before any image list is built.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
+from .exact import _integers, _shown
 
 MAX_DEGREE = 4096  # points 0..MAX_DEGREE-1 are the most cycle notation may name
 
@@ -126,12 +128,6 @@ class Permutation:
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
-
-    def __le__(self, other: "Permutation") -> bool:
-        return self.images <= other.images
-
     def __hash__(self) -> int:
         return hash(self.images)
 
@@ -139,7 +135,36 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
+_NOTATION_RE = re.compile(r"\s*(?:\([^()]*\)\s*)*")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+_TOKEN_RE = re.compile(r"[^\s,]+")
+
+
+def _cycle_points(text: str) -> list[list[int]]:
+    """The points of each cycle in cycle notation, as written, separated
+    by spaces or commas; "()" and "" name none.  Malformed notation, or a
+    token `_integers` refuses, raises ValueError."""
+    if not _NOTATION_RE.fullmatch(text):
+        raise ValueError(f"malformed cycle notation: {_shown(text)}")
+    return [_integers(_TOKEN_RE.findall(body))
+            for body in _CYCLE_RE.findall(text)]
+
+
+def _permutation_of(cycles: list[list[int]], degree: int,
+                    text: str) -> Permutation:
+    """The permutation of `degree` points with the cycles read from `text`."""
+    images = list(range(degree))
+    used: set[int] = set()
+    for points in cycles:
+        for p in points:
+            if p < 0 or p >= degree:
+                raise ValueError(f"point {p} out of range for degree {degree}")
+            if p in used:
+                raise ValueError(f"point {p} repeated in {_shown(text)}")
+            used.add(p)
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a] = b
+    return Permutation(images)
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -150,49 +175,30 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     """
     if degree > MAX_DEGREE:
         raise ValueError(f"degree {degree} exceeds the cap {MAX_DEGREE}")
-    s = text.strip()
-    if s in ("", "()"):
-        return Permutation.identity(degree)
-    if not re.fullmatch(r"(\s*\([^()]*\)\s*)+", s):
-        raise ValueError(f"malformed cycle notation: {text!r}")
-    images = list(range(degree))
-    used: set[int] = set()
-    for body in _CYCLE_RE.findall(s):
-        pts = [int(t) for t in re.split(r"[\s,]+", body.strip()) if t]
-        if not pts:
-            continue
-        for p in pts:
-            if p < 0 or p >= degree:
-                raise ValueError(f"point {p} out of range for degree {degree}")
-            if p in used:
-                raise ValueError(f"point {p} repeated in {text!r}")
-            used.add(p)
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            images[a] = b
-    return Permutation(images)
+    return _permutation_of(_cycle_points(text), degree, text)
 
 
 class PermutationGroup:
     """A finite permutation group given by its full, sorted element list
     and a generating set.
 
-    `generators` carries (tag, permutation) pairs; tags are free-form
-    labels, and the tagged permutations generate the group (the trivial
-    group may carry none).  Equality ignores tags and compares element
-    sets.  `index` maps each image tuple to its position in the list.
-    The table on those positions, `table`, and the inverse positions,
-    `inv`, are built on first read and kept with the group.
+    `generators` is a tuple of permutations that generate the group (the
+    trivial group may have none); the degree is the identity's.  Equality
+    ignores the generators and compares element sets.  `index` maps each
+    image tuple to its position in the list.  The table on those
+    positions, `table`, and the inverse positions, `inv`, are built on
+    first read and kept with the group.
     """
 
     __slots__ = ("degree", "elements", "generators", "index", "_table", "_inv")
 
-    def __init__(self, degree: int, elements: Sequence[Permutation],
-                 generators: Sequence[tuple[str, Permutation]]):
-        # sorted on the image tuples, not through Permutation.__lt__
+    def __init__(self, elements: Sequence[Permutation],
+                 generators: Sequence[Permutation]):
         by_images = {p.images: p for p in elements}
         keys = sorted(by_images)
         if not keys or keys[0] != tuple(range(len(keys[0]))):
             raise ValueError("element list must contain the identity")
+        degree = len(keys[0])
         if any(len(k) != degree for k in keys):
             raise ValueError("element of wrong degree")
         object.__setattr__(self, "degree", degree)
@@ -225,34 +231,31 @@ class PermutationGroup:
         return hash((self.degree, self.elements))
 
     def __repr__(self) -> str:
-        gens = ", ".join(tag for tag, _ in self.generators)
+        gens = ", ".join(g.cycle_string() for g in self.generators)
         return f"PermutationGroup(degree={self.degree}, order={self.order}, gens=[{gens}])"
 
     def is_subgroup_of(self, other: "PermutationGroup") -> bool:
         return (self.degree == other.degree
                 and self.index.keys() <= other.index.keys())
 
-    def generator_perms(self) -> list[Permutation]:
-        return [p for _, p in self.generators]
-
     @property
     def table(self) -> list[list[int]]:
         """table[a][b] is the position of elements[a] * elements[b].
 
-        Built along the Cayley graph of the tagged generators: each
-        generator's row is looked up product by product, and every other
-        row is a known row gathered at another, table[s y][b] =
-        table[s][table[y][b]], one C-level `itemgetter` per row.  A tag
-        outside the element list, a product outside it, or a row no
-        word in the tags reaches raises InvariantError, never a partial
-        table."""
+        Built along the Cayley graph of the generators: each generator's
+        row is looked up product by product, and every other row is a
+        known row gathered at another, table[s y][b] =
+        table[s][table[y][b]], one C-level `itemgetter` per row.  A
+        generator outside the element list, a product outside it, or a
+        row no word in the generators reaches raises InvariantError,
+        never a partial table."""
         if self._table is None:
             idx = self.index
             n = len(idx)
             table: list = [None] * n
             table[0] = list(range(n))
             try:
-                gens = [idx[g.images] for g in self.generator_perms()]
+                gens = [idx[g.images] for g in self.generators]
                 for s in gens:
                     if table[s] is None:  # g b for each b, looked up
                         g = self.elements[s].images
@@ -273,8 +276,8 @@ class PermutationGroup:
                 return step
 
             if len(saturate([0], [left_mul(s) for s in gens])) < n:
-                raise InvariantError("the tagged generators do not generate "
-                                     "the group: table rows left unreached")
+                raise InvariantError("the generators do not generate the "
+                                     "group: table rows left unreached")
             object.__setattr__(self, "_table", table)
         return self._table
 
@@ -333,11 +336,11 @@ class PermutationGroup:
 
     def subgroup_from_indices(self, members: Sequence[int],
                               gen_indices: Sequence[int]) -> "PermutationGroup":
-        """The subgroup with the given member positions, tagged with the
-        positions gen_indices, which generate it."""
+        """The subgroup with the given member positions, generated by the
+        elements at positions gen_indices."""
         elements = self.elements
-        return PermutationGroup(self.degree, [elements[i] for i in members],
-                                _tagged(elements[i] for i in gen_indices))
+        return PermutationGroup([elements[i] for i in members],
+                                [elements[i] for i in gen_indices])
 
 
 def saturate(seeds: Iterable, steps: Sequence[Callable],
@@ -389,22 +392,16 @@ def _right_mul(g: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...
 
 
 def closure(generators: Sequence[Permutation],
-            tags: Optional[Sequence[str]] = None,
             max_order: Optional[int] = None) -> PermutationGroup:
     """Group generated by the given permutations on image tuples, one
     generator g at a time: a g already in the group H is skipped, else H
     grows to <H, g> by `saturate`'s coset mode, steps _right_mul of each
-    generator so far, right cosets H p.  max_order aborts runaways.
-    Tags, when given, label the generators one for one; a list of
-    another length raises ValueError."""
+    generator so far, right cosets H p.  max_order aborts runaways."""
     if not generators:
-        raise ValueError("closure needs at least one generator or a degree hint")
+        raise ValueError("closure needs at least one generator")
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise ValueError("generators act on different point sets")
-    if tags is None:
-        tags = [g.cycle_string() for g in generators]
-    tagged = tuple(zip(tags, generators, strict=True))
     seen, steps = {tuple(range(degree))}, []
     for g in generators:
         steps.append(_right_mul(g.images))
@@ -412,8 +409,8 @@ def closure(generators: Sequence[Permutation],
             seen = saturate(seen, steps, max_order,
                             lambda p, h=seen: map(_right_mul(p), h))
     # every member is a product of the (validated) generators
-    return PermutationGroup(degree, [Permutation._unchecked(t) for t in seen],
-                            tagged)
+    return PermutationGroup([Permutation._unchecked(t) for t in seen],
+                            generators)
 
 
 @lru_cache(maxsize=8)
@@ -425,18 +422,10 @@ def symmetric_group(n: int) -> PermutationGroup:
         raise ValueError("symmetric_group needs n >= 1")
     elements = [Permutation(p) for p in itertools.permutations(range(n))]
     if n == 1:
-        gens: tuple = (("()", Permutation.identity(1)),)
-    elif n == 2:
-        gens = (("(0 1)", parse_cycles("(0 1)", 2)),)
-    else:
-        t = parse_cycles("(0 1)", n)
-        c = Permutation(list(range(1, n)) + [0])
-        gens = (("(0 1)", t), (c.cycle_string(), c))
-    return PermutationGroup(n, elements, gens)
-
-
-def _tagged(perms: Iterable[Permutation]) -> tuple[tuple[str, Permutation], ...]:
-    return tuple((p.cycle_string(), p) for p in perms)
+        return PermutationGroup(elements, (Permutation.identity(1),))
+    t = parse_cycles("(0 1)", n)
+    c = Permutation(list(range(1, n)) + [0])
+    return PermutationGroup(elements, (t,) if n == 2 else (t, c))
 
 
 def regular_action(group: PermutationGroup) -> tuple[
@@ -521,8 +510,8 @@ def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[Subgroup
 
 
 def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[PermutationGroup]:
-    """Every subgroup of G, from `subgroup_classes`, tagged with the
-    generators found for it and sorted by (order, element list), that
+    """Every subgroup of G, from `subgroup_classes`, generated by the
+    elements found for it and sorted by (order, element list), that
     is (order, ascending member indices).  The public form of
     `subgroup_classes`, one group per subgroup; the tests count
     subgroups with it."""
@@ -534,17 +523,17 @@ def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[Permutation
             for members, gens in subs]
 
 
-_BUILTIN_GENERATORS: dict[str, tuple[int, tuple[str, ...]]] = {
-    "c2": (2, ("(0 1)",)),
-    "c3": (3, ("(0 1 2)",)),
-    "c4": (4, ("(0 1 2 3)",)),
-    "c6": (6, ("(0 1 2 3 4 5)",)),
-    "v4": (4, ("(0 1)(2 3)", "(0 2)(1 3)")),
-    "s3": (3, ("(0 1)", "(0 1 2)")),
-    "s4": (4, ("(0 1)", "(0 1 2 3)")),
-    "s5": (5, ("(0 1)", "(0 1 2 3 4)")),
-    "d4": (4, ("(0 1 2 3)", "(0 2)")),
-    "q8": (8, ("(0 1 2 3)(4 5 6 7)", "(0 4 2 6)(1 7 3 5)")),
+_BUILTIN_GENERATORS: dict[str, tuple[str, ...]] = {
+    "c2": ("(0 1)",),
+    "c3": ("(0 1 2)",),
+    "c4": ("(0 1 2 3)",),
+    "c6": ("(0 1 2 3 4 5)",),
+    "v4": ("(0 1)(2 3)", "(0 2)(1 3)"),
+    "s3": ("(0 1)", "(0 1 2)"),
+    "s4": ("(0 1)", "(0 1 2 3)"),
+    "s5": ("(0 1)", "(0 1 2 3 4)"),
+    "d4": ("(0 1 2 3)", "(0 2)"),
+    "q8": ("(0 1 2 3)(4 5 6 7)", "(0 4 2 6)(1 7 3 5)"),
 }
 
 
@@ -560,9 +549,7 @@ def named_group(name: str, max_order: Optional[int] = None) -> PermutationGroup:
     if key not in _BUILTIN_GENERATORS:
         raise ValueError(f"unknown group name {name!r}; "
                          f"available: {', '.join(builtin_group_names())}")
-    degree, gen_texts = _BUILTIN_GENERATORS[key]
-    gens = [parse_cycles(t, degree) for t in gen_texts]
-    return closure(gens, tags=list(gen_texts), max_order=max_order)
+    return group_from_generator_lines(_BUILTIN_GENERATORS[key], max_order)
 
 
 def group_from_generator_lines(lines: Iterable[str],
@@ -574,23 +561,14 @@ def group_from_generator_lines(lines: Iterable[str],
     only "()" lines gives the trivial group of degree 1.  The closure
     stops with PreconditionError past max_order elements, if given.
     """
-    texts = []
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        texts.append(line)
+    texts = [line for line in map(str.strip, lines)
+             if line and not line.startswith("#")]
     if not texts:
         raise ValueError("no generator lines found")
-    max_point = -1
-    for t in texts:
-        for body in _CYCLE_RE.findall(t):
-            for tok in re.split(r"[\s,]+", body.strip()):
-                if tok:
-                    max_point = max(max_point, int(tok))
-                    if max_point >= MAX_DEGREE:
-                        raise ValueError(f"point {max_point} exceeds the cap: "
-                                         f"points run below {MAX_DEGREE}")
-    degree = max_point + 1 if max_point >= 0 else 1
-    gens = [parse_cycles(t, degree) for t in texts]
-    return closure(gens, tags=texts, max_order=max_order)
+    cycles = [_cycle_points(t) for t in texts]
+    degree = 1 + max([0, *(p for line in cycles for c in line for p in c)])
+    if degree > MAX_DEGREE:
+        raise ValueError(f"point {degree - 1} exceeds the cap: "
+                         f"points run below {MAX_DEGREE}")
+    gens = [_permutation_of(c, degree, t) for c, t in zip(cycles, texts)]
+    return closure(gens, max_order=max_order)

@@ -57,8 +57,7 @@ class MatrixGroup:
         tuple reproduces the matrix order: position i holds the
         translation by element i.  Only the generators are translated,
         |generators| * |G| matrix products: the translations form a group
-        isomorphic to G, so their closure gives the rest, and each
-        generator is tagged with its cycle string."""
+        isomorphic to G, so their closure gives the rest."""
         def translation(a: RationalMatrix) -> Permutation:
             return Permutation(self._index[a * x] for x in self.elements)
 
@@ -100,7 +99,7 @@ def matrix_group_from_perm_group(group: PermutationGroup) -> MatrixGroup:
     """Permutation matrices of a permutation group, acting on its own
     points.  For a cyclic shift on |G| points this is the regular
     representation; for S_n on n points it is the standard one."""
-    gens = group.generator_perms() or [group.identity]
+    gens = group.generators or (group.identity,)
     return matrix_closure([permutation_matrix(g) for g in gens])
 
 
@@ -108,7 +107,7 @@ def regular_matrix_group(group: PermutationGroup) -> MatrixGroup:
     """Left regular representation: |G| x |G| permutation matrices of the
     translation action of G on itself."""
     lams, _, _ = regular_action(group)
-    gens = [group.index[g.images] for g in group.generator_perms()] or [0]
+    gens = [group.index[g.images] for g in group.generators] or [0]
     return matrix_closure([permutation_matrix(lams[g]) for g in gens])
 
 

@@ -2,10 +2,10 @@
 
 `regular_subgroups` is the fiber search with no pruning: every element
 of each fiber is tried, at every level, and every regular subgroup is
-found, tagged with the fiber choices that found it.  The search in
+found, generated by the fiber choices that found it.  The search in
 `gamma` is the same search restricted to semiregular elements and
 pruned by the centralizer of its choices, so it must find the ones with
-a partner with the same tags in the same order.  `commuting_pairs` is
+a partner with the same generators in the same order.  `commuting_pairs` is
 the pair loop: every pair of regular subgroups is tested on their
 generators.  `is_regular` checks one subgroup directly.  Only sensible
 up to Gamma(S_4), where the search tries 6 288 closures.
@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Optional
 
 from birkhoffsym.errors import NotASubgroupError, PreconditionError
-from birkhoffsym.perm import PermutationGroup, _tagged
+from birkhoffsym.perm import PermutationGroup
 
 # The unpruned search is exponential in the degree, so it keeps a bound
 # of its own: Gamma(S_4), 24 points and 1 152 elements, is its largest.
@@ -24,8 +24,8 @@ REGULAR_MAX_ORDER = 1500
 
 
 def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
-    """All sharply transitive (regular) subgroups of G, each tagged with
-    the fiber choices that found it, which generate it.  G may have
+    """All sharply transitive (regular) subgroups of G, each generated by
+    the fiber choices that found it.  G may have
     degree at most REGULAR_MAX_DEGREE and order at most REGULAR_MAX_ORDER.
 
     A regular subgroup U has exactly one element sending point 0 to each
@@ -89,8 +89,8 @@ def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
 
     extend(frozenset({tuple(range(m))}), [])
     perm_of = {p.images: p for p in group.elements}
-    subs = [PermutationGroup(m, [perm_of[w] for w in members],
-                             _tagged(perm_of[g] for g in gens))
+    subs = [PermutationGroup([perm_of[w] for w in members],
+                             tuple(perm_of[g] for g in gens))
             for members, gens in results]
     subs.sort(key=lambda h: tuple(p.images for p in h.elements))
     return subs
@@ -110,7 +110,7 @@ def commuting_pairs(regs: list[PermutationGroup]
     """Every pair regs[a], regs[b] with a <= b whose generators commute,
     in the order (a, b)."""
     # (x, w -> w * x) per generator, so x * y == y * x reads my(x) == mx(y)
-    gens = [[(p.images, itemgetter(*p.images)) for p in u.generator_perms()]
+    gens = [[(p.images, itemgetter(*p.images)) for p in u.generators]
             for u in regs]
     pairs = []
     for a in range(len(regs)):

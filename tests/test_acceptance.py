@@ -12,8 +12,7 @@ from birkhoffsym.cd import cd_lattice, verify_centralizer_estimate
 from birkhoffsym.gamma import (build_gamma, commuting_regular_pairs,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
-from birkhoffsym.perm import (PermutationGroup, _tagged, named_group,
-                              regular_action)
+from birkhoffsym.perm import PermutationGroup, named_group, regular_action
 from birkhoffsym.reppoly import (load_exceptional_c6,
                                  matrix_group_from_perm_group,
                                  uniqueness_check, verify_gamma_acts)
@@ -111,10 +110,9 @@ def test_criterion_06_gamma_order_formula():
 
 
 def lambda_and_rho(group):
-    """lambda(G) and rho(G), each tagged with all its elements."""
+    """lambda(G) and rho(G), each generated by all its elements."""
     lams, rhos, _ = regular_action(group)
-    return (PermutationGroup(group.order, lams, _tagged(lams)),
-            PermutationGroup(group.order, rhos, _tagged(rhos)))
+    return PermutationGroup(lams, lams), PermutationGroup(rhos, rhos)
 
 
 def test_criterion_07_commuting_regular_pairs():

@@ -337,6 +337,57 @@ def test_uniqueness_cli(capsys):
     assert "c6_exceptional" in names and "s3_standard" in names
 
 
+LONG = "9" * 5000  # more digits than int() converts by default
+LONG_SHOWN = "'999999999999999999999999'... (5000 characters)"
+NOT_INTEGERS = [("x", "'x'"), ("1.0", "'1.0'"), (LONG, LONG_SHOWN)]
+NOT_INTEGER_IDS = ["letter", "decimal", "5000-digits"]
+
+
+def refused_naming(capsys, argv, path, text, shown):
+    # exit 3, the offending token named (cut short), no Python internal
+    path.write_text(text)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and shown in err, err
+    assert "invalid literal" not in err and "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize("token, shown", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_group_file_refuses_a_point_that_is_no_integer(tmp_path, capsys,
+                                                       token, shown):
+    path = tmp_path / "group.txt"
+    refused_naming(capsys, ["cd-lattice", "--group", str(path)], path,
+                   f"(0 1)\n(0 {token})\n", shown)
+
+
+@pytest.mark.parametrize("token, shown", NOT_INTEGERS, ids=NOT_INTEGER_IDS)
+def test_alpha_file_refuses_an_image_that_is_no_integer(tmp_path, capsys,
+                                                        token, shown):
+    path = tmp_path / "alpha.txt"
+    refused_naming(capsys, ["decompose", "3", str(path)], path,
+                   f"0\n1\n2\n3\n4\n{token}\n", shown)
+
+
+@pytest.mark.parametrize("cell, shown", [
+    ('"x"', "'x'"), ('"1.0"', "'1.0'"), (f'"{LONG}"', LONG_SHOWN),
+    (LONG, LONG_SHOWN)], ids=NOT_INTEGER_IDS + ["5000-digit-number"])
+def test_hull_cell_that_is_no_rational_is_refused(tmp_path, capsys, cell,
+                                                  shown):
+    path = tmp_path / "vertices.json"
+    refused_naming(capsys, ["hull", str(path)], path,
+                   f'{{"vertices": [["0"], [{cell}]]}}', shown)
+
+
+@pytest.mark.parametrize("cell, shown", [
+    ('"x"', "'x'"), ('"1/1.5"', "'1/1.5'"), (f'"{LONG}"', LONG_SHOWN),
+    (LONG, LONG_SHOWN)], ids=NOT_INTEGER_IDS + ["5000-digit-number"])
+def test_matrix_cell_that_is_no_rational_is_refused(tmp_path, capsys, cell,
+                                                    shown):
+    path = tmp_path / "group.json"
+    refused_naming(capsys, ["rep-polytope", "--group", str(path)], path,
+                   f'{{"dim": 1, "generators": [[[{cell}]]]}}', shown)
+
+
 def test_hull_cli(tmp_path, capsys):
     path = tmp_path / "square.json"
     path.write_text(json.dumps(
@@ -461,15 +512,14 @@ def test_broken_certificates_exit_4(tmp_path, capsys, monkeypatch):
 
 
 def test_tags_that_do_not_generate_the_group_exit_4(capsys, monkeypatch):
-    # a group whose tags generate a proper subgroup has no table to read
+    # a group whose generators give a proper subgroup has no table to read
     close = perm.closure
 
-    def first_tag_only(generators, tags=None, max_order=None):
-        group = close(generators, tags, max_order)
-        return perm.PermutationGroup(group.degree, group.elements,
-                                     group.generators[:1])
+    def first_generator_only(generators, max_order=None):
+        group = close(generators, max_order)
+        return perm.PermutationGroup(group.elements, group.generators[:1])
 
-    monkeypatch.setattr(perm, "closure", first_tag_only)
+    monkeypatch.setattr(perm, "closure", first_generator_only)
     assert main(["cd-lattice", "--group", "s3"]) == 4
     assert "do not generate" in capsys.readouterr().err
 

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from birkhoffsym.cli import main
 
 FUZZ = settings(max_examples=60, deadline=None)
-PYTHON_INTERNALS = ("range()", "object of type", "argument of type")
+PYTHON_INTERNALS = ("range()", "object of type", "argument of type",
+                    "invalid literal", "Exceeds the limit")
 
 
 def run_on_file(tmp_path_factory, argv_of, text):

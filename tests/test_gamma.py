@@ -16,18 +16,17 @@ from birkhoffsym.gamma import (automorphisms, build_gamma,
                                is_elementary_abelian_2,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
-from birkhoffsym.perm import (Permutation, PermutationGroup, _tagged,
-                              named_group, all_subgroups, closure,
+from birkhoffsym.perm import (Permutation, PermutationGroup, named_group,
+                              all_subgroups, closure,
                               group_from_generator_lines, parse_cycles,
                               regular_action)
 
 
 def translation_subgroups(group):
     """lambda(G), rho(G) and iota, the pieces Gamma(G) is generated from;
-    each translation group is tagged with all its elements."""
+    each translation group is generated by all its elements."""
     lams, rhos, iota = regular_action(group)
-    return (PermutationGroup(group.order, lams, _tagged(lams)),
-            PermutationGroup(group.order, rhos, _tagged(rhos)), iota)
+    return PermutationGroup(lams, lams), PermutationGroup(rhos, rhos), iota
 
 
 def test_translations_are_actions():
@@ -53,7 +52,7 @@ def test_inversion_conjugates_left_to_right():
 
 def test_wreath_on_a_centralizer():
     # C_{S_5}((0 1)) = <(0 1)> x Sym{2,3,4} has order 12 and centre
-    # <(0 1)>: Gamma has order 2 * 144 / 2; with generator tags that missed
+    # <(0 1)>: Gamma has order 2 * 144 / 2; with generators that missed
     # (0 1) it came out 72
     c = closure([parse_cycles(t, 5) for t in ("(0 1)", "(2 3)", "(2 3 4)")])
     assert c.order == 12
@@ -105,9 +104,13 @@ def test_gamma_s3_structure():
 
 
 def test_build_gamma_tags():
-    gamma = build_gamma(named_group("s3"))
-    assert [tag for tag, _ in gamma.generators] == [
-        "lambda[(0 1)]", "rho[(0 1)]", "lambda[(0 1 2)]", "rho[(0 1 2)]", "inv"]
+    # lambda_g, rho_g for each generator g of S_3 in turn, then iota
+    s3 = named_group("s3")
+    lams, rhos, iota = regular_action(s3)
+    swap, turn = (s3.index[parse_cycles(t, 3).images]
+                  for t in ("(0 1)", "(0 1 2)"))
+    assert build_gamma(s3).generators == (
+        lams[swap], rhos[swap], lams[turn], rhos[turn], iota)
 
 
 def test_build_gamma_size_cap():
@@ -191,18 +194,19 @@ def test_gamma_regular_subgroup_counts(name, count):
 def test_gamma_s4_regular_subgroup_tags_generate_them():
     _, regs = gamma_and_regulars("s4")
     for u in regs:
-        assert closure(u.generator_perms()) == u
+        assert closure(u.generators) == u
 
 
 def listed(groups):
-    """Elements and tags of each group, in order: what `==` on groups
-    does not compare."""
+    """Elements and generators of each group, in order: what `==` on
+    groups does not compare."""
     return [(u.elements, u.generators) for u in groups]
 
 
 def assert_matches_oracle(gamma, regs):
     """The commuting pairs are the list the pair loop gives on the regular
-    subgroups `regs` of the unpruned search, tags and order included."""
+    subgroups `regs` of the unpruned search, generators and order
+    included."""
     assert (listed(sum(commuting_regular_pairs(gamma), ()))
             == listed(sum(regular_oracle.commuting_pairs(list(regs)), ())))
 
@@ -332,9 +336,9 @@ def test_commuting_pairs_build_groups_only_for_the_pair(monkeypatch):
     built = []
     original = PermutationGroup.__init__
 
-    def counting(self, degree, elements, generators=()):
+    def counting(self, elements, generators):
         built.append(len(elements))
-        original(self, degree, elements, generators)
+        original(self, elements, generators)
 
     monkeypatch.setattr(PermutationGroup, "__init__", counting)
     ((u, v),) = commuting_regular_pairs(gamma)

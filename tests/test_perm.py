@@ -126,10 +126,11 @@ def test_permutation_rejects_non_bijection():
 def test_group_constructor_sorts_and_requires_identity():
     g = symmetric_group(3)
     assert g.elements[0].is_identity()
-    assert list(g.elements) == sorted(g.elements)
+    images = [p.images for p in g.elements]
+    assert images == sorted(images)
     t = parse_cycles("(0 1)", 3)
     with pytest.raises(ValueError):
-        PermutationGroup(3, [t], [("(0 1)", t)])
+        PermutationGroup([t], (t,))
 
 
 def test_closure_matches_itertools_for_s3_s4():
@@ -145,17 +146,6 @@ def test_closure_cap():
     gens = [parse_cycles("(0 1)", 5), parse_cycles("(0 1 2 3 4)", 5)]
     with pytest.raises(PreconditionError):
         closure(gens, max_order=100)
-
-
-def test_closure_refuses_a_tag_list_of_another_length():
-    # a short tag list used to drop the untagged generators from the
-    # group's generators while the elements still came from all of them
-    gens = [parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)]
-    for tags in (["t"], ["a", "b", "c"]):
-        with pytest.raises(ValueError):
-            closure(gens, tags=tags)
-    assert closure(gens, tags=["a", "b"]).generators == (("a", gens[0]),
-                                                        ("b", gens[1]))
 
 
 def test_saturate_gives_orbits_and_stops_at_the_cap():
@@ -348,8 +338,8 @@ def test_all_subgroups_match_pair_closure_oracle(group):
     want = sorted(pair_closure_subgroups(group), key=lambda e: (len(e), e))
     assert _element_lists(subs) == want
     for h in subs:
-        tags = h.generator_perms() or [h.identity]
-        assert closure(tags).elements == h.elements
+        gens = h.generators or (h.identity,)
+        assert closure(gens).elements == h.elements
 
 
 def test_subgroup_classes_are_conjugacy_classes():
@@ -389,13 +379,13 @@ def test_subgroup_closure_calls_are_pinned(monkeypatch):
 
 
 def test_all_subgroups_ignore_the_hash_seed():
-    # set iteration order changes with PYTHONHASHSEED; subgroups and tags
-    # must not
+    # set iteration order changes with PYTHONHASHSEED; subgroups and
+    # their generators must not
     code = ("from birkhoffsym.perm import all_subgroups, named_group\n"
             "for name in ('s4', 'd4'):\n"
             "    for h in all_subgroups(named_group(name)):\n"
             "        print(h.order, [p.images for p in h.elements],"
-            " [t for t, _ in h.generators])\n")
+            " [g.images for g in h.generators])\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = set()
     for seed in ("1", "2", "3"):
@@ -429,7 +419,7 @@ def test_centralizer_hand_cases():
 def test_subgroup_from_indices_tags_generate_it():
     s4 = symmetric_group(4)
     for u in regular_subgroups(s4):
-        assert closure(u.generator_perms()).order == u.order
+        assert closure(u.generators).order == u.order
 
 
 def constructed_groups() -> list[tuple[str, PermutationGroup]]:
@@ -460,9 +450,9 @@ CONSTRUCTED_GROUPS = constructed_groups()
 @pytest.mark.parametrize("group", [g for _, g in CONSTRUCTED_GROUPS],
                          ids=[label for label, _ in CONSTRUCTED_GROUPS])
 def test_every_constructed_group_is_generated_by_its_tags(group):
-    # the trivial group may carry no tags; every other one carries its own
-    # generating set
-    assert closure(group.generator_perms() or [group.identity]) == group
+    # the trivial group may carry no generators; every other one carries
+    # its own generating set
+    assert closure(group.generators or (group.identity,)) == group
 
 
 def test_indexed_group_table():
@@ -510,17 +500,16 @@ def test_cayley_graph_table_of_gamma_s4_at_random_entries():
 
 
 def test_table_refuses_tags_that_do_not_generate_the_group():
-    # the table is read along the tags' Cayley graph, so tags generating
-    # a proper subgroup, or a tag outside the group, break its certificate
+    # the table is read along the generators' Cayley graph, so generators
+    # of a proper subgroup, or one outside the group, break its certificate
     s3 = named_group("s3")
     swap, turn = parse_cycles("(0 1)", 3), parse_cycles("(0 1 2)", 3)
-    proper = PermutationGroup(3, s3.elements, [("(0 1)", swap)])
+    proper = PermutationGroup(s3.elements, (swap,))
     with pytest.raises(InvariantError, match="do not generate"):
         proper.table
     assert proper._table is None  # no partial table is kept
     c3 = named_group("c3")
-    outside = PermutationGroup(3, c3.elements,
-                               [("(0 1 2)", turn), ("(0 1)", swap)])
+    outside = PermutationGroup(c3.elements, (turn, swap))
     with pytest.raises(InvariantError, match="outside the element list"):
         outside.table
 
@@ -606,7 +595,7 @@ def test_regular_subgroups_degree_one_and_c2():
     c2 = named_group("c2")
     (u,) = regular_subgroups(c2)
     assert u == c2
-    assert u.generator_perms() == [parse_cycles("(0 1)", 2)]
+    assert u.generators == (parse_cycles("(0 1)", 2),)
 
 
 def test_is_regular_negative():

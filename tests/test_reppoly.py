@@ -184,11 +184,12 @@ def test_load_exceptional_c6():
 
 
 def test_element_group_feeds_gamma():
-    # generators come out as (cycle string, permutation) pairs, the shape
-    # build_gamma and generator_perms read
-    eg = load_exceptional_c6().element_group()
-    assert [tag for tag, _ in eg.generators] == [
-        p.cycle_string() for p in eg.generator_perms()]
+    # one generator per matrix generator, its left translation, which
+    # sends the identity at index 0 to that matrix's index
+    mgroup = load_exceptional_c6()
+    eg = mgroup.element_group()
+    assert [p(0) for p in eg.generators] == [
+        mgroup.elements.index(g) for g in mgroup.generators]
     r = verify_wreath_quotient(eg)
     assert r.passed
     assert r.actual_order == 12  # abelian of order 6: 2 * 36 / 6
@@ -202,10 +203,8 @@ def every_translation(mgroup):
     def translation(a):
         return Permutation(index[a * x] for x in mgroup.elements)
 
-    return PermutationGroup(mgroup.order,
-                            [translation(a) for a in mgroup.elements],
-                            [(t.cycle_string(), t) for t in
-                             map(translation, mgroup.generators)])
+    return PermutationGroup([translation(a) for a in mgroup.elements],
+                            tuple(map(translation, mgroup.generators)))
 
 
 def test_element_group_is_the_group_of_all_translations():
