@@ -119,8 +119,6 @@ def _plan(inc_p: IncidenceStructure,
         return None
     rows_p = inc_p.tight_sets
     rows_q = inc_q.tight_sets
-    if len(set(rows_p)) != len(rows_p) or len(set(rows_q)) != len(rows_q):
-        return None
     if sorted(len(r) for r in rows_p) != sorted(len(r) for r in rows_q):
         return None
     colors_p, colors_q = _refined_colors([inc_p, inc_q])
@@ -133,13 +131,10 @@ def _plan(inc_p: IncidenceStructure,
                   for facets in inc_q.vertex_facets]
     qrows_without = [full_mask ^ m for m in qrows_with]
 
-    size_mask = {}
+    size_mask: dict[int, int] = {}
     for fi, row in enumerate(rows_q):
-        size_mask.setdefault(len(row), 0)
-        size_mask[len(row)] |= 1 << fi
-    init_cand = [size_mask.get(len(row), 0) for row in rows_p]
-    if not all(init_cand) and nf > 0:
-        return None
+        size_mask[len(row)] = size_mask.get(len(row), 0) | 1 << fi
+    init_cand = [size_mask[len(row)] for row in rows_p]
 
     # static assignment order: grow along shared facets for early pruning
     order: list[int] = []
@@ -218,53 +213,26 @@ def _search(plan: _Plan, prefix: Sequence[int] = ()) -> Optional[tuple[int, ...]
     return tuple(image) if recurse(len(prefix), cand) else None
 
 
-class AutomorphismGroup:
-    """The combinatorial automorphism group of an incidence, held as a
-    stabilizer chain: the base points, their basic orbit lengths and a
-    strong generating set.  Membership is tested on the incidence itself,
-    so no element list is ever built."""
-
-    __slots__ = ("degree", "base", "orbit_lengths", "generators", "_rows")
-
-    def __init__(self, degree: int, base: Sequence[int],
-                 orbit_lengths: Sequence[int],
-                 generators: Sequence[Permutation],
-                 rows: Sequence[frozenset[int]]):
-        self.degree = degree
-        self.base = tuple(base)
-        self.orbit_lengths = tuple(orbit_lengths)
-        self.generators = tuple(generators)
-        self._rows = frozenset(rows)
+class Automorphisms(NamedTuple):
+    """What the search proves of the automorphism group: basic orbit
+    lengths and strong generators (membership is `preserved_by`)."""
+    orbit_lengths: tuple[int, ...]
+    generators: tuple[Permutation, ...]
 
     @property
     def order(self) -> int:
         return prod(self.orbit_lengths)
 
-    def __contains__(self, p: Permutation) -> bool:
-        """True iff p maps every tight set onto a tight set (and so, being
-        a bijection, the set of tight sets onto itself)."""
-        rows = self._rows
-        return (p.degree == self.degree
-                and all(frozenset(p(v) for v in row) in rows for row in rows))
 
-    def __repr__(self) -> str:
-        return (f"AutomorphismGroup(degree={self.degree}, order={self.order}, "
-                f"orbit_lengths={list(self.orbit_lengths)})")
-
-
-def comb_automorphisms(inc: IncidenceStructure) -> AutomorphismGroup:
-    """The group of all vertex permutations preserving the incidence, as a
-    stabilizer chain with strong generators (see the module docstring for
-    why the orbit pruning loses nothing).  Raises ValueError on duplicate
-    tight sets, and InvariantError if a strong generator found by the
-    search does not preserve the incidence."""
-    rows = inc.tight_sets
-    if len(set(rows)) != len(rows):
-        raise ValueError("not a polytope incidence")
+def comb_automorphisms(inc: IncidenceStructure) -> Automorphisms:
+    """The group of all vertex permutations preserving the incidence, as
+    basic orbit lengths and strong generators (see the module docstring
+    for why the orbit pruning loses nothing).  Raises InvariantError if a
+    strong generator found by the search does not preserve the
+    incidence."""
     n = inc.n_vertices
     plan = _plan(inc, inc)
     order = plan.order
-    base: list[int] = []
     orbit_lengths: list[int] = []
     witnesses: list[tuple[int, ...]] = []
     seeds = [0] * n
@@ -285,14 +253,12 @@ def comb_automorphisms(inc: IncidenceStructure) -> AutomorphismGroup:
             if witness is not None:
                 level.append(witness)
                 orbit = saturate([b], [g.__getitem__ for g in level])
-        base.append(b)
         orbit_lengths.append(len(orbit))
         witnesses.extend(level)
-    group = AutomorphismGroup(n, base, orbit_lengths,
-                              [Permutation(g) for g in witnesses], rows)
-    if not all(g in group for g in group.generators):
+    if not all(map(inc.preserved_by, witnesses)):
         raise InvariantError("a generator does not preserve the incidence")
-    return group
+    return Automorphisms(tuple(orbit_lengths),
+                         tuple(map(Permutation, witnesses)))
 
 
 def comb_equivalent(inc_p: IncidenceStructure,

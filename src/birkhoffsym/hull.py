@@ -40,6 +40,7 @@ rank is taken after the double description.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from math import lcm
@@ -65,13 +66,17 @@ class IncidenceStructure:
     """Vertex-facet incidence with the geometry stripped: `tight_sets`,
     the vertices on each facet as frozensets in facet order, and
     `vertex_facets`, the facets through each vertex in increasing order.
-    A vertex outside 0..n_vertices-1 raises ValueError."""
+    A vertex outside 0..n_vertices-1 raises ValueError, and two equal
+    tight sets InvariantError: distinct facets have distinct ones, so the
+    hull that built them is at fault.  `preserved_by` tests a symmetry."""
 
     __slots__ = ("n_vertices", "tight_sets", "vertex_facets")
 
     def __init__(self, n_vertices: int, tight_sets: Iterable[Iterable[int]]):
         self.n_vertices = n_vertices
         self.tight_sets = tuple(map(frozenset, tight_sets))
+        if len(set(self.tight_sets)) != len(self.tight_sets):
+            raise InvariantError("two facets share a tight vertex set")
         vertex_facets = [[] for _ in range(n_vertices)]
         for fi, tight in enumerate(self.tight_sets):
             for v in tight:
@@ -84,6 +89,13 @@ class IncidenceStructure:
     @property
     def n_facets(self) -> int:
         return len(self.tight_sets)
+
+    def preserved_by(self, images: Sequence[int]) -> bool:
+        """Whether v -> images[v] permutes the vertices and the tight
+        sets: whether it is a combinatorial symmetry."""
+        rows = set(self.tight_sets)
+        return sorted(images) == list(range(self.n_vertices)) and rows == {
+            frozenset(map(images.__getitem__, row)) for row in rows}
 
 
 class Polytope:
@@ -301,8 +313,6 @@ def _facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
         if not tight:
             raise InvariantError("facet tight at no vertex")
         tight_sets.append(frozenset(tight))
-    if len(set(tight_sets)) != len(tight_sets):
-        raise InvariantError("two facets share a tight vertex set")
     return Polytope(ambient, scaled, scale,
                     [Facet(f[:-1], f[-1]) for f in packed],
                     IncidenceStructure(n, tight_sets), d)
@@ -355,8 +365,15 @@ def polytope_from_document(doc: dict) -> tuple[list[tuple[int, ...]], int]:
 def polytope_to_document(polytope: Polytope) -> dict:
     """The hull as a JSON-ready document, every number written from the
     integers: a point coordinate as x / scale, a facet as its primitive
-    inequality."""
+    inequality; PreconditionError if one is too long for `str`."""
     scale = polytope.scale
+    try:
+        facets = [{"normal": list(map(str, f.normal)), "offset": str(f.offset)}
+                  for f in polytope.facets]
+    except ValueError:
+        raise PreconditionError(
+            f"a facet integer exceeds the {sys.get_int_max_str_digits()}"
+            f"-digit limit of integer output") from None
     return {
         "inequality_convention": "normal.x <= offset",
         "ambient_dim": polytope.ambient_dim,
@@ -365,8 +382,7 @@ def polytope_to_document(polytope: Polytope) -> dict:
         "n_facets": polytope.n_facets,
         "vertices": [[_format_over(x, scale) for x in row]
                      for row in polytope.rows],
-        "facets": [{"normal": list(map(str, f.normal)), "offset": str(f.offset)}
-                   for f in polytope.facets],
+        "facets": facets,
         "incidence": [[int(v in tight) for v in range(polytope.n_vertices)]
                       for tight in polytope.incidence.tight_sets],
     }

@@ -50,13 +50,25 @@ from .exact import _integers, _shown
 MAX_DEGREE = 4096  # points 0..MAX_DEGREE-1 are the most cycle notation may name
 
 
+def _not_a_permutation(images: tuple) -> str:
+    """The error text for an image tuple that is no bijection: its first
+    repeated or out-of-range image and first missing point, not all."""
+    points = range(len(images))
+    first = {x: i for i, x in reversed(list(enumerate(images)))}
+    at = next(i for i, x in enumerate(images) if x not in points or first[x] < i)
+    fault = "repeats" if images[at] in points else "is out of range"
+    return (f"not a permutation of 0..{len(images) - 1}: image "
+            f"{_shown(str(images[at]))} at position {at} {fault}, point "
+            f"{min(set(points) - first.keys())} is missing")
+
+
 class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
+            raise ValueError(_not_a_permutation(images))
         object.__setattr__(self, "images", images)
 
     @classmethod

@@ -4,8 +4,9 @@ A finite group of invertible rational d x d matrices is vectorized
 row-major into Q^(d^2); the convex hull of the element vectors is the
 representation polytope.  The left and right translation actions of the
 group permute the vertices linearly, so they always appear in the
-combinatorial symmetry group of the polytope; inversion is checked and
-reported separately since it need not be an affine map of the hull.
+combinatorial symmetry group of the polytope.  So does inversion: G
+preserves the positive definite form B = sum of g^T g over G, so
+g^-1 = B^-1 g^T B, a linear map of g.
 
 The uniqueness question asks which representation polytopes are
 combinatorially equivalent to the hull B_n of all n x n permutation
@@ -35,7 +36,7 @@ class MatrixGroup:
     """A finite matrix group with a fixed element order: the identity
     first, the rest sorted by entry tuple."""
 
-    __slots__ = ("dim", "elements", "generators", "_index")
+    __slots__ = ("dim", "elements", "generators")
 
     def __init__(self, dim: int, elements: list[RationalMatrix],
                  generators: list[RationalMatrix]):
@@ -44,7 +45,6 @@ class MatrixGroup:
         self.generators = list(generators)
         if not self.elements or not self.elements[0].is_identity():
             raise ValueError("element list must start with the identity")
-        self._index = {m: i for i, m in enumerate(self.elements)}
 
     @property
     def order(self) -> int:
@@ -58,8 +58,10 @@ class MatrixGroup:
         translation by element i.  Only the generators are translated,
         |generators| * |G| matrix products: the translations form a group
         isomorphic to G, so their closure gives the rest."""
+        index = {m: i for i, m in enumerate(self.elements)}
+
         def translation(a: RationalMatrix) -> Permutation:
-            return Permutation(self._index[a * x] for x in self.elements)
+            return Permutation(index[a * x] for x in self.elements)
 
         return closure([translation(g) for g in self.generators])
 
@@ -146,24 +148,27 @@ class GammaActsReport:
 
 
 def verify_gamma_acts(mgroup: MatrixGroup) -> GammaActsReport:
-    """Check that every left and every right translation of the element
-    set is a combinatorial symmetry of the representation polytope.
-    Inversion is checked too but reported separately: it preserves the
-    hull only for special representations.  The vertex maps are the
-    regular action of the element group, whose element order is the
-    matrix order: left translations x -> g x, right translations
-    x -> x g^-1, and inversion x -> x^-1."""
-    aut = comb_automorphisms(representation_polytope(mgroup).incidence)
-    lams, rhos, iota = regular_action(mgroup.element_group())
-    lambda_pass = all(p in aut for p in lams)
-    rho_pass = all(p in aut for p in rhos)
-    iota_in = iota in aut
+    """Check that every left translation x -> g x and every right
+    translation x -> x g^-1 of the element set is a combinatorial
+    symmetry of the representation polytope, and report inversion
+    x -> x^-1 apart.  The symmetries form a group and g -> lambda_g,
+    g -> rho_g are homomorphisms, so G's generators g decide: 2 |gens| + 1
+    maps on the element group, whose elements are in matrix order.
+    lambda_g is its generator for g, iota its inverse positions, and
+    rho_g = iota lambda_g iota, as (g x^-1)^-1 = x g^-1."""
+    inc = representation_polytope(mgroup).incidence
+    group = mgroup.element_group()
+    iota = group.inv
+    lams = [g.images for g in group.generators]
+    lambda_pass = all(map(inc.preserved_by, lams))
+    rho_pass = all(inc.preserved_by([iota[lam[y]] for y in iota])
+                   for lam in lams)
     return GammaActsReport(
         group_order=mgroup.order,
-        aut_order=aut.order,
+        aut_order=comb_automorphisms(inc).order,
         lambda_pass=lambda_pass,
         rho_pass=rho_pass,
-        iota_in_group=iota_in,
+        iota_in_group=inc.preserved_by(iota),
         passed=lambda_pass and rho_pass,
     )
 

@@ -5,7 +5,8 @@ all linear algebra is sympy, and the algorithm is the naive one: try
 every hyperplane spanned by input subsets, keep those with all points on
 one side.  Only sensible at toy scale (n <= 8 points, affine dimension
 <= 3).  `validate_polytope` checks a finished hull's invariants the
-same way, in Fraction and sympy.
+same way, in Fraction and sympy, and `maps_rows_onto_rows` tests one
+vertex map against a set of tight sets directly.
 
 `fraction_facet_enumeration` is the package's double description as it
 ran on Fractions before it moved to integers; it borrows only the
@@ -239,6 +240,12 @@ def same_polytope(got, want) -> bool:
             and (got.rows, got.scale) == (want.rows, want.scale)
             and all(type(x) is int for f in got.facets
                     for x in f.normal + (f.offset,)))
+
+
+def maps_rows_onto_rows(images, rows):
+    """Whether the vertex map v -> images[v] sends the set of tight sets
+    `rows` onto itself: the symmetry test, written out for each map."""
+    return {frozenset(images[v] for v in row) for row in rows} == rows
 
 
 def with_duplicates_and_interior_points(rng, pts):

@@ -362,7 +362,7 @@ def test_verify_symmetry_group_counts_failing_generators(monkeypatch):
     def one_bad_generator(inc):
         aut = real(inc)
         # swapping the first two vertices maps A_11 onto no A_kl
-        swap = Permutation([1, 0] + list(range(2, aut.degree)))
+        swap = Permutation([1, 0] + list(range(2, inc.n_vertices)))
         return SimpleNamespace(order=aut.order,
                                generators=(swap,) + aut.generators[1:])
 

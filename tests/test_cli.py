@@ -21,6 +21,7 @@ import pytest
 from birkhoffsym import cli, combiso, gamma, hull, perm, reppoly
 from birkhoffsym.birkhoff import SymmetryDecomposition
 from birkhoffsym.cli import main
+from birkhoffsym.errors import PreconditionError
 from birkhoffsym.exact import RationalMatrix
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
                               polytope_to_document)
@@ -121,6 +122,22 @@ def test_decompose_bad_alpha_length(tmp_path, capsys):
     path = tmp_path / "short.txt"
     path.write_text("0\n1\n2\n")
     assert main(["decompose", "3", "--alpha", str(path)]) == 3
+
+
+@pytest.mark.parametrize("images, named", [
+    ([0] * 120, "image '0' at position 1 repeats, point 1 is missing"),
+    (list(range(119)) + [120],
+     "image '120' at position 119 is out of range, point 119 is missing")],
+    ids=["repeated", "out-of-range"])
+def test_decompose_names_the_fault_of_an_alpha_that_is_no_bijection(
+        tmp_path, capsys, images, named):
+    # one repeated or out-of-range image and one missing point are named,
+    # not the whole image list
+    path = tmp_path / "alpha.txt"
+    path.write_text("\n".join(map(str, images)))
+    assert main(["decompose", "5", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"invalid input: not a permutation of 0..119: {named}\n"
 
 
 def test_decompose_needs_alpha_or_identity(capsys):
@@ -428,6 +445,28 @@ def test_hull_cli_refuses_large_inputs(tmp_path, capsys):
                       for i in range(12)]}))
     assert main(["hull", str(simplex)]) == 3
     assert "exceeds hull bound 10" in capsys.readouterr().err
+
+
+def test_hull_cli_refuses_a_facet_past_the_integer_output_limit(tmp_path,
+                                                                 capsys):
+    # a quadrilateral with coordinates +-1/q, six odd q of 1 500 digits:
+    # the input is read and hulled, but a facet integer has more digits
+    # than Python writes as text, so the document is refused as such
+    rng = random.Random(1500)
+    q = [rng.randrange(10 ** 1499, 10 ** 1500) | 1 for _ in range(6)]
+    path = tmp_path / "quadrilateral.json"
+    path.write_text(json.dumps({"vertices": [
+        [f"1/{q[0]}", f"1/{q[1]}"], [f"-1/{q[2]}", f"1/{q[3]}"],
+        [f"-1/{q[4]}", f"-1/{q[5]}"], [f"1/{q[0]}", f"-1/{q[1]}"]]}))
+    assert main(["hull", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("precondition violated: a facet integer exceeds the "
+                   "4300-digit limit of integer output\n")
+    rows, scale = polytope_from_document(json.loads(path.read_text()))
+    polytope = facet_enumeration(rows, scale)
+    assert polytope.n_facets == 4
+    with pytest.raises(PreconditionError, match="4300-digit limit"):
+        polytope_to_document(polytope)
 
 
 def test_hull_cli_refuses_too_many_points_before_reading_a_cell(tmp_path,

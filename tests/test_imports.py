@@ -16,13 +16,23 @@ which reads module-level imports only.  So is a reference module
 it, so nothing else would notice it going unused.  And so is a defaulted
 parameter of a package function that no package call passes, by keyword
 or by position: a knob only its default ever sets is kept only when
-KEPT_PARAMETERS lists it, with the reason it stays."""
+KEPT_PARAMETERS lists it, with the reason it stays.
+
+Last, the bench's traced rounds read a work counter off the results of
+some package functions (`RESULT_COUNTERS` in `bench/spans.py`).  Each
+extractor is applied here to a real result of the function it names, so
+a changed return type fails a test, not a traced round."""
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from birkhoffsym.exact import RationalMatrix
+from birkhoffsym.hull import IncidenceStructure
+from birkhoffsym.perm import named_group
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "birkhoffsym"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -382,3 +392,30 @@ def test_detects_a_parameter_no_call_passes():
                      "C.n(1)\n")
     assert unset_parameters({"m": tree}) == [
         "m.f(c)", "m.f(d)", "m.C.__init__(q)", "m.C.m(s)", "m.C.n(u)"]
+
+
+SPANS = PACKAGE.parent.parent / "bench" / "spans.py"
+
+# For each function RESULT_COUNTERS names: arguments of one call, and the
+# counter its extractor reads off the result.
+SQUARE = IncidenceStructure(4, [{0, 1}, {1, 2}, {2, 3}, {3, 0}])
+COUNTER_CALLS = {
+    "hull.facet_enumeration": ([[(0, 0), (1, 0), (1, 1), (0, 1)]], 4),
+    "combiso.comb_automorphisms": ([SQUARE], 8),
+    "combiso.comb_equivalent": ([SQUARE, SQUARE], 1),
+    "perm.closure": ([named_group("s3").generators], 6),
+    "perm.all_subgroups": ([named_group("s3")], 6),
+    "reppoly.matrix_closure": ([[RationalMatrix(2, 2, [0, -1, 1, 0], 1)]], 4),
+}
+
+
+def test_bench_result_counters_read_real_results():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.RESULT_COUNTERS.keys() == COUNTER_CALLS.keys()
+    for name, (_, extract) in spans.RESULT_COUNTERS.items():
+        layer, function = name.split(".")
+        args, want = COUNTER_CALLS[name]
+        module = importlib.import_module(f"birkhoffsym.{layer}")
+        assert extract(getattr(module, function)(*args)) == want, name

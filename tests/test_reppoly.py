@@ -10,12 +10,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoffsym import cli
+from birkhoffsym import cli, reppoly
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.exact import RationalMatrix, _common_form
 from birkhoffsym.combiso import comb_equivalent
 from birkhoffsym.birkhoff import verify_symmetry_group
-from birkhoffsym.hull import facet_enumeration, polytope_to_document
+from birkhoffsym.hull import (IncidenceStructure, Polytope,
+                              facet_enumeration, polytope_to_document)
 from birkhoffsym.gamma import verify_wreath_quotient
 from birkhoffsym.perm import (Permutation, PermutationGroup, named_group,
                               regular_action)
@@ -30,8 +31,8 @@ from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
                                  uniqueness_check,
                                  verify_gamma_acts)
 
-from hull_oracle import (birkhoff_rows, entries, hull_of, rational_matrix,
-                         same_polytope)
+from hull_oracle import (birkhoff_rows, entries, hull_of,
+                         maps_rows_onto_rows, rational_matrix, same_polytope)
 
 
 def test_closure_identity_only():
@@ -261,6 +262,89 @@ def conjugated_document(entry, rng):
 def conjugated_catalog(n, seed):
     rng = random.Random(seed)
     return [conjugated_document(entry, rng) for entry in default_catalog(n)]
+
+
+def gamma_acts_oracle(mgroup, inc):
+    """(lambda_pass, rho_pass, iota_in_group) with every translation of
+    the regular action tested on the tight sets one by one."""
+    rows = set(inc.tight_sets)
+    lams, rhos, iota = regular_action(mgroup.element_group())
+    return (all(maps_rows_onto_rows(p.images, rows) for p in lams),
+            all(maps_rows_onto_rows(p.images, rows) for p in rhos),
+            maps_rows_onto_rows(iota.images, rows))
+
+
+def gamma_acts_cases():
+    cases = {f"{n}-{entry.name}": entry.matrix_group
+             for n in (3, 4) for entry in default_catalog(n)}
+    cases["c6-fixture"] = load_exceptional_c6()
+    cases.update((f"{n}-{doc['name']}-conjugated",
+                  matrix_group_from_document(doc).matrix_group)
+                 for n, seed in ((3, 21), (4, 22))
+                 for doc in conjugated_catalog(n, seed))
+    return cases
+
+
+def test_gamma_acts_on_generators_matches_every_element():
+    # lambda and rho are homomorphisms into a group, so their generators
+    # decide what testing all 2 |G| + 1 maps decides
+    for name, mgroup in gamma_acts_cases().items():
+        r = verify_gamma_acts(mgroup)
+        inc = representation_polytope(mgroup).incidence
+        assert (r.lambda_pass, r.rho_pass, r.iota_in_group) == (
+            gamma_acts_oracle(mgroup, inc)) == (True, True, True), name
+        assert r.passed and r.group_order == mgroup.order, name
+
+
+def swap_first_two_vertices(polytope):
+    """The polytope with vertices 0 and 1 relabelled in its incidence."""
+    swap = {0: 1, 1: 0}
+    inc = IncidenceStructure(polytope.n_vertices, (
+        {swap.get(v, v) for v in row} for row in polytope.incidence.tight_sets))
+    return Polytope(polytope.ambient_dim, polytope.rows, polytope.scale,
+                    polytope.facets, inc, polytope.dim)
+
+
+def test_gamma_acts_fails_on_a_relabelled_incidence(monkeypatch):
+    # where the swap (0 1) is no symmetry of the hull, as on B_3 and B_4,
+    # some translation breaks the relabelled incidence, for both checks
+    # alike; where it is one, relabelling changes nothing
+    hulls = {}
+
+    def relabelled_polytope(mgroup):
+        polytope = representation_polytope(mgroup)
+        hulls[mgroup] = polytope.incidence, swap_first_two_vertices(polytope)
+        return hulls[mgroup][1]
+
+    monkeypatch.setattr(reppoly, "representation_polytope",
+                        relabelled_polytope)
+    broken = set()
+    for name, mgroup in gamma_acts_cases().items():
+        r = verify_gamma_acts(mgroup)
+        inc, polytope = hulls[mgroup]
+        assert (r.lambda_pass, r.rho_pass, r.iota_in_group) == (
+            gamma_acts_oracle(mgroup, polytope.incidence)), name
+        swap = (1, 0, *range(2, inc.n_vertices))
+        assert r.passed == (r.lambda_pass and r.rho_pass), name
+        assert r.passed == inc.preserved_by(swap), name
+        if not r.passed:
+            broken.add(name)
+    assert {"3-s3_standard", "4-s4_standard", "4-d4_standard",
+            "3-c6_exceptional-conjugated"} <= broken
+
+
+def test_gamma_acts_builds_no_table(monkeypatch):
+    # the check tests generators only: no multiplication table and no
+    # regular action of the whole group
+    groups = [load_exceptional_c6(),
+              matrix_group_from_perm_group(named_group("s4"))]
+
+    def refuse(*_):
+        raise AssertionError("verify_gamma_acts read a table")
+
+    monkeypatch.setattr(PermutationGroup, "table", property(refuse))
+    monkeypatch.setattr(reppoly, "regular_action", refuse)
+    assert [verify_gamma_acts(g).passed for g in groups] == [True, True]
 
 
 def test_the_matrix_group_path_builds_no_fraction(tmp_path, capsys,
