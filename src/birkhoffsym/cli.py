@@ -7,6 +7,17 @@ violated preconditions or malformed inputs, 4 when an internal
 certificate broke (`errors.InvariantError`: the program is at fault, not
 the input).
 
+`COMMANDS` is the one table of subcommands: each one's handler, help
+text, positionals and options.  `read_argv` reads argv against it.  The
+command word comes first; options are named in full (no abbreviations)
+and take `--name value` or `--name=value`; flags take no value;
+positionals go in order, with options before or after them; every
+command takes `--json`/`--no-json`, the last one winning.  Integers are
+decimal literals, read by `exact._integer` (no `+`, `_` or non-ASCII
+digits).  `-h`/`--help` prints the command list, or a command's usage
+line, to stdout and exits 0.  A usage error prints the usage line and
+`birkhoffsym: error: <reason>` to stderr and exits 2.
+
 Group arguments accept a built-in name (s3, s4, s5, c2, c3, c4, c6, v4,
 d4, q8) or a path to a text file with one generator in cycle notation
 per line.  Alpha files for `decompose` list n! 0-based vertex images,
@@ -16,13 +27,13 @@ README for their shapes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 import time
-from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 
 from . import birkhoff, cd, gamma, hull, reppoly
 from .errors import InvariantError, PreconditionError
@@ -218,85 +229,185 @@ def _cmd_rep_polytope(args):
     return True, {"group": args.group}, details
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on the first call.  Parsing
-    keeps no state on it, so `main` reuses it."""
-    parser = argparse.ArgumentParser(
-        prog="birkhoffsym",
-        description="Exact verification of the combinatorial symmetries of "
-                    "doubly stochastic polytopes and representation polytopes.")
-    sub = parser.add_subparsers(dest="command", required=True)
+class Arg(NamedTuple):
+    """One argument of a command: the namespace attribute it sets, the
+    name its usage shows (an option is `--dest SHOWN`), how a value is
+    read (None for a flag, which takes no value and sets True) and the
+    value when it is absent (REQUIRED: it must be given)."""
+    dest: str
+    shown: str
+    read: Optional[Callable[[str], object]]
+    default: object = None
 
-    def add(name, handler, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        p.add_argument("--json", action=argparse.BooleanOptionalAction,
-                       default=True, help="emit a JSON report (default on)")
-        return p
 
-    p = add("verify-table", _cmd_verify_table,
-            "check the facet-set intersection size table for B_n")
-    p.add_argument("n", type=int)
+REQUIRED = object()
+DESCRIPTION = ("Exact verification of the combinatorial symmetries of doubly\n"
+               "stochastic polytopes and representation polytopes.")
+N = Arg("n", "n", _integer, REQUIRED)
+GROUP = Arg("group", "GROUP", str, REQUIRED)
 
-    p = add("verify-transform", _cmd_verify_transform,
-            "check sigma A_ij tau^-1 = A_(tau i, sigma j) and A_ij^-1 = A_ji")
-    p.add_argument("n", type=int)
 
-    p = add("verify-symmetry-group", _cmd_verify_symmetry_group,
-            "hull + automorphism search + decomposition round-trip for B_n")
-    p.add_argument("n", type=int)
+class Command(NamedTuple):
+    """A subcommand: its handler, the help text `-h` lists, and its
+    arguments."""
+    handler: Callable
+    help: str
+    positionals: tuple[Arg, ...] = ()
+    options: tuple[Arg, ...] = ()
 
-    p = add("decompose", _cmd_decompose,
-            "write a vertex bijection of B_n as (sigma, tau, epsilon)")
-    p.add_argument("n", type=int)
-    p.add_argument("alpha_positional", nargs="?", default=None,
-                   metavar="alpha-file",
-                   help="file of n! 0-based images, one per line")
-    p.add_argument("--alpha", default=None,
-                   help="file of n! 0-based images, one per line")
-    p.add_argument("--identity", action="store_true",
-                   help="decompose the identity bijection")
 
-    p = add("cd-lattice", _cmd_cd_lattice,
-            "measure-maximizing subgroup lattice with closure checks")
-    p.add_argument("--group", required=True)
-    p.add_argument("--bound", type=int, default=200)
+COMMANDS = {
+    "verify-table": Command(
+        _cmd_verify_table,
+        "check the facet-set intersection size table for B_n", (N,)),
+    "verify-transform": Command(
+        _cmd_verify_transform,
+        "check sigma A_ij tau^-1 = A_(tau i, sigma j) and A_ij^-1 = A_ji", (N,)),
+    "verify-symmetry-group": Command(
+        _cmd_verify_symmetry_group,
+        "hull + automorphism search + decomposition round-trip for B_n", (N,)),
+    "decompose": Command(
+        _cmd_decompose,
+        "write a vertex bijection of B_n as (sigma, tau, epsilon)",
+        (N, Arg("alpha_positional", "alpha-file", str)),
+        (Arg("alpha", "ALPHA", str), Arg("identity", "", None, False))),
+    "cd-lattice": Command(
+        _cmd_cd_lattice,
+        "measure-maximizing subgroup lattice with closure checks",
+        options=(GROUP, Arg("bound", "BOUND", _integer, 200))),
+    "sn-cent-est": Command(
+        _cmd_sn_cent_est,
+        "centralizer order estimate across all subgroups of S_n, n = 4, 5, 6",
+        (N,)),
+    "wreath": Command(
+        _cmd_wreath,
+        "order formula 2|G|^2/|Z(G)| and kernel check for Gamma(G)",
+        options=(GROUP,)),
+    "regular-pairs": Command(
+        _cmd_regular_pairs,
+        "commuting pairs of regular subgroups inside Gamma(G)",
+        options=(GROUP,)),
+    "normalizer": Command(
+        _cmd_normalizer,
+        "normalizer of Gamma(G) in the full symmetric group on G",
+        options=(GROUP,)),
+    "uniqueness": Command(
+        _cmd_uniqueness,
+        "compare catalog representation polytopes against B_n", (N,)),
+    "hull": Command(
+        _cmd_hull,
+        "facet enumeration of a rational vertex set from a JSON file",
+        (Arg("vertices", "vertices", str, REQUIRED),)),
+    "rep-polytope": Command(
+        _cmd_rep_polytope,
+        "hull of a matrix group (built-in name or JSON generator file)",
+        options=(GROUP,)),
+}
 
-    p = add("sn-cent-est", _cmd_sn_cent_est,
-            "centralizer order estimate across all subgroups of S_n, n = 4, 5, 6")
-    p.add_argument("n", type=int)
 
-    p = add("wreath", _cmd_wreath,
-            "order formula 2|G|^2/|Z(G)| and kernel check for Gamma(G)")
-    p.add_argument("--group", required=True)
+def _usage(name: Optional[str]) -> str:
+    if name is None:
+        return "usage: birkhoffsym [-h] <command> [<args>]"
+    words = ["usage: birkhoffsym", name, "[-h] [--json | --no-json]"]
+    for arg in COMMANDS[name].options:
+        text = f"--{arg.dest} {arg.shown}" if arg.read else f"--{arg.dest}"
+        words.append(text if arg.default is REQUIRED else f"[{text}]")
+    for arg in COMMANDS[name].positionals:
+        words.append(arg.shown if arg.default is REQUIRED else f"[{arg.shown}]")
+    return " ".join(words)
 
-    p = add("regular-pairs", _cmd_regular_pairs,
-            "commuting pairs of regular subgroups inside Gamma(G)")
-    p.add_argument("--group", required=True)
 
-    p = add("normalizer", _cmd_normalizer,
-            "normalizer of Gamma(G) in the full symmetric group on G")
-    p.add_argument("--group", required=True)
+def _usage_error(name: Optional[str], reason: str) -> NoReturn:
+    print(_usage(name), f"birkhoffsym: error: {reason}", sep="\n",
+          file=sys.stderr)
+    raise SystemExit(2)
 
-    p = add("uniqueness", _cmd_uniqueness,
-            "compare catalog representation polytopes against B_n")
-    p.add_argument("n", type=int)
 
-    p = add("hull", _cmd_hull,
-            "facet enumeration of a rational vertex set from a JSON file")
-    p.add_argument("vertices", help="JSON file with a 'vertices' array")
+def _help(name: Optional[str]) -> NoReturn:
+    if name is None:
+        print(_usage(None), "", DESCRIPTION, "", "commands:",
+              *(f"  {cmd:<23}{spec.help}" for cmd, spec in COMMANDS.items()),
+              sep="\n")
+    else:
+        print(_usage(name), "", COMMANDS[name].help, sep="\n")
+    raise SystemExit(0)
 
-    p = add("rep-polytope", _cmd_rep_polytope,
-            "hull of a matrix group (built-in name or JSON generator file)")
-    p.add_argument("--group", required=True)
 
-    return parser
+def _is_option(word: str) -> bool:
+    """A word that names an option: a leading "-", unless the word is "-"
+    alone or a negative number, which are values."""
+    return word.startswith("-") and word != "-" and not word[1:].isdigit()
+
+
+def _value(name: str, arg: Arg, label: str, text: str) -> object:
+    try:
+        return arg.read(text)
+    except ValueError as exc:
+        _usage_error(name, f"argument {label}: {exc}")
+
+
+def read_argv(argv: Sequence[str]) -> SimpleNamespace:
+    """The namespace a handler reads: `command`, `handler`, `json` and
+    one attribute per argument of the command, its default when absent.
+    The grammar, help and usage errors are as the module docstring
+    says: `-h` raises SystemExit(0), a usage error SystemExit(2)."""
+    if not argv or argv[0] in ("-h", "--help"):
+        if argv:
+            _help(None)
+        _usage_error(None, "the following arguments are required: command")
+    name, *rest = argv
+    spec = COMMANDS.get(name)
+    if spec is None:
+        _usage_error(None, f"unknown command {name!r} "
+                           f"(choose from {', '.join(COMMANDS)})")
+    values = {"json": True}
+    values.update((arg.dest, arg.default)
+                  for arg in spec.positionals + spec.options)
+    flags = {"--json": ("json", True), "--no-json": ("json", False)}
+    flags.update((f"--{arg.dest}", (arg.dest, True))
+                 for arg in spec.options if arg.read is None)
+    options = {f"--{arg.dest}": arg for arg in spec.options if arg.read}
+    positionals = iter(spec.positionals)
+    words = iter(rest)
+    for word in words:
+        if word in ("-h", "--help"):
+            _help(name)
+        if not _is_option(word):
+            arg = next(positionals, None)
+            if arg is None:
+                _usage_error(name, f"unrecognized arguments: {word}")
+            values[arg.dest] = _value(name, arg, arg.shown, word)
+            continue
+        key, eq, text = word.partition("=")
+        if key in flags:
+            if eq:
+                _usage_error(name, f"argument {key}: takes no value")
+            dest, value = flags[key]
+            values[dest] = value
+            continue
+        if key not in options:
+            _usage_error(name, f"unrecognized arguments: {word}")
+        if not eq:
+            text = next(words, None)
+            if text is None or _is_option(text):
+                _usage_error(name, f"argument {key}: expected one argument")
+        values[options[key].dest] = _value(name, options[key], key, text)
+    missing = [arg.shown for arg in spec.positionals
+               if values[arg.dest] is REQUIRED]
+    missing += [f"--{arg.dest}" for arg in spec.options
+                if values[arg.dest] is REQUIRED]
+    if missing:
+        _usage_error(name, "the following arguments are required: "
+                           + ", ".join(missing))
+    # the handler is looked up by name on each call, so a wrapper rebound
+    # on this module (bench/spans.py times each command that way) is the
+    # one called
+    return SimpleNamespace(command=name,
+                           handler=globals()[spec.handler.__name__], **values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = read_argv(sys.argv[1:] if argv is None else argv)
     start = time.perf_counter()
     try:
         passed, inputs, details = args.handler(args)

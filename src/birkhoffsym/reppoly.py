@@ -29,7 +29,7 @@ from .exact import (RationalMatrix, _common_form, _independent_rows,
                     _over_lcm, _rational_pair)
 from .hull import MAX_VERTICES, Polytope, certify_vertices, facet_enumeration
 from .perm import (Permutation, PermutationGroup, closure, named_group,
-                   regular_action, saturate)
+                   saturate)
 
 
 class MatrixGroup:
@@ -107,10 +107,15 @@ def matrix_group_from_perm_group(group: PermutationGroup) -> MatrixGroup:
 
 def regular_matrix_group(group: PermutationGroup) -> MatrixGroup:
     """Left regular representation: |G| x |G| permutation matrices of the
-    translation action of G on itself."""
-    lams, _, _ = regular_action(group)
-    gens = [group.index[g.images] for g in group.generators] or [0]
-    return matrix_closure([permutation_matrix(lams[g]) for g in gens])
+    translation action of G on itself.  Only the generators' translations
+    x -> g x are built, |generators| * |G| products; the closure of their
+    matrices gives the rest, so G's table is never needed."""
+    idx = group.index
+    gens = group.generators or (group.identity,)
+    return matrix_closure([
+        permutation_matrix(Permutation(idx[(g * x).images]
+                                       for x in group.elements))
+        for g in gens])
 
 
 def representation_polytope(mgroup: MatrixGroup) -> Polytope:

@@ -6,7 +6,6 @@ The entry-point test runs the ``birkhoffsym`` script when one is on
 under ``[project.scripts]`` in ``pyproject.toml`` the way the generated
 wrapper runs it, so it also passes with a plain ``PYTHONPATH=src``."""
 
-import argparse
 import json
 import random
 import shutil
@@ -26,9 +25,22 @@ from birkhoffsym.exact import RationalMatrix
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
                               polytope_to_document)
 from birkhoffsym.perm import Permutation, parse_cycles
+from birkhoffsym.reports import render_report
 
 from hull_oracle import random_point_set
 from law_oracle import symmetry_images
+from report_oracle import dumps_report
+
+
+@pytest.fixture(autouse=True)
+def reports_as_json_dumps_writes_them(monkeypatch):
+    """Every report a test here prints is compared, byte for byte, with
+    the text `json.dumps` gives for it."""
+    def render_checked(report):
+        text = render_report(report)
+        assert text == dumps_report(report)
+        return text
+    monkeypatch.setattr(cli, "render_report", render_checked)
 
 
 def run_json(capsys, argv):
@@ -736,27 +748,10 @@ def test_verify_transform_b5(capsys):
     assert d["generator_cases"] == 100
 
 
-def test_main_builds_its_parser_once(monkeypatch, capsys):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli.build_parser.cache_clear()
-    assert main(["verify-table", "3"]) == 0
-    assert "birkhoffsym" in built
-    first = len(built)
-    assert main(["verify-table", "3"]) == 0
-    assert len(built) == first
-    cli.build_parser.cache_clear()
-
-
 def test_one_process_answers_like_fresh_processes(tmp_path, capsys,
                                                    monkeypatch):
-    """The cached parser carries nothing from one call to the next."""
+    """Reading argv and writing the report carry nothing from one call to
+    the next."""
     monkeypatch.setenv("COLUMNS", "80")
     dec = SymmetryDecomposition(parse_cycles("(0 2)", 3),
                                 parse_cycles("(1 2)", 3), -1)

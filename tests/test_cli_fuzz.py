@@ -1,8 +1,7 @@
 """Fuzzing the command line's input readers.
 
 Each example writes one input file and runs `cli.main` on it in this
-process, so the cached parser is reused from call to call.  Whatever the
-file holds, the command must end with a documented exit status (0 pass,
+process, one call after another.  Whatever the file holds, the command must end with a documented exit status (0 pass,
 1 fail, 2 usage, 3 refused input) and print no traceback, and a refusal
 must not be a Python internal error passed off as invalid input.  The
 readers: the cycle-notation group file, the `decompose` alpha file, the

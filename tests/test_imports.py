@@ -18,6 +18,10 @@ parameter of a package function that no package call passes, by keyword
 or by position: a knob only its default ever sets is kept only when
 KEPT_PARAMETERS lists it, with the reason it stays.
 
+No package module imports `argparse`, and importing `cli` loads neither
+`argparse`, `gettext` nor `locale`: the command line reads argv from its
+own table, so a process pays no parser set-up before its work.
+
 Last, the bench's traced rounds read a work counter off the results of
 some package functions (`RESULT_COUNTERS` in `bench/spans.py`).  Each
 extractor is applied here to a real result of the function it names, so
@@ -25,6 +29,9 @@ a changed return type fails a test, not a traced round."""
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -128,6 +135,26 @@ def test_detects_a_fraction_module_import():
     tree = ast.parse("from fractions import Fraction\nimport numbers.abc\n"
                      "from .exact import RationalMatrix\n")
     assert imported_modules(tree) == {"fractions", "numbers"}
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_package_module_imports_argparse(path):
+    # `cli.read_argv` reads argv from the `COMMANDS` table; building an
+    # argparse parser cost each process milliseconds before any work
+    modules = imported_modules(ast.parse(path.read_text(), filename=str(path)))
+    assert "argparse" not in modules, path.name
+
+
+def test_cli_import_leaves_argparse_gettext_and_locale_unloaded():
+    # argparse brings gettext, and gettext brings locale, lazily or not
+    code = ("import sys, birkhoffsym.cli; print(' '.join(sorted("
+            "{'argparse', 'gettext', 'locale'} & set(sys.modules))))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_detects_an_unused_import():

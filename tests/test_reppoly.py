@@ -14,7 +14,7 @@ from birkhoffsym import cli, reppoly
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.exact import RationalMatrix, _common_form
 from birkhoffsym.combiso import comb_equivalent
-from birkhoffsym.birkhoff import verify_symmetry_group
+from birkhoffsym.birkhoff import permutation_matrix, verify_symmetry_group
 from birkhoffsym.hull import (IncidenceStructure, Polytope,
                               facet_enumeration, polytope_to_document)
 from birkhoffsym.gamma import verify_wreath_quotient
@@ -82,6 +82,20 @@ def test_regular_representation_shape():
     g = regular_matrix_group(named_group("c6"))
     assert g.dim == 6
     assert g.order == 6
+
+
+def test_regular_matrix_group_translates_only_the_generators():
+    # the generators' left translations alone, with G's table unbuilt,
+    # give the matrix group the table's rows give
+    for name in ("s4", "c6", "q8"):
+        group = named_group(name)
+        got = regular_matrix_group(group)
+        assert group._table is None
+        lams, _, _ = regular_action(group)
+        want = matrix_closure([permutation_matrix(lams[group.index[g.images]])
+                               for g in group.generators])
+        assert (got.dim, got.elements, got.generators) == \
+            (want.dim, want.elements, want.generators)
 
 
 def test_representation_polytope_dims():
@@ -334,8 +348,8 @@ def test_gamma_acts_fails_on_a_relabelled_incidence(monkeypatch):
 
 
 def test_gamma_acts_builds_no_table(monkeypatch):
-    # the check tests generators only: no multiplication table and no
-    # regular action of the whole group
+    # the check tests generators only: no multiplication table, so no
+    # regular action of the whole group either (it reads the table)
     groups = [load_exceptional_c6(),
               matrix_group_from_perm_group(named_group("s4"))]
 
@@ -343,7 +357,6 @@ def test_gamma_acts_builds_no_table(monkeypatch):
         raise AssertionError("verify_gamma_acts read a table")
 
     monkeypatch.setattr(PermutationGroup, "table", property(refuse))
-    monkeypatch.setattr(reppoly, "regular_action", refuse)
     assert [verify_gamma_acts(g).passed for g in groups] == [True, True]
 
 
