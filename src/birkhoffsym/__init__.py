@@ -37,7 +37,6 @@ from .hull import (
 from .perm import (
     Permutation,
     PermutationGroup,
-    all_subgroups,
     closure,
     named_group,
     symmetric_group,

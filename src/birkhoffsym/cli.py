@@ -194,7 +194,7 @@ def _cmd_regular_pairs(args):
 
 
 def _cmd_normalizer(args):
-    _, group = _load_group(args.group, gamma.MAX_NORMALIZER_BASE)
+    _, group = _load_group(args.group, gamma.MAX_GAMMA_BASE)
     r = gamma.normalizer_in_full_symmetric(group)
     return r.passed, {"group": args.group}, r
 

@@ -8,12 +8,12 @@ For a finite group G acting on itself, the maps
 
 generate a subgroup Gamma(G) of Sym(G).  Everything here works with G's
 elements identified with their positions in the canonical sorted element
-list, so Gamma(G) is an ordinary permutation group on |G| points; the
-three maps come from `perm.regular_action`.  `build_gamma` returns
-Gamma(G) itself, a `PermutationGroup` generated by those maps, for
-|G| up to MAX_GAMMA_BASE = 120 (S_5): `perm.closure` grows it one whole
-coset at a time.  Gamma acts on |G| points, so the same bound holds for
-the regular-pair search, whose choices are closed by cosets too.
+list, so Gamma(G) is an ordinary permutation group on |G| points.
+`build_gamma` returns Gamma(G) itself, a `PermutationGroup` generated by
+lambda_g and rho_g for G's generators g and by iota, read off G's table,
+for |G| up to MAX_GAMMA_BASE = 120 (S_5): `perm.closure` grows it one
+whole coset at a time.  Gamma acts on |G| points, so the same bound holds
+for the regular-pair search and the normalizer.
 
 Facts verified computationally by this module:
 
@@ -25,35 +25,45 @@ Facts verified computationally by this module:
   choices so far, finds exactly the U whose centralizer lies in Gamma,
   and their partners; for G = S_n with a two-element Chermak-Delgado
   lattice the only pair is {lambda(G), rho(G)}.
-* The normalizer of Gamma(G) in the full symmetric group equals
-  Aut(G) * Gamma(G) (brute force, small G only).
+* N = N_Sym(G)(Gamma(G)) against Aut(G) Gamma(G): they differ for D_4
+  (|N| = 384, |Aut(G) Gamma| = 128), the smallest case, and for C_2 x D_4
+  and S_3 x S_3; they agree for S_3, Q_8, S_4 and S_5.
+  Gamma is transitive, so N = Gamma N_e, N_e fixing the identity e.
+  For pi in N_e, U = pi lambda(G) pi^-1 is regular with centralizer
+  pi rho(G) pi^-1 in Gamma, so the regular-pair search finds U, and
+  pi(x) = phi(x)(e) for phi: x -> pi lambda_x pi^-1 in Iso(G, U) =
+  phi_0 Aut(G).  Likewise Gamma_e = Inn(G) <iota>, so the stabilizer of
+  e in Aut(G) Gamma is Aut(G) <iota>.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Optional
 
 from .errors import InvariantError, PreconditionError
 from .perm import (Permutation, PermutationGroup, _right_mul, closure,
-                   regular_action, saturate)
+                   saturate)
 
 MAX_GAMMA_BASE = 120  # largest |G| whose Gamma(G) is built
-MAX_NORMALIZER_BASE = 6  # largest |G| for the brute-force normalizer
 
 
 def build_gamma(group: PermutationGroup) -> PermutationGroup:
     """Gamma(G) with generators lambda_g, rho_g (in pairs), then iota, g
     running over G's generators; G may have order at most
-    MAX_GAMMA_BASE."""
+    MAX_GAMMA_BASE.  lambda_g is table row g, rho_g the table column at
+    g^-1."""
     if group.order > MAX_GAMMA_BASE:
         raise PreconditionError(
             f"group of order {group.order} exceeds bound {MAX_GAMMA_BASE}")
-    lams, rhos, iota = regular_action(group)
-    gens = [group.index[g.images] for g in group.generators]
-    return closure([p for i in gens for p in (lams[i], rhos[i])] + [iota])
+    table, inv = group.table, group.inv
+    gens = []
+    for g in (group.index[s.images] for s in group.generators):
+        gens += [Permutation(table[g]),
+                 Permutation(row[inv[g]] for row in table)]
+    return closure(gens + [Permutation(inv)])
 
 
 def is_elementary_abelian_2(group: PermutationGroup) -> bool:
@@ -75,9 +85,9 @@ class WreathReport:
 def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
     """Check |Gamma(G)| = 2|G|^2/|Z(G)| and the kernel description.
 
-    The kernel check: lambda_z rho_z is the identity map exactly for
-    central z (x -> z x z^-1 = x for all x iff z central).  The centre
-    Z(G) is the set of positions commuting with G's generators.  For an
+    The kernel check: lambda_z rho_z is the identity map, z x z^-1 = x
+    for all x, that is table row z equal to column z, exactly for z in
+    the centre Z(G), the positions commuting with G's generators.  For an
     elementary abelian 2-group the order formula does not apply; the
     report carries the flag and the actual order instead of a verdict.
     """
@@ -86,16 +96,12 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
         group.index[g.images] for g in group.generators)
     ea2 = is_elementary_abelian_2(group)
     formula = 2 * group.order ** 2 // len(center)
-    lams, rhos, _ = regular_action(group)
-    kernel_pass = all((lam * rho).is_identity() == (i in center)
-                      for i, (lam, rho) in enumerate(zip(lams, rhos)))
-    actual = gamma.order
-    if ea2:
-        return WreathReport(group.order, len(center), True, formula,
-                            None, actual, kernel_pass, kernel_pass)
-    return WreathReport(group.order, len(center), False, formula, formula,
-                        actual, kernel_pass,
-                        kernel_pass and actual == formula)
+    table = group.table
+    kernel_pass = all((list(column) == row) == (z in center)
+                      for z, (row, column) in enumerate(zip(table, zip(*table))))
+    return WreathReport(group.order, len(center), ea2, formula,
+                        None if ea2 else formula, gamma.order, kernel_pass,
+                        kernel_pass and (ea2 or gamma.order == formula))
 
 
 def _one_cycle_length(images: tuple[int, ...]) -> bool:
@@ -231,31 +237,19 @@ def commuting_regular_pairs(gamma: PermutationGroup
 
 
 def automorphisms(group: PermutationGroup) -> list[Permutation]:
-    """Aut(G) as permutations of the element labelling, by brute force
-    over bijections fixing the identity and preserving the multiplication
-    table.  Exponential; meant for |G| <= 6 where it is its own proof.
-    """
-    n = group.order
-    table = group.table
-    others = range(1, n)  # the identity sits at 0
-    auts = []
-    order_of = {}
-    for i in range(n):
-        k, j = 1, i
-        while j != 0:
-            j = table[j][i]
-            k += 1
-        order_of[i] = k
-    for image in itertools.permutations(others):
-        alpha = [0] * n
-        for src, dst in zip(others, image):
-            alpha[src] = dst
-        if any(order_of[src] != order_of[alpha[src]] for src in others):
-            continue
-        if all(alpha[table[a][b]] == table[alpha[a]][alpha[b]]
-               for a in range(n) for b in range(n)):
-            auts.append(Permutation(alpha))
-    return auts
+    """Aut(G) as permutations of G's positions: G's isomorphisms onto its
+    own table."""
+    return [Permutation._unchecked(tuple(alpha))
+            for alpha in group.isomorphisms(group.table)]
+
+
+def _normalizes(pi: tuple[int, ...], group: PermutationGroup) -> bool:
+    """Whether pi conjugates each generator into the group: then
+    pi <gens> pi^-1 = <pi gens pi^-1> is a subgroup of the same order,
+    the group itself."""
+    inverse = tuple(sorted(range(len(pi)), key=pi.__getitem__))
+    return all(_right_mul(_right_mul(inverse)(g.images))(pi) in group.index
+               for g in group.generators)
 
 
 @dataclass
@@ -269,36 +263,19 @@ class NormalizerReport:
 
 
 def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
-    """Exhaustively compute N_{Sym(G)}(Gamma(G)) and compare with
-    Aut(G)*Gamma(G) as sets of permutations of the labelling, for |G| at
-    most MAX_NORMALIZER_BASE.
-
-    Conjugating the generators into Gamma suffices for membership:
-    pi <gens> pi^-1 = <pi gens pi^-1> is a subgroup of Gamma of equal
-    order, hence equal to it.
-    """
-    if group.order > MAX_NORMALIZER_BASE:
-        raise PreconditionError(f"group of order {group.order} exceeds "
-                                f"normalizer bound {MAX_NORMALIZER_BASE}")
+    """N_Sym(G)(Gamma(G)) against Aut(G) Gamma(G), |G| <= MAX_GAMMA_BASE,
+    by their stabilizers of e (module docstring): N_e is the candidates
+    x -> phi(x)(e) that normalize Gamma, and the check passes when
+    N_e = Aut(G) <iota> as sets of maps."""
     gamma = build_gamma(group)
+    auts = [alpha.images for alpha in automorphisms(group)]
+    n_e = set()
+    for members, _, _ in _partnered_regular_subgroups(gamma):
+        rows = sorted(members, key=itemgetter(0))  # u with u(0) = a at a
+        for phi in islice(group.isomorphisms(rows), 1):
+            n_e.update(pi for pi in (_right_mul(a)(phi) for a in auts)
+                       if _normalizes(pi, gamma))
+    stabilizer = {*auts, *(tuple(map(group.inv.__getitem__, a)) for a in auts)}
     m = group.order
-    gens = [p.images for p in gamma.generators]
-    normalizer = []
-    for cand in itertools.permutations(range(m)):
-        inv = [0] * m
-        for i, x in enumerate(cand):
-            inv[x] = i
-        if all(tuple(cand[g[inv[x]]] for x in range(m)) in gamma.index
-               for g in gens):
-            normalizer.append(cand)
-    auts = automorphisms(group)
-    product = {(a * g).images for a in auts for g in gamma.elements}
-    norm_set = set(normalizer)
-    return NormalizerReport(
-        group_order=group.order,
-        gamma_order=gamma.order,
-        normalizer_order=len(norm_set),
-        aut_order=len(auts),
-        aut_gamma_order=len(product),
-        passed=norm_set == product,
-    )
+    return NormalizerReport(m, gamma.order, m * len(n_e), len(auts),
+                            m * len(stabilizer), n_e == stabilizer)

@@ -25,7 +25,7 @@ graph of the generators, so generators that do not generate the group
 raise InvariantError.  `centralizer_indices` and `normalizer_indices`
 read whole columns of it in C.  Only routines reading most products of
 a group of order at most 720 build it; Gamma(S_4) never does.
-`regular_action` reads G's translations and inversion off it, and
+`isomorphisms` extends maps along the same Cayley graph, and
 `subgroup_classes` enumerates subgroups up to conjugacy on it.
 
 Cycle notation names points by number, and the degree follows from the
@@ -42,12 +42,13 @@ from functools import lru_cache
 from itertools import compress, count
 from math import lcm
 from operator import eq, itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .exact import _integers, _shown
 
 MAX_DEGREE = 4096  # points 0..MAX_DEGREE-1 are the most cycle notation may name
+MAX_IMAGE_CHOICES = 50_000  # generator images one isomorphism search tries
 
 
 def _not_a_permutation(images: tuple) -> str:
@@ -346,6 +347,51 @@ class PermutationGroup:
                 compress(count(), map(members.__contains__, conj)))
         return sorted(norm)
 
+    def isomorphisms(self, rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+        """Each isomorphism onto the group on 0..m-1 (identity 0) with
+        products rows[a][b], as the images of this group's positions;
+        none when the element orders differ as multisets.
+
+        By generator images (Holt, Eick & O'Brien, Handbook of
+        Computational Group Theory, 2005): each generator s in turn goes
+        to each t of its order, or to its image if already reached, and
+        the map grows along the Cayley graph, pi(x s) = pi(x) t, while
+        every edge agrees and no image repeats.  So it is a homomorphism,
+        by induction on word length, and a bijection.  Past
+        MAX_IMAGE_CHOICES choices it raises PreconditionError."""
+        table, m = self.table, len(rows)
+        gens = [self.index[g.images] for g in self.generators]
+        orders, targets = ([Permutation._unchecked(tuple(row)).order()
+                            for row in r] for r in (table, rows))
+        if sorted(orders) != sorted(targets):
+            return
+        stack, tried = [(0, [0] + [-1] * (m - 1))], count(1)
+        while stack:
+            level, pi = stack.pop()
+            if level == len(gens):
+                yield pi
+                continue
+            s = gens[level]
+            for t in ([pi[s]] if pi[s] >= 0 else
+                      compress(range(m), map(orders[s].__eq__, targets))):
+                if next(tried) > MAX_IMAGE_CHOICES:
+                    raise PreconditionError(
+                        "isomorphism search exceeds bound "
+                        f"{MAX_IMAGE_CHOICES} generator images")
+                steps = [(g, pi[g]) for g in gens[:level]] + [(s, t)]
+                new, used = pi[:], set(pi)
+                queue = [x for x in range(m) if pi[x] >= 0]  # grows with new
+                for x, g, image in ((x, *e) for x in queue for e in steps):
+                    y, z = table[x][g], rows[new[x]][image]
+                    if new[y] < 0 and z not in used:
+                        new[y] = z
+                        used.add(z)
+                        queue.append(y)
+                    elif new[y] != z:
+                        break
+                else:
+                    stack.append((level + 1, new))
+
     def subgroup_from_indices(self, members: Sequence[int],
                               gen_indices: Sequence[int]) -> "PermutationGroup":
         """The subgroup with the given member positions, generated by the
@@ -440,17 +486,6 @@ def symmetric_group(n: int) -> PermutationGroup:
     return PermutationGroup(elements, (t,) if n == 2 else (t, c))
 
 
-def regular_action(group: PermutationGroup) -> tuple[
-        list[Permutation], list[Permutation], Permutation]:
-    """G acting on its own element indices, everything in element order:
-    lams[g] is x -> g x (table row g), rhos[g] is x -> x g^-1 (the table
-    column at g^-1) and iota is x -> x^-1."""
-    table, inv = group.table, group.inv
-    lams = [Permutation(row) for row in table]
-    rhos = [Permutation(row[h] for row in table) for h in inv]
-    return lams, rhos, Permutation(inv)
-
-
 SubgroupClass = list[tuple[frozenset[int], tuple[int, ...]]]
 
 
@@ -519,20 +554,6 @@ def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[Subgroup
             if closed not in found:
                 record(closed, gens + (g,))
     return classes
-
-
-def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[PermutationGroup]:
-    """Every subgroup of G, from `subgroup_classes`, generated by the
-    elements found for it and sorted by (order, element list), that
-    is (order, ascending member indices).  The public form of
-    `subgroup_classes`, one group per subgroup; the tests count
-    subgroups with it."""
-    subs = sorted(((sorted(members), gens)
-                   for cls in subgroup_classes(group, bound)
-                   for members, gens in cls),
-                  key=lambda sub: (len(sub[0]), sub[0]))
-    return [group.subgroup_from_indices(members, gens)
-            for members, gens in subs]
 
 
 _BUILTIN_GENERATORS: dict[str, tuple[str, ...]] = {

@@ -12,11 +12,12 @@ from birkhoffsym.cd import cd_lattice, verify_centralizer_estimate
 from birkhoffsym.gamma import (build_gamma, commuting_regular_pairs,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
-from birkhoffsym.perm import PermutationGroup, named_group, regular_action
+from birkhoffsym.perm import PermutationGroup, named_group
 from birkhoffsym.reppoly import (load_exceptional_c6,
                                  matrix_group_from_perm_group,
                                  uniqueness_check, verify_gamma_acts)
 
+from group_oracle import regular_action
 from hull_oracle import hull_of, oracle_facets, random_point_set
 
 

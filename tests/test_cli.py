@@ -198,6 +198,26 @@ def test_group_file_input(tmp_path, capsys):
     assert doc["details"]["normalizer_order"] == 6
 
 
+def test_normalizer_d4_fails(capsys):
+    # the first counterexample to N_Sym(G)(Gamma) = Aut(G) Gamma
+    code, doc = run_json(capsys, ["normalizer", "--group", "d4"])
+    assert code == 1
+    assert doc["pass"] is False
+    assert (doc["details"]["normalizer_order"],
+            doc["details"]["aut_gamma_order"]) == (384, 128)
+    assert main(["normalizer", "--group", "d4", "--no-json"]) == 1
+    assert capsys.readouterr().out == "FAIL normalizer\n"
+
+
+@pytest.mark.parametrize("name, order", [("q8", 384), ("s4", 1152),
+                                         ("s5", 28800)])
+def test_normalizer_passes(capsys, name, order):
+    code, doc = run_json(capsys, ["normalizer", "--group", name])
+    assert code == 0
+    assert doc["details"]["normalizer_order"] == order
+    assert doc["details"]["aut_gamma_order"] == order
+
+
 def count_products(monkeypatch) -> list:
     """The list that every step `perm.saturate` takes, and every element
     of a coset it adds whole, is appended to."""
@@ -233,7 +253,7 @@ def test_gamma_s4_closure_products_are_pinned(monkeypatch):
 
 
 @pytest.mark.parametrize("command, bound", [
-    ("regular-pairs", 120), ("wreath", 120), ("normalizer", 6),
+    ("regular-pairs", 120), ("wreath", 120), ("normalizer", 120),
     ("cd-lattice", 50)])
 def test_group_file_closure_stops_at_the_bound(tmp_path, capsys, monkeypatch,
                                                 command, bound):
@@ -251,7 +271,7 @@ def test_group_file_closure_stops_at_the_bound(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command, name, bound", [
-    ("normalizer", "s4", 6), ("rep-polytope", "s5", 30)])
+    ("rep-polytope", "s5", 30)])
 def test_builtin_name_closure_stops_at_the_bound(capsys, monkeypatch,
                                                  command, name, bound):
     # a built-in name is closed only up to the command's bound as well;

@@ -12,9 +12,10 @@ from birkhoffsym import combiso
 from birkhoffsym.combiso import comb_automorphisms, comb_equivalent
 from birkhoffsym.errors import InvariantError
 from birkhoffsym.hull import IncidenceStructure, facet_enumeration
-from birkhoffsym.perm import Permutation, closure, regular_action
+from birkhoffsym.perm import Permutation, closure
 from birkhoffsym.reppoly import default_catalog, representation_polytope
 
+from group_oracle import regular_action
 from hull_oracle import birkhoff_rows, maps_rows_onto_rows
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]

@@ -1,12 +1,15 @@
 """Tests for the two-sided translation group Gamma(G): order formula,
 kernel description, regular subgroups, commuting pairs, normalizer."""
 
+import itertools
 import random
 from functools import lru_cache
 
 import pytest
 
+import normalizer_oracle
 import regular_oracle
+from group_oracle import all_subgroups, regular_action
 from regular_oracle import is_regular, regular_subgroups
 from birkhoffsym import gamma as gamma_module
 from birkhoffsym import perm
@@ -17,9 +20,8 @@ from birkhoffsym.gamma import (automorphisms, build_gamma,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
 from birkhoffsym.perm import (Permutation, PermutationGroup, named_group,
-                              all_subgroups, closure,
-                              group_from_generator_lines, parse_cycles,
-                              regular_action)
+                              closure, group_from_generator_lines,
+                              parse_cycles)
 
 
 def translation_subgroups(group):
@@ -385,9 +387,103 @@ def test_normalizer_gamma_s3():
     assert r.passed
 
 
-def test_normalizer_size_cap():
-    with pytest.raises(PreconditionError):
-        normalizer_in_full_symmetric(named_group("d4"))  # |G| = 8 > 6
+def test_normalizer_size_cap(monkeypatch):
+    # S_6 has 720 > MAX_GAMMA_BASE = 120 elements: refused before its
+    # table, and so Gamma, is built
+    def refuse(group):
+        raise AssertionError(f"table read for a group of order {group.order}")
+
+    s6 = perm.symmetric_group(6)
+    monkeypatch.setattr(perm.PermutationGroup, "table", property(refuse))
+    with pytest.raises(PreconditionError, match="exceeds bound 120"):
+        normalizer_in_full_symmetric(s6)
+
+
+# every group of order at most 8 up to isomorphism, 14 of them
+SMALL_GROUP_LINES = {
+    "c1": ["()"], "c2": ["(0 1)"], "c3": ["(0 1 2)"], "c4": ["(0 1 2 3)"],
+    "v4": ["(0 1)(2 3)", "(0 2)(1 3)"], "c5": ["(0 1 2 3 4)"],
+    "s3": ["(0 1)", "(0 1 2)"], "c6": ["(0 1 2 3 4 5)"],
+    "c7": ["(0 1 2 3 4 5 6)"], "c8": ["(0 1 2 3 4 5 6 7)"],
+    "c2xc4": ["(0 1 2 3)", "(4 5)"], "c2^3": ["(0 1)", "(2 3)", "(4 5)"],
+    "d4": ["(0 1 2 3)", "(0 2)"],
+    "q8": ["(0 1 2 3)(4 5 6 7)", "(0 4 2 6)(1 7 3 5)"],
+}
+
+
+def assert_normalizer_matches_oracles(group):
+    report = normalizer_in_full_symmetric(group)
+    assert report == normalizer_oracle.normalizer_in_full_symmetric(group)
+    auts = automorphisms(group)
+    assert len(auts) == len(set(auts))
+    assert set(auts) == set(normalizer_oracle.automorphisms(group))
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUP_LINES))
+def test_normalizer_matches_brute_force(name):
+    group = group_from_generator_lines(SMALL_GROUP_LINES[name])
+    report = assert_normalizer_matches_oracles(group)
+    assert report.passed == (name != "d4")
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("s3", 1), ("s3", 2), ("s3", 3), ("s3", 7), ("s3", 8), ("s3", 9),
+    ("c6", 2), ("c4", 5), ("v4", 6)])
+def test_normalizer_on_relabelled_groups_matches_brute_force(name, seed):
+    assert_normalizer_matches_oracles(relabelled_generating_set(name, seed))
+
+
+@pytest.mark.parametrize("lines, orders, passed", [
+    (GENERATOR_LINE_GROUPS["a4"][0], (576, 576), True),
+    (GENERATOR_LINE_GROUPS["sl23"][0], (1152, 1152), True),
+    # C_2 x D_4 after D_4; for S_3 x S_3, inverting one factor normalizes
+    # Gamma and lies outside Aut(G) <iota>
+    (["(0 1 2 3)", "(0 2)", "(4 5)"], (6144, 2048), False),
+    (["(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)"], (10368, 5184), False)],
+    ids=["a4", "sl23", "c2xd4", "s3xs3"])
+def test_normalizer_past_the_brute_force(lines, orders, passed):
+    r = normalizer_in_full_symmetric(group_from_generator_lines(lines))
+    assert (r.normalizer_order, r.aut_gamma_order, r.passed) == (*orders, passed)
+
+
+def test_normalizer_candidates_are_pinned(monkeypatch):
+    # machine-independent gate, (|N_e| = |N| / |G|, candidate maps
+    # tested): |Aut(G)| for each partnered regular U isomorphic to G,
+    # where the |G|! scan tested 720 maps at S_3 and 40 320 at D_4, Q_8
+    tested = []
+    normalizes = gamma_module._normalizes
+
+    def counting(pi, gamma):
+        tested.append(pi)
+        return normalizes(pi, gamma)
+
+    monkeypatch.setattr(gamma_module, "_normalizes", counting)
+    counts = {}
+    for name in ("s3", "d4", "q8", "s4"):
+        tested.clear()
+        r = normalizer_in_full_symmetric(named_group(name))
+        counts[name] = (r.normalizer_order // r.group_order, len(tested))
+    assert counts == {"s3": (12, 12), "d4": (48, 48), "q8": (48, 48),
+                      "s4": (48, 48)}
+
+
+def test_normalizes_is_the_membership_test():
+    # the |G|! scan with the package's test: 72 of the 720 maps of S_3's
+    # points normalize Gamma(S_3).  On every group the tests run, each
+    # candidate the normalizer tests passes, so refusals are checked here
+    gamma = build_gamma(named_group("s3"))
+    assert sum(gamma_module._normalizes(pi, gamma)
+               for pi in itertools.permutations(range(6))) == 72
+
+
+def test_automorphism_search_has_a_bound():
+    # Aut(C_2^5) = GL(5, 2) has 9 999 360 elements: the search stops at
+    # MAX_IMAGE_CHOICES generator images
+    c2_5 = group_from_generator_lines(
+        [f"({2 * i} {2 * i + 1})" for i in range(5)])
+    with pytest.raises(PreconditionError, match="exceeds bound"):
+        automorphisms(c2_5)
 
 
 def test_wreath_kernel_property_c6():

@@ -17,16 +17,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from group_oracle import all_subgroups, regular_action
 from regular_oracle import is_regular, regular_subgroups
 from birkhoffsym.cd import cd_lattice
 from birkhoffsym.errors import InvariantError, PreconditionError
 from birkhoffsym.gamma import build_gamma, commuting_regular_pairs
-from birkhoffsym.perm import (MAX_DEGREE, Permutation,
-                              PermutationGroup, all_subgroups,
+from birkhoffsym.perm import (MAX_DEGREE, Permutation, PermutationGroup,
                               builtin_group_names, closure,
                               group_from_generator_lines, named_group,
-                              parse_cycles, regular_action, saturate,
-                              subgroup_classes, symmetric_group)
+                              parse_cycles, saturate, subgroup_classes,
+                              symmetric_group)
 from birkhoffsym.reppoly import default_catalog
 
 
@@ -381,16 +381,18 @@ def test_subgroup_closure_calls_are_pinned(monkeypatch):
 def test_all_subgroups_ignore_the_hash_seed():
     # set iteration order changes with PYTHONHASHSEED; subgroups and
     # their generators must not
-    code = ("from birkhoffsym.perm import all_subgroups, named_group\n"
+    code = ("from birkhoffsym.perm import named_group\n"
+            "from group_oracle import all_subgroups\n"
             "for name in ('s4', 'd4'):\n"
             "    for h in all_subgroups(named_group(name)):\n"
             "        print(h.order, [p.images for p in h.elements],"
             " [g.images for g in h.generators])\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
     outputs = set()
     for seed in ("1", "2", "3"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+                   PYTHONPATH=os.pathsep.join(path))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

@@ -18,8 +18,7 @@ from birkhoffsym.birkhoff import permutation_matrix, verify_symmetry_group
 from birkhoffsym.hull import (IncidenceStructure, Polytope,
                               facet_enumeration, polytope_to_document)
 from birkhoffsym.gamma import verify_wreath_quotient
-from birkhoffsym.perm import (Permutation, PermutationGroup, named_group,
-                              regular_action)
+from birkhoffsym.perm import Permutation, PermutationGroup, named_group
 from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
                                  load_exceptional_c6,
                                  matrix_closure,
@@ -31,6 +30,7 @@ from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
                                  uniqueness_check,
                                  verify_gamma_acts)
 
+from group_oracle import regular_action
 from hull_oracle import (birkhoff_rows, entries, hull_of,
                          maps_rows_onto_rows, rational_matrix, same_polytope)
 
