@@ -1,20 +1,26 @@
 """Tests for combinatorial automorphisms and equivalence of vertex-facet
 incidences.  The stabilizer-chain search is checked against a brute-force
 oracle over all vertex permutations, and its strong generators are closed
-to the full group."""
+to the full group.  The packed-mask engine is checked against the
+list-of-masks engine it replaced (`combiso_oracle`): same plans, same
+orbit lengths, same generator images, same first witnesses."""
 
 import itertools
 from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from birkhoffsym import combiso
+from birkhoffsym import combiso, hull
 from birkhoffsym.combiso import comb_automorphisms, comb_equivalent
 from birkhoffsym.errors import InvariantError
 from birkhoffsym.hull import IncidenceStructure, facet_enumeration
 from birkhoffsym.perm import Permutation, closure
-from birkhoffsym.reppoly import default_catalog, representation_polytope
+from birkhoffsym.reppoly import (default_catalog, load_exceptional_c6,
+                                 representation_polytope)
 
+import combiso_oracle as oracle
 from group_oracle import regular_action
 from hull_oracle import birkhoff_rows, maps_rows_onto_rows
 
@@ -54,7 +60,7 @@ def test_five_simplex_automorphisms():
 
 @lru_cache(maxsize=None)
 def birkhoff_incidence(n):
-    return facet_enumeration(birkhoff_rows(n)).incidence
+    return hull._facet_enumeration(birkhoff_rows(n)).incidence
 
 
 @lru_cache(maxsize=None)
@@ -195,3 +201,148 @@ def test_birkhoff3_automorphisms():
     inc = facet_enumeration(birkhoff_rows(3)).incidence
     aut = comb_automorphisms(inc)
     assert aut.order == 72  # 2 * (3!)^2
+
+
+@lru_cache(maxsize=None)
+def oracle_cases():
+    c6 = representation_polytope(load_exceptional_c6()).incidence
+    return {**small_incidences(), **chain_incidences(),
+            "b5": birkhoff_incidence(5), "c6-fixture": c6}
+
+
+def relabelled(inc):
+    """inc with its vertices renamed v -> 3v + 1 mod n (a bijection unless
+    3 divides n, then v -> n - 1 - v) and its facets listed backwards."""
+    n = inc.n_vertices
+    name = ((lambda v: (3 * v + 1) % n) if n % 3
+            else (lambda v: n - 1 - v))
+    return IncidenceStructure(n, [map(name, row)
+                                  for row in reversed(inc.tight_sets)])
+
+
+def refined_plan(inc_p, inc_q):
+    (colors_p, colors_q), _ = combiso._refined_colors([inc_p, inc_q])
+    return combiso._plan(inc_p, inc_q, colors_p, colors_q)
+
+
+@pytest.mark.parametrize("name", sorted(oracle_cases()))
+def test_automorphisms_match_the_oracle(name):
+    inc = oracle_cases()[name]
+    aut = comb_automorphisms(inc)
+    orbit_lengths, witnesses = oracle.automorphisms(inc)
+    assert aut.orbit_lengths == orbit_lengths
+    assert [g.images for g in aut.generators] == witnesses
+    plan, reference = refined_plan(inc, inc), oracle._plan(inc, inc)
+    assert plan.order == reference.order
+    assert plan.candidates == reference.candidates
+
+
+@pytest.mark.parametrize("name", sorted(oracle_cases()))
+def test_witnesses_match_the_oracle(name):
+    inc = oracle_cases()[name]
+    others = [inc, relabelled(inc), birkhoff_incidence(3),
+              birkhoff_incidence(4)]
+    witnesses = [comb_equivalent(inc, other) for other in others]
+    assert witnesses == [oracle.equivalent(inc, other) for other in others]
+    assert witnesses[1] is not None
+
+
+def unpacked_masks(rows_p, rows_q, n, prefix):
+    """The oracle's candidate masks, one per P facet, after each
+    assignment of the prefix, dead or alive."""
+    plan = oracle._plan(IncidenceStructure(n, rows_p),
+                        IncidenceStructure(n, rows_q))
+    cand, states = list(plan.init_cand), []
+    for v, w in zip(plan.order, prefix):
+        cand = [c & (plan.qrows_with[w] if hit else plan.qrows_without[w])
+                for c, hit in zip(cand, plan.inside[v])]
+        states.append(cand)
+    return states
+
+
+# the assignment that ends each prefix is the first to empty a field
+EMPTIES_FIELD_0 = (3, [[2], [1], [0, 2]], [[2], [1], [0, 2]], (2, 0))
+EMPTIES_LAST_FIELD = (3, [[2], [1], [0, 2]], [[2], [1], [0, 2]], (0, 1))
+FULL_BELOW_EMPTY = (5, [[3, 4], [1, 3]], [[3, 4], [1, 3]], (3, 0))
+
+
+def test_the_named_edge_cases_empty_the_named_fields():
+    # (case, its empty fields, its full fields, 2^nf - 1, after the last
+    # assignment): in the third a carry out of the full field 0 would set
+    # the guard bit of the empty field 1 right above it
+    for case, empty, full in [(EMPTIES_FIELD_0, [0], []),
+                              (EMPTIES_LAST_FIELD, [2], []),
+                              (FULL_BELOW_EMPTY, [1], [0])]:
+        n, rows_p, rows_q, prefix = case
+        *alive, last = unpacked_masks(rows_p, rows_q, n, prefix)
+        assert all(map(all, alive))
+        assert [fi for fi, c in enumerate(last) if not c] == empty
+        all_q = (1 << len(rows_q)) - 1
+        assert [fi for fi, c in enumerate(last) if c == all_q] == full
+
+
+@st.composite
+def incidence_pairs(draw):
+    """n vertices, P's distinct tight sets, Q's (P relabelled, or drawn
+    anew) and a prefix of images."""
+    n = draw(st.integers(1, 7))
+    rows = st.lists(st.frozensets(st.integers(0, n - 1)), min_size=1,
+                    max_size=12, unique=True)
+    rows_p = draw(rows)
+    if draw(st.booleans()):
+        name = draw(st.permutations(range(n)))
+        rows_q = [frozenset(map(name.__getitem__, row))
+                  for row in draw(st.permutations(rows_p))]
+    else:
+        rows_q = draw(rows)
+    prefix = tuple(draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    return n, rows_p, rows_q, prefix
+
+
+@given(incidence_pairs())
+@example(EMPTIES_FIELD_0)
+@example(EMPTIES_LAST_FIELD)
+@example(FULL_BELOW_EMPTY)
+@settings(max_examples=300, deadline=None)
+def test_packed_search_matches_the_oracle(case):
+    n, rows_p, rows_q, prefix = case
+    inc_p, inc_q = IncidenceStructure(n, rows_p), IncidenceStructure(n, rows_q)
+    reference = oracle._plan(inc_p, inc_q)
+    assert comb_equivalent(inc_p, inc_q) == oracle.equivalent(inc_p, inc_q)
+    if reference is not None:
+        plan = refined_plan(inc_p, inc_q)
+        assert plan.order == reference.order
+        assert plan.candidates == reference.candidates
+        for k in range(len(prefix) + 1):
+            assert (combiso._search(plan, prefix[:k])
+                    == oracle._search(reference, prefix[:k]))
+    aut = comb_automorphisms(inc_p)
+    assert ((aut.orbit_lengths, [g.images for g in aut.generators])
+            == oracle.automorphisms(inc_p))
+
+
+def test_search_and_refinement_counts_are_pinned(monkeypatch):
+    # Exact, machine-independent work of the stabilizer chain: witness
+    # searches (each one finds a witness) and colour refinements, one for
+    # the plan and level 0, then one per level walked.
+    search, refine = combiso._search, combiso._refined_colors
+    calls: list = []
+
+    def counted_search(plan, prefix=()):
+        witness = search(plan, prefix)
+        calls.append(witness is not None)
+        return witness
+
+    def counted_refine(*args):
+        calls.append("refine")
+        return refine(*args)
+
+    monkeypatch.setattr(combiso, "_search", counted_search)
+    monkeypatch.setattr(combiso, "_refined_colors", counted_refine)
+    counts = {}
+    for n in (3, 4, 5):
+        calls.clear()
+        comb_automorphisms(birkhoff_incidence(n))
+        counts[n] = (calls.count(True), calls.count(False),
+                     calls.count("refine"))
+    assert counts == {3: (7, 0, 5), 4: (10, 0, 5), 5: (14, 0, 8)}
