@@ -12,11 +12,12 @@ are immutable row-major tuples.
 
 There is one row reduction, on integer rows: `_independent_rows`, a lazy
 one-pass generator that keeps the greedy independent rows with their
-pivot columns and reduced rows.  The hull's affine chart takes its pivots
-from it, the double-description start its independent inequalities and,
-from two more passes over [N | I], the columns of N^-1, and
-`reppoly.matrix_closure` checks that a generator is invertible by its
-rank.
+pivot columns and reduced rows.  The hull's affine chart takes its
+coordinates from it, the greedy independent columns of the differences
+of its points, and `reppoly.matrix_closure` checks that a generator is
+invertible by its rank.  No matrix is inverted: the double-description
+start chooses its inequalities and their rays in one Gauss-Jordan pass
+of its own, on lines.
 
 Text form of a rational is "p/q" with q > 0, or just "p" when q == 1.
 """
@@ -96,7 +97,7 @@ def primitive_vector(values: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*values)
     if g == 0:
         raise ValueError("primitive_vector of zero vector")
-    return tuple(values) if g == 1 else tuple(x // g for x in values)
+    return tuple(values) if g == 1 else tuple([x // g for x in values])
 
 
 class RationalMatrix:

@@ -1,24 +1,27 @@
 """Exact facet enumeration for small rational polytopes, on integers.
 
 Pipeline: given integer points over one denominator L (the rational
-points times L), take the affine chart (the projection onto the pivot
-coordinates of one fraction-free row reduction, an invertible linear map
-of the affine hull), move the centroid to the origin with every
-coordinate multiplied by the number of points, and run the double
-description method on the polar cone.  Polar rays then lift back to
-ambient facet inequalities normal.x <= offset.  Each of these steps is
-an invertible linear map or a positive scaling, so the double
-description meets the same rays in the same order as it would over the
-unscaled rational chart.  A vertex document is read from its "p/q" text
-into integer rows over the lcm of its denominators, each Facet holds
-its primitive integer inequality, and `polytope_to_document` writes the
-text from the integers.
+points times L), take the affine chart (the projection onto the greedy
+independent coordinates of the differences to the first point, an
+invertible linear map of the affine hull), move the centroid to the
+origin with every coordinate multiplied by the number of points, and
+run the double description method on the polar cone.  Polar rays then
+lift back to ambient facet inequalities normal.x <= offset.  Each of
+these steps is an invertible linear map or a positive scaling, so the
+double description meets the same rays in the same order as it would
+over the unscaled rational chart.  A vertex document is read from its
+"p/q" text into integer rows over the lcm of its denominators, each
+Facet holds its primitive integer inequality, and `polytope_to_document`
+writes the text from the integers.
 
 The double description step maintains, for a growing system of homogeneous
 inequalities <c, y> >= 0 in R^{d+1}, the extreme rays of the intersection
 cone together with each ray's exact set of tight inequalities, held as a
-bitmask.  When a new inequality c splits the rays, adjacent (positive,
-negative) pairs combine into new rays on the hyperplane of c.  Adjacency
+bitmask.  It starts from the simplicial cone of the greedy independent
+inequalities, found with its rays in one Gauss-Jordan pass on lines
+that needs no matrix inverse, and adds the others in index order.  When
+a new inequality c splits the rays, adjacent (positive, negative) pairs
+combine into new rays on the hyperplane of c.  Adjacency
 is the standard combinatorial test (Fukuda & Prodon 1996): no third
 ray's tight set contains the intersection of the pair's tight sets, and
 that intersection must have at least d - 1 members.  A new ray's tight
@@ -43,9 +46,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import islice
-from math import lcm
-from operator import mul
-from typing import Iterable, Optional, Sequence
+from math import gcd
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .exact import (_format_over, _independent_rows, _over_lcm,
@@ -70,13 +73,16 @@ class IncidenceStructure:
     tight sets InvariantError: distinct facets have distinct ones, so the
     hull that built them is at fault.  `preserved_by` tests a symmetry."""
 
-    __slots__ = ("n_vertices", "tight_sets", "vertex_facets")
+    __slots__ = ("n_vertices", "tight_sets", "vertex_facets", "_rows",
+                 "_imagers")
 
     def __init__(self, n_vertices: int, tight_sets: Iterable[Iterable[int]]):
         self.n_vertices = n_vertices
         self.tight_sets = tuple(map(frozenset, tight_sets))
-        if len(set(self.tight_sets)) != len(self.tight_sets):
+        self._rows = frozenset(self.tight_sets)
+        if len(self._rows) != len(self.tight_sets):
             raise InvariantError("two facets share a tight vertex set")
+        self._imagers = None
         vertex_facets = [[] for _ in range(n_vertices)]
         for fi, tight in enumerate(self.tight_sets):
             for v in tight:
@@ -92,10 +98,21 @@ class IncidenceStructure:
 
     def preserved_by(self, images: Sequence[int]) -> bool:
         """Whether v -> images[v] permutes the vertices and the tight
-        sets: whether it is a combinatorial symmetry."""
-        rows = set(self.tight_sets)
-        return sorted(images) == list(range(self.n_vertices)) and rows == {
-            frozenset(map(images.__getitem__, row)) for row in rows}
+        sets: whether it is a combinatorial symmetry.  Each tight set is
+        imaged in C by its own itemgetter, built on the first call."""
+        if self._imagers is None:
+            self._imagers = list(map(_imager, self.tight_sets))
+        return sorted(images) == list(range(self.n_vertices)) and (
+            self._rows == {frozenset(f(images)) for f in self._imagers})
+
+
+def _imager(row: frozenset[int]) -> Callable[[Sequence[int]], Iterable[int]]:
+    """images -> the images of the vertices in row.  itemgetter returns
+    the item itself, not a 1-tuple, when given one index, so a row of
+    fewer than two vertices is imaged by `map`."""
+    if len(row) > 1:
+        return itemgetter(*row)
+    return lambda images: map(images.__getitem__, row)
 
 
 class Polytope:
@@ -124,65 +141,108 @@ class Polytope:
 
 def _affine_chart(points: Sequence[Sequence[int]],
                   max_dim: Optional[int] = None) -> list[int]:
-    """Pivot rows of the affine hull of integer points.
+    """Chart coordinates of the affine hull of integer points: the
+    greedy independent columns of the difference matrix.
 
-    One pass of _independent_rows over the differences p - points[0]
-    keeps a greedy basis of the direction space, in echelon form; its
-    pivots, sorted, are the chart's coordinates.  The d x d block of the
-    echelon basis at the pivot rows is triangular with a nonzero
-    diagonal, so the projection x -> (x - points[0])[pivot_rows] maps the
-    affine hull one-to-one onto Q^d: that projection is the chart, and
-    it needs no inverse.  Raises PreconditionError as soon as
-    the basis exceeds max_dim, if given.
+    One pass of _independent_rows over the columns of the rows
+    p - points[0] keeps coordinate j when column j is independent of the
+    columns kept before it.  These are the pivots of every echelon form
+    of the rows: a row reduction finds its pivot at column j exactly
+    when column j is independent of the columns to its left.  So the
+    d x d block of the differences at the kept coordinates is
+    invertible, and the projection x -> (x - points[0])[kept] maps the
+    affine hull one-to-one onto Q^d: that projection is the chart, and it
+    needs no inverse.  The rank is at most the number of differences, so
+    the pass stops once it has kept that many.  Raises PreconditionError
+    as soon as the basis exceeds max_dim, if given.
     """
-    base = points[0]
+    base, rest = points[0], points[1:]
     pivot_rows = []
-    for _, pivot, _ in _independent_rows(
-            [a - b for a, b in zip(p, base)] for p in points[1:]):
-        pivot_rows.append(pivot)
+    for j, *_ in _independent_rows(
+            [x - b for x in column] for column, b in zip(zip(*rest), base)):
+        pivot_rows.append(j)
         if max_dim is not None and len(pivot_rows) > max_dim:
             raise PreconditionError(
                 f"affine dimension exceeds hull bound {max_dim}")
-    pivot_rows.sort()
+        if len(pivot_rows) == len(rest):
+            break
     return pivot_rows
+
+
+def _onto(w: list[int], b: int, ray: list[int], v: int) -> list[int]:
+    """v w - b ray over its gcd, for v = <c, ray> > 0 and b = <c, w>:
+    w moved along ray onto the hyperplane of c, by a positive factor."""
+    if not b:
+        return w
+    w = [v * x - b * y for x, y in zip(w, ray)]
+    g = gcd(*w)
+    return w if g == 1 else [x // g for x in w]
+
+
+def _dd_start(ineqs: list[tuple[int, ...]]
+              ) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+    """(chosen, rays, deferred): the double description's start, by
+    Gauss-Jordan on lines.
+
+    The lines start as the unit vectors.  They always span the common
+    kernel of the inequalities chosen so far, and the ray of chosen[j]
+    is positive on chosen[j] and zero on the other chosen ones.  An
+    inequality c vanishes on that kernel exactly when it lies in the
+    span of the chosen ones.  So each c in turn is either zero on every
+    line and deferred, or independent of the chosen ones and chosen
+    itself, which is the greedy choice of independent rows.  Its first
+    line with a nonzero value becomes its ray, oriented positive, and
+    every other line and ray moves along that ray onto the hyperplane
+    of c (`_onto`): the lines then span the smaller kernel, and each
+    earlier ray keeps its signs on the earlier choices.  At the end ray
+    j is column j of N^-1, for the chosen rows N, times a positive
+    factor, and no inverse was taken.  Deferred are the inequalities
+    not chosen, in index order.  Raises when the lines outlast the
+    inequalities: then the cone is not pointed.
+    """
+    dim = len(ineqs[0])
+    lines = [[int(i == k) for i in range(dim)] for k in range(dim)]
+    chosen, rays, deferred = [], [], []
+    for ci, c in enumerate(ineqs):
+        if not lines:
+            deferred += range(ci, len(ineqs))
+            break
+        vals = [sum(map(mul, c, w)) for w in lines]
+        k = next((k for k, v in enumerate(vals) if v), None)
+        if k is None:
+            deferred.append(ci)
+            continue
+        ray, v = lines.pop(k), vals.pop(k)
+        if v < 0:
+            ray, v = [-x for x in ray], -v
+        lines = [_onto(w, b, ray, v) for w, b in zip(lines, vals)]
+        rays = [_onto(w, sum(map(mul, c, w)), ray, v) for w in rays]
+        rays.append(ray)
+        chosen.append(ci)
+    if lines:
+        raise ValueError("cone is not pointed: inequalities do not span")
+    return chosen, [primitive_vector(w) for w in rays], deferred
 
 
 def _dd_extreme_rays(ineqs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Extreme rays of {y : <c, y> >= 0 for all c in ineqs}, all integer.
 
     Requires the cone to be pointed (the inequality normals span the
-    space); raises otherwise.  Rays are returned primitive.  Tight sets
-    are bitmasks over inequality positions.  Two rays of a pointed cone
-    in dimension dim are adjacent only if their common tight set has
-    rank dim - 2, so fewer than dim - 2 common inequalities rule a pair
-    out before the scan over the other rays.
+    space); raises otherwise.  Starts from the simplicial cone of the
+    greedy independent inequalities (`_dd_start`), whose ray j is tight
+    exactly on the chosen inequalities other than chosen[j], and adds
+    the deferred ones in index order.  Rays are returned primitive.
+    Tight sets are bitmasks over inequality positions.  Two rays of a
+    pointed cone in dimension dim are adjacent only if their common tight
+    set has rank dim - 2, so fewer than dim - 2 common inequalities rule
+    a pair out before the scan over the other rays.
     """
-    dim = len(ineqs[0])
-    # deterministic greedy choice of dim independent inequalities
-    chosen = [i for i, *_ in islice(_independent_rows(ineqs), dim)]
-    if len(chosen) < dim:
-        raise ValueError("cone is not pointed: inequalities do not span")
-    # start: the columns of N^-1 for the chosen rows N; ray j is tight
-    # exactly on the chosen inequalities other than chosen[j].  [N | I] in
-    # echelon form, reduced again from the last pivot up, has rows
-    # D_p e_p | R_p, each a combination of the rows of [N | I], so
-    # R_p / D_p is row p of N^-1, and the lcm of the D_p clears the
-    # denominators of every column
-    eye = [0] * dim
-    echelon = sorted((pivot, row) for _, pivot, row in _independent_rows(
-        [*ineqs[i], *eye[:k], 1, *eye[k + 1:]] for k, i in enumerate(chosen)))
-    diagonal = sorted((pivot, row) for _, pivot, row in _independent_rows(
-        row for _, row in reversed(echelon)))
-    scale = lcm(*(row[p] for p, row in diagonal))
-    rays = [primitive_vector([row[dim + j] * (scale // row[p])
-                              for p, row in diagonal])
-            for j in range(dim)]
-    chosen_mask = sum(1 << i for i in chosen)
+    chosen, rays, deferred = _dd_start(ineqs)
+    chosen_mask = sum([1 << i for i in chosen])
     tight = [chosen_mask ^ (1 << i) for i in chosen]
-    remaining = [i for i in range(len(ineqs)) if not chosen_mask >> i & 1]
-    need = dim - 2
+    need = len(chosen) - 2
 
-    for ci in remaining:
+    for ci in deferred:
         c = ineqs[ci]
         bit = 1 << ci
         vals = [sum(map(mul, c, ray)) for ray in rays]
@@ -246,7 +306,7 @@ def _facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
     if type(denominator) is not int or denominator < 1:
         raise ValueError(f"denominator must be a positive integer, "
                          f"got {denominator!r}")
-    scale, flat = denominator, tuple(x for p in points for x in p)
+    scale, flat = denominator, tuple([x for p in points for x in p])
     if not set(map(type, flat)) <= {int}:
         x = next(x for x in flat if type(x) is not int)
         raise TypeError(f"hull coordinate {x!r} of type {type(x).__name__} "
@@ -265,16 +325,17 @@ def _facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
         return Polytope(ambient, scaled, scale, (), IncidenceStructure(n, ()),
                         0)
 
-    base = scaled[0]
-    coords = [[p[r] - base[r] for r in pivot_rows] for p in scaled]
-    total = [sum(c[k] for c in coords) for k in range(d)]
+    at_pivots = [[p[r] for r in pivot_rows] for p in scaled]
+    base = at_pivots[0]
+    coords = [[a - b for a, b in zip(p, base)] for p in at_pivots]
+    total = [sum(column) for column in zip(*coords)]
     # polar cone in R^{d+1} of the points shifted by the centroid and
     # scaled by n: rays (t, y) with t >= 0 and <n c - total, y> <= t
     guard = (1,) + (0,) * d
     seen = {guard}
     ineqs = [guard]
     for c in coords:
-        ineq = (1,) + tuple(s - n * x for x, s in zip(c, total))
+        ineq = (1, *[s - n * x for x, s in zip(c, total)])
         if ineq not in seen:
             seen.add(ineq)
             ineqs.append(ineq)
@@ -282,23 +343,21 @@ def _facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
 
     # ray (t, y): n <y, X[pivots]> <= t + n <y, base[pivots]> + <y, total>
     # for the scaled points X = L x, an inequality on x over the pivots
+    shift = [n * b + s for b, s in zip(base, total)]
     packed = set()
     for t, *y in rays:
         if t <= 0:
             raise InvariantError(
                 "unbounded polar: input not full-dimensional in chart")
         normal = [0] * ambient
-        for k, r in enumerate(pivot_rows):
-            normal[r] = n * scale * y[k]
-        offset = (t + n * sum(y[k] * base[r] for k, r in enumerate(pivot_rows))
-                  + sum(map(mul, y, total)))
-        packed.add(primitive_vector(normal + [offset]))
+        for r, x in zip(pivot_rows, y):
+            normal[r] = n * scale * x
+        packed.add(primitive_vector(normal + [t + sum(map(mul, y, shift))]))
     if len(packed) != len(rays):
         raise InvariantError("duplicate facets from distinct polar rays")
     packed = sorted(packed)
 
     tight_sets = []
-    at_pivots = [[p[r] for r in pivot_rows] for p in scaled]
     for f in packed:
         normal = [f[r] for r in pivot_rows]
         bound = f[-1] * scale

@@ -12,7 +12,11 @@ vertex map against a set of tight sets directly.
 ran on Fractions before it moved to integers; it borrows only the
 package's output types (a Polytope holds its points as integer rows over
 one denominator, and a Facet its primitive integer inequality) and must
-reproduce the integer hull exactly.
+reproduce the integer hull exactly.  `affine_chart_by_rows` and
+`dd_extreme_rays_by_inverse` are the package's integer chart and double
+description as they were before the chart took greedy columns and the
+start took Gauss-Jordan on lines; the package must give the same pivots
+and the same rays in the same order.
 
 The package takes and gives rationals only as integers over one
 denominator.  The converters below (`integer_form`, `integer_points`,
@@ -23,13 +27,17 @@ back.
 
 import itertools
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
+from operator import mul
+from typing import Optional, Sequence
 
 import sympy
 
 from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.exact import RationalMatrix
+from birkhoffsym.exact import (RationalMatrix, _independent_rows,
+                               primitive_vector)
 from birkhoffsym.hull import (Facet, IncidenceStructure, Polytope,
                               facet_enumeration)
 
@@ -295,7 +303,7 @@ def _primitive_vector(values):
     return tuple(Fraction(n // g) for n in ints)
 
 
-def _independent_rows(vectors):
+def _fraction_independent_rows(vectors):
     kept = []  # (reduced, pivot)
     for i, v in enumerate(vectors):
         rem = v
@@ -317,7 +325,7 @@ def _inverse(rows):
     augmented = [list(rows[i]) + [Fraction(int(j == i)) for j in range(n)]
                  for i in range(n)]
     kept = []
-    for _, _, row, pivot in _independent_rows(augmented):
+    for _, _, row, pivot in _fraction_independent_rows(augmented):
         if pivot >= n:
             raise ValueError("matrix is singular")
         kept.append((row, pivot))
@@ -340,7 +348,7 @@ def _col(rows, j):
 def _affine_chart(points, max_dim=None):
     base = points[0]
     basis_diffs, pivot_rows = [], []
-    for _, diff, _, pivot in _independent_rows(
+    for _, diff, _, pivot in _fraction_independent_rows(
             _vec_sub(p, base) for p in points[1:]):
         basis_diffs.append(diff)
         pivot_rows.append(pivot)
@@ -355,7 +363,8 @@ def _affine_chart(points, max_dim=None):
 
 def _dd_extreme_rays(ineqs):
     dim = len(ineqs[0])
-    chosen = [i for i, *_ in itertools.islice(_independent_rows(ineqs), dim)]
+    chosen = [i for i, *_ in itertools.islice(
+        _fraction_independent_rows(ineqs), dim)]
     if len(chosen) < dim:
         raise ValueError("cone is not pointed: inequalities do not span")
     n_inv = _inverse([ineqs[i] for i in chosen])
@@ -472,3 +481,112 @@ def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
         tight_sets.append(tight)
     return Polytope(ambient, rows, scale, facets,
                     IncidenceStructure(len(pts), tight_sets), d)
+
+
+# --- the row-pivot chart and the inverse start, kept as references -------
+#
+# The package's integer chart and double description before the chart
+# took greedy columns and the start took Gauss-Jordan on lines: the
+# chart read the pivots of a row reduction of the differences, and the
+# start chose its inequalities with _independent_rows and read N^-1 off
+# two more passes over [N | I].  Kept verbatim.
+
+
+def affine_chart_by_rows(points: Sequence[Sequence[int]],
+                         max_dim: Optional[int] = None) -> list[int]:
+    """Pivot rows of the affine hull of integer points.
+
+    One pass of _independent_rows over the differences p - points[0]
+    keeps a greedy basis of the direction space, in echelon form; its
+    pivots, sorted, are the chart's coordinates.  The d x d block of the
+    echelon basis at the pivot rows is triangular with a nonzero
+    diagonal, so the projection x -> (x - points[0])[pivot_rows] maps the
+    affine hull one-to-one onto Q^d: that projection is the chart, and
+    it needs no inverse.  Raises PreconditionError as soon as
+    the basis exceeds max_dim, if given.
+    """
+    base = points[0]
+    pivot_rows = []
+    for _, pivot, _ in _independent_rows(
+            [a - b for a, b in zip(p, base)] for p in points[1:]):
+        pivot_rows.append(pivot)
+        if max_dim is not None and len(pivot_rows) > max_dim:
+            raise PreconditionError(
+                f"affine dimension exceeds hull bound {max_dim}")
+    pivot_rows.sort()
+    return pivot_rows
+
+
+def dd_extreme_rays_by_inverse(ineqs: list[tuple[int, ...]]
+                               ) -> list[tuple[int, ...]]:
+    """Extreme rays of {y : <c, y> >= 0 for all c in ineqs}, all integer.
+
+    Requires the cone to be pointed (the inequality normals span the
+    space); raises otherwise.  Rays are returned primitive.  Tight sets
+    are bitmasks over inequality positions.  Two rays of a pointed cone
+    in dimension dim are adjacent only if their common tight set has
+    rank dim - 2, so fewer than dim - 2 common inequalities rule a pair
+    out before the scan over the other rays.
+    """
+    dim = len(ineqs[0])
+    # deterministic greedy choice of dim independent inequalities
+    chosen = [i for i, *_ in islice(_independent_rows(ineqs), dim)]
+    if len(chosen) < dim:
+        raise ValueError("cone is not pointed: inequalities do not span")
+    # start: the columns of N^-1 for the chosen rows N; ray j is tight
+    # exactly on the chosen inequalities other than chosen[j].  [N | I] in
+    # echelon form, reduced again from the last pivot up, has rows
+    # D_p e_p | R_p, each a combination of the rows of [N | I], so
+    # R_p / D_p is row p of N^-1, and the lcm of the D_p clears the
+    # denominators of every column
+    eye = [0] * dim
+    echelon = sorted((pivot, row) for _, pivot, row in _independent_rows(
+        [*ineqs[i], *eye[:k], 1, *eye[k + 1:]] for k, i in enumerate(chosen)))
+    diagonal = sorted((pivot, row) for _, pivot, row in _independent_rows(
+        row for _, row in reversed(echelon)))
+    scale = lcm(*(row[p] for p, row in diagonal))
+    rays = [primitive_vector([row[dim + j] * (scale // row[p])
+                              for p, row in diagonal])
+            for j in range(dim)]
+    chosen_mask = sum(1 << i for i in chosen)
+    tight = [chosen_mask ^ (1 << i) for i in chosen]
+    remaining = [i for i in range(len(ineqs)) if not chosen_mask >> i & 1]
+    need = dim - 2
+
+    for ci in remaining:
+        c = ineqs[ci]
+        bit = 1 << ci
+        vals = [sum(map(mul, c, ray)) for ray in rays]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        if not neg:
+            for k, v in enumerate(vals):
+                if v == 0:
+                    tight[k] |= bit
+            continue
+        pos = [k for k, v in enumerate(vals) if v > 0]
+        zero = [k for k, v in enumerate(vals) if v == 0]
+        new_rays = []
+        new_tight = []
+        for p in pos:
+            tp, rp, vp = tight[p], rays[p], vals[p]
+            for m in neg:
+                common = tp & tight[m]
+                if common.bit_count() < need:
+                    continue
+                # adjacent iff only p and m are tight on all of common
+                holders = 0
+                for t in tight:
+                    if t & common == common:
+                        holders += 1
+                        if holders > 2:
+                            break
+                if holders > 2:
+                    continue
+                vm, rm = vals[m], rays[m]
+                new_rays.append(primitive_vector(
+                    [vp * b - vm * a for a, b in zip(rp, rm)]))
+                new_tight.append(common | bit)
+        rays = [rays[k] for k in pos] + [rays[k] for k in zero] + new_rays
+        tight = ([tight[k] for k in pos] + [tight[k] | bit for k in zero]
+                 + new_tight)
+    return rays

@@ -7,13 +7,15 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birkhoffsym import hull
 from birkhoffsym.birkhoff import analytic_facet_sets, birkhoff_vertices
+from birkhoffsym.cli import main
 from birkhoffsym.errors import InvariantError, PreconditionError
 from birkhoffsym.exact import _independent_rows
 from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
@@ -21,7 +23,8 @@ from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
                               polytope_from_document, polytope_to_document)
 from birkhoffsym.reppoly import default_catalog, representation_polytope
 
-from hull_oracle import (affine_dim, birkhoff_rows, entries,
+from hull_oracle import (affine_chart_by_rows, affine_dim, birkhoff_rows,
+                         dd_extreme_rays_by_inverse, entries,
                          fraction_facet_enumeration, hull_of, integer_points,
                          oracle_facets, points_of, random_point_set,
                          rank_certified_vertices, rational_matrix,
@@ -280,7 +283,7 @@ def test_dd_start_keeps_the_rank_greedy_choice(monkeypatch):
     for ineqs in systems:
         assert all(type(x) is int for c in ineqs for x in c)
         dim = len(ineqs[0])
-        chosen = [i for i, *_ in islice(_independent_rows(ineqs), dim)]
+        chosen = hull._dd_start(ineqs)[0]
         assert chosen == rank_greedy_start(ineqs)
         assert len(chosen) == dim
 
@@ -346,6 +349,190 @@ def test_dd_ray_counts_are_pinned(monkeypatch, n, start, new):
     p = hull._facet_enumeration(birkhoff_rows(n))
     assert counts == [(start, new, p.n_facets)]
     assert p.n_facets == n * n
+
+
+def dd_systems(monkeypatch, polytopes):
+    """The inequality systems the double description receives while
+    `polytopes` (a zero-argument callable) builds its hulls."""
+    systems = []
+    dd = hull._dd_extreme_rays
+
+    def spy(ineqs):
+        systems.append(ineqs)
+        return dd(ineqs)
+
+    monkeypatch.setattr(hull, "_dd_extreme_rays", spy)
+    polytopes()
+    monkeypatch.undo()
+    return systems
+
+
+def birkhoff_and_catalog_hulls():
+    for n in (3, 4, 5):
+        hull._facet_enumeration(birkhoff_rows(n))
+    for n in (3, 4):
+        for entry in default_catalog(n):
+            representation_polytope(entry.matrix_group)
+
+
+def test_dd_start_takes_no_row_reduction(monkeypatch):
+    # the start finds its inequalities and rays by Gauss-Jordan on lines,
+    # so the double description never calls the chart's row reduction,
+    # and it meets the rays of the start by inverse, in the same order
+    systems = dd_systems(monkeypatch, birkhoff_and_catalog_hulls)
+    assert len(systems) == 3 + len(default_catalog(3)) + len(default_catalog(4))
+    want = [dd_extreme_rays_by_inverse(ineqs) for ineqs in systems]
+
+    def forbidden(*args):
+        raise AssertionError("the double description reduced rows")
+
+    monkeypatch.setattr(hull, "_independent_rows", forbidden)
+    assert [hull._dd_extreme_rays(ineqs) for ineqs in systems] == want
+
+
+@st.composite
+def inequality_systems(draw):
+    """Integer systems of dimension 1..8 with up to 20 rows of entries
+    -4..4, with zero rows, duplicate rows and dependent rows (the sum or
+    difference of two earlier rows, placed right after the later one, so
+    often before the last independent row) drawn in."""
+    dim = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim),
+                         min_size=max(1, dim - 1), max_size=16))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(i, len(rows) - 1))
+        sign = draw(st.sampled_from((1, -1)))
+        row = draw(st.sampled_from([
+            (0,) * dim, rows[i],
+            tuple(a + sign * b for a, b in zip(rows[i], rows[j]))]))
+        rows.insert(j + 1, row)
+    return rows
+
+
+def dd_outcome(dd, ineqs):
+    try:
+        return dd(ineqs)
+    except ValueError as exc:
+        assert "cone is not pointed" in str(exc)
+        return "not pointed"
+
+
+@given(inequality_systems())
+@settings(max_examples=300, deadline=None)
+def test_dd_matches_the_inverse_start(ineqs):
+    assert (dd_outcome(hull._dd_extreme_rays, ineqs)
+            == dd_outcome(dd_extreme_rays_by_inverse, ineqs))
+
+
+def test_dd_start_on_dependent_rows_before_the_last_independent_one():
+    # rows 1 to 3 (a copy of row 0, twice row 0 and a zero row) come
+    # before the independent rows 4 and 5: they are deferred in index
+    # order, ahead of row 6, which follows the last choice
+    ineqs = [(1, 0, 0), (1, 0, 0), (2, 0, 0), (0, 0, 0), (0, 1, 1),
+             (0, 1, -1), (1, 1, 1)]
+    chosen, rays, deferred = hull._dd_start(ineqs)
+    assert (chosen, deferred) == ([0, 4, 5], [1, 2, 3, 6])
+    assert rays == [(1, 0, 0), (0, 1, 1), (0, 1, -1)]
+    assert hull._dd_extreme_rays(ineqs) == dd_extreme_rays_by_inverse(ineqs)
+    with pytest.raises(ValueError, match="not pointed"):
+        hull._dd_extreme_rays(ineqs[:5])
+
+
+@given(st.integers(0, 6).flatmap(lambda ambient: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * ambient), min_size=1, max_size=12)),
+    st.integers(0, 12), st.sampled_from((None, 1, 2, 3)))
+@settings(max_examples=300, deadline=None)
+def test_column_chart_matches_the_row_pivots(points, copies, max_dim):
+    # the drawn points with copies of some, and then, all times 2m for m
+    # points, with the midpoints of neighbours and the centroid
+    points = points + points[:copies]
+    m = len(points)
+    inside = ([tuple(2 * m * x for x in p) for p in points]
+              + [tuple(m * (x + y) for x, y in zip(a, b))
+                 for a, b in zip(points, points[1:])]
+              + [tuple(2 * sum(c) for c in zip(*points))])
+    for pts in (points, inside):
+        outcomes = []
+        for chart in (_affine_chart, affine_chart_by_rows):
+            try:
+                outcomes.append(chart(pts, max_dim))
+            except PreconditionError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+def spy_on_the_chart_reduction(monkeypatch):
+    """Record how many columns the chart draws into `_independent_rows`
+    and how many it keeps."""
+    seen = {"drawn": 0, "kept": 0}
+    reduce = hull._independent_rows
+
+    def counted(vectors):
+        for v in vectors:
+            seen["drawn"] += 1
+            yield v
+
+    def spy(vectors):
+        for item in reduce(counted(vectors)):
+            seen["kept"] += 1
+            yield item
+
+    monkeypatch.setattr(hull, "_independent_rows", spy)
+    return seen
+
+
+def test_chart_of_points_with_no_coordinates(tmp_path, capsys):
+    p = facet_enumeration([(), ()])
+    assert (p.dim, p.n_facets, p.n_vertices, p.ambient_dim) == (0, 0, 2, 0)
+    assert certify_vertices(p) == [True, True]
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [[]]}))
+    assert main(["hull", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)["details"]
+    assert (doc["dim"], doc["n_facets"], doc["vertices"]) == (0, 0, [[]])
+
+
+def test_chart_of_one_point_draws_no_column(monkeypatch):
+    seen = spy_on_the_chart_reduction(monkeypatch)
+    assert _affine_chart([(2, 3, 5)]) == []
+    assert facet_enumeration([(2, 3, 5)]).dim == 0
+    assert seen == {"drawn": 0, "kept": 0}
+
+
+def test_chart_of_a_simplex_stops_at_its_last_difference(monkeypatch):
+    # the 6 permutation matrices of C_6 acting on itself span a 5-simplex
+    # in R^36: the pass keeps 5 columns and draws no column after the 5th
+    shift = [tuple(int(j == (i + k) % 6) for i in range(6) for j in range(6))
+             for k in range(6)]
+    want = affine_chart_by_rows(shift)
+    seen = spy_on_the_chart_reduction(monkeypatch)
+    assert _affine_chart(shift) == want
+    assert seen["kept"] == 5
+    assert seen["drawn"] == want[-1] + 1 < 36
+    p = facet_enumeration(shift)
+    assert (p.dim, p.n_facets) == (5, 6)
+
+
+def test_chart_refuses_the_11_simplex_as_the_basis_passes_10(monkeypatch):
+    simplex = [tuple(int(i == j) for j in range(11)) for i in range(12)]
+    seen = spy_on_the_chart_reduction(monkeypatch)
+    with pytest.raises(PreconditionError, match="hull bound 10"):
+        facet_enumeration(simplex)
+    assert seen == {"drawn": 11, "kept": 11}
+    seen.update(drawn=0, kept=0)
+    assert len(_affine_chart(simplex, 11)) == 11
+    assert seen == {"drawn": 11, "kept": 11}
+
+
+def test_incidence_symmetry_test_on_short_tight_sets():
+    # a tight set of one vertex, or none, has no itemgetter of its own
+    inc = IncidenceStructure(4, [{0}, {1, 2, 3}, set()])
+    assert inc.preserved_by((0, 2, 3, 1))
+    assert inc.preserved_by([0, 3, 1, 2])
+    assert not inc.preserved_by((1, 0, 2, 3))
+    assert not inc.preserved_by((0, 1, 1, 3))
+    assert not inc.preserved_by((0, 1, 2))
 
 
 def test_certify_vertices_matches_the_rank_certificate():
