@@ -6,6 +6,7 @@ The entry-point test runs the ``birkhoffsym`` script when one is on
 under ``[project.scripts]`` in ``pyproject.toml`` the way the generated
 wrapper runs it, so it also passes with a plain ``PYTHONPATH=src``."""
 
+import hashlib
 import json
 import random
 import shutil
@@ -711,6 +712,57 @@ def test_reports_deterministic(capsys):
     doc1.pop("runtime_ms")
     doc2.pop("runtime_ms")
     assert doc1 == doc2
+
+
+# sha256 of each group command's `details`, as JSON with sorted keys, and
+# its exit status: a change to how groups are held must print the same
+# reports
+REPORT_DIGESTS = {
+    "regular-pairs --group s3": (
+        0, "6586a6e29245d7a9d5371507065b5c9b649424042d1c4ad3647e7ce793894037"),
+    "regular-pairs --group s4": (
+        0, "3e88fb3188973ea654198514e1bc88b402f97e893df7b939fdd0386e04ee2c0f"),
+    "wreath --group s3": (
+        0, "f6c8148a0a316411430be9d07c0bf1e9798ba6204b51fe0e5c296027df221db3"),
+    "wreath --group s4": (
+        0, "62d78c17a821463a2f258cc0f68cc601db937c73c577012594de5e8c8bed210d"),
+    "wreath --group d4": (
+        0, "e6d5cfc5e9c666287ead1a2864d7b522b73e2aea199d8ea6b22be5ed81216896"),
+    "wreath --group v4": (
+        0, "ff3ecdd7398e7ea570253bcefb195e41f2b7b80ccb2bf44ca57b013d18e93b75"),
+    "wreath --group c6": (
+        0, "49b84155b567ae75a340d417bb0de2394ed442bd48cbe82e169639585a4a5039"),
+    "normalizer --group s3": (
+        0, "ffca8731f44d5135ceeaadfd06bcde4cfa5b7c6c78463345a162feef06a724fe"),
+    "normalizer --group d4": (
+        1, "effcb413f741bec2cafc83a79b447e3ae11831c94d9cbfb4b2fc44d71c4e5e14"),
+    "normalizer --group q8": (
+        0, "65018f9f7a0475c30870010927dd6fab4b0549626da7e0ea2c5d7a4fda609664"),
+    "cd-lattice --group s4": (
+        0, "856267034304181d5501c36ecee6973774055a6d30a8d653c5d20d2b609a7218"),
+    "cd-lattice --group d4": (
+        0, "e7cfe76690eacad021a27832b807c8d01b09ceacbf317292ad13fd38ca835b1f"),
+    "cd-lattice --group q8": (
+        0, "f41d889d5a0f69f9b3e6a32a7550ab80b31a695b9fc45e97489f0b223a6cd484"),
+    "sn-cent-est 4": (
+        0, "4f2515634c0eda6c8295e117e065c18da557c7e83f742a6477001478e4a9df11"),
+    "sn-cent-est 5": (
+        0, "cb2d7ea0a27e0336f2904f4ce34c02b0b6cdf29895032f95e19ba7477cde1a2e"),
+    "verify-symmetry-group 3": (
+        0, "24171a12a344f2bd19fbbfeb0b2b9a28e200fe5a3078263f3fe966c04ff40c69"),
+    "verify-symmetry-group 4": (
+        0, "8f94cc5a8bc0b3c8295e47b585befa64873222fceb00191f0026b23af66a0d2e"),
+    "decompose 4 --identity": (
+        0, "ff533f94de2680d795f218697d75ff328fb6e6f235b7ffeef8d2b83bfd6f2728"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
+def test_group_reports_are_pinned(capsys, argv):
+    code, doc = run_json(capsys, argv.split())
+    text = json.dumps(doc["details"], sort_keys=True)
+    assert (code, hashlib.sha256(text.encode()).hexdigest()) == \
+        REPORT_DIGESTS[argv]
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
