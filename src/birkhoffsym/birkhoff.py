@@ -43,7 +43,7 @@ from .combiso import comb_automorphisms
 from .errors import PreconditionError
 from .exact import RationalMatrix, _common_form
 from .hull import _facet_enumeration
-from .perm import Permutation, symmetric_group
+from .perm import Permutation, _inverse, symmetric_group
 
 MAX_N = 5
 
@@ -73,12 +73,12 @@ def _facet_lookup(n: int) -> tuple[tuple[itemgetter, ...], dict]:
             {members: k for k, members in enumerate(sets)})
 
 
-def permutation_matrix(perm: Permutation) -> RationalMatrix:
-    """P(pi) with P(pi)[i][j] = 1 iff pi(j) = i, so P is a homomorphism:
-    P(pi sigma) = P(pi) P(sigma)."""
-    n = perm.degree
+def permutation_matrix(images: Sequence[int]) -> RationalMatrix:
+    """P(pi) for pi given by its image tuple, with P(pi)[i][j] = 1 iff
+    pi(j) = i, so P is a homomorphism: P(pi sigma) = P(pi) P(sigma)."""
+    n = len(images)
     nums = [0] * (n * n)
-    for j, i in enumerate(perm.images):
+    for j, i in enumerate(images):
         nums[i * n + j] = 1
     return RationalMatrix(n, n, nums, 1)
 
@@ -101,7 +101,7 @@ def analytic_facet_sets(n: int) -> tuple[frozenset[int], ...]:
     if n < 3:
         raise PreconditionError("facet description requires n >= 3")
     perms = symmetric_group(n).elements
-    return tuple(frozenset(v for v, p in enumerate(perms) if p(i) == j)
+    return tuple(frozenset(v for v, p in enumerate(perms) if p[i] == j)
                  for i in range(n) for j in range(n))
 
 
@@ -162,8 +162,7 @@ def _vertex_images(n: int, sigma: Sequence[int], tau: Sequence[int],
     group = symmetric_group(n)
     index = group.index
     after_tau = itemgetter(*tau)
-    domain = (index if epsilon == 1
-              else [group.elements[i].images for i in group.inv])
+    domain = index if epsilon == 1 else itemgetter(*group.inv)(group.elements)
     # (p tau)[x] = p[tau[x]], then (sigma p tau)[x] = sigma[(p tau)[x]]
     return [index.get(itemgetter(*after_tau(p))(sigma)) for p in domain]
 
@@ -241,7 +240,7 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
     images = list(alpha.images)
     for epsilon in (1, -1):
         r = [k // n for k in image_map[::n]]
-        tau = sorted(range(n), key=r.__getitem__)  # r^-1
+        tau = _inverse(r)
         sigma = [k % n for k in image_map[:n]]
         if _vertex_images(n, sigma, tau, epsilon) == images:
             return SymmetryDecomposition(Permutation(sigma), Permutation(tau),

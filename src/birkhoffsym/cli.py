@@ -38,8 +38,9 @@ from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 from . import birkhoff, cd, gamma, hull, reppoly
 from .errors import InvariantError, PreconditionError
 from .exact import _integer, _integers
-from .perm import (Permutation, PermutationGroup, builtin_group_names,
-                   group_from_generator_lines, named_group)
+from .perm import (Permutation, PermutationGroup, _order,
+                   builtin_group_names, group_from_generator_lines,
+                   named_group)
 from .reports import Report, render_report
 
 
@@ -60,7 +61,7 @@ def _subgroup_name(base_name: str, group: PermutationGroup,
         return "1"
     if sub.order == group.order:
         return base_name.upper()
-    orders = [p.order() for p in sub.elements]
+    orders = list(map(_order, sub.elements))
     if max(orders) == sub.order:
         return f"C{sub.order}"
     if sub.order == 4:
@@ -116,6 +117,10 @@ def _cmd_decompose(args):
     n_points = math.factorial(args.n)
     # --alpha wins over the positional file when both are given
     path = args.alpha if args.alpha is not None else args.alpha_positional
+    if args.identity and path is not None:
+        raise PreconditionError(
+            f"decompose takes --identity or the alpha file {path!r}, "
+            "not both")
     if args.identity:
         alpha = Permutation(range(n_points))
         inputs = {"n": args.n, "alpha": "identity"}
@@ -143,8 +148,7 @@ def _cmd_cd_lattice(args):
     members = [{
         "name": _subgroup_name(name, group, sub),
         "order": sub.order,
-        "generators": [g.cycle_string() for g in
-                       (sub.generators or sub.elements[:1])],
+        "generators": [g.cycle_string() for g in sub.generators] or ["()"],
     } for sub in r.lattice]
     details = {
         "group_order": r.group_order,
@@ -178,7 +182,7 @@ def _cmd_regular_pairs(args):
 
     def describe(u: PermutationGroup) -> dict:
         return {"order": u.order,
-                "cyclic": max(p.order() for p in u.elements) == u.order}
+                "cyclic": max(map(_order, u.elements)) == u.order}
 
     details = {
         "group_order": group.order,

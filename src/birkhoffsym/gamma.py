@@ -44,8 +44,8 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import InvariantError, PreconditionError
-from .perm import (Permutation, PermutationGroup, _right_mul, closure,
-                   saturate)
+from .perm import (Permutation, PermutationGroup, _cycles, _inverse,
+                   _right_mul, closure, saturate)
 
 MAX_GAMMA_BASE = 120  # largest |G| whose Gamma(G) is built
 
@@ -67,7 +67,8 @@ def build_gamma(group: PermutationGroup) -> PermutationGroup:
 
 
 def is_elementary_abelian_2(group: PermutationGroup) -> bool:
-    return all((g * g).is_identity() for g in group.elements)
+    """Whether g^2 = e for every g: the diagonal of G's table is 0."""
+    return all(row[g] == 0 for g, row in enumerate(group.table))
 
 
 @dataclass
@@ -102,24 +103,6 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
     return WreathReport(group.order, len(center), ea2, formula,
                         None if ea2 else formula, gamma.order, kernel_pass,
                         kernel_pass and (ea2 or gamma.order == formula))
-
-
-def _one_cycle_length(images: tuple[int, ...]) -> bool:
-    """Whether every cycle of the permutation has the same length."""
-    seen = bytearray(len(images))
-    length = 0
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        x, n = start, 0
-        while not seen[x]:
-            seen[x] = 1
-            x = images[x]
-            n += 1
-        if length and n != length:
-            return False
-        length = n
-    return True
 
 
 def _narrow(cents: list, g: tuple[int, ...], g_mul) -> Optional[list]:
@@ -171,7 +154,7 @@ def _partnered_regular_subgroups(gamma: PermutationGroup) -> list[tuple]:
     identity = tuple(range(m))
     fibers: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
     for p in gamma.elements:
-        fibers[p.images[0]].append(p.images)
+        fibers[p[0]].append(p)
     branches: dict[int, list] = {}
     found = []
 
@@ -186,7 +169,7 @@ def _partnered_regular_subgroups(gamma: PermutationGroup) -> list[tuple]:
         x = min(p for p in range(m) if p not in covered)
         if x not in branches:  # few fibers are reached: filter on first visit
             branches[x] = [(g, _right_mul(g)) for g in fibers[x]
-                           if _one_cycle_length(g)]
+                           if len(set(map(len, _cycles(g)))) == 1]
         for g, g_mul in branches[x]:
             narrowed = _narrow(cents, g, g_mul)
             if narrowed is None:
@@ -221,9 +204,8 @@ def commuting_regular_pairs(gamma: PermutationGroup
     """
     found = sorted(_partnered_regular_subgroups(gamma), key=itemgetter(0))
     position = {members: a for a, (members, _, _) in enumerate(found)}
-    elements, index = gamma.elements, gamma.index
-    groups = [PermutationGroup([elements[index[w]] for w in members],
-                               [elements[index[g]] for g in choices])
+    groups = [PermutationGroup(members, [Permutation._unchecked(g)
+                                         for g in choices])
               for members, choices, _ in found]
     pairs = []
     for a, (_, _, partner) in enumerate(found):
@@ -236,18 +218,17 @@ def commuting_regular_pairs(gamma: PermutationGroup
     return pairs
 
 
-def automorphisms(group: PermutationGroup) -> list[Permutation]:
-    """Aut(G) as permutations of G's positions: G's isomorphisms onto its
+def automorphisms(group: PermutationGroup) -> list[tuple[int, ...]]:
+    """Aut(G) as image tuples on G's positions: G's isomorphisms onto its
     own table."""
-    return [Permutation._unchecked(tuple(alpha))
-            for alpha in group.isomorphisms(group.table)]
+    return [tuple(alpha) for alpha in group.isomorphisms(group.table)]
 
 
 def _normalizes(pi: tuple[int, ...], group: PermutationGroup) -> bool:
     """Whether pi conjugates each generator into the group: then
     pi <gens> pi^-1 = <pi gens pi^-1> is a subgroup of the same order,
     the group itself."""
-    inverse = tuple(sorted(range(len(pi)), key=pi.__getitem__))
+    inverse = _inverse(pi)
     return all(_right_mul(_right_mul(inverse)(g.images))(pi) in group.index
                for g in group.generators)
 
@@ -268,7 +249,7 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
     x -> phi(x)(e) that normalize Gamma, and the check passes when
     N_e = Aut(G) <iota> as sets of maps."""
     gamma = build_gamma(group)
-    auts = [alpha.images for alpha in automorphisms(group)]
+    auts = automorphisms(group)
     n_e = set()
     for members, _, _ in _partnered_regular_subgroups(gamma):
         rows = sorted(members, key=itemgetter(0))  # u with u(0) = a at a

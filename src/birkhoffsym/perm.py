@@ -6,13 +6,14 @@ Conventions, fixed once and used everywhere:
   image tuple, so p(i) == p.images[i].
 * Composition is right-to-left: (p * q)(x) = p(q(x)), i.e. q acts first.
 * Cycle notation uses the same point labels: "(0 1 2)(3 4)", identity "()".
-* Group elements are kept fully enumerated, sorted by image tuple, so
-  the identity (0, 1, ..., m-1) comes first.
-* A group carries the generating set it was built from; none is ever
-  recovered from the element list.
+* A group holds each element once, as its image tuple: `elements` is
+  their sorted tuple, so the identity (0, 1, ..., m-1) comes first.
+  `_inverse` and `_order` are the one inverse and order on such tuples.
+* A group carries the generating set it was built from, as checked
+  `Permutation`s; none is ever recovered from the element list.
 
-Groups stay small (a few thousand elements at most), where explicit
-element lists beat stabilizer chains in simplicity and speed.
+Groups are listed in full up to tens of thousands of elements (Gamma(S_5)
+has 28 800), where explicit lists beat stabilizer chains in simplicity.
 `saturate` is the package's one closure.  Plain, it runs breadth-first
 under unary steps: products by fixed factors, in C as one
 `operator.itemgetter` per factor (`_right_mul`), or permutations of
@@ -53,14 +54,18 @@ MAX_IMAGE_CHOICES = 50_000  # generator images one isomorphism search tries
 
 def _not_a_permutation(images: tuple) -> str:
     """The error text for an image tuple that is no bijection: its first
-    repeated or out-of-range image and first missing point, not all."""
+    image that is not an `int`, or else its first repeated or
+    out-of-range image and first missing point, not all."""
     points = range(len(images))
+    head = f"not a permutation of 0..{len(images) - 1}: image "
+    for at, x in enumerate(images):
+        if type(x) is not int:
+            return f"{head}{_shown(str(x))} at position {at} is not an int"
     first = {x: i for i, x in reversed(list(enumerate(images)))}
     at = next(i for i, x in enumerate(images) if x not in points or first[x] < i)
     fault = "repeats" if images[at] in points else "is out of range"
-    return (f"not a permutation of 0..{len(images) - 1}: image "
-            f"{_shown(str(images[at]))} at position {at} {fault}, point "
-            f"{min(set(points) - first.keys())} is missing")
+    return (f"{head}{_shown(str(images[at]))} at position {at} {fault}, "
+            f"point {min(set(points) - first.keys())} is missing")
 
 
 class Permutation:
@@ -68,7 +73,9 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
+        # bool and float images sort like ints: refuse every other type
+        if (not set(map(type, images)) <= {int}
+                or sorted(images) != list(range(len(images)))):
             raise ValueError(_not_a_permutation(images))
         object.__setattr__(self, "images", images)
 
@@ -98,39 +105,21 @@ class Permutation:
         # self after other: (self * other)(x) = self(other(x))
         if self.degree != other.degree:
             raise ValueError("composing permutations of different degrees")
-        img = self.images
-        return Permutation._unchecked(tuple([img[x] for x in other.images]))
+        return Permutation._unchecked(_right_mul(other.images)(self.images))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Permutation._unchecked(tuple(inv))
+        return Permutation._unchecked(_inverse(self.images))
 
     def is_identity(self) -> bool:
         return all(x == i for i, x in enumerate(self.images))
 
     def order(self) -> int:
-        return lcm(*map(len, self.cycles()))
+        return _order(self.images)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its least point,
         sorted by that least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                seen[start] = True
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = self.images[x]
-            out.append(tuple(cyc))
-        return out
+        return [tuple(c) for c in _cycles(self.images) if len(c) > 1]
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -192,30 +181,32 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
 
 class PermutationGroup:
-    """A finite permutation group given by its full, sorted element list
-    and a generating set.
+    """A finite permutation group given by its full element list and a
+    generating set.
 
-    `generators` is a tuple of permutations that generate the group (the
-    trivial group may have none); the degree is the identity's.  Equality
-    ignores the generators and compares element sets.  `index` maps each
-    image tuple to its position in the list.  The table on those
-    positions, `table`, and the inverse positions, `inv`, are built on
-    first read and kept with the group.
+    `elements` is the sorted tuple of the members' image tuples, each
+    held once: `index` maps the same tuples to their positions.  The
+    constructor takes image tuples that are known to be bijections, such
+    as the members of a closure, and checks only that the identity is
+    among them and that all have its degree.  `generators` is a tuple of
+    permutations that generate the group (the trivial group may have
+    none).  Equality ignores the generators and compares element sets.
+    The table on the positions, `table`, and the inverse positions,
+    `inv`, are built on first read and kept with the group.
     """
 
     __slots__ = ("degree", "elements", "generators", "index", "_table", "_inv")
 
-    def __init__(self, elements: Sequence[Permutation],
+    def __init__(self, elements: Iterable[tuple[int, ...]],
                  generators: Sequence[Permutation]):
-        by_images = {p.images: p for p in elements}
-        keys = sorted(by_images)
+        keys = tuple(sorted(set(elements)))
         if not keys or keys[0] != tuple(range(len(keys[0]))):
             raise ValueError("element list must contain the identity")
         degree = len(keys[0])
         if any(len(k) != degree for k in keys):
             raise ValueError("element of wrong degree")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "elements", tuple(by_images[k] for k in keys))
+        object.__setattr__(self, "elements", keys)
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "index", {k: i for i, k in enumerate(keys)})
         object.__setattr__(self, "_table", None)
@@ -229,11 +220,8 @@ class PermutationGroup:
         return len(self.elements)
 
     @property
-    def identity(self) -> Permutation:
+    def identity(self) -> tuple[int, ...]:
         return self.elements[0]
-
-    def __contains__(self, p: Permutation) -> bool:
-        return p.images in self.index
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PermutationGroup)
@@ -269,10 +257,9 @@ class PermutationGroup:
             table[0] = list(range(n))
             try:
                 gens = [idx[g.images] for g in self.generators]
-                for s in gens:
+                for s, g in zip(gens, self.generators):
                     if table[s] is None:  # g b for each b, looked up
-                        g = self.elements[s].images
-                        table[s] = [idx[_right_mul(b)(g)] for b in idx]
+                        table[s] = [idx[_right_mul(b)(g.images)] for b in idx]
             except KeyError:
                 raise InvariantError("a generator or one of its products "
                                      "lies outside the element list") from None
@@ -298,9 +285,8 @@ class PermutationGroup:
     def inv(self) -> list[int]:
         """inv[a] is the position of the inverse of elements[a]."""
         if self._inv is None:
-            idx = self.index
-            object.__setattr__(self, "_inv",
-                               [idx[p.inverse().images] for p in self.elements])
+            object.__setattr__(self, "_inv", list(map(
+                self.index.__getitem__, map(_inverse, self.elements))))
         return self._inv
 
     def closure_indices(self, seeds: Iterable[int]) -> frozenset[int]:
@@ -361,8 +347,7 @@ class PermutationGroup:
         MAX_IMAGE_CHOICES choices it raises PreconditionError."""
         table, m = self.table, len(rows)
         gens = [self.index[g.images] for g in self.generators]
-        orders, targets = ([Permutation._unchecked(tuple(row)).order()
-                            for row in r] for r in (table, rows))
+        orders, targets = ([_order(row) for row in r] for r in (table, rows))
         if sorted(orders) != sorted(targets):
             return
         stack, tried = [(0, [0] + [-1] * (m - 1))], count(1)
@@ -397,8 +382,9 @@ class PermutationGroup:
         """The subgroup with the given member positions, generated by the
         elements at positions gen_indices."""
         elements = self.elements
-        return PermutationGroup([elements[i] for i in members],
-                                [elements[i] for i in gen_indices])
+        return PermutationGroup(map(elements.__getitem__, members),
+                                [Permutation._unchecked(elements[i])
+                                 for i in gen_indices])
 
 
 def saturate(seeds: Iterable, steps: Sequence[Callable],
@@ -449,6 +435,34 @@ def _right_mul(g: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...
     return itemgetter(*g) if len(g) > 1 else tuple
 
 
+def _inverse(p: Sequence[int]) -> tuple[int, ...]:
+    """The image tuple of p^-1, the one inverse of the package."""
+    inv = [0] * len(p)
+    for i, x in enumerate(p):
+        inv[x] = i
+    return tuple(inv)
+
+
+def _cycles(p: Sequence[int]) -> Iterator[list[int]]:
+    """The cycles of p, fixed points included, each from its least point,
+    in the order of those points."""
+    seen = bytearray(len(p))
+    for start in range(len(p)):
+        if not seen[start]:
+            cycle, x = [], start
+            while not seen[x]:
+                seen[x] = 1
+                cycle.append(x)
+                x = p[x]
+            yield cycle
+
+
+def _order(p: Sequence[int]) -> int:
+    """The order of p, the one order of the package: the lcm of its
+    cycle lengths."""
+    return lcm(*map(len, _cycles(p)))
+
+
 def closure(generators: Sequence[Permutation],
             max_order: Optional[int] = None) -> PermutationGroup:
     """Group generated by the given permutations on image tuples, one
@@ -467,8 +481,7 @@ def closure(generators: Sequence[Permutation],
             seen = saturate(seen, steps, max_order,
                             lambda p, h=seen: map(_right_mul(p), h))
     # every member is a product of the (validated) generators
-    return PermutationGroup([Permutation._unchecked(t) for t in seen],
-                            generators)
+    return PermutationGroup(seen, generators)
 
 
 @lru_cache(maxsize=8)
@@ -478,7 +491,7 @@ def symmetric_group(n: int) -> PermutationGroup:
     tuple, is the vertex order of B_n."""
     if n < 1:
         raise ValueError("symmetric_group needs n >= 1")
-    elements = [Permutation(p) for p in itertools.permutations(range(n))]
+    elements = itertools.permutations(range(n))
     if n == 1:
         return PermutationGroup(elements, (Permutation.identity(1),))
     t = parse_cycles("(0 1)", n)

@@ -28,8 +28,8 @@ from .errors import InvariantError, PreconditionError
 from .exact import (RationalMatrix, _common_form, _independent_rows,
                     _over_lcm, _rational_pair)
 from .hull import MAX_VERTICES, Polytope, certify_vertices, facet_enumeration
-from .perm import (Permutation, PermutationGroup, closure, named_group,
-                   saturate)
+from .perm import (Permutation, PermutationGroup, _right_mul, closure,
+                   named_group, saturate)
 
 
 class MatrixGroup:
@@ -101,7 +101,7 @@ def matrix_group_from_perm_group(group: PermutationGroup) -> MatrixGroup:
     """Permutation matrices of a permutation group, acting on its own
     points.  For a cyclic shift on |G| points this is the regular
     representation; for S_n on n points it is the standard one."""
-    gens = group.generators or (group.identity,)
+    gens = [g.images for g in group.generators] or [group.identity]
     return matrix_closure([permutation_matrix(g) for g in gens])
 
 
@@ -111,10 +111,10 @@ def regular_matrix_group(group: PermutationGroup) -> MatrixGroup:
     x -> g x are built, |generators| * |G| products; the closure of their
     matrices gives the rest, so G's table is never needed."""
     idx = group.index
-    gens = group.generators or (group.identity,)
+    gens = [g.images for g in group.generators] or [group.identity]
+    # g x = _right_mul(x)(g) on image tuples
     return matrix_closure([
-        permutation_matrix(Permutation(idx[(g * x).images]
-                                       for x in group.elements))
+        permutation_matrix([idx[_right_mul(x)(g)] for x in group.elements])
         for g in gens])
 
 

@@ -17,7 +17,7 @@ no package code for the map, so a round trip through
 import itertools
 
 from birkhoffsym.birkhoff import LawReport
-from birkhoffsym.perm import symmetric_group
+from birkhoffsym.perm import Permutation, symmetric_group
 
 
 def full_transformation_law(n: int, sets) -> LawReport:
@@ -33,10 +33,10 @@ def full_transformation_law(n: int, sets) -> LawReport:
                     translation_cases += 1
                     image = frozenset(table[row[v]][tau_inv]
                                       for v in sets[i * n + j])
-                    if image != sets[tau(i) * n + sigma(j)]:
+                    if image != sets[tau[i] * n + sigma[j]]:
                         failures.append(
-                            f"sigma={sigma.cycle_string()} tau={tau.cycle_string()} "
-                            f"A({i},{j})")
+                            f"sigma={Permutation(sigma).cycle_string()} "
+                            f"tau={Permutation(tau).cycle_string()} A({i},{j})")
     inversion_cases = 0
     for i in range(n):
         for j in range(n):

@@ -10,11 +10,11 @@ where the scan takes about 0.15 s.
 import itertools
 
 from birkhoffsym.gamma import NormalizerReport, build_gamma
-from birkhoffsym.perm import Permutation, PermutationGroup
+from birkhoffsym.perm import PermutationGroup
 
 
-def automorphisms(group: PermutationGroup) -> list[Permutation]:
-    """Aut(G) as permutations of the element labelling, by brute force
+def automorphisms(group: PermutationGroup) -> list[tuple[int, ...]]:
+    """Aut(G) as image tuples on the element labelling, by brute force
     over bijections fixing the identity and preserving the multiplication
     table.  Exponential; meant for |G| <= 8 where it is its own proof.
     """
@@ -37,7 +37,7 @@ def automorphisms(group: PermutationGroup) -> list[Permutation]:
             continue
         if all(alpha[table[a][b]] == table[alpha[a]][alpha[b]]
                for a in range(n) for b in range(n)):
-            auts.append(Permutation(alpha))
+            auts.append(tuple(alpha))
     return auts
 
 
@@ -61,7 +61,7 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
                for g in gens):
             normalizer.append(cand)
     auts = automorphisms(group)
-    product = {(a * g).images for a in auts for g in gamma.elements}
+    product = {tuple(a[x] for x in g) for a in auts for g in gamma.elements}
     norm_set = set(normalizer)
     return NormalizerReport(
         group_order=group.order,

@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Optional
 
 from birkhoffsym.errors import NotASubgroupError, PreconditionError
-from birkhoffsym.perm import PermutationGroup
+from birkhoffsym.perm import Permutation, PermutationGroup
 
 # The unpruned search is exponential in the degree, so it keeps a bound
 # of its own: Gamma(S_4), 24 points and 1 152 elements, is its largest.
@@ -47,12 +47,12 @@ def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
         return []
     fibers: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
     for p in group.elements:
-        fibers[p.images[0]].append(p.images)
+        fibers[p[0]].append(p)
     if any(not f for f in fibers):
         return []  # not transitive, so no transitive subgroup exists
     # w -> w * g; on degree 1 itemgetter returns an int, but the search
     # never closes there
-    right_mul = {p.images: itemgetter(*p.images) for p in group.elements}
+    right_mul = {p: itemgetter(*p) for p in group.elements}
     results: list[tuple[frozenset, list]] = []
 
     def close_with(current: frozenset, gens: list,
@@ -88,11 +88,9 @@ def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
                 extend(closed, gens + [g])
 
     extend(frozenset({tuple(range(m))}), [])
-    perm_of = {p.images: p for p in group.elements}
-    subs = [PermutationGroup([perm_of[w] for w in members],
-                             tuple(perm_of[g] for g in gens))
+    subs = [PermutationGroup(members, tuple(map(Permutation, gens)))
             for members, gens in results]
-    subs.sort(key=lambda h: tuple(p.images for p in h.elements))
+    subs.sort(key=lambda h: h.elements)
     return subs
 
 
@@ -101,7 +99,7 @@ def is_regular(group: PermutationGroup, sub: PermutationGroup, base: int = 0) ->
     `base` under U hit every point exactly once."""
     if not sub.is_subgroup_of(group):
         raise NotASubgroupError("is_regular: not a subgroup")
-    hits = {p(base) for p in sub.elements}
+    hits = {p[base] for p in sub.elements}
     return sub.order == group.degree and len(hits) == group.degree
 
 

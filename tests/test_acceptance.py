@@ -12,7 +12,7 @@ from birkhoffsym.cd import cd_lattice, verify_centralizer_estimate
 from birkhoffsym.gamma import (build_gamma, commuting_regular_pairs,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
-from birkhoffsym.perm import PermutationGroup, named_group
+from birkhoffsym.perm import Permutation, PermutationGroup, named_group
 from birkhoffsym.reppoly import (load_exceptional_c6,
                                  matrix_group_from_perm_group,
                                  uniqueness_check, verify_gamma_acts)
@@ -113,7 +113,8 @@ def test_criterion_06_gamma_order_formula():
 def lambda_and_rho(group):
     """lambda(G) and rho(G), each generated by all its elements."""
     lams, rhos, _ = regular_action(group)
-    return PermutationGroup(lams, lams), PermutationGroup(rhos, rhos)
+    return (PermutationGroup([p.images for p in lams], lams),
+            PermutationGroup([p.images for p in rhos], rhos))
 
 
 def test_criterion_07_commuting_regular_pairs():
@@ -127,12 +128,12 @@ def test_criterion_07_commuting_regular_pairs():
     lambda3, rho3 = lambda_and_rho(named_group("s3"))
     pairs3 = commuting_regular_pairs(build_gamma(named_group("s3")))
     self_paired = [u for u, v in pairs3 if u == v]
-    shapes = {(sum(1 for p in u.elements if p in lambda3),
-               sum(1 for p in u.elements if p in rho3))
+    shapes = {(sum(1 for p in u.elements if p in lambda3.index),
+               sum(1 for p in u.elements if p in rho3.index))
               for u in self_paired}
     extra_ok = (len(pairs3) == 7
                 and all(u.order == 6 and
-                        max(p.order() for p in u.elements) == 6
+                        max(Permutation(p).order() for p in u.elements) == 6
                         for u in self_paired)
                 and shapes == {(2, 3), (3, 2)})
     ok = only_lambda_rho and extra_ok

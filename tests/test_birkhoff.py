@@ -34,8 +34,10 @@ def test_matrix_map_is_homomorphism(pa, pb):
     n = max(len(pa), len(pb))
     a = Permutation(list(pa) + list(range(len(pa), n)))
     b = Permutation(list(pb) + list(range(len(pb), n)))
-    assert permutation_matrix(a * b) == permutation_matrix(a) * permutation_matrix(b)
-    pa_inv, pa = permutation_matrix(a.inverse()), permutation_matrix(a)
+    assert (permutation_matrix((a * b).images)
+            == permutation_matrix(a.images) * permutation_matrix(b.images))
+    pa_inv = permutation_matrix(a.inverse().images)
+    pa = permutation_matrix(a.images)
     assert pa_inv._den == pa._den == 1
     assert all(pa_inv._num[i * n + j] == pa._num[j * n + i]
                for i in range(n) for j in range(n))
@@ -43,7 +45,7 @@ def test_matrix_map_is_homomorphism(pa, pb):
 
 def test_permutation_matrix_entries():
     p = Permutation((1, 2, 0))  # 0->1, 1->2, 2->0
-    m = permutation_matrix(p)
+    m = permutation_matrix(p.images)
     # column j carries a single 1 in row p(j)
     assert m._den == 1
     for i in range(3):
@@ -128,7 +130,7 @@ def test_verify_transformation_law_n3():
 def test_symmetric_group_lists_the_vertex_order(n):
     # B_n's vertices, and the law check's table indices, follow
     # symmetric_group(n)'s elements: image tuples in lexicographic order
-    assert [p.images for p in symmetric_group(n).elements] == list(
+    assert list(symmetric_group(n).elements) == list(
         itertools.permutations(range(n)))
     assert symmetric_group(n) is symmetric_group(n)
 
@@ -230,7 +232,7 @@ def test_decompose_rejects_vertex_swap():
 
 def test_inversion_map_is_involution_and_decomposes():
     for n in (3, 4):
-        perms = symmetric_group(n).elements
+        perms = [Permutation(p) for p in symmetric_group(n).elements]
         index = {p: v for v, p in enumerate(perms)}
         iota = Permutation([index[p.inverse()] for p in perms])
         assert (iota * iota).is_identity()
@@ -243,8 +245,9 @@ def test_inversion_map_is_involution_and_decomposes():
 def test_all_triples_distinct_n3():
     # 2 * (3!)^2 = 72 distinct vertex maps, one per (sigma, tau, eps)
     maps = set()
-    for sigma in symmetric_group(3).elements:
-        for tau in symmetric_group(3).elements:
+    perms = [Permutation(p) for p in symmetric_group(3).elements]
+    for sigma in perms:
+        for tau in perms:
             for eps in (1, -1):
                 dec = SymmetryDecomposition(sigma, tau, eps)
                 maps.add(tuple(symmetry_images(3, dec)))
@@ -275,7 +278,7 @@ def test_decompose_n5_builds_no_multiplication_table(monkeypatch):
 
 def test_decompose_roundtrip_n4_sample():
     rng = random.Random(7)
-    perms = symmetric_group(4).elements
+    perms = [Permutation(p) for p in symmetric_group(4).elements]
     for _ in range(20):
         dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms),
                                     rng.choice((1, -1)))
@@ -302,7 +305,7 @@ def test_decompose_rejects_non_symmetry_shuffles():
 
 
 def _all_triples(n):
-    perms = symmetric_group(n).elements
+    perms = [Permutation(p) for p in symmetric_group(n).elements]
     return [SymmetryDecomposition(sigma, tau, eps)
             for sigma in perms for tau in perms for eps in (1, -1)]
 

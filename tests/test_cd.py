@@ -22,7 +22,7 @@ def _sub(degree, *cycle_texts):
 def test_cd_measure_hand_values_s3():
     # measures in S_3 computed by hand: |H| * |C(H)|
     g = named_group("s3")
-    trivial = PermutationGroup([Permutation.identity(3)], ())
+    trivial = PermutationGroup([(0, 1, 2)], ())
     assert cd_measure(g, trivial) == 1 * 6
     assert cd_measure(g, _sub(3, "(0 1 2)")) == 3 * 3  # C(A_3) = A_3
     assert cd_measure(g, _sub(3, "(0 1)")) == 2 * 2    # C(C_2) = C_2
@@ -32,8 +32,9 @@ def test_cd_measure_hand_values_s3():
 def _oracle_centralizer(group, sub):
     """C_G(H) from Permutation products against every element of H; no
     multiplication table and no generator shortcut."""
-    return {g for g in group.elements
-            if all(g * h == h * g for h in sub.elements)}
+    perms = {p: Permutation(p) for p in group.elements}
+    return {g for g, pg in perms.items()
+            if all(pg * perms[h] == perms[h] * pg for h in sub.elements)}
 
 
 @pytest.mark.parametrize("name", ["s4", "d4", "q8"])

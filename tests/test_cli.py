@@ -157,6 +157,25 @@ def test_decompose_needs_alpha_or_identity(capsys):
     assert main(["decompose", "3"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "3", "--identity", "alpha.txt"],
+    ["decompose", "3", "--alpha", "alpha.txt", "--identity"],
+    ["decompose", "3", "positional.txt", "--alpha", "alpha.txt",
+     "--identity"]], ids=["positional", "option", "both-files"])
+def test_decompose_refuses_an_alpha_file_with_identity(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    # the identity's decomposition used to be printed and the file never
+    # read; the refusal names both inputs, the --alpha file winning
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "alpha.txt").write_text("not read\n")
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("precondition violated: decompose takes "
+                            "--identity or the alpha file 'alpha.txt', "
+                            "not both\n")
+
+
 def test_decompose_checks_n_before_building_alpha(capsys):
     # the identity on 40! vertices used to be built first: OverflowError
     assert main(["decompose", "40", "--identity"]) == 3

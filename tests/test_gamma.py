@@ -28,15 +28,17 @@ def translation_subgroups(group):
     """lambda(G), rho(G) and iota, the pieces Gamma(G) is generated from;
     each translation group is generated by all its elements."""
     lams, rhos, iota = regular_action(group)
-    return PermutationGroup(lams, lams), PermutationGroup(rhos, rhos), iota
+    return (PermutationGroup([p.images for p in lams], lams),
+            PermutationGroup([p.images for p in rhos], rhos), iota)
 
 
 def test_translations_are_actions():
     g = named_group("s3")
     lams, rhos, _ = regular_action(g)
-    index = {p: i for i, p in enumerate(g.elements)}
-    for a, pa in enumerate(g.elements):
-        for b, pb in enumerate(g.elements):
+    elems = [Permutation(p) for p in g.elements]
+    index = {p: i for i, p in enumerate(elems)}
+    for a, pa in enumerate(elems):
+        for b, pb in enumerate(elems):
             ab = index[pa * pb]
             assert lams[a] * lams[b] == lams[ab]
             assert rhos[a] * rhos[b] == rhos[ab]
@@ -100,7 +102,7 @@ def test_gamma_s3_structure():
     assert gamma.order == 72
     assert lambda_sub.order == 6
     assert rho_sub.order == 6
-    assert iota in gamma
+    assert iota.images in gamma.index
     assert lambda_sub.is_subgroup_of(gamma)
     assert rho_sub.is_subgroup_of(gamma)
 
@@ -128,7 +130,8 @@ def test_gamma_s3_regular_subgroups_two_paths():
     assert len(regs) == 8
     assert lambda_sub in regs
     assert rho_sub in regs
-    cyclic = [u for u in regs if max(p.order() for p in u.elements) == 6]
+    cyclic = [u for u in regs
+              if max(Permutation(p).order() for p in u.elements) == 6]
     assert len(cyclic) == 6
     # independent path: full subgroup enumeration filtered by regularity
     exhaustive = [h for h in all_subgroups(gamma, bound=400)
@@ -151,9 +154,9 @@ def test_gamma_s3_commuting_pairs():
     shapes = []
     for u in self_paired:
         assert u.order == 6
-        assert max(p.order() for p in u.elements) == 6
-        lam = sum(1 for p in u.elements if p in lambda_sub)
-        rho = sum(1 for p in u.elements if p in rho_sub)
+        assert max(Permutation(p).order() for p in u.elements) == 6
+        lam = sum(1 for p in u.elements if p in lambda_sub.index)
+        rho = sum(1 for p in u.elements if p in rho_sub.index)
         shapes.append((lam, rho))
     assert sorted(shapes) == [(2, 3)] * 3 + [(3, 2)] * 3
 
@@ -167,7 +170,7 @@ def gamma_and_regulars(name):
 def elementwise_pairs(regs):
     """Pairs of regular subgroups all of whose elements commute, by
     composing every pair of image tuples directly."""
-    elems = [[p.images for p in u.elements] for u in regs]
+    elems = [u.elements for u in regs]
 
     def commute(x, y):
         return tuple(x[i] for i in y) == tuple(y[i] for i in x)
@@ -227,7 +230,7 @@ def relabelled_generating_set(name, seed):
     pi = Permutation(rng.sample(range(group.degree), group.degree))
     gens = []
     while not gens or closure(gens).order < group.order:
-        gens.append(rng.choice(group.elements))
+        gens.append(Permutation(rng.choice(group.elements)))
     return closure([pi * g * pi.inverse() for g in gens])
 
 
@@ -269,12 +272,12 @@ def stabilizer_classes(gamma, groups):
     """The classes of the given groups under conjugation by Gamma_0, the
     stabilizer of point 0, each a set of member sets of image tuples, by
     Permutation products."""
-    stabilizer = [x for x in gamma.elements if x(0) == 0]
+    stabilizer = [Permutation(x) for x in gamma.elements if x[0] == 0]
     classes = []
     for u in groups:
-        if any(frozenset(p.images for p in u.elements) in c for c in classes):
+        if any(frozenset(u.elements) in c for c in classes):
             continue
-        classes.append({frozenset((x * p * x.inverse()).images
+        classes.append({frozenset((x * Permutation(p) * x.inverse()).images
                                   for p in u.elements) for x in stabilizer})
     return classes
 
@@ -296,9 +299,7 @@ def test_pruned_search_meets_every_stabilizer_class(name, seed):
     found = {members: partner for members, _, partner
              in gamma_module._partnered_regular_subgroups(gamma)}
     regs = regular_oracle.regular_subgroups(gamma)
-    columns = {tuple(p.images for p in u.elements):
-               tuple(sorted(zip(*(p.images for p in u.elements))))
-               for u in regs}
+    columns = {u.elements: tuple(sorted(zip(*u.elements))) for u in regs}
     assert found == {members: c for members, c in columns.items()
                      if all(col in gamma.index for col in c)}
     for c in stabilizer_classes(gamma, regs):
@@ -348,6 +349,49 @@ def test_commuting_pairs_build_groups_only_for_the_pair(monkeypatch):
     assert u != v
 
 
+def count_permutations(monkeypatch) -> list:
+    """The list that each `Permutation` built, checked or not, is
+    appended to."""
+    built = []
+    init, unchecked = Permutation.__init__, Permutation._unchecked.__func__
+
+    def counting_init(self, images):
+        built.append(1)
+        init(self, images)
+
+    def counting_unchecked(cls, images):
+        built.append(1)
+        return unchecked(cls, images)
+
+    monkeypatch.setattr(Permutation, "__init__", counting_init)
+    monkeypatch.setattr(Permutation, "_unchecked",
+                        classmethod(counting_unchecked))
+    return built
+
+
+def test_no_group_is_built_element_by_element(monkeypatch):
+    # a group holds its elements as image tuples: the only permutations
+    # built are the generators, of the named group, of Gamma and of each
+    # regular subgroup (its fiber choices)
+    built = count_permutations(monkeypatch)
+    s4 = named_group("s4")
+    gamma = build_gamma(s4)
+    assert gamma.order == 1152
+    assert len(built) == len(s4.generators) + len(gamma.generators) == 7
+    built.clear()
+    s5 = perm.symmetric_group.__wrapped__(5)
+    assert s5.order == 120
+    assert len(built) == len(s5.generators) == 2
+    built.clear()
+    s3 = named_group("s3")
+    gamma = build_gamma(s3)
+    pairs = commuting_regular_pairs(gamma)
+    regs = {id(u): u for pair in pairs for u in pair}.values()
+    assert len(regs) == 8
+    assert len(built) == (len(s3.generators) + len(gamma.generators)
+                          + sum(len(u.generators) for u in regs))
+
+
 @pytest.mark.parametrize("name", ["c6", "s3", "d4", "q8", "s4"])
 def test_regular_subgroup_elements_are_semiregular(name):
     # a non-identity element of a regular group fixes no point, and all
@@ -355,8 +399,8 @@ def test_regular_subgroup_elements_are_semiregular(name):
     _, regs = gamma_and_regulars(name)
     for u in regs:
         for p in u.elements[1:]:
-            lengths = [len(c) for c in p.cycles()]
-            assert sum(lengths) == p.degree
+            lengths = [len(c) for c in Permutation(p).cycles()]
+            assert sum(lengths) == len(p)
             assert len(set(lengths)) == 1
 
 

@@ -123,14 +123,35 @@ def test_permutation_rejects_non_bijection():
         Permutation([0, 0, 1])
 
 
+@pytest.mark.parametrize("images, named", [
+    ([True, False], "image 'True' at position 0 is not an int"),
+    ([0, False], "image 'False' at position 1 is not an int"),
+    ([1.0, 0.0], "image '1.0' at position 0 is not an int"),
+    ([0, "1"], "image '1' at position 1 is not an int")],
+    ids=["bool", "bool-after-int", "float", "str"])
+def test_permutation_refuses_an_image_that_is_not_an_int(images, named):
+    # bool and float images sort like 0..n-1; they used to pass, and
+    # cycle_string gave "(0 True)" or raised TypeError
+    with pytest.raises(ValueError) as e:
+        Permutation(images)
+    assert str(e.value) == f"not a permutation of 0..1: {named}"
+
+
+@given(perm_strategy(7))
+def test_parsed_cycles_pass_the_int_check(p):
+    q = parse_cycles(p.cycle_string(), p.degree)
+    assert q == p and Permutation(q.images) == p
+    assert set(map(type, q.images)) <= {int}
+
+
 def test_group_constructor_sorts_and_requires_identity():
     g = symmetric_group(3)
-    assert g.elements[0].is_identity()
-    images = [p.images for p in g.elements]
-    assert images == sorted(images)
+    assert g.elements[0] == (0, 1, 2)
+    assert all(type(p) is tuple for p in g.elements)
+    assert list(g.elements) == sorted(g.elements)
     t = parse_cycles("(0 1)", 3)
     with pytest.raises(ValueError):
-        PermutationGroup([t], (t,))
+        PermutationGroup([t.images], (t,))
 
 
 def test_closure_matches_itertools_for_s3_s4():
@@ -138,8 +159,7 @@ def test_closure_matches_itertools_for_s3_s4():
         gens = [parse_cycles("(0 1)", n),
                 Permutation(tuple(range(1, n)) + (0,))]
         g = closure(gens)
-        assert {p.images for p in g.elements} == set(
-            itertools.permutations(range(n)))
+        assert set(g.elements) == set(itertools.permutations(range(n)))
 
 
 def test_closure_cap():
@@ -170,8 +190,9 @@ def test_closure_indices_match_closure(name):
     for _ in range(40):
         seeds = rng.sample(range(group.order), rng.randint(0, 3))
         got = group.closure_indices(seeds)
-        sub = closure([group.elements[s] for s in seeds] or [group.identity])
-        assert got == {group.index[p.images] for p in sub.elements}
+        sub = closure([Permutation(group.elements[s]) for s in seeds]
+                      or [Permutation(group.identity)])
+        assert got == {group.index[p] for p in sub.elements}
         orders.add(len(got))
     assert len(orders) > 3
 
@@ -227,7 +248,7 @@ def test_coset_closures_match_a_plain_breadth_first_closure(seed):
         rng = random.Random(seed)
         seeds = rng.sample(gens, rng.randint(1, len(gens)))
         got = group.closure_indices(group.index[g] for g in seeds)
-        assert ({group.elements[i].images for i in got}
+        assert ({group.elements[i] for i in got}
                 == bfs_closure(seeds, degree))
 
 
@@ -257,7 +278,7 @@ def test_builtin_structure():
     }
     for name, (order, max_order, involutions) in facts.items():
         g = named_group(name)
-        orders = [p.order() for p in g.elements]
+        orders = [Permutation(p).order() for p in g.elements]
         assert g.order == order, name
         assert max(orders) == max_order, name
         assert sum(1 for o in orders if o == 2) == involutions, name
@@ -276,11 +297,10 @@ def pair_closure_subgroups(group):
     Complete exactly when every subgroup is 2-generated.  Cached, since
     two tests ask for S_5's (7260 closures)."""
     seen = set()
-    elems = group.elements
+    elems = [Permutation(p) for p in group.elements]
     for i, a in enumerate(elems):
         for b in elems[i:]:
-            sub = closure([a, b])
-            seen.add(tuple(p.images for p in sub.elements))
+            seen.add(closure([a, b]).elements)
     return seen
 
 
@@ -312,7 +332,8 @@ def relabelled(name, seed):
     g = named_group(name)
     rng = random.Random(seed)
     while True:
-        gens = [rng.choice(g.elements) for _ in range(rng.choice((2, 3)))]
+        gens = [Permutation(rng.choice(g.elements))
+                for _ in range(rng.choice((2, 3)))]
         if closure(gens).order == g.order:
             break
     label = list(range(g.degree))
@@ -323,7 +344,7 @@ def relabelled(name, seed):
 
 
 def _element_lists(subs):
-    return [tuple(p.images for p in h.elements) for h in subs]
+    return [h.elements for h in subs]
 
 
 @pytest.mark.parametrize("group", [
@@ -338,7 +359,7 @@ def test_all_subgroups_match_pair_closure_oracle(group):
     want = sorted(pair_closure_subgroups(group), key=lambda e: (len(e), e))
     assert _element_lists(subs) == want
     for h in subs:
-        gens = h.generators or (h.identity,)
+        gens = h.generators or (Permutation(h.identity),)
         assert closure(gens).elements == h.elements
 
 
@@ -385,7 +406,7 @@ def test_all_subgroups_ignore_the_hash_seed():
             "from group_oracle import all_subgroups\n"
             "for name in ('s4', 'd4'):\n"
             "    for h in all_subgroups(named_group(name)):\n"
-            "        print(h.order, [p.images for p in h.elements],"
+            "        print(h.order, h.elements,"
             " [g.images for g in h.generators])\n")
     here = Path(__file__).resolve().parent
     path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
@@ -454,12 +475,13 @@ CONSTRUCTED_GROUPS = constructed_groups()
 def test_every_constructed_group_is_generated_by_its_tags(group):
     # the trivial group may carry no generators; every other one carries
     # its own generating set
-    assert closure(group.generators or (group.identity,)) == group
+    assert closure(group.generators
+                   or (Permutation(group.identity),)) == group
 
 
 def test_indexed_group_table():
     g = named_group("s3")
-    elems = g.elements
+    elems = [Permutation(p) for p in g.elements]
     for a in range(g.order):
         for b in range(g.order):
             assert elems[g.table[a][b]] == elems[a] * elems[b]
@@ -470,7 +492,7 @@ def product_position(group, a, b):
     """Oracle: the position of elements[a] * elements[b], multiplied out
     as permutations and looked up in the index, entry by entry."""
     elems = group.elements
-    return group.index[(elems[a] * elems[b]).images]
+    return group.index[(Permutation(elems[a]) * Permutation(elems[b])).images]
 
 
 TABLE_GROUPS = [
@@ -519,7 +541,8 @@ def test_table_refuses_tags_that_do_not_generate_the_group():
 @pytest.mark.parametrize("name", ["s4", "s5", "d4", "q8"])
 def test_column_scans_match_a_per_element_oracle(name):
     group = named_group(name)
-    n, elems, index = group.order, group.elements, group.index
+    n, index = group.order, group.index
+    elems = [Permutation(p) for p in group.elements]
     rng = random.Random(name)
     for _ in range(12):
         hs = rng.sample(range(n), rng.randint(0, 3))
@@ -542,14 +565,14 @@ def test_group_index_puts_the_identity_at_zero():
     for name in builtin_group_names():
         g = named_group(name)
         assert g.index[tuple(range(g.degree))] == 0
-        assert [g.index[p.images] for p in g.elements] == list(range(g.order))
+        assert [g.index[p] for p in g.elements] == list(range(g.order))
         assert g.table[0] == list(range(g.order))
 
 
 def test_table_is_built_on_first_read_and_kept():
     g = named_group("d4")
     assert g._table is None and g._inv is None
-    assert g.order == 8 and g.elements[3] in g
+    assert g.order == 8 and g.elements[3] in g.index
     assert g._table is None  # membership reads the index only
     table = g.table
     assert g.table is table
@@ -560,7 +583,7 @@ def test_table_is_built_on_first_read_and_kept():
 @pytest.mark.parametrize("name", ["s3", "s4", "d4", "q8"])
 def test_regular_action_matches_products(name):
     g = named_group(name)
-    elems = g.elements
+    elems = [Permutation(p) for p in g.elements]
     index = {p: i for i, p in enumerate(elems)}
     lams, rhos, iota = regular_action(g)
     assert [p.images for p in lams] == [
@@ -584,7 +607,8 @@ def test_regular_subgroups_counts():
             assert is_regular(g, u)
     # S_4 on 4 points: three cyclic C_4 and the normal V_4
     regs = regular_subgroups(named_group("s4"))
-    cyclic = [u for u in regs if max(p.order() for p in u.elements) == 4]
+    cyclic = [u for u in regs
+              if max(Permutation(p).order() for p in u.elements) == 4]
     assert len(cyclic) == 3
 
 
@@ -620,5 +644,4 @@ def test_group_from_generator_lines():
 
 def test_symmetric_group_enumeration_is_lexicographic():
     g = symmetric_group(3)
-    assert [p.images for p in g.elements] == sorted(
-        itertools.permutations(range(3)))
+    assert list(g.elements) == sorted(itertools.permutations(range(3)))
