@@ -741,6 +741,20 @@ REPORT_DIGESTS = {
         0, "6586a6e29245d7a9d5371507065b5c9b649424042d1c4ad3647e7ce793894037"),
     "regular-pairs --group s4": (
         0, "3e88fb3188973ea654198514e1bc88b402f97e893df7b939fdd0386e04ee2c0f"),
+    "regular-pairs --group c2": (
+        0, "1f504108eca2c0667cb5eaff8689a3afe971f49a177bdb7f23dd02dbf0eb1487"),
+    "regular-pairs --group c3": (
+        0, "4e837a5d19c1b72624aeb017aadd6fedb66efcf7cab60d2422dac914f05545ee"),
+    "regular-pairs --group c4": (
+        0, "a734ee74c14eecb3b292f93c02bab7f36a6657a8677966f712d3cfa5f95c5965"),
+    "regular-pairs --group c6": (
+        0, "c61648d273f2519e1b25247fa698faf4303a62773b99dc09dbe56a194a12e68c"),
+    "regular-pairs --group v4": (
+        0, "e09f905602eca04bf4c23c1523edac21908856a4c2e9959b248f7b59ae72ef01"),
+    "regular-pairs --group d4": (
+        0, "aadb0c40243358c5b8c2ce35fe4307d26e7b0718b442ac72b2914aed7df113b8"),
+    "regular-pairs --group q8": (
+        0, "aadb0c40243358c5b8c2ce35fe4307d26e7b0718b442ac72b2914aed7df113b8"),
     "wreath --group s3": (
         0, "f6c8148a0a316411430be9d07c0bf1e9798ba6204b51fe0e5c296027df221db3"),
     "wreath --group s4": (
@@ -757,6 +771,20 @@ REPORT_DIGESTS = {
         1, "effcb413f741bec2cafc83a79b447e3ae11831c94d9cbfb4b2fc44d71c4e5e14"),
     "normalizer --group q8": (
         0, "65018f9f7a0475c30870010927dd6fab4b0549626da7e0ea2c5d7a4fda609664"),
+    "normalizer --group c2": (
+        0, "e50044e0eb59bbae58bf447a2d0a7087defd6bc2cf022a53f2a607517be420aa"),
+    "normalizer --group c3": (
+        0, "9c4e29f331eb4b3f04c1765774f8b1893f0e654bfb96444cd4f898f0d9cd7f79"),
+    "normalizer --group c4": (
+        0, "2a5cfde7a5ee429da4bb23cf4f24203aaf6a548ec05e16573d3cf964d914dbb2"),
+    "normalizer --group c6": (
+        0, "8bca5de8b85c7b66260ca5bffa0d34a69fabe051899e24cdf35ade924b74ffbd"),
+    "normalizer --group v4": (
+        0, "786b3290bc8012e7a7fffefcb4183660476dfafe908da9195218d88928beebc9"),
+    "normalizer --group s4": (
+        0, "e6c82b6b745a6b801875607b38df8530cca9012c9b0fadf18297787a0ff6bbdd"),
+    "normalizer --group s5": (
+        0, "bccbc6a7dab07ca10d9bbf4b4d58f38836775068cf192010b24656e727cf01c1"),
     "cd-lattice --group s4": (
         0, "856267034304181d5501c36ecee6973774055a6d30a8d653c5d20d2b609a7218"),
     "cd-lattice --group d4": (
