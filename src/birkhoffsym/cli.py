@@ -5,7 +5,8 @@ JSON report to stdout (diagnostics go to stderr).  Exit status: 0 when
 the check passed, 1 when it ran and failed, 2 on usage errors, 3 on
 violated preconditions or malformed inputs, 4 when an internal
 certificate broke (`errors.InvariantError`: the program is at fault, not
-the input).
+the input), and 141 (128 + SIGPIPE) when stdout was closed before the
+report was written; that exit prints nothing more.
 
 `COMMANDS` is the one table of subcommands: each one's handler, help
 text, positionals and options.  `read_argv` reads argv against it.  The
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -38,9 +40,8 @@ from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 from . import birkhoff, cd, gamma, hull, reppoly
 from .errors import InvariantError, PreconditionError
 from .exact import _integer, _integers
-from .perm import (Permutation, PermutationGroup, _order,
-                   builtin_group_names, group_from_generator_lines,
-                   named_group)
+from .perm import (Permutation, PermutationGroup, builtin_group_names,
+                   group_from_generator_lines, named_group)
 from .reports import Report, render_report
 
 
@@ -61,7 +62,7 @@ def _subgroup_name(base_name: str, group: PermutationGroup,
         return "1"
     if sub.order == group.order:
         return base_name.upper()
-    orders = list(map(_order, sub.elements))
+    orders = sub.orders
     if max(orders) == sub.order:
         return f"C{sub.order}"
     if sub.order == 4:
@@ -182,7 +183,7 @@ def _cmd_regular_pairs(args):
 
     def describe(u: PermutationGroup) -> dict:
         return {"order": u.order,
-                "cyclic": max(map(_order, u.elements)) == u.order}
+                "cyclic": max(u.orders) == u.order}
 
     details = {
         "group_order": group.order,
@@ -410,8 +411,22 @@ def read_argv(argv: Sequence[str]) -> SimpleNamespace:
                            handler=globals()[spec.handler.__name__], **values)
 
 
+CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a killed writer
+
+
 def main(argv=None) -> int:
-    args = read_argv(sys.argv[1:] if argv is None else argv)
+    """Run one command; its exit status is the module docstring's."""
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    except BrokenPipeError:
+        # stdout is closed: point it at the null device, so the flush at
+        # interpreter shutdown finds no broken pipe either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
+
+
+def _run(argv: Sequence[str]) -> int:
+    args = read_argv(argv)
     start = time.perf_counter()
     try:
         passed, inputs, details = args.handler(args)
@@ -431,6 +446,7 @@ def main(argv=None) -> int:
         print(render_report(report))
     else:
         print(("PASS" if passed else "FAIL") + f" {args.command}")
+    sys.stdout.flush()  # a closed stdout fails here, not at shutdown
     return 0 if passed else 1
 
 

@@ -32,20 +32,27 @@ Facts verified computationally by this module:
   For pi in N_e, U = pi lambda(G) pi^-1 is regular with centralizer
   pi rho(G) pi^-1 in Gamma, so the regular-pair search finds U, and
   pi(x) = phi(x)(e) for phi: x -> pi lambda_x pi^-1 in Iso(G, U) =
-  phi_0 Aut(G).  Likewise Gamma_e = Inn(G) <iota>, so the stabilizer of
-  e in Aut(G) Gamma is Aut(G) <iota>.
+  phi_U Aut(G).  So the maps of N_e conjugating lambda(G) to U are
+  pi_U Aut(G), pi_U(x) = phi_U(x)(e), or none of them: Aut(G) lies in
+  N_e, a group, so pi_U alpha normalizes Gamma iff pi_U does.  One test
+  per partnered U counts |N_e| = (passing U) |Aut(G)|.  Likewise
+  Gamma_e = Inn(G) <iota>, so the stabilizer of e in Aut(G) Gamma is
+  Aut(G) <iota>, of order |Aut(G)| when G is abelian (iota is then an
+  automorphism) and 2 |Aut(G)| otherwise; it lies in N_e, so they are
+  equal iff their orders are.  |Aut(G)| is counted by a stabilizer
+  chain on G's generators, never listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from math import prod
 from operator import itemgetter
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .perm import (Permutation, PermutationGroup, _cycles, _inverse,
-                   _right_mul, closure, saturate)
+                   _right_mul, _table_orders, closure, saturate)
 
 MAX_GAMMA_BASE = 120  # largest |G| whose Gamma(G) is built
 
@@ -218,13 +225,35 @@ def commuting_regular_pairs(gamma: PermutationGroup
     return pairs
 
 
-def automorphisms(group: PermutationGroup) -> list[tuple[int, ...]]:
-    """Aut(G) as image tuples on G's positions: G's isomorphisms onto its
-    own table."""
-    return [tuple(alpha) for alpha in group.isomorphisms(group.table)]
+def automorphism_orbits(group: PermutationGroup) -> tuple[int, ...]:
+    """The basic orbit lengths of Aut(G) along G's generators s_1..s_k, so
+    |Aut(G)| is their product: an automorphism is fixed by the images of
+    the generators, so the automorphisms fixing all of them are trivial.
+
+    Level i is the orbit of s_i under the automorphisms fixing
+    s_1..s_{i-1}, on G's positions.  Each position t of s_i's order is
+    either in the orbit of the level's witnesses so far (`saturate`), or
+    tested by one witness search, `isomorphisms` onto G's own table from
+    the prefix s_1..s_{i-1}, t.  So each orbit is exact, as in
+    `combiso.comb_automorphisms`, and the order follows by the
+    orbit-stabilizer theorem."""
+    table, orders = group.table, group.orders
+    gens = [group.index[g.images] for g in group.generators]
+    lengths = []
+    for i, s in enumerate(gens):
+        witnesses, orbit = [], {s}
+        for t in range(len(table)):
+            if orders[t] == orders[s] and t not in orbit:
+                alpha = next(group.isomorphisms(table, orders, gens[:i] + [t]),
+                             None)
+                if alpha is not None:
+                    witnesses.append(alpha.__getitem__)
+                    orbit = saturate([s], witnesses)
+        lengths.append(len(orbit))
+    return tuple(lengths)
 
 
-def _normalizes(pi: tuple[int, ...], group: PermutationGroup) -> bool:
+def _normalizes(pi: Sequence[int], group: PermutationGroup) -> bool:
     """Whether pi conjugates each generator into the group: then
     pi <gens> pi^-1 = <pi gens pi^-1> is a subgroup of the same order,
     the group itself."""
@@ -235,6 +264,11 @@ def _normalizes(pi: tuple[int, ...], group: PermutationGroup) -> bool:
 
 @dataclass
 class NormalizerReport:
+    """N = N_Sym(G)(Gamma(G)) against Aut(G) Gamma(G), as orders of maps
+    of G's positions.  `normalizer_order` is |N| = |G| |N_e|, N_e the
+    maps of N fixing the identity; `aut_order` is |Aut(G)|;
+    `aut_gamma_order` is |Aut(G) Gamma| = |G| |Aut(G) <iota>|.  `passed`:
+    the two groups are equal."""
     group_order: int
     gamma_order: int
     normalizer_order: int
@@ -245,18 +279,25 @@ class NormalizerReport:
 
 def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
     """N_Sym(G)(Gamma(G)) against Aut(G) Gamma(G), |G| <= MAX_GAMMA_BASE,
-    by their stabilizers of e (module docstring): N_e is the candidates
-    x -> phi(x)(e) that normalize Gamma, and the check passes when
-    N_e = Aut(G) <iota> as sets of maps."""
+    by the orders of their stabilizers of e (module docstring): one
+    `_normalizes` test per partnered regular subgroup U isomorphic to G,
+    on pi_U.  lambda(G) and rho(G) always pass; a search that misses
+    either is a broken certificate (InvariantError)."""
     gamma = build_gamma(group)
-    auts = automorphisms(group)
-    n_e = set()
+    aut = prod(automorphism_orbits(group))
+    passing = 0
     for members, _, _ in _partnered_regular_subgroups(gamma):
         rows = sorted(members, key=itemgetter(0))  # u with u(0) = a at a
-        for phi in islice(group.isomorphisms(rows), 1):
-            n_e.update(pi for pi in (_right_mul(a)(phi) for a in auts)
-                       if _normalizes(pi, gamma))
-    stabilizer = {*auts, *(tuple(map(group.inv.__getitem__, a)) for a in auts)}
+        # phi[x] = a names u_a = phi(x), and u_a(e) = a: phi is pi_U
+        phi = next(group.isomorphisms(rows, _table_orders(rows)), None)
+        passing += phi is not None and _normalizes(phi, gamma)
+    table = group.table
+    gens = [group.index[g.images] for g in group.generators]
+    translations = 1 + any(table[a][b] != table[b][a]  # lambda(G), rho(G)
+                           for a in gens for b in gens)
+    if passing < translations:
+        raise InvariantError("lambda(G) or rho(G) was not found among the "
+                             "subgroups whose map normalizes Gamma")
     m = group.order
-    return NormalizerReport(m, gamma.order, m * len(n_e), len(auts),
-                            m * len(stabilizer), n_e == stabilizer)
+    return NormalizerReport(m, gamma.order, m * passing * aut, aut,
+                            m * translations * aut, passing == translations)

@@ -26,8 +26,10 @@ graph of the generators, so generators that do not generate the group
 raise InvariantError.  `centralizer_indices` and `normalizer_indices`
 read whole columns of it in C.  Only routines reading most products of
 a group of order at most 720 build it; Gamma(S_4) never does.
-`isomorphisms` extends maps along the same Cayley graph, and
-`subgroup_classes` enumerates subgroups up to conjugacy on it.
+`isomorphisms` extends maps, from any prefix of generator images, along
+the same Cayley graph, and `subgroup_classes` enumerates subgroups up to
+conjugacy on it.  `orders`, the element orders, is read once off the
+image tuples.
 
 Cycle notation names points by number, and the degree follows from the
 largest point named.  `_cycle_points` reads it for `parse_cycles` and
@@ -110,12 +112,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._unchecked(_inverse(self.images))
 
-    def is_identity(self) -> bool:
-        return all(x == i for i, x in enumerate(self.images))
-
-    def order(self) -> int:
-        return _order(self.images)
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each rotated to start at its least point,
         sorted by that least point."""
@@ -191,11 +187,13 @@ class PermutationGroup:
     among them and that all have its degree.  `generators` is a tuple of
     permutations that generate the group (the trivial group may have
     none).  Equality ignores the generators and compares element sets.
-    The table on the positions, `table`, and the inverse positions,
-    `inv`, are built on first read and kept with the group.
+    The table on the positions, `table`, the inverse positions, `inv`,
+    and the element orders, `orders`, are built on first read and kept
+    with the group.
     """
 
-    __slots__ = ("degree", "elements", "generators", "index", "_table", "_inv")
+    __slots__ = ("degree", "elements", "generators", "index", "_table",
+                 "_inv", "_orders")
 
     def __init__(self, elements: Iterable[tuple[int, ...]],
                  generators: Sequence[Permutation]):
@@ -211,6 +209,7 @@ class PermutationGroup:
         object.__setattr__(self, "index", {k: i for i, k in enumerate(keys)})
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_inv", None)
+        object.__setattr__(self, "_orders", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PermutationGroup is immutable")
@@ -289,6 +288,15 @@ class PermutationGroup:
                 self.index.__getitem__, map(_inverse, self.elements))))
         return self._inv
 
+    @property
+    def orders(self) -> list[int]:
+        """orders[a] is the order of elements[a], read off its image tuple
+        (degree points), not off its table row (|G| points)."""
+        if self._orders is None:
+            object.__setattr__(self, "_orders",
+                               list(map(_order, self.elements)))
+        return self._orders
+
     def closure_indices(self, seeds: Iterable[int]) -> frozenset[int]:
         """Positions of the subgroup generated by the seed positions,
         grown one seed at a time by `saturate`'s coset mode: steps
@@ -333,21 +341,25 @@ class PermutationGroup:
                 compress(count(), map(members.__contains__, conj)))
         return sorted(norm)
 
-    def isomorphisms(self, rows: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    def isomorphisms(self, rows: Sequence[Sequence[int]],
+                     targets: Sequence[int],
+                     prefix: Sequence[int] = ()) -> Iterator[list[int]]:
         """Each isomorphism onto the group on 0..m-1 (identity 0) with
-        products rows[a][b], as the images of this group's positions;
-        none when the element orders differ as multisets.
+        products rows[a][b] and element orders targets[a], as the images
+        of this group's positions, that sends the first len(prefix)
+        generators to the positions in `prefix`; none when the element
+        orders differ as multisets.
 
         By generator images (Holt, Eick & O'Brien, Handbook of
         Computational Group Theory, 2005): each generator s in turn goes
-        to each t of its order, or to its image if already reached, and
-        the map grows along the Cayley graph, pi(x s) = pi(x) t, while
-        every edge agrees and no image repeats.  So it is a homomorphism,
-        by induction on word length, and a bijection.  Past
-        MAX_IMAGE_CHOICES choices it raises PreconditionError."""
-        table, m = self.table, len(rows)
+        to its prefix position, or to each t of its order, or to its
+        image if already reached, and the map grows along the Cayley
+        graph, pi(x s) = pi(x) t, while every edge agrees and no image
+        repeats.  So it is a homomorphism, by induction on word length,
+        and a bijection.  Past MAX_IMAGE_CHOICES choices it raises
+        PreconditionError."""
+        table, orders, m = self.table, self.orders, len(rows)
         gens = [self.index[g.images] for g in self.generators]
-        orders, targets = ([_order(row) for row in r] for r in (table, rows))
         if sorted(orders) != sorted(targets):
             return
         stack, tried = [(0, [0] + [-1] * (m - 1))], count(1)
@@ -357,21 +369,29 @@ class PermutationGroup:
                 yield pi
                 continue
             s = gens[level]
-            for t in ([pi[s]] if pi[s] >= 0 else
-                      compress(range(m), map(orders[s].__eq__, targets))):
+            if level < len(prefix):
+                images = [prefix[level]]
+            elif pi[s] >= 0:
+                images = [pi[s]]
+            else:
+                images = compress(range(m), map(orders[s].__eq__, targets))
+            for t in images:
                 if next(tried) > MAX_IMAGE_CHOICES:
                     raise PreconditionError(
                         "isomorphism search exceeds bound "
                         f"{MAX_IMAGE_CHOICES} generator images")
                 steps = [(g, pi[g]) for g in gens[:level]] + [(s, t)]
                 new, used = pi[:], set(pi)
-                queue = [x for x in range(m) if pi[x] >= 0]  # grows with new
-                for x, g, image in ((x, *e) for x in queue for e in steps):
+                # the points reached so far have every earlier edge checked
+                # at the earlier levels: they need only the edge by s
+                queue = [(x, steps[-1:]) for x in range(m) if pi[x] >= 0]
+                for x, g, image in ((x, *e) for x, edges in queue
+                                    for e in edges):  # queue grows with new
                     y, z = table[x][g], rows[new[x]][image]
                     if new[y] < 0 and z not in used:
                         new[y] = z
                         used.add(z)
-                        queue.append(y)
+                        queue.append((y, steps))
                     elif new[y] != z:
                         break
                 else:
@@ -461,6 +481,20 @@ def _order(p: Sequence[int]) -> int:
     """The order of p, the one order of the package: the lcm of its
     cycle lengths."""
     return lcm(*map(len, _cycles(p)))
+
+
+def _table_orders(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The element orders of the group with products rows[a][b] and
+    identity 0: a's powers a, a^2 = rows[a][a], ... return to 0 after
+    ord(a) steps, not |G|.  For a regular group listed by u(0), row a is
+    u_a itself, and the walk is its cycle through 0."""
+    orders = []
+    for row in rows:
+        k, x = 1, row[0]
+        while x:
+            k, x = k + 1, row[x]
+        orders.append(k)
+    return orders
 
 
 def closure(generators: Sequence[Permutation],

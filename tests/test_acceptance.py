@@ -12,7 +12,7 @@ from birkhoffsym.cd import cd_lattice, verify_centralizer_estimate
 from birkhoffsym.gamma import (build_gamma, commuting_regular_pairs,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
-from birkhoffsym.perm import Permutation, PermutationGroup, named_group
+from birkhoffsym.perm import PermutationGroup, _order, named_group
 from birkhoffsym.reppoly import (load_exceptional_c6,
                                  matrix_group_from_perm_group,
                                  uniqueness_check, verify_gamma_acts)
@@ -133,7 +133,7 @@ def test_criterion_07_commuting_regular_pairs():
               for u in self_paired}
     extra_ok = (len(pairs3) == 7
                 and all(u.order == 6 and
-                        max(Permutation(p).order() for p in u.elements) == 6
+                        max(map(_order, u.elements)) == 6
                         for u in self_paired)
                 and shapes == {(2, 3), (3, 2)})
     ok = only_lambda_rho and extra_ok

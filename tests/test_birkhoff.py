@@ -211,8 +211,7 @@ def test_decompose_identity():
     for n in (3, 4):
         alpha = Permutation.identity(factorial(n))
         dec = decompose_symmetry(n, alpha)
-        assert dec.sigma.is_identity()
-        assert dec.tau.is_identity()
+        assert dec.sigma == dec.tau == Permutation.identity(n)
         assert dec.epsilon == 1
 
 
@@ -235,10 +234,9 @@ def test_inversion_map_is_involution_and_decomposes():
         perms = [Permutation(p) for p in symmetric_group(n).elements]
         index = {p: v for v, p in enumerate(perms)}
         iota = Permutation([index[p.inverse()] for p in perms])
-        assert (iota * iota).is_identity()
+        assert iota * iota == Permutation.identity(len(perms))
         dec = decompose_symmetry(n, iota)
-        assert dec.sigma.is_identity()
-        assert dec.tau.is_identity()
+        assert dec.sigma == dec.tau == Permutation.identity(n)
         assert dec.epsilon == -1
 
 

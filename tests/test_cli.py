@@ -8,6 +8,7 @@ wrapper runs it, so it also passes with a plain ``PYTHONPATH=src``."""
 
 import hashlib
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -236,6 +237,19 @@ def test_normalizer_passes(capsys, name, order):
     assert code == 0
     assert doc["details"]["normalizer_order"] == order
     assert doc["details"]["aut_gamma_order"] == order
+
+
+@pytest.mark.parametrize("k, aut, order", [(4, 20_160, 322_560),
+                                           (5, 9_999_360, 319_979_520)])
+def test_normalizer_of_c2_power_is_affine(tmp_path, capsys, k, aut, order):
+    # Gamma(C_2^k) = lambda(C_2^k), whose normalizer in Sym(C_2^k) is
+    # AGL(k, 2): |Aut(C_2^k)| = |GL(k, 2)| is counted, never listed
+    path = tmp_path / f"c2_{k}.txt"
+    path.write_text("".join(f"({2 * i} {2 * i + 1})\n" for i in range(k)))
+    code, doc = run_json(capsys, ["normalizer", "--group", str(path)])
+    assert code == 0
+    assert (doc["details"]["aut_order"], doc["details"]["normalizer_order"],
+            doc["details"]["aut_gamma_order"]) == (aut, order, order)
 
 
 def count_products(monkeypatch) -> list:
@@ -855,6 +869,24 @@ def test_module_invocation():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("argv", [["normalizer", "--group", "s3"],
+                                  ["normalizer", "--group", "s3", "--no-json"],
+                                  ["-h"]])
+def test_closed_stdout_exits_141_quietly(argv):
+    # stdout is a pipe whose read end is closed before the process starts:
+    # the report cannot be written, and the process says nothing of it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "birkhoffsym.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.CLOSED_STDOUT, "")
+    assert cli.CLOSED_STDOUT == 141
 
 
 def test_verify_transform_b5(capsys):

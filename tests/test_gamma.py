@@ -4,6 +4,7 @@ kernel description, regular subgroups, commuting pairs, normalizer."""
 import itertools
 import random
 from functools import lru_cache
+from math import prod
 
 import pytest
 
@@ -13,15 +14,15 @@ from group_oracle import all_subgroups, regular_action
 from regular_oracle import is_regular, regular_subgroups
 from birkhoffsym import gamma as gamma_module
 from birkhoffsym import perm
-from birkhoffsym.errors import PreconditionError
-from birkhoffsym.gamma import (automorphisms, build_gamma,
+from birkhoffsym.errors import InvariantError, PreconditionError
+from birkhoffsym.gamma import (automorphism_orbits, build_gamma,
                                commuting_regular_pairs,
                                is_elementary_abelian_2,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
-from birkhoffsym.perm import (Permutation, PermutationGroup, named_group,
-                              closure, group_from_generator_lines,
-                              parse_cycles)
+from birkhoffsym.perm import (Permutation, PermutationGroup, _order,
+                              named_group, closure,
+                              group_from_generator_lines, parse_cycles)
 
 
 def translation_subgroups(group):
@@ -49,7 +50,7 @@ def test_translations_are_actions():
 def test_inversion_conjugates_left_to_right():
     g = named_group("s3")
     lams, rhos, iota = regular_action(g)
-    assert (iota * iota).is_identity()
+    assert iota * iota == Permutation.identity(6)
     for lam, rho in zip(lams, rhos):
         assert iota * lam * iota == rho
 
@@ -131,7 +132,7 @@ def test_gamma_s3_regular_subgroups_two_paths():
     assert lambda_sub in regs
     assert rho_sub in regs
     cyclic = [u for u in regs
-              if max(Permutation(p).order() for p in u.elements) == 6]
+              if max(map(_order, u.elements)) == 6]
     assert len(cyclic) == 6
     # independent path: full subgroup enumeration filtered by regularity
     exhaustive = [h for h in all_subgroups(gamma, bound=400)
@@ -154,7 +155,7 @@ def test_gamma_s3_commuting_pairs():
     shapes = []
     for u in self_paired:
         assert u.order == 6
-        assert max(Permutation(p).order() for p in u.elements) == 6
+        assert max(map(_order, u.elements)) == 6
         lam = sum(1 for p in u.elements if p in lambda_sub.index)
         rho = sum(1 for p in u.elements if p in rho_sub.index)
         shapes.append((lam, rho))
@@ -418,8 +419,35 @@ def test_commuting_pairs_build_no_table(monkeypatch):
 
 
 def test_automorphism_count_s3():
-    auts = automorphisms(named_group("s3"))
-    assert len(auts) == 6  # Aut(S_3) = Inn(S_3) = S_3
+    # Aut(S_3) = Inn(S_3) = S_3
+    assert prod(automorphism_orbits(named_group("s3"))) == 6
+
+
+C2_POWER_LINES = {k: [f"({2 * i} {2 * i + 1})" for i in range(k)]
+                  for k in (4, 5)}
+
+
+@pytest.mark.parametrize("group, orbits, searches", [
+    (named_group("s4"), (6, 4), 9), (named_group("s5"), (10, 12), 32),
+    (group_from_generator_lines(C2_POWER_LINES[4]), (15, 14, 12, 8), 20),
+    (group_from_generator_lines(C2_POWER_LINES[5]), (31, 30, 28, 24, 16),
+     41)],
+    ids=["s4", "s5", "c2^4", "c2^5"])
+def test_automorphism_chain_orbits_are_pinned(monkeypatch, group, orbits,
+                                              searches):
+    # machine-independent gate: the orbit of each generator under the
+    # automorphisms fixing the earlier ones, and the witness searches run.
+    # S_4: 6 transpositions, then the 4-cycles; C_2^k: the vectors outside
+    # the span of the earlier generators, |GL(k, 2)| in all
+    calls = []
+    isomorphisms = perm.PermutationGroup.isomorphisms
+
+    def counting(self, *args):
+        calls.append(args)
+        return isomorphisms(self, *args)
+
+    monkeypatch.setattr(perm.PermutationGroup, "isomorphisms", counting)
+    assert (automorphism_orbits(group), len(calls)) == (orbits, searches)
 
 
 def test_normalizer_gamma_s3():
@@ -458,9 +486,8 @@ SMALL_GROUP_LINES = {
 def assert_normalizer_matches_oracles(group):
     report = normalizer_in_full_symmetric(group)
     assert report == normalizer_oracle.normalizer_in_full_symmetric(group)
-    auts = automorphisms(group)
-    assert len(auts) == len(set(auts))
-    assert set(auts) == set(normalizer_oracle.automorphisms(group))
+    auts = normalizer_oracle.automorphisms(group)
+    assert prod(automorphism_orbits(group)) == len(auts) == len(set(auts))
     return report
 
 
@@ -484,8 +511,12 @@ def test_normalizer_on_relabelled_groups_matches_brute_force(name, seed):
     # C_2 x D_4 after D_4; for S_3 x S_3, inverting one factor normalizes
     # Gamma and lies outside Aut(G) <iota>
     (["(0 1 2 3)", "(0 2)", "(4 5)"], (6144, 2048), False),
-    (["(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)"], (10368, 5184), False)],
-    ids=["a4", "sl23", "c2xd4", "s3xs3"])
+    (["(0 1)", "(0 1 2)", "(3 4)", "(3 4 5)"], (10368, 5184), False),
+    # Gamma(C_2^k) = lambda(C_2^k), whose normalizer in Sym(C_2^k) is the
+    # affine group AGL(k, 2) = C_2^k : GL(k, 2)
+    (C2_POWER_LINES[4], (322_560, 322_560), True),
+    (C2_POWER_LINES[5], (319_979_520, 319_979_520), True)],
+    ids=["a4", "sl23", "c2xd4", "s3xs3", "c2^4", "c2^5"])
 def test_normalizer_past_the_brute_force(lines, orders, passed):
     r = normalizer_in_full_symmetric(group_from_generator_lines(lines))
     assert (r.normalizer_order, r.aut_gamma_order, r.passed) == (*orders, passed)
@@ -493,8 +524,9 @@ def test_normalizer_past_the_brute_force(lines, orders, passed):
 
 def test_normalizer_candidates_are_pinned(monkeypatch):
     # machine-independent gate, (|N_e| = |N| / |G|, candidate maps
-    # tested): |Aut(G)| for each partnered regular U isomorphic to G,
-    # where the |G|! scan tested 720 maps at S_3 and 40 320 at D_4, Q_8
+    # tested): one map pi_U per partnered regular U isomorphic to G,
+    # where testing all of pi_U Aut(G) took |N_e| tests and the |G|! scan
+    # 720 at S_3 and 40 320 at D_4, Q_8
     tested = []
     normalizes = gamma_module._normalizes
 
@@ -508,8 +540,18 @@ def test_normalizer_candidates_are_pinned(monkeypatch):
         tested.clear()
         r = normalizer_in_full_symmetric(named_group(name))
         counts[name] = (r.normalizer_order // r.group_order, len(tested))
-    assert counts == {"s3": (12, 12), "d4": (48, 48), "q8": (48, 48),
-                      "s4": (48, 48)}
+    assert counts == {"s3": (12, 2), "d4": (48, 6), "q8": (48, 2),
+                      "s4": (48, 2)}
+
+
+def test_normalizer_refuses_a_search_that_misses_the_translations(
+        monkeypatch):
+    # lambda(G) and rho(G) always pass: a count below theirs is a broken
+    # certificate, never a verdict
+    monkeypatch.setattr(gamma_module, "_normalizes", lambda pi, gamma: False)
+    for name in ("s3", "c6"):
+        with pytest.raises(InvariantError, match="lambda"):
+            normalizer_in_full_symmetric(named_group(name))
 
 
 def test_normalizes_is_the_membership_test():
@@ -521,17 +563,20 @@ def test_normalizes_is_the_membership_test():
                for pi in itertools.permutations(range(6))) == 72
 
 
-def test_automorphism_search_has_a_bound():
-    # Aut(C_2^5) = GL(5, 2) has 9 999 360 elements: the search stops at
-    # MAX_IMAGE_CHOICES generator images
-    c2_5 = group_from_generator_lines(
-        [f"({2 * i} {2 * i + 1})" for i in range(5)])
-    with pytest.raises(PreconditionError, match="exceeds bound"):
-        automorphisms(c2_5)
+def test_automorphism_search_has_a_bound(monkeypatch):
+    # Aut(C_2^5) = GL(5, 2) is counted, not listed: its witness searches
+    # try at most 1 + 4 * 31 = 125 generator images each, far below
+    # MAX_IMAGE_CHOICES.  A search that passes the bound still stops there
+    c2_5 = group_from_generator_lines(C2_POWER_LINES[5])
+    monkeypatch.setattr(perm, "MAX_IMAGE_CHOICES", 124)
+    with pytest.raises(PreconditionError, match="exceeds bound 124"):
+        automorphism_orbits(c2_5)
+    monkeypatch.setattr(perm, "MAX_IMAGE_CHOICES", 125)
+    assert prod(automorphism_orbits(c2_5)) == 9_999_360
 
 
 def test_wreath_kernel_property_c6():
     # in an abelian group every lambda_g rho_g is conjugation by g = identity
     lams, rhos, _ = regular_action(named_group("c6"))
     for lam, rho in zip(lams, rhos):
-        assert (lam * rho).is_identity()
+        assert lam * rho == Permutation.identity(6)

@@ -23,8 +23,8 @@ from birkhoffsym.cd import cd_lattice
 from birkhoffsym.errors import InvariantError, PreconditionError
 from birkhoffsym.gamma import build_gamma, commuting_regular_pairs
 from birkhoffsym.perm import (MAX_DEGREE, Permutation, PermutationGroup,
-                              builtin_group_names, closure,
-                              group_from_generator_lines, named_group,
+                              _order, _table_orders, builtin_group_names,
+                              closure, group_from_generator_lines, named_group,
                               parse_cycles, saturate, subgroup_classes,
                               symmetric_group)
 from birkhoffsym.reppoly import default_catalog
@@ -46,7 +46,7 @@ def test_call_inverse_order():
     c = parse_cycles("(0 1 2 3)", 4)
     assert c(0) == 1
     assert c.inverse() * c == Permutation.identity(4)
-    assert c.order() == 4
+    assert _order(c.images) == 4
 
 
 @given(perm_strategy(6), perm_strategy(6), perm_strategy(6))
@@ -58,9 +58,9 @@ def test_associativity(a, b, c):
 def test_order_is_the_least_power_giving_the_identity(p):
     # the lcm of the cycle lengths, against repeated multiplication
     k, q = 1, p
-    while not q.is_identity():
+    while q != Permutation.identity(p.degree):
         q, k = q * p, k + 1
-    assert p.order() == k
+    assert _order(p.images) == k
 
 
 @given(perm_strategy(7))
@@ -70,12 +70,12 @@ def test_cycle_string_roundtrip(p):
 
 @given(perm_strategy(6))
 def test_inverse_roundtrip(p):
-    assert (p * p.inverse()).is_identity()
+    assert p * p.inverse() == Permutation.identity(6)
     assert p.inverse().inverse() == p
 
 
 def test_parse_cycles_validation():
-    assert parse_cycles("()", 4).is_identity()
+    assert parse_cycles("()", 4) == Permutation.identity(4)
     assert parse_cycles("(0 1)(2 3)", 4).images == (1, 0, 3, 2)
     assert parse_cycles("(0,1,2)", 3) == parse_cycles("(0 1 2)", 3)
     with pytest.raises(ValueError):
@@ -278,7 +278,7 @@ def test_builtin_structure():
     }
     for name, (order, max_order, involutions) in facts.items():
         g = named_group(name)
-        orders = [Permutation(p).order() for p in g.elements]
+        orders = g.orders
         assert g.order == order, name
         assert max(orders) == max_order, name
         assert sum(1 for o in orders if o == 2) == involutions, name
@@ -485,7 +485,39 @@ def test_indexed_group_table():
     for a in range(g.order):
         for b in range(g.order):
             assert elems[g.table[a][b]] == elems[a] * elems[b]
-        assert (elems[a] * elems[g.inv[a]]).is_identity()
+        assert elems[a] * elems[g.inv[a]] == elems[0]
+
+
+@pytest.mark.parametrize("name", builtin_group_names())
+def test_orders_are_the_least_powers_giving_the_identity(name):
+    # read off the image tuples, and off the table by powers, against
+    # repeated multiplication of permutations
+    g = named_group(name)
+    identity = Permutation.identity(g.degree)
+    expected = []
+    for p in map(Permutation, g.elements):
+        k, q = 1, p
+        while q != identity:
+            q, k = q * p, k + 1
+        expected.append(k)
+    assert g.orders == _table_orders(g.table) == expected
+
+
+def test_isomorphisms_from_a_prefix():
+    # S_3 by (0 1), (0 1 2): every automorphism is inner, one per pair of
+    # images of a transposition and a 3-cycle
+    g = named_group("s3")
+    table, orders = g.table, g.orders
+    swap, turn = (g.index[s.images] for s in g.generators)
+    assert len(list(g.isomorphisms(table, orders))) == 6
+    for t in range(g.order):
+        found = list(g.isomorphisms(table, orders, [t]))
+        assert len(found) == (2 if orders[t] == 2 else 0)
+        assert all(alpha[swap] == t for alpha in found)
+    assert list(g.isomorphisms(table, orders, [swap, turn])) == [
+        list(range(g.order))]
+    # the images of both generators fix the map: a clash leaves none
+    assert list(g.isomorphisms(table, orders, [swap, swap])) == []
 
 
 def product_position(group, a, b):
@@ -608,7 +640,7 @@ def test_regular_subgroups_counts():
     # S_4 on 4 points: three cyclic C_4 and the normal V_4
     regs = regular_subgroups(named_group("s4"))
     cyclic = [u for u in regs
-              if max(Permutation(p).order() for p in u.elements) == 4]
+              if max(map(_order, u.elements)) == 4]
     assert len(cyclic) == 3
 
 

@@ -18,7 +18,8 @@ from birkhoffsym.birkhoff import permutation_matrix, verify_symmetry_group
 from birkhoffsym.hull import (IncidenceStructure, Polytope,
                               facet_enumeration, polytope_to_document)
 from birkhoffsym.gamma import verify_wreath_quotient
-from birkhoffsym.perm import Permutation, PermutationGroup, named_group
+from birkhoffsym.perm import (Permutation, PermutationGroup, _order,
+                              named_group)
 from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
                                  load_exceptional_c6,
                                  matrix_closure,
@@ -134,8 +135,9 @@ def test_translation_maps_are_group_actions():
     g = matrix_group_from_perm_group(named_group("s3"))
     lams, rhos, iota = regular_action(g.element_group())
     assert len(lams) == len(rhos) == 6
-    assert (iota * iota).is_identity()
-    assert lams[0].is_identity() and rhos[0].is_identity()
+    identity = Permutation.identity(6)
+    assert iota * iota == identity
+    assert lams[0] == identity and rhos[0] == identity
     # lambda and rho commute elementwise
     for a in lams:
         for b in rhos:
@@ -197,7 +199,7 @@ def test_load_exceptional_c6():
     assert any(e < 0 for m in g.elements for e in m._num)
     eg = g.element_group()
     # cyclic of order 6
-    assert max(Permutation(p).order() for p in eg.elements) == 6
+    assert max(map(_order, eg.elements)) == 6
 
 
 def test_element_group_feeds_gamma():
