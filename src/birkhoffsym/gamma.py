@@ -291,13 +291,12 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
         # phi[x] = a names u_a = phi(x), and u_a(e) = a: phi is pi_U
         phi = next(group.isomorphisms(rows, _table_orders(rows)), None)
         passing += phi is not None and _normalizes(phi, gamma)
-    table = group.table
-    gens = [group.index[g.images] for g in group.generators]
-    translations = 1 + any(table[a][b] != table[b][a]  # lambda(G), rho(G)
-                           for a in gens for b in gens)
+    m = group.order
+    center = group.centralizer_indices(
+        group.index[g.images] for g in group.generators)
+    translations = 1 if len(center) == m else 2  # lambda(G), rho(G)
     if passing < translations:
         raise InvariantError("lambda(G) or rho(G) was not found among the "
                              "subgroups whose map normalizes Gamma")
-    m = group.order
     return NormalizerReport(m, gamma.order, m * passing * aut, aut,
                             m * translations * aut, passing == translations)
