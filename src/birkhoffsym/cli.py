@@ -417,7 +417,12 @@ CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 def main(argv=None) -> int:
     """Run one command; its exit status is the module docstring's."""
     try:
-        return _run(sys.argv[1:] if argv is None else argv)
+        try:
+            return _run(sys.argv[1:] if argv is None else argv)
+        finally:
+            # a closed stdout fails here, not at interpreter shutdown; the
+            # error replaces a SystemExit from -h or a usage error
+            sys.stdout.flush()
     except BrokenPipeError:
         # stdout is closed: point it at the null device, so the flush at
         # interpreter shutdown finds no broken pipe either
@@ -446,7 +451,6 @@ def _run(argv: Sequence[str]) -> int:
         print(render_report(report))
     else:
         print(("PASS" if passed else "FAIL") + f" {args.command}")
-    sys.stdout.flush()  # a closed stdout fails here, not at shutdown
     return 0 if passed else 1
 
 

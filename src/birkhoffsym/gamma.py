@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .perm import (Permutation, PermutationGroup, _cycles, _inverse,
-                   _right_mul, _table_orders, closure, saturate)
+                   _order, _right_mul, closure, saturate)
 
 MAX_GAMMA_BASE = 120  # largest |G| whose Gamma(G) is built
 
@@ -281,22 +281,26 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
     """N_Sym(G)(Gamma(G)) against Aut(G) Gamma(G), |G| <= MAX_GAMMA_BASE,
     by the orders of their stabilizers of e (module docstring): one
     `_normalizes` test per partnered regular subgroup U isomorphic to G,
-    on pi_U.  lambda(G) and rho(G) always pass; a search that misses
-    either is a broken certificate (InvariantError)."""
+    on pi_U.  lambda(G) and rho(G), G's table rows and columns, always
+    pass; a search that misses either is a broken certificate
+    (InvariantError)."""
     gamma = build_gamma(group)
     aut = prod(automorphism_orbits(group))
-    passing = 0
+    passing = set()
     for members, _, _ in _partnered_regular_subgroups(gamma):
         rows = sorted(members, key=itemgetter(0))  # u with u(0) = a at a
         # phi[x] = a names u_a = phi(x), and u_a(e) = a: phi is pi_U
-        phi = next(group.isomorphisms(rows, _table_orders(rows)), None)
-        passing += phi is not None and _normalizes(phi, gamma)
-    m = group.order
-    center = group.centralizer_indices(
-        group.index[g.images] for g in group.generators)
-    translations = 1 if len(center) == m else 2  # lambda(G), rho(G)
-    if passing < translations:
+        phi = next(group.isomorphisms(rows, list(map(_order, rows))), None)
+        if phi is not None and _normalizes(phi, gamma):
+            passing.add(members)
+    table = group.table
+    # one group when G is abelian: then Aut(G) <iota> = Aut(G)
+    translations = {tuple(sorted(map(tuple, table))),
+                    tuple(sorted(zip(*table)))}
+    if not translations <= passing:
         raise InvariantError("lambda(G) or rho(G) was not found among the "
                              "subgroups whose map normalizes Gamma")
-    return NormalizerReport(m, gamma.order, m * passing * aut, aut,
-                            m * translations * aut, passing == translations)
+    m = group.order
+    return NormalizerReport(m, gamma.order, m * len(passing) * aut, aut,
+                            m * len(translations) * aut,
+                            passing == translations)

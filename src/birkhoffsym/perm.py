@@ -382,16 +382,13 @@ class PermutationGroup:
                         f"{MAX_IMAGE_CHOICES} generator images")
                 steps = [(g, pi[g]) for g in gens[:level]] + [(s, t)]
                 new, used = pi[:], set(pi)
-                # the points reached so far have every earlier edge checked
-                # at the earlier levels: they need only the edge by s
-                queue = [(x, steps[-1:]) for x in range(m) if pi[x] >= 0]
-                for x, g, image in ((x, *e) for x, edges in queue
-                                    for e in edges):  # queue grows with new
+                queue = [x for x in range(m) if pi[x] >= 0]  # grows with new
+                for x, g, image in ((x, *e) for x in queue for e in steps):
                     y, z = table[x][g], rows[new[x]][image]
                     if new[y] < 0 and z not in used:
                         new[y] = z
                         used.add(z)
-                        queue.append((y, steps))
+                        queue.append(y)
                     elif new[y] != z:
                         break
                 else:
@@ -481,20 +478,6 @@ def _order(p: Sequence[int]) -> int:
     """The order of p, the one order of the package: the lcm of its
     cycle lengths."""
     return lcm(*map(len, _cycles(p)))
-
-
-def _table_orders(rows: Sequence[Sequence[int]]) -> list[int]:
-    """The element orders of the group with products rows[a][b] and
-    identity 0: a's powers a, a^2 = rows[a][a], ... return to 0 after
-    ord(a) steps, not |G|.  For a regular group listed by u(0), row a is
-    u_a itself, and the walk is its cycle through 0."""
-    orders = []
-    for row in rows:
-        k, x = 1, row[0]
-        while x:
-            k, x = k + 1, row[x]
-        orders.append(k)
-    return orders
 
 
 def closure(generators: Sequence[Permutation],

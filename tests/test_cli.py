@@ -874,14 +874,20 @@ def test_module_invocation():
 @pytest.mark.parametrize("argv", [["normalizer", "--group", "s3"],
                                   ["normalizer", "--group", "s3", "--no-json"],
                                   ["-h"]])
-def test_closed_stdout_exits_141_quietly(argv):
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
     # stdout is a pipe whose read end is closed before the process starts:
-    # the report cannot be written, and the process says nothing of it
+    # the report cannot be written, and the process says nothing of it.
+    # Block-buffered, the write fails at the last flush; unbuffered, at
+    # the first print
     read_end, write_end = os.pipe()
     os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "birkhoffsym.cli", *argv],
+            [sys.executable, "-m", "birkhoffsym.cli", *argv], env=env,
             stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
     finally:
         os.close(write_end)

@@ -20,7 +20,7 @@ from birkhoffsym.gamma import (automorphism_orbits, build_gamma,
                                is_elementary_abelian_2,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
-from birkhoffsym.perm import (Permutation, PermutationGroup, _order,
+from birkhoffsym.perm import (Permutation, PermutationGroup, _inverse, _order,
                               named_group, closure,
                               group_from_generator_lines, parse_cycles)
 
@@ -552,6 +552,23 @@ def test_normalizer_refuses_a_search_that_misses_the_translations(
     for name in ("s3", "c6"):
         with pytest.raises(InvariantError, match="lambda"):
             normalizer_in_full_symmetric(named_group(name))
+
+
+def test_normalizer_refuses_a_search_that_misses_lambda(monkeypatch):
+    # D_4 has six passing U, so with lambda(G) failing five still pass,
+    # more than the two translations: the members tell, not the count
+    group = named_group("d4")
+    lam = {tuple(row) for row in group.table}
+    normalizes = gamma_module._normalizes
+
+    def misses_lambda(pi, gamma):
+        inverse = _inverse(pi)
+        conjugates = {tuple(pi[row[x]] for x in inverse) for row in lam}
+        return normalizes(pi, gamma) and conjugates != lam
+
+    monkeypatch.setattr(gamma_module, "_normalizes", misses_lambda)
+    with pytest.raises(InvariantError, match="lambda"):
+        normalizer_in_full_symmetric(group)
 
 
 def test_normalizes_is_the_membership_test():
