@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .perm import (Permutation, PermutationGroup, _cycles, _inverse,
-                   _order, _right_mul, closure, saturate)
+                   _right_mul, _semiregular_order, closure, saturate)
 
 MAX_GAMMA_BASE = 120  # largest |G| whose Gamma(G) is built
 
@@ -290,7 +290,8 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
     for members, _, _ in _partnered_regular_subgroups(gamma):
         rows = sorted(members, key=itemgetter(0))  # u with u(0) = a at a
         # phi[x] = a names u_a = phi(x), and u_a(e) = a: phi is pi_U
-        phi = next(group.isomorphisms(rows, list(map(_order, rows))), None)
+        phi = next(group.isomorphisms(
+            rows, list(map(_semiregular_order, rows))), None)
         if phi is not None and _normalizes(phi, gamma):
             passing.add(members)
     table = group.table

@@ -475,9 +475,20 @@ def _cycles(p: Sequence[int]) -> Iterator[list[int]]:
 
 
 def _order(p: Sequence[int]) -> int:
-    """The order of p, the one order of the package: the lcm of its
-    cycle lengths."""
+    """The order of p: the lcm of its cycle lengths.  A p whose cycles
+    all have one length reads `_semiregular_order` instead."""
     return lcm(*map(len, _cycles(p)))
+
+
+def _semiregular_order(p: Sequence[int]) -> int:
+    """The order of a semiregular p, one whose cycles all have one
+    length, as every element of a regular group has: the length of its
+    cycle through 0, a walk of ord(p) points, where `_order` walks all of
+    them."""
+    k, x = 1, p[0]
+    while x:
+        k, x = k + 1, p[x]
+    return k
 
 
 def closure(generators: Sequence[Permutation],

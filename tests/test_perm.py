@@ -23,8 +23,8 @@ from birkhoffsym.cd import cd_lattice
 from birkhoffsym.errors import InvariantError, PreconditionError
 from birkhoffsym.gamma import build_gamma, commuting_regular_pairs
 from birkhoffsym.perm import (MAX_DEGREE, Permutation, PermutationGroup,
-                              _order, builtin_group_names, closure,
-                              group_from_generator_lines, named_group,
+                              _order, _semiregular_order, builtin_group_names,
+                              closure, group_from_generator_lines, named_group,
                               parse_cycles, saturate, subgroup_classes,
                               symmetric_group)
 from birkhoffsym.reppoly import default_catalog
@@ -490,8 +490,9 @@ def test_indexed_group_table():
 
 @pytest.mark.parametrize("name", builtin_group_names())
 def test_orders_are_the_least_powers_giving_the_identity(name):
-    # read off the image tuples, against repeated multiplication of
-    # permutations
+    # read off the image tuples, and off the table rows, the left
+    # translations, which are semiregular, against repeated
+    # multiplication of permutations
     g = named_group(name)
     identity = Permutation.identity(g.degree)
     expected = []
@@ -500,7 +501,7 @@ def test_orders_are_the_least_powers_giving_the_identity(name):
         while q != identity:
             q, k = q * p, k + 1
         expected.append(k)
-    assert g.orders == expected
+    assert g.orders == list(map(_semiregular_order, g.table)) == expected
 
 
 def test_isomorphisms_from_a_prefix():
