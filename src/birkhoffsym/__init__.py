@@ -24,8 +24,8 @@ from .combiso import comb_automorphisms, comb_equivalent
 from .errors import NotASubgroupError, PreconditionError
 from .exact import RationalMatrix, primitive_vector
 from .gamma import (
-    build_gamma,
     commuting_regular_pairs,
+    gamma_fibers,
     normalizer_in_full_symmetric,
     verify_wreath_quotient,
 )

@@ -40,8 +40,9 @@ from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 from . import birkhoff, cd, gamma, hull, reppoly
 from .errors import InvariantError, PreconditionError
 from .exact import _integer, _integers
-from .perm import (Permutation, PermutationGroup, builtin_group_names,
-                   group_from_generator_lines, named_group)
+from .perm import (Permutation, PermutationGroup, _semiregular_order,
+                   builtin_group_names, group_from_generator_lines,
+                   named_group)
 from .reports import Report, render_report
 
 
@@ -175,19 +176,20 @@ def _cmd_wreath(args):
 
 
 def _cmd_regular_pairs(args):
-    # Gamma(G) is built only for |G| <= MAX_GAMMA_BASE: refuse a larger G
-    # while loading it, before Gamma(G) is closed
+    # Gamma(G) is listed only for |G| <= MAX_GAMMA_BASE: refuse a larger G
+    # while loading it, before its fibers are read
     _, group = _load_group(args.group, gamma.MAX_GAMMA_BASE)
-    gamma_group = gamma.build_gamma(group)
-    pairs = gamma.commuting_regular_pairs(gamma_group)
+    fibers = gamma.gamma_fibers(group)
+    pairs = gamma.commuting_regular_pairs(fibers)
 
     def describe(u: PermutationGroup) -> dict:
+        # u is regular: each element's order is its cycle through 0
         return {"order": u.order,
-                "cyclic": max(u.orders) == u.order}
+                "cyclic": max(map(_semiregular_order, u.elements)) == u.order}
 
     details = {
         "group_order": group.order,
-        "gamma_order": gamma_group.order,
+        "gamma_order": sum(map(len, fibers)),
         "pair_count": len(pairs),
         "pairs": [{
             "u": describe(u),

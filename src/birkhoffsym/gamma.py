@@ -8,12 +8,15 @@ For a finite group G acting on itself, the maps
 
 generate a subgroup Gamma(G) of Sym(G).  Everything here works with G's
 elements identified with their positions in the canonical sorted element
-list, so Gamma(G) is an ordinary permutation group on |G| points.
-`build_gamma` returns Gamma(G) itself, a `PermutationGroup` generated by
-lambda_g and rho_g for G's generators g and by iota, read off G's table,
-for |G| up to MAX_GAMMA_BASE = 120 (S_5): `perm.closure` grows it one
-whole coset at a time.  Gamma acts on |G| points, so the same bound holds
-for the regular-pair search and the normalizer.
+list, so Gamma(G) is a permutation group on |G| points.  It is never
+closed into a `PermutationGroup`: every element of Gamma(G) is a map
+y -> a y^eps b, eps = +-1, sending e to a b, so `gamma_fibers` lists the
+fiber {pi in Gamma : pi(e) = x} of each point x straight off G's table,
+and the regular-pair search and the normalizer read Gamma through its
+fibers.  Only `verify_wreath_quotient` closes lambda_g, rho_g and iota
+under products (`perm.closure_images`), since counting that closure is
+its certificate.  All of them take |G| up to MAX_GAMMA_BASE = 120 (S_5),
+where Gamma has 28 800 elements.
 
 Facts verified computationally by this module:
 
@@ -52,25 +55,53 @@ from typing import Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .perm import (Permutation, PermutationGroup, _cycles, _inverse,
-                   _right_mul, _semiregular_order, closure, saturate)
+                   _right_mul, _semiregular_order, closure_images, saturate)
 
-MAX_GAMMA_BASE = 120  # largest |G| whose Gamma(G) is built
+MAX_GAMMA_BASE = 120  # largest |G| whose Gamma(G) is listed
 
 
-def build_gamma(group: PermutationGroup) -> PermutationGroup:
-    """Gamma(G) with generators lambda_g, rho_g (in pairs), then iota, g
-    running over G's generators; G may have order at most
-    MAX_GAMMA_BASE.  lambda_g is table row g, rho_g the table column at
-    g^-1."""
+def _refuse_past_bound(group: PermutationGroup) -> None:
     if group.order > MAX_GAMMA_BASE:
         raise PreconditionError(
             f"group of order {group.order} exceeds bound {MAX_GAMMA_BASE}")
+
+
+def _gamma_generators(group: PermutationGroup) -> list[tuple[int, ...]]:
+    """lambda_g, rho_g (in pairs), then iota, g running over G's
+    generators, as image tuples read off G's table: lambda_g is table
+    row g, rho_g the table column at g^-1.  G may have order at most
+    MAX_GAMMA_BASE."""
+    _refuse_past_bound(group)
     table, inv = group.table, group.inv
     gens = []
     for g in (group.index[s.images] for s in group.generators):
-        gens += [Permutation(table[g]),
-                 Permutation(row[inv[g]] for row in table)]
-    return closure(gens + [Permutation(inv)])
+        gens += [tuple(table[g]), tuple(row[inv[g]] for row in table)]
+    return gens + [tuple(inv)]
+
+
+def gamma_fibers(group: PermutationGroup) -> list[tuple[tuple[int, ...], ...]]:
+    """Gamma(G) by image of the identity: fibers[x] is the sorted tuple of
+    the image tuples of the maps y -> a y^eps b with a b = x, eps = +-1,
+    each held once.  G may have order at most MAX_GAMMA_BASE.
+
+    The fiber of e is read off G's table: y -> a y^eps a^-1 is one
+    `_right_mul` of table row a (y -> a y), or of that row read at the
+    inverses (y -> a y^-1), applied to column a^-1 (z -> z a^-1).  Its
+    2|G| tuples are gathered in a set, so the maps that coincide, by a
+    central factor or an inversion that is an automorphism, are held
+    once with no case analysis.  The fiber of x is the fiber of e
+    followed by lambda_x, y -> x y: table row x read at each of its
+    maps, one `_right_mul` each."""
+    _refuse_past_bound(group)
+    table, inv = group.table, group.inv
+    columns = list(zip(*table))
+    by_inverse = _right_mul(inv)
+    lefts = [_right_mul(row) for row in table]
+    lefts += [_right_mul(by_inverse(row)) for row in table]
+    rights = [columns[h] for h in inv] * 2
+    stabilizer = {left(right) for left, right in zip(lefts, rights)}
+    maps = list(map(_right_mul, stabilizer))
+    return [tuple(sorted([f(row) for f in maps])) for row in table]
 
 
 def is_elementary_abelian_2(group: PermutationGroup) -> bool:
@@ -98,8 +129,10 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
     the centre Z(G), the positions commuting with G's generators.  For an
     elementary abelian 2-group the order formula does not apply; the
     report carries the flag and the actual order instead of a verdict.
+    The actual order is counted on the closure of lambda_g, rho_g and
+    iota, an unsorted set of image tuples (`perm.closure_images`).
     """
-    gamma = build_gamma(group)
+    order = len(closure_images(_gamma_generators(group)))
     center = group.centralizer_indices(
         group.index[g.images] for g in group.generators)
     ea2 = is_elementary_abelian_2(group)
@@ -108,31 +141,31 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
     kernel_pass = all((list(column) == row) == (z in center)
                       for z, (row, column) in enumerate(zip(table, zip(*table))))
     return WreathReport(group.order, len(center), ea2, formula,
-                        None if ea2 else formula, gamma.order, kernel_pass,
-                        kernel_pass and (ea2 or gamma.order == formula))
+                        None if ea2 else formula, order, kernel_pass,
+                        kernel_pass and (ea2 or order == formula))
 
 
 def _narrow(cents: list, g: tuple[int, ...], g_mul) -> Optional[list]:
-    """The (c, c_mul) of each fiber in `cents` that commute with g, or None
-    at the first fiber left empty.  c g and g c must agree at point 0
-    first, c(g(0)) == g(c(0)); only the c that pass this are multiplied
-    out."""
+    """The c of each fiber in `cents` that commute with g, or None at the
+    first fiber left empty.  c g and g c must agree at point 0 first,
+    c(g(0)) == g(c(0)); only the c that pass this are multiplied out."""
     g0 = g[0]
     narrowed = []
     for cent in cents:
-        cent = [(c, c_mul) for c, c_mul in cent
-                if c[g0] == g[c[0]] and g_mul(c) == c_mul(g)]
+        cent = [c for c in cent
+                if c[g0] == g[c[0]] and g_mul(c) == _right_mul(c)(g)]
         if not cent:
             return None
         narrowed.append(cent)
     return narrowed
 
 
-def _partnered_regular_subgroups(gamma: PermutationGroup) -> list[tuple]:
+def _partnered_regular_subgroups(fibers: Sequence[Sequence[tuple[int, ...]]]
+                                 ) -> list[tuple]:
     """(members, choices, partner) for every regular subgroup U of Gamma
-    whose centralizer in Sym(Omega) lies in Gamma: U's and its partner's
-    sorted image tuples, and the fiber choices that found U, which
-    generate it.
+    whose centralizer in Sym(Omega) lies in Gamma, Gamma given by its
+    fibers as `gamma_fibers` lists them: U's and its partner's sorted
+    image tuples, and the fiber choices that found U, which generate it.
 
     A regular U has exactly one element sending point 0 to each point, so
     U picks one element from each fiber {g in Gamma : g(0) = x}.  The
@@ -157,18 +190,15 @@ def _partnered_regular_subgroups(gamma: PermutationGroup) -> list[tuple]:
     C_Sym(U) of order m, so it is C_Sym(U), and U's partner lies in Gamma
     and is found too.
     """
-    m = gamma.degree
+    m = len(fibers)
     identity = tuple(range(m))
-    fibers: list[list[tuple[int, ...]]] = [[] for _ in range(m)]
-    for p in gamma.elements:
-        fibers[p[0]].append(p)
     branches: dict[int, list] = {}
     found = []
 
     def extend(current: frozenset, choices: list, steps: list,
                cents: list) -> None:
         if len(current) == m:
-            partner = [identity, *(c for cent in cents for c, _ in cent)]
+            partner = [identity, *(c for cent in cents for c in cent)]
             found.append((tuple(sorted(current)), choices,
                           tuple(sorted(partner))))
             return
@@ -190,17 +220,16 @@ def _partnered_regular_subgroups(gamma: PermutationGroup) -> list[tuple]:
             if len({w[0] for w in closed}) == len(closed):
                 extend(frozenset(closed), choices + [g], more, narrowed)
 
-    extend(frozenset({identity}), [], [],
-           [[(c, _right_mul(c)) for c in fiber] for fiber in fibers[1:]])
+    extend(frozenset({identity}), [], [], fibers[1:])
     return found
 
 
-def commuting_regular_pairs(gamma: PermutationGroup
+def commuting_regular_pairs(fibers: Sequence[Sequence[tuple[int, ...]]]
                             ) -> list[tuple[PermutationGroup, PermutationGroup]]:
-    """All unordered pairs {U, V} of regular subgroups of Gamma(G), as
-    `build_gamma(G)` returns it, that centralize each other elementwise,
-    sorted by U's element list, U first.  U = V is allowed and occurs
-    exactly when U is abelian.  Each group is generated by the fiber
+    """All unordered pairs {U, V} of regular subgroups of Gamma(G), given
+    by the fibers `gamma_fibers(G)` returns, that centralize each other
+    elementwise, sorted by U's element list, U first.  U = V is allowed
+    and occurs exactly when U is abelian.  Each group is generated by the fiber
     choices that found it.
 
     No pair is tested.  A regular V commuting with a regular U lies in
@@ -209,7 +238,7 @@ def commuting_regular_pairs(gamma: PermutationGroup
     those U and their partners and no other regular subgroup; a partner
     missing from its list is a broken certificate (InvariantError).
     """
-    found = sorted(_partnered_regular_subgroups(gamma), key=itemgetter(0))
+    found = sorted(_partnered_regular_subgroups(fibers), key=itemgetter(0))
     position = {members: a for a, (members, _, _) in enumerate(found)}
     groups = [PermutationGroup(members, [Permutation._unchecked(g)
                                          for g in choices])
@@ -253,19 +282,21 @@ def automorphism_orbits(group: PermutationGroup) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-def _normalizes(pi: Sequence[int], group: PermutationGroup) -> bool:
-    """Whether pi conjugates each generator into the group: then
-    pi <gens> pi^-1 = <pi gens pi^-1> is a subgroup of the same order,
-    the group itself."""
+def _normalizes(pi: Sequence[int], fibers: Sequence[Sequence[tuple]],
+                gens: Sequence[tuple[int, ...]]) -> bool:
+    """Whether pi conjugates each generator of Gamma into Gamma, looked up
+    in the fiber of its image of 0: then pi <gens> pi^-1 =
+    <pi gens pi^-1> is a subgroup of the same order, Gamma itself."""
     inverse = _inverse(pi)
-    return all(_right_mul(_right_mul(inverse)(g.images))(pi) in group.index
-               for g in group.generators)
+    conjugates = (_right_mul(_right_mul(inverse)(g))(pi) for g in gens)
+    return all(q in fibers[q[0]] for q in conjugates)
 
 
 @dataclass
 class NormalizerReport:
     """N = N_Sym(G)(Gamma(G)) against Aut(G) Gamma(G), as orders of maps
-    of G's positions.  `normalizer_order` is |N| = |G| |N_e|, N_e the
+    of G's positions.  `gamma_order` is |Gamma|, the maps in its
+    fibers; `normalizer_order` is |N| = |G| |N_e|, N_e the
     maps of N fixing the identity; `aut_order` is |Aut(G)|;
     `aut_gamma_order` is |Aut(G) Gamma| = |G| |Aut(G) <iota>|.  `passed`:
     the two groups are equal."""
@@ -284,15 +315,16 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
     on pi_U.  lambda(G) and rho(G), G's table rows and columns, always
     pass; a search that misses either is a broken certificate
     (InvariantError)."""
-    gamma = build_gamma(group)
+    fibers = gamma_fibers(group)
+    gens = _gamma_generators(group)
     aut = prod(automorphism_orbits(group))
     passing = set()
-    for members, _, _ in _partnered_regular_subgroups(gamma):
+    for members, _, _ in _partnered_regular_subgroups(fibers):
         rows = sorted(members, key=itemgetter(0))  # u with u(0) = a at a
         # phi[x] = a names u_a = phi(x), and u_a(e) = a: phi is pi_U
         phi = next(group.isomorphisms(
             rows, list(map(_semiregular_order, rows))), None)
-        if phi is not None and _normalizes(phi, gamma):
+        if phi is not None and _normalizes(phi, fibers, gens):
             passing.add(members)
     table = group.table
     # one group when G is abelian: then Aut(G) <iota> = Aut(G)
@@ -302,6 +334,7 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
         raise InvariantError("lambda(G) or rho(G) was not found among the "
                              "subgroups whose map normalizes Gamma")
     m = group.order
-    return NormalizerReport(m, gamma.order, m * len(passing) * aut, aut,
+    return NormalizerReport(m, sum(map(len, fibers)),
+                            m * len(passing) * aut, aut,
                             m * len(translations) * aut,
                             passing == translations)

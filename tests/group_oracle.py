@@ -1,11 +1,15 @@
 """Whole-group forms of the package's table routines, which no package
 module needs: the regular action, every left and right translation and
-the inversion as permutations, and every subgroup as a group.  The
-package reads only the translations by generators (`gamma.build_gamma`)
-and subgroups up to conjugacy (`perm.subgroup_classes`); the tests
-compare against the whole forms."""
+the inversion as permutations, Gamma(G) as a closed group, and every
+subgroup as a group.  The package reads only the translations by
+generators, Gamma(G) fiber by fiber (`gamma.gamma_fibers`), and
+subgroups up to conjugacy (`perm.subgroup_classes`); the tests compare
+against the whole forms."""
 
-from birkhoffsym.perm import Permutation, PermutationGroup, subgroup_classes
+from birkhoffsym.errors import PreconditionError
+from birkhoffsym.gamma import MAX_GAMMA_BASE
+from birkhoffsym.perm import (Permutation, PermutationGroup, closure,
+                              subgroup_classes)
 
 
 def regular_action(group: PermutationGroup) -> tuple[
@@ -17,6 +21,22 @@ def regular_action(group: PermutationGroup) -> tuple[
     lams = [Permutation(row) for row in table]
     rhos = [Permutation(row[h] for row in table) for h in inv]
     return lams, rhos, Permutation(inv)
+
+
+def build_gamma(group: PermutationGroup) -> PermutationGroup:
+    """Gamma(G) closed into a group, with generators lambda_g, rho_g (in
+    pairs), then iota, g running over G's generators; G may have order at
+    most MAX_GAMMA_BASE.  lambda_g is table row g, rho_g the table column
+    at g^-1."""
+    if group.order > MAX_GAMMA_BASE:
+        raise PreconditionError(
+            f"group of order {group.order} exceeds bound {MAX_GAMMA_BASE}")
+    table, inv = group.table, group.inv
+    gens = []
+    for g in (group.index[s.images] for s in group.generators):
+        gens += [Permutation(table[g]),
+                 Permutation(row[inv[g]] for row in table)]
+    return closure(gens + [Permutation(inv)])
 
 
 def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[PermutationGroup]:

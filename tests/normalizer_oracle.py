@@ -9,7 +9,8 @@ where the scan takes about 0.15 s.
 
 import itertools
 
-from birkhoffsym.gamma import NormalizerReport, build_gamma
+from group_oracle import build_gamma
+from birkhoffsym.gamma import NormalizerReport
 from birkhoffsym.perm import PermutationGroup
 
 

@@ -9,7 +9,7 @@ import time
 from birkhoffsym.birkhoff import (verify_intersection_table,
                                   verify_symmetry_group)
 from birkhoffsym.cd import cd_lattice, verify_centralizer_estimate
-from birkhoffsym.gamma import (build_gamma, commuting_regular_pairs,
+from birkhoffsym.gamma import (commuting_regular_pairs, gamma_fibers,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
 from birkhoffsym.perm import PermutationGroup, _order, named_group
@@ -120,13 +120,13 @@ def lambda_and_rho(group):
 def test_criterion_07_commuting_regular_pairs():
     t0 = time.perf_counter()
     g4 = named_group("s4")
-    pairs4 = commuting_regular_pairs(build_gamma(g4))
+    pairs4 = commuting_regular_pairs(gamma_fibers(g4))
     secs = time.perf_counter() - t0
     only_lambda_rho = (len(pairs4) == 1 and
                        {pairs4[0][0], pairs4[0][1]} == set(lambda_and_rho(g4)))
 
     lambda3, rho3 = lambda_and_rho(named_group("s3"))
-    pairs3 = commuting_regular_pairs(build_gamma(named_group("s3")))
+    pairs3 = commuting_regular_pairs(gamma_fibers(named_group("s3")))
     self_paired = [u for u, v in pairs3 if u == v]
     shapes = {(sum(1 for p in u.elements if p in lambda3.index),
                sum(1 for p in u.elements if p in rho3.index))

@@ -278,11 +278,11 @@ def count_products(monkeypatch) -> list:
 
 def test_gamma_s4_closure_products_are_pinned(monkeypatch):
     # machine-independent gate: steps taken plus coset elements added to
-    # build Gamma(S_4), 1 152 elements; the breadth-first closure took
-    # 5 808 steps, one per (element, generator)
+    # close Gamma(S_4), 1 152 elements, for its order; the breadth-first
+    # closure took 5 808 steps, one per (element, generator)
     s4 = perm.named_group("s4")
     products = count_products(monkeypatch)
-    assert gamma.build_gamma(s4).order == 1152
+    assert gamma.verify_wreath_quotient(s4).actual_order == 1152
     assert len(products) == 148 + 1151
 
 
@@ -338,19 +338,40 @@ def test_matrix_group_document_closure_stops_at_the_bound(tmp_path, capsys,
     assert len(products) <= 2 * (30 + 1)
 
 
+@pytest.mark.parametrize("command, sizes", [
+    ("regular-pairs", [24, 24, 24]), ("normalizer", [24]), ("wreath", [24])])
+def test_gamma_commands_build_no_group_of_gamma(capsys, monkeypatch, command,
+                                               sizes):
+    # machine-independent gate: on S_4 the only groups built are G and
+    # the pair {lambda(G), rho(G)} the search finds; Gamma(S_4) is read by
+    # its fibers, or closed into a bare set to count it
+    built = []
+    init = perm.PermutationGroup.__init__
+
+    def counting(self, elements, generators):
+        elements = list(elements)
+        built.append(len(elements))
+        init(self, elements, generators)
+
+    monkeypatch.setattr(perm.PermutationGroup, "__init__", counting)
+    assert main([command, "--group", "s4"]) == 0
+    capsys.readouterr()
+    assert built == sizes
+
+
 def test_regular_pairs_refuses_d61_before_building_gamma(tmp_path, capsys,
                                                          monkeypatch):
     # D_61 has 122 elements, past the bound on |G| for Gamma(G): it is
-    # refused while it is loaded, not after Gamma(D_61) (29 768 elements)
-    # has been closed
+    # refused while it is loaded, not after the fibers of Gamma(D_61)
+    # (29 768 elements) have been listed
     path = tmp_path / "d61.txt"
     path.write_text("(" + " ".join(map(str, range(61))) + ")\n"
                     + "".join(f"({i} {61 - i})" for i in range(1, 31)) + "\n")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("build_gamma called")
+        raise AssertionError("gamma_fibers called")
 
-    monkeypatch.setattr(gamma, "build_gamma", refuse)
+    monkeypatch.setattr(gamma, "gamma_fibers", refuse)
     assert main(["regular-pairs", "--group", str(path)]) == 3
     assert (f"exceeds bound {gamma.MAX_GAMMA_BASE}"
             in capsys.readouterr().err)
@@ -362,8 +383,8 @@ def test_regular_pairs_missing_partner_is_a_broken_certificate(capsys,
     # exit 4, not a KeyError traceback
     search = gamma._partnered_regular_subgroups
 
-    def dropping(gamma_group):
-        found = search(gamma_group)
+    def dropping(fibers):
+        found = search(fibers)
         lost = next(f for f in found if f[0] != f[2])
         return [f for f in found if f is not lost]
 

@@ -2,6 +2,7 @@
 kernel description, regular subgroups, commuting pairs, normalizer."""
 
 import itertools
+import json
 import random
 from functools import lru_cache
 from math import prod
@@ -10,14 +11,13 @@ import pytest
 
 import normalizer_oracle
 import regular_oracle
-from group_oracle import all_subgroups, regular_action
+from group_oracle import all_subgroups, build_gamma, regular_action
 from regular_oracle import is_regular, regular_subgroups
+from birkhoffsym import cli, perm
 from birkhoffsym import gamma as gamma_module
-from birkhoffsym import perm
 from birkhoffsym.errors import InvariantError, PreconditionError
-from birkhoffsym.gamma import (automorphism_orbits, build_gamma,
-                               commuting_regular_pairs,
-                               is_elementary_abelian_2,
+from birkhoffsym.gamma import (automorphism_orbits, commuting_regular_pairs,
+                               gamma_fibers, is_elementary_abelian_2,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
 from birkhoffsym.perm import (Permutation, PermutationGroup, _inverse, _order,
@@ -116,11 +116,53 @@ def test_build_gamma_tags():
                   for t in ("(0 1)", "(0 1 2)"))
     assert build_gamma(s3).generators == (
         lams[swap], rhos[swap], lams[turn], rhos[turn], iota)
+    assert gamma_module._gamma_generators(s3) == [
+        p.images for p in build_gamma(s3).generators]
 
 
 def test_build_gamma_size_cap():
     with pytest.raises(PreconditionError):
         build_gamma(perm.symmetric_group(6))  # 720 > cap MAX_GAMMA_BASE 120
+
+
+def test_gamma_fibers_size_cap(monkeypatch):
+    # refused before S_6's table is read
+    def refuse(group):
+        raise AssertionError(f"table read for a group of order {group.order}")
+
+    s6 = perm.symmetric_group(6)
+    monkeypatch.setattr(perm.PermutationGroup, "table", property(refuse))
+    for function in (gamma_fibers, verify_wreath_quotient):
+        with pytest.raises(PreconditionError, match="exceeds bound 120"):
+            function(s6)
+
+
+# C_2, V_4: iota is a translation; C_3, C_4, C_6: abelian; D_4, Q_8:
+# centre of order 2; the trivial group has one point
+@pytest.mark.parametrize("name, seed",
+                         [(name, None) for name in perm.builtin_group_names()]
+                         + [("trivial", None), ("s3", 1), ("c6", 2),
+                            ("d4", 3), ("q8", 4), ("s4", 5), ("v4", 6)])
+def test_gamma_fibers_are_the_closure_by_image_of_0(tmp_path, capsys, name,
+                                                     seed):
+    group = (group_from_generator_lines(["()"]) if name == "trivial"
+             else named_group(name) if seed is None
+             else relabelled_generating_set(name, seed))
+    closed = build_gamma(group)
+    by_image = [[] for _ in range(group.order)]
+    for p in closed.elements:
+        by_image[p[0]].append(p)
+    assert gamma_fibers(group) == list(map(tuple, by_image))
+    # every command reports the closure's order
+    path = tmp_path / "group.txt"
+    path.write_text("".join(g.cycle_string() + "\n"
+                            for g in group.generators))
+    assert cli.main(["regular-pairs", "--group", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["details"]["group_order"] == group.order
+    assert report["details"]["gamma_order"] == closed.order
+    assert normalizer_in_full_symmetric(group).gamma_order == closed.order
+    assert verify_wreath_quotient(group).actual_order == closed.order
 
 
 def test_gamma_s3_regular_subgroups_two_paths():
@@ -143,7 +185,7 @@ def test_gamma_s3_regular_subgroups_two_paths():
 def test_gamma_s3_commuting_pairs():
     g = named_group("s3")
     lambda_sub, rho_sub, _ = translation_subgroups(g)
-    pairs = commuting_regular_pairs(build_gamma(g))
+    pairs = commuting_regular_pairs(gamma_fibers(g))
     assert len(pairs) == 7
     non_self = [(u, v) for u, v in pairs if u != v]
     assert len(non_self) == 1
@@ -163,9 +205,16 @@ def test_gamma_s3_commuting_pairs():
 
 
 @lru_cache(maxsize=None)
+def closed_gamma(name):
+    return build_gamma(named_group(name))
+
+
+@lru_cache(maxsize=None)
 def gamma_and_regulars(name):
-    gamma = build_gamma(named_group(name))
-    return gamma, tuple(regular_subgroups(gamma))
+    """The fibers of Gamma(G), and the regular subgroups of the closed
+    Gamma(G) by the unpruned search."""
+    return (gamma_fibers(named_group(name)),
+            tuple(regular_subgroups(closed_gamma(name))))
 
 
 def elementwise_pairs(regs):
@@ -183,18 +232,18 @@ def elementwise_pairs(regs):
 
 @pytest.mark.parametrize("name", ["s3", "d4", "q8", "c4", "c6"])
 def test_commuting_pairs_match_elementwise_oracle(name):
-    gamma, regs = gamma_and_regulars(name)
-    pairs = commuting_regular_pairs(gamma)
+    fibers, regs = gamma_and_regulars(name)
+    pairs = commuting_regular_pairs(fibers)
     assert pairs == elementwise_pairs(list(regs))
 
 
 @pytest.mark.parametrize("name, count", [("s3", 8), ("s4", 100), ("d4", 16),
                                          ("q8", 16)])
 def test_gamma_regular_subgroup_counts(name, count):
-    gamma, regs = gamma_and_regulars(name)
+    _, regs = gamma_and_regulars(name)
     assert len(regs) == count
     assert len(set(regs)) == count
-    assert all(is_regular(gamma, u) for u in regs)
+    assert all(is_regular(closed_gamma(name), u) for u in regs)
 
 
 def test_gamma_s4_regular_subgroup_tags_generate_them():
@@ -209,11 +258,11 @@ def listed(groups):
     return [(u.elements, u.generators) for u in groups]
 
 
-def assert_matches_oracle(gamma, regs):
+def assert_matches_oracle(fibers, regs):
     """The commuting pairs are the list the pair loop gives on the regular
     subgroups `regs` of the unpruned search, generators and order
     included."""
-    assert (listed(sum(commuting_regular_pairs(gamma), ()))
+    assert (listed(sum(commuting_regular_pairs(fibers), ()))
             == listed(sum(regular_oracle.commuting_pairs(list(regs)), ())))
 
 
@@ -238,8 +287,9 @@ def relabelled_generating_set(name, seed):
 @pytest.mark.parametrize("name, seed", [("s3", 1), ("c6", 2), ("d4", 3),
                                         ("q8", 4), ("s4", 5), ("s4", 6)])
 def test_regular_search_on_relabelled_groups_matches_oracle(name, seed):
-    gamma = build_gamma(relabelled_generating_set(name, seed))
-    assert_matches_oracle(gamma, regular_subgroups(gamma))
+    group = relabelled_generating_set(name, seed)
+    assert_matches_oracle(gamma_fibers(group),
+                          regular_subgroups(build_gamma(group)))
 
 
 # generator lines of groups no built-in covers, with their orders
@@ -265,8 +315,8 @@ def test_regular_search_on_generator_line_groups_matches_oracle(name):
     lines, order = GENERATOR_LINE_GROUPS[name]
     group = group_from_generator_lines(lines)
     assert group.order == order
-    gamma = build_gamma(group)
-    assert_matches_oracle(gamma, regular_subgroups(gamma))
+    assert_matches_oracle(gamma_fibers(group),
+                          regular_subgroups(build_gamma(group)))
 
 
 def stabilizer_classes(gamma, groups):
@@ -283,7 +333,7 @@ def stabilizer_classes(gamma, groups):
     return classes
 
 
-# Gamma(S_5) exceeds build_gamma's bound
+# the unpruned search on Gamma(S_5) is out of reach
 @pytest.mark.parametrize("name, seed",
                          [(name, None) for name in perm.builtin_group_names()
                           if name != "s5"]
@@ -298,7 +348,8 @@ def test_pruned_search_meets_every_stabilizer_class(name, seed):
              else relabelled_generating_set(name, seed))
     gamma = build_gamma(group)
     found = {members: partner for members, _, partner
-             in gamma_module._partnered_regular_subgroups(gamma)}
+             in gamma_module._partnered_regular_subgroups(
+                 gamma_fibers(group))}
     regs = regular_oracle.regular_subgroups(gamma)
     columns = {u.elements: tuple(sorted(zip(*u.elements))) for u in regs}
     assert found == {members: c for members, c in columns.items()
@@ -330,13 +381,37 @@ def test_regular_search_closures_are_pinned(monkeypatch):
         closures.clear()
         narrowings.clear()
         found = gamma_module._partnered_regular_subgroups(
-            build_gamma(named_group(name)))
+            gamma_fibers(named_group(name)))
         counts[name] = (len(found), len(closures), len(narrowings))
     assert counts == {"s3": (8, 10, 18), "s4": (2, 6, 120)}
 
 
+def test_regular_search_products_are_pinned(monkeypatch):
+    # machine-independent gate: `_right_mul` calls of the search, with
+    # Gamma's fibers listed beforehand.  Multiplying out every element of
+    # fibers 1..m-1 before the first choice took 102 and 1 188; only the
+    # elements that pass the point test at a narrowing are now, and S_3's
+    # 18 narrowings redo some of them
+    calls = []
+    right_mul = gamma_module._right_mul
+
+    def counting(g):
+        calls.append(g)
+        return right_mul(g)
+
+    counts = {}
+    for name in ("s3", "s4"):
+        fibers = gamma_fibers(named_group(name))
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(gamma_module, "_right_mul", counting)
+            gamma_module._partnered_regular_subgroups(fibers)
+        counts[name] = len(calls)
+    assert counts == {"s3": 189, "s4": 959}
+
+
 def test_commuting_pairs_build_groups_only_for_the_pair(monkeypatch):
-    gamma = build_gamma(named_group("s4"))
+    fibers = gamma_fibers(named_group("s4"))
     built = []
     original = PermutationGroup.__init__
 
@@ -345,7 +420,7 @@ def test_commuting_pairs_build_groups_only_for_the_pair(monkeypatch):
         original(self, elements, generators)
 
     monkeypatch.setattr(PermutationGroup, "__init__", counting)
-    ((u, v),) = commuting_regular_pairs(gamma)
+    ((u, v),) = commuting_regular_pairs(fibers)
     assert built == [24, 24]
     assert u != v
 
@@ -372,8 +447,9 @@ def count_permutations(monkeypatch) -> list:
 
 def test_no_group_is_built_element_by_element(monkeypatch):
     # a group holds its elements as image tuples: the only permutations
-    # built are the generators, of the named group, of Gamma and of each
-    # regular subgroup (its fiber choices)
+    # built are the generators, of the named group, of the closed Gamma
+    # and of each regular subgroup (its fiber choices); the fibers of
+    # Gamma are image tuples only
     built = count_permutations(monkeypatch)
     s4 = named_group("s4")
     gamma = build_gamma(s4)
@@ -385,11 +461,10 @@ def test_no_group_is_built_element_by_element(monkeypatch):
     assert len(built) == len(s5.generators) == 2
     built.clear()
     s3 = named_group("s3")
-    gamma = build_gamma(s3)
-    pairs = commuting_regular_pairs(gamma)
+    pairs = commuting_regular_pairs(gamma_fibers(s3))
     regs = {id(u): u for pair in pairs for u in pair}.values()
     assert len(regs) == 8
-    assert len(built) == (len(s3.generators) + len(gamma.generators)
+    assert len(built) == (len(s3.generators)
                           + sum(len(u.generators) for u in regs))
 
 
@@ -410,10 +485,10 @@ def test_commuting_pairs_build_no_table(monkeypatch):
         raise AssertionError(f"table read for a group of order {group.order}")
 
     g = named_group("s4")
-    gamma = build_gamma(g)  # reads the table of G, not of Gamma(G)
+    fibers = gamma_fibers(g)  # reads the table of G, not of Gamma(G)
     lambda_sub, rho_sub, _ = translation_subgroups(g)
     monkeypatch.setattr(perm.PermutationGroup, "table", property(refuse))
-    pairs = commuting_regular_pairs(gamma)
+    pairs = commuting_regular_pairs(fibers)
     assert len(pairs) == 1
     assert {pairs[0][0], pairs[0][1]} == {lambda_sub, rho_sub}
 
@@ -530,9 +605,9 @@ def test_normalizer_candidates_are_pinned(monkeypatch):
     tested = []
     normalizes = gamma_module._normalizes
 
-    def counting(pi, gamma):
+    def counting(pi, *gamma):
         tested.append(pi)
-        return normalizes(pi, gamma)
+        return normalizes(pi, *gamma)
 
     monkeypatch.setattr(gamma_module, "_normalizes", counting)
     counts = {}
@@ -548,7 +623,7 @@ def test_normalizer_refuses_a_search_that_misses_the_translations(
         monkeypatch):
     # lambda(G) and rho(G) always pass: a count below theirs is a broken
     # certificate, never a verdict
-    monkeypatch.setattr(gamma_module, "_normalizes", lambda pi, gamma: False)
+    monkeypatch.setattr(gamma_module, "_normalizes", lambda pi, *gamma: False)
     for name in ("s3", "c6"):
         with pytest.raises(InvariantError, match="lambda"):
             normalizer_in_full_symmetric(named_group(name))
@@ -561,10 +636,10 @@ def test_normalizer_refuses_a_search_that_misses_lambda(monkeypatch):
     lam = {tuple(row) for row in group.table}
     normalizes = gamma_module._normalizes
 
-    def misses_lambda(pi, gamma):
+    def misses_lambda(pi, *gamma):
         inverse = _inverse(pi)
         conjugates = {tuple(pi[row[x]] for x in inverse) for row in lam}
-        return normalizes(pi, gamma) and conjugates != lam
+        return normalizes(pi, *gamma) and conjugates != lam
 
     monkeypatch.setattr(gamma_module, "_normalizes", misses_lambda)
     with pytest.raises(InvariantError, match="lambda"):
@@ -575,8 +650,9 @@ def test_normalizes_is_the_membership_test():
     # the |G|! scan with the package's test: 72 of the 720 maps of S_3's
     # points normalize Gamma(S_3).  On every group the tests run, each
     # candidate the normalizer tests passes, so refusals are checked here
-    gamma = build_gamma(named_group("s3"))
-    assert sum(gamma_module._normalizes(pi, gamma)
+    s3 = named_group("s3")
+    gamma = (gamma_fibers(s3), gamma_module._gamma_generators(s3))
+    assert sum(gamma_module._normalizes(pi, *gamma)
                for pi in itertools.permutations(range(6))) == 72
 
 

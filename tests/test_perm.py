@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from group_oracle import all_subgroups, regular_action
+from group_oracle import all_subgroups, build_gamma, regular_action
 from regular_oracle import is_regular, regular_subgroups
 from birkhoffsym.cd import cd_lattice
 from birkhoffsym.errors import InvariantError, PreconditionError
-from birkhoffsym.gamma import build_gamma, commuting_regular_pairs
+from birkhoffsym.gamma import commuting_regular_pairs, gamma_fibers
 from birkhoffsym.perm import (MAX_DEGREE, Permutation, PermutationGroup,
                               _order, _semiregular_order, builtin_group_names,
                               closure, group_from_generator_lines, named_group,
@@ -458,7 +458,7 @@ def constructed_groups() -> list[tuple[str, PermutationGroup]]:
     groups += [(f"D_4-cd-{i}", h)
                for i, h in enumerate(cd_lattice(named_group("d4")).lattice)]
     for i, (u, v) in enumerate(commuting_regular_pairs(
-            build_gamma(named_group("s3")))):
+            gamma_fibers(named_group("s3")))):
         groups += [(f"Gamma(S_3)-pair-{i}-u", u), (f"Gamma(S_3)-pair-{i}-v", v)]
     groups += [(f"Gamma({name})", build_gamma(named_group(name)))
                for name in ("s3", "q8", "c6")]
