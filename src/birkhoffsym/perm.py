@@ -12,16 +12,15 @@ Conventions, fixed once and used everywhere:
 * A group carries the generating set it was built from, as checked
   `Permutation`s; none is ever recovered from the element list.
 
-Groups are listed in full up to thousands of elements (S_6 has 720),
-where explicit lists beat stabilizer chains in simplicity; `wreath`
-closes the 28 800 image tuples of Gamma(S_5) only to count them.
+Groups are listed in full up to thousands of elements, where explicit
+lists beat stabilizer chains in simplicity.
 `saturate` is the package's one closure.  Plain, it runs breadth-first
 under unary steps: products by fixed factors, in C as one
 `operator.itemgetter` per factor (`_right_mul`), or permutations of
 points.  In coset mode it grows a subgroup H to <H, g> one whole coset
-at a time (Dimino's algorithm): `closure_images` (and so `closure`
-and `gamma`'s count of |Gamma(G)| for `wreath`), `closure_indices` and
-the regular-pair search in `gamma` build their groups so.
+at a time (Dimino's algorithm): `closure_images` (for `closure` and
+`wreath`), `closure_indices` and the regular-pair search in `gamma`
+build their groups so.
 `PermutationGroup.table` is the multiplication table on positions in
 the element list (identity at 0), built on first read along the Cayley
 graph of the generators, so generators that do not generate the group
@@ -495,11 +494,11 @@ def _semiregular_order(p: Sequence[int]) -> int:
 
 def closure_images(generators: Sequence[tuple[int, ...]],
                    max_order: Optional[int] = None) -> set[tuple[int, ...]]:
-    """The image tuples of the group generated by the given image tuples
-    of permutations of one degree, an unsorted set, one generator g at a
-    time: a g already in the group H is skipped, else H grows to <H, g>
-    by `saturate`'s coset mode, steps _right_mul of each generator so
-    far, right cosets H p.  max_order aborts runaways."""
+    """The set of image tuples of the group the given image tuples
+    generate, one generator g at a time: a g already in the group H is
+    skipped, else H grows to <H, g> by `saturate`'s coset mode, steps
+    _right_mul of each generator so far, right cosets H p.  max_order
+    aborts runaways."""
     seen, steps = {tuple(range(len(generators[0])))}, []
     for g in generators:
         steps.append(_right_mul(g))
@@ -511,8 +510,7 @@ def closure_images(generators: Sequence[tuple[int, ...]],
 
 def closure(generators: Sequence[Permutation],
             max_order: Optional[int] = None) -> PermutationGroup:
-    """Group generated by the given permutations, by `closure_images`.
-    max_order aborts runaways."""
+    """Group generated by the given permutations (`closure_images`)."""
     if not generators:
         raise ValueError("closure needs at least one generator")
     degree = generators[0].degree
