@@ -284,7 +284,7 @@ COMMANDS = {
         options=(GROUP, Arg("bound", "BOUND", _integer, 200))),
     "sn-cent-est": Command(
         _cmd_sn_cent_est,
-        "centralizer order estimate across all subgroups of S_n, n = 4, 5, 6",
+        "centralizer order estimate across all subgroups of S_n, n = 4 to 7",
         (N,)),
     "wreath": Command(
         _cmd_wreath,

@@ -26,7 +26,7 @@ the element list (identity at 0), built on first read along the Cayley
 graph of the generators, so generators that do not generate the group
 raise InvariantError.  `centralizer_indices` and `normalizer_indices`
 read whole columns of it in C.  Only routines reading most products of
-a group of order at most 720 build it.
+a group of order at most 5040 (S_7, for `sn-cent-est 7`) build it.
 `isomorphisms` extends maps, from any prefix of generator images, along
 the same Cayley graph, and `subgroup_classes` enumerates subgroups up to
 conjugacy on it.  `orders`, the element orders, is read once off the
@@ -298,19 +298,27 @@ class PermutationGroup:
                                list(map(_order, self.elements)))
         return self._orders
 
-    def closure_indices(self, seeds: Iterable[int]) -> frozenset[int]:
+    def closure_indices(self, seeds: Iterable[int],
+                        members: frozenset[int] = frozenset({0})
+                        ) -> frozenset[int]:
         """Positions of the subgroup generated by the seed positions,
         grown one seed at a time by `saturate`'s coset mode: steps
         w -> t w (row t) for the seeds t so far, left cosets p H read off
-        row p at H's positions."""
+        row p at H's positions, one `itemgetter` call.  `members` are the
+        positions of the subgroup H that the leading seeds generate
+        (default: the trivial group); a seed already in H costs no stage,
+        so <H, g> is closed from H in one, not from the identity seed by
+        seed."""
         table = self.table
-        members, steps = {0}, []
+        steps = []
         for s in seeds:
             steps.append(table[s].__getitem__)
             if s not in members:
-                members = saturate(
-                    members, steps, None,
-                    lambda p, h=members: map(table[p].__getitem__, h))
+                # 0 is in H: read it twice, so that even for H = 1 the
+                # itemgetter returns a tuple of positions
+                coset = itemgetter(0, *members)
+                members = saturate(members, steps, None,
+                                   lambda p, h=coset: h(table[p]))
         return frozenset(members)
 
     def centralizer_indices(self, indices: Iterable[int]) -> frozenset[int]:
@@ -550,8 +558,9 @@ def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[Subgroup
 
     One representative H per class is extended.  N = N_G(H) is read off
     the table from H's generators, and H is extended by one g per orbit
-    of G \\ H under g -> h g (h in H) and g -> m g m^-1 (m in N).  When
-    <H, g> is new, its whole class is recorded and <H, g> alone is queued.
+    of G \\ H under g -> h g (h in H) and g -> m g m^-1 (m in N).  <H, g>
+    is closed from H's members, in one coset stage.  When <H, g> is new,
+    its whole class is recorded and <H, g> alone is queued.
     Nothing is lost: <H, h g> = <H, g>, and m <H, g> m^-1 = <H, m g m^-1>
     because m normalizes H, so for every k outside H, <H, k> is
     m <H, g> m^-1 for the representative g of k's orbit and some m in N,
@@ -600,7 +609,7 @@ def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[Subgroup
                 if not done[c]:
                     for h in members:
                         done[table[h][c]] = 1
-            closed = group.closure_indices(gens + (g,))
+            closed = group.closure_indices(gens + (g,), members)
             if closed not in found:
                 record(closed, gens + (g,))
     return classes

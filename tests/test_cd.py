@@ -1,12 +1,15 @@
 """Tests for the Chermak-Delgado measure, lattice, and the |U||C(U)| <= n!
 estimate in symmetric groups."""
 
+import itertools
 from collections import Counter
 
 import pytest
 
-from birkhoffsym.cd import (_subnormal_by_normalizer_chain, cd_lattice,
-                            cd_measure, verify_centralizer_estimate)
+from birkhoffsym import cd as cd_module
+from birkhoffsym.cd import (_pair_closed, _subnormal_by_normalizer_chain,
+                            cd_lattice, cd_measure,
+                            verify_centralizer_estimate)
 from birkhoffsym.errors import NotASubgroupError, PreconditionError
 from birkhoffsym.perm import (Permutation, PermutationGroup,
                               builtin_group_names, closure, named_group,
@@ -130,9 +133,33 @@ def test_centralizer_estimate_s6():
     assert r.passed
 
 
+def test_centralizer_estimate_s7(monkeypatch):
+    # the known counts: 11 300 subgroups of S_7 in 96 conjugacy classes,
+    # read off the one enumeration the check runs
+    enumerate_classes, classes = cd_module.subgroup_classes, []
+
+    def keeping(*args, **kwargs):
+        classes.extend(enumerate_classes(*args, **kwargs))
+        return classes
+
+    monkeypatch.setattr(cd_module, "subgroup_classes", keeping)
+    try:
+        r = verify_centralizer_estimate(7)
+    finally:
+        symmetric_group.cache_clear()  # S_7's table is 5 040 rows: free it
+    assert len(classes) == 96
+    assert r.group_order == 5040
+    assert r.subgroup_count == 11_300
+    assert r.max_measure == 5040
+    assert r.equality_orders == [1, 5040]
+    assert r.violations == []
+    assert r.passed
+
+
 def test_centralizer_estimate_rejects_other_n():
-    # n = 6 joined the supported range with cyclic extension
-    for n in (2, 3, 7):
+    # n = 6 joined the supported range with cyclic extension, n = 7 with
+    # extensions closed from their subgroup
+    for n in (2, 3, 8):
         with pytest.raises(PreconditionError):
             verify_centralizer_estimate(n)
 
@@ -154,6 +181,80 @@ def test_product_subgroup_criterion_matches_all_pairs():
             assert (product == group.closure_indices(h_gens + k_gens)) == closed
             verdicts[closed] += 1
     assert len(subs) == 30 and verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize("name", ["s4", "d4", "q8"])
+def test_size_criterion_matches_the_product_set(name):
+    # cd_lattice takes HK for a subgroup exactly when |<H, K>||H n K| =
+    # |H||K|, with <H, K> closed from H's members; checked against the
+    # |H||K| products of every ordered pair of subgroups
+    group = named_group(name)
+    table = group.table
+    subs = [sub for cls in subgroup_classes(group) for sub in cls]
+    verdicts = Counter()
+    for hs, h_gens in subs:
+        for ks, k_gens in subs:
+            product = frozenset(table[a][b] for a in hs for b in ks)
+            closed = all(table[a][b] in product
+                         for a in product for b in product)
+            joined = group.closure_indices(h_gens + k_gens, hs)
+            assert len(product) * len(hs & ks) == len(hs) * len(ks)
+            assert (len(joined) * len(hs & ks) == len(hs) * len(ks)) == closed
+            assert (product == joined) == closed
+            verdicts[closed] += 1
+    assert verdicts[True] and (verdicts[False] or name == "q8")
+
+
+@pytest.mark.parametrize("name", ["s4", "d4", "q8"])
+def test_pair_check_matches_the_definition(name):
+    # for H, K in a family L of subgroups, _pair_closed holds iff H n K is
+    # in L and the product set HK is a subgroup in L; L is every subgroup
+    # (so only non-subgroup products fail) or every subgroup not of
+    # order 2 (so D_4's and Q_8's order-4 subgroups fail on their meet)
+    group = named_group(name)
+    table = group.table
+    subs = [sub for cls in subgroup_classes(group) for sub in cls]
+    verdicts = Counter()
+    for family in (subs, [sub for sub in subs if len(sub[0]) != 2]):
+        lattice = {hs for hs, _ in family}
+        for h, k in itertools.combinations(family, 2):
+            product = frozenset(table[a][b] for a in h[0] for b in k[0])
+            want = (h[0] & k[0] in lattice and product in lattice
+                    and all(table[a][b] in product
+                            for a in product for b in product))
+            assert _pair_closed(group, h, k, lattice) == want, (h, k)
+            verdicts[want] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize("name, enumerated, beyond", [
+    ("s4", 25, 0), ("s5", 85, 0), ("d4", 14, 3), ("q8", 10, 3)])
+def test_cd_lattice_closures_are_pinned(monkeypatch, name, enumerated,
+                                        beyond):
+    # machine-independent gate: closures of the enumeration, then of the
+    # pair checks; C(H) once per member, nested pairs pass unclosed, so
+    # S_4's and S_5's lattice {1, G} needs none, D_4's and Q_8's (a centre
+    # and three order-4 subgroups in G) one per pair of order-4 subgroups.
+    # Closing both generator lists of every ordered pair took 4, 4, 25, 25
+    calls = []
+    original = PermutationGroup.closure_indices
+
+    def counting(self, seeds, *members):
+        calls.append(seeds)
+        return original(self, seeds, *members)
+
+    enumerate_classes, marks = cd_module.subgroup_classes, []
+
+    def marking(*args, **kwargs):
+        classes = enumerate_classes(*args, **kwargs)
+        marks.append(len(calls))
+        return classes
+
+    monkeypatch.setattr(PermutationGroup, "closure_indices", counting)
+    monkeypatch.setattr(cd_module, "subgroup_classes", marking)
+    r = cd_lattice(named_group(name))
+    assert r.closure_pass and r.subnormal_pass
+    assert (marks, len(calls) - marks[0]) == ([enumerated], beyond)
 
 
 def test_cd_lattice_two_element_iff_trivial_center_extremes():

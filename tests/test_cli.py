@@ -407,7 +407,7 @@ def test_sn_cent_est_s6_within_the_default_bound(capsys):
     assert code == 0
     assert doc["details"]["subgroup_count"] == 1455
     assert doc["details"]["equality_orders"] == [1, 720]
-    assert main(["sn-cent-est", "7"]) == 3
+    assert main(["sn-cent-est", "8"]) == 3
 
 
 def test_unknown_group_name(capsys):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from group_oracle import all_subgroups, build_gamma, regular_action
 from regular_oracle import is_regular, regular_subgroups
+from birkhoffsym import perm as perm_module
 from birkhoffsym.cd import cd_lattice
 from birkhoffsym.errors import InvariantError, PreconditionError
 from birkhoffsym.gamma import commuting_regular_pairs, gamma_fibers
@@ -386,9 +387,9 @@ def test_subgroup_closure_calls_are_pinned(monkeypatch):
     calls = []
     original = PermutationGroup.closure_indices
 
-    def counting(self, seeds):
+    def counting(self, seeds, *members):
         calls.append(seeds)
-        return original(self, seeds)
+        return original(self, seeds, *members)
 
     monkeypatch.setattr(PermutationGroup, "closure_indices", counting)
     counts = {}
@@ -397,6 +398,49 @@ def test_subgroup_closure_calls_are_pinned(monkeypatch):
         subs = all_subgroups(named_group(name))
         counts[name] = (len(subs), len(calls))
     assert counts == {"s4": (30, 25), "s5": (156, 85)}
+
+
+@pytest.mark.parametrize("name, stages", [
+    ("s4", 25), ("s5", 85), ("d4", 14), ("q8", 10)])
+def test_subgroup_saturate_stages_are_pinned(monkeypatch, name, stages):
+    # machine-independent gate: coset stages of `saturate` per
+    # enumeration, one per extension <H, g> closed from H's members; closing
+    # each extension from the identity, generator by generator, took 53,
+    # 198, 26 and 16
+    group = named_group(name)
+    group.table  # built first: its Cayley-graph walk is no coset stage
+    counted, plain = [], perm_module.saturate
+
+    def counting(seeds, steps, cap=None, coset=None):
+        counted.append(coset is not None)
+        return plain(seeds, steps, cap, coset)
+
+    monkeypatch.setattr(perm_module, "saturate", counting)
+    subgroup_classes(group)
+    assert counted == [True] * stages
+
+
+@pytest.mark.parametrize("name", builtin_group_names())
+def test_extensions_closed_from_their_subgroup_match_the_closure(
+        monkeypatch, name):
+    # every extension the enumeration makes, <H, g> closed from H's
+    # members, is the closure of the same seeds from the identity, and H
+    # is the subgroup the leading seeds generate
+    group = named_group(name)
+    original, extensions = PermutationGroup.closure_indices, []
+
+    def keeping(self, seeds, members):
+        closed = original(self, seeds, members)
+        extensions.append((seeds, members, closed))
+        return closed
+
+    monkeypatch.setattr(PermutationGroup, "closure_indices", keeping)
+    classes = subgroup_classes(group, bound=group.order)
+    monkeypatch.undo()
+    assert len(extensions) >= len(classes) - 1  # each class but {1} is one
+    for seeds, members, closed in extensions:
+        assert members == group.closure_indices(seeds[:-1])
+        assert closed == group.closure_indices(seeds)
 
 
 def test_all_subgroups_ignore_the_hash_seed():
