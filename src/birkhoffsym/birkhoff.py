@@ -22,9 +22,9 @@ positions.
 verify_transformation_law checks the translation law on the four
 generators of S_n x S_n only: both sides are actions of that group, so
 the law for the generators gives it for all (n!)^2 pairs (the argument
-is in its docstring).  Vertex maps pi -> sigma pi^eps tau are composed on
-image tuples and looked up in the vertex index; no multiplication table
-of S_n is built here.
+is in its docstring).  A vertex map pi -> sigma pi^eps tau is three
+C-level gathers on the multiplication table of S_n: column tau, read at
+the inverse positions when eps = -1, then row sigma.
 
 Vertex indices are positions in `perm.symmetric_group(n).elements`, the
 lexicographic order of S_n image tuples, so vertex labellings agree
@@ -58,6 +58,7 @@ class InconsistentSymmetryError(ValueError):
 
 @dataclass(frozen=True)
 class SymmetryDecomposition:
+    """The triple of a symmetry pi -> sigma pi^epsilon tau of B_n."""
     sigma: Permutation
     tau: Permutation
     epsilon: int
@@ -92,7 +93,8 @@ def birkhoff_vertices(n: int) -> list[RationalMatrix]:
 @lru_cache(maxsize=8)
 def analytic_facet_sets(n: int) -> tuple[frozenset[int], ...]:
     """A_ij = {pi : pi(i) = j} at position i n + j, as index sets into the
-    vertex enumeration.
+    vertex enumeration, built in one pass over the vertices: vertex pi
+    joins the n sets A_{i, pi(i)}, n n! steps in all.
 
     Cached, and a tuple, since every caller shares it.  For n <= 2 these
     sets do not describe facets (B_1 is a point, B_2 a segment with only
@@ -100,13 +102,16 @@ def analytic_facet_sets(n: int) -> tuple[frozenset[int], ...]:
     """
     if n < 3:
         raise PreconditionError("facet description requires n >= 3")
-    perms = symmetric_group(n).elements
-    return tuple(frozenset(v for v, p in enumerate(perms) if p[i] == j)
-                 for i in range(n) for j in range(n))
+    members: list[list[int]] = [[] for _ in range(n * n)]
+    for v, p in enumerate(symmetric_group(n).elements):
+        for i, j in enumerate(p):
+            members[i * n + j].append(v)
+    return tuple(map(frozenset, members))
 
 
 @dataclass
 class TableReport:
+    """The cases |A_ij n A_kl| checked and the (i, j, k, l) that fail."""
     n: int
     cases_checked: int
     failures: list[tuple[int, int, int, int]]
@@ -153,18 +158,22 @@ class LawReport:
 
 
 def _vertex_images(n: int, sigma: Sequence[int], tau: Sequence[int],
-                   epsilon: int) -> list[Optional[int]]:
+                   epsilon: int) -> tuple[Optional[int], ...]:
     """Vertex images of pi -> sigma pi^epsilon tau for n >= 2, with sigma
-    and tau given as image tuples and composed on image tuples, so no
-    Permutation is built per vertex.  The keys of S_n's index are the
-    vertices' image tuples in vertex order.  When sigma or tau is not a
+    and tau given as image tuples: three C-level gathers on S_n's table.
+    Column tau holds the positions of pi tau, vertex by vertex; read at
+    the inverse positions when epsilon = -1, those of pi^-1 tau; row sigma
+    read at either gives sigma pi^epsilon tau.  When sigma or tau is not a
     bijection, no composite is one, and every image is None."""
     group = symmetric_group(n)
-    index = group.index
-    after_tau = itemgetter(*tau)
-    domain = index if epsilon == 1 else itemgetter(*group.inv)(group.elements)
-    # (p tau)[x] = p[tau[x]], then (sigma p tau)[x] = sigma[(p tau)[x]]
-    return [index.get(itemgetter(*after_tau(p))(sigma)) for p in domain]
+    s, t = group.index.get(tuple(sigma)), group.index.get(tuple(tau))
+    if s is None or t is None:
+        return (None,) * group.order
+    table = group.table
+    column = list(map(itemgetter(t), table))
+    if epsilon == -1:
+        column = itemgetter(*group.inv)(column)
+    return itemgetter(*column)(table[s])
 
 
 def verify_transformation_law(n: int) -> LawReport:
@@ -215,16 +224,19 @@ def verify_transformation_law(n: int) -> LawReport:
 def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
     """Certified normal form (sigma, tau, epsilon) of a vertex bijection.
 
-    Steps: (1) map the facets, each A_ij onto some A_kl, else
-    NotFacetSymmetryError; (2) try epsilon = +1, then epsilon = -1, for
-    which alpha after inversion iota sends A_ij to alpha(A_ji), since
-    iota(A_ij) = A_ji: with images A_ij -> A_{r(i), c(j)}, the law
-    sigma A_ij tau^-1 = A_{tau(i), sigma(j)} gives tau = r^-1, sigma = c;
-    (3) the certificate: return the first triple whose map agrees with
-    alpha on all n! vertices.  A map pi -> sigma pi^eps tau reads back its
-    own triple, and no two triples give one map (n >= 3), so
-    InconsistentSymmetryError, no triple agreeing, means alpha has no
-    such form.
+    By the law sigma A_ij tau^-1 = A_{tau(i), sigma(j)} and A_ij^-1 = A_ji,
+    pi -> sigma pi^eps tau sends A_ij to A_{r(i), c(j)} for eps = +1 and
+    to A_{r(j), c(i)} for eps = -1, with r = tau^-1 and c = sigma.  So
+    only row 0 and column 0 of alpha's map of facet sets are read, the
+    images of A_0j and A_i0, 2n - 1 sets: eps = +1 when the images of row
+    0 share their first index, -1 when they share their second (n >= 3
+    distinct sets cannot share both), and r and c are read off the row
+    and the column.  The certificate is one vertex pass: return the
+    triple when its map agrees with alpha on all n! vertices.  A map
+    pi -> sigma pi^eps tau reads back its own triple, and no two triples
+    give one map (n >= 3), so only an alpha of no such form fails; then
+    the whole map of n^2 facet sets is read: NotFacetSymmetryError when
+    some A_ij goes onto no A_kl, else InconsistentSymmetryError.
     """
     if not 3 <= n <= MAX_N:
         raise PreconditionError(f"decomposition supports 3 <= n <= {MAX_N}")
@@ -233,24 +245,29 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
         raise PreconditionError(
             f"alpha must permute {len(perms)} vertices, got degree {alpha.degree}")
     getters, position = _facet_lookup(n)
-    # image_map[i n + j] = k n + l for alpha(A_ij) = A_kl
-    image_map = [position.get(frozenset(get(alpha.images))) for get in getters]
-    if None in image_map:
+    images = alpha.images
+    # k n + l for alpha(A_0j) = A_kl, then for alpha(A_i0) with i > 0
+    cross = [position.get(frozenset(getters[k](images)))
+             for k in (*range(n), *range(n, n * n, n))]
+    if None not in cross:
+        row, column = cross[:n], cross[:1] + cross[n:]
+        epsilon = (1 if len({k // n for k in row}) == 1 else
+                   -1 if len({k % n for k in row}) == 1 else 0)
+        if epsilon:
+            r, c = (column, row) if epsilon == 1 else (row, column)
+            sigma = tuple(k % n for k in c)
+            tau = _inverse([k // n for k in r])
+            if _vertex_images(n, sigma, tau, epsilon) == images:
+                return SymmetryDecomposition(Permutation(sigma),
+                                             Permutation(tau), epsilon)
+    if None in [position.get(frozenset(get(images))) for get in getters]:
         raise NotFacetSymmetryError("not a facet symmetry")
-    images = list(alpha.images)
-    for epsilon in (1, -1):
-        r = [k // n for k in image_map[::n]]
-        tau = _inverse(r)
-        sigma = [k % n for k in image_map[:n]]
-        if _vertex_images(n, sigma, tau, epsilon) == images:
-            return SymmetryDecomposition(Permutation(sigma), Permutation(tau),
-                                         epsilon)
-        image_map = [image_map[j * n + i] for i in range(n) for j in range(n)]
     raise InconsistentSymmetryError("inconsistent")
 
 
 @dataclass
 class SymmetryGroupReport:
+    """B_n's hull sizes, |Aut| against 2(n!)^2, and round-trip failures."""
     n: int
     n_vertices: int
     n_facets: int

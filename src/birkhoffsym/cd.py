@@ -34,6 +34,7 @@ def cd_measure(group: PermutationGroup, sub: PermutationGroup) -> int:
 
 @dataclass
 class CDReport:
+    """The Chermak-Delgado lattice of G with its two verdicts."""
     group_order: int
     subgroup_count: int
     max_measure: int
@@ -120,6 +121,7 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
 
 @dataclass
 class CentralizerEstimateReport:
+    """Subgroup orders where |U| |C(U)| = n! holds or is exceeded."""
     n: int
     group_order: int
     subgroup_count: int

@@ -111,6 +111,7 @@ def is_elementary_abelian_2(group: PermutationGroup) -> bool:
 
 @dataclass
 class WreathReport:
+    """|Gamma(G)| by 2|G|^2/|Z(G)| and by closure, with the kernel check."""
     group_order: int
     center_order: int
     elementary_abelian_2: bool

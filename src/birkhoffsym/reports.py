@@ -26,6 +26,7 @@ from typing import Any
 
 @dataclasses.dataclass
 class Report:
+    """One subcommand's verdict, inputs, details and running time."""
     command: str
     inputs: dict
     passed: bool

@@ -144,6 +144,7 @@ def representation_polytope(mgroup: MatrixGroup) -> Polytope:
 
 @dataclass
 class GammaActsReport:
+    """Whether translations and inversion preserve the polytope."""
     group_order: int
     aut_order: int
     lambda_pass: bool
@@ -238,6 +239,7 @@ def load_exceptional_c6() -> MatrixGroup:
 
 @dataclass
 class CatalogEntry:
+    """A named matrix group and its expected equivalence with B_n."""
     name: str
     matrix_group: MatrixGroup
     expect_equivalent: Optional[bool] = None
@@ -246,6 +248,7 @@ class CatalogEntry:
 
 @dataclass
 class EntryReport:
+    """One catalog entry's polytope, its verdict and its witness."""
     name: str
     order: int
     dim: int
@@ -259,6 +262,7 @@ class EntryReport:
 
 @dataclass
 class UniquenessReport:
+    """The catalog entries compared with B_n, one report each."""
     n: int
     entries: list[EntryReport]
     passed: bool

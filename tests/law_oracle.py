@@ -12,12 +12,23 @@ comparisons.
 decomposition from plain tuples in `itertools.permutations` order, with
 no package code for the map, so a round trip through
 `decompose_symmetry` checks it against an independent construction.
+
+`facet_sets`, `tuple_vertex_images` and `full_decompose_symmetry` are
+the facet sets, vertex maps and decomposition `birkhoff` used before it
+read them off the multiplication table of S_n: the sets by testing every
+vertex against every label, the maps pi -> sigma pi^eps tau composed on
+image tuples and looked up in the vertex index, and the decomposition
+from the whole map of n^2 facet sets, trying eps = +1 and then eps = -1
+with one vertex pass each.
 """
 
 import itertools
+from operator import itemgetter
 
-from birkhoffsym.birkhoff import LawReport
-from birkhoffsym.perm import Permutation, symmetric_group
+from birkhoffsym.birkhoff import (InconsistentSymmetryError, LawReport,
+                                  NotFacetSymmetryError,
+                                  SymmetryDecomposition)
+from birkhoffsym.perm import Permutation, _inverse, symmetric_group
 
 
 def full_transformation_law(n: int, sets) -> LawReport:
@@ -60,3 +71,44 @@ def symmetry_images(n: int, dec) -> list[int]:
             p = tuple(p.index(x) for x in range(n))
         out.append(index[tuple(sigma[p[tau[x]]] for x in range(n))])
     return out
+
+
+def facet_sets(n: int) -> list[frozenset[int]]:
+    """A_ij = {pi : pi(i) = j} at position i n + j, vertices being the
+    image tuples of S_n in `itertools.permutations` order."""
+    perms = list(itertools.permutations(range(n)))
+    return [frozenset(v for v, p in enumerate(perms) if p[i] == j)
+            for i in range(n) for j in range(n)]
+
+
+def tuple_vertex_images(n: int, sigma, tau, epsilon: int) -> list:
+    """Vertex images of pi -> sigma pi^epsilon tau, composed on image
+    tuples; every image is None when sigma or tau is no bijection."""
+    group = symmetric_group(n)
+    index = group.index
+    after_tau = itemgetter(*tau)
+    domain = index if epsilon == 1 else itemgetter(*group.inv)(group.elements)
+    # (p tau)[x] = p[tau[x]], then (sigma p tau)[x] = sigma[(p tau)[x]]
+    return [index.get(itemgetter(*after_tau(p))(sigma)) for p in domain]
+
+
+def full_decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
+    """(sigma, tau, epsilon) of alpha from its whole map of facet sets, or
+    NotFacetSymmetryError / InconsistentSymmetryError."""
+    sets = facet_sets(n)
+    position = {members: k for k, members in enumerate(sets)}
+    # image_map[i n + j] = k n + l for alpha(A_ij) = A_kl
+    image_map = [position.get(frozenset(alpha.images[v] for v in members))
+                 for members in sets]
+    if None in image_map:
+        raise NotFacetSymmetryError("not a facet symmetry")
+    images = list(alpha.images)
+    for epsilon in (1, -1):
+        r = [k // n for k in image_map[::n]]
+        tau = _inverse(r)
+        sigma = [k % n for k in image_map[:n]]
+        if tuple_vertex_images(n, sigma, tau, epsilon) == images:
+            return SymmetryDecomposition(Permutation(sigma), Permutation(tau),
+                                         epsilon)
+        image_map = [image_map[j * n + i] for i in range(n) for j in range(n)]
+    raise InconsistentSymmetryError("inconsistent")

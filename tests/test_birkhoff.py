@@ -22,7 +22,9 @@ from birkhoffsym.birkhoff import (InconsistentSymmetryError,
                                   verify_transformation_law)
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.perm import Permutation, symmetric_group
-from law_oracle import full_transformation_law, symmetry_images
+from law_oracle import (facet_sets, full_decompose_symmetry,
+                        full_transformation_law, symmetry_images,
+                        tuple_vertex_images)
 
 
 perm_strategy = st.integers(2, 5).flatmap(
@@ -263,15 +265,76 @@ def test_decompose_roundtrip_n3(sig, tau, eps):
     assert symmetry_images(3, back) == list(alpha.images)
 
 
-def test_decompose_n5_builds_no_multiplication_table(monkeypatch):
-    def forbidden(group):
-        raise AssertionError("decompose built a multiplication table")
+def test_s5_table_is_built_once_across_calls(monkeypatch):
+    # decompose and the law check gather on S_5's table, which is built on
+    # the first read and kept with the cached group
+    fresh = perm.symmetric_group.__wrapped__(5)
+    monkeypatch.setattr(birkhoff, "symmetric_group",
+                        lambda n: fresh if n == 5 else symmetric_group(n))
+    real, builds = perm.PermutationGroup.table, []
 
-    monkeypatch.setattr(perm.PermutationGroup, "table", property(forbidden))
+    def counted(group):
+        if group.degree == 5 and group._table is None:
+            builds.append(group)
+        return real.fget(group)
+
+    monkeypatch.setattr(perm.PermutationGroup, "table", property(counted))
+    rng = random.Random(55)
+    perms = [Permutation(p) for p in fresh.elements]
+    for eps in (1, -1, 1, -1):
+        dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms), eps)
+        assert decompose_symmetry(5, Permutation(symmetry_images(5, dec))) == dec
+        assert verify_transformation_law(5).passed
+    assert builds == [fresh]
+
+
+def _count_reads_and_passes(monkeypatch, n):
+    """Lists that record each facet set decompose_symmetry reads, by
+    position, and each vertex pass it makes."""
+    getters, position = birkhoff._facet_lookup(n)
+    read, passes = [], []
+
+    def counted(k, get):
+        def images_of_set(images):
+            read.append(k)
+            return get(images)
+        return images_of_set
+
+    monkeypatch.setattr(birkhoff, "_facet_lookup", lambda m: (
+        tuple(counted(k, get) for k, get in enumerate(getters)), position))
+    real = birkhoff._vertex_images
+    monkeypatch.setattr(birkhoff, "_vertex_images",
+                        lambda *args: passes.append(args) or real(*args))
+    return read, passes
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_decompose_reads_row_and_column_zero_and_makes_one_pass(
+        n, eps, monkeypatch):
+    rng = random.Random(10 * n + eps)
+    perms = [Permutation(p) for p in symmetric_group(n).elements]
+    dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms), eps)
+    alpha = Permutation(symmetry_images(n, dec))
+    read, passes = _count_reads_and_passes(monkeypatch, n)
+    assert decompose_symmetry(n, alpha) == dec
+    # A_0j and A_i0: 2n - 1 sets, each read once
+    assert sorted(read) == sorted({*range(n), *range(0, n * n, n)})
+    assert len(read) == 2 * n - 1
+    assert len(passes) == 1 and passes[0][3] == eps
+
+
+def test_failed_decompose_reads_every_facet_set(monkeypatch):
+    n = 5
     dec = SymmetryDecomposition(Permutation((1, 2, 0, 4, 3)),
                                 Permutation((0, 2, 1, 3, 4)), -1)
-    assert decompose_symmetry(5, Permutation(symmetry_images(5, dec))) == dec
-    assert verify_transformation_law(5).passed
+    images = symmetry_images(n, dec)
+    images[3], images[100] = images[100], images[3]
+    read, passes = _count_reads_and_passes(monkeypatch, n)
+    with pytest.raises(NotFacetSymmetryError):
+        decompose_symmetry(n, Permutation(images))
+    assert set(read) == set(range(n * n))
+    assert len(passes) <= 1
 
 
 def test_decompose_roundtrip_n4_sample():
@@ -333,6 +396,93 @@ def test_decompose_every_triple_of_b4():
     assert len(triples) == 1152
     for dec in triples:
         assert decompose_symmetry(4, Permutation(symmetry_images(4, dec))) == dec
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_facet_sets_match_the_oracle(n):
+    assert list(analytic_facet_sets(n)) == facet_sets(n)
+
+
+def test_vertex_images_match_the_oracle_on_every_triple_of_s3():
+    perms = symmetric_group(3).elements
+    for sigma, tau, eps in itertools.product(perms, perms, (1, -1)):
+        assert list(birkhoff._vertex_images(3, sigma, tau, eps)) == (
+            tuple_vertex_images(3, sigma, tau, eps))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_vertex_images_match_the_oracle_on_seeded_triples(n):
+    rng = random.Random(400 + n)
+    perms = symmetric_group(n).elements
+    for _ in range(200):
+        sigma, tau, eps = rng.choice(perms), rng.choice(perms), rng.choice((1, -1))
+        assert list(birkhoff._vertex_images(n, sigma, tau, eps)) == (
+            tuple_vertex_images(n, sigma, tau, eps))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_vertex_images_of_a_non_bijection_are_none(n):
+    rng = random.Random(500 + n)
+    perms = symmetric_group(n).elements
+    for k in range(20):
+        bad = [rng.randrange(n) for _ in range(n)]
+        bad[0] = bad[1]  # a repeated image: in range, but no bijection
+        good = rng.choice(perms)
+        sigma, tau = (bad, good) if k % 2 else (good, bad)
+        for eps in (1, -1):
+            want = [None] * factorial(n)
+            assert list(birkhoff._vertex_images(n, sigma, tau, eps)) == want
+            assert tuple_vertex_images(n, sigma, tau, eps) == want
+
+
+def _verdicts(n, alpha):
+    """decompose_symmetry's and the oracle's verdict on alpha: the triple,
+    or the type of the error raised."""
+    out = []
+    for decompose in (decompose_symmetry, full_decompose_symmetry):
+        try:
+            out.append(decompose(n, alpha))
+        except (NotFacetSymmetryError, InconsistentSymmetryError) as exc:
+            out.append(type(exc))
+    return out
+
+
+def test_decompose_agrees_with_the_oracle_on_every_symmetry_of_b3():
+    for dec in _all_triples(3):
+        assert _verdicts(3, Permutation(symmetry_images(3, dec))) == [dec, dec]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_decompose_agrees_with_the_oracle_on_seeded_symmetries(n):
+    rng = random.Random(600 + n)
+    perms = [Permutation(p) for p in symmetric_group(n).elements]
+    for eps in (1, -1) * 15:
+        dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms), eps)
+        assert _verdicts(n, Permutation(symmetry_images(n, dec))) == [dec, dec]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_decompose_agrees_with_the_oracle_on_non_symmetries(n):
+    # a symmetry with two vertex images swapped, as the bench draws them,
+    # and random shuffles of the vertices
+    rng = random.Random(700 + n)
+    perms = [Permutation(p) for p in symmetric_group(n).elements]
+    rejected = 0
+    for k in range(40):
+        if k % 2:
+            dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms),
+                                        rng.choice((1, -1)))
+            images = symmetry_images(n, dec)
+            u, v = rng.sample(range(len(images)), 2)
+            images[u], images[v] = images[v], images[u]
+        else:
+            images = list(range(factorial(n)))
+            rng.shuffle(images)
+        got, want = _verdicts(n, Permutation(images))
+        assert got == want
+        rejected += isinstance(got, type)
+    # 72 of the 720 bijections of B_3's vertices are symmetries
+    assert rejected == 40 if n > 3 else rejected > 20
 
 
 def test_verify_symmetry_group_n3():

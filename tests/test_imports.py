@@ -18,6 +18,9 @@ parameter of a package function that no package call passes, by keyword
 or by position: a knob only its default ever sets is kept only when
 KEPT_PARAMETERS lists it, with the reason it stays.
 
+Every dataclass in the package has its own docstring: without one,
+`dataclasses` builds a signature for it with `inspect` at import.
+
 No package module imports `argparse`, and importing `cli` loads neither
 `argparse`, `gettext` nor `locale`: the command line reads argv from its
 own table, so a process pays no parser set-up before its work.
@@ -297,6 +300,49 @@ def test_detects_an_assert_statement():
                      '    assert x, "message"\n'
                      '    return x\n')
     assert assert_statements(tree) == [3]
+
+
+def undocumented_dataclasses(tree: ast.AST) -> list[str]:
+    """Name of each class decorated `@dataclass` or `@dataclasses.dataclass`,
+    with or without arguments, that has no docstring of its own."""
+    def is_dataclass(decorator: ast.expr) -> bool:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        return (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+                or isinstance(decorator, ast.Attribute)
+                and decorator.attr == "dataclass")
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(map(is_dataclass, node.decorator_list))
+            and ast.get_docstring(node) is None]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_has_a_docstring(path):
+    names = undocumented_dataclasses(
+        ast.parse(path.read_text(), filename=str(path)))
+    assert not names, f"{path.name}: dataclasses without a docstring {names}"
+
+
+def test_detects_a_dataclass_without_a_docstring():
+    # a string after the first field is no docstring, and a class
+    # without the decorator is not checked
+    tree = ast.parse('import dataclasses\n'
+                     'from dataclasses import dataclass\n'
+                     '@dataclass\n'
+                     'class A:\n'
+                     '    x: int\n'
+                     '@dataclass(frozen=True)\n'
+                     'class B:\n'
+                     '    """holds y"""\n'
+                     '    y: int\n'
+                     '@dataclasses.dataclass\n'
+                     'class C:\n'
+                     '    z: int = 0\n'
+                     '    """not a docstring"""\n'
+                     'class D:\n'
+                     '    w = 1\n')
+    assert undocumented_dataclasses(tree) == ["A", "C"]
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
