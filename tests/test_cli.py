@@ -826,6 +826,28 @@ REPORT_DIGESTS = {
         0, "e7cfe76690eacad021a27832b807c8d01b09ceacbf317292ad13fd38ca835b1f"),
     "cd-lattice --group q8": (
         0, "f41d889d5a0f69f9b3e6a32a7550ab80b31a695b9fc45e97489f0b223a6cd484"),
+    "cd-lattice --group c2": (
+        0, "ff67066048d89d35e3adb691d880c6582ddfd0f6fa6a3178a0eeeccb21be8ec8"),
+    "cd-lattice --group c3": (
+        0, "350db4becf4c4a87cf8d82f6ec7e6558dabb080eec46576cb27169d895f00367"),
+    "cd-lattice --group c4": (
+        0, "9400ae93c5738004e8f99609269b900871cb1e1c928b8547efe520c11828947d"),
+    "cd-lattice --group c6": (
+        0, "faa0eba15a2362dd98dc2e351ddeeb08f2fb3226b66a364b5bfa6a6b6d5402a1"),
+    "cd-lattice --group v4": (
+        0, "64e23de5f418971b708533b87ccc32b3a1db36104612c374bd61e6adee4b04e1"),
+    "cd-lattice --group s3": (
+        0, "6e09bfb21f1ff57c148cd6dcd99bee99dea7c8bb0b61e00c3bc13ce191728358"),
+    "cd-lattice --group s5": (
+        0, "593f58ea28362259b3dc8e55ab62995878dcf64ec362c3b5711c47ddddeafbd7"),
+    "cd-lattice --group s3xs3.txt": (
+        0, "b5833c53fecc065c551b9277594661d2c245452798ef8771aef3fab0274b6671"),
+    "cd-lattice --group d4xc2.txt": (
+        0, "3a1cdcc000cdaaa6830bcd5df2a7f620e23db285a87e6da05db840fb4e132670"),
+    "regular-pairs --group trivial.txt": (
+        0, "0ada2bd4a22784315af053628d7245d97f57433a934e71be82d195054f73629f"),
+    "normalizer --group trivial.txt": (
+        0, "89892550cea069353b5916871a301ebe2bafea4c210e5b0257d6fa70cf61cf06"),
     "sn-cent-est 4": (
         0, "4f2515634c0eda6c8295e117e065c18da557c7e83f742a6477001478e4a9df11"),
     "sn-cent-est 5": (
@@ -838,10 +860,24 @@ REPORT_DIGESTS = {
         0, "ff533f94de2680d795f218697d75ff328fb6e6f235b7ffeef8d2b83bfd6f2728"),
 }
 
+# Generator files that pinned commands name, written under tmp_path:
+# S_3 x S_3 (lattice ["order9"]), D_4 x C_2 (lattice ["V4", "order8",
+# "order8", "order8", "G"]) and the trivial group
+GROUP_FILES = {
+    "s3xs3.txt": "(0 1)\n(0 1 2)\n(3 4)\n(3 4 5)\n",
+    "d4xc2.txt": "(0 1 2 3)\n(0 2)\n(4 5)\n",
+    "trivial.txt": "()\n",
+}
+
 
 @pytest.mark.parametrize("argv", sorted(REPORT_DIGESTS))
-def test_group_reports_are_pinned(capsys, argv):
-    code, doc = run_json(capsys, argv.split())
+def test_group_reports_are_pinned(capsys, tmp_path, argv):
+    words = argv.split()
+    for i, word in enumerate(words):
+        if word in GROUP_FILES:
+            words[i] = str(tmp_path / word)
+            (tmp_path / word).write_text(GROUP_FILES[word])
+    code, doc = run_json(capsys, words)
     text = json.dumps(doc["details"], sort_keys=True)
     assert (code, hashlib.sha256(text.encode()).hexdigest()) == \
         REPORT_DIGESTS[argv]
