@@ -19,9 +19,9 @@ from .birkhoff import (
     verify_symmetry_group,
     verify_transformation_law,
 )
-from .cd import cd_lattice, cd_measure, verify_centralizer_estimate
+from .cd import cd_lattice, verify_centralizer_estimate
 from .combiso import comb_automorphisms, comb_equivalent
-from .errors import NotASubgroupError, PreconditionError
+from .errors import PreconditionError
 from .exact import RationalMatrix, primitive_vector
 from .gamma import (
     commuting_regular_pairs,

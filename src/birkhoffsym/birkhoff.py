@@ -228,15 +228,16 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
     pi -> sigma pi^eps tau sends A_ij to A_{r(i), c(j)} for eps = +1 and
     to A_{r(j), c(i)} for eps = -1, with r = tau^-1 and c = sigma.  So
     only row 0 and column 0 of alpha's map of facet sets are read, the
-    images of A_0j and A_i0, 2n - 1 sets: eps = +1 when the images of row
-    0 share their first index, -1 when they share their second (n >= 3
+    images of A_0j and A_i0, 2n - 1 sets; one that is no facet set raises
+    NotFacetSymmetryError at once.  eps = +1 when the images of row 0
+    share their first index, -1 when they share their second (n >= 3
     distinct sets cannot share both), and r and c are read off the row
     and the column.  The certificate is one vertex pass: return the
     triple when its map agrees with alpha on all n! vertices.  A map
     pi -> sigma pi^eps tau reads back its own triple, and no two triples
     give one map (n >= 3), so only an alpha of no such form fails; then
-    the whole map of n^2 facet sets is read: NotFacetSymmetryError when
-    some A_ij goes onto no A_kl, else InconsistentSymmetryError.
+    the other n^2 - (2n - 1) facet sets are read: NotFacetSymmetryError
+    when some A_ij goes onto no A_kl, else InconsistentSymmetryError.
     """
     if not 3 <= n <= MAX_N:
         raise PreconditionError(f"decomposition supports 3 <= n <= {MAX_N}")
@@ -249,18 +250,21 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
     # k n + l for alpha(A_0j) = A_kl, then for alpha(A_i0) with i > 0
     cross = [position.get(frozenset(getters[k](images)))
              for k in (*range(n), *range(n, n * n, n))]
-    if None not in cross:
-        row, column = cross[:n], cross[:1] + cross[n:]
-        epsilon = (1 if len({k // n for k in row}) == 1 else
-                   -1 if len({k % n for k in row}) == 1 else 0)
-        if epsilon:
-            r, c = (column, row) if epsilon == 1 else (row, column)
-            sigma = tuple(k % n for k in c)
-            tau = _inverse([k // n for k in r])
-            if _vertex_images(n, sigma, tau, epsilon) == images:
-                return SymmetryDecomposition(Permutation(sigma),
-                                             Permutation(tau), epsilon)
-    if None in [position.get(frozenset(get(images))) for get in getters]:
+    if None in cross:
+        raise NotFacetSymmetryError("not a facet symmetry")
+    row, column = cross[:n], cross[:1] + cross[n:]
+    epsilon = (1 if len({k // n for k in row}) == 1 else
+               -1 if len({k % n for k in row}) == 1 else 0)
+    if epsilon:
+        r, c = (column, row) if epsilon == 1 else (row, column)
+        sigma = tuple(k % n for k in c)
+        tau = _inverse([k // n for k in r])
+        if _vertex_images(n, sigma, tau, epsilon) == images:
+            return SymmetryDecomposition(Permutation(sigma),
+                                         Permutation(tau), epsilon)
+    # every other A_ij, i, j > 0, is read only to name the failure
+    if None in [position.get(frozenset(getters[k](images)))
+                for k in range(n, n * n) if k % n]:
         raise NotFacetSymmetryError("not a facet symmetry")
     raise InconsistentSymmetryError("inconsistent")
 

@@ -9,7 +9,9 @@ lists (the measure is constant on a class, so it is computed once per
 class, from generators) and verifies those closure facts directly on
 member index sets: C(H) once per member, and H n K and HK once per
 unordered pair that is not nested, HK by its size against the closure
-<H, K>, never as a set of products.  It also checks the estimate
+<H, K>, never as a set of products.  A member stays such an index set,
+with its generators' positions: no subgroup is built as a group of its
+own.  It also checks the estimate
 m_{S_n}(U) <= n! with equality only at the trivial and full subgroups
 (n = 4 to 7).
 """
@@ -20,25 +22,19 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .errors import NotASubgroupError, PreconditionError
+from .errors import PreconditionError
 from .perm import PermutationGroup, subgroup_classes, symmetric_group
-
-
-def cd_measure(group: PermutationGroup, sub: PermutationGroup) -> int:
-    """m_G(H) = |H| * |C_G(H)|, C_G(H) read off H's generators."""
-    if not sub.is_subgroup_of(group):
-        raise NotASubgroupError("cd_measure: H is not a subgroup of G")
-    return sub.order * len(group.centralizer_indices(
-        group.index[h.images] for h in sub.generators))
 
 
 @dataclass
 class CDReport:
-    """The Chermak-Delgado lattice of G with its two verdicts."""
+    """The Chermak-Delgado lattice of G with its two verdicts.  Each
+    member of `lattice` is (members, generators), positions on G's
+    table, sorted by (order, ascending members)."""
     group_order: int
     subgroup_count: int
     max_measure: int
-    lattice: list[PermutationGroup]
+    lattice: list[tuple[frozenset[int], tuple[int, ...]]]
     closure_pass: bool
     subnormal_pass: bool
 
@@ -91,7 +87,7 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
     by sizes against the closure <H, K>.
     subnormal_pass: every member's iterated normalizer chain reaches G.
     Members come from `subgroup_classes` as index sets with generators,
-    sorted by (order, element list).
+    sorted by (order, element list), and are reported so.
     """
     classes = subgroup_classes(group, bound=bound)
     measures = _class_measures(group, classes)
@@ -112,8 +108,7 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
         group_order=group.order,
         subgroup_count=sum(len(cls) for cls in classes),
         max_measure=max_measure,
-        lattice=[group.subgroup_from_indices(sorted(hs), gens)
-                 for hs, gens in lattice_pairs],
+        lattice=lattice_pairs,
         closure_pass=closure_pass,
         subnormal_pass=subnormal_pass,
     )

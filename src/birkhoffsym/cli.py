@@ -58,25 +58,28 @@ def _load_group(arg: str, max_order: int) -> tuple[str, PermutationGroup]:
 
 
 def _subgroup_name(base_name: str, group: PermutationGroup,
-                   sub: PermutationGroup) -> str:
-    if sub.order == 1:
+                   members: frozenset[int]) -> str:
+    """The name of the subgroup at the given positions of G; its element
+    orders are read only when neither 1 nor G names it."""
+    order = len(members)
+    if order == 1:
         return "1"
-    if sub.order == group.order:
+    if order == group.order:
         return base_name.upper()
-    orders = sub.orders
-    if max(orders) == sub.order:
-        return f"C{sub.order}"
-    if sub.order == 4:
+    orders = list(map(group.orders.__getitem__, members))
+    if max(orders) == order:
+        return f"C{order}"
+    if order == 4:
         return "V4"
-    if sub.order == 6:
+    if order == 6:
         return "S3"
-    if sub.order == 8:
-        involutions = sum(1 for o in orders if o == 2)
+    if order == 8:
+        involutions = orders.count(2)
         if involutions == 5:
             return "D4"
         if involutions == 1:
             return "Q8"
-    return f"order{sub.order}"
+    return f"order{order}"
 
 
 def _read_json(path: str):
@@ -149,9 +152,10 @@ def _cmd_cd_lattice(args):
     r = cd.cd_lattice(group, bound=args.bound)
     members = [{
         "name": _subgroup_name(name, group, sub),
-        "order": sub.order,
-        "generators": [g.cycle_string() for g in sub.generators] or ["()"],
-    } for sub in r.lattice]
+        "order": len(sub),
+        "generators": [Permutation(group.elements[g]).cycle_string()
+                       for g in gens] or ["()"],
+    } for sub, gens in r.lattice]
     details = {
         "group_order": r.group_order,
         "subgroup_count": r.subgroup_count,
@@ -182,10 +186,10 @@ def _cmd_regular_pairs(args):
     fibers = gamma.gamma_fibers(group)
     pairs = gamma.commuting_regular_pairs(fibers)
 
-    def describe(u: PermutationGroup) -> dict:
+    def describe(u: tuple) -> dict:
         # u is regular: each element's order is its cycle through 0
-        return {"order": u.order,
-                "cyclic": max(map(_semiregular_order, u.elements)) == u.order}
+        return {"order": len(u),
+                "cyclic": max(map(_semiregular_order, u)) == len(u)}
 
     details = {
         "group_order": group.order,

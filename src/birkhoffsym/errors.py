@@ -15,9 +15,5 @@ class PreconditionError(ValueError):
     pass
 
 
-class NotASubgroupError(ValueError):
-    pass
-
-
 class InvariantError(Exception):
     pass

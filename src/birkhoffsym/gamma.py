@@ -8,15 +8,15 @@ For a finite group G acting on itself, the maps
 
 generate a subgroup Gamma(G) of Sym(G).  Everything here works with G's
 elements identified with their positions in the canonical sorted element
-list, so Gamma(G) is a permutation group on |G| points.  It is never
-closed into a `PermutationGroup`: every element of Gamma(G) is a map
-y -> a y^eps b, eps = +-1, sending e to a b, so `gamma_fibers` lists the
-fiber {pi in Gamma : pi(e) = x} of each point x straight off G's table,
-and the regular-pair search and the normalizer read Gamma through its
-fibers.  Only `verify_wreath_quotient` closes lambda_g, rho_g and iota
-under products (`perm.closure_images`), since counting that closure is
-its certificate.  All of them take |G| up to MAX_GAMMA_BASE = 120 (S_5),
-where Gamma has 28 800 elements.
+list, so Gamma(G) is a permutation group on |G| points.  Neither it
+nor a subgroup of it is built as a `PermutationGroup`: every element of
+Gamma(G) is a map y -> a y^eps b, eps = +-1, sending e to a b, so
+`gamma_fibers` lists the fiber {pi in Gamma : pi(e) = x} of each point
+x straight off G's table, and the regular-pair search and the
+normalizer read Gamma through its fibers.  Only `verify_wreath_quotient`
+closes lambda_g, rho_g and iota under products (`perm.closure_images`),
+since counting that closure is its certificate.  All of them take |G|
+up to MAX_GAMMA_BASE = 120 (S_5), where Gamma has 28 800 elements.
 
 Facts verified computationally by this module:
 
@@ -26,8 +26,10 @@ Facts verified computationally by this module:
   commute only with its centralizer in Sym(G), which is regular, so one
   search over fiber choices, pruned by the centralizer in Gamma of the
   choices so far, finds exactly the U whose centralizer lies in Gamma,
-  and their partners; for G = S_n with a two-element Chermak-Delgado
-  lattice the only pair is {lambda(G), rho(G)}.
+  and their partners, each as the sorted tuple of its members' image
+  tuples, members of Gamma and no group of their own; for G = S_n with
+  a two-element Chermak-Delgado lattice the only pair is
+  {lambda(G), rho(G)}.
 * N = N_Sym(G)(Gamma(G)) against Aut(G) Gamma(G): they differ for D_4
   (|N| = 384, |Aut(G) Gamma| = 128), the smallest case, and for C_2 x D_4
   and S_3 x S_3; they agree for S_3, Q_8, S_4 and S_5.
@@ -54,8 +56,8 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
-from .perm import (Permutation, PermutationGroup, _cycles, _inverse,
-                   _right_mul, _semiregular_order, closure_images, saturate)
+from .perm import (PermutationGroup, _cycles, _inverse, _right_mul,
+                   _semiregular_order, closure_images, saturate)
 
 MAX_GAMMA_BASE = 120  # largest |G| whose Gamma(G) is listed
 
@@ -163,10 +165,9 @@ def _narrow(cents: list, g: tuple[int, ...], g_mul) -> Optional[list]:
 
 def _partnered_regular_subgroups(fibers: Sequence[Sequence[tuple[int, ...]]]
                                  ) -> list[tuple]:
-    """(members, choices, partner) for every regular subgroup U of Gamma
-    whose centralizer in Sym(Omega) lies in Gamma, Gamma given by its
-    fibers as `gamma_fibers` lists them: U's and its partner's sorted
-    image tuples, and the fiber choices that found U, which generate it.
+    """(members, partner) for every regular subgroup U of Gamma whose
+    centralizer in Sym(Omega) lies in Gamma, Gamma given by its fibers as
+    `gamma_fibers` lists them: U's and its partner's sorted image tuples.
 
     A regular U has exactly one element sending point 0 to each point, so
     U picks one element from each fiber {g in Gamma : g(0) = x}.  The
@@ -196,12 +197,10 @@ def _partnered_regular_subgroups(fibers: Sequence[Sequence[tuple[int, ...]]]
     branches: dict[int, list] = {}
     found = []
 
-    def extend(current: frozenset, choices: list, steps: list,
-               cents: list) -> None:
+    def extend(current: frozenset, steps: list, cents: list) -> None:
         if len(current) == m:
             partner = [identity, *(c for cent in cents for c in cent)]
-            found.append((tuple(sorted(current)), choices,
-                          tuple(sorted(partner))))
+            found.append((tuple(sorted(current)), tuple(sorted(partner))))
             return
         covered = {w[0] for w in current}
         x = min(p for p in range(m) if p not in covered)
@@ -219,19 +218,19 @@ def _partnered_regular_subgroups(fibers: Sequence[Sequence[tuple[int, ...]]]
             except PreconditionError:
                 continue
             if len({w[0] for w in closed}) == len(closed):
-                extend(frozenset(closed), choices + [g], more, narrowed)
+                extend(frozenset(closed), more, narrowed)
 
-    extend(frozenset({identity}), [], [], fibers[1:])
+    extend(frozenset({identity}), [], fibers[1:])
     return found
 
 
 def commuting_regular_pairs(fibers: Sequence[Sequence[tuple[int, ...]]]
-                            ) -> list[tuple[PermutationGroup, PermutationGroup]]:
+                            ) -> list[tuple[tuple, tuple]]:
     """All unordered pairs {U, V} of regular subgroups of Gamma(G), given
     by the fibers `gamma_fibers(G)` returns, that centralize each other
-    elementwise, sorted by U's element list, U first.  U = V is allowed
-    and occurs exactly when U is abelian.  Each group is generated by the fiber
-    choices that found it.
+    elementwise, each group as the sorted tuple of its members' image
+    tuples, U first, sorted by U.  U = V is allowed and occurs exactly
+    when U is abelian.
 
     No pair is tested.  A regular V commuting with a regular U lies in
     C_Sym(U), which is regular of the same order, so V = C_Sym(U): U has
@@ -239,20 +238,11 @@ def commuting_regular_pairs(fibers: Sequence[Sequence[tuple[int, ...]]]
     those U and their partners and no other regular subgroup; a partner
     missing from its list is a broken certificate (InvariantError).
     """
-    found = sorted(_partnered_regular_subgroups(fibers), key=itemgetter(0))
-    position = {members: a for a, (members, _, _) in enumerate(found)}
-    groups = [PermutationGroup(members, [Permutation._unchecked(g)
-                                         for g in choices])
-              for members, choices, _ in found]
-    pairs = []
-    for a, (_, _, partner) in enumerate(found):
-        b = position.get(partner)
-        if b is None:
-            raise InvariantError("the partner of a regular subgroup was "
-                                 "not found by the search")
-        if b >= a:
-            pairs.append((groups[a], groups[b]))
-    return pairs
+    found = dict(_partnered_regular_subgroups(fibers))
+    if not found.keys() >= set(found.values()):
+        raise InvariantError("the partner of a regular subgroup was "
+                             "not found by the search")
+    return sorted((u, v) for u, v in found.items() if u <= v)
 
 
 def automorphism_orbits(group: PermutationGroup) -> tuple[int, ...]:
@@ -320,7 +310,7 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
     gens = _gamma_generators(group)
     aut = prod(automorphism_orbits(group))
     passing = set()
-    for members, _, _ in _partnered_regular_subgroups(fibers):
+    for members, _ in _partnered_regular_subgroups(fibers):
         rows = sorted(members, key=itemgetter(0))  # u with u(0) = a at a
         # phi[x] = a names u_a = phi(x), and u_a(e) = a: phi is pi_U
         phi = next(group.isomorphisms(

@@ -11,6 +11,9 @@ Conventions, fixed once and used everywhere:
   `_inverse` and `_order` are the one inverse and order on such tuples.
 * A group carries the generating set it was built from, as checked
   `Permutation`s; none is ever recovered from the element list.
+* Only this module builds a `PermutationGroup`, for a group the program
+  is given or closes.  A subgroup the program derives is held as members
+  of its group: image tuples, or positions on the group's table.
 
 Groups are listed in full up to thousands of elements, where explicit
 lists beat stabilizer chains in simplicity.
@@ -235,10 +238,6 @@ class PermutationGroup:
         gens = ", ".join(g.cycle_string() for g in self.generators)
         return f"PermutationGroup(degree={self.degree}, order={self.order}, gens=[{gens}])"
 
-    def is_subgroup_of(self, other: "PermutationGroup") -> bool:
-        return (self.degree == other.degree
-                and self.index.keys() <= other.index.keys())
-
     @property
     def table(self) -> list[list[int]]:
         """table[a][b] is the position of elements[a] * elements[b].
@@ -402,15 +401,6 @@ class PermutationGroup:
                         break
                 else:
                     stack.append((level + 1, new))
-
-    def subgroup_from_indices(self, members: Sequence[int],
-                              gen_indices: Sequence[int]) -> "PermutationGroup":
-        """The subgroup with the given member positions, generated by the
-        elements at positions gen_indices."""
-        elements = self.elements
-        return PermutationGroup(map(elements.__getitem__, members),
-                                [Permutation._unchecked(elements[i])
-                                 for i in gen_indices])
 
 
 def saturate(seeds: Iterable, steps: Sequence[Callable],

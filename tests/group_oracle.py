@@ -48,5 +48,7 @@ def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[Permutation
                    for cls in subgroup_classes(group, bound)
                    for members, gens in cls),
                   key=lambda sub: (len(sub[0]), sub[0]))
-    return [group.subgroup_from_indices(members, gens)
+    elements = group.elements
+    return [PermutationGroup(map(elements.__getitem__, members),
+                             [Permutation(elements[i]) for i in gens])
             for members, gens in subs]

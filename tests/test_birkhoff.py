@@ -324,17 +324,41 @@ def test_decompose_reads_row_and_column_zero_and_makes_one_pass(
     assert len(passes) == 1 and passes[0][3] == eps
 
 
-def test_failed_decompose_reads_every_facet_set(monkeypatch):
+FAILING_DEC = SymmetryDecomposition(Permutation((1, 2, 0, 4, 3)),
+                                   Permutation((0, 2, 1, 3, 4)), -1)
+
+
+def test_failed_decompose_stops_at_row_and_column_zero(monkeypatch):
+    # vertices 3 and 100 of B_5 differ at 0, so some A_i0 holds one of
+    # them and not the other, and its image is no facet set: nothing past
+    # row and column 0 is read, and no vertex pass is made
     n = 5
-    dec = SymmetryDecomposition(Permutation((1, 2, 0, 4, 3)),
-                                Permutation((0, 2, 1, 3, 4)), -1)
-    images = symmetry_images(n, dec)
+    images = symmetry_images(n, FAILING_DEC)
     images[3], images[100] = images[100], images[3]
     read, passes = _count_reads_and_passes(monkeypatch, n)
     with pytest.raises(NotFacetSymmetryError):
         decompose_symmetry(n, Permutation(images))
-    assert set(read) == set(range(n * n))
-    assert len(passes) <= 1
+    assert sorted(read) == sorted({*range(n), *range(0, n * n, n)})
+    assert len(read) == 2 * n - 1
+    assert passes == []
+
+
+def test_failed_decompose_past_row_and_column_zero_reads_every_facet_set(
+        monkeypatch):
+    # u = () and v = (3 4) agree at 0 and on the preimage of 0, so every
+    # A_0j and A_i0 holds both or neither and goes onto a facet set; the
+    # one vertex pass fails, and then every other facet set is read, each
+    # once: A_33 holds u and not v, so its image is none
+    n = 5
+    index = symmetric_group(n).index
+    u, v = index[(0, 1, 2, 3, 4)], index[(0, 1, 2, 4, 3)]
+    images = symmetry_images(n, FAILING_DEC)
+    images[u], images[v] = images[v], images[u]
+    read, passes = _count_reads_and_passes(monkeypatch, n)
+    with pytest.raises(NotFacetSymmetryError):
+        decompose_symmetry(n, Permutation(images))
+    assert sorted(read) == list(range(n * n))
+    assert len(passes) == 1
 
 
 def test_decompose_roundtrip_n4_sample():

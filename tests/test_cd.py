@@ -7,29 +7,29 @@ from collections import Counter
 import pytest
 
 from birkhoffsym import cd as cd_module
-from birkhoffsym.cd import (_pair_closed, _subnormal_by_normalizer_chain,
-                            cd_lattice, cd_measure,
+from birkhoffsym.cd import (_class_measures, _pair_closed,
+                            _subnormal_by_normalizer_chain, cd_lattice,
                             verify_centralizer_estimate)
-from birkhoffsym.errors import NotASubgroupError, PreconditionError
+from birkhoffsym.errors import PreconditionError
 from birkhoffsym.perm import (Permutation, PermutationGroup,
-                              builtin_group_names, closure, named_group,
-                              parse_cycles, subgroup_classes, symmetric_group)
+                              builtin_group_names, named_group,
+                              subgroup_classes, symmetric_group)
 
 from group_oracle import all_subgroups
 
 
-def _sub(degree, *cycle_texts):
-    return closure([parse_cycles(t, degree) for t in cycle_texts])
-
-
-def test_cd_measure_hand_values_s3():
-    # measures in S_3 computed by hand: |H| * |C(H)|
+def test_class_measures_hand_values_s3():
+    # measures in S_3 computed by hand: |H| * |C(H)|, one per class of
+    # subgroups, each class named by its order
     g = named_group("s3")
-    trivial = PermutationGroup([(0, 1, 2)], ())
-    assert cd_measure(g, trivial) == 1 * 6
-    assert cd_measure(g, _sub(3, "(0 1 2)")) == 3 * 3  # C(A_3) = A_3
-    assert cd_measure(g, _sub(3, "(0 1)")) == 2 * 2    # C(C_2) = C_2
-    assert cd_measure(g, g) == 6 * 1                   # Z(S_3) = 1
+    classes = subgroup_classes(g)
+    measures = {len(cls[0][0]): measure
+                for cls, measure in zip(classes, _class_measures(g, classes))}
+    assert len(classes) == 4
+    assert measures[1] == 1 * 6  # C(1) = S_3
+    assert measures[3] == 3 * 3  # C(A_3) = A_3
+    assert measures[2] == 2 * 2  # C(C_2) = C_2
+    assert measures[6] == 6 * 1  # Z(S_3) = 1
 
 
 def _oracle_centralizer(group, sub):
@@ -43,20 +43,19 @@ def _oracle_centralizer(group, sub):
 @pytest.mark.parametrize("name", ["s4", "d4", "q8"])
 def test_centralizer_matches_brute_force_oracle(name):
     g = named_group(name)
-    measures = []
+    measures = {}
     for sub in all_subgroups(g):
         want = _oracle_centralizer(g, sub)
         got = g.centralizer_indices(g.index[h.images]
                                     for h in sub.generators)
         assert {g.elements[i] for i in got} == want
-        assert cd_measure(g, sub) == sub.order * len(want)
-        measures.append(sub.order * len(want))
-    assert cd_lattice(g).max_measure == max(measures)
-
-
-def test_cd_measure_rejects_non_subgroup():
-    with pytest.raises(NotASubgroupError):
-        cd_measure(named_group("s3"), _sub(4, "(0 1 2 3)"))
+        measures[frozenset(map(g.index.__getitem__, sub.elements))] = (
+            sub.order * len(want))
+    # the measure of a class, from its first member, is every member's
+    classes = subgroup_classes(g)
+    for cls, measure in zip(classes, _class_measures(g, classes)):
+        assert {measures[members] for members, _ in cls} == {measure}
+    assert cd_lattice(g).max_measure == max(measures.values())
 
 
 def test_cd_lattice_s3():
@@ -64,7 +63,7 @@ def test_cd_lattice_s3():
     assert r.group_order == 6
     assert r.subgroup_count == 6
     assert r.max_measure == 9
-    assert [h.order for h in r.lattice] == [3]  # only A_3
+    assert [len(hs) for hs, _ in r.lattice] == [3]  # only A_3
     assert r.closure_pass and r.subnormal_pass
 
 
@@ -72,7 +71,7 @@ def test_cd_lattice_s4():
     r = cd_lattice(named_group("s4"))
     assert r.subgroup_count == 30
     assert r.max_measure == 24
-    assert sorted(h.order for h in r.lattice) == [1, 24]
+    assert sorted(len(hs) for hs, _ in r.lattice) == [1, 24]
     assert r.closure_pass and r.subnormal_pass
 
 
@@ -81,7 +80,7 @@ def test_cd_lattice_abelian_c6():
     r = cd_lattice(named_group("c6"))
     assert r.subgroup_count == 4
     assert r.max_measure == 36
-    assert [h.order for h in r.lattice] == [6]
+    assert [len(hs) for hs, _ in r.lattice] == [6]
     assert r.closure_pass and r.subnormal_pass
 
 
@@ -92,7 +91,7 @@ def test_cd_lattice_d4_q8():
         r = cd_lattice(named_group(name))
         assert r.subgroup_count == (10 if name == "d4" else 6)
         assert r.max_measure == 16
-        assert sorted(h.order for h in r.lattice) == [2, 4, 4, 4, 8], name
+        assert sorted(len(hs) for hs, _ in r.lattice) == [2, 4, 4, 4, 8], name
         assert r.closure_pass and r.subnormal_pass, name
 
 
@@ -261,7 +260,7 @@ def test_cd_lattice_two_element_iff_trivial_center_extremes():
     # frozen consequence used elsewhere: S_4's lattice is exactly {1, S_4},
     # the shape that forces the commuting-regular-pair uniqueness argument
     r = cd_lattice(symmetric_group(4))
-    lattice_orders = sorted(h.order for h in r.lattice)
+    lattice_orders = sorted(len(hs) for hs, _ in r.lattice)
     assert lattice_orders == [1, 24]
     assert len(r.lattice) == 2
 

@@ -339,12 +339,17 @@ def test_matrix_group_document_closure_stops_at_the_bound(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command, sizes", [
-    ("regular-pairs", [24, 24, 24]), ("normalizer", [24]), ("wreath", [24])])
+    ("regular-pairs", [24]), ("normalizer", [24]), ("wreath", [24]),
+    ("regular-pairs s3", [6]), ("cd-lattice d4", [8]), ("cd-lattice q8", [8]),
+    ("cd-lattice s5", [120])])
 def test_gamma_commands_build_no_group_of_gamma(capsys, monkeypatch, command,
                                                sizes):
-    # machine-independent gate: on S_4 the only groups built are G and
-    # the pair {lambda(G), rho(G)} the search finds; Gamma(S_4) is read by
-    # its fibers, or closed into a bare set to count it
+    # machine-independent gate: the only group built is G, S_4 unless the
+    # command names another.  Gamma(G) is read by its fibers, or closed
+    # into a bare set to count it; the regular subgroups the pair search
+    # finds, and the members of the Chermak-Delgado lattice, are members
+    # of their group, as tuples or positions
+    name, _, group = command.partition(" ")
     built = []
     init = perm.PermutationGroup.__init__
 
@@ -354,7 +359,7 @@ def test_gamma_commands_build_no_group_of_gamma(capsys, monkeypatch, command,
         init(self, elements, generators)
 
     monkeypatch.setattr(perm.PermutationGroup, "__init__", counting)
-    assert main([command, "--group", "s4"]) == 0
+    assert main([name, "--group", group or "s4"]) == 0
     capsys.readouterr()
     assert built == sizes
 
@@ -385,7 +390,7 @@ def test_regular_pairs_missing_partner_is_a_broken_certificate(capsys,
 
     def dropping(fibers):
         found = search(fibers)
-        lost = next(f for f in found if f[0] != f[2])
+        lost = next(f for f in found if f[0] != f[1])
         return [f for f in found if f is not lost]
 
     monkeypatch.setattr(gamma, "_partnered_regular_subgroups", dropping)

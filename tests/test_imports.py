@@ -18,6 +18,10 @@ parameter of a package function that no package call passes, by keyword
 or by position: a knob only its default ever sets is kept only when
 KEPT_PARAMETERS lists it, with the reason it stays.
 
+Only `perm` calls `PermutationGroup`: a group is built for what the
+program is given or closes, and a subgroup it derives is held as
+members of its group, image tuples or table positions.
+
 Every dataclass in the package has its own docstring: without one,
 `dataclasses` builds a signature for it with `inspect` at import.
 
@@ -52,8 +56,6 @@ TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 # Exports that no package module reads, each with the reason it stays.
 KEPT_EXPORTS = {
     "verify_gamma_acts": "called by bench/worker.py",
-    "cd_measure": "the Chermak-Delgado measure of one subgroup; cd_lattice "
-                  "computes it per class on element indices",
 }
 
 # Defaulted parameters that no package call passes, each with the reason
@@ -300,6 +302,38 @@ def test_detects_an_assert_statement():
                      '    assert x, "message"\n'
                      '    return x\n')
     assert assert_statements(tree) == [3]
+
+
+def group_constructions(tree: ast.AST) -> list[int]:
+    """Line of each call of `PermutationGroup`, by bare or attribute
+    name."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "PermutationGroup" in (getattr(node.func, "id", None),
+                                       getattr(node.func, "attr", None))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_perm_builds_groups(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = group_constructions(tree)
+    if path.name == "perm.py":
+        assert lines
+    else:
+        assert not lines, f"{path.name}: a group is built on lines {lines}"
+
+
+def test_detects_a_group_construction():
+    # a call by either name counts; a type annotation or an isinstance
+    # test builds nothing
+    tree = ast.parse("from . import perm\n"
+                     "from .perm import PermutationGroup\n"
+                     "def f(xs) -> PermutationGroup:\n"
+                     "    a = PermutationGroup(xs, ())\n"
+                     "    b = perm.PermutationGroup(\n"
+                     "        xs, ())\n"
+                     "    return isinstance(a, perm.PermutationGroup), b\n")
+    assert group_constructions(tree) == [4, 5]
 
 
 def undocumented_dataclasses(tree: ast.AST) -> list[str]:

@@ -483,27 +483,38 @@ def test_centralizer_hand_cases():
     assert centralizer_order("(0 1)", "(0 1 2)") == 1
 
 
-def test_subgroup_from_indices_tags_generate_it():
+def test_enumerated_subgroups_are_generated_by_their_tags():
+    # the generator positions `subgroup_classes` lists with each subgroup,
+    # and the fiber choices of the unpruned regular search, generate it
     s4 = symmetric_group(4)
-    for u in regular_subgroups(s4):
-        assert closure(u.generators).order == u.order
+    for u in all_subgroups(s4) + regular_subgroups(s4):
+        assert closure(u.generators
+                       or (Permutation(u.identity),)).order == u.order
 
 
 def constructed_groups() -> list[tuple[str, PermutationGroup]]:
     """(label, group) for groups built by each of the package's group
     constructors: symmetric groups, built-in names, generator lines,
-    subgroup enumeration, the Chermak-Delgado lattice, the regular-pair
-    search, Gamma(G) and the element groups of matrix groups."""
+    Gamma(G) and the element groups of matrix groups; and for the
+    subgroups the package holds as members of their group: those of the
+    subgroup enumeration and of the Chermak-Delgado lattice, generated by
+    the positions listed with them, and the regular-pair search's member
+    tuples, generated by all their members, so closed under products."""
     groups = [(f"S_{n}", symmetric_group(n)) for n in range(1, 6)]
     groups += [(name, named_group(name)) for name in builtin_group_names()]
     groups.append(("lines-trivial", group_from_generator_lines(["()"])))
     groups += [(f"S_4-subgroup-{i}", h)
                for i, h in enumerate(all_subgroups(symmetric_group(4)))]
-    groups += [(f"D_4-cd-{i}", h)
-               for i, h in enumerate(cd_lattice(named_group("d4")).lattice)]
-    for i, (u, v) in enumerate(commuting_regular_pairs(
+    d4 = named_group("d4")
+    groups += [(f"D_4-cd-{i}", PermutationGroup(
+                    map(d4.elements.__getitem__, members),
+                    [Permutation(d4.elements[g]) for g in gens]))
+               for i, (members, gens) in enumerate(cd_lattice(d4).lattice)]
+    for i, pair in enumerate(commuting_regular_pairs(
             gamma_fibers(named_group("s3")))):
-        groups += [(f"Gamma(S_3)-pair-{i}-u", u), (f"Gamma(S_3)-pair-{i}-v", v)]
+        groups += [(f"Gamma(S_3)-pair-{i}-{side}",
+                    PermutationGroup(u, list(map(Permutation, u))))
+                   for side, u in zip("uv", pair)]
     groups += [(f"Gamma({name})", build_gamma(named_group(name)))
                for name in ("s3", "q8", "c6")]
     groups += [(f"{entry.name}-{n}", entry.matrix_group.element_group())
