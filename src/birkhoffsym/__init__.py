@@ -35,7 +35,6 @@ from .hull import (
     facet_enumeration,
 )
 from .perm import (
-    Permutation,
     PermutationGroup,
     closure,
     named_group,

@@ -43,7 +43,7 @@ from .combiso import comb_automorphisms
 from .errors import PreconditionError
 from .exact import RationalMatrix, _common_form
 from .hull import _facet_enumeration
-from .perm import Permutation, _inverse, symmetric_group
+from .perm import _inverse, cycle_string, symmetric_group
 
 MAX_N = 5
 
@@ -59,8 +59,8 @@ class InconsistentSymmetryError(ValueError):
 @dataclass(frozen=True)
 class SymmetryDecomposition:
     """The triple of a symmetry pi -> sigma pi^epsilon tau of B_n."""
-    sigma: Permutation
-    tau: Permutation
+    sigma: tuple[int, ...]
+    tau: tuple[int, ...]
     epsilon: int
 
 
@@ -197,20 +197,20 @@ def verify_transformation_law(n: int) -> LawReport:
         raise PreconditionError(
             f"transformation law check supports 3 <= n <= {MAX_N}")
     sets = analytic_facet_sets(n)
-    one = Permutation.identity(n)
+    one = tuple(range(n))
     sn_gens = symmetric_group(n).generators
     gens = [(g, one) for g in sn_gens] + [(one, g) for g in sn_gens]
     failures = []
     for sigma, tau in gens:
-        image_of = _vertex_images(n, sigma.images, tau.inverse().images, 1)
+        image_of = _vertex_images(n, sigma, _inverse(tau), 1)
         for i in range(n):
             for j in range(n):
                 image = frozenset(image_of[v] for v in sets[i * n + j])
-                if image != sets[tau(i) * n + sigma(j)]:
+                if image != sets[tau[i] * n + sigma[j]]:
                     failures.append(
-                        f"sigma={sigma.cycle_string()} "
-                        f"tau={tau.cycle_string()} A({i},{j})")
-    image_of = _vertex_images(n, one.images, one.images, -1)
+                        f"sigma={cycle_string(sigma)} "
+                        f"tau={cycle_string(tau)} A({i},{j})")
+    image_of = _vertex_images(n, one, one, -1)
     for i in range(n):
         for j in range(n):
             image = frozenset(image_of[v] for v in sets[i * n + j])
@@ -221,8 +221,9 @@ def verify_transformation_law(n: int) -> LawReport:
                      failures=failures, passed=not failures)
 
 
-def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
-    """Certified normal form (sigma, tau, epsilon) of a vertex bijection.
+def decompose_symmetry(n: int, alpha: Sequence[int]) -> SymmetryDecomposition:
+    """Certified normal form (sigma, tau, epsilon) of a vertex bijection
+    alpha, given by its n! vertex images.
 
     By the law sigma A_ij tau^-1 = A_{tau(i), sigma(j)} and A_ij^-1 = A_ji,
     pi -> sigma pi^eps tau sends A_ij to A_{r(i), c(j)} for eps = +1 and
@@ -242,11 +243,14 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
     if not 3 <= n <= MAX_N:
         raise PreconditionError(f"decomposition supports 3 <= n <= {MAX_N}")
     perms = symmetric_group(n).elements
-    if alpha.degree != len(perms):
+    # a tuple, since a list of the same images never equals the tuple of
+    # vertex images the triple is checked against
+    images = tuple(alpha)
+    if len(images) != len(perms):
         raise PreconditionError(
-            f"alpha must permute {len(perms)} vertices, got degree {alpha.degree}")
+            f"alpha must permute {len(perms)} vertices, "
+            f"got degree {len(images)}")
     getters, position = _facet_lookup(n)
-    images = alpha.images
     # k n + l for alpha(A_0j) = A_kl, then for alpha(A_i0) with i > 0
     cross = [position.get(frozenset(getters[k](images)))
              for k in (*range(n), *range(n, n * n, n))]
@@ -260,8 +264,7 @@ def decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
         sigma = tuple(k % n for k in c)
         tau = _inverse([k // n for k in r])
         if _vertex_images(n, sigma, tau, epsilon) == images:
-            return SymmetryDecomposition(Permutation(sigma),
-                                         Permutation(tau), epsilon)
+            return SymmetryDecomposition(sigma, tau, epsilon)
     # every other A_ij, i, j > 0, is read only to name the failure
     if None in [position.get(frozenset(getters[k](images)))
                 for k in range(n, n * n) if k % n]:

@@ -40,9 +40,9 @@ from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 from . import birkhoff, cd, gamma, hull, reppoly
 from .errors import InvariantError, PreconditionError
 from .exact import _integer, _integers
-from .perm import (Permutation, PermutationGroup, _semiregular_order,
-                   builtin_group_names, group_from_generator_lines,
-                   named_group)
+from .perm import (PermutationGroup, _semiregular_order, as_permutation,
+                   builtin_group_names, cycle_string,
+                   group_from_generator_lines, named_group)
 from .reports import Report, render_report
 
 
@@ -91,13 +91,13 @@ def _read_json(path: str):
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def _read_alpha(path: str, n_points: int) -> Permutation:
+def _read_alpha(path: str, n_points: int) -> tuple[int, ...]:
     lines = map(str.strip, Path(path).read_text().splitlines())
     images = _integers([s for s in lines if s and not s.startswith("#")])
     if len(images) != n_points:
         raise PreconditionError(
             f"alpha file lists {len(images)} images, expected {n_points}")
-    return Permutation(images)
+    return as_permutation(images)
 
 
 def _cmd_verify_table(args):
@@ -127,7 +127,7 @@ def _cmd_decompose(args):
             f"decompose takes --identity or the alpha file {path!r}, "
             "not both")
     if args.identity:
-        alpha = Permutation(range(n_points))
+        alpha = tuple(range(n_points))
         inputs = {"n": args.n, "alpha": "identity"}
     elif path is not None:
         alpha = _read_alpha(path, n_points)
@@ -140,8 +140,8 @@ def _cmd_decompose(args):
             birkhoff.InconsistentSymmetryError) as exc:
         return False, inputs, {"error": str(exc)}
     details = {
-        "sigma": dec.sigma.cycle_string(),
-        "tau": dec.tau.cycle_string(),
+        "sigma": cycle_string(dec.sigma),
+        "tau": cycle_string(dec.tau),
         "epsilon": dec.epsilon,
     }
     return True, inputs, details
@@ -153,7 +153,7 @@ def _cmd_cd_lattice(args):
     members = [{
         "name": _subgroup_name(name, group, sub),
         "order": len(sub),
-        "generators": [Permutation(group.elements[g]).cycle_string()
+        "generators": [cycle_string(group.elements[g])
                        for g in gens] or ["()"],
     } for sub, gens in r.lattice]
     details = {

@@ -44,10 +44,10 @@ the facets were split by these same vertex classes in that round.
 
 `comb_equivalent` runs the engine once from the empty prefix.
 `comb_automorphisms` runs it as a stabilizer chain (McKay & Piperno,
-Practical Graph Isomorphism II, 2014; Seress, Permutation Group
-Algorithms, 2003, ch. 4).  Along the static order b_1, b_2, ..., level k
-asks for the basic orbit of b_k under G_k, the automorphisms fixing
-b_1..b_{k-1}: each candidate w of b_k is either skipped, because the
+Practical Graph Isomorphism II, 2014; Seress, Cambridge Tracts in
+Mathematics 152, 2003, ch. 4).  Along the static order b_1, b_2, ...,
+level k asks for the basic orbit of b_k under G_k, the automorphisms
+fixing b_1..b_{k-1}: each candidate w of b_k is either skipped, because the
 witnesses found at this level already carry b_k to w, or tested by one
 witness search from the prefix b_1 -> b_1, ..., b_{k-1} -> b_{k-1},
 b_k -> w.  The walk stops once color refinement with b_1..b_k
@@ -81,7 +81,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvariantError
 from .hull import IncidenceStructure
-from .perm import Permutation, saturate
+from .perm import saturate
 
 
 def _refined_colors(incs: list[IncidenceStructure],
@@ -221,7 +221,7 @@ class Automorphisms(NamedTuple):
     """What the search proves of the automorphism group: basic orbit
     lengths and strong generators (membership is `preserved_by`)."""
     orbit_lengths: tuple[int, ...]
-    generators: tuple[Permutation, ...]
+    generators: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
@@ -260,8 +260,7 @@ def comb_automorphisms(inc: IncidenceStructure) -> Automorphisms:
         (colors,), (fcolors,) = _refined_colors([inc], [colors], [fcolors])
     if not all(map(inc.preserved_by, witnesses)):
         raise InvariantError("a generator does not preserve the incidence")
-    return Automorphisms(tuple(orbit_lengths),
-                         tuple(map(Permutation, witnesses)))
+    return Automorphisms(tuple(orbit_lengths), tuple(witnesses))
 
 
 def comb_equivalent(inc_p: IncidenceStructure,

@@ -76,7 +76,7 @@ def _gamma_generators(group: PermutationGroup) -> list[tuple[int, ...]]:
     _refuse_past_bound(group)
     table, inv = group.table, group.inv
     gens = []
-    for g in (group.index[s.images] for s in group.generators):
+    for g in (group.index[s] for s in group.generators):
         gens += [tuple(table[g]), tuple(row[inv[g]] for row in table)]
     return gens + [tuple(inv)]
 
@@ -137,7 +137,7 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
     """
     order = len(closure_images(_gamma_generators(group)))
     center = group.centralizer_indices(
-        group.index[g.images] for g in group.generators)
+        group.index[g] for g in group.generators)
     ea2 = is_elementary_abelian_2(group)
     formula = 2 * group.order ** 2 // len(center)
     table = group.table
@@ -184,13 +184,13 @@ def _partnered_regular_subgroups(fibers: Sequence[Sequence[tuple[int, ...]]]
     The prune: for each fiber 1..m-1 the search carries the elements of
     Gamma that commute with every choice so far, and drops a choice that
     leaves one of these sets empty.  The centralizer in Sym(Omega) of a
-    regular group is regular (Dixon & Mortimer, Permutation Groups, 1996,
-    section 4.2), so a U with a partner V in Gamma has V inside
-    C_Gamma(choices) at every step, and V meets every fiber: no such U is
-    pruned.  At a leaf the kept elements, with the identity, are
-    C_Gamma(U); it has at least m elements and lies in the regular group
-    C_Sym(U) of order m, so it is C_Sym(U), and U's partner lies in Gamma
-    and is found too.
+    regular group is regular (Dixon & Mortimer, Graduate Texts in
+    Mathematics 163, 1996, section 4.2), so a U with a partner V in Gamma
+    has V inside C_Gamma(choices) at every step, and V meets every fiber:
+    no such U is pruned.  At a leaf the kept elements, with the identity,
+    are C_Gamma(U); it has at least m elements and lies in the regular
+    group C_Sym(U) of order m, so it is C_Sym(U), and U's partner lies in
+    Gamma and is found too.
     """
     m = len(fibers)
     identity = tuple(range(m))
@@ -258,7 +258,7 @@ def automorphism_orbits(group: PermutationGroup) -> tuple[int, ...]:
     `combiso.comb_automorphisms`, and the order follows by the
     orbit-stabilizer theorem."""
     table, orders = group.table, group.orders
-    gens = [group.index[g.images] for g in group.generators]
+    gens = [group.index[g] for g in group.generators]
     lengths = []
     for i, s in enumerate(gens):
         witnesses, orbit = [], {s}

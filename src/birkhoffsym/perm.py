@@ -2,15 +2,18 @@
 
 Conventions, fixed once and used everywhere:
 
-* A permutation of degree m acts on points 0..m-1 and is stored as its
-  image tuple, so p(i) == p.images[i].
+* A permutation of degree m acts on points 0..m-1 and is its image
+  tuple p, p[i] the image of i.  `as_permutation` checks outside input
+  (an alpha file, cycle notation, a matrix group's translations) to be
+  one; a product or inverse of such tuples is one by construction.
 * Composition is right-to-left: (p * q)(x) = p(q(x)), i.e. q acts first.
-* Cycle notation uses the same point labels: "(0 1 2)(3 4)", identity "()".
+* Cycle notation uses the same point labels: "(0 1 2)(3 4)", identity
+  "()"; `cycle_string` writes it.
 * A group holds each element once, as its image tuple: `elements` is
   their sorted tuple, so the identity (0, 1, ..., m-1) comes first.
   `_inverse` and `_order` are the one inverse and order on such tuples.
-* A group carries the generating set it was built from, as checked
-  `Permutation`s; none is ever recovered from the element list.
+* A group carries the generating set it was built from, as image
+  tuples; none is ever recovered from the element list.
 * Only this module builds a `PermutationGroup`, for a group the program
   is given or closes.  A subgroup the program derives is held as members
   of its group: image tuples, or positions on the group's table.
@@ -74,67 +77,25 @@ def _not_a_permutation(images: tuple) -> str:
             f"point {min(set(points) - first.keys())} is missing")
 
 
-class Permutation:
-    __slots__ = ("images",)
+def as_permutation(images: Iterable[int]) -> tuple[int, ...]:
+    """The image tuple of `images`, checked to be a bijection of
+    0..m-1; ValueError names the fault (`_not_a_permutation`).  Called
+    only where outside input becomes a permutation."""
+    images = tuple(images)
+    # bool and float images sort like ints: refuse every other type
+    if (not set(map(type, images)) <= {int}
+            or sorted(images) != list(range(len(images)))):
+        raise ValueError(_not_a_permutation(images))
+    return images
 
-    def __init__(self, images: Iterable[int]):
-        images = tuple(images)
-        # bool and float images sort like ints: refuse every other type
-        if (not set(map(type, images)) <= {int}
-                or sorted(images) != list(range(len(images)))):
-            raise ValueError(_not_a_permutation(images))
-        object.__setattr__(self, "images", images)
 
-    @classmethod
-    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
-        """A permutation whose image tuple is known to be a bijection, such
-        as a product or an inverse of permutations: no validation."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
-        return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # self after other: (self * other)(x) = self(other(x))
-        if self.degree != other.degree:
-            raise ValueError("composing permutations of different degrees")
-        return Permutation._unchecked(_right_mul(other.images)(self.images))
-
-    def inverse(self) -> "Permutation":
-        return Permutation._unchecked(_inverse(self.images))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each rotated to start at its least point,
-        sorted by that least point."""
-        return [tuple(c) for c in _cycles(self.images) if len(c) > 1]
-
-    def cycle_string(self) -> str:
-        cycs = self.cycles()
-        if not cycs:
-            return "()"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"Permutation({self.cycle_string()}, degree={self.degree})"
+def cycle_string(p: Sequence[int]) -> str:
+    """Cycle notation of p: its nontrivial cycles, each from its least
+    point, in the order of those points; "()" for the identity."""
+    cycles = [c for c in _cycles(p) if len(c) > 1]
+    if not cycles:
+        return "()"
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
 
 _NOTATION_RE = re.compile(r"\s*(?:\([^()]*\)\s*)*")
@@ -153,7 +114,7 @@ def _cycle_points(text: str) -> list[list[int]]:
 
 
 def _permutation_of(cycles: list[list[int]], degree: int,
-                    text: str) -> Permutation:
+                    text: str) -> tuple[int, ...]:
     """The permutation of `degree` points with the cycles read from `text`."""
     images = list(range(degree))
     used: set[int] = set()
@@ -166,10 +127,10 @@ def _permutation_of(cycles: list[list[int]], degree: int,
             used.add(p)
         for a, b in zip(points, points[1:] + points[:1]):
             images[a] = b
-    return Permutation(images)
+    return as_permutation(images)
 
 
-def parse_cycles(text: str, degree: int) -> Permutation:
+def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     """Parse cycle notation like "(0 1)(2 3)" into a permutation of the
     given degree.  "()" or an empty string is the identity.  Points may be
     separated by spaces or commas.  Repeated points, and degrees above
@@ -189,7 +150,7 @@ class PermutationGroup:
     constructor takes image tuples that are known to be bijections, such
     as the members of a closure, and checks only that the identity is
     among them and that all have its degree.  `generators` is a tuple of
-    permutations that generate the group (the trivial group may have
+    image tuples that generate the group (the trivial group may have
     none).  Equality ignores the generators and compares element sets.
     The table on the positions, `table`, the inverse positions, `inv`,
     and the element orders, `orders`, are built on first read and kept
@@ -200,7 +161,7 @@ class PermutationGroup:
                  "_inv", "_orders")
 
     def __init__(self, elements: Iterable[tuple[int, ...]],
-                 generators: Sequence[Permutation]):
+                 generators: Sequence[tuple[int, ...]]):
         keys = tuple(sorted(set(elements)))
         if not keys or keys[0] != tuple(range(len(keys[0]))):
             raise ValueError("element list must contain the identity")
@@ -235,7 +196,7 @@ class PermutationGroup:
         return hash((self.degree, self.elements))
 
     def __repr__(self) -> str:
-        gens = ", ".join(g.cycle_string() for g in self.generators)
+        gens = ", ".join(map(cycle_string, self.generators))
         return f"PermutationGroup(degree={self.degree}, order={self.order}, gens=[{gens}])"
 
     @property
@@ -255,10 +216,10 @@ class PermutationGroup:
             table: list = [None] * n
             table[0] = list(range(n))
             try:
-                gens = [idx[g.images] for g in self.generators]
+                gens = [idx[g] for g in self.generators]
                 for s, g in zip(gens, self.generators):
                     if table[s] is None:  # g b for each b, looked up
-                        table[s] = [idx[_right_mul(b)(g.images)] for b in idx]
+                        table[s] = [idx[_right_mul(b)(g)] for b in idx]
             except KeyError:
                 raise InvariantError("a generator or one of its products "
                                      "lies outside the element list") from None
@@ -367,7 +328,7 @@ class PermutationGroup:
         and a bijection.  Past MAX_IMAGE_CHOICES choices it raises
         PreconditionError."""
         table, orders, m = self.table, self.orders, len(rows)
-        gens = [self.index[g.images] for g in self.generators]
+        gens = [self.index[g] for g in self.generators]
         if sorted(orders) != sorted(targets):
             return
         stack, tried = [(0, [0] + [-1] * (m - 1))], count(1)
@@ -413,15 +374,14 @@ def saturate(seeds: Iterable, steps: Sequence[Callable],
     generators of a finite group and the identity seeded, this is the
     subgroup they generate; with permutations of points, the orbit.
 
-    Coset mode (Dimino's algorithm; Butler, Fundamental Algorithms for
-    Permutation Groups, LNCS 559, 1991): the seeds are a subgroup H, the
-    steps multiply by every generator of <H, g> on one side, and
-    coset(p) is p's coset of H on the other: H p for steps w -> w s,
-    p H for w -> s w.  The known set stays a union of such cosets, and
-    one element of each is extended: (H r) s = H (r s) is known iff r s
-    is.  So the result is closed under every generator, hence <H, g>,
-    and each new coset costs one C-level call, not |H| products.
-    More than `cap` elements (checked per coset) raises
+    Coset mode (Dimino's algorithm; Butler, LNCS 559, 1991): the seeds
+    are a subgroup H, the steps multiply by every generator of <H, g> on
+    one side, and coset(p) is p's coset of H on the other: H p for steps
+    w -> w s, p H for w -> s w.  The known set stays a union of such
+    cosets, and one element of each is extended: (H r) s = H (r s) is
+    known iff r s is.  So the result is closed under every generator,
+    hence <H, g>, and each new coset costs one C-level call, not |H|
+    products.  More than `cap` elements (checked per coset) raises
     PreconditionError, so a runaway or infinite closure stops early.
     """
     known = set(seeds)
@@ -506,17 +466,16 @@ def closure_images(generators: Sequence[tuple[int, ...]],
     return seen
 
 
-def closure(generators: Sequence[Permutation],
+def closure(generators: Sequence[tuple[int, ...]],
             max_order: Optional[int] = None) -> PermutationGroup:
-    """Group generated by the given permutations (`closure_images`)."""
+    """Group generated by the given image tuples (`closure_images`)."""
     if not generators:
         raise ValueError("closure needs at least one generator")
-    degree = generators[0].degree
-    if any(g.degree != degree for g in generators):
+    degree = len(generators[0])
+    if any(len(g) != degree for g in generators):
         raise ValueError("generators act on different point sets")
-    # every member is a product of the (validated) generators
-    return PermutationGroup(
-        closure_images([g.images for g in generators], max_order), generators)
+    # every member is a product of the generators, bijections already
+    return PermutationGroup(closure_images(generators, max_order), generators)
 
 
 @lru_cache(maxsize=8)
@@ -528,9 +487,9 @@ def symmetric_group(n: int) -> PermutationGroup:
         raise ValueError("symmetric_group needs n >= 1")
     elements = itertools.permutations(range(n))
     if n == 1:
-        return PermutationGroup(elements, (Permutation.identity(1),))
+        return PermutationGroup(elements, ((0,),))
     t = parse_cycles("(0 1)", n)
-    c = Permutation(list(range(1, n)) + [0])
+    c = (*range(1, n), 0)
     return PermutationGroup(elements, (t,) if n == 2 else (t, c))
 
 

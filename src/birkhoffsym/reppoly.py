@@ -28,7 +28,7 @@ from .errors import InvariantError, PreconditionError
 from .exact import (RationalMatrix, _common_form, _independent_rows,
                     _over_lcm, _rational_pair)
 from .hull import MAX_VERTICES, Polytope, certify_vertices, facet_enumeration
-from .perm import (Permutation, PermutationGroup, _right_mul, closure,
+from .perm import (PermutationGroup, _right_mul, as_permutation, closure,
                    named_group, saturate)
 
 
@@ -60,8 +60,8 @@ class MatrixGroup:
         isomorphic to G, so their closure gives the rest."""
         index = {m: i for i, m in enumerate(self.elements)}
 
-        def translation(a: RationalMatrix) -> Permutation:
-            return Permutation(index[a * x] for x in self.elements)
+        def translation(a: RationalMatrix) -> tuple[int, ...]:
+            return as_permutation(index[a * x] for x in self.elements)
 
         return closure([translation(g) for g in self.generators])
 
@@ -98,10 +98,10 @@ def matrix_closure(generators: list[RationalMatrix]) -> MatrixGroup:
 
 
 def matrix_group_from_perm_group(group: PermutationGroup) -> MatrixGroup:
-    """Permutation matrices of a permutation group, acting on its own
+    """The permutation matrices of a permutation group, acting on its own
     points.  For a cyclic shift on |G| points this is the regular
     representation; for S_n on n points it is the standard one."""
-    gens = [g.images for g in group.generators] or [group.identity]
+    gens = group.generators or [group.identity]
     return matrix_closure([permutation_matrix(g) for g in gens])
 
 
@@ -111,7 +111,7 @@ def regular_matrix_group(group: PermutationGroup) -> MatrixGroup:
     x -> g x are built, |generators| * |G| products; the closure of their
     matrices gives the rest, so G's table is never needed."""
     idx = group.index
-    gens = [g.images for g in group.generators] or [group.identity]
+    gens = group.generators or [group.identity]
     # g x = _right_mul(x)(g) on image tuples
     return matrix_closure([
         permutation_matrix([idx[_right_mul(x)(g)] for x in group.elements])
@@ -165,7 +165,7 @@ def verify_gamma_acts(mgroup: MatrixGroup) -> GammaActsReport:
     inc = representation_polytope(mgroup).incidence
     group = mgroup.element_group()
     iota = group.inv
-    lams = [g.images for g in group.generators]
+    lams = group.generators
     lambda_pass = all(map(inc.preserved_by, lams))
     rho_pass = all(inc.preserved_by([iota[lam[y]] for y in iota])
                    for lam in lams)

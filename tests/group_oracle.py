@@ -8,19 +8,18 @@ against the whole forms."""
 
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.gamma import MAX_GAMMA_BASE
-from birkhoffsym.perm import (Permutation, PermutationGroup, closure,
-                              subgroup_classes)
+from birkhoffsym.perm import PermutationGroup, closure, subgroup_classes
 
 
 def regular_action(group: PermutationGroup) -> tuple[
-        list[Permutation], list[Permutation], Permutation]:
+        list[tuple[int, ...]], list[tuple[int, ...]], tuple[int, ...]]:
     """G acting on its own element indices, everything in element order:
     lams[g] is x -> g x (table row g), rhos[g] is x -> x g^-1 (the table
     column at g^-1) and iota is x -> x^-1."""
     table, inv = group.table, group.inv
-    lams = [Permutation(row) for row in table]
-    rhos = [Permutation(row[h] for row in table) for h in inv]
-    return lams, rhos, Permutation(inv)
+    lams = [tuple(row) for row in table]
+    rhos = [tuple(row[h] for row in table) for h in inv]
+    return lams, rhos, tuple(inv)
 
 
 def build_gamma(group: PermutationGroup) -> PermutationGroup:
@@ -33,10 +32,9 @@ def build_gamma(group: PermutationGroup) -> PermutationGroup:
             f"group of order {group.order} exceeds bound {MAX_GAMMA_BASE}")
     table, inv = group.table, group.inv
     gens = []
-    for g in (group.index[s.images] for s in group.generators):
-        gens += [Permutation(table[g]),
-                 Permutation(row[inv[g]] for row in table)]
-    return closure(gens + [Permutation(inv)])
+    for g in (group.index[s] for s in group.generators):
+        gens += [tuple(table[g]), tuple(row[inv[g]] for row in table)]
+    return closure(gens + [tuple(inv)])
 
 
 def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[PermutationGroup]:
@@ -50,5 +48,5 @@ def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[Permutation
                   key=lambda sub: (len(sub[0]), sub[0]))
     elements = group.elements
     return [PermutationGroup(map(elements.__getitem__, members),
-                             [Permutation(elements[i]) for i in gens])
+                             [elements[i] for i in gens])
             for members, gens in subs]

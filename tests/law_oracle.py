@@ -28,7 +28,7 @@ from operator import itemgetter
 from birkhoffsym.birkhoff import (InconsistentSymmetryError, LawReport,
                                   NotFacetSymmetryError,
                                   SymmetryDecomposition)
-from birkhoffsym.perm import Permutation, _inverse, symmetric_group
+from birkhoffsym.perm import _inverse, cycle_string, symmetric_group
 
 
 def full_transformation_law(n: int, sets) -> LawReport:
@@ -46,8 +46,8 @@ def full_transformation_law(n: int, sets) -> LawReport:
                                       for v in sets[i * n + j])
                     if image != sets[tau[i] * n + sigma[j]]:
                         failures.append(
-                            f"sigma={Permutation(sigma).cycle_string()} "
-                            f"tau={Permutation(tau).cycle_string()} A({i},{j})")
+                            f"sigma={cycle_string(sigma)} "
+                            f"tau={cycle_string(tau)} A({i},{j})")
     inversion_cases = 0
     for i in range(n):
         for j in range(n):
@@ -64,7 +64,7 @@ def symmetry_images(n: int, dec) -> list[int]:
     tuples of S_n in `itertools.permutations` order."""
     perms = list(itertools.permutations(range(n)))
     index = {p: v for v, p in enumerate(perms)}
-    sigma, tau = dec.sigma.images, dec.tau.images
+    sigma, tau = dec.sigma, dec.tau
     out = []
     for p in perms:
         if dec.epsilon == -1:
@@ -92,23 +92,22 @@ def tuple_vertex_images(n: int, sigma, tau, epsilon: int) -> list:
     return [index.get(itemgetter(*after_tau(p))(sigma)) for p in domain]
 
 
-def full_decompose_symmetry(n: int, alpha: Permutation) -> SymmetryDecomposition:
+def full_decompose_symmetry(n: int, alpha) -> SymmetryDecomposition:
     """(sigma, tau, epsilon) of alpha from its whole map of facet sets, or
     NotFacetSymmetryError / InconsistentSymmetryError."""
     sets = facet_sets(n)
     position = {members: k for k, members in enumerate(sets)}
     # image_map[i n + j] = k n + l for alpha(A_ij) = A_kl
-    image_map = [position.get(frozenset(alpha.images[v] for v in members))
+    image_map = [position.get(frozenset(alpha[v] for v in members))
                  for members in sets]
     if None in image_map:
         raise NotFacetSymmetryError("not a facet symmetry")
-    images = list(alpha.images)
+    images = list(alpha)
     for epsilon in (1, -1):
         r = [k // n for k in image_map[::n]]
         tau = _inverse(r)
-        sigma = [k % n for k in image_map[:n]]
+        sigma = tuple(k % n for k in image_map[:n])
         if tuple_vertex_images(n, sigma, tau, epsilon) == images:
-            return SymmetryDecomposition(Permutation(sigma), Permutation(tau),
-                                         epsilon)
+            return SymmetryDecomposition(sigma, tau, epsilon)
         image_map = [image_map[j * n + i] for i in range(n) for j in range(n)]
     raise InconsistentSymmetryError("inconsistent")

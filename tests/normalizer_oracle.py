@@ -52,7 +52,7 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
     """
     gamma = build_gamma(group)
     m = group.order
-    gens = [p.images for p in gamma.generators]
+    gens = gamma.generators
     normalizer = []
     for cand in itertools.permutations(range(m)):
         inv = [0] * m

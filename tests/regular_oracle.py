@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Optional
 
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.perm import Permutation, PermutationGroup
+from birkhoffsym.perm import PermutationGroup
 
 # The unpruned search is exponential in the degree, so it keeps a bound
 # of its own: Gamma(S_4), 24 points and 1 152 elements, is its largest.
@@ -88,7 +88,7 @@ def regular_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
                 extend(closed, gens + [g])
 
     extend(frozenset({tuple(range(m))}), [])
-    subs = [PermutationGroup(members, tuple(map(Permutation, gens)))
+    subs = [PermutationGroup(members, gens)
             for members, gens in results]
     subs.sort(key=lambda h: h.elements)
     return subs
@@ -108,7 +108,7 @@ def commuting_pairs(regs: list[PermutationGroup]
     """Every pair regs[a], regs[b] with a <= b whose generators commute,
     in the order (a, b)."""
     # (x, w -> w * x) per generator, so x * y == y * x reads my(x) == mx(y)
-    gens = [[(p.images, itemgetter(*p.images)) for p in u.generators]
+    gens = [[(p, itemgetter(*p)) for p in u.generators]
             for u in regs]
     pairs = []
     for a in range(len(regs)):

@@ -114,8 +114,7 @@ def lambda_and_rho(group):
     """lambda(G) and rho(G), each as the sorted tuple of its members'
     image tuples, as `commuting_regular_pairs` lists a group."""
     lams, rhos, _ = regular_action(group)
-    return (tuple(sorted(p.images for p in lams)),
-            tuple(sorted(p.images for p in rhos)))
+    return tuple(sorted(lams)), tuple(sorted(rhos))
 
 
 def test_criterion_07_commuting_regular_pairs():

@@ -21,7 +21,7 @@ from birkhoffsym.birkhoff import (InconsistentSymmetryError,
                                   verify_symmetry_group,
                                   verify_transformation_law)
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.perm import Permutation, symmetric_group
+from birkhoffsym.perm import _inverse, _right_mul, symmetric_group
 from law_oracle import (facet_sets, full_decompose_symmetry,
                         full_transformation_law, symmetry_images,
                         tuple_vertex_images)
@@ -34,25 +34,25 @@ perm_strategy = st.integers(2, 5).flatmap(
 @given(perm_strategy, perm_strategy)
 def test_matrix_map_is_homomorphism(pa, pb):
     n = max(len(pa), len(pb))
-    a = Permutation(list(pa) + list(range(len(pa), n)))
-    b = Permutation(list(pb) + list(range(len(pb), n)))
-    assert (permutation_matrix((a * b).images)
-            == permutation_matrix(a.images) * permutation_matrix(b.images))
-    pa_inv = permutation_matrix(a.inverse().images)
-    pa = permutation_matrix(a.images)
+    a = tuple(pa) + tuple(range(len(pa), n))
+    b = tuple(pb) + tuple(range(len(pb), n))
+    assert (permutation_matrix(_right_mul(b)(a))
+            == permutation_matrix(a) * permutation_matrix(b))
+    pa_inv = permutation_matrix(_inverse(a))
+    pa = permutation_matrix(a)
     assert pa_inv._den == pa._den == 1
     assert all(pa_inv._num[i * n + j] == pa._num[j * n + i]
                for i in range(n) for j in range(n))
 
 
 def test_permutation_matrix_entries():
-    p = Permutation((1, 2, 0))  # 0->1, 1->2, 2->0
-    m = permutation_matrix(p.images)
+    p = (1, 2, 0)  # 0->1, 1->2, 2->0
+    m = permutation_matrix(p)
     # column j carries a single 1 in row p(j)
     assert m._den == 1
     for i in range(3):
         for j in range(3):
-            assert m._num[i * 3 + j] == (1 if p(j) == i else 0)
+            assert m._num[i * 3 + j] == (1 if p[j] == i else 0)
 
 
 def test_vertices_doubly_stochastic():
@@ -211,41 +211,41 @@ def test_verify_transformation_law_out_of_range():
 
 def test_decompose_identity():
     for n in (3, 4):
-        alpha = Permutation.identity(factorial(n))
+        alpha = tuple(range(factorial(n)))
         dec = decompose_symmetry(n, alpha)
-        assert dec.sigma == dec.tau == Permutation.identity(n)
+        assert dec.sigma == dec.tau == tuple(range(n))
         assert dec.epsilon == 1
 
 
 def test_decompose_degree_mismatch():
     with pytest.raises(PreconditionError):
-        decompose_symmetry(3, Permutation.identity(7))
+        decompose_symmetry(3, tuple(range(7)))
     with pytest.raises(PreconditionError):
-        decompose_symmetry(6, Permutation.identity(720))
+        decompose_symmetry(6, tuple(range(720)))
 
 
 def test_decompose_rejects_vertex_swap():
     # swapping two vertices of B_3 maps A_00 to a non-facet set
-    alpha = Permutation((1, 0, 2, 3, 4, 5))
+    alpha = (1, 0, 2, 3, 4, 5)
     with pytest.raises(NotFacetSymmetryError):
         decompose_symmetry(3, alpha)
 
 
 def test_inversion_map_is_involution_and_decomposes():
     for n in (3, 4):
-        perms = [Permutation(p) for p in symmetric_group(n).elements]
+        perms = symmetric_group(n).elements
         index = {p: v for v, p in enumerate(perms)}
-        iota = Permutation([index[p.inverse()] for p in perms])
-        assert iota * iota == Permutation.identity(len(perms))
+        iota = tuple(index[_inverse(p)] for p in perms)
+        assert _right_mul(iota)(iota) == tuple(range(len(perms)))
         dec = decompose_symmetry(n, iota)
-        assert dec.sigma == dec.tau == Permutation.identity(n)
+        assert dec.sigma == dec.tau == tuple(range(n))
         assert dec.epsilon == -1
 
 
 def test_all_triples_distinct_n3():
     # 2 * (3!)^2 = 72 distinct vertex maps, one per (sigma, tau, eps)
     maps = set()
-    perms = [Permutation(p) for p in symmetric_group(3).elements]
+    perms = symmetric_group(3).elements
     for sigma in perms:
         for tau in perms:
             for eps in (1, -1):
@@ -258,11 +258,11 @@ def test_all_triples_distinct_n3():
        st.sampled_from([1, -1]))
 @settings(max_examples=40, deadline=None)
 def test_decompose_roundtrip_n3(sig, tau, eps):
-    dec = SymmetryDecomposition(Permutation(sig), Permutation(tau), eps)
-    alpha = Permutation(symmetry_images(3, dec))
+    dec = SymmetryDecomposition(tuple(sig), tuple(tau), eps)
+    alpha = tuple(symmetry_images(3, dec))
     back = decompose_symmetry(3, alpha)
     assert back == dec
-    assert symmetry_images(3, back) == list(alpha.images)
+    assert symmetry_images(3, back) == list(alpha)
 
 
 def test_s5_table_is_built_once_across_calls(monkeypatch):
@@ -280,10 +280,10 @@ def test_s5_table_is_built_once_across_calls(monkeypatch):
 
     monkeypatch.setattr(perm.PermutationGroup, "table", property(counted))
     rng = random.Random(55)
-    perms = [Permutation(p) for p in fresh.elements]
+    perms = fresh.elements
     for eps in (1, -1, 1, -1):
         dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms), eps)
-        assert decompose_symmetry(5, Permutation(symmetry_images(5, dec))) == dec
+        assert decompose_symmetry(5, tuple(symmetry_images(5, dec))) == dec
         assert verify_transformation_law(5).passed
     assert builds == [fresh]
 
@@ -313,9 +313,9 @@ def _count_reads_and_passes(monkeypatch, n):
 def test_decompose_reads_row_and_column_zero_and_makes_one_pass(
         n, eps, monkeypatch):
     rng = random.Random(10 * n + eps)
-    perms = [Permutation(p) for p in symmetric_group(n).elements]
+    perms = symmetric_group(n).elements
     dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms), eps)
-    alpha = Permutation(symmetry_images(n, dec))
+    alpha = tuple(symmetry_images(n, dec))
     read, passes = _count_reads_and_passes(monkeypatch, n)
     assert decompose_symmetry(n, alpha) == dec
     # A_0j and A_i0: 2n - 1 sets, each read once
@@ -324,8 +324,7 @@ def test_decompose_reads_row_and_column_zero_and_makes_one_pass(
     assert len(passes) == 1 and passes[0][3] == eps
 
 
-FAILING_DEC = SymmetryDecomposition(Permutation((1, 2, 0, 4, 3)),
-                                   Permutation((0, 2, 1, 3, 4)), -1)
+FAILING_DEC = SymmetryDecomposition((1, 2, 0, 4, 3), (0, 2, 1, 3, 4), -1)
 
 
 def test_failed_decompose_stops_at_row_and_column_zero(monkeypatch):
@@ -337,7 +336,7 @@ def test_failed_decompose_stops_at_row_and_column_zero(monkeypatch):
     images[3], images[100] = images[100], images[3]
     read, passes = _count_reads_and_passes(monkeypatch, n)
     with pytest.raises(NotFacetSymmetryError):
-        decompose_symmetry(n, Permutation(images))
+        decompose_symmetry(n, tuple(images))
     assert sorted(read) == sorted({*range(n), *range(0, n * n, n)})
     assert len(read) == 2 * n - 1
     assert passes == []
@@ -356,19 +355,38 @@ def test_failed_decompose_past_row_and_column_zero_reads_every_facet_set(
     images[u], images[v] = images[v], images[u]
     read, passes = _count_reads_and_passes(monkeypatch, n)
     with pytest.raises(NotFacetSymmetryError):
-        decompose_symmetry(n, Permutation(images))
+        decompose_symmetry(n, tuple(images))
     assert sorted(read) == list(range(n * n))
     assert len(passes) == 1
 
 
 def test_decompose_roundtrip_n4_sample():
     rng = random.Random(7)
-    perms = [Permutation(p) for p in symmetric_group(4).elements]
+    perms = symmetric_group(4).elements
     for _ in range(20):
         dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms),
                                     rng.choice((1, -1)))
-        alpha = Permutation(symmetry_images(4, dec))
+        alpha = tuple(symmetry_images(4, dec))
         assert decompose_symmetry(4, alpha) == dec
+
+
+def test_decompose_reads_a_list_as_its_tuple():
+    # the vertex pass compares alpha's images with a tuple, which no list
+    # equals: a list of a symmetry's images must decompose all the same
+    rng = random.Random(8)
+    perms = symmetric_group(4).elements
+    for eps in (1, -1):
+        dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms), eps)
+        images = symmetry_images(4, dec)
+        assert type(images) is list
+        assert (decompose_symmetry(4, images)
+                == decompose_symmetry(4, tuple(images)) == dec)
+    # vertices 0 and 1 of B_4 both lie in A_00, whose image then has
+    # fewer members than a facet set
+    repeated = list(range(24))
+    repeated[1] = repeated[0]
+    with pytest.raises(NotFacetSymmetryError):
+        decompose_symmetry(4, repeated)
 
 
 def test_decompose_rejects_non_symmetry_shuffles():
@@ -379,18 +397,18 @@ def test_decompose_rejects_non_symmetry_shuffles():
     for _ in range(30):
         images = list(range(6))
         rng.shuffle(images)
-        alpha = Permutation(images)
+        alpha = tuple(images)
         try:
             dec = decompose_symmetry(3, alpha)
         except (NotFacetSymmetryError, InconsistentSymmetryError):
             rejected += 1
             continue
-        assert symmetry_images(3, dec) == list(alpha.images)
+        assert symmetry_images(3, dec) == list(alpha)
     assert rejected > 0
 
 
 def _all_triples(n):
-    perms = [Permutation(p) for p in symmetric_group(n).elements]
+    perms = symmetric_group(n).elements
     return [SymmetryDecomposition(sigma, tau, eps)
             for sigma in perms for tau in perms for eps in (1, -1)]
 
@@ -405,7 +423,7 @@ def test_decompose_every_bijection_of_b3():
     found, not_facet = {}, 0
     for images in itertools.permutations(range(6)):
         try:
-            found[images] = decompose_symmetry(3, Permutation(images))
+            found[images] = decompose_symmetry(3, images)
         except NotFacetSymmetryError:
             not_facet += 1
         except InconsistentSymmetryError:
@@ -419,7 +437,7 @@ def test_decompose_every_triple_of_b4():
     triples = _all_triples(4)
     assert len(triples) == 1152
     for dec in triples:
-        assert decompose_symmetry(4, Permutation(symmetry_images(4, dec))) == dec
+        assert decompose_symmetry(4, tuple(symmetry_images(4, dec))) == dec
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -473,16 +491,16 @@ def _verdicts(n, alpha):
 
 def test_decompose_agrees_with_the_oracle_on_every_symmetry_of_b3():
     for dec in _all_triples(3):
-        assert _verdicts(3, Permutation(symmetry_images(3, dec))) == [dec, dec]
+        assert _verdicts(3, tuple(symmetry_images(3, dec))) == [dec, dec]
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_decompose_agrees_with_the_oracle_on_seeded_symmetries(n):
     rng = random.Random(600 + n)
-    perms = [Permutation(p) for p in symmetric_group(n).elements]
+    perms = symmetric_group(n).elements
     for eps in (1, -1) * 15:
         dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms), eps)
-        assert _verdicts(n, Permutation(symmetry_images(n, dec))) == [dec, dec]
+        assert _verdicts(n, tuple(symmetry_images(n, dec))) == [dec, dec]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -490,7 +508,7 @@ def test_decompose_agrees_with_the_oracle_on_non_symmetries(n):
     # a symmetry with two vertex images swapped, as the bench draws them,
     # and random shuffles of the vertices
     rng = random.Random(700 + n)
-    perms = [Permutation(p) for p in symmetric_group(n).elements]
+    perms = symmetric_group(n).elements
     rejected = 0
     for k in range(40):
         if k % 2:
@@ -502,7 +520,7 @@ def test_decompose_agrees_with_the_oracle_on_non_symmetries(n):
         else:
             images = list(range(factorial(n)))
             rng.shuffle(images)
-        got, want = _verdicts(n, Permutation(images))
+        got, want = _verdicts(n, tuple(images))
         assert got == want
         rejected += isinstance(got, type)
     # 72 of the 720 bijections of B_3's vertices are symmetries
@@ -537,7 +555,7 @@ def test_verify_symmetry_group_counts_failing_generators(monkeypatch):
     def one_bad_generator(inc):
         aut = real(inc)
         # swapping the first two vertices maps A_11 onto no A_kl
-        swap = Permutation([1, 0] + list(range(2, inc.n_vertices)))
+        swap = (1, 0, *range(2, inc.n_vertices))
         return SimpleNamespace(order=aut.order,
                                generators=(swap,) + aut.generators[1:])
 

@@ -26,7 +26,7 @@ from birkhoffsym.errors import PreconditionError
 from birkhoffsym.exact import RationalMatrix
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
                               polytope_to_document)
-from birkhoffsym.perm import Permutation, parse_cycles
+from birkhoffsym.perm import parse_cycles
 from birkhoffsym.reports import render_report
 
 from hull_oracle import random_point_set
@@ -94,8 +94,7 @@ def test_decompose_identity(capsys):
 
 
 def test_decompose_alpha_file(tmp_path, capsys):
-    dec = SymmetryDecomposition(parse_cycles("(0 1)", 3),
-                                Permutation.identity(3), 1)
+    dec = SymmetryDecomposition(parse_cycles("(0 1)", 3), (0, 1, 2), 1)
     images = symmetry_images(3, dec)
     path = tmp_path / "alpha.txt"
     path.write_text("# vertex images\n" +
@@ -113,8 +112,7 @@ def test_decompose_alpha_option_wins_over_the_positional_file(tmp_path,
                                                               capsys):
     option, positional = tmp_path / "option.txt", tmp_path / "positional.txt"
     for path, sigma in ((option, "(0 1)"), (positional, "(1 2)")):
-        dec = SymmetryDecomposition(parse_cycles(sigma, 3),
-                                    Permutation.identity(3), 1)
+        dec = SymmetryDecomposition(parse_cycles(sigma, 3), (0, 1, 2), 1)
         path.write_text("\n".join(map(str, symmetry_images(3, dec))))
     code, doc = run_json(capsys, ["decompose", "3", str(positional),
                                   "--alpha", str(option)])

@@ -20,39 +20,39 @@ from birkhoffsym.gamma import (automorphism_orbits, commuting_regular_pairs,
                                gamma_fibers, is_elementary_abelian_2,
                                normalizer_in_full_symmetric,
                                verify_wreath_quotient)
-from birkhoffsym.perm import (Permutation, PermutationGroup, _inverse, _order,
-                              named_group, closure,
-                              group_from_generator_lines, parse_cycles)
+from birkhoffsym.perm import (PermutationGroup, _cycles, _inverse, _order,
+                              _right_mul, closure, cycle_string,
+                              group_from_generator_lines, named_group,
+                              parse_cycles)
 
 
 def translation_subgroups(group):
     """lambda(G), rho(G) and iota, the pieces Gamma(G) is generated from;
     each translation group is generated by all its elements."""
     lams, rhos, iota = regular_action(group)
-    return (PermutationGroup([p.images for p in lams], lams),
-            PermutationGroup([p.images for p in rhos], rhos), iota)
+    return (PermutationGroup(lams, lams), PermutationGroup(rhos, rhos), iota)
 
 
 def test_translations_are_actions():
     g = named_group("s3")
     lams, rhos, _ = regular_action(g)
-    elems = [Permutation(p) for p in g.elements]
+    elems = g.elements
     index = {p: i for i, p in enumerate(elems)}
     for a, pa in enumerate(elems):
         for b, pb in enumerate(elems):
-            ab = index[pa * pb]
-            assert lams[a] * lams[b] == lams[ab]
-            assert rhos[a] * rhos[b] == rhos[ab]
+            ab = index[_right_mul(pb)(pa)]
+            assert _right_mul(lams[b])(lams[a]) == lams[ab]
+            assert _right_mul(rhos[b])(rhos[a]) == rhos[ab]
             # left and right translations always commute
-            assert lams[a] * rhos[b] == rhos[b] * lams[a]
+            assert _right_mul(rhos[b])(lams[a]) == _right_mul(lams[a])(rhos[b])
 
 
 def test_inversion_conjugates_left_to_right():
     g = named_group("s3")
     lams, rhos, iota = regular_action(g)
-    assert iota * iota == Permutation.identity(6)
+    assert _right_mul(iota)(iota) == tuple(range(6))
     for lam, rho in zip(lams, rhos):
-        assert iota * lam * iota == rho
+        assert _right_mul(iota)(_right_mul(lam)(iota)) == rho
 
 
 def test_wreath_on_a_centralizer():
@@ -103,7 +103,7 @@ def test_gamma_s3_structure():
     assert gamma.order == 72
     assert lambda_sub.order == 6
     assert rho_sub.order == 6
-    assert iota.images in gamma.index
+    assert iota in gamma.index
     assert lambda_sub.index.keys() <= gamma.index.keys()
     assert rho_sub.index.keys() <= gamma.index.keys()
 
@@ -112,12 +112,11 @@ def test_build_gamma_tags():
     # lambda_g, rho_g for each generator g of S_3 in turn, then iota
     s3 = named_group("s3")
     lams, rhos, iota = regular_action(s3)
-    swap, turn = (s3.index[parse_cycles(t, 3).images]
-                  for t in ("(0 1)", "(0 1 2)"))
+    swap, turn = (s3.index[parse_cycles(t, 3)] for t in ("(0 1)", "(0 1 2)"))
     assert build_gamma(s3).generators == (
         lams[swap], rhos[swap], lams[turn], rhos[turn], iota)
-    assert gamma_module._gamma_generators(s3) == [
-        p.images for p in build_gamma(s3).generators]
+    assert gamma_module._gamma_generators(s3) == list(
+        build_gamma(s3).generators)
 
 
 def test_build_gamma_size_cap():
@@ -155,7 +154,7 @@ def test_gamma_fibers_are_the_closure_by_image_of_0(tmp_path, capsys, name,
     assert gamma_fibers(group) == list(map(tuple, by_image))
     # every command reports the closure's order
     path = tmp_path / "group.txt"
-    path.write_text("".join(g.cycle_string() + "\n"
+    path.write_text("".join(cycle_string(g) + "\n"
                             for g in group.generators))
     assert cli.main(["regular-pairs", "--group", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -273,11 +272,12 @@ def relabelled_generating_set(name, seed):
     conjugated by a seeded relabelling of its points."""
     rng = random.Random(seed)
     group = named_group(name)
-    pi = Permutation(rng.sample(range(group.degree), group.degree))
+    pi = tuple(rng.sample(range(group.degree), group.degree))
     gens = []
     while not gens or closure(gens).order < group.order:
-        gens.append(Permutation(rng.choice(group.elements)))
-    return closure([pi * g * pi.inverse() for g in gens])
+        gens.append(rng.choice(group.elements))
+    # pi * g * pi^-1
+    return closure([_right_mul(_inverse(pi))(_right_mul(g)(pi)) for g in gens])
 
 
 @pytest.mark.parametrize("name, seed", [("s3", 1), ("c6", 2), ("d4", 3),
@@ -318,13 +318,13 @@ def test_regular_search_on_generator_line_groups_matches_oracle(name):
 def stabilizer_classes(gamma, groups):
     """The classes of the given groups under conjugation by Gamma_0, the
     stabilizer of point 0, each a set of member sets of image tuples, by
-    Permutation products."""
-    stabilizer = [Permutation(x) for x in gamma.elements if x[0] == 0]
+    products of image tuples, x * p * x^-1."""
+    stabilizer = [x for x in gamma.elements if x[0] == 0]
     classes = []
     for u in groups:
         if any(frozenset(u.elements) in c for c in classes):
             continue
-        classes.append({frozenset((x * Permutation(p) * x.inverse()).images
+        classes.append({frozenset(_right_mul(_inverse(x))(_right_mul(p)(x))
                                   for p in u.elements) for x in stabilizer})
     return classes
 
@@ -422,39 +422,34 @@ def test_commuting_pairs_build_groups_only_for_the_pair(monkeypatch):
 
 
 def count_permutations(monkeypatch) -> list:
-    """The list that each `Permutation` built, checked or not, is
+    """The list that each image tuple `perm.as_permutation` checks is
     appended to."""
     built = []
-    init, unchecked = Permutation.__init__, Permutation._unchecked.__func__
+    check = perm.as_permutation
 
-    def counting_init(self, images):
+    def counting(images):
         built.append(1)
-        init(self, images)
+        return check(images)
 
-    def counting_unchecked(cls, images):
-        built.append(1)
-        return unchecked(cls, images)
-
-    monkeypatch.setattr(Permutation, "__init__", counting_init)
-    monkeypatch.setattr(Permutation, "_unchecked",
-                        classmethod(counting_unchecked))
+    monkeypatch.setattr(perm, "as_permutation", counting)
     return built
 
 
 def test_no_group_is_built_element_by_element(monkeypatch):
     # a group holds its elements as image tuples: the only permutations
-    # built are the generators, of the named group and of the closed
-    # Gamma; the fibers of Gamma and the regular subgroups the pair
-    # search finds are image tuples only
+    # checked are the generators read from cycle notation, of the named
+    # groups and S_5's transposition; Gamma's generators are table rows,
+    # S_5's n-cycle is written out, and the fibers of Gamma and the
+    # regular subgroups the pair search finds are image tuples only
     built = count_permutations(monkeypatch)
     s4 = named_group("s4")
     gamma = build_gamma(s4)
     assert gamma.order == 1152
-    assert len(built) == len(s4.generators) + len(gamma.generators) == 7
+    assert len(built) == len(s4.generators) == 2
     built.clear()
     s5 = perm.symmetric_group.__wrapped__(5)
     assert s5.order == 120
-    assert len(built) == len(s5.generators) == 2
+    assert len(built) == len(s5.generators) - 1 == 1
     built.clear()
     s3 = named_group("s3")
     pairs = commuting_regular_pairs(gamma_fibers(s3))
@@ -470,7 +465,7 @@ def test_regular_subgroup_elements_are_semiregular(name):
     _, regs = gamma_and_regulars(name)
     for u in regs:
         for p in u.elements[1:]:
-            lengths = [len(c) for c in Permutation(p).cycles()]
+            lengths = [len(c) for c in _cycles(p) if len(c) > 1]
             assert sum(lengths) == len(p)
             assert len(set(lengths)) == 1
 
@@ -667,4 +662,4 @@ def test_wreath_kernel_property_c6():
     # in an abelian group every lambda_g rho_g is conjugation by g = identity
     lams, rhos, _ = regular_action(named_group("c6"))
     for lam, rho in zip(lams, rhos):
-        assert lam * rho == Permutation.identity(6)
+        assert _right_mul(rho)(lam) == tuple(range(6))

@@ -20,7 +20,11 @@ KEPT_PARAMETERS lists it, with the reason it stays.
 
 Only `perm` calls `PermutationGroup`: a group is built for what the
 program is given or closes, and a subgroup it derives is held as
-members of its group, image tuples or table positions.
+members of its group, image tuples or table positions.  Likewise
+`perm.as_permutation` is called only where outside input becomes a
+permutation: an alpha file, cycle notation and a matrix group's
+translations.  A product or inverse of checked image tuples is a
+bijection by construction, and is not checked again.
 
 Every dataclass in the package has its own docstring: without one,
 `dataclasses` builds a signature for it with `inspect` at import.
@@ -83,7 +87,7 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
 
 def read_names(tree: ast.AST) -> set[str]:
     """Every name the module reads, including names inside quoted
-    annotations such as -> "Permutation"."""
+    annotations such as -> "PermutationGroup"."""
     names = set()
     annotations = []
     for node in ast.walk(tree):
@@ -334,6 +338,57 @@ def test_detects_a_group_construction():
                      "        xs, ())\n"
                      "    return isinstance(a, perm.PermutationGroup), b\n")
     assert group_constructions(tree) == [4, 5]
+
+
+# Where `perm.as_permutation` may be called, as (module, enclosing
+# function): the alpha file, cycle notation and a matrix group's
+# translations, where outside input becomes a permutation.
+VALIDATING_FUNCTIONS = {
+    ("cli", "_read_alpha"),
+    ("perm", "_permutation_of"),
+    ("reppoly", "MatrixGroup.element_group.translation"),
+}
+
+
+def validator_calls(tree: ast.AST, prefix: str = "") -> list[str]:
+    """Dotted name of the function or class around each read of
+    `as_permutation`, by bare or attribute name, so a call or a reference
+    passed on (to `map`, say); "" at module level."""
+    out = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out += validator_calls(node, f"{prefix}{node.name}.")
+            continue
+        if (isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)
+                and "as_permutation" in (getattr(node, "id", None),
+                                         getattr(node, "attr", None))):
+            out.append(prefix[:-1])
+        out += validator_calls(node, prefix)
+    return out
+
+
+def test_permutations_are_validated_only_at_the_input_boundary():
+    calls = {(module, name) for module, tree in package_trees().items()
+             for name in validator_calls(tree)}
+    assert calls == VALIDATING_FUNCTIONS
+
+
+def test_detects_a_validator_call():
+    # a call or a reference by either name counts, in a nested function,
+    # a method or at module level; the import reads nothing
+    tree = ast.parse("from . import perm\n"
+                     "from .perm import as_permutation\n"
+                     "P = as_permutation([0])\n"
+                     "def f(xs):\n"
+                     "    def g(ys):\n"
+                     "        return perm.as_permutation(ys)\n"
+                     "    return g(as_permutation(xs))\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        return map(as_permutation, [])\n")
+    assert sorted(validator_calls(tree)) == ["", "C.m", "f", "f.g"]
 
 
 def undocumented_dataclasses(tree: ast.AST) -> list[str]:

@@ -4,6 +4,7 @@ characters, integers past 2^64, booleans, None, empty and nested lists,
 tuples and dicts, and report dataclasses.  The writer has no float form,
 takes only string keys and refuses any type a report cannot hold."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -57,8 +58,11 @@ def test_report_dataclasses_are_written_as_their_fields():
     report = _report({"law": law, "list": [law, law]})
     assert render_report(report) == dumps_report(report)
     assert '"translation_cases": 2916' in render_report(report)
-    with pytest.raises(TypeError):
-        render_report(_report(dec))  # its fields are Permutations
+    # a decomposition's fields are image tuples, written as lists
+    decomposed = render_report(_report(dec))
+    assert decomposed == dumps_report(_report(dec))
+    assert json.loads(decomposed)["details"] == {
+        "sigma": [1, 0, 2], "tau": [0, 2, 1], "epsilon": -1}
 
 
 @pytest.mark.parametrize("value", [1.0, float("nan"), {1, 2}, Fraction(1, 2),

@@ -18,7 +18,7 @@ from birkhoffsym.birkhoff import permutation_matrix, verify_symmetry_group
 from birkhoffsym.hull import (IncidenceStructure, Polytope,
                               facet_enumeration, polytope_to_document)
 from birkhoffsym.gamma import verify_wreath_quotient
-from birkhoffsym.perm import (Permutation, PermutationGroup, _order,
+from birkhoffsym.perm import (PermutationGroup, _order, _right_mul,
                               named_group)
 from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
                                  load_exceptional_c6,
@@ -94,7 +94,7 @@ def test_regular_matrix_group_translates_only_the_generators():
         assert group._table is None
         lams, _, _ = regular_action(group)
         want = matrix_closure(
-            [permutation_matrix(lams[group.index[g.images]].images)
+            [permutation_matrix(lams[group.index[g]])
              for g in group.generators])
         assert (got.dim, got.elements, got.generators) == \
             (want.dim, want.elements, want.generators)
@@ -135,13 +135,13 @@ def test_translation_maps_are_group_actions():
     g = matrix_group_from_perm_group(named_group("s3"))
     lams, rhos, iota = regular_action(g.element_group())
     assert len(lams) == len(rhos) == 6
-    identity = Permutation.identity(6)
-    assert iota * iota == identity
+    identity = tuple(range(6))
+    assert _right_mul(iota)(iota) == identity
     assert lams[0] == identity and rhos[0] == identity
     # lambda and rho commute elementwise
     for a in lams:
         for b in rhos:
-            assert a * b == b * a
+            assert _right_mul(b)(a) == _right_mul(a)(b)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -156,11 +156,11 @@ def test_translation_maps_match_matrix_products(n):
                    for x in elems}
         lams, rhos, iota = regular_action(
             entry.matrix_group.element_group())
-        assert [p.images for p in lams] == [
+        assert lams == [
             tuple(index[g * x] for x in elems) for g in elems], entry.name
-        assert [p.images for p in rhos] == [
+        assert rhos == [
             tuple(index[x * inverse[g]] for x in elems) for g in elems], entry.name
-        assert iota.images == tuple(index[inverse[x]] for x in elems), entry.name
+        assert iota == tuple(index[inverse[x]] for x in elems), entry.name
 
 
 def test_gamma_acts_standard_s3():
@@ -207,7 +207,7 @@ def test_element_group_feeds_gamma():
     # sends the identity at index 0 to that matrix's index
     mgroup = load_exceptional_c6()
     eg = mgroup.element_group()
-    assert [p(0) for p in eg.generators] == [
+    assert [p[0] for p in eg.generators] == [
         mgroup.elements.index(g) for g in mgroup.generators]
     r = verify_wreath_quotient(eg)
     assert r.passed
@@ -220,9 +220,9 @@ def every_translation(mgroup):
     index = {m: i for i, m in enumerate(mgroup.elements)}
 
     def translation(a):
-        return Permutation(index[a * x] for x in mgroup.elements)
+        return tuple(index[a * x] for x in mgroup.elements)
 
-    return PermutationGroup([translation(a).images for a in mgroup.elements],
+    return PermutationGroup(map(translation, mgroup.elements),
                             tuple(map(translation, mgroup.generators)))
 
 
@@ -248,6 +248,16 @@ def test_element_group_translates_only_the_generators(monkeypatch):
     mgroup.element_group()
     # |generators| * |G|, where translating every element took |G|^2 = 576
     assert len(products) == len(mgroup.generators) * mgroup.order == 48
+
+
+def test_element_group_refuses_a_translation_that_is_no_bijection():
+    # {1, 0} is closed under products but no group: the translation by 0
+    # sends both elements to 0
+    one, zero = RationalMatrix.identity(1), RationalMatrix(1, 1, [0], 1)
+    mgroup = MatrixGroup(1, [one, zero], [zero])
+    with pytest.raises(ValueError, match="image '1' at position 1 repeats, "
+                                         "point 0 is missing"):
+        mgroup.element_group()
 
 
 def conjugated_document(entry, rng):
@@ -287,9 +297,9 @@ def gamma_acts_oracle(mgroup, inc):
     the regular action tested on the tight sets one by one."""
     rows = set(inc.tight_sets)
     lams, rhos, iota = regular_action(mgroup.element_group())
-    return (all(maps_rows_onto_rows(p.images, rows) for p in lams),
-            all(maps_rows_onto_rows(p.images, rows) for p in rhos),
-            maps_rows_onto_rows(iota.images, rows))
+    return (all(maps_rows_onto_rows(p, rows) for p in lams),
+            all(maps_rows_onto_rows(p, rows) for p in rhos),
+            maps_rows_onto_rows(iota, rows))
 
 
 def gamma_acts_cases():
