@@ -33,11 +33,10 @@ across modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .combiso import comb_automorphisms
 from .errors import PreconditionError
@@ -56,8 +55,7 @@ class InconsistentSymmetryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SymmetryDecomposition:
+class SymmetryDecomposition(NamedTuple):
     """The triple of a symmetry pi -> sigma pi^epsilon tau of B_n."""
     sigma: tuple[int, ...]
     tau: tuple[int, ...]
@@ -109,17 +107,10 @@ def analytic_facet_sets(n: int) -> tuple[frozenset[int], ...]:
     return tuple(map(frozenset, members))
 
 
-@dataclass
-class TableReport:
-    """The cases |A_ij n A_kl| checked and the (i, j, k, l) that fail."""
-    n: int
-    cases_checked: int
-    failures: list[tuple[int, int, int, int]]
-    passed: bool
-
-
-def verify_intersection_table(n: int) -> TableReport:
-    """Check |A_ij n A_kl| against the four-case formula for all n^4 cases."""
+def verify_intersection_table(n: int) -> dict:
+    """Check |A_ij n A_kl| against the four-case formula for all n^4 cases.
+    The report: `n`, `cases_checked`, the (i, j, k, l) that fail as
+    `failures`, and `passed`."""
     if not 3 <= n <= MAX_N:
         raise PreconditionError(f"intersection table supports 3 <= n <= {MAX_N}")
     sets = analytic_facet_sets(n)
@@ -140,21 +131,8 @@ def verify_intersection_table(n: int) -> TableReport:
                         want = factorial(n - 2)
                     if got != want:
                         failures.append((i, j, k, l))
-    return TableReport(n, cases, failures, not failures)
-
-
-@dataclass
-class LawReport:
-    """`translation_cases` = (n!)^2 n^2 is the number of (sigma, tau, i, j)
-    cases the verdict covers, `generator_cases` = 4 n^2 the number of
-    cases checked directly (see `verify_transformation_law`), and
-    `inversion_cases` = n^2 the cases of A_ij^-1 = A_ji."""
-    n: int
-    translation_cases: int
-    inversion_cases: int
-    generator_cases: int
-    failures: list[str]
-    passed: bool
+    return {"n": n, "cases_checked": cases, "failures": failures,
+            "passed": not failures}
 
 
 def _vertex_images(n: int, sigma: Sequence[int], tau: Sequence[int],
@@ -176,7 +154,7 @@ def _vertex_images(n: int, sigma: Sequence[int], tau: Sequence[int],
     return itemgetter(*column)(table[s])
 
 
-def verify_transformation_law(n: int) -> LawReport:
+def verify_transformation_law(n: int) -> dict:
     """Check sigma A_ij tau^-1 = A_{tau(i), sigma(j)} for all sigma, tau
     and all (i, j), and A_ij^-1 = A_ji.
 
@@ -192,6 +170,11 @@ def verify_transformation_law(n: int) -> LawReport:
     pairs.  Nothing here depends on the sets themselves, so a family that
     breaks the law at some pair breaks it at some generator, and each
     failure names that generator and the label.
+
+    The report: `n`; `translation_cases` = (n!)^2 n^2, the number of
+    (sigma, tau, i, j) cases the verdict covers; `inversion_cases` = n^2,
+    the cases of A_ij^-1 = A_ji; `generator_cases` = 4 n^2, the cases
+    checked directly; `failures`, one string each; and `passed`.
     """
     if not 3 <= n <= MAX_N:
         raise PreconditionError(
@@ -216,9 +199,9 @@ def verify_transformation_law(n: int) -> LawReport:
             image = frozenset(image_of[v] for v in sets[i * n + j])
             if image != sets[j * n + i]:
                 failures.append(f"inversion A({i},{j})")
-    return LawReport(n=n, translation_cases=factorial(n) ** 2 * n * n,
-                     inversion_cases=n * n, generator_cases=len(gens) * n * n,
-                     failures=failures, passed=not failures)
+    return {"n": n, "translation_cases": factorial(n) ** 2 * n * n,
+            "inversion_cases": n * n, "generator_cases": len(gens) * n * n,
+            "failures": failures, "passed": not failures}
 
 
 def decompose_symmetry(n: int, alpha: Sequence[int]) -> SymmetryDecomposition:
@@ -272,21 +255,7 @@ def decompose_symmetry(n: int, alpha: Sequence[int]) -> SymmetryDecomposition:
     raise InconsistentSymmetryError("inconsistent")
 
 
-@dataclass
-class SymmetryGroupReport:
-    """B_n's hull sizes, |Aut| against 2(n!)^2, and round-trip failures."""
-    n: int
-    n_vertices: int
-    n_facets: int
-    dim: int
-    facets_match_analytic: bool
-    aut_order: int
-    expected_order: int
-    roundtrip_failures: int
-    passed: bool
-
-
-def verify_symmetry_group(n: int) -> SymmetryGroupReport:
+def verify_symmetry_group(n: int) -> dict:
     """End-to-end check that the combinatorial symmetry group of B_n is
     D = {pi -> sigma pi^eps tau}: hull, incidence, facet family
     comparison, automorphism search, order count 2(n!)^2, and a
@@ -299,6 +268,10 @@ def verify_symmetry_group(n: int) -> SymmetryGroupReport:
     triple it returns at every vertex, so a generator that decomposes
     round-trips.  B_n's own vertices are hulled without the generic hull
     bounds, so n runs up to MAX_N.
+
+    The report: `n`, the hull's `n_vertices`, `n_facets` and `dim`,
+    `facets_match_analytic`, `aut_order` against `expected_order` =
+    2(n!)^2, `roundtrip_failures` and `passed`.
     """
     if not 3 <= n <= MAX_N:
         raise PreconditionError(
@@ -321,14 +294,14 @@ def verify_symmetry_group(n: int) -> SymmetryGroupReport:
             roundtrip_failures += 1
     passed = (facets_match and aut.order == expected
               and roundtrip_failures == 0)
-    return SymmetryGroupReport(
-        n=n,
-        n_vertices=polytope.n_vertices,
-        n_facets=polytope.n_facets,
-        dim=polytope.dim,
-        facets_match_analytic=facets_match,
-        aut_order=aut.order,
-        expected_order=expected,
-        roundtrip_failures=roundtrip_failures,
-        passed=passed,
-    )
+    return {
+        "n": n,
+        "n_vertices": polytope.n_vertices,
+        "n_facets": polytope.n_facets,
+        "dim": polytope.dim,
+        "facets_match_analytic": facets_match,
+        "aut_order": aut.order,
+        "expected_order": expected,
+        "roundtrip_failures": roundtrip_failures,
+        "passed": passed,
+    }

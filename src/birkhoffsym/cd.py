@@ -18,25 +18,11 @@ m_{S_n}(U) <= n! with equality only at the trivial and full subgroups
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 from .errors import PreconditionError
 from .perm import PermutationGroup, subgroup_classes, symmetric_group
-
-
-@dataclass
-class CDReport:
-    """The Chermak-Delgado lattice of G with its two verdicts.  Each
-    member of `lattice` is (members, generators), positions on G's
-    table, sorted by (order, ascending members)."""
-    group_order: int
-    subgroup_count: int
-    max_measure: int
-    lattice: list[tuple[frozenset[int], tuple[int, ...]]]
-    closure_pass: bool
-    subnormal_pass: bool
 
 
 def _subnormal_by_normalizer_chain(group: PermutationGroup,
@@ -77,7 +63,7 @@ def _pair_closed(group: PermutationGroup, h, k, lattice: set) -> bool:
     return len(joined) * len(meet) == len(hs) * len(ks) and joined in lattice
 
 
-def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
+def cd_lattice(group: PermutationGroup, bound: int = 200) -> dict:
     """Maximizers of the Chermak-Delgado measure with verification flags.
 
     closure_pass: for all H, K in the lattice L, C_G(H), H n K and the
@@ -88,6 +74,10 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
     subnormal_pass: every member's iterated normalizer chain reaches G.
     Members come from `subgroup_classes` as index sets with generators,
     sorted by (order, element list), and are reported so.
+
+    The report: `group_order`, `subgroup_count`, `max_measure`,
+    `lattice`, each member a (members, generators) pair of positions on
+    G's table, and the two verdicts `closure_pass` and `subnormal_pass`.
     """
     classes = subgroup_classes(group, bound=bound)
     measures = _class_measures(group, classes)
@@ -104,34 +94,24 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> CDReport:
                 for h, k in combinations(lattice_pairs, 2)))
     subnormal_pass = all(_subnormal_by_normalizer_chain(group, hs, h_gens)
                          for hs, h_gens in lattice_pairs)
-    return CDReport(
-        group_order=group.order,
-        subgroup_count=sum(len(cls) for cls in classes),
-        max_measure=max_measure,
-        lattice=lattice_pairs,
-        closure_pass=closure_pass,
-        subnormal_pass=subnormal_pass,
-    )
+    return {
+        "group_order": group.order,
+        "subgroup_count": sum(len(cls) for cls in classes),
+        "max_measure": max_measure,
+        "lattice": lattice_pairs,
+        "closure_pass": closure_pass,
+        "subnormal_pass": subnormal_pass,
+    }
 
 
-@dataclass
-class CentralizerEstimateReport:
-    """Subgroup orders where |U| |C(U)| = n! holds or is exceeded."""
-    n: int
-    group_order: int
-    subgroup_count: int
-    max_measure: int
-    equality_orders: list[int]
-    violations: list[int]
-    passed: bool
-
-
-def verify_centralizer_estimate(n: int) -> CentralizerEstimateReport:
+def verify_centralizer_estimate(n: int) -> dict:
     """For every subgroup U of S_n: |U| * |C(U)| <= n!, with equality
     exactly at U = 1 and U = S_n.  Supported for n in {4, 5, 6, 7}, so
     |S_n| <= 5040 (S_7: 11 300 subgroups in 96 classes).  The measure is
     computed once per conjugacy class and counted for each of its
-    members."""
+    members.  The report: `n`, `group_order`, `subgroup_count`,
+    `max_measure`, the sorted subgroup orders where |U| |C(U)| = n! holds
+    (`equality_orders`) or is exceeded (`violations`), and `passed`."""
     if n not in (4, 5, 6, 7):
         raise PreconditionError(
             f"centralizer estimate check supports n in {{4, 5, 6, 7}}, got {n}")
@@ -150,12 +130,12 @@ def verify_centralizer_estimate(n: int) -> CentralizerEstimateReport:
     equality_orders.sort()
     violations.sort()
     passed = not violations and equality_orders == [1, full]
-    return CentralizerEstimateReport(
-        n=n,
-        group_order=full,
-        subgroup_count=sum(len(cls) for cls in classes),
-        max_measure=max(measures),
-        equality_orders=equality_orders,
-        violations=violations,
-        passed=passed,
-    )
+    return {
+        "n": n,
+        "group_order": full,
+        "subgroup_count": sum(len(cls) for cls in classes),
+        "max_measure": max(measures),
+        "equality_orders": equality_orders,
+        "violations": violations,
+        "passed": passed,
+    }

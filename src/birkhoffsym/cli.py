@@ -43,7 +43,7 @@ from .exact import _integer, _integers
 from .perm import (PermutationGroup, _semiregular_order, as_permutation,
                    builtin_group_names, cycle_string,
                    group_from_generator_lines, named_group)
-from .reports import Report, render_report
+from .reports import render_report
 
 
 def _load_group(arg: str, max_order: int) -> tuple[str, PermutationGroup]:
@@ -102,17 +102,17 @@ def _read_alpha(path: str, n_points: int) -> tuple[int, ...]:
 
 def _cmd_verify_table(args):
     r = birkhoff.verify_intersection_table(args.n)
-    return r.passed, {"n": args.n}, r
+    return r["passed"], {"n": args.n}, r
 
 
 def _cmd_verify_transform(args):
     r = birkhoff.verify_transformation_law(args.n)
-    return r.passed, {"n": args.n}, r
+    return r["passed"], {"n": args.n}, r
 
 
 def _cmd_verify_symmetry_group(args):
     r = birkhoff.verify_symmetry_group(args.n)
-    return r.passed, {"n": args.n}, r
+    return r["passed"], {"n": args.n}, r
 
 
 def _cmd_decompose(args):
@@ -155,28 +155,21 @@ def _cmd_cd_lattice(args):
         "order": len(sub),
         "generators": [cycle_string(group.elements[g])
                        for g in gens] or ["()"],
-    } for sub, gens in r.lattice]
-    details = {
-        "group_order": r.group_order,
-        "subgroup_count": r.subgroup_count,
-        "max_measure": r.max_measure,
-        "lattice": [m["name"] for m in members],
-        "members": members,
-        "closure_pass": r.closure_pass,
-        "subnormal_pass": r.subnormal_pass,
-    }
-    return r.closure_pass and r.subnormal_pass, {"group": args.group}, details
+    } for sub, gens in r["lattice"]]
+    details = dict(r, lattice=[m["name"] for m in members], members=members)
+    return (r["closure_pass"] and r["subnormal_pass"], {"group": args.group},
+            details)
 
 
 def _cmd_sn_cent_est(args):
     r = cd.verify_centralizer_estimate(args.n)
-    return r.passed, {"n": args.n}, r
+    return r["passed"], {"n": args.n}, r
 
 
 def _cmd_wreath(args):
     _, group = _load_group(args.group, gamma.MAX_GAMMA_BASE)
     r = gamma.verify_wreath_quotient(group)
-    return r.passed, {"group": args.group}, r
+    return r["passed"], {"group": args.group}, r
 
 
 def _cmd_regular_pairs(args):
@@ -207,12 +200,12 @@ def _cmd_regular_pairs(args):
 def _cmd_normalizer(args):
     _, group = _load_group(args.group, gamma.MAX_GAMMA_BASE)
     r = gamma.normalizer_in_full_symmetric(group)
-    return r.passed, {"group": args.group}, r
+    return r["passed"], {"group": args.group}, r
 
 
 def _cmd_uniqueness(args):
     r = reppoly.uniqueness_check(args.n)
-    return r.passed, {"n": args.n}, r
+    return r["passed"], {"n": args.n}, r
 
 
 def _cmd_hull(args):
@@ -451,10 +444,10 @@ def _run(argv: Sequence[str]) -> int:
         print(f"internal certificate failed: {exc}", file=sys.stderr)
         return 4
     runtime_ms = int((time.perf_counter() - start) * 1000)
-    report = Report(command=args.command, inputs=inputs, passed=passed,
-                    details=details, runtime_ms=runtime_ms)
     if args.json:
-        print(render_report(report))
+        print(render_report({"command": args.command, "inputs": inputs,
+                             "pass": passed, "details": details,
+                             "runtime_ms": runtime_ms}))
     else:
         print(("PASS" if passed else "FAIL") + f" {args.command}")
     return 0 if passed else 1

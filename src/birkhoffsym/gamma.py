@@ -50,7 +50,6 @@ Facts verified computationally by this module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -111,20 +110,7 @@ def is_elementary_abelian_2(group: PermutationGroup) -> bool:
     return all(row[g] == 0 for g, row in enumerate(group.table))
 
 
-@dataclass
-class WreathReport:
-    """|Gamma(G)| by 2|G|^2/|Z(G)| and by closure, with the kernel check."""
-    group_order: int
-    center_order: int
-    elementary_abelian_2: bool
-    formula_order: int
-    expected_order: Optional[int]
-    actual_order: int
-    kernel_pass: bool
-    passed: bool
-
-
-def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
+def verify_wreath_quotient(group: PermutationGroup) -> dict:
     """Check |Gamma(G)| = 2|G|^2/|Z(G)| and the kernel description.
 
     The kernel check: lambda_z rho_z is the identity map, z x z^-1 = x
@@ -134,6 +120,11 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
     report carries the flag and the actual order instead of a verdict.
     The actual order is counted on the closure of lambda_g, rho_g and
     iota, an unsorted set of image tuples (`perm.closure_images`).
+
+    The report: `group_order`, `center_order`, `elementary_abelian_2`,
+    |Gamma(G)| by 2|G|^2/|Z(G)| (`formula_order`, and `expected_order`,
+    None for an elementary abelian 2-group) and by closure
+    (`actual_order`), `kernel_pass` and `passed`.
     """
     order = len(closure_images(_gamma_generators(group)))
     center = group.centralizer_indices(
@@ -143,9 +134,11 @@ def verify_wreath_quotient(group: PermutationGroup) -> WreathReport:
     table = group.table
     kernel_pass = all((list(column) == row) == (z in center)
                       for z, (row, column) in enumerate(zip(table, zip(*table))))
-    return WreathReport(group.order, len(center), ea2, formula,
-                        None if ea2 else formula, order, kernel_pass,
-                        kernel_pass and (ea2 or order == formula))
+    return {"group_order": group.order, "center_order": len(center),
+            "elementary_abelian_2": ea2, "formula_order": formula,
+            "expected_order": None if ea2 else formula,
+            "actual_order": order, "kernel_pass": kernel_pass,
+            "passed": kernel_pass and (ea2 or order == formula)}
 
 
 def _narrow(cents: list, g: tuple[int, ...], g_mul) -> Optional[list]:
@@ -283,29 +276,20 @@ def _normalizes(pi: Sequence[int], fibers: Sequence[Sequence[tuple]],
     return all(q in fibers[q[0]] for q in conjugates)
 
 
-@dataclass
-class NormalizerReport:
-    """N = N_Sym(G)(Gamma(G)) against Aut(G) Gamma(G), as orders of maps
-    of G's positions.  `gamma_order` is |Gamma|, the maps in its
-    fibers; `normalizer_order` is |N| = |G| |N_e|, N_e the
-    maps of N fixing the identity; `aut_order` is |Aut(G)|;
-    `aut_gamma_order` is |Aut(G) Gamma| = |G| |Aut(G) <iota>|.  `passed`:
-    the two groups are equal."""
-    group_order: int
-    gamma_order: int
-    normalizer_order: int
-    aut_order: int
-    aut_gamma_order: int
-    passed: bool
-
-
-def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
+def normalizer_in_full_symmetric(group: PermutationGroup) -> dict:
     """N_Sym(G)(Gamma(G)) against Aut(G) Gamma(G), |G| <= MAX_GAMMA_BASE,
     by the orders of their stabilizers of e (module docstring): one
     `_normalizes` test per partnered regular subgroup U isomorphic to G,
     on pi_U.  lambda(G) and rho(G), G's table rows and columns, always
     pass; a search that misses either is a broken certificate
-    (InvariantError)."""
+    (InvariantError).
+
+    The report compares N = N_Sym(G)(Gamma(G)) with Aut(G) Gamma(G) as
+    orders of maps of G's positions: `group_order`; `gamma_order`,
+    |Gamma|, the maps in its fibers; `normalizer_order`, |N| = |G| |N_e|,
+    N_e the maps of N fixing the identity; `aut_order`, |Aut(G)|;
+    `aut_gamma_order`, |Aut(G) Gamma| = |G| |Aut(G) <iota>|; and
+    `passed`: the two groups are equal."""
     fibers = gamma_fibers(group)
     gens = _gamma_generators(group)
     aut = prod(automorphism_orbits(group))
@@ -325,7 +309,7 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
         raise InvariantError("lambda(G) or rho(G) was not found among the "
                              "subgroups whose map normalizes Gamma")
     m = group.order
-    return NormalizerReport(m, sum(map(len, fibers)),
-                            m * len(passing) * aut, aut,
-                            m * len(translations) * aut,
-                            passing == translations)
+    return {"group_order": m, "gamma_order": sum(map(len, fibers)),
+            "normalizer_order": m * len(passing) * aut, "aut_order": aut,
+            "aut_gamma_order": m * len(translations) * aut,
+            "passed": passing == translations}

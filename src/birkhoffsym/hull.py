@@ -44,11 +44,10 @@ rank is taken after the double description.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 from operator import itemgetter, mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .exact import (_format_over, _independent_rows, _over_lcm,
@@ -58,8 +57,7 @@ MAX_VERTICES = 30
 MAX_DIM = 10
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """The inequality normal.x <= offset, primitive: integers with gcd 1."""
     normal: tuple[int, ...]
     offset: int

@@ -1,47 +1,27 @@
 """Uniform result reporting for the command line tools.
 
-Every command emits one Report on stdout: the command name, its inputs,
-a boolean pass flag (serialized under the key "pass"), a details payload
-carrying the op-specific findings (counterexamples included whenever
-pass is false), and the wall-clock runtime.  Serialization is
-deterministic: keys are sorted and every exact value has a canonical
-text form, so two runs differ at most in runtime_ms.
+Every command emits one report on stdout, a dict: the command name
+("command"), its inputs ("inputs"), a boolean pass flag ("pass"), a
+details payload carrying the op-specific findings ("details",
+counterexamples included whenever pass is false), and the wall-clock
+runtime ("runtime_ms").  Serialization is deterministic: keys are
+sorted and every exact value has a canonical text form, so two runs
+differ at most in runtime_ms.
 
 `render_report` writes the text of `json.dumps(doc, sort_keys=True,
-indent=2, default=_fields)` byte for byte, but by its own recursive
-writer: with `indent` set, `json.dumps` runs the pure-Python encoder,
-while a list of strings or of integers, the bulk of a report, is written
-here by one C-level `map` of the `json` module's string encoder or of
-`int.__repr__`.  A report holds strings, integers, booleans, None,
-lists, tuples, dicts with string keys and report dataclasses; anything
-else, a float included, raises TypeError.
+indent=2)` byte for byte, but by its own recursive writer: with `indent`
+set, `json.dumps` runs the pure-Python encoder, while a list of strings
+or of integers, the bulk of a report, is written here by one C-level
+`map` of the `json` module's string encoder or of `int.__repr__`.  A
+report holds strings, integers, booleans, None, lists, tuples (a
+NamedTuple among them, written as an array) and dicts with string keys;
+anything else, a float included, raises TypeError.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from json.encoder import encode_basestring_ascii
 from typing import Any
-
-
-@dataclasses.dataclass
-class Report:
-    """One subcommand's verdict, inputs, details and running time."""
-    command: str
-    inputs: dict
-    passed: bool
-    details: object
-    runtime_ms: int
-
-
-def _fields(value: Any) -> dict:
-    """A report dataclass as its fields; any other type has no JSON form.
-    The commands hand over strings, integers, booleans, None, lists,
-    tuples, dicts and report dataclasses; exact values arrive already
-    formatted."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _write(value: Any, indent: str, out: list[str]) -> None:
@@ -86,17 +66,11 @@ def _write(value: Any, indent: str, out: list[str]) -> None:
             sep = "," + inner
         out += (indent, "}")
     else:
-        _write(_fields(value), indent, out)
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def render_report(report: Report) -> str:
-    doc = {
-        "command": report.command,
-        "inputs": report.inputs,
-        "pass": report.passed,
-        "details": report.details,
-        "runtime_ms": report.runtime_ms,
-    }
+def render_report(doc: dict) -> str:
+    """The report document as JSON text, keys sorted, indent 2."""
     out: list[str] = []
     _write(doc, "\n", out)
     return "".join(out)

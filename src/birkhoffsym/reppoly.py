@@ -17,10 +17,9 @@ comparison doubles as a regression check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
 from operator import itemgetter
-from typing import Optional
+from pathlib import Path
+from typing import NamedTuple, Optional
 
 from .birkhoff import birkhoff_vertices, permutation_matrix
 from .combiso import comb_automorphisms, comb_equivalent
@@ -142,18 +141,7 @@ def representation_polytope(mgroup: MatrixGroup) -> Polytope:
     return polytope
 
 
-@dataclass
-class GammaActsReport:
-    """Whether translations and inversion preserve the polytope."""
-    group_order: int
-    aut_order: int
-    lambda_pass: bool
-    rho_pass: bool
-    iota_in_group: bool
-    passed: bool
-
-
-def verify_gamma_acts(mgroup: MatrixGroup) -> GammaActsReport:
+def verify_gamma_acts(mgroup: MatrixGroup) -> dict:
     """Check that every left translation x -> g x and every right
     translation x -> x g^-1 of the element set is a combinatorial
     symmetry of the representation polytope, and report inversion
@@ -161,7 +149,12 @@ def verify_gamma_acts(mgroup: MatrixGroup) -> GammaActsReport:
     g -> rho_g are homomorphisms, so G's generators g decide: 2 |gens| + 1
     maps on the element group, whose elements are in matrix order.
     lambda_g is its generator for g, iota its inverse positions, and
-    rho_g = iota lambda_g iota, as (g x^-1)^-1 = x g^-1."""
+    rho_g = iota lambda_g iota, as (g x^-1)^-1 = x g^-1.
+
+    The report: `group_order`, the polytope's `aut_order`, whether the
+    translations preserve it (`lambda_pass`, `rho_pass`), whether
+    inversion does (`iota_in_group`), and `passed`, the translations'
+    verdict."""
     inc = representation_polytope(mgroup).incidence
     group = mgroup.element_group()
     iota = group.inv
@@ -169,14 +162,14 @@ def verify_gamma_acts(mgroup: MatrixGroup) -> GammaActsReport:
     lambda_pass = all(map(inc.preserved_by, lams))
     rho_pass = all(inc.preserved_by([iota[lam[y]] for y in iota])
                    for lam in lams)
-    return GammaActsReport(
-        group_order=mgroup.order,
-        aut_order=comb_automorphisms(inc).order,
-        lambda_pass=lambda_pass,
-        rho_pass=rho_pass,
-        iota_in_group=inc.preserved_by(iota),
-        passed=lambda_pass and rho_pass,
-    )
+    return {
+        "group_order": mgroup.order,
+        "aut_order": comb_automorphisms(inc).order,
+        "lambda_pass": lambda_pass,
+        "rho_pass": rho_pass,
+        "iota_in_group": inc.preserved_by(iota),
+        "passed": lambda_pass and rho_pass,
+    }
 
 
 def matrix_from_rows(rows: list[list]) -> RationalMatrix:
@@ -232,40 +225,16 @@ def load_exceptional_c6() -> MatrixGroup:
     """The 4-dimensional order-6 matrix group whose representation
     polytope is combinatorially equivalent to B_3 without being a
     permutation representation of S_3."""
-    text = resources.files("birkhoffsym").joinpath(
-        "data/c6_exceptional.json").read_text()
+    text = (Path(__file__).parent / "data" / "c6_exceptional.json").read_text()
     return matrix_group_from_document(json.loads(text)).matrix_group
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """A named matrix group and its expected equivalence with B_n."""
     name: str
     matrix_group: MatrixGroup
     expect_equivalent: Optional[bool] = None
     declared_order: Optional[int] = None
-
-
-@dataclass
-class EntryReport:
-    """One catalog entry's polytope, its verdict and its witness."""
-    name: str
-    order: int
-    dim: int
-    n_vertices: int
-    n_facets: int
-    equivalent: bool
-    expected: Optional[bool]
-    witness: Optional[tuple[int, ...]]
-    passed: bool
-
-
-@dataclass
-class UniquenessReport:
-    """The catalog entries compared with B_n, one report each."""
-    n: int
-    entries: list[EntryReport]
-    passed: bool
 
 
 def default_catalog(n: int) -> list[CatalogEntry]:
@@ -306,10 +275,17 @@ def default_catalog(n: int) -> list[CatalogEntry]:
 
 def uniqueness_check(n: int,
                      catalog: Optional[list[CatalogEntry]] = None
-                     ) -> UniquenessReport:
+                     ) -> dict:
     """Compare each catalog entry's representation polytope with B_n
     combinatorially, emitting a vertex bijection witness when they are
-    equivalent."""
+    equivalent.
+
+    The report: `n`, `entries`, one report per catalog entry, and
+    `passed`, all entries' verdict.  An entry's report holds its `name`,
+    its group's `order`, its polytope's `dim`, `n_vertices` and
+    `n_facets`, whether it is `equivalent` to B_n, the `expected` answer
+    or None, the vertex bijection `witness` or None, and `passed`: no
+    expected answer, or a match with it."""
     if n not in (3, 4):
         raise PreconditionError("uniqueness check supports n in {3, 4}")
     if catalog is None:
@@ -327,16 +303,16 @@ def uniqueness_check(n: int,
         witness = comb_equivalent(polytope.incidence, reference.incidence)
         equivalent = witness is not None
         ok = entry.expect_equivalent is None or equivalent == entry.expect_equivalent
-        entry_reports.append(EntryReport(
-            name=entry.name,
-            order=entry.matrix_group.order,
-            dim=polytope.dim,
-            n_vertices=polytope.n_vertices,
-            n_facets=polytope.n_facets,
-            equivalent=equivalent,
-            expected=entry.expect_equivalent,
-            witness=witness,
-            passed=ok,
-        ))
-    return UniquenessReport(n, entry_reports,
-                            all(e.passed for e in entry_reports))
+        entry_reports.append({
+            "name": entry.name,
+            "order": entry.matrix_group.order,
+            "dim": polytope.dim,
+            "n_vertices": polytope.n_vertices,
+            "n_facets": polytope.n_facets,
+            "equivalent": equivalent,
+            "expected": entry.expect_equivalent,
+            "witness": witness,
+            "passed": ok,
+        })
+    return {"n": n, "entries": entry_reports,
+            "passed": all(e["passed"] for e in entry_reports)}

@@ -25,13 +25,13 @@ with one vertex pass each.
 import itertools
 from operator import itemgetter
 
-from birkhoffsym.birkhoff import (InconsistentSymmetryError, LawReport,
+from birkhoffsym.birkhoff import (InconsistentSymmetryError,
                                   NotFacetSymmetryError,
                                   SymmetryDecomposition)
 from birkhoffsym.perm import _inverse, cycle_string, symmetric_group
 
 
-def full_transformation_law(n: int, sets) -> LawReport:
+def full_transformation_law(n: int, sets) -> dict:
     group = symmetric_group(n)
     perms = group.elements
     table, inv = group.table, group.inv
@@ -55,8 +55,9 @@ def full_transformation_law(n: int, sets) -> LawReport:
             image = frozenset(inv[v] for v in sets[i * n + j])
             if image != sets[j * n + i]:
                 failures.append(f"inversion A({i},{j})")
-    return LawReport(n, translation_cases, inversion_cases, 0, failures,
-                     not failures)
+    return {"n": n, "translation_cases": translation_cases,
+            "inversion_cases": inversion_cases, "generator_cases": 0,
+            "failures": failures, "passed": not failures}
 
 
 def symmetry_images(n: int, dec) -> list[int]:

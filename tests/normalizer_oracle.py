@@ -10,7 +10,6 @@ where the scan takes about 0.15 s.
 import itertools
 
 from group_oracle import build_gamma
-from birkhoffsym.gamma import NormalizerReport
 from birkhoffsym.perm import PermutationGroup
 
 
@@ -42,7 +41,7 @@ def automorphisms(group: PermutationGroup) -> list[tuple[int, ...]]:
     return auts
 
 
-def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
+def normalizer_in_full_symmetric(group: PermutationGroup) -> dict:
     """Exhaustively compute N_{Sym(G)}(Gamma(G)) and compare with
     Aut(G)*Gamma(G) as sets of permutations of the labelling.
 
@@ -64,11 +63,11 @@ def normalizer_in_full_symmetric(group: PermutationGroup) -> NormalizerReport:
     auts = automorphisms(group)
     product = {tuple(a[x] for x in g) for a in auts for g in gamma.elements}
     norm_set = set(normalizer)
-    return NormalizerReport(
-        group_order=group.order,
-        gamma_order=gamma.order,
-        normalizer_order=len(norm_set),
-        aut_order=len(auts),
-        aut_gamma_order=len(product),
-        passed=norm_set == product,
-    )
+    return {
+        "group_order": group.order,
+        "gamma_order": gamma.order,
+        "normalizer_order": len(norm_set),
+        "aut_order": len(auts),
+        "aut_gamma_order": len(product),
+        "passed": norm_set == product,
+    }

@@ -114,18 +114,18 @@ def test_intersection_table_against_oracle(n):
 def test_verify_intersection_table():
     for n in (3, 4, 5):
         r = verify_intersection_table(n)
-        assert r.passed
-        assert r.cases_checked == n ** 4
-        assert r.failures == []
+        assert r["passed"]
+        assert r["cases_checked"] == n ** 4
+        assert r["failures"] == []
     with pytest.raises(PreconditionError):
         verify_intersection_table(2)
 
 
 def test_verify_transformation_law_n3():
     r = verify_transformation_law(3)
-    assert r.passed
-    assert r.translation_cases == 36 * 9
-    assert r.inversion_cases == 9
+    assert r["passed"]
+    assert r["translation_cases"] == 36 * 9
+    assert r["inversion_cases"] == 9
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -143,10 +143,10 @@ def test_transformation_law_detects_swapped_sets(monkeypatch):
     sets[a01], sets[a10] = sets[a10], sets[a01]
     monkeypatch.setattr(birkhoff, "analytic_facet_sets", lambda n: sets)
     r = verify_transformation_law(3)
-    assert not r.passed
+    assert not r["passed"]
     # A_01 and A_10 are swapped by inversion too, so only the
     # translation half of the law can see it
-    assert r.failures and all(f.startswith("sigma=") for f in r.failures)
+    assert r["failures"] and all(f.startswith("sigma=") for f in r["failures"])
 
 
 def _law_test_families(n: int, mutants: int):
@@ -191,14 +191,14 @@ def test_generator_certificate_agrees_with_the_full_loop(n, mutants,
                             lambda m, sets=sets: sets)
         got = verify_transformation_law(n)
         want = full_transformation_law(n, sets)
-        assert got.passed == want.passed
-        assert bool(got.failures) == bool(want.failures)
+        assert got["passed"] == want["passed"]
+        assert bool(got["failures"]) == bool(want["failures"])
         # the generators are among the pairs, with the same failure text
-        assert set(got.failures) <= set(want.failures)
-        assert (got.translation_cases, got.inversion_cases) == (
-            want.translation_cases, want.inversion_cases)
-        assert got.generator_cases == 4 * n * n
-        verdicts.append(got.passed)
+        assert set(got["failures"]) <= set(want["failures"])
+        assert (got["translation_cases"], got["inversion_cases"]) == (
+            want["translation_cases"], want["inversion_cases"])
+        assert got["generator_cases"] == 4 * n * n
+        verdicts.append(got["passed"])
     assert verdicts[:3] == [True, True, True]
     assert not any(verdicts[3:])
 
@@ -284,7 +284,7 @@ def test_s5_table_is_built_once_across_calls(monkeypatch):
     for eps in (1, -1, 1, -1):
         dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms), eps)
         assert decompose_symmetry(5, tuple(symmetry_images(5, dec))) == dec
-        assert verify_transformation_law(5).passed
+        assert verify_transformation_law(5)["passed"]
     assert builds == [fresh]
 
 
@@ -529,24 +529,24 @@ def test_decompose_agrees_with_the_oracle_on_non_symmetries(n):
 
 def test_verify_symmetry_group_n3():
     r = verify_symmetry_group(3)
-    assert r.passed
-    assert r.n_vertices == 6
-    assert r.n_facets == 9
-    assert r.dim == 4
-    assert r.facets_match_analytic
-    assert r.aut_order == 72 == r.expected_order
-    assert r.roundtrip_failures == 0
+    assert r["passed"]
+    assert r["n_vertices"] == 6
+    assert r["n_facets"] == 9
+    assert r["dim"] == 4
+    assert r["facets_match_analytic"]
+    assert r["aut_order"] == 72 == r["expected_order"]
+    assert r["roundtrip_failures"] == 0
 
 
 def test_verify_symmetry_group_n4():
     r = verify_symmetry_group(4)
-    assert r.passed
-    assert r.n_vertices == 24
-    assert r.n_facets == 16
-    assert r.dim == 9
-    assert r.facets_match_analytic
-    assert r.aut_order == 1152 == r.expected_order
-    assert r.roundtrip_failures == 0
+    assert r["passed"]
+    assert r["n_vertices"] == 24
+    assert r["n_facets"] == 16
+    assert r["dim"] == 9
+    assert r["facets_match_analytic"]
+    assert r["aut_order"] == 1152 == r["expected_order"]
+    assert r["roundtrip_failures"] == 0
 
 
 def test_verify_symmetry_group_counts_failing_generators(monkeypatch):
@@ -561,9 +561,9 @@ def test_verify_symmetry_group_counts_failing_generators(monkeypatch):
 
     monkeypatch.setattr(birkhoff, "comb_automorphisms", one_bad_generator)
     r = verify_symmetry_group(3)
-    assert r.aut_order == r.expected_order
-    assert r.roundtrip_failures == 1
-    assert not r.passed
+    assert r["aut_order"] == r["expected_order"]
+    assert r["roundtrip_failures"] == 1
+    assert not r["passed"]
 
 
 def test_verify_symmetry_group_out_of_range():

@@ -53,33 +53,33 @@ def test_centralizer_matches_brute_force_oracle(name):
     classes = subgroup_classes(g)
     for cls, measure in zip(classes, _class_measures(g, classes)):
         assert {measures[members] for members, _ in cls} == {measure}
-    assert cd_lattice(g).max_measure == max(measures.values())
+    assert cd_lattice(g)["max_measure"] == max(measures.values())
 
 
 def test_cd_lattice_s3():
     r = cd_lattice(named_group("s3"))
-    assert r.group_order == 6
-    assert r.subgroup_count == 6
-    assert r.max_measure == 9
-    assert [len(hs) for hs, _ in r.lattice] == [3]  # only A_3
-    assert r.closure_pass and r.subnormal_pass
+    assert r["group_order"] == 6
+    assert r["subgroup_count"] == 6
+    assert r["max_measure"] == 9
+    assert [len(hs) for hs, _ in r["lattice"]] == [3]  # only A_3
+    assert r["closure_pass"] and r["subnormal_pass"]
 
 
 def test_cd_lattice_s4():
     r = cd_lattice(named_group("s4"))
-    assert r.subgroup_count == 30
-    assert r.max_measure == 24
-    assert sorted(len(hs) for hs, _ in r.lattice) == [1, 24]
-    assert r.closure_pass and r.subnormal_pass
+    assert r["subgroup_count"] == 30
+    assert r["max_measure"] == 24
+    assert sorted(len(hs) for hs, _ in r["lattice"]) == [1, 24]
+    assert r["closure_pass"] and r["subnormal_pass"]
 
 
 def test_cd_lattice_abelian_c6():
     # for abelian G the unique maximizer is G itself with measure |G|^2
     r = cd_lattice(named_group("c6"))
-    assert r.subgroup_count == 4
-    assert r.max_measure == 36
-    assert [len(hs) for hs, _ in r.lattice] == [6]
-    assert r.closure_pass and r.subnormal_pass
+    assert r["subgroup_count"] == 4
+    assert r["max_measure"] == 36
+    assert [len(hs) for hs, _ in r["lattice"]] == [6]
+    assert r["closure_pass"] and r["subnormal_pass"]
 
 
 def test_cd_lattice_d4_q8():
@@ -87,10 +87,11 @@ def test_cd_lattice_d4_q8():
     # subgroups (center, the three order-4 subgroups, D_4 itself), Q_8 too
     for name in ("d4", "q8"):
         r = cd_lattice(named_group(name))
-        assert r.subgroup_count == (10 if name == "d4" else 6)
-        assert r.max_measure == 16
-        assert sorted(len(hs) for hs, _ in r.lattice) == [2, 4, 4, 4, 8], name
-        assert r.closure_pass and r.subnormal_pass, name
+        assert r["subgroup_count"] == (10 if name == "d4" else 6)
+        assert r["max_measure"] == 16
+        orders = sorted(len(hs) for hs, _ in r["lattice"])
+        assert orders == [2, 4, 4, 4, 8], name
+        assert r["closure_pass"] and r["subnormal_pass"], name
 
 
 def test_cd_lattice_bound():
@@ -100,34 +101,34 @@ def test_cd_lattice_bound():
 
 def test_centralizer_estimate_s4():
     r = verify_centralizer_estimate(4)
-    assert r.group_order == 24
-    assert r.subgroup_count == 30
-    assert r.max_measure == 24
-    assert r.equality_orders == [1, 24]
-    assert r.violations == []
-    assert r.passed
+    assert r["group_order"] == 24
+    assert r["subgroup_count"] == 30
+    assert r["max_measure"] == 24
+    assert r["equality_orders"] == [1, 24]
+    assert r["violations"] == []
+    assert r["passed"]
 
 
 def test_centralizer_estimate_s5():
     r = verify_centralizer_estimate(5)
-    assert r.group_order == 120
-    assert r.subgroup_count == 156
-    assert r.max_measure == 120
-    assert r.equality_orders == [1, 120]
-    assert r.violations == []
-    assert r.passed
+    assert r["group_order"] == 120
+    assert r["subgroup_count"] == 156
+    assert r["max_measure"] == 120
+    assert r["equality_orders"] == [1, 120]
+    assert r["violations"] == []
+    assert r["passed"]
 
 
 def test_centralizer_estimate_s6():
     # the known counts: 1455 subgroups of S_6 in 56 conjugacy classes
     assert len(subgroup_classes(symmetric_group(6), bound=720)) == 56
     r = verify_centralizer_estimate(6)
-    assert r.group_order == 720
-    assert r.subgroup_count == 1455
-    assert r.max_measure == 720
-    assert r.equality_orders == [1, 720]
-    assert r.violations == []
-    assert r.passed
+    assert r["group_order"] == 720
+    assert r["subgroup_count"] == 1455
+    assert r["max_measure"] == 720
+    assert r["equality_orders"] == [1, 720]
+    assert r["violations"] == []
+    assert r["passed"]
 
 
 def test_centralizer_estimate_s7(monkeypatch):
@@ -145,12 +146,12 @@ def test_centralizer_estimate_s7(monkeypatch):
     finally:
         symmetric_group.cache_clear()  # S_7's table is 5 040 rows: free it
     assert len(classes) == 96
-    assert r.group_order == 5040
-    assert r.subgroup_count == 11_300
-    assert r.max_measure == 5040
-    assert r.equality_orders == [1, 5040]
-    assert r.violations == []
-    assert r.passed
+    assert r["group_order"] == 5040
+    assert r["subgroup_count"] == 11_300
+    assert r["max_measure"] == 5040
+    assert r["equality_orders"] == [1, 5040]
+    assert r["violations"] == []
+    assert r["passed"]
 
 
 def test_centralizer_estimate_rejects_other_n():
@@ -250,7 +251,7 @@ def test_cd_lattice_closures_are_pinned(monkeypatch, name, enumerated,
     monkeypatch.setattr(PermutationGroup, "closure_indices", counting)
     monkeypatch.setattr(cd_module, "subgroup_classes", marking)
     r = cd_lattice(named_group(name))
-    assert r.closure_pass and r.subnormal_pass
+    assert r["closure_pass"] and r["subnormal_pass"]
     assert (marks, len(calls) - marks[0]) == ([enumerated], beyond)
 
 
@@ -258,9 +259,9 @@ def test_cd_lattice_two_element_iff_trivial_center_extremes():
     # frozen consequence used elsewhere: S_4's lattice is exactly {1, S_4},
     # the shape that forces the commuting-regular-pair uniqueness argument
     r = cd_lattice(symmetric_group(4))
-    lattice_orders = sorted(len(hs) for hs, _ in r.lattice)
+    lattice_orders = sorted(len(hs) for hs, _ in r["lattice"])
     assert lattice_orders == [1, 24]
-    assert len(r.lattice) == 2
+    assert len(r["lattice"]) == 2
 
 
 def _subnormal_by_members(group, members):

@@ -26,12 +26,12 @@ permutation: an alpha file, cycle notation and a matrix group's
 translations.  A product or inverse of checked image tuples is a
 bijection by construction, and is not checked again.
 
-Every dataclass in the package has its own docstring: without one,
-`dataclasses` builds a signature for it with `inspect` at import.
-
-No package module imports `argparse`, and importing `cli` loads neither
-`argparse`, `gettext` nor `locale`: the command line reads argv from its
-own table, so a process pays no parser set-up before its work.
+No package module imports `argparse` or `dataclasses`, and importing
+`cli` loads none of `argparse`, `gettext`, `locale`, `dataclasses` and
+`inspect`: the command line reads argv from its own table, a report is
+a dict and a record a NamedTuple, so a process pays no parser or class
+set-up before its work.  Nor does importing the package, or reading its
+data file, load `importlib.resources`.
 
 Last, the bench's traced rounds read a work counter off the results of
 some package functions (`RESULT_COUNTERS` in `bench/spans.py`).  Each
@@ -146,20 +146,36 @@ def test_detects_a_fraction_module_import():
                          ids=lambda p: p.name)
 def test_no_package_module_imports_argparse(path):
     # `cli.read_argv` reads argv from the `COMMANDS` table; building an
-    # argparse parser cost each process milliseconds before any work
+    # argparse parser cost each process milliseconds before any work, and
+    # importing `dataclasses` and decorating each report as much again
     modules = imported_modules(ast.parse(path.read_text(), filename=str(path)))
-    assert "argparse" not in modules, path.name
+    assert not modules & {"argparse", "dataclasses"}, path.name
 
 
 def test_cli_import_leaves_argparse_gettext_and_locale_unloaded():
-    # argparse brings gettext, and gettext brings locale, lazily or not
+    # argparse brings gettext, and gettext brings locale, lazily or not;
+    # dataclasses brings inspect
     code = ("import sys, birkhoffsym.cli; print(' '.join(sorted("
-            "{'argparse', 'gettext', 'locale'} & set(sys.modules))))")
+            "{'argparse', 'gettext', 'locale', 'dataclasses', 'inspect'}"
+            " & set(sys.modules))))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_package_import_leaves_importlib_resources_unloaded():
+    # `importlib.resources` brings tempfile, shutil, bz2, lzma and random;
+    # -S, since `site` may import it through a .pth file
+    code = ("import sys, birkhoffsym; "
+            "print(birkhoffsym.load_exceptional_c6().order, "
+            "'importlib.resources' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["6", "False"]
 
 
 def test_detects_an_unused_import():
@@ -389,49 +405,6 @@ def test_detects_a_validator_call():
                      "    def m(self):\n"
                      "        return map(as_permutation, [])\n")
     assert sorted(validator_calls(tree)) == ["", "C.m", "f", "f.g"]
-
-
-def undocumented_dataclasses(tree: ast.AST) -> list[str]:
-    """Name of each class decorated `@dataclass` or `@dataclasses.dataclass`,
-    with or without arguments, that has no docstring of its own."""
-    def is_dataclass(decorator: ast.expr) -> bool:
-        if isinstance(decorator, ast.Call):
-            decorator = decorator.func
-        return (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
-                or isinstance(decorator, ast.Attribute)
-                and decorator.attr == "dataclass")
-    return [node.name for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)
-            and any(map(is_dataclass, node.decorator_list))
-            and ast.get_docstring(node) is None]
-
-
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_every_dataclass_has_a_docstring(path):
-    names = undocumented_dataclasses(
-        ast.parse(path.read_text(), filename=str(path)))
-    assert not names, f"{path.name}: dataclasses without a docstring {names}"
-
-
-def test_detects_a_dataclass_without_a_docstring():
-    # a string after the first field is no docstring, and a class
-    # without the decorator is not checked
-    tree = ast.parse('import dataclasses\n'
-                     'from dataclasses import dataclass\n'
-                     '@dataclass\n'
-                     'class A:\n'
-                     '    x: int\n'
-                     '@dataclass(frozen=True)\n'
-                     'class B:\n'
-                     '    """holds y"""\n'
-                     '    y: int\n'
-                     '@dataclasses.dataclass\n'
-                     'class C:\n'
-                     '    z: int = 0\n'
-                     '    """not a docstring"""\n'
-                     'class D:\n'
-                     '    w = 1\n')
-    assert undocumented_dataclasses(tree) == ["A", "C"]
 
 
 def imported_modules(tree: ast.AST) -> set[str]:

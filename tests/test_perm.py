@@ -500,7 +500,7 @@ def constructed_groups() -> list[tuple[str, PermutationGroup]]:
     groups += [(f"D_4-cd-{i}", PermutationGroup(
                     map(d4.elements.__getitem__, members),
                     [d4.elements[g] for g in gens]))
-               for i, (members, gens) in enumerate(cd_lattice(d4).lattice)]
+               for i, (members, gens) in enumerate(cd_lattice(d4)["lattice"])]
     for i, pair in enumerate(commuting_regular_pairs(
             gamma_fibers(named_group("s3")))):
         groups += [(f"Gamma(S_3)-pair-{i}-{side}",

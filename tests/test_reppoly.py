@@ -165,30 +165,30 @@ def test_translation_maps_match_matrix_products(n):
 
 def test_gamma_acts_standard_s3():
     r = verify_gamma_acts(matrix_group_from_perm_group(named_group("s3")))
-    assert r.passed and r.lambda_pass and r.rho_pass
-    assert r.group_order == 6
-    assert r.aut_order == 72
-    assert r.iota_in_group
+    assert r["passed"] and r["lambda_pass"] and r["rho_pass"]
+    assert r["group_order"] == 6
+    assert r["aut_order"] == 72
+    assert r["iota_in_group"]
 
 
 def test_gamma_acts_exceptional_c6():
     r = verify_gamma_acts(load_exceptional_c6())
-    assert r.passed
-    assert r.group_order == 6
-    assert r.aut_order == 72
-    assert r.iota_in_group
+    assert r["passed"]
+    assert r["group_order"] == 6
+    assert r["aut_order"] == 72
+    assert r["iota_in_group"]
 
 
 def test_gamma_acts_regular_c6():
     r = verify_gamma_acts(matrix_group_from_perm_group(named_group("c6")))
-    assert r.passed
-    assert r.aut_order == 720  # simplex: all of Sym(6)
-    assert r.iota_in_group
+    assert r["passed"]
+    assert r["aut_order"] == 720  # simplex: all of Sym(6)
+    assert r["iota_in_group"]
 
 
 def test_gamma_acts_standard_d4():
     r = verify_gamma_acts(matrix_group_from_perm_group(named_group("d4")))
-    assert r.passed and r.lambda_pass and r.rho_pass
+    assert r["passed"] and r["lambda_pass"] and r["rho_pass"]
 
 
 def test_load_exceptional_c6():
@@ -210,8 +210,8 @@ def test_element_group_feeds_gamma():
     assert [p[0] for p in eg.generators] == [
         mgroup.elements.index(g) for g in mgroup.generators]
     r = verify_wreath_quotient(eg)
-    assert r.passed
-    assert r.actual_order == 12  # abelian of order 6: 2 * 36 / 6
+    assert r["passed"]
+    assert r["actual_order"] == 12  # abelian of order 6: 2 * 36 / 6
 
 
 def every_translation(mgroup):
@@ -319,9 +319,9 @@ def test_gamma_acts_on_generators_matches_every_element():
     for name, mgroup in gamma_acts_cases().items():
         r = verify_gamma_acts(mgroup)
         inc = representation_polytope(mgroup).incidence
-        assert (r.lambda_pass, r.rho_pass, r.iota_in_group) == (
+        assert (r["lambda_pass"], r["rho_pass"], r["iota_in_group"]) == (
             gamma_acts_oracle(mgroup, inc)) == (True, True, True), name
-        assert r.passed and r.group_order == mgroup.order, name
+        assert r["passed"] and r["group_order"] == mgroup.order, name
 
 
 def swap_first_two_vertices(polytope):
@@ -350,12 +350,12 @@ def test_gamma_acts_fails_on_a_relabelled_incidence(monkeypatch):
     for name, mgroup in gamma_acts_cases().items():
         r = verify_gamma_acts(mgroup)
         inc, polytope = hulls[mgroup]
-        assert (r.lambda_pass, r.rho_pass, r.iota_in_group) == (
+        assert (r["lambda_pass"], r["rho_pass"], r["iota_in_group"]) == (
             gamma_acts_oracle(mgroup, polytope.incidence)), name
         swap = (1, 0, *range(2, inc.n_vertices))
-        assert r.passed == (r.lambda_pass and r.rho_pass), name
-        assert r.passed == inc.preserved_by(swap), name
-        if not r.passed:
+        assert r["passed"] == (r["lambda_pass"] and r["rho_pass"]), name
+        assert r["passed"] == inc.preserved_by(swap), name
+        if not r["passed"]:
             broken.add(name)
     assert {"3-s3_standard", "4-s4_standard", "4-d4_standard",
             "3-c6_exceptional-conjugated"} <= broken
@@ -371,7 +371,7 @@ def test_gamma_acts_builds_no_table(monkeypatch):
         raise AssertionError("verify_gamma_acts read a table")
 
     monkeypatch.setattr(PermutationGroup, "table", property(refuse))
-    assert [verify_gamma_acts(g).passed for g in groups] == [True, True]
+    assert [verify_gamma_acts(g)["passed"] for g in groups] == [True, True]
 
 
 def test_the_matrix_group_path_builds_no_fraction(tmp_path, capsys,
@@ -409,7 +409,7 @@ def test_the_matrix_group_path_builds_no_fraction(tmp_path, capsys,
     assert code == 0 and json.loads(out)["pass"]
     assert hull_code == 0
     assert json.loads(capsys.readouterr().out)["details"]["n_facets"] == 6
-    assert report.passed and acts.passed and symmetry.passed
+    assert report["passed"] and acts["passed"] and symmetry["passed"]
 
 
 @pytest.mark.parametrize("n, seed", [(3, 11), (4, 12)])
@@ -457,8 +457,8 @@ def test_matrix_group_refuses_a_list_not_led_by_the_identity():
 
 def test_uniqueness_n3():
     r = uniqueness_check(3)
-    assert r.passed
-    verdicts = {e.name: e.equivalent for e in r.entries}
+    assert r["passed"]
+    verdicts = {e["name"]: e["equivalent"] for e in r["entries"]}
     assert verdicts == {
         "s3_standard": True,
         "c6_exceptional": True,
@@ -467,9 +467,9 @@ def test_uniqueness_n3():
         "c4_regular": False,
         "v4_regular": False,
     }
-    for e in r.entries:
-        assert e.expected == e.equivalent
-        assert (e.witness is not None) == e.equivalent
+    for e in r["entries"]:
+        assert e["expected"] == e["equivalent"]
+        assert (e["witness"] is not None) == e["equivalent"]
 
 
 def test_uniqueness_witnesses_verify_independently():
@@ -477,25 +477,39 @@ def test_uniqueness_witnesses_verify_independently():
     r = uniqueness_check(3)
     reference = facet_enumeration(birkhoff_rows(3)).incidence
     ref_rows = set(reference.tight_sets)
-    equivalent = [e for e in r.entries if e.equivalent]
+    equivalent = [e for e in r["entries"] if e["equivalent"]]
     assert len(equivalent) == 2
     by_name = {
         "s3_standard": matrix_group_from_perm_group(named_group("s3")),
         "c6_exceptional": load_exceptional_c6(),
     }
     for e in equivalent:
-        inc = representation_polytope(by_name[e.name]).incidence
+        inc = representation_polytope(by_name[e["name"]]).incidence
         assert inc.n_facets == reference.n_facets
         for row in inc.tight_sets:
-            assert frozenset(e.witness[v] for v in row) in ref_rows
+            assert frozenset(e["witness"][v] for v in row) in ref_rows
 
 
 def test_uniqueness_n4():
     r = uniqueness_check(4)
-    assert r.passed
-    verdicts = {e.name: e.equivalent for e in r.entries}
+    assert r["passed"]
+    verdicts = {e["name"]: e["equivalent"] for e in r["entries"]}
     assert verdicts == {"s4_standard": True, "d4_standard": False,
                         "c4_regular": False}
+
+
+def test_library_reports_round_trip_json_with_their_field_names():
+    # bench/worker.py writes these results with `json.dump` and
+    # bench/checks.py reads them back by these keys
+    entry_keys = ["name", "order", "dim", "n_vertices", "n_facets",
+                  "equivalent", "expected", "witness", "passed"]
+    r = json.loads(json.dumps(uniqueness_check(3)))
+    assert list(r) == ["n", "entries", "passed"]
+    assert len(r["entries"]) == 6
+    assert all(list(e) == entry_keys for e in r["entries"])
+    acts = json.loads(json.dumps(verify_gamma_acts(load_exceptional_c6())))
+    assert list(acts) == ["group_order", "aut_order", "lambda_pass",
+                          "rho_pass", "iota_in_group", "passed"]
 
 
 def test_uniqueness_bad_n():
