@@ -23,7 +23,9 @@ Group arguments accept a built-in name (s3, s4, s5, c2, c3, c4, c6, v4,
 d4, q8) or a path to a text file with one generator in cycle notation
 per line.  Alpha files for `decompose` list n! 0-based vertex images,
 one per line.  Vertex and matrix-group files are JSON documents; see the
-README for their shapes.
+README for their shapes.  Every input file is read by the one reader,
+`_read_text`: its bytes decoded as UTF-8 whatever the locale, so bytes
+that do not decode exit 3 as invalid input.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import math
 import os
 import sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 
@@ -49,12 +50,16 @@ from .reports import render_report
 def _load_group(arg: str, max_order: int) -> tuple[str, PermutationGroup]:
     if arg.lower() in builtin_group_names():
         return arg.lower(), named_group(arg.lower(), max_order)
-    path = Path(arg)
-    if not path.is_file():
+    _require_group_file(arg)
+    return "G", group_from_generator_lines(_read_text(arg).splitlines(),
+                                           max_order)
+
+
+def _require_group_file(arg: str) -> None:
+    if not os.path.isfile(arg):
         raise PreconditionError(
             f"unknown group {arg!r}: not a built-in name "
             f"({', '.join(builtin_group_names())}) and not a file")
-    return "G", group_from_generator_lines(path.read_text().splitlines(), max_order)
 
 
 def _subgroup_name(base_name: str, group: PermutationGroup,
@@ -82,17 +87,29 @@ def _subgroup_name(base_name: str, group: PermutationGroup,
     return f"order{order}"
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file: its bytes decoded as strict UTF-8,
+    whatever the locale, with each line ending read as "\n" as text mode
+    reads it.  Bytes that do not decode raise `UnicodeDecodeError`, a
+    `ValueError`."""
+    with open(path, "rb") as f:
+        text = f.read().decode()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _read_json(path: str):
     """The JSON document in a file; nesting too deep for the decoder, or
     an integer too long for `int`, is refused as malformed input."""
     try:
-        return json.loads(Path(path).read_text(), parse_int=_integer)
+        return json.loads(_read_text(path), parse_int=_integer)
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _read_alpha(path: str, n_points: int) -> tuple[int, ...]:
-    lines = map(str.strip, Path(path).read_text().splitlines())
+    lines = map(str.strip, _read_text(path).splitlines())
     images = _integers([s for s in lines if s and not s.startswith("#")])
     if len(images) != n_points:
         raise PreconditionError(
@@ -220,12 +237,9 @@ def _cmd_rep_polytope(args):
         mgroup = reppoly.matrix_group_from_perm_group(named_group(
             args.group.lower(), hull.MAX_VERTICES))
     else:
-        path = Path(args.group)
-        if not path.is_file():
-            raise PreconditionError(
-                f"unknown group {args.group!r}: not a built-in name and not a file")
+        _require_group_file(args.group)
         mgroup = reppoly.matrix_group_from_document(
-            _read_json(path)).matrix_group
+            _read_json(args.group)).matrix_group
     polytope = reppoly.representation_polytope(mgroup)
     details = hull.polytope_to_document(polytope)
     details["order"] = mgroup.order

@@ -17,8 +17,8 @@ comparison doubles as a regression check.
 from __future__ import annotations
 
 import json
+import os
 from operator import itemgetter
-from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .birkhoff import birkhoff_vertices, permutation_matrix
@@ -225,8 +225,10 @@ def load_exceptional_c6() -> MatrixGroup:
     """The 4-dimensional order-6 matrix group whose representation
     polytope is combinatorially equivalent to B_3 without being a
     permutation representation of S_3."""
-    text = (Path(__file__).parent / "data" / "c6_exceptional.json").read_text()
-    return matrix_group_from_document(json.loads(text)).matrix_group
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "c6_exceptional.json")
+    with open(path, "rb") as f:
+        return matrix_group_from_document(json.loads(f.read())).matrix_group
 
 
 class CatalogEntry(NamedTuple):

@@ -18,6 +18,8 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birkhoffsym import cli, combiso, gamma, hull, perm, reppoly
 from birkhoffsym.birkhoff import SymmetryDecomposition
@@ -691,6 +693,149 @@ def test_json_nested_too_deeply_exits_3(tmp_path, capsys, command):
         command, "--group", str(path)]
     assert main(argv) == 3
     assert "nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["hull", "rep-polytope"])
+def test_json_nested_too_deeply_names_the_path_as_typed(tmp_path, capsys,
+                                                        monkeypatch, command):
+    # rep-polytope printed pathlib's normal form, "deep.json"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    argv = [command, "./deep.json"] if command == "hull" else [
+        command, "--group", "./deep.json"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "invalid input: ./deep.json: JSON nested too deeply\n")
+
+
+# Each input file reader: the command line that reads a file at the path.
+READERS = {
+    "group file": lambda path: ["wreath", "--group", path],
+    "alpha file": lambda path: ["decompose", "3", path],
+    "vertex document": lambda path: ["hull", path],
+    "matrix-group document": lambda path: ["rep-polytope", "--group", path],
+}
+GROUP_READERS = ["group file", "matrix-group document"]
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_undecodable_input_exits_3(tmp_path, capsys, reader):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\n")
+    assert main(READERS[reader](str(path))) == 3
+    assert capsys.readouterr().err.startswith(
+        "invalid input: 'utf-8' codec can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("reader", sorted(set(READERS) - set(GROUP_READERS)))
+def test_a_directory_is_invalid_input(tmp_path, capsys, reader):
+    assert main(READERS[reader](str(tmp_path))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: [Errno 21] Is a directory"), err
+
+
+def unknown_group(arg):
+    return (f"precondition violated: unknown group {arg!r}: not a built-in "
+            f"name ({', '.join(perm.builtin_group_names())}) and not a "
+            "file\n")
+
+
+@pytest.mark.parametrize("reader", GROUP_READERS)
+def test_a_group_argument_that_is_no_name_and_no_file_is_refused(
+        tmp_path, capsys, reader):
+    # the same text from either reader, the built-in names listed; a
+    # directory, or a file named with a trailing slash, is not a file
+    path = tmp_path / "c3.txt"
+    path.write_text("(0 1 2)\n")
+    for arg in ("nope", str(tmp_path), str(path) + "/"):
+        assert main(READERS[reader](arg)) == 3
+        assert capsys.readouterr().err == unknown_group(arg)
+
+
+@pytest.mark.parametrize("reader", sorted(set(READERS) - set(GROUP_READERS)))
+def test_a_file_named_with_a_trailing_slash_is_invalid_input(tmp_path, capsys,
+                                                             reader):
+    path = tmp_path / "input"
+    path.write_text("0\n")
+    assert main(READERS[reader](str(path) + "/")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: [Errno 20] Not a directory"), err
+
+
+@given(st.text(alphabet="0a#\r\n é— \U0001d54a", max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_an_input_file_reads_as_utf_8_text_mode_reads_it(tmp_path_factory,
+                                                         text):
+    # line endings included: "\r\n" and "\r" read as "\n"
+    path = tmp_path_factory.getbasetemp() / "text_mode_input"
+    path.write_bytes(text.encode())
+    with open(path, encoding="utf-8") as f:
+        assert cli._read_text(str(path)) == f.read()
+
+
+def test_a_crlf_input_file_is_read_as_its_lf_form(tmp_path, capsys):
+    # a report, and the place a JSON error names, are those of the file
+    # with "\n" line endings
+    texts = {"group.txt": "# S3\n(0 1)\n(0 1 2)\n",
+             "doc.json": '{\n  "points": [\n    [0, 1],\n    x\n  ]\n}\n'}
+    outputs = []
+    for ending in ("\n", "\r\n"):
+        for name, text in texts.items():
+            (tmp_path / name).write_bytes(text.replace("\n", ending).encode())
+        group = main(["wreath", "--group", str(tmp_path / "group.txt")])
+        out = capsys.readouterr().out
+        doc = main(["hull", str(tmp_path / "doc.json")])
+        outputs.append((group, json.loads(out)["details"], doc,
+                        capsys.readouterr().err))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert outputs[0][3].startswith("invalid input: Expecting value: line 4")
+
+
+# Files with UTF-8 text outside ASCII, each named by a command line.
+NON_ASCII_INPUTS = {
+    "s3.txt": "# S₃ — a copy\n(0 1)\n(0 1 2)\n",
+    "alpha.txt": "# S₃ — the identity\n0\n1\n2\n3\n4\n5\n",
+    "rot6.json": json.dumps({"name": "Drehung ∘ à 6",
+                             "dim": 2, "order": 6,
+                             "generators": [[["0", "-1"], ["1", "1"]]]},
+                            ensure_ascii=False),
+}
+
+
+def run_cli(argv, env):
+    proc = subprocess.run([sys.executable, "-m", "birkhoffsym.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    report = json.loads(proc.stdout) if proc.returncode == 0 else None
+    if report is not None:
+        del report["runtime_ms"]
+    return proc.returncode, report, proc.stderr
+
+
+def test_input_files_read_alike_under_an_ascii_locale(tmp_path):
+    # the text layer decoded with the locale's encoding, so under the C
+    # locale with UTF-8 mode off a non-ASCII comment was invalid input
+    for name, text in NON_ASCII_INPUTS.items():
+        (tmp_path / name).write_bytes(text.encode())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    default = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    ascii_locale = dict(default, LC_ALL="C", PYTHONUTF8="0")
+    encoding = subprocess.run(
+        [sys.executable, "-c",
+         "import locale; print(locale.getpreferredencoding(False))"],
+        capture_output=True, text=True, env=ascii_locale, timeout=120)
+    if "utf" in encoding.stdout.lower().replace("-", ""):
+        pytest.skip("the C locale reads UTF-8 on this platform")
+    for argv in (["wreath", "--group", "s3.txt"],
+                 ["decompose", "3", "alpha.txt"],
+                 ["rep-polytope", "--group", "rot6.json"]):
+        argv = [str(tmp_path / w) if w in NON_ASCII_INPUTS else w
+                for w in argv]
+        expected = run_cli(argv, default)
+        assert expected[0] == 0, expected[2]
+        assert run_cli(argv, ascii_locale) == expected
 
 
 def test_rep_polytope_builtin(capsys):

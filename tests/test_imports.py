@@ -26,12 +26,15 @@ permutation: an alpha file, cycle notation and a matrix group's
 translations.  A product or inverse of checked image tuples is a
 bijection by construction, and is not checked again.
 
-No package module imports `argparse` or `dataclasses`, and importing
-`cli` loads none of `argparse`, `gettext`, `locale`, `dataclasses` and
-`inspect`: the command line reads argv from its own table, a report is
-a dict and a record a NamedTuple, so a process pays no parser or class
-set-up before its work.  Nor does importing the package, or reading its
-data file, load `importlib.resources`.
+No package module imports `argparse`, `dataclasses` or `pathlib`, and
+importing `cli` loads none of `argparse`, `gettext`, `locale`,
+`dataclasses` and `inspect`: the command line reads argv from its own
+table, a report is a dict and a record a NamedTuple, so a process pays
+no parser or class set-up before its work.  An input file is opened by
+the path as given and read as bytes, so no command parses a path in
+Python or runs the text layer's decoder, and `pathlib` (with the
+`urllib.parse` it brings) stays unloaded.  Nor does importing the
+package, or reading its data file, load `importlib.resources`.
 
 Last, the bench's traced rounds read a work counter off the results of
 some package functions (`RESULT_COUNTERS` in `bench/spans.py`).  Each
@@ -147,9 +150,10 @@ def test_detects_a_fraction_module_import():
 def test_no_package_module_imports_argparse(path):
     # `cli.read_argv` reads argv from the `COMMANDS` table; building an
     # argparse parser cost each process milliseconds before any work, and
-    # importing `dataclasses` and decorating each report as much again
+    # importing `dataclasses` and decorating each report as much again;
+    # `pathlib` parses each path in Python, and brings `urllib.parse`
     modules = imported_modules(ast.parse(path.read_text(), filename=str(path)))
-    assert not modules & {"argparse", "dataclasses"}, path.name
+    assert not modules & {"argparse", "dataclasses", "pathlib"}, path.name
 
 
 def test_cli_import_leaves_argparse_gettext_and_locale_unloaded():
@@ -166,16 +170,17 @@ def test_cli_import_leaves_argparse_gettext_and_locale_unloaded():
 
 
 def test_package_import_leaves_importlib_resources_unloaded():
-    # `importlib.resources` brings tempfile, shutil, bz2, lzma and random;
-    # -S, since `site` may import it through a .pth file
-    code = ("import sys, birkhoffsym; "
+    # `importlib.resources` brings tempfile, shutil, bz2, lzma and random,
+    # and `pathlib` brings `urllib.parse`; -S, since `site` may import
+    # either of them, through a .pth file say
+    code = ("import sys, birkhoffsym, birkhoffsym.cli; "
             "print(birkhoffsym.load_exceptional_c6().order, "
-            "'importlib.resources' in sys.modules)")
+            "'importlib.resources' in sys.modules, 'pathlib' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["6", "False"]
+    assert proc.stdout.split() == ["6", "False", "False"]
 
 
 def test_detects_an_unused_import():
