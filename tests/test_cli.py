@@ -1006,15 +1006,35 @@ REPORT_DIGESTS = {
         0, "8f94cc5a8bc0b3c8295e47b585befa64873222fceb00191f0026b23af66a0d2e"),
     "decompose 4 --identity": (
         0, "ff533f94de2680d795f218697d75ff328fb6e6f235b7ffeef8d2b83bfd6f2728"),
+    "uniqueness 3": (
+        0, "08818ed6c32f57b406faa677d212d22ee42c88854e29e6ecdf13da544aa082d7"),
+    "uniqueness 4": (
+        0, "ef4fc81a3e847e603e953864ff3431962db12635b2a05742c56c6f03e03b1f56"),
+    "rep-polytope --group c4": (
+        0, "f2a2b428bc26accd59c6f3fbc7dd7edf9e75da0cfbf0ec06de7f9d2d9304094e"),
+    "rep-polytope --group s3": (
+        0, "805b97bb8e5b43c6419ae890922646dc98bae4f9d4564f37712f492470e3be38"),
+    "rep-polytope --group d4": (
+        0, "dfbfb27e92a2e3342b4b4a1dd84cdf4ec36b1fb92b69b312c276c562efffb0dc"),
+    "rep-polytope --group q8": (
+        0, "6cb7e04b2b094341b034263ef1ad922bd1b522d86d1ccd7b7aa4d1f90a39b623"),
+    "rep-polytope --group s4": (
+        0, "92db683fa6b2e4b7839edfbd3c5afc83064b0f4684ee92989a64ddca572698ae"),
+    "rep-polytope --group c6conj.json": (
+        0, "85c13ae3d057b28cf0a3f9ee3d7ad01c998b7dfd4a76a0ee457d730311c9b7a0"),
 }
 
-# Generator files that pinned commands name, written under tmp_path:
+# Group files that pinned commands name, written under tmp_path:
 # S_3 x S_3 (lattice ["order9"]), D_4 x C_2 (lattice ["V4", "order8",
-# "order8", "order8", "G"]) and the trivial group
+# "order8", "order8", "G"]), the trivial group and a conjugate of the
+# C_6 fixture with p/q entries (order 6, 9 facets)
 GROUP_FILES = {
     "s3xs3.txt": "(0 1)\n(0 1 2)\n(3 4)\n(3 4 5)\n",
     "d4xc2.txt": "(0 1 2 3)\n(0 2)\n(4 5)\n",
     "trivial.txt": "()\n",
+    "c6conj.json": json.dumps({"dim": 4, "generators": [[
+        ["1/2", "1", "0", "0"], ["-7/4", "-3/2", "0", "0"],
+        ["0", "0", "-1/6", "-1/2"], ["0", "0", "43/18", "7/6"]]]}),
 }
 
 
