@@ -40,7 +40,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .combiso import comb_automorphisms
 from .errors import PreconditionError
-from .exact import RationalMatrix, _common_form
+from .exact import _common_form
 from .hull import _facet_enumeration
 from .perm import _inverse, cycle_string, symmetric_group
 
@@ -72,17 +72,19 @@ def _facet_lookup(n: int) -> tuple[tuple[itemgetter, ...], dict]:
             {members: k for k, members in enumerate(sets)})
 
 
-def permutation_matrix(images: Sequence[int]) -> RationalMatrix:
-    """P(pi) for pi given by its image tuple, with P(pi)[i][j] = 1 iff
-    pi(j) = i, so P is a homomorphism: P(pi sigma) = P(pi) P(sigma)."""
+def permutation_matrix(images: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """P(pi) for pi given by its image tuple, as the matrix pair (nums, 1)
+    of `exact._matrix`, with P(pi)[i][j] = 1 iff pi(j) = i, so P is a
+    homomorphism: P(pi sigma) = P(pi) P(sigma).  The n x n identity is
+    `permutation_matrix(range(n))`."""
     n = len(images)
     nums = [0] * (n * n)
     for j, i in enumerate(images):
         nums[i * n + j] = 1
-    return RationalMatrix(n, n, nums, 1)
+    return tuple(nums), 1
 
 
-def birkhoff_vertices(n: int) -> list[RationalMatrix]:
+def birkhoff_vertices(n: int) -> list[tuple[tuple[int, ...], int]]:
     if not 1 <= n <= MAX_N:
         raise PreconditionError(f"vertex enumeration supports 1 <= n <= {MAX_N}")
     return [permutation_matrix(p) for p in symmetric_group(n).elements]

@@ -5,10 +5,12 @@ exact: a single rounded pivot can change a face lattice.  A rational is
 integers over one positive denominator from the text to the report: text
 is read into an integer pair (`_rational_pair`), pairs are put over the
 lcm of their denominators (`_over_lcm`) and a number is written from its
-pair (`_format_over`).  A matrix keeps its entries' integer numerators
-over one common denominator, and the matrices of a group share the lcm of
-theirs (`_common_form`).  Every elimination is fraction-free.  Matrices
-are immutable row-major tuples.
+pair (`_format_over`).  A matrix is the pair (nums, den): its entries'
+row-major integer numerators as a tuple over one positive denominator, in
+lowest terms (`_matrix`), so tuple equality and the tuple hash compare
+matrices exactly.  `_product` multiplies two square matrices, and the
+matrices of a group share the lcm of their denominators
+(`_common_form`).  Every elimination is fraction-free.
 
 There is one row reduction, on integer rows: `_independent_rows`, a lazy
 one-pass generator that keeps the greedy independent rows with their
@@ -24,7 +26,7 @@ Text form of a rational is "p/q" with q > 0, or just "p" when q == 1.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -100,75 +102,39 @@ def primitive_vector(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(values) if g == 1 else tuple([x // g for x in values])
 
 
-class RationalMatrix:
-    """Immutable dense matrix over the rationals, row-major: the integer
-    numerators `nums` over the denominator `den` > 0.
-
-    A matrix holds only its canonical form, `_num` over `_den` divided by
-    their common gcd, so `_den` is the lcm of the entries' reduced
-    denominators.  Products, equality and the hash are computed on that
-    form, which is equal exactly when the entries are."""
-
-    __slots__ = ("rows", "cols", "_num", "_den", "_hash")
-
-    def __init__(self, rows: int, cols: int, nums: Sequence[int], den: int):
-        if len(nums) != rows * cols or den < 1:
-            raise ValueError("need rows * cols numerators over a positive "
-                             "denominator")
-        g = gcd(den, *nums)
-        if g > 1:
-            nums = [x // g for x in nums]
-            den //= g
-        self.rows = rows
-        self.cols = cols
-        self._num = tuple(nums)
-        self._den = den
-        self._hash = None
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
-
-    def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        a, b, k, w = self._num, other._num, self.cols, other.cols
-        cols = [b[j::w] for j in range(w)]
-        out = [sum(map(mul, a[i * k:(i + 1) * k], c))
-               for i in range(self.rows) for c in cols]
-        return RationalMatrix(self.rows, w, out, self._den * other._den)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RationalMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and self._den == other._den and self._num == other._num)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self._den, self._num))
-        return self._hash
-
-    def __repr__(self) -> str:
-        nums, den, c = self._num, self._den, self.cols
-        body = "; ".join(" ".join(_format_over(x, den)
-                                  for x in nums[i * c:(i + 1) * c])
-                         for i in range(self.rows))
-        return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and self == RationalMatrix.identity(self.rows)
+def _matrix(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The matrix of the row-major integer numerators `nums` over `den` > 0
+    as the pair (nums, den) in lowest terms, both divided by their gcd:
+    `den` is then the lcm of the entries' reduced denominators, and two
+    pairs are equal exactly when their entries are.  A non-`int` entry
+    raises TypeError in `gcd`."""
+    g = gcd(den, *nums)
+    if g > 1:
+        return tuple([x // g for x in nums]), den // g
+    return tuple(nums), den
 
 
-def _common_form(matrices: Iterable[RationalMatrix]
+def _product(a: tuple[tuple[int, ...], int], b: tuple[tuple[int, ...], int]
+             ) -> tuple[tuple[int, ...], int]:
+    """The product a b of two square matrices of one size, as a `_matrix`
+    pair."""
+    (x, p), (y, q) = a, b
+    n = isqrt(len(x))
+    cols = [y[j::n] for j in range(n)]
+    return _matrix([sum(map(mul, x[i:i + n], c))
+                    for i in range(0, n * n, n) for c in cols], p * q)
+
+
+def _common_form(matrices: Iterable[tuple[tuple[int, ...], int]]
                  ) -> tuple[int, list[tuple[int, ...]]]:
     """(L, rows) for L the lcm of the matrices' denominators and row k
     the integer entries of matrix k times L, row-major: every matrix over
     one denominator."""
     matrices = list(matrices)
-    scale = lcm(*(m._den for m in matrices))
-    return scale, [m._num if m._den == scale
-                   else tuple(x * (scale // m._den) for x in m._num)
-                   for m in matrices]
+    scale = lcm(*(den for _, den in matrices))
+    return scale, [nums if den == scale
+                   else tuple(x * (scale // den) for x in nums)
+                   for nums, den in matrices]
 
 
 def _independent_rows(vectors: Iterable[Sequence[int]]

@@ -1,12 +1,13 @@
 """Representation polytopes: convex hulls of finite matrix groups.
 
-A finite group of invertible rational d x d matrices is vectorized
-row-major into Q^(d^2); the convex hull of the element vectors is the
-representation polytope.  The left and right translation actions of the
-group permute the vertices linearly, so they always appear in the
-combinatorial symmetry group of the polytope.  So does inversion: G
-preserves the positive definite form B = sum of g^T g over G, so
-g^-1 = B^-1 g^T B, a linear map of g.
+A finite group of invertible rational d x d matrices, each the pair
+(nums, den) of `exact._matrix`, is vectorized row-major into Q^(d^2);
+the convex hull of the element vectors is the representation polytope.
+The left and right translation actions of the group permute the
+vertices linearly, so they always appear in the combinatorial symmetry
+group of the polytope.  So does inversion: G preserves the positive
+definite form B = sum of g^T g over G, so g^-1 = B^-1 g^T B, a linear
+map of g.
 
 The uniqueness question asks which representation polytopes are
 combinatorially equivalent to the hull B_n of all n x n permutation
@@ -18,31 +19,35 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
+from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .birkhoff import birkhoff_vertices, permutation_matrix
 from .combiso import comb_automorphisms, comb_equivalent
 from .errors import InvariantError, PreconditionError
-from .exact import (RationalMatrix, _common_form, _independent_rows,
-                    _over_lcm, _rational_pair)
+from .exact import (_common_form, _independent_rows, _matrix, _over_lcm,
+                    _product, _rational_pair)
 from .hull import MAX_VERTICES, Polytope, certify_vertices, facet_enumeration
 from .perm import (PermutationGroup, _right_mul, as_permutation, closure,
                    named_group, saturate)
 
 
 class MatrixGroup:
-    """A finite matrix group with a fixed element order: the identity
-    first, the rest sorted by entry tuple."""
+    """A finite group of d x d matrix pairs (nums, den) with a fixed
+    element order: the d x d identity first, the rest sorted by entry
+    tuple."""
 
     __slots__ = ("dim", "elements", "generators")
 
-    def __init__(self, dim: int, elements: list[RationalMatrix],
-                 generators: list[RationalMatrix]):
+    def __init__(self, dim: int, elements: list[tuple[tuple[int, ...], int]],
+                 generators: list[tuple[tuple[int, ...], int]]):
         self.dim = dim
         self.elements = list(elements)
         self.generators = list(generators)
-        if not self.elements or not self.elements[0].is_identity():
+        if (not self.elements
+                or self.elements[0] != permutation_matrix(range(dim))):
             raise ValueError("element list must start with the identity")
 
     @property
@@ -59,37 +64,42 @@ class MatrixGroup:
         isomorphic to G, so their closure gives the rest."""
         index = {m: i for i, m in enumerate(self.elements)}
 
-        def translation(a: RationalMatrix) -> tuple[int, ...]:
-            return as_permutation(index[a * x] for x in self.elements)
+        def translation(a: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
+            return as_permutation(index[_product(a, x)] for x in self.elements)
 
         return closure([translation(g) for g in self.generators])
 
 
-def matrix_closure(generators: list[RationalMatrix]) -> MatrixGroup:
-    """Close a generator list under multiplication.
+def matrix_closure(generators: list[tuple[tuple[int, ...], int]]
+                   ) -> MatrixGroup:
+    """Close a generator list of matrix pairs (nums, den) under
+    multiplication.
 
     A finite set of invertible matrices containing the identity and
     closed under products is a group (each element's powers cycle), so
     plain product saturation suffices; left and right products by the
-    generators close to the same set, and `g.__mul__` is the left one.
-    A generator is invertible when its integer numerator rows are
-    independent.  The elements after the identity are sorted by their
-    integer entries over the group's common denominator, which is the
-    lexicographic order of their entries.  The closure stops with
-    PreconditionError once it passes `hull.MAX_VERTICES`, the most points
-    a hull takes, so an infinite group stops there too.
+    generators close to the same set, and `partial(_product, g)` is the
+    left one.  The size d is read off the first generator's d^2
+    numerators, and every generator must have d^2 of them.  A generator
+    is invertible when its integer numerator rows are independent.  The
+    elements after the identity are sorted by their integer entries over
+    the group's common denominator, which is the lexicographic order of
+    their entries.  The closure stops with PreconditionError once it
+    passes `hull.MAX_VERTICES`, the most points a hull takes, so an
+    infinite group stops there too.
     """
     if not generators:
         raise PreconditionError("matrix closure needs at least one generator")
-    dim = generators[0].rows
-    for g in generators:
-        if g.rows != g.cols or g.rows != dim:
+    dim = isqrt(len(generators[0][0]))
+    for nums, _ in generators:
+        if len(nums) != dim * dim:
             raise PreconditionError("generators must be square of equal size")
-        rows = (g._num[i:i + dim] for i in range(0, dim * dim, dim))
+        rows = (nums[i:i + dim] for i in range(0, dim * dim, dim))
         if sum(1 for _ in _independent_rows(rows)) < dim:
             raise PreconditionError("generator is not invertible")
-    ident = RationalMatrix.identity(dim)
-    seen = saturate([ident], [g.__mul__ for g in generators], MAX_VERTICES)
+    ident = permutation_matrix(range(dim))
+    seen = saturate([ident], [partial(_product, g) for g in generators],
+                    MAX_VERTICES)
     others = [m for m in seen if m != ident]
     _, keys = _common_form(others)
     others = [m for _, m in sorted(zip(keys, others), key=itemgetter(0))]
@@ -172,15 +182,15 @@ def verify_gamma_acts(mgroup: MatrixGroup) -> dict:
     }
 
 
-def matrix_from_rows(rows: list[list]) -> RationalMatrix:
+def matrix_from_rows(rows: list[list]) -> tuple[tuple[int, ...], int]:
     """The square matrix of integer or "p/q" cells, read as integer pairs
-    and put over the lcm of their denominators."""
+    and put over the lcm of their denominators, as a `_matrix` pair."""
     pairs = []
     for row in rows:
         if len(row) != len(rows):
             raise ValueError("matrix rows must be square")
         pairs.extend(_rational_pair(str(cell)) for cell in row)
-    return RationalMatrix(len(rows), len(rows), *_over_lcm(pairs))
+    return _matrix(*_over_lcm(pairs))
 
 
 def matrix_group_from_document(doc: dict) -> "CatalogEntry":

@@ -36,8 +36,7 @@ import sympy
 
 from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.exact import (RationalMatrix, _independent_rows,
-                               primitive_vector)
+from birkhoffsym.exact import _independent_rows, _matrix, primitive_vector
 from birkhoffsym.hull import (Facet, IncidenceStructure, Polytope,
                               facet_enumeration)
 
@@ -65,17 +64,18 @@ def hull_of(points):
 
 def birkhoff_rows(n):
     """B_n's vertices as integer rows; a permutation matrix is over 1."""
-    return [m._num for m in birkhoff_vertices(n)]
+    return [nums for nums, _ in birkhoff_vertices(n)]
 
 
-def rational_matrix(rows, cols, values):
-    """The RationalMatrix of these rationals, row-major."""
-    return RationalMatrix(rows, cols, *integer_form(values))
+def rational_matrix(values):
+    """The matrix pair (nums, den) of these rationals, row-major."""
+    return _matrix(*integer_form(values))
 
 
 def entries(matrix):
-    """A RationalMatrix's entries as Fractions, row-major."""
-    return tuple(Fraction(x, matrix._den) for x in matrix._num)
+    """A matrix pair's entries as Fractions, row-major."""
+    nums, den = matrix
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def points_of(polytope):

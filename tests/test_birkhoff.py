@@ -21,6 +21,7 @@ from birkhoffsym.birkhoff import (InconsistentSymmetryError,
                                   verify_symmetry_group,
                                   verify_transformation_law)
 from birkhoffsym.errors import PreconditionError
+from birkhoffsym.exact import _product
 from birkhoffsym.perm import _inverse, _right_mul, symmetric_group
 from law_oracle import (facet_sets, full_decompose_symmetry,
                         full_transformation_law, symmetry_images,
@@ -37,30 +38,34 @@ def test_matrix_map_is_homomorphism(pa, pb):
     a = tuple(pa) + tuple(range(len(pa), n))
     b = tuple(pb) + tuple(range(len(pb), n))
     assert (permutation_matrix(_right_mul(b)(a))
-            == permutation_matrix(a) * permutation_matrix(b))
-    pa_inv = permutation_matrix(_inverse(a))
-    pa = permutation_matrix(a)
-    assert pa_inv._den == pa._den == 1
-    assert all(pa_inv._num[i * n + j] == pa._num[j * n + i]
+            == _product(permutation_matrix(a), permutation_matrix(b)))
+    inv_nums, inv_den = permutation_matrix(_inverse(a))
+    nums, den = permutation_matrix(a)
+    assert inv_den == den == 1
+    assert all(inv_nums[i * n + j] == nums[j * n + i]
                for i in range(n) for j in range(n))
 
 
 def test_permutation_matrix_entries():
     p = (1, 2, 0)  # 0->1, 1->2, 2->0
-    m = permutation_matrix(p)
+    nums, den = permutation_matrix(p)
     # column j carries a single 1 in row p(j)
-    assert m._den == 1
+    assert den == 1
     for i in range(3):
         for j in range(3):
-            assert m._num[i * 3 + j] == (1 if p[j] == i else 0)
+            assert nums[i * 3 + j] == (1 if p[j] == i else 0)
+    # the identity of every size is the matrix of range(n)
+    for n in range(1, 5):
+        assert permutation_matrix(range(n)) == (
+            tuple(int(i == j) for i in range(n) for j in range(n)), 1)
 
 
 def test_vertices_doubly_stochastic():
     for n in (1, 2, 3, 4):
-        for m in birkhoff_vertices(n):
+        for nums, den in birkhoff_vertices(n):
             for i in range(n):
-                assert sum(m._num[i * n:(i + 1) * n]) == m._den
-                assert sum(m._num[i::n]) == m._den
+                assert sum(nums[i * n:(i + 1) * n]) == den
+                assert sum(nums[i::n]) == den
     assert len(birkhoff_vertices(4)) == 24
 
 

@@ -17,7 +17,7 @@ from birkhoffsym import hull
 from birkhoffsym.birkhoff import analytic_facet_sets, birkhoff_vertices
 from birkhoffsym.cli import main
 from birkhoffsym.errors import InvariantError, PreconditionError
-from birkhoffsym.exact import _independent_rows
+from birkhoffsym.exact import _independent_rows, _product
 from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
                               certify_vertices, facet_enumeration,
                               polytope_from_document, polytope_to_document)
@@ -612,14 +612,14 @@ def conjugated(points_of_group, dim, rng):
     """The element vectors of P^-1 G P for a seeded rational P with p/q
     entries, G given by its row-major element vectors."""
     while True:
-        p = rational_matrix(dim, dim, [
+        p = rational_matrix([
             Fraction(rng.randint(-3, 3), rng.randint(1, 4))
             for _ in range(dim * dim)])
         s = sympy.Matrix(dim, dim, entries(p))
         if s.rank() == dim:
             break
-    p_inv = rational_matrix(dim, dim, [Fraction(str(x)) for x in s.inv()])
-    return [entries(p_inv * rational_matrix(dim, dim, g) * p)
+    p_inv = rational_matrix([Fraction(str(x)) for x in s.inv()])
+    return [entries(_product(_product(p_inv, rational_matrix(g)), p))
             for g in points_of_group]
 
 

@@ -16,7 +16,10 @@ which reads module-level imports only.  So is a reference module
 it, so nothing else would notice it going unused.  And so is a defaulted
 parameter of a package function that no package call passes, by keyword
 or by position: a knob only its default ever sets is kept only when
-KEPT_PARAMETERS lists it, with the reason it stays.
+KEPT_PARAMETERS lists it, with the reason it stays.  Each plain class,
+one that is neither a NamedTuple nor an exception, is likewise listed in
+KEPT_CLASSES with the reason it stays, so a new class that only wraps a
+tuple is reported.
 
 Only `perm` calls `PermutationGroup`: a group is built for what the
 program is given or closes, and a subgroup it derives is held as
@@ -52,7 +55,6 @@ from pathlib import Path
 import pytest
 
 import group_oracle
-from birkhoffsym.exact import RationalMatrix
 from birkhoffsym.hull import IncidenceStructure
 from birkhoffsym.perm import named_group
 
@@ -72,6 +74,19 @@ KEPT_PARAMETERS = {
                       "process through it",
     "reppoly.uniqueness_check(catalog)": "bench/worker.py passes conjugated "
                                          "catalogs",
+}
+
+# Plain classes, neither a NamedTuple nor an exception, each with the
+# reason it stays: a value that only wraps a tuple is held as the tuple.
+KEPT_CLASSES = {
+    "PermutationGroup": "builds its multiplication table, inverses and "
+                        "element orders on first read and keeps them",
+    "IncidenceStructure": "checks its tight sets when built and builds the "
+                          "imagers of preserved_by on first use",
+    "Polytope": "holds a hull's rows, facets, incidence and dimension, "
+                "with the vertex and facet counts read off them",
+    "MatrixGroup": "checks that the identity of its size leads its elements "
+                   "and translates its generators into its element group",
 }
 
 
@@ -141,7 +156,7 @@ def test_no_fraction_module_is_imported(path):
 
 def test_detects_a_fraction_module_import():
     tree = ast.parse("from fractions import Fraction\nimport numbers.abc\n"
-                     "from .exact import RationalMatrix\n")
+                     "from .exact import _matrix\n")
     assert imported_modules(tree) == {"fractions", "numbers"}
 
 
@@ -271,6 +286,36 @@ def test_detects_a_dead_definition():
                      "C().method\n")
     assert dead_definitions({"m": tree}, {"C"}) == [
         "m.unused", "m.recursive", "m.read"]
+
+
+def plain_classes(tree: ast.Module) -> list[str]:
+    """Each class the module defines that is neither a NamedTuple nor an
+    exception: a subclass of Exception or of a class named *Error."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            bases = [ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases]
+            if not any(b in ("NamedTuple", "Exception") or b.endswith("Error")
+                       for b in bases):
+                out.append(node.name)
+    return out
+
+
+def test_every_plain_class_is_kept_for_a_reason():
+    # an entry for a class no module defines is stale
+    found = [name for tree in package_trees().values()
+             for name in plain_classes(tree)]
+    assert sorted(found) == sorted(KEPT_CLASSES)
+
+
+def test_detects_a_plain_class():
+    tree = ast.parse("import typing\n"
+                     "class Wrapper:\n    __slots__ = ('_t',)\n"
+                     "class Pair(typing.NamedTuple):\n    a: int\n"
+                     "class Refused(ValueError): pass\n"
+                     "class Fault(Exception): pass\n"
+                     "def f():\n    class Local(tuple): pass\n")
+    assert plain_classes(tree) == ["Wrapper", "Local"]
 
 
 def function_level_imports(tree: ast.AST) -> list[int]:
@@ -544,7 +589,7 @@ COUNTER_CALLS = {
     "combiso.comb_equivalent": ([SQUARE, SQUARE], 1),
     "perm.closure": ([named_group("s3").generators], 6),
     "perm.all_subgroups": ([named_group("s3")], 6),
-    "reppoly.matrix_closure": ([[RationalMatrix(2, 2, [0, -1, 1, 0], 1)]], 4),
+    "reppoly.matrix_closure": ([[((0, -1, 1, 0), 1)]], 4),
 }
 
 

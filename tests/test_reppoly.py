@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from birkhoffsym import cli, reppoly
 from birkhoffsym.errors import PreconditionError
-from birkhoffsym.exact import RationalMatrix, _common_form
+from birkhoffsym.exact import _common_form, _product
 from birkhoffsym.combiso import comb_equivalent
 from birkhoffsym.birkhoff import permutation_matrix, verify_symmetry_group
 from birkhoffsym.hull import (IncidenceStructure, Polytope,
@@ -37,7 +37,7 @@ from hull_oracle import (birkhoff_rows, entries, hull_of,
 
 
 def test_closure_identity_only():
-    g = matrix_closure([RationalMatrix.identity(3)])
+    g = matrix_closure([permutation_matrix(range(3))])
     assert g.order == 1
     assert g.dim == 3
 
@@ -46,7 +46,7 @@ def test_closure_rotation_of_order_6():
     rot = matrix_from_rows([["0", "-1"], ["1", "1"]])  # char poly x^2-x+1
     g = matrix_closure([rot])
     assert g.order == 6
-    assert g.elements[0].is_identity()
+    assert g.elements[0] == ((1, 0, 0, 1), 1)
 
 
 def test_closure_s3_permutation_matrices():
@@ -75,8 +75,13 @@ def test_closure_rejects_infinite_group():
 
 
 def test_closure_rejects_mixed_sizes():
-    with pytest.raises(PreconditionError):
-        matrix_closure([RationalMatrix.identity(2), RationalMatrix.identity(3)])
+    # the size is read off the first generator's d^2 numerators
+    for gens in ([permutation_matrix(range(2)), permutation_matrix(range(3))],
+                 [permutation_matrix(range(3)), permutation_matrix(range(2))],
+                 [((1, 0, 0), 1)]):
+        with pytest.raises(PreconditionError,
+                           match="generators must be square of equal size"):
+            matrix_closure(gens)
 
 
 def test_regular_representation_shape():
@@ -152,14 +157,16 @@ def test_translation_maps_match_matrix_products(n):
         elems = entry.matrix_group.elements
         index = {m: i for i, m in enumerate(elems)}
         # the inverse of x in the group is the element y with x y = 1
-        inverse = {x: next(y for y in elems if (x * y).is_identity())
+        inverse = {x: next(y for y in elems if _product(x, y) == elems[0])
                    for x in elems}
         lams, rhos, iota = regular_action(
             entry.matrix_group.element_group())
         assert lams == [
-            tuple(index[g * x] for x in elems) for g in elems], entry.name
+            tuple(index[_product(g, x)] for x in elems) for g in elems], \
+            entry.name
         assert rhos == [
-            tuple(index[x * inverse[g]] for x in elems) for g in elems], entry.name
+            tuple(index[_product(x, inverse[g])] for x in elems)
+            for g in elems], entry.name
         assert iota == tuple(index[inverse[x]] for x in elems), entry.name
 
 
@@ -196,7 +203,7 @@ def test_load_exceptional_c6():
     assert g.dim == 4
     assert g.order == 6
     # not a 0/1 matrix group: some entry is negative
-    assert any(e < 0 for m in g.elements for e in m._num)
+    assert any(e < 0 for nums, _ in g.elements for e in nums)
     eg = g.element_group()
     # cyclic of order 6
     assert max(map(_order, eg.elements)) == 6
@@ -220,7 +227,7 @@ def every_translation(mgroup):
     index = {m: i for i, m in enumerate(mgroup.elements)}
 
     def translation(a):
-        return tuple(index[a * x] for x in mgroup.elements)
+        return tuple(index[_product(a, x)] for x in mgroup.elements)
 
     return PermutationGroup(map(translation, mgroup.elements),
                             tuple(map(translation, mgroup.generators)))
@@ -228,7 +235,7 @@ def every_translation(mgroup):
 
 def test_element_group_is_the_group_of_all_translations():
     groups = [entry.matrix_group for n in (3, 4) for entry in default_catalog(n)]
-    groups.append(matrix_closure([RationalMatrix.identity(2)]))
+    groups.append(matrix_closure([permutation_matrix(range(2))]))
     for mgroup in groups:
         eg, want = mgroup.element_group(), every_translation(mgroup)
         assert eg.elements == want.elements
@@ -238,13 +245,13 @@ def test_element_group_is_the_group_of_all_translations():
 def test_element_group_translates_only_the_generators(monkeypatch):
     mgroup = matrix_group_from_perm_group(named_group("s4"))
     products = []
-    mul = RationalMatrix.__mul__
+    product = reppoly._product
 
     def counting(a, b):
         products.append(1)
-        return mul(a, b)
+        return product(a, b)
 
-    monkeypatch.setattr(RationalMatrix, "__mul__", counting)
+    monkeypatch.setattr(reppoly, "_product", counting)
     mgroup.element_group()
     # |generators| * |G|, where translating every element took |G|^2 = 576
     assert len(products) == len(mgroup.generators) * mgroup.order == 48
@@ -253,7 +260,7 @@ def test_element_group_translates_only_the_generators(monkeypatch):
 def test_element_group_refuses_a_translation_that_is_no_bijection():
     # {1, 0} is closed under products but no group: the translation by 0
     # sends both elements to 0
-    one, zero = RationalMatrix.identity(1), RationalMatrix(1, 1, [0], 1)
+    one, zero = ((1,), 1), ((0,), 1)
     mgroup = MatrixGroup(1, [one, zero], [zero])
     with pytest.raises(ValueError, match="image '1' at position 1 repeats, "
                                          "point 0 is missing"):
@@ -278,9 +285,9 @@ def conjugated_document(entry, rng):
         k = rng.choice((1, 2, 3, -1, -2))
         return f"{k * x.p}/{k * x.q}"
 
-    gens = [p_inv * sympy.Matrix(dim, dim, [sympy.Rational(x, g._den)
-                                            for x in g._num]) * p
-            for g in mgroup.generators]
+    gens = [p_inv * sympy.Matrix(dim, dim, [sympy.Rational(x, den)
+                                            for x in nums]) * p
+            for nums, den in mgroup.generators]
     return {"name": entry.name, "dim": dim, "order": mgroup.order,
             "expect_equivalent": entry.expect_equivalent,
             "generators": [[[text(g[i, j]) for j in range(dim)]
@@ -440,9 +447,8 @@ def test_matrix_from_rows_matches_the_fraction_entries(rows, k):
     cells = [[f"{k * x.numerator}/{k * x.denominator}" for x in row]
              for row in rows]
     got = matrix_from_rows(cells)
-    want = rational_matrix(len(rows), len(rows),
-                           [x for row in rows for x in row])
-    assert (got._den, got._num) == (want._den, want._num)
+    want = rational_matrix([x for row in rows for x in row])
+    assert got == want
     assert entries(got) == tuple(x for row in rows for x in row)
 
 
@@ -453,6 +459,16 @@ def test_matrix_group_refuses_a_list_not_led_by_the_identity():
         MatrixGroup(g.dim, g.elements[1:], g.generators)
     with pytest.raises(ValueError, match="identity"):
         MatrixGroup(g.dim, [], g.generators)
+
+
+def test_matrix_group_refuses_an_identity_of_another_size():
+    # the identity is the one of the group's own size: the 2 x 2 identity
+    # does not lead a group of 3 x 3 matrices
+    ident = permutation_matrix(range(2))
+    with pytest.raises(ValueError,
+                       match="element list must start with the identity"):
+        MatrixGroup(3, [ident], [ident])
+    assert MatrixGroup(2, [ident], [ident]).order == 1
 
 
 def test_uniqueness_n3():
