@@ -157,7 +157,8 @@ def test_translation_maps_match_matrix_products(n):
         elems = entry.matrix_group.elements
         index = {m: i for i, m in enumerate(elems)}
         # the inverse of x in the group is the element y with x y = 1
-        inverse = {x: next(y for y in elems if _product(x, y) == elems[0])
+        one = permutation_matrix(range(entry.matrix_group.dim))
+        inverse = {x: next(y for y in elems if _product(x, y) == one)
                    for x in elems}
         lams, rhos, iota = regular_action(
             entry.matrix_group.element_group())
