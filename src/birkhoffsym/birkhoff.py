@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional, Sequence
 from .combiso import comb_automorphisms
 from .errors import PreconditionError
 from .exact import _common_form
-from .hull import _facet_enumeration
+from .hull import facet_enumeration
 from .perm import _inverse, cycle_string, symmetric_group
 
 MAX_N = 5
@@ -268,8 +268,9 @@ def verify_symmetry_group(n: int) -> dict:
     are only that many triples, so Aut = D.  `roundtrip_failures` counts
     the generators that do not decompose; `decompose_symmetry` checks the
     triple it returns at every vertex, so a generator that decomposes
-    round-trips.  B_n's own vertices are hulled without the generic hull
-    bounds, so n runs up to MAX_N.
+    round-trips.  B_n's vertices are hulled by `facet_enumeration` with
+    B_n's own sizes as its bounds, n! points in dimension (n - 1)^2, so
+    n runs up to MAX_N.
 
     The report: `n`, the hull's `n_vertices`, `n_facets` and `dim`,
     `facets_match_analytic`, `aut_order` against `expected_order` =
@@ -278,11 +279,11 @@ def verify_symmetry_group(n: int) -> dict:
     if not 3 <= n <= MAX_N:
         raise PreconditionError(
             f"symmetry group verification supports 3 <= n <= {MAX_N}")
-    scale, rows = _common_form(birkhoff_vertices(n))
-    polytope = _facet_enumeration(rows, scale)
+    n_fact = factorial(n)
+    polytope = facet_enumeration(*_common_form(birkhoff_vertices(n)),
+                                 n_fact, (n - 1) ** 2)
     inc = polytope.incidence
     analytic = analytic_facet_sets(n)
-    n_fact = factorial(n)
     complements = {frozenset(range(n_fact)) - members for members in analytic}
     facets_match = set(inc.tight_sets) == complements
 

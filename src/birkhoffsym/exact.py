@@ -126,15 +126,14 @@ def _product(a: tuple[tuple[int, ...], int], b: tuple[tuple[int, ...], int]
 
 
 def _common_form(matrices: Iterable[tuple[tuple[int, ...], int]]
-                 ) -> tuple[int, list[tuple[int, ...]]]:
-    """(L, rows) for L the lcm of the matrices' denominators and row k
+                 ) -> tuple[list[tuple[int, ...]], int]:
+    """(rows, L) for L the lcm of the matrices' denominators and row k
     the integer entries of matrix k times L, row-major: every matrix over
-    one denominator."""
+    one denominator, in the order `hull.facet_enumeration` takes."""
     matrices = list(matrices)
     scale = lcm(*(den for _, den in matrices))
-    return scale, [nums if den == scale
-                   else tuple(x * (scale // den) for x in nums)
-                   for nums, den in matrices]
+    return [nums if den == scale else tuple(x * (scale // den) for x in nums)
+            for nums, den in matrices], scale
 
 
 def _independent_rows(vectors: Iterable[Sequence[int]]

@@ -170,9 +170,14 @@ def _partnered_regular_subgroups(fibers: Sequence[Sequence[tuple[int, ...]]]
     an unpruned search.  Only semiregular elements are tried: a
     non-identity u in U fixes no point, and neither does u^k for
     0 < k < ord(u), so every cycle of u has length ord(u).  A choice g
-    is closed with the group of the earlier ones, H, by right cosets H p
-    (`saturate`'s coset mode), and dropped when the closure passes
-    m = degree elements or hits one fiber twice.
+    that the prune below keeps is closed with the group of the earlier
+    ones, H, by right cosets H p (`saturate`'s coset mode), with no cap:
+    the closure is semiregular.  The kept centralizer meets every fiber,
+    so C = C_Gamma(<H, g>) is transitive, and an element h of <H, g>
+    fixing a point x fixes c(x) for every c in C, as h c = c h: h fixes
+    every point.  So <H, g> holds at most m = degree elements and meets
+    each fiber at most once; a closure that meets one fiber twice is a
+    broken certificate (InvariantError).
 
     The prune: for each fiber 1..m-1 the search carries the elements of
     Gamma that commute with every choice so far, and drops a choice that
@@ -205,13 +210,12 @@ def _partnered_regular_subgroups(fibers: Sequence[Sequence[tuple[int, ...]]]
             if narrowed is None:
                 continue
             more = steps + [g_mul]
-            try:
-                closed = saturate(current, more, m,
-                                  lambda p: map(_right_mul(p), current))
-            except PreconditionError:
-                continue
-            if len({w[0] for w in closed}) == len(closed):
-                extend(frozenset(closed), more, narrowed)
+            closed = saturate(current, more, None,
+                              lambda p: map(_right_mul(p), current))
+            if len({w[0] for w in closed}) != len(closed):
+                raise InvariantError("a closure of choices with a transitive "
+                                     "centralizer is not semiregular")
+            extend(frozenset(closed), more, narrowed)
 
     extend(frozenset({identity}), [], fibers[1:])
     return found

@@ -1,5 +1,11 @@
 """Exact facet enumeration for small rational polytopes, on integers.
 
+Every hull of the package goes through one function,
+`facet_enumeration`, whose point count and affine dimension are bounded
+on every call: by MAX_VERTICES and MAX_DIM unless the caller passes the
+sizes of an input it knows, such as B_n's n! vertices in dimension
+(n - 1)^2.  A hull is a `Polytope` record.
+
 Pipeline: given integer points over one denominator L (the rational
 points times L), take the affine chart (the projection onto the greedy
 independent coordinates of the differences to the first point, an
@@ -47,7 +53,7 @@ import sys
 from itertools import islice
 from math import gcd
 from operator import itemgetter, mul
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvariantError, PreconditionError
 from .exact import (_format_over, _independent_rows, _over_lcm,
@@ -113,20 +119,15 @@ def _imager(row: frozenset[int]) -> Callable[[Sequence[int]], Iterable[int]]:
     return lambda images: map(images.__getitem__, row)
 
 
-class Polytope:
+class Polytope(NamedTuple):
     """The hull of the input points, held as `rows`, the points times
     `scale` as integer tuples in input order."""
-
-    __slots__ = ("ambient_dim", "rows", "scale", "facets", "incidence", "dim")
-
-    def __init__(self, ambient_dim: int, rows, scale: int, facets,
-                 incidence: IncidenceStructure, dim: int):
-        self.ambient_dim = ambient_dim
-        self.rows = tuple(rows)
-        self.scale = scale
-        self.facets = tuple(facets)
-        self.incidence = incidence
-        self.dim = dim
+    ambient_dim: int
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
+    facets: tuple[Facet, ...]
+    incidence: IncidenceStructure
+    dim: int
 
     @property
     def n_vertices(self) -> int:
@@ -137,8 +138,7 @@ class Polytope:
         return len(self.facets)
 
 
-def _affine_chart(points: Sequence[Sequence[int]],
-                  max_dim: Optional[int] = None) -> list[int]:
+def _affine_chart(points: Sequence[Sequence[int]], max_dim: int) -> list[int]:
     """Chart coordinates of the affine hull of integer points: the
     greedy independent columns of the difference matrix.
 
@@ -152,14 +152,14 @@ def _affine_chart(points: Sequence[Sequence[int]],
     affine hull one-to-one onto Q^d: that projection is the chart, and it
     needs no inverse.  The rank is at most the number of differences, so
     the pass stops once it has kept that many.  Raises PreconditionError
-    as soon as the basis exceeds max_dim, if given.
+    as soon as the basis exceeds max_dim.
     """
     base, rest = points[0], points[1:]
     pivot_rows = []
     for j, *_ in _independent_rows(
             [x - b for x in column] for column, b in zip(zip(*rest), base)):
         pivot_rows.append(j)
-        if max_dim is not None and len(pivot_rows) > max_dim:
+        if len(pivot_rows) > max_dim:
             raise PreconditionError(
                 f"affine dimension exceeds hull bound {max_dim}")
         if len(pivot_rows) == len(rest):
@@ -279,26 +279,22 @@ def _dd_extreme_rays(ineqs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return rays
 
 
-def facet_enumeration(points: Sequence[Sequence[int]],
-                      denominator: int = 1) -> Polytope:
+def facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
+                      max_vertices: int = MAX_VERTICES,
+                      max_dim: int = MAX_DIM) -> Polytope:
     """Facets, incidence, and dimension of the convex hull of the points,
-    each divided by `denominator`, a positive integer.
+    each divided by `denominator`, a positive integer: the one entry
+    point of the hull.
 
     Every coordinate must be an `int`: anything else, a float, a Fraction
     or a bool, raises TypeError.  Duplicates and non-extreme points are
     tolerated (they simply end up positive on no facet certificate).  A
-    0-dimensional input yields zero facets.  Inputs above MAX_VERTICES
-    points or affine dimension MAX_DIM are refused before the double
-    description starts.
+    0-dimensional input yields zero facets.  Inputs above `max_vertices`
+    points or affine dimension `max_dim` raise PreconditionError before
+    the double description starts.  The defaults, MAX_VERTICES and
+    MAX_DIM, bound a hull of outside input; a caller that knows its
+    input passes its sizes, as B_n passes n! and (n - 1)^2.
     """
-    return _facet_enumeration(points, denominator, MAX_VERTICES, MAX_DIM)
-
-
-def _facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
-                       max_vertices: Optional[int] = None,
-                       max_dim: Optional[int] = None) -> Polytope:
-    """facet_enumeration with the size bounds given per call (None: no
-    bound), for callers that know their input, such as B_n's vertices."""
     if len(points) == 0:
         raise ValueError("no points")
     if type(denominator) is not int or denominator < 1:
@@ -312,11 +308,11 @@ def _facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
     ambient = len(points[0])
     if any(len(p) != ambient for p in points):
         raise ValueError("points of mixed dimension")
-    if max_vertices is not None and len(points) > max_vertices:
+    if len(points) > max_vertices:
         raise PreconditionError(
             f"{len(points)} points exceed hull bound {max_vertices}")
     n = len(points)
-    scaled = [flat[i * ambient:(i + 1) * ambient] for i in range(n)]
+    scaled = tuple([flat[i * ambient:(i + 1) * ambient] for i in range(n)])
     pivot_rows = _affine_chart(scaled, max_dim)
     d = len(pivot_rows)
     if d == 0:
@@ -371,7 +367,7 @@ def _facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
             raise InvariantError("facet tight at no vertex")
         tight_sets.append(frozenset(tight))
     return Polytope(ambient, scaled, scale,
-                    [Facet(f[:-1], f[-1]) for f in packed],
+                    tuple([Facet(f[:-1], f[-1]) for f in packed]),
                     IncidenceStructure(n, tight_sets), d)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 from functools import partial
-from math import isqrt
+from math import factorial, isqrt
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -101,7 +101,7 @@ def matrix_closure(generators: list[tuple[tuple[int, ...], int]]
     seen = saturate([ident], [partial(_product, g) for g in generators],
                     MAX_VERTICES)
     others = [m for m in seen if m != ident]
-    _, keys = _common_form(others)
+    keys = _common_form(others)[0]
     others = [m for _, m in sorted(zip(keys, others), key=itemgetter(0))]
     return MatrixGroup(dim, [ident] + others, list(generators))
 
@@ -138,13 +138,10 @@ def representation_polytope(mgroup: MatrixGroup) -> Polytope:
     and vertices to vertices.  Every vertex of the hull of a finite set
     lies in the set, so some element a is a vertex, and then so is
     b = (b a^-1) a for every element b.  `certify_vertices` checks it on
-    the hull's incidence all the same."""
-    if mgroup.order > MAX_VERTICES:
-        raise PreconditionError(
-            f"representation polytope supports at most "
-            f"{MAX_VERTICES} elements")
-    scale, rows = _common_form(mgroup.elements)
-    polytope = facet_enumeration(rows, scale)
+    the hull's incidence all the same.  A group of more than
+    `hull.MAX_VERTICES` elements is refused by the hull's own bound,
+    PreconditionError, before the double description starts."""
+    polytope = facet_enumeration(*_common_form(mgroup.elements))
     if not all(certify_vertices(polytope)):
         raise InvariantError(
             "an element vectorization is not a vertex of the hull")
@@ -302,8 +299,8 @@ def uniqueness_check(n: int,
         raise PreconditionError("uniqueness check supports n in {3, 4}")
     if catalog is None:
         catalog = default_catalog(n)
-    scale, rows = _common_form(birkhoff_vertices(n))
-    reference = facet_enumeration(rows, scale)
+    reference = facet_enumeration(*_common_form(birkhoff_vertices(n)),
+                                  factorial(n), (n - 1) ** 2)
     entry_reports = []
     for entry in catalog:
         if (entry.declared_order is not None

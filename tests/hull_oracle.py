@@ -22,13 +22,14 @@ The package takes and gives rationals only as integers over one
 denominator.  The converters below (`integer_form`, `integer_points`,
 `hull_of`, `birkhoff_rows`, `rational_matrix`, `entries`, `points_of`)
 give the tests, which state their cases in Fractions, that form and
-back.
+back.  `birkhoff_hull` hulls B_n with its own sizes as the bounds, as
+the package does.
 """
 
 import itertools
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -65,6 +66,12 @@ def hull_of(points):
 def birkhoff_rows(n):
     """B_n's vertices as integer rows; a permutation matrix is over 1."""
     return [nums for nums, _ in birkhoff_vertices(n)]
+
+
+def birkhoff_hull(n):
+    """facet_enumeration of B_n bounded by its own sizes, n! points in
+    dimension (n - 1)^2, as the package hulls it."""
+    return facet_enumeration(birkhoff_rows(n), 1, factorial(n), (n - 1) ** 2)
 
 
 def rational_matrix(values):
@@ -423,7 +430,7 @@ def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
     d, base, _, pivot_rows, m_inv = _affine_chart(pts, max_dim)
     rows, scale = integer_points(pts)
     if d == 0:
-        return Polytope(ambient, rows, scale, (),
+        return Polytope(ambient, tuple(rows), scale, (),
                         IncidenceStructure(len(pts), ()), 0)
 
     coords = [tuple(_dot(row, [p[r] - base[r] for r in pivot_rows])
@@ -479,7 +486,7 @@ def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
         if tight in tight_sets:
             raise ValueError("two facets share a tight vertex set")
         tight_sets.append(tight)
-    return Polytope(ambient, rows, scale, facets,
+    return Polytope(ambient, tuple(rows), scale, tuple(facets),
                     IncidenceStructure(len(pts), tight_sets), d)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from birkhoffsym import combiso, hull
+from birkhoffsym import combiso
 from birkhoffsym.combiso import comb_automorphisms, comb_equivalent
 from birkhoffsym.errors import InvariantError
 from birkhoffsym.hull import IncidenceStructure, facet_enumeration
@@ -22,7 +22,7 @@ from birkhoffsym.reppoly import (default_catalog, load_exceptional_c6,
 
 import combiso_oracle as oracle
 from group_oracle import regular_action
-from hull_oracle import birkhoff_rows, maps_rows_onto_rows
+from hull_oracle import birkhoff_hull, birkhoff_rows, maps_rows_onto_rows
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -60,7 +60,7 @@ def test_five_simplex_automorphisms():
 
 @lru_cache(maxsize=None)
 def birkhoff_incidence(n):
-    return hull._facet_enumeration(birkhoff_rows(n)).incidence
+    return birkhoff_hull(n).incidence
 
 
 @lru_cache(maxsize=None)

@@ -405,6 +405,16 @@ def test_regular_search_products_are_pinned(monkeypatch):
     assert counts == {"s3": 189, "s4": 959}
 
 
+def test_a_closure_the_prune_should_have_dropped_is_a_broken_certificate(
+        monkeypatch):
+    # with a transitive centralizer every closure of choices is
+    # semiregular; a prune that narrows nothing lets through a closure
+    # that meets one fiber twice, and the search stops there
+    monkeypatch.setattr(gamma_module, "_narrow", lambda cents, g, g_mul: cents)
+    with pytest.raises(InvariantError, match="is not semiregular"):
+        commuting_regular_pairs(gamma_fibers(named_group("s3")))
+
+
 def test_commuting_pairs_build_groups_only_for_the_pair(monkeypatch):
     # the pair is two member tuples of Gamma: no group is built
     fibers = gamma_fibers(named_group("s4"))

@@ -23,8 +23,8 @@ from birkhoffsym.hull import (IncidenceStructure, _affine_chart,
                               polytope_from_document, polytope_to_document)
 from birkhoffsym.reppoly import default_catalog, representation_polytope
 
-from hull_oracle import (affine_chart_by_rows, affine_dim, birkhoff_rows,
-                         dd_extreme_rays_by_inverse, entries,
+from hull_oracle import (affine_chart_by_rows, affine_dim, birkhoff_hull,
+                         birkhoff_rows, dd_extreme_rays_by_inverse, entries,
                          fraction_facet_enumeration, hull_of, integer_points,
                          oracle_facets, points_of, random_point_set,
                          rank_certified_vertices, rational_matrix,
@@ -150,7 +150,7 @@ def test_float_points_rejected(monkeypatch):
         with pytest.raises(TypeError, match="is not an int"):
             facet_enumeration([(0, 0), (bad, 0), (0, 1)])
         with pytest.raises(TypeError, match="is not an int"):
-            hull._facet_enumeration([(0, 0), (0, 1), (bad, 0)], 10)
+            facet_enumeration([(0, 0), (0, 1), (bad, 0)], 10)
     monkeypatch.undo()
     assert points_of(facet_enumeration([(0, 0), (1, 0), (0, 10)], 10)
                      )[1] == (Fraction(1, 10), 0)
@@ -243,7 +243,7 @@ def test_one_pass_chart_keeps_the_rank_greedy_basis():
         cases.append(random_point_set(rng))
     for pts in cases:
         scaled = scaled_points(pts)
-        pivot_rows = _affine_chart(scaled)
+        pivot_rows = _affine_chart(scaled, hull.MAX_DIM)
         diffs = [tuple(a - b for a, b in zip(p, scaled[0])) for p in scaled[1:]]
         basis = [diffs[i] for i, *_ in _independent_rows(diffs)]
         want = rank_greedy_basis(scaled)
@@ -346,7 +346,7 @@ def test_dd_ray_counts_are_pinned(monkeypatch, n, start, new):
 
     monkeypatch.setattr(hull, "primitive_vector", spy_primitive)
     monkeypatch.setattr(hull, "_dd_extreme_rays", spy_dd)
-    p = hull._facet_enumeration(birkhoff_rows(n))
+    p = birkhoff_hull(n)
     assert counts == [(start, new, p.n_facets)]
     assert p.n_facets == n * n
 
@@ -369,7 +369,7 @@ def dd_systems(monkeypatch, polytopes):
 
 def birkhoff_and_catalog_hulls():
     for n in (3, 4, 5):
-        hull._facet_enumeration(birkhoff_rows(n))
+        birkhoff_hull(n)
     for n in (3, 4):
         for entry in default_catalog(n):
             representation_polytope(entry.matrix_group)
@@ -441,7 +441,7 @@ def test_dd_start_on_dependent_rows_before_the_last_independent_one():
 
 @given(st.integers(0, 6).flatmap(lambda ambient: st.lists(
     st.tuples(*[st.integers(-3, 3)] * ambient), min_size=1, max_size=12)),
-    st.integers(0, 12), st.sampled_from((None, 1, 2, 3)))
+    st.integers(0, 12), st.sampled_from((1, 2, 3, hull.MAX_DIM)))
 @settings(max_examples=300, deadline=None)
 def test_column_chart_matches_the_row_pivots(points, copies, max_dim):
     # the drawn points with copies of some, and then, all times 2m for m
@@ -495,7 +495,7 @@ def test_chart_of_points_with_no_coordinates(tmp_path, capsys):
 
 def test_chart_of_one_point_draws_no_column(monkeypatch):
     seen = spy_on_the_chart_reduction(monkeypatch)
-    assert _affine_chart([(2, 3, 5)]) == []
+    assert _affine_chart([(2, 3, 5)], hull.MAX_DIM) == []
     assert facet_enumeration([(2, 3, 5)]).dim == 0
     assert seen == {"drawn": 0, "kept": 0}
 
@@ -507,7 +507,7 @@ def test_chart_of_a_simplex_stops_at_its_last_difference(monkeypatch):
              for k in range(6)]
     want = affine_chart_by_rows(shift)
     seen = spy_on_the_chart_reduction(monkeypatch)
-    assert _affine_chart(shift) == want
+    assert _affine_chart(shift, hull.MAX_DIM) == want
     assert seen["kept"] == 5
     assert seen["drawn"] == want[-1] + 1 < 36
     p = facet_enumeration(shift)
@@ -647,14 +647,13 @@ def reference_cases():
 def test_integer_hull_matches_the_fraction_reference():
     for pts in reference_cases():
         want = fraction_facet_enumeration(pts)
-        assert same_polytope(hull._facet_enumeration(*integer_points(pts)),
+        assert same_polytope(hull_of(pts),
                              want), pts
 
 
 def test_integer_hull_matches_the_fraction_reference_on_b5():
     pts = birkhoff_rows(5)
-    assert same_polytope(hull._facet_enumeration(pts),
-                         fraction_facet_enumeration(pts))
+    assert same_polytope(birkhoff_hull(5), fraction_facet_enumeration(pts))
 
 
 def test_dd_extreme_rays_sees_only_ints(monkeypatch):
@@ -671,7 +670,7 @@ def test_dd_extreme_rays_sees_only_ints(monkeypatch):
     monkeypatch.setattr(hull, "_dd_extreme_rays", spy)
     cases = reference_cases()
     for pts in cases:
-        hull._facet_enumeration(*integer_points(pts))
+        hull_of(pts)
     assert len(calls) == sum(1 for pts in cases if affine_dim(pts) > 0)
     for ineqs, rays in calls:
         for vectors in (ineqs, rays):
@@ -706,7 +705,7 @@ def test_hull_makes_no_fraction_arithmetic(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(Fraction, name, counted)
-    polytopes = [hull._facet_enumeration(*case) for case in cases]
+    polytopes = [facet_enumeration(*case) for case in cases]
     monkeypatch.undo()
     assert used == []
     assert [p.n_facets for p in polytopes] == [16, 9, 8]

@@ -27,7 +27,11 @@ members of its group, image tuples or table positions.  Likewise
 `perm.as_permutation` is called only where outside input becomes a
 permutation: an alpha file, cycle notation and a matrix group's
 translations.  A product or inverse of checked image tuples is a
-bijection by construction, and is not checked again.
+bijection by construction, and is not checked again.  And no package
+module but `hull` reads a `_`-prefixed name of `hull`, by import or as
+an attribute: the bench tracer wraps public functions only, so every
+hull the package runs goes through `facet_enumeration`, where the
+tracer counts it.
 
 No package module imports `argparse`, `dataclasses` or `pathlib`, and
 importing `cli` loads none of `argparse`, `gettext`, `locale`,
@@ -42,7 +46,8 @@ package, or reading its data file, load `importlib.resources`.
 Last, the bench's traced rounds read a work counter off the results of
 some package functions (`RESULT_COUNTERS` in `bench/spans.py`).  Each
 extractor is applied here to a real result of the function it names, so
-a changed return type fails a test, not a traced round."""
+a changed return type fails a test, not a traced round, and a traced
+`verify_symmetry_group` must count its B_n hull."""
 
 import ast
 import importlib.util
@@ -83,8 +88,6 @@ KEPT_CLASSES = {
                         "element orders on first read and keeps them",
     "IncidenceStructure": "checks its tight sets when built and builds the "
                           "imagers of preserved_by on first use",
-    "Polytope": "holds a hull's rows, facets, incidence and dimension, "
-                "with the vertex and facet counts read off them",
     "MatrixGroup": "checks that the identity of its size leads its elements "
                    "and translates its generators into its element group",
 }
@@ -406,6 +409,43 @@ def test_detects_a_group_construction():
     assert group_constructions(tree) == [4, 5]
 
 
+def private_hull_names(tree: ast.AST) -> list[str]:
+    """Each `_`-prefixed name of the package's `hull` module that the
+    tree imports (`from .hull import _x`, `from birkhoffsym.hull import
+    _x`) or reads as an attribute of the name `hull`, in line order."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.level, node.module) in ((1, "hull"),
+                                                  (0, "birkhoffsym.hull"))):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name) and node.value.id == "hull"):
+            found.append((node.lineno, node.attr))
+    return [name for _, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "hull.py"],
+                         ids=lambda p: p.name)
+def test_no_module_but_hull_reads_a_private_hull_name(path):
+    names = private_hull_names(ast.parse(path.read_text(), filename=str(path)))
+    assert not names, f"{path.name}: reads private hull names {names}"
+
+
+def test_detects_a_private_hull_name():
+    # a private name of another module, a public hull name and a private
+    # attribute of another module are no hull bypass
+    tree = ast.parse("from . import exact, hull\n"
+                     "from .hull import MAX_DIM, _dd_extreme_rays\n"
+                     "from birkhoffsym.hull import _affine_chart as chart\n"
+                     "from .exact import _common_form\n"
+                     "def f(p):\n"
+                     "    return hull._dd_start(p), hull.MAX_DIM, exact._x\n")
+    assert private_hull_names(tree) == ["_dd_extreme_rays", "_affine_chart",
+                                        "_dd_start"]
+
+
 # Where `perm.as_permutation` may be called, as (module, enclosing
 # function): the alpha file, cycle notation and a matrix group's
 # translations, where outside input becomes a permutation.
@@ -605,3 +645,27 @@ def test_bench_result_counters_read_real_results():
         assert hasattr(module, function) != (name in RETIRED), name
         call = getattr(module, function, RETIRED.get(name))
         assert extract(call(*args)) == want, name
+
+
+def test_bench_tracer_counts_the_b_n_hull():
+    # a traced `verify-symmetry-group 3` runs one hull, B_3's 9 facets; in
+    # a child process, since `Tracer.uninstall` leaves the package's
+    # functions wrapped
+    code = ("import importlib.util, sys\n"
+            "from birkhoffsym import birkhoff, cli, reppoly\n"
+            "spec = importlib.util.spec_from_file_location("
+            "'bench_spans', sys.argv[1])\n"
+            "spans = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(spans)\n"
+            "tracer = spans.Tracer()\n"
+            "tracer.install()\n"
+            "birkhoff.verify_symmetry_group(3)\n"
+            "tracer.uninstall()\n"
+            "s = tracer.summary()\n"
+            "print(s['hull.facet_enumeration.calls'], "
+            "s['hull.facet_enumeration.facets'])\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", code, str(SPANS)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "9"]

@@ -15,8 +15,8 @@ from birkhoffsym.errors import PreconditionError
 from birkhoffsym.exact import _common_form, _product
 from birkhoffsym.combiso import comb_equivalent
 from birkhoffsym.birkhoff import permutation_matrix, verify_symmetry_group
-from birkhoffsym.hull import (IncidenceStructure, Polytope,
-                              facet_enumeration, polytope_to_document)
+from birkhoffsym.hull import (IncidenceStructure, facet_enumeration,
+                              polytope_to_document)
 from birkhoffsym.gamma import verify_wreath_quotient
 from birkhoffsym.perm import (PermutationGroup, _order, _right_mul,
                               named_group)
@@ -337,8 +337,7 @@ def swap_first_two_vertices(polytope):
     swap = {0: 1, 1: 0}
     inc = IncidenceStructure(polytope.n_vertices, (
         {swap.get(v, v) for v in row} for row in polytope.incidence.tight_sets))
-    return Polytope(polytope.ambient_dim, polytope.rows, polytope.scale,
-                    polytope.facets, inc, polytope.dim)
+    return polytope._replace(incidence=inc)
 
 
 def test_gamma_acts_fails_on_a_relabelled_incidence(monkeypatch):
@@ -429,7 +428,7 @@ def test_the_integer_path_matches_the_fraction_path(n, seed):
         mgroup = matrix_group_from_document(doc).matrix_group
         others = mgroup.elements[1:]
         assert others == sorted(others, key=entries)
-        scale, rows = _common_form(mgroup.elements)
+        rows, scale = _common_form(mgroup.elements)
         assert scale > 1, doc["name"]  # p/q entries, not integers
         got = facet_enumeration(rows, scale)
         want = hull_of([entries(m) for m in mgroup.elements])
