@@ -289,14 +289,18 @@ def facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
     Every coordinate must be an `int`: anything else, a float, a Fraction
     or a bool, raises TypeError.  Duplicates and non-extreme points are
     tolerated (they simply end up positive on no facet certificate).  A
-    0-dimensional input yields zero facets.  Inputs above `max_vertices`
-    points or affine dimension `max_dim` raise PreconditionError before
-    the double description starts.  The defaults, MAX_VERTICES and
+    0-dimensional input yields zero facets.  More than `max_vertices`
+    points raise PreconditionError before a coordinate is read, and an
+    affine dimension above `max_dim` as soon as the chart passes it,
+    before the double description starts.  The defaults, MAX_VERTICES and
     MAX_DIM, bound a hull of outside input; a caller that knows its
     input passes its sizes, as B_n passes n! and (n - 1)^2.
     """
-    if len(points) == 0:
+    n = len(points)
+    if n == 0:
         raise ValueError("no points")
+    if n > max_vertices:
+        raise PreconditionError(f"{n} points exceed hull bound {max_vertices}")
     if type(denominator) is not int or denominator < 1:
         raise ValueError(f"denominator must be a positive integer, "
                          f"got {denominator!r}")
@@ -308,10 +312,6 @@ def facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
     ambient = len(points[0])
     if any(len(p) != ambient for p in points):
         raise ValueError("points of mixed dimension")
-    if len(points) > max_vertices:
-        raise PreconditionError(
-            f"{len(points)} points exceed hull bound {max_vertices}")
-    n = len(points)
     scaled = tuple([flat[i * ambient:(i + 1) * ambient] for i in range(n)])
     pivot_rows = _affine_chart(scaled, max_dim)
     d = len(pivot_rows)

@@ -212,10 +212,18 @@ def test_hull_bounds():
     simplex = [tuple(int(i == j) for j in range(11)) for i in range(12)]
     with pytest.raises(PreconditionError, match="hull bound 10"):
         facet_enumeration(simplex)
-    # B_5's 120 vertices are refused here; verify_symmetry_group lifts the
-    # bounds for its own input only
+    # B_5's 120 vertices are refused under the default bounds;
+    # verify_symmetry_group passes B_n's own sizes
     with pytest.raises(PreconditionError):
         facet_enumeration(birkhoff_rows(5))
+
+
+def test_point_bound_is_checked_before_a_coordinate_is_read():
+    # refused on the count alone: the float is never reached
+    with pytest.raises(PreconditionError, match="31 points exceed hull bound 30"):
+        facet_enumeration([(0.5, 0)] * 31)
+    with pytest.raises(PreconditionError, match="5 points exceed hull bound 4"):
+        facet_enumeration(SQUARE + [(0.5, 0)], 1, 4)
 
 
 def rank_greedy_basis(points):
@@ -647,8 +655,7 @@ def reference_cases():
 def test_integer_hull_matches_the_fraction_reference():
     for pts in reference_cases():
         want = fraction_facet_enumeration(pts)
-        assert same_polytope(hull_of(pts),
-                             want), pts
+        assert same_polytope(hull_of(pts), want), pts
 
 
 def test_integer_hull_matches_the_fraction_reference_on_b5():
