@@ -11,9 +11,24 @@ complements A_ij = {pi : pi(i) = j}, which obey
     sigma A_ij tau^-1 = A_{tau(i), sigma(j)}
     {pi^-1 : pi in A_ij} = A_ji
 
-Together these identities force every incidence-preserving vertex
-bijection alpha to have the shape alpha(pi) = sigma pi^eps tau, and
-decompose_symmetry extracts that certified triple.
+Two certificates, each checked by the code, take B_n from its vertices
+to its symmetry group with no hull and no search of the vertices.
+
+Facets (`birkhoff_facets`).  The matrices x >= 0 whose rows and columns
+sum to 1 form a polytope H whose equality matrix, the incidence matrix
+of K_{n,n}, is totally unimodular, so every vertex of H is integral: a
+permutation matrix.  So H = B_n (Birkhoff-von Neumann), and B_n's facets
+are among the n^2 inequalities x_ij >= 0.  One rank shows that x_00 >= 0
+is a facet, the symmetries of the matrix entries carry it onto every
+x_ij >= 0, and their tight sets, the F_ij, are distinct.
+
+Symmetries (`verify_symmetry_group`).  A symmetry of B_n permutes its
+facets and keeps which facet complements are disjoint, so it acts on
+the facet graph, faithfully since distinct vertices lie on distinct
+facet sets.  One search on the graph's n^2 facets bounds |Aut(B_n)| by
+2(n!)^2, and the law shows that the 2(n!)^2 maps pi -> sigma pi^eps tau
+are symmetries, so they are all of them; decompose_symmetry extracts
+the certified triple of one.
 
 A facet set has one name here, its position i n + j: A_ij is entry
 i n + j of `analytic_facet_sets(n)`, and a map of facet sets is a list of
@@ -34,17 +49,18 @@ across modules.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress, islice
 from math import factorial
-from operator import itemgetter
+from operator import itemgetter, not_
 from typing import NamedTuple, Optional, Sequence
 
 from .combiso import comb_automorphisms
-from .errors import PreconditionError
-from .exact import _common_form
-from .hull import facet_enumeration
+from .errors import InvariantError, PreconditionError
+from .exact import _independent_rows
+from .hull import IncidenceStructure
 from .perm import _inverse, cycle_string, symmetric_group
 
-MAX_N = 5
+MAX_N = 6
 
 
 class NotFacetSymmetryError(ValueError):
@@ -107,6 +123,75 @@ def analytic_facet_sets(n: int) -> tuple[frozenset[int], ...]:
         for i, j in enumerate(p):
             members[i * n + j].append(v)
     return tuple(map(frozenset, members))
+
+
+def _equality_matrix(n: int) -> list[list[int]]:
+    """B_n's equality constraints on the n^2 matrix entries, row-major:
+    row r < n sums row r of the matrix, row n + c sums column c."""
+    return ([[int(k // n == r) for k in range(n * n)] for r in range(n)]
+            + [[int(k % n == c) for k in range(n * n)] for c in range(n)])
+
+
+def _tight_sets(vertices: list[tuple[tuple[int, ...], int]]
+                ) -> list[frozenset[int]]:
+    """Entry k, row-major: the vertices whose matrix is 0 at entry k, the
+    tight set of x_k >= 0."""
+    everyone = range(len(vertices))
+    return [frozenset(compress(everyone, map(not_, column)))
+            for column in zip(*(nums for nums, _ in vertices))]
+
+
+def birkhoff_facets(n: int) -> tuple[IncidenceStructure, int]:
+    """B_n's facet incidence, x_k >= 0 at entry k of the matrices in
+    row-major order, and its dimension, certified with no hull; raises
+    InvariantError when a check fails.
+
+    The certificate, for H = {x >= 0 : every row and column sums to 1}:
+    (i) the vertices of `birkhoff_vertices(n)` are n! distinct integer
+    matrices in H, so all the permutation matrices, and H's equality
+    matrix A is the incidence matrix of K_{n,n}: each column has one 1
+    in the row block, one in the column block and no other entry.  Such
+    an A is totally unimodular (Heller & Tompkins 1956), so every vertex
+    of H is integral (Hoffman & Kruskal 1956), a permutation matrix:
+    H = B_n, and B_n's facets are among the inequalities x_k >= 0.
+    (ii) The all-1/n matrix lies in H with every entry positive, so the
+    affine hull of H is {x : A x = 1}, of dimension n^2 - rank A, and
+    rank A = 2n - 1 by one pass of `_independent_rows`.  (iii) The
+    vertices tight on x_00 >= 0 span an affine space of dimension d - 1:
+    an `_independent_rows` pass on their differences stops once it has
+    d - 1 rows, as x_00 is not constant on B_n, so no more exist.  So
+    x_00 >= 0 is a facet, and so is every x_k >= 0, since the linear
+    maps x -> P x Q, for permutation matrices P and Q, permute the
+    vertices and carry entry (0, 0) to every entry.  (iv) The n^2 tight
+    sets are distinct (`IncidenceStructure` checks it), so the n^2
+    inequalities are n^2 facets.
+    """
+    if not 3 <= n <= MAX_N:
+        raise PreconditionError(f"facet certificate supports 3 <= n <= {MAX_N}")
+    rows = _equality_matrix(n)
+    if [list(column) for column in zip(*rows)] != [
+            [int(r in (k // n, n + k % n)) for r in range(2 * n)]
+            for k in range(n * n)]:
+        raise InvariantError("the equality matrix is not the incidence "
+                             "matrix of K_{n,n}")
+    supports = [itemgetter(*compress(range(n * n), row)) for row in rows]
+    vertices = birkhoff_vertices(n)
+    if len(set(vertices)) != factorial(n) or not all(
+            den == 1 and min(nums) >= 0
+            and all(sum(get(nums)) == 1 for get in supports)
+            for nums, den in vertices):
+        raise InvariantError("the vertices are not the n! permutation "
+                             "matrices")
+    rank = sum(1 for _ in _independent_rows(rows))
+    if rank != 2 * n - 1:
+        raise InvariantError(f"the equality matrix has rank {rank}")
+    dim = n * n - rank
+    tight = _tight_sets(vertices)
+    base, *rest = [vertices[v][0] for v in sorted(tight[0])]
+    diffs = ([a - b for a, b in zip(p, base)] for p in rest)
+    if sum(1 for _ in islice(_independent_rows(diffs), dim - 1)) < dim - 1:
+        raise InvariantError("x_00 >= 0 is not a facet of B_n")
+    return IncidenceStructure(len(vertices), tight), dim
 
 
 def verify_intersection_table(n: int) -> dict:
@@ -257,51 +342,86 @@ def decompose_symmetry(n: int, alpha: Sequence[int]) -> SymmetryDecomposition:
     raise InconsistentSymmetryError("inconsistent")
 
 
+def _facet_lines(inc: IncidenceStructure) -> IncidenceStructure:
+    """The lines of the facet graph, as an incidence on the facets.
+
+    The facet graph joins two facets when their complements, the
+    vertices off them, are disjoint.  The line of an edge {f, g} is
+    {f, g} with the common neighbours of f and g.  Raises InvariantError
+    unless every line is a clique: then two facets are joined exactly
+    when a line holds both, so the graph and its lines have the same
+    automorphisms, and the search on the lines (for B_n, 2n lines of n
+    facets) is shorter than the one on the edges."""
+    everything = frozenset(range(inc.n_vertices))
+    off = [everything - tight for tight in inc.tight_sets]
+    near = [{g for g, other in enumerate(off) if g != f and a.isdisjoint(other)}
+            for f, a in enumerate(off)]
+    lines = {frozenset(near[f] & near[g] | {f, g})
+             for f in range(len(off)) for g in near[f] if f < g}
+    if not all(line <= near[h] | {h} for line in lines for h in line):
+        raise InvariantError("a line of the facet graph is not a clique")
+    return IncidenceStructure(len(off), sorted(map(sorted, lines)))
+
+
 def verify_symmetry_group(n: int) -> dict:
-    """End-to-end check that the combinatorial symmetry group of B_n is
-    D = {pi -> sigma pi^eps tau}: hull, incidence, facet family
-    comparison, automorphism search, order count 2(n!)^2, and a
-    decomposition round-trip of every strong generator.
+    """Check that the combinatorial symmetry group of B_n is
+    D = {pi -> sigma pi^eps tau}, with no hull and no search of its n!
+    vertices.
 
-    The certificate: every generator decomposes and D is a group, so
-    Aut is contained in D; |Aut| = 2(n!)^2 and |D| <= 2(n!)^2, since there
-    are only that many triples, so Aut = D.  `roundtrip_failures` counts
-    the generators that do not decompose; `decompose_symmetry` checks the
-    triple it returns at every vertex, so a generator that decomposes
-    round-trips.  B_n's vertices are hulled by `facet_enumeration` with
-    B_n's own sizes as its bounds, n! points in dimension (n - 1)^2, so
-    n runs up to MAX_N.
+    The facets are `birkhoff_facets(n)`, certified, and
+    `facets_match_analytic` compares their tight sets with the
+    complements of the A_ij.  The order is certified on the facet side:
+    (a) a symmetry permutes the facets and keeps which of their
+    complements are disjoint, so it is an automorphism of the facet
+    graph (`_facet_lines`); (b) it is determined by its action there
+    when distinct vertices lie on distinct facet sets, which is checked,
+    so |Aut(B_n)| <= |Aut(facet graph)|; (c) `comb_automorphisms` on the
+    graph's lines gives that order, `aut_order`; (d) the 2(n!)^2 maps in
+    D are distinct for n >= 3, and they permute the A_ij by the law on
+    generators (`verify_transformation_law`), so the facets, when they
+    match, so aut_order = 2(n!)^2 proves Aut(B_n) = D.  `passed` takes
+    the match, the law's verdict and (b)'s with the order.  Each strong
+    generator of the graph is lifted to the vertex map it induces, v ->
+    the vertex off the images of the facets v is off, and decomposed:
+    `roundtrip_failures` counts those that do not decompose, and
+    `decompose_symmetry` checks the triple it returns at every vertex.
 
-    The report: `n`, the hull's `n_vertices`, `n_facets` and `dim`,
+    The report: `n`, B_n's `n_vertices`, `n_facets` and `dim`,
     `facets_match_analytic`, `aut_order` against `expected_order` =
     2(n!)^2, `roundtrip_failures` and `passed`.
     """
     if not 3 <= n <= MAX_N:
         raise PreconditionError(
             f"symmetry group verification supports 3 <= n <= {MAX_N}")
+    inc, dim = birkhoff_facets(n)
     n_fact = factorial(n)
-    polytope = facet_enumeration(*_common_form(birkhoff_vertices(n)),
-                                 n_fact, (n - 1) ** 2)
-    inc = polytope.incidence
-    analytic = analytic_facet_sets(n)
-    complements = {frozenset(range(n_fact)) - members for members in analytic}
-    facets_match = set(inc.tight_sets) == complements
+    everything = frozenset(range(n_fact))
+    facets_match = set(inc.tight_sets) == {
+        everything - members for members in analytic_facet_sets(n)}
+    law = verify_transformation_law(n)["passed"]
 
-    aut = comb_automorphisms(inc)
+    all_facets = frozenset(range(inc.n_facets))
+    off = [all_facets.difference(facets) for facets in inc.vertex_facets]
+    vertex_off = {cells: v for v, cells in enumerate(off)}
+    faithful = len(vertex_off) == n_fact
+
+    aut = comb_automorphisms(_facet_lines(inc))
     expected = 2 * n_fact ** 2
     roundtrip_failures = 0
-    for p in aut.generators:
+    for psi in aut.generators:
+        alpha = [vertex_off.get(frozenset(map(psi.__getitem__, cells)))
+                 for cells in off]
         try:
-            decompose_symmetry(n, p)
+            decompose_symmetry(n, alpha)
         except (NotFacetSymmetryError, InconsistentSymmetryError):
             roundtrip_failures += 1
-    passed = (facets_match and aut.order == expected
+    passed = (facets_match and law and faithful and aut.order == expected
               and roundtrip_failures == 0)
     return {
         "n": n,
-        "n_vertices": polytope.n_vertices,
-        "n_facets": polytope.n_facets,
-        "dim": polytope.dim,
+        "n_vertices": inc.n_vertices,
+        "n_facets": inc.n_facets,
+        "dim": dim,
         "facets_match_analytic": facets_match,
         "aut_order": aut.order,
         "expected_order": expected,

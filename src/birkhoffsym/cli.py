@@ -283,7 +283,8 @@ COMMANDS = {
         "check sigma A_ij tau^-1 = A_(tau i, sigma j) and A_ij^-1 = A_ji", (N,)),
     "verify-symmetry-group": Command(
         _cmd_verify_symmetry_group,
-        "hull + automorphism search + decomposition round-trip for B_n", (N,)),
+        "certified facets + facet-graph automorphisms + round-trip for B_n",
+        (N,)),
     "decompose": Command(
         _cmd_decompose,
         "write a vertex bijection of B_n as (sigma, tau, epsilon)",

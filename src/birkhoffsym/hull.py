@@ -3,8 +3,9 @@
 Every hull of the package goes through one function,
 `facet_enumeration`, whose point count and affine dimension are bounded
 on every call: by MAX_VERTICES and MAX_DIM unless the caller passes the
-sizes of an input it knows, such as B_n's n! vertices in dimension
-(n - 1)^2.  A hull is a `Polytope` record.
+sizes of an input it knows, as the tests' reference hull of B_n passes
+its n! vertices in dimension (n - 1)^2 (the package certifies B_n's
+facets with no hull).  A hull is a `Polytope` record.
 
 Pipeline: given integer points over one denominator L (the rational
 points times L), take the affine chart (the projection onto the greedy
@@ -294,7 +295,8 @@ def facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
     affine dimension above `max_dim` as soon as the chart passes it,
     before the double description starts.  The defaults, MAX_VERTICES and
     MAX_DIM, bound a hull of outside input; a caller that knows its
-    input passes its sizes, as B_n passes n! and (n - 1)^2.
+    input passes its sizes, as the tests' reference hull of B_n passes
+    n! and (n - 1)^2.
     """
     n = len(points)
     if n == 0:

@@ -20,11 +20,11 @@ from __future__ import annotations
 import json
 import os
 from functools import partial
-from math import factorial, isqrt
+from math import isqrt
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .birkhoff import birkhoff_vertices, permutation_matrix
+from .birkhoff import birkhoff_facets, permutation_matrix
 from .combiso import comb_automorphisms, comb_equivalent
 from .errors import InvariantError, PreconditionError
 from .exact import (_common_form, _independent_rows, _matrix, _over_lcm,
@@ -287,7 +287,8 @@ def uniqueness_check(n: int,
                      ) -> dict:
     """Compare each catalog entry's representation polytope with B_n
     combinatorially, emitting a vertex bijection witness when they are
-    equivalent.
+    equivalent.  B_n's incidence is `birkhoff_facets(n)`, certified
+    with no hull.
 
     The report: `n`, `entries`, one report per catalog entry, and
     `passed`, all entries' verdict.  An entry's report holds its `name`,
@@ -299,8 +300,7 @@ def uniqueness_check(n: int,
         raise PreconditionError("uniqueness check supports n in {3, 4}")
     if catalog is None:
         catalog = default_catalog(n)
-    reference = facet_enumeration(*_common_form(birkhoff_vertices(n)),
-                                  factorial(n), (n - 1) ** 2)
+    reference, _ = birkhoff_facets(n)
     entry_reports = []
     for entry in catalog:
         if (entry.declared_order is not None
@@ -309,7 +309,7 @@ def uniqueness_check(n: int,
                 f"catalog entry {entry.name}: closure order "
                 f"{entry.matrix_group.order} != declared {entry.declared_order}")
         polytope = representation_polytope(entry.matrix_group)
-        witness = comb_equivalent(polytope.incidence, reference.incidence)
+        witness = comb_equivalent(polytope.incidence, reference)
         equivalent = witness is not None
         ok = entry.expect_equivalent is None or equivalent == entry.expect_equivalent
         entry_reports.append({

@@ -352,16 +352,13 @@ def _col(rows, j):
     return tuple(row[j] for row in rows)
 
 
-def _affine_chart(points, max_dim=None):
+def _affine_chart(points):
     base = points[0]
     basis_diffs, pivot_rows = [], []
     for _, diff, _, pivot in _fraction_independent_rows(
             _vec_sub(p, base) for p in points[1:]):
         basis_diffs.append(diff)
         pivot_rows.append(pivot)
-        if max_dim is not None and len(basis_diffs) > max_dim:
-            raise PreconditionError(
-                f"affine dimension exceeds hull bound {max_dim}")
     d = len(basis_diffs)
     pivot_rows.sort()
     m = [[u[r] for u in basis_diffs] for r in pivot_rows]
@@ -415,19 +412,16 @@ def _dd_extreme_rays(ineqs):
     return rays
 
 
-def fraction_facet_enumeration(points, max_vertices=None, max_dim=None):
-    """The Fraction reference hull: a Polytope that the package's
-    integer facet enumeration must reproduce exactly."""
+def fraction_facet_enumeration(points):
+    """The Fraction reference hull, unbounded: a Polytope that the
+    package's integer facet enumeration must reproduce exactly."""
     if len(points) == 0:
         raise ValueError("no points")
     pts = [tuple(Fraction(v) for v in p) for p in points]
     ambient = len(pts[0])
     if any(len(p) != ambient for p in pts):
         raise ValueError("points of mixed dimension")
-    if max_vertices is not None and len(pts) > max_vertices:
-        raise PreconditionError(
-            f"{len(pts)} points exceed hull bound {max_vertices}")
-    d, base, _, pivot_rows, m_inv = _affine_chart(pts, max_dim)
+    d, base, _, pivot_rows, m_inv = _affine_chart(pts)
     rows, scale = integer_points(pts)
     if d == 0:
         return Polytope(ambient, tuple(rows), scale, (),

@@ -4,7 +4,7 @@ full symmetry-group verification."""
 
 import itertools
 import random
-from math import factorial
+from math import factorial, prod
 from types import SimpleNamespace
 
 import pytest
@@ -20,9 +20,13 @@ from birkhoffsym.birkhoff import (InconsistentSymmetryError,
                                   verify_intersection_table,
                                   verify_symmetry_group,
                                   verify_transformation_law)
-from birkhoffsym.errors import PreconditionError
+from birkhoffsym.combiso import comb_automorphisms
+from birkhoffsym.errors import InvariantError, PreconditionError
 from birkhoffsym.exact import _product
+from birkhoffsym.hull import IncidenceStructure
 from birkhoffsym.perm import _inverse, _right_mul, symmetric_group
+from combiso_oracle import automorphisms
+from hull_oracle import birkhoff_hull
 from law_oracle import (facet_sets, full_decompose_symmetry,
                         full_transformation_law, symmetry_images,
                         tuple_vertex_images)
@@ -71,7 +75,7 @@ def test_vertices_doubly_stochastic():
 
 def test_vertices_bounds():
     with pytest.raises(PreconditionError):
-        birkhoff_vertices(6)
+        birkhoff_vertices(birkhoff.MAX_N + 1)
     with pytest.raises(PreconditionError):
         birkhoff_vertices(0)
 
@@ -225,8 +229,9 @@ def test_decompose_identity():
 def test_decompose_degree_mismatch():
     with pytest.raises(PreconditionError):
         decompose_symmetry(3, tuple(range(7)))
+    n = birkhoff.MAX_N + 1
     with pytest.raises(PreconditionError):
-        decompose_symmetry(6, tuple(range(720)))
+        decompose_symmetry(n, tuple(range(factorial(n))))
 
 
 def test_decompose_rejects_vertex_swap():
@@ -555,23 +560,181 @@ def test_verify_symmetry_group_n4():
 
 
 def test_verify_symmetry_group_counts_failing_generators(monkeypatch):
-    real = birkhoff.comb_automorphisms
+    # the search runs on B_3's 9 facets; swapping the facets x_00 >= 0
+    # and x_01 >= 0 lifts to no vertex map, since the identity, off
+    # x_00 >= 0, x_11 >= 0 and x_22 >= 0, would go to a matrix with two
+    # 1s in column 1
+    real, searched = birkhoff.comb_automorphisms, []
 
-    def one_bad_generator(inc):
-        aut = real(inc)
-        # swapping the first two vertices maps A_11 onto no A_kl
-        swap = (1, 0, *range(2, inc.n_vertices))
+    def one_bad_generator(lines):
+        aut = real(lines)
+        searched.append(lines.n_vertices)
+        swap = (1, 0, *range(2, lines.n_vertices))
         return SimpleNamespace(order=aut.order,
                                generators=(swap,) + aut.generators[1:])
 
     monkeypatch.setattr(birkhoff, "comb_automorphisms", one_bad_generator)
     r = verify_symmetry_group(3)
+    assert searched == [9]
     assert r["aut_order"] == r["expected_order"]
     assert r["roundtrip_failures"] == 1
     assert not r["passed"]
 
 
 def test_verify_symmetry_group_out_of_range():
-    for n in (2, 6):
+    for n in (2, birkhoff.MAX_N + 1):
         with pytest.raises(PreconditionError):
             verify_symmetry_group(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_certified_facets_are_the_hull_facets(n):
+    inc, dim = birkhoff.birkhoff_facets(n)
+    hull = birkhoff_hull(n)
+    assert set(inc.tight_sets) == set(hull.incidence.tight_sets)
+    assert (inc.n_vertices, inc.n_facets, dim) == (
+        hull.n_vertices, hull.n_facets, hull.dim)
+
+
+def test_certified_facets_are_read_off_the_matrices():
+    # entry k = i n + j of the matrices is x_ij, which is 1 at pi exactly
+    # when pi(j) = i: its tight set is the complement of A_ji
+    n = 4
+    inc, dim = birkhoff.birkhoff_facets(n)
+    everything = frozenset(range(factorial(n)))
+    sets = analytic_facet_sets(n)
+    assert list(inc.tight_sets) == [everything - sets[j * n + i]
+                                    for i in range(n) for j in range(n)]
+    assert dim == (n - 1) ** 2
+    for n in (2, birkhoff.MAX_N + 1):
+        with pytest.raises(PreconditionError):
+            birkhoff.birkhoff_facets(n)
+
+
+def test_facet_certificate_refuses_a_changed_equality_column(monkeypatch):
+    # (i): column 4 of B_3's equality matrix, entry (1, 1), also meets row 0
+    real = birkhoff._equality_matrix
+
+    def changed(n):
+        rows = real(n)
+        rows[0][4] = 1
+        return rows
+
+    monkeypatch.setattr(birkhoff, "_equality_matrix", changed)
+    with pytest.raises(InvariantError, match="incidence matrix of K"):
+        birkhoff.birkhoff_facets(3)
+
+
+def test_facet_certificate_refuses_a_vertex_outside_h(monkeypatch):
+    # (i): a vertex whose first row sums to 2 lies outside H
+    real = birkhoff.birkhoff_vertices
+
+    def moved(n):
+        vertices = real(n)
+        nums, den = vertices[-1]
+        vertices[-1] = ((1,) + nums[1:], den)
+        return vertices
+
+    monkeypatch.setattr(birkhoff, "birkhoff_vertices", moved)
+    with pytest.raises(InvariantError, match="permutation matrices"):
+        birkhoff.birkhoff_facets(4)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_facet_certificate_refuses_a_lower_face(monkeypatch, n):
+    # (iii): x_00 >= 0 swapped for x_00 + x_11 >= 0, valid on B_n but
+    # tight only on the ridge where both vanish, of dimension d - 2
+    real = birkhoff._tight_sets
+
+    def lowered(vertices):
+        tight = real(vertices)
+        tight[0] = tight[0] & tight[n + 1]
+        return tight
+
+    monkeypatch.setattr(birkhoff, "_tight_sets", lowered)
+    with pytest.raises(InvariantError, match="x_00 >= 0 is not a facet"):
+        birkhoff.birkhoff_facets(n)
+
+
+def test_facet_certificate_refuses_a_repeated_tight_set(monkeypatch):
+    # (iv): two inequalities with one tight set are one facet
+    real = birkhoff._tight_sets
+
+    def repeated(vertices):
+        tight = real(vertices)
+        tight[-1] = tight[-2]
+        return tight
+
+    monkeypatch.setattr(birkhoff, "_tight_sets", repeated)
+    with pytest.raises(InvariantError, match="share a tight vertex set"):
+        birkhoff.birkhoff_facets(3)
+
+
+def _edge_graph(inc):
+    """The facet graph itself, its edges as the tight sets."""
+    everything = frozenset(range(inc.n_vertices))
+    off = [everything - tight for tight in inc.tight_sets]
+    return IncidenceStructure(len(off), [
+        (f, g) for f, g in itertools.combinations(range(len(off)), 2)
+        if not off[f] & off[g]])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_line_order_is_the_vertex_chain_order(n):
+    inc, _ = birkhoff.birkhoff_facets(n)
+    lines = birkhoff._facet_lines(inc)
+    assert lines.n_vertices == n * n
+    assert sorted(map(len, lines.tight_sets)) == [n] * (2 * n)
+    order = comb_automorphisms(lines).order
+    assert order == 2 * factorial(n) ** 2
+    assert order == comb_automorphisms(_edge_graph(inc)).order
+    assert order == comb_automorphisms(birkhoff_hull(n).incidence).order
+
+
+def test_line_order_is_the_facet_side_oracle_order_at_6():
+    inc, _ = birkhoff.birkhoff_facets(6)
+    facet_side = IncidenceStructure(inc.n_facets, inc.vertex_facets)
+    lengths, _ = automorphisms(facet_side)
+    assert (comb_automorphisms(birkhoff._facet_lines(inc)).order
+            == prod(lengths) == 1036800)
+
+
+def test_a_dropped_facet_changes_the_line_order(monkeypatch):
+    # without A_11's facet, B_3's facet graph keeps only the symmetries
+    # that fix position (1, 1): order 8, not 72
+    inc, dim = birkhoff.birkhoff_facets(3)
+    dropped = IncidenceStructure(inc.n_vertices, inc.tight_sets[:4]
+                                 + inc.tight_sets[5:])
+    assert comb_automorphisms(birkhoff._facet_lines(dropped)).order == 8
+    monkeypatch.setattr(birkhoff, "birkhoff_facets", lambda n: (dropped, dim))
+    r = verify_symmetry_group(3)
+    assert (r["aut_order"], r["n_facets"]) == (8, 8)
+    assert not r["facets_match_analytic"] and not r["passed"]
+
+
+def test_a_repeated_facet_makes_a_line_no_clique():
+    # a repeated facet is joined to its copy's neighbours but not to its
+    # copy, so the line through it and a neighbour is no clique
+    inc, _ = birkhoff.birkhoff_facets(3)
+    repeated = SimpleNamespace(n_vertices=inc.n_vertices,
+                               tight_sets=inc.tight_sets + inc.tight_sets[:1])
+    with pytest.raises(InvariantError, match="not a clique"):
+        birkhoff._facet_lines(repeated)
+
+
+def test_verify_symmetry_group_takes_the_law_verdict(monkeypatch):
+    # rows 0 and 1 of the A_ij swapped: the same family of sets, so the
+    # facets match and the facet-side order is 2(n!)^2, but the
+    # translation law fails at the n-cycle on the right alone
+    n = 4
+    sets = analytic_facet_sets(n)
+    swapped = [sets[{0: 1, 1: 0}.get(i, i) * n + j]
+               for i in range(n) for j in range(n)]
+    monkeypatch.setattr(birkhoff, "analytic_facet_sets", lambda m: swapped)
+    law = verify_transformation_law(n)
+    assert {f.split(" A")[0] for f in law["failures"]
+            if f.startswith("sigma=")} == {"sigma=() tau=(0 1 2 3)"}
+    r = verify_symmetry_group(n)
+    assert r["facets_match_analytic"]
+    assert r["aut_order"] == r["expected_order"]
+    assert not r["passed"]

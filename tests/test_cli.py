@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birkhoffsym import cli, combiso, gamma, hull, perm, reppoly
+from birkhoffsym import birkhoff, cli, combiso, gamma, hull, perm, reppoly
 from birkhoffsym.birkhoff import SymmetryDecomposition
 from birkhoffsym.cli import main
 from birkhoffsym.errors import PreconditionError
@@ -178,8 +178,10 @@ def test_decompose_refuses_an_alpha_file_with_identity(tmp_path, capsys,
 
 def test_decompose_checks_n_before_building_alpha(capsys):
     # the identity on 40! vertices used to be built first: OverflowError
-    assert main(["decompose", "40", "--identity"]) == 3
-    assert "3 <= n <= 5" in capsys.readouterr().err
+    for n in (birkhoff.MAX_N + 1, 40):
+        assert main(["decompose", str(n), "--identity"]) == 3
+        assert (f"3 <= n <= {birkhoff.MAX_N}"
+                in capsys.readouterr().err)
 
 
 def test_cd_lattice_s4(capsys):
@@ -522,6 +524,24 @@ def test_verify_symmetry_group_b5(capsys):
     assert d["dim"] == 16
     assert d["facets_match_analytic"] is True
     assert d["roundtrip_failures"] == 0
+
+
+def test_b6_commands(capsys):
+    # n = 6 needs no hull of B_6's 720 vertices and no search of them
+    code, doc = run_json(capsys, ["verify-symmetry-group", "6"])
+    assert code == 0
+    assert doc["details"] == {
+        "n": 6, "n_vertices": 720, "n_facets": 36, "dim": 25,
+        "facets_match_analytic": True, "aut_order": 1036800,
+        "expected_order": 1036800, "roundtrip_failures": 0, "passed": True}
+    code, doc = run_json(capsys, ["verify-transform", "6"])
+    assert code == 0
+    assert doc["details"]["generator_cases"] == 4 * 36
+    code, doc = run_json(capsys, ["verify-table", "6"])
+    assert (code, doc["details"]["cases_checked"]) == (0, 6 ** 4)
+    code, doc = run_json(capsys, ["decompose", "6", "--identity"])
+    assert code == 0
+    assert doc["details"] == {"sigma": "()", "tau": "()", "epsilon": 1}
 
 
 def test_hull_cli_refuses_large_inputs(tmp_path, capsys):

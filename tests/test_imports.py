@@ -456,29 +456,45 @@ VALIDATING_FUNCTIONS = {
 }
 
 
-def validator_calls(tree: ast.AST, prefix: str = "") -> list[str]:
-    """Dotted name of the function or class around each read of
-    `as_permutation`, by bare or attribute name, so a call or a reference
-    passed on (to `map`, say); "" at module level."""
+def reading_functions(tree: ast.AST, name: str, prefix: str = "") -> list[str]:
+    """Dotted name of the function or class around each read of `name`,
+    by bare or attribute name, so a call or a reference passed on (to
+    `map`, say); "" at module level."""
     out = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            out += validator_calls(node, f"{prefix}{node.name}.")
+            out += reading_functions(node, name, f"{prefix}{node.name}.")
             continue
         if (isinstance(node, (ast.Name, ast.Attribute))
                 and isinstance(node.ctx, ast.Load)
-                and "as_permutation" in (getattr(node, "id", None),
-                                         getattr(node, "attr", None))):
+                and name in (getattr(node, "id", None),
+                             getattr(node, "attr", None))):
             out.append(prefix[:-1])
-        out += validator_calls(node, prefix)
+        out += reading_functions(node, name, prefix)
     return out
 
 
 def test_permutations_are_validated_only_at_the_input_boundary():
     calls = {(module, name) for module, tree in package_trees().items()
-             for name in validator_calls(tree)}
+             for name in reading_functions(tree, "as_permutation")}
     assert calls == VALIDATING_FUNCTIONS
+
+
+# Where `hull.facet_enumeration` may be called: a vertex file and a matrix
+# group's representation polytope.  B_n's facets are certified with no
+# hull (`birkhoff.birkhoff_facets`), in `birkhoff` and as the reference of
+# `reppoly.uniqueness_check`.
+HULL_CALLERS = {
+    ("cli", "_cmd_hull"),
+    ("reppoly", "representation_polytope"),
+}
+
+
+def test_b_n_is_never_hulled():
+    calls = {(module, name) for module, tree in package_trees().items()
+             for name in reading_functions(tree, "facet_enumeration")}
+    assert calls == HULL_CALLERS
 
 
 def test_detects_a_validator_call():
@@ -494,7 +510,8 @@ def test_detects_a_validator_call():
                      "class C:\n"
                      "    def m(self):\n"
                      "        return map(as_permutation, [])\n")
-    assert sorted(validator_calls(tree)) == ["", "C.m", "f", "f.g"]
+    assert sorted(reading_functions(tree, "as_permutation")) == [
+        "", "C.m", "f", "f.g"]
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -648,9 +665,10 @@ def test_bench_result_counters_read_real_results():
 
 
 def test_bench_tracer_counts_the_b_n_hull():
-    # a traced `verify-symmetry-group 3` runs one hull, B_3's 9 facets; in
-    # a child process, since `Tracer.uninstall` leaves the package's
-    # functions wrapped
+    # a traced `verify-symmetry-group 3` runs no hull, as B_3's facets are
+    # certified without one, and one automorphism search, on the facet
+    # side, of order 72; in a child process, since `Tracer.uninstall`
+    # leaves the package's functions wrapped
     code = ("import importlib.util, sys\n"
             "from birkhoffsym import birkhoff, cli, reppoly\n"
             "spec = importlib.util.spec_from_file_location("
@@ -663,9 +681,11 @@ def test_bench_tracer_counts_the_b_n_hull():
             "tracer.uninstall()\n"
             "s = tracer.summary()\n"
             "print(s['hull.facet_enumeration.calls'], "
-            "s['hull.facet_enumeration.facets'])\n")
+            "s['hull.facet_enumeration.facets'], "
+            "s['combiso.comb_automorphisms.calls'], "
+            "s['combiso.comb_automorphisms.found'])\n")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run([sys.executable, "-c", code, str(SPANS)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1", "9"]
+    assert proc.stdout.split() == ["0", "0", "1", "72"]
