@@ -12,6 +12,7 @@ from .birkhoff import (
     NotFacetSymmetryError,
     SymmetryDecomposition,
     analytic_facet_sets,
+    birkhoff_facets,
     birkhoff_vertices,
     decompose_symmetry,
     permutation_matrix,
