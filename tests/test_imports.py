@@ -481,22 +481,6 @@ def test_permutations_are_validated_only_at_the_input_boundary():
     assert calls == VALIDATING_FUNCTIONS
 
 
-# Where `hull.facet_enumeration` may be called: a vertex file and a matrix
-# group's representation polytope.  B_n's facets are certified with no
-# hull (`birkhoff.birkhoff_facets`), in `birkhoff` and as the reference of
-# `reppoly.uniqueness_check`.
-HULL_CALLERS = {
-    ("cli", "_cmd_hull"),
-    ("reppoly", "representation_polytope"),
-}
-
-
-def test_b_n_is_never_hulled():
-    calls = {(module, name) for module, tree in package_trees().items()
-             for name in reading_functions(tree, "facet_enumeration")}
-    assert calls == HULL_CALLERS
-
-
 def test_detects_a_validator_call():
     # a call or a reference by either name counts, in a nested function,
     # a method or at module level; the import reads nothing
@@ -512,6 +496,22 @@ def test_detects_a_validator_call():
                      "        return map(as_permutation, [])\n")
     assert sorted(reading_functions(tree, "as_permutation")) == [
         "", "C.m", "f", "f.g"]
+
+
+# Where `hull.facet_enumeration` may be called: a vertex file and a matrix
+# group's representation polytope.  B_n's facets are certified with no
+# hull (`birkhoff.birkhoff_facets`), in `birkhoff` and as the reference of
+# `reppoly.uniqueness_check`.
+HULL_CALLERS = {
+    ("cli", "_cmd_hull"),
+    ("reppoly", "representation_polytope"),
+}
+
+
+def test_b_n_is_never_hulled():
+    calls = {(module, name) for module, tree in package_trees().items()
+             for name in reading_functions(tree, "facet_enumeration")}
+    assert calls == HULL_CALLERS
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
