@@ -32,7 +32,9 @@ the certified triple of one.
 
 A facet set has one name here, its position i n + j: A_ij is entry
 i n + j of `analytic_facet_sets(n)`, and a map of facet sets is a list of
-positions.
+positions.  The incidence of `birkhoff_facets` is ordered by matrix
+entry instead: it lists x_rc >= 0 at position r n + c, whose tight set
+is the complement of A_cr, since P(pi) is 1 at (r, c) when pi(c) = r.
 
 verify_transformation_law checks the translation law on the four
 generators of S_n x S_n only: both sides are actions of that group, so

@@ -2,9 +2,7 @@
 
 Every hull of the package goes through one function,
 `facet_enumeration`, whose point count and affine dimension are bounded
-on every call: by MAX_VERTICES and MAX_DIM unless the caller passes the
-sizes of an input it knows, as the tests' reference hull of B_n passes
-its n! vertices in dimension (n - 1)^2 (the package certifies B_n's
+on every call by MAX_VERTICES and MAX_DIM (the package certifies B_n's
 facets with no hull).  A hull is a `Polytope` record.
 
 Pipeline: given integer points over one denominator L (the rational
@@ -139,7 +137,7 @@ class Polytope(NamedTuple):
         return len(self.facets)
 
 
-def _affine_chart(points: Sequence[Sequence[int]], max_dim: int) -> list[int]:
+def _affine_chart(points: Sequence[Sequence[int]]) -> list[int]:
     """Chart coordinates of the affine hull of integer points: the
     greedy independent columns of the difference matrix.
 
@@ -153,16 +151,16 @@ def _affine_chart(points: Sequence[Sequence[int]], max_dim: int) -> list[int]:
     affine hull one-to-one onto Q^d: that projection is the chart, and it
     needs no inverse.  The rank is at most the number of differences, so
     the pass stops once it has kept that many.  Raises PreconditionError
-    as soon as the basis exceeds max_dim.
+    as soon as the basis exceeds MAX_DIM.
     """
     base, rest = points[0], points[1:]
     pivot_rows = []
     for j, *_ in _independent_rows(
             [x - b for x in column] for column, b in zip(zip(*rest), base)):
         pivot_rows.append(j)
-        if len(pivot_rows) > max_dim:
+        if len(pivot_rows) > MAX_DIM:
             raise PreconditionError(
-                f"affine dimension exceeds hull bound {max_dim}")
+                f"affine dimension exceeds hull bound {MAX_DIM}")
         if len(pivot_rows) == len(rest):
             break
     return pivot_rows
@@ -280,9 +278,8 @@ def _dd_extreme_rays(ineqs: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return rays
 
 
-def facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
-                      max_vertices: int = MAX_VERTICES,
-                      max_dim: int = MAX_DIM) -> Polytope:
+def facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1
+                      ) -> Polytope:
     """Facets, incidence, and dimension of the convex hull of the points,
     each divided by `denominator`, a positive integer: the one entry
     point of the hull.
@@ -290,19 +287,16 @@ def facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
     Every coordinate must be an `int`: anything else, a float, a Fraction
     or a bool, raises TypeError.  Duplicates and non-extreme points are
     tolerated (they simply end up positive on no facet certificate).  A
-    0-dimensional input yields zero facets.  More than `max_vertices`
+    0-dimensional input yields zero facets.  More than MAX_VERTICES
     points raise PreconditionError before a coordinate is read, and an
-    affine dimension above `max_dim` as soon as the chart passes it,
-    before the double description starts.  The defaults, MAX_VERTICES and
-    MAX_DIM, bound a hull of outside input; a caller that knows its
-    input passes its sizes, as the tests' reference hull of B_n passes
-    n! and (n - 1)^2.
+    affine dimension above MAX_DIM as soon as the chart passes it,
+    before the double description starts.
     """
     n = len(points)
     if n == 0:
         raise ValueError("no points")
-    if n > max_vertices:
-        raise PreconditionError(f"{n} points exceed hull bound {max_vertices}")
+    if n > MAX_VERTICES:
+        raise PreconditionError(f"{n} points exceed hull bound {MAX_VERTICES}")
     if type(denominator) is not int or denominator < 1:
         raise ValueError(f"denominator must be a positive integer, "
                          f"got {denominator!r}")
@@ -315,7 +309,7 @@ def facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1,
     if any(len(p) != ambient for p in points):
         raise ValueError("points of mixed dimension")
     scaled = tuple([flat[i * ambient:(i + 1) * ambient] for i in range(n)])
-    pivot_rows = _affine_chart(scaled, max_dim)
+    pivot_rows = _affine_chart(scaled)
     d = len(pivot_rows)
     if d == 0:
         return Polytope(ambient, scaled, scale, (), IncidenceStructure(n, ()),

@@ -22,8 +22,9 @@ The package takes and gives rationals only as integers over one
 denominator.  The converters below (`integer_form`, `integer_points`,
 `hull_of`, `birkhoff_rows`, `rational_matrix`, `entries`, `points_of`)
 give the tests, which state their cases in Fractions, that form and
-back.  `birkhoff_hull` hulls B_n with its own sizes as the bounds, as
-the package does.
+back.  `birkhoff_hull` hulls B_n with the hull's bounds lifted to its
+own sizes for that one call; the package certifies B_n's facets with no
+hull.
 """
 
 import itertools
@@ -32,9 +33,11 @@ from itertools import islice
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
+from unittest import mock
 
 import sympy
 
+from birkhoffsym import hull
 from birkhoffsym.birkhoff import birkhoff_vertices
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.exact import _independent_rows, _matrix, primitive_vector
@@ -69,9 +72,11 @@ def birkhoff_rows(n):
 
 
 def birkhoff_hull(n):
-    """facet_enumeration of B_n bounded by its own sizes, n! points in
-    dimension (n - 1)^2, as the package hulls it."""
-    return facet_enumeration(birkhoff_rows(n), 1, factorial(n), (n - 1) ** 2)
+    """facet_enumeration of B_n with the hull's bounds lifted, for this
+    call only, to its own sizes: n! points in dimension (n - 1)^2."""
+    with mock.patch.multiple(hull, MAX_VERTICES=factorial(n),
+                             MAX_DIM=(n - 1) ** 2):
+        return facet_enumeration(birkhoff_rows(n))
 
 
 def rational_matrix(values):

@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -212,18 +213,31 @@ def test_hull_bounds():
     simplex = [tuple(int(i == j) for j in range(11)) for i in range(12)]
     with pytest.raises(PreconditionError, match="hull bound 10"):
         facet_enumeration(simplex)
-    # B_5's 120 vertices are refused under the default bounds;
-    # verify_symmetry_group passes B_n's own sizes
+    # B_5's 120 vertices are refused: the package certifies B_n's facets
+    # with no hull, and only the tests' reference hull lifts the bounds
     with pytest.raises(PreconditionError):
         facet_enumeration(birkhoff_rows(5))
+
+
+def test_hull_takes_inputs_at_its_bounds():
+    # 30 points on a parabola are a 30-gon, and the 10-simplex is 11
+    # points in dimension 10; one more point, or the 11-simplex, is refused
+    p = facet_enumeration([(i, i * i) for i in range(30)])
+    assert (p.dim, p.n_facets) == (2, 30)
+    assert certify_vertices(p) == [True] * 30
+    simplex = [tuple(int(i == j) for j in range(10)) for i in range(11)]
+    p = facet_enumeration(simplex)
+    assert (p.dim, p.n_facets) == (10, 11)
+    assert certify_vertices(p) == [True] * 11
 
 
 def test_point_bound_is_checked_before_a_coordinate_is_read():
     # refused on the count alone: the float is never reached
     with pytest.raises(PreconditionError, match="31 points exceed hull bound 30"):
         facet_enumeration([(0.5, 0)] * 31)
-    with pytest.raises(PreconditionError, match="5 points exceed hull bound 4"):
-        facet_enumeration(SQUARE + [(0.5, 0)], 1, 4)
+    with mock.patch.object(hull, "MAX_VERTICES", 4), pytest.raises(
+            PreconditionError, match="5 points exceed hull bound 4"):
+        facet_enumeration(SQUARE + [(0.5, 0)])
 
 
 def rank_greedy_basis(points):
@@ -251,7 +265,7 @@ def test_one_pass_chart_keeps_the_rank_greedy_basis():
         cases.append(random_point_set(rng))
     for pts in cases:
         scaled = scaled_points(pts)
-        pivot_rows = _affine_chart(scaled, hull.MAX_DIM)
+        pivot_rows = _affine_chart(scaled)
         diffs = [tuple(a - b for a, b in zip(p, scaled[0])) for p in scaled[1:]]
         basis = [diffs[i] for i, *_ in _independent_rows(diffs)]
         want = rank_greedy_basis(scaled)
@@ -453,21 +467,25 @@ def test_dd_start_on_dependent_rows_before_the_last_independent_one():
 @settings(max_examples=300, deadline=None)
 def test_column_chart_matches_the_row_pivots(points, copies, max_dim):
     # the drawn points with copies of some, and then, all times 2m for m
-    # points, with the midpoints of neighbours and the centroid
+    # points, with the midpoints of neighbours and the centroid; the
+    # drawn bound is patched in the body, as hypothesis runs every
+    # example in one call of the test
     points = points + points[:copies]
     m = len(points)
     inside = ([tuple(2 * m * x for x in p) for p in points]
               + [tuple(m * (x + y) for x, y in zip(a, b))
                  for a, b in zip(points, points[1:])]
               + [tuple(2 * sum(c) for c in zip(*points))])
+    def chart_or_refusal(chart, *args):
+        try:
+            return chart(*args)
+        except PreconditionError as exc:
+            return str(exc)
+
     for pts in (points, inside):
-        outcomes = []
-        for chart in (_affine_chart, affine_chart_by_rows):
-            try:
-                outcomes.append(chart(pts, max_dim))
-            except PreconditionError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+        with mock.patch.object(hull, "MAX_DIM", max_dim):
+            ours = chart_or_refusal(_affine_chart, pts)
+        assert ours == chart_or_refusal(affine_chart_by_rows, pts, max_dim)
 
 
 def spy_on_the_chart_reduction(monkeypatch):
@@ -503,7 +521,7 @@ def test_chart_of_points_with_no_coordinates(tmp_path, capsys):
 
 def test_chart_of_one_point_draws_no_column(monkeypatch):
     seen = spy_on_the_chart_reduction(monkeypatch)
-    assert _affine_chart([(2, 3, 5)], hull.MAX_DIM) == []
+    assert _affine_chart([(2, 3, 5)]) == []
     assert facet_enumeration([(2, 3, 5)]).dim == 0
     assert seen == {"drawn": 0, "kept": 0}
 
@@ -515,7 +533,7 @@ def test_chart_of_a_simplex_stops_at_its_last_difference(monkeypatch):
              for k in range(6)]
     want = affine_chart_by_rows(shift)
     seen = spy_on_the_chart_reduction(monkeypatch)
-    assert _affine_chart(shift, hull.MAX_DIM) == want
+    assert _affine_chart(shift) == want
     assert seen["kept"] == 5
     assert seen["drawn"] == want[-1] + 1 < 36
     p = facet_enumeration(shift)
@@ -529,7 +547,8 @@ def test_chart_refuses_the_11_simplex_as_the_basis_passes_10(monkeypatch):
         facet_enumeration(simplex)
     assert seen == {"drawn": 11, "kept": 11}
     seen.update(drawn=0, kept=0)
-    assert len(_affine_chart(simplex, 11)) == 11
+    with mock.patch.object(hull, "MAX_DIM", 11):
+        assert len(_affine_chart(simplex)) == 11
     assert seen == {"drawn": 11, "kept": 11}
 
 

@@ -581,8 +581,9 @@ def defaulted_parameters(tree: ast.Module):
 def unset_parameters(trees: dict[str, ast.Module]) -> list[str]:
     """module.function(parameter) for each defaulted parameter that no
     call in the trees passes, matching calls by the callee's bare or
-    attribute name.  A call with *args passes every positional parameter,
-    one with **kwargs every parameter."""
+    attribute name.  A call with *args passes the positional parameters
+    before its first *args, since what *args holds is not known, and one
+    with **kwargs every parameter."""
     passed: dict[str, tuple[int, set]] = {}
     for tree in trees.values():
         for call in ast.walk(tree):
@@ -593,9 +594,8 @@ def unset_parameters(trees: dict[str, ast.Module]) -> list[str]:
                     func.attr if isinstance(func, ast.Attribute) else None)
             if name is None:
                 continue
-            count = (float("inf") if any(isinstance(a, ast.Starred)
-                                         for a in call.args)
-                     else len(call.args))
+            count = next((i for i, a in enumerate(call.args)
+                          if isinstance(a, ast.Starred)), len(call.args))
             keywords = {k.arg for k in call.keywords}
             most, names = passed.get(name, (0, set()))
             passed[name] = (max(most, count), names | keywords)
@@ -618,6 +618,7 @@ def test_detects_a_parameter_no_call_passes():
     tree = ast.parse("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
                      "def g(x=0): pass\n"
                      "def h(y=0): pass\n"
+                     "def k(a, b=1, c=2): pass\n"
                      "class C:\n"
                      "    def __init__(self, p=0, q=1): pass\n"
                      "    def m(self, r=0, s=1): pass\n"
@@ -626,10 +627,13 @@ def test_detects_a_parameter_no_call_passes():
                      "f(0, 1, e=5)\n"
                      "g(*[])\n"
                      "h(**{})\n"
+                     "k(0, *[1], 2)\n"
                      "C(0).m(1)\n"
                      "C.n(1)\n")
+    # a starred call passes only the arguments before its first *
     assert unset_parameters({"m": tree}) == [
-        "m.f(c)", "m.f(d)", "m.C.__init__(q)", "m.C.m(s)", "m.C.n(u)"]
+        "m.f(c)", "m.f(d)", "m.g(x)", "m.k(b)", "m.k(c)", "m.C.__init__(q)",
+        "m.C.m(s)", "m.C.n(u)"]
 
 
 SPANS = PACKAGE.parent.parent / "bench" / "spans.py"
