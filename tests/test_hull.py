@@ -207,9 +207,20 @@ def test_broken_facet_certificates_raise_invariant_error(monkeypatch, message):
 
 
 def test_hull_bounds():
+    # 30 points on a parabola are a 30-gon, and 31 are refused
+    parabola = [(i, i * i) for i in range(31)]
+    p = facet_enumeration(parabola[:30])
+    assert (p.dim, p.n_facets) == (2, 30)
+    assert certify_vertices(p) == [True] * 30
+    with pytest.raises(PreconditionError, match="31 points exceed hull bound 30"):
+        facet_enumeration(parabola)
     with pytest.raises(PreconditionError):
         facet_enumeration([(i,) for i in range(200)])
-    # dimension 11: the chart stops once its basis passes the bound
+    # the 10-simplex is hulled; in dimension 11 the chart stops once its
+    # basis passes the bound
+    p = facet_enumeration([tuple(int(i == j) for j in range(10))
+                           for i in range(11)])
+    assert (p.dim, p.n_facets) == (10, 11)
     simplex = [tuple(int(i == j) for j in range(11)) for i in range(12)]
     with pytest.raises(PreconditionError, match="hull bound 10"):
         facet_enumeration(simplex)
@@ -217,18 +228,6 @@ def test_hull_bounds():
     # with no hull, and only the tests' reference hull lifts the bounds
     with pytest.raises(PreconditionError):
         facet_enumeration(birkhoff_rows(5))
-
-
-def test_hull_takes_inputs_at_its_bounds():
-    # 30 points on a parabola are a 30-gon, and the 10-simplex is 11
-    # points in dimension 10; one more point, or the 11-simplex, is refused
-    p = facet_enumeration([(i, i * i) for i in range(30)])
-    assert (p.dim, p.n_facets) == (2, 30)
-    assert certify_vertices(p) == [True] * 30
-    simplex = [tuple(int(i == j) for j in range(10)) for i in range(11)]
-    p = facet_enumeration(simplex)
-    assert (p.dim, p.n_facets) == (10, 11)
-    assert certify_vertices(p) == [True] * 11
 
 
 def test_point_bound_is_checked_before_a_coordinate_is_read():
@@ -476,6 +475,7 @@ def test_column_chart_matches_the_row_pivots(points, copies, max_dim):
               + [tuple(m * (x + y) for x, y in zip(a, b))
                  for a, b in zip(points, points[1:])]
               + [tuple(2 * sum(c) for c in zip(*points))])
+
     def chart_or_refusal(chart, *args):
         try:
             return chart(*args)
