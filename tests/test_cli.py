@@ -128,7 +128,7 @@ def test_decompose_rejecting_alpha(tmp_path, capsys):
     code, doc = run_json(capsys, ["decompose", "3", "--alpha", str(path)])
     assert code == 1
     assert doc["pass"] is False
-    assert "error" in doc["details"]
+    assert doc["details"] == {"error": "not a facet symmetry"}
 
 
 def test_decompose_bad_alpha_length(tmp_path, capsys):
