@@ -8,8 +8,6 @@ explicit multiplication tables.  No floating point anywhere.
 """
 
 from .birkhoff import (
-    InconsistentSymmetryError,
-    NotFacetSymmetryError,
     SymmetryDecomposition,
     analytic_facet_sets,
     birkhoff_facets,

@@ -65,14 +65,6 @@ from .perm import _inverse, cycle_string, symmetric_group
 MAX_N = 6
 
 
-class NotFacetSymmetryError(ValueError):
-    pass
-
-
-class InconsistentSymmetryError(ValueError):
-    pass
-
-
 class SymmetryDecomposition(NamedTuple):
     """The triple of a symmetry pi -> sigma pi^epsilon tau of B_n."""
     sigma: tuple[int, ...]
@@ -297,24 +289,27 @@ def verify_transformation_law(n: int) -> dict:
             "failures": failures, "passed": not failures}
 
 
-def decompose_symmetry(n: int, alpha: Sequence[int]) -> SymmetryDecomposition:
+def decompose_symmetry(n: int, alpha: Sequence[int]
+                       ) -> Optional[SymmetryDecomposition]:
     """Certified normal form (sigma, tau, epsilon) of a vertex bijection
-    alpha, given by its n! vertex images.
+    alpha, given by its n! vertex images, or None when alpha is no facet
+    symmetry.
 
     By the law sigma A_ij tau^-1 = A_{tau(i), sigma(j)} and A_ij^-1 = A_ji,
     pi -> sigma pi^eps tau sends A_ij to A_{r(i), c(j)} for eps = +1 and
     to A_{r(j), c(i)} for eps = -1, with r = tau^-1 and c = sigma.  So
     only row 0 and column 0 of alpha's map of facet sets are read, the
-    images of A_0j and A_i0, 2n - 1 sets; one that is no facet set raises
-    NotFacetSymmetryError at once.  eps = +1 when the images of row 0
-    share their first index, -1 when they share their second (n >= 3
-    distinct sets cannot share both), and r and c are read off the row
-    and the column.  The certificate is one vertex pass: return the
-    triple when its map agrees with alpha on all n! vertices.  A map
-    pi -> sigma pi^eps tau reads back its own triple, and no two triples
-    give one map (n >= 3), so only an alpha of no such form fails; then
-    the other n^2 - (2n - 1) facet sets are read: NotFacetSymmetryError
-    when some A_ij goes onto no A_kl, else InconsistentSymmetryError.
+    images of A_0j and A_i0, 2n - 1 sets; one that is no facet set gives
+    None at once.  eps = +1 when the images of row 0 share their first
+    index, -1 when they share their second (n >= 3 distinct sets cannot
+    share both), and r and c are read off the row and the column.  The
+    certificate is one vertex pass: return the triple when its map agrees
+    with alpha on all n! vertices.  A map pi -> sigma pi^eps tau reads
+    back its own triple, and no two triples give one map (n >= 3), so
+    only an alpha of no such form fails; then the other n^2 - (2n - 1)
+    facet sets are read: None when some A_ij goes onto no A_kl.  Every
+    facet symmetry has the form (`verify_symmetry_group`), so one that
+    has no triple raises InvariantError.
     """
     if not 3 <= n <= MAX_N:
         raise PreconditionError(f"decomposition supports 3 <= n <= {MAX_N}")
@@ -331,7 +326,7 @@ def decompose_symmetry(n: int, alpha: Sequence[int]) -> SymmetryDecomposition:
     cross = [position.get(frozenset(getters[k](images)))
              for k in (*range(n), *range(n, n * n, n))]
     if None in cross:
-        raise NotFacetSymmetryError("not a facet symmetry")
+        return None
     row, column = cross[:n], cross[:1] + cross[n:]
     epsilon = (1 if len({k // n for k in row}) == 1 else
                -1 if len({k % n for k in row}) == 1 else 0)
@@ -341,11 +336,12 @@ def decompose_symmetry(n: int, alpha: Sequence[int]) -> SymmetryDecomposition:
         tau = _inverse([k // n for k in r])
         if _vertex_images(n, sigma, tau, epsilon) == images:
             return SymmetryDecomposition(sigma, tau, epsilon)
-    # every other A_ij, i, j > 0, is read only to name the failure
+    # every other A_ij, i, j > 0, is read only to tell a non-symmetry from
+    # a broken certificate
     if None in [position.get(frozenset(getters[k](images)))
                 for k in range(n, n * n) if k % n]:
-        raise NotFacetSymmetryError("not a facet symmetry")
-    raise InconsistentSymmetryError("inconsistent")
+        return None
+    raise InvariantError("a facet symmetry of B_n has no triple")
 
 
 def _facet_lines(inc: IncidenceStructure) -> IncidenceStructure:
@@ -389,8 +385,10 @@ def verify_symmetry_group(n: int) -> dict:
     the match, the law's verdict and (b)'s with the order.  Each strong
     generator of the graph is lifted to the vertex map it induces, v ->
     the vertex off the images of the facets v is off, and decomposed:
-    `roundtrip_failures` counts those that do not decompose, and
-    `decompose_symmetry` checks the triple it returns at every vertex.
+    `roundtrip_failures` counts the lifts that are no facet symmetry,
+    `decompose_symmetry` checks the triple it returns at every vertex,
+    and a lift that is a facet symmetry with no triple raises
+    InvariantError.
 
     The report: `n`, B_n's `n_vertices`, `n_facets` and `dim`,
     `facets_match_analytic`, `aut_order` against `expected_order` =
@@ -417,10 +415,7 @@ def verify_symmetry_group(n: int) -> dict:
     for psi in aut.generators:
         alpha = [vertex_off.get(frozenset(map(psi.__getitem__, cells)))
                  for cells in off]
-        try:
-            decompose_symmetry(n, alpha)
-        except (NotFacetSymmetryError, InconsistentSymmetryError):
-            roundtrip_failures += 1
+        roundtrip_failures += decompose_symmetry(n, alpha) is None
     passed = (facets_match and law and faithful and aut.order == expected
               and roundtrip_failures == 0)
     return {

@@ -1,4 +1,7 @@
-"""Shared exception types.
+"""The package's only exception types, besides the ValueError and
+OSError of malformed input.  A verdict is a return value, never an
+exception: decompose_symmetry returns None for an alpha that is no
+facet symmetry.
 
 PreconditionError marks inputs outside an operation's supported range
 (size bounds, unsupported n, and the like).  The command line maps it to

@@ -25,9 +25,8 @@ with one vertex pass each.
 import itertools
 from operator import itemgetter
 
-from birkhoffsym.birkhoff import (InconsistentSymmetryError,
-                                  NotFacetSymmetryError,
-                                  SymmetryDecomposition)
+from birkhoffsym.birkhoff import SymmetryDecomposition
+from birkhoffsym.errors import InvariantError
 from birkhoffsym.perm import _inverse, cycle_string, symmetric_group
 
 
@@ -93,16 +92,17 @@ def tuple_vertex_images(n: int, sigma, tau, epsilon: int) -> list:
     return [index.get(itemgetter(*after_tau(p))(sigma)) for p in domain]
 
 
-def full_decompose_symmetry(n: int, alpha) -> SymmetryDecomposition:
-    """(sigma, tau, epsilon) of alpha from its whole map of facet sets, or
-    NotFacetSymmetryError / InconsistentSymmetryError."""
+def full_decompose_symmetry(n: int, alpha):
+    """(sigma, tau, epsilon) of alpha from its whole map of facet sets;
+    None when some facet set goes onto no facet set, and InvariantError
+    when every one does but neither eps gives a triple."""
     sets = facet_sets(n)
     position = {members: k for k, members in enumerate(sets)}
     # image_map[i n + j] = k n + l for alpha(A_ij) = A_kl
     image_map = [position.get(frozenset(alpha[v] for v in members))
                  for members in sets]
     if None in image_map:
-        raise NotFacetSymmetryError("not a facet symmetry")
+        return None
     images = list(alpha)
     for epsilon in (1, -1):
         r = [k // n for k in image_map[::n]]
@@ -111,4 +111,4 @@ def full_decompose_symmetry(n: int, alpha) -> SymmetryDecomposition:
         if tuple_vertex_images(n, sigma, tau, epsilon) == images:
             return SymmetryDecomposition(sigma, tau, epsilon)
         image_map = [image_map[j * n + i] for i in range(n) for j in range(n)]
-    raise InconsistentSymmetryError("inconsistent")
+    raise InvariantError("a facet symmetry of B_n has no triple")

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from birkhoffsym import birkhoff, cli, combiso, gamma, hull, perm, reppoly
 from birkhoffsym.birkhoff import SymmetryDecomposition
 from birkhoffsym.cli import main
-from birkhoffsym.errors import PreconditionError
+from birkhoffsym.errors import InvariantError, PreconditionError
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
                               polytope_to_document)
 from birkhoffsym.perm import parse_cycles
@@ -129,6 +129,25 @@ def test_decompose_rejecting_alpha(tmp_path, capsys):
     assert code == 1
     assert doc["pass"] is False
     assert doc["details"] == {"error": "not a facet symmetry"}
+
+
+def test_decompose_exits_4_on_a_facet_symmetry_with_no_triple(
+        tmp_path, capsys, monkeypatch):
+    # a vertex pass that never agrees leaves a genuine symmetry of B_3
+    # with no triple: a broken certificate, not an alpha refused
+    alpha = symmetry_images(3, SymmetryDecomposition((1, 2, 0), (0, 2, 1), -1))
+    assert alpha != list(range(6))
+    monkeypatch.setattr(birkhoff, "_vertex_images",
+                        lambda n, sigma, tau, epsilon: (None,) * 6)
+    with pytest.raises(InvariantError):
+        birkhoff.decompose_symmetry(3, alpha)
+    path = tmp_path / "alpha.txt"
+    path.write_text("\n".join(map(str, alpha)))
+    assert main(["decompose", "3", str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal certificate failed: "
+                   "a facet symmetry of B_n has no triple\n")
 
 
 def test_decompose_bad_alpha_length(tmp_path, capsys):

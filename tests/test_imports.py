@@ -19,7 +19,10 @@ or by position: a knob only its default ever sets is kept only when
 KEPT_PARAMETERS lists it, with the reason it stays.  Each plain class,
 one that is neither a NamedTuple nor an exception, is likewise listed in
 KEPT_CLASSES with the reason it stays, so a new class that only wraps a
-tuple is reported.
+tuple is reported.  And only `errors` defines exception classes: every
+exception the package raises, beyond the ValueError and OSError of
+malformed input, is one the command line maps to an exit, and a verdict
+is a return value.
 
 Only `perm` calls `PermutationGroup`: a group is built for what the
 program is given or closes, and a subgroup it derives is held as
@@ -50,6 +53,7 @@ a changed return type fails a test, not a traced round, and a traced
 `verify_symmetry_group` must count its B_n hull."""
 
 import ast
+import builtins
 import importlib.util
 import os
 import subprocess
@@ -291,17 +295,30 @@ def test_detects_a_dead_definition():
         "m.unused", "m.recursive", "m.read"]
 
 
+def class_bases(tree: ast.Module) -> list[tuple[str, list[str]]]:
+    """(name, the last dotted part of each base) for each class the
+    module defines."""
+    return [(node.name, [ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases])
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+
+
+def is_exception(bases: list[str]) -> bool:
+    """A subclass of a built-in exception or of a class named *Error."""
+    return any(b.endswith("Error") or (
+        isinstance(getattr(builtins, b, None), type)
+        and issubclass(getattr(builtins, b), BaseException)) for b in bases)
+
+
 def plain_classes(tree: ast.Module) -> list[str]:
     """Each class the module defines that is neither a NamedTuple nor an
-    exception: a subclass of Exception or of a class named *Error."""
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            bases = [ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases]
-            if not any(b in ("NamedTuple", "Exception") or b.endswith("Error")
-                       for b in bases):
-                out.append(node.name)
-    return out
+    exception."""
+    return [name for name, bases in class_bases(tree)
+            if "NamedTuple" not in bases and not is_exception(bases)]
+
+
+def exception_classes(tree: ast.Module) -> list[str]:
+    """Each exception class the module defines."""
+    return [name for name, bases in class_bases(tree) if is_exception(bases)]
 
 
 def test_every_plain_class_is_kept_for_a_reason():
@@ -319,6 +336,28 @@ def test_detects_a_plain_class():
                      "class Fault(Exception): pass\n"
                      "def f():\n    class Local(tuple): pass\n")
     assert plain_classes(tree) == ["Wrapper", "Local"]
+
+
+def test_only_errors_defines_exception_classes():
+    # every exception the package raises, beyond the ValueError and
+    # OSError of malformed input, is one that cli._run maps to an exit;
+    # a verdict is a return value
+    found = {module: names for module, tree in package_trees().items()
+             if (names := exception_classes(tree))}
+    assert found == {"errors": ["PreconditionError", "InvariantError"]}
+
+
+def test_detects_an_exception_class():
+    tree = ast.parse("import typing\n"
+                     "class Wrapper:\n    __slots__ = ('_t',)\n"
+                     "class Pair(typing.NamedTuple):\n    a: int\n"
+                     "class Refused(ValueError): pass\n"
+                     "class Fault(Exception): pass\n"
+                     "class Done(StopIteration): pass\n"
+                     "class Broken(errors.InvariantError): pass\n"
+                     "def f():\n    class Local(KeyError): pass\n")
+    assert exception_classes(tree) == [
+        "Refused", "Fault", "Done", "Broken", "Local"]
 
 
 def function_level_imports(tree: ast.AST) -> list[int]:
