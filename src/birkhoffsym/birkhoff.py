@@ -307,9 +307,10 @@ def decompose_symmetry(n: int, alpha: Sequence[int]
     with alpha on all n! vertices.  A map pi -> sigma pi^eps tau reads
     back its own triple, and no two triples give one map (n >= 3), so
     only an alpha of no such form fails; then the other n^2 - (2n - 1)
-    facet sets are read: None when some A_ij goes onto no A_kl.  Every
-    facet symmetry has the form (`verify_symmetry_group`), so one that
-    has no triple raises InvariantError.
+    facet sets are read: None when some A_ij goes onto no A_kl, or when
+    alpha repeats an image.  Else alpha permutes the facet sets, a facet
+    symmetry, and every one has the form (`verify_symmetry_group`), so
+    one with no triple raises InvariantError.
     """
     if not 3 <= n <= MAX_N:
         raise PreconditionError(f"decomposition supports 3 <= n <= {MAX_N}")
@@ -337,9 +338,11 @@ def decompose_symmetry(n: int, alpha: Sequence[int]
         if _vertex_images(n, sigma, tau, epsilon) == images:
             return SymmetryDecomposition(sigma, tau, epsilon)
     # every other A_ij, i, j > 0, is read only to tell a non-symmetry from
-    # a broken certificate
-    if None in [position.get(frozenset(getters[k](images)))
-                for k in range(n, n * n) if k % n]:
+    # a broken certificate; a map that is no bijection can still send
+    # every facet set onto one (for n = 3, all onto A_00)
+    inner = [position.get(frozenset(getters[k](images)))
+             for k in range(n, n * n) if k % n]
+    if None in inner or len(set(images)) < len(images):
         return None
     raise InvariantError("a facet symmetry of B_n has no triple")
 

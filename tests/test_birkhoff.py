@@ -238,6 +238,16 @@ def test_decompose_rejects_vertex_swap():
     assert decompose_symmetry(3, alpha) is None
 
 
+def test_decompose_of_a_map_onto_one_facet_set_is_none():
+    # each facet set of B_3 holds one vertex that alpha sends to 0 and one
+    # it sends to 1, so each goes onto A_00 = {0, 1}; the map is no
+    # bijection, so no facet symmetry, not a broken certificate
+    alpha = (0, 1, 1, 0, 0, 1)
+    assert {frozenset(alpha[v] for v in members)
+            for members in analytic_facet_sets(3)} == {frozenset({0, 1})}
+    assert decompose_symmetry(3, alpha) is None
+
+
 def test_inversion_map_is_involution_and_decomposes():
     for n in (3, 4):
         perms = symmetric_group(n).elements
