@@ -94,16 +94,16 @@ def tuple_vertex_images(n: int, sigma, tau, epsilon: int) -> list:
 
 def full_decompose_symmetry(n: int, alpha):
     """(sigma, tau, epsilon) of alpha from its whole map of facet sets;
-    None when some facet set goes onto no facet set, and InvariantError
-    when every one does but neither eps gives a triple."""
+    None when some facet set goes onto no facet set or alpha repeats an
+    image, and InvariantError when neither eps gives a triple."""
     sets = facet_sets(n)
     position = {members: k for k, members in enumerate(sets)}
     # image_map[i n + j] = k n + l for alpha(A_ij) = A_kl
     image_map = [position.get(frozenset(alpha[v] for v in members))
                  for members in sets]
-    if None in image_map:
-        return None
     images = list(alpha)
+    if None in image_map or len(set(images)) < len(images):
+        return None
     for epsilon in (1, -1):
         r = [k // n for k in image_map[::n]]
         tau = _inverse(r)

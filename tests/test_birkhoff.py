@@ -245,7 +245,7 @@ def test_decompose_of_a_map_onto_one_facet_set_is_none():
     alpha = (0, 1, 1, 0, 0, 1)
     assert {frozenset(alpha[v] for v in members)
             for members in analytic_facet_sets(3)} == {frozenset({0, 1})}
-    assert decompose_symmetry(3, alpha) is None
+    assert _verdicts(3, alpha) == [None, None]
 
 
 def test_inversion_map_is_involution_and_decomposes():
