@@ -20,7 +20,7 @@ from .birkhoff import (
 )
 from .cd import cd_lattice, verify_centralizer_estimate
 from .combiso import comb_automorphisms, comb_equivalent
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .exact import primitive_vector
 from .gamma import (
     commuting_regular_pairs,

@@ -65,6 +65,11 @@ from .perm import _inverse, cycle_string, symmetric_group
 MAX_N = 6
 
 
+def _check_n(what: str, n: int) -> None:
+    if not 3 <= n <= MAX_N:
+        raise PreconditionError(f"{what} supports 3 <= n <= {MAX_N}")
+
+
 class SymmetryDecomposition(NamedTuple):
     """The triple of a symmetry pi -> sigma pi^epsilon tau of B_n."""
     sigma: tuple[int, ...]
@@ -163,8 +168,7 @@ def birkhoff_facets(n: int) -> tuple[IncidenceStructure, int]:
     sets are distinct (`IncidenceStructure` checks it), so the n^2
     inequalities are n^2 facets.
     """
-    if not 3 <= n <= MAX_N:
-        raise PreconditionError(f"facet certificate supports 3 <= n <= {MAX_N}")
+    _check_n("facet certificate", n)
     rows = _equality_matrix(n)
     if [list(column) for column in zip(*rows)] != [
             [int(r in (k // n, n + k % n)) for r in range(2 * n)]
@@ -196,8 +200,7 @@ def verify_intersection_table(n: int) -> dict:
     """Check |A_ij n A_kl| against the four-case formula for all n^4 cases.
     The report: `n`, `cases_checked`, the (i, j, k, l) that fail as
     `failures`, and `passed`."""
-    if not 3 <= n <= MAX_N:
-        raise PreconditionError(f"intersection table supports 3 <= n <= {MAX_N}")
+    _check_n("intersection table", n)
     sets = analytic_facet_sets(n)
     failures = []
     cases = 0
@@ -261,9 +264,7 @@ def verify_transformation_law(n: int) -> dict:
     the cases of A_ij^-1 = A_ji; `generator_cases` = 4 n^2, the cases
     checked directly; `failures`, one string each; and `passed`.
     """
-    if not 3 <= n <= MAX_N:
-        raise PreconditionError(
-            f"transformation law check supports 3 <= n <= {MAX_N}")
+    _check_n("transformation law check", n)
     sets = analytic_facet_sets(n)
     one = tuple(range(n))
     sn_gens = symmetric_group(n).generators
@@ -312,8 +313,7 @@ def decompose_symmetry(n: int, alpha: Sequence[int]
     symmetry, and every one has the form (`verify_symmetry_group`), so
     one with no triple raises InvariantError.
     """
-    if not 3 <= n <= MAX_N:
-        raise PreconditionError(f"decomposition supports 3 <= n <= {MAX_N}")
+    _check_n("decomposition", n)
     perms = symmetric_group(n).elements
     # a tuple, since a list of the same images never equals the tuple of
     # vertex images the triple is checked against
@@ -397,9 +397,7 @@ def verify_symmetry_group(n: int) -> dict:
     `facets_match_analytic`, `aut_order` against `expected_order` =
     2(n!)^2, `roundtrip_failures` and `passed`.
     """
-    if not 3 <= n <= MAX_N:
-        raise PreconditionError(
-            f"symmetry group verification supports 3 <= n <= {MAX_N}")
+    _check_n("symmetry group verification", n)
     inc, dim = birkhoff_facets(n)
     n_fact = factorial(n)
     everything = frozenset(range(n_fact))

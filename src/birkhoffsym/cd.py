@@ -11,9 +11,8 @@ member index sets: C(H) once per member, and H n K and HK once per
 unordered pair that is not nested, HK by its size against the closure
 <H, K>, never as a set of products.  A member stays such an index set,
 with its generators' positions: no subgroup is built as a group of its
-own.  It also checks the estimate
-m_{S_n}(U) <= n! with equality only at the trivial and full subgroups
-(n = 4 to 7).
+own.  It also checks the estimate m_{S_n}(U) <= n! with equality only
+at the trivial and full subgroups (n = 4 to 7).
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ def _pair_closed(group: PermutationGroup, h, k, lattice: set) -> bool:
     return len(joined) * len(meet) == len(hs) * len(ks) and joined in lattice
 
 
-def cd_lattice(group: PermutationGroup, bound: int = 200) -> dict:
+def cd_lattice(group: PermutationGroup) -> dict:
     """Maximizers of the Chermak-Delgado measure with verification flags.
 
     closure_pass: for all H, K in the lattice L, C_G(H), H n K and the
@@ -73,13 +72,14 @@ def cd_lattice(group: PermutationGroup, bound: int = 200) -> dict:
     by sizes against the closure <H, K>.
     subnormal_pass: every member's iterated normalizer chain reaches G.
     Members come from `subgroup_classes` as index sets with generators,
-    sorted by (order, element list), and are reported so.
+    sorted by (order, element list), and are reported so.  G has at most
+    `perm.MAX_TABLE_ORDER` elements, the bound of its table.
 
     The report: `group_order`, `subgroup_count`, `max_measure`,
     `lattice`, each member a (members, generators) pair of positions on
     G's table, and the two verdicts `closure_pass` and `subnormal_pass`.
     """
-    classes = subgroup_classes(group, bound=bound)
+    classes = subgroup_classes(group)
     measures = _class_measures(group, classes)
     max_measure = max(measures)
     lattice_pairs = sorted(
@@ -116,7 +116,7 @@ def verify_centralizer_estimate(n: int) -> dict:
         raise PreconditionError(
             f"centralizer estimate check supports n in {{4, 5, 6, 7}}, got {n}")
     group = symmetric_group(n)
-    classes = subgroup_classes(group, bound=group.order)
+    classes = subgroup_classes(group)
     measures = _class_measures(group, classes)
     full = group.order
     equality_orders = []

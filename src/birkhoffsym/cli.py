@@ -21,11 +21,13 @@ line, to stdout and exits 0.  A usage error prints the usage line and
 
 Group arguments accept a built-in name (s3, s4, s5, c2, c3, c4, c6, v4,
 d4, q8) or a path to a text file with one generator in cycle notation
-per line.  Alpha files for `decompose` list n! 0-based vertex images,
-one per line.  Vertex and matrix-group files are JSON documents; see the
-README for their shapes.  Every input file is read by the one reader,
-`_read_text`: its bytes decoded as UTF-8 whatever the locale, so bytes
-that do not decode exit 3 as invalid input.
+per line, closed only up to the command's size bound (`hull.MAX_VERTICES`,
+`gamma.MAX_GAMMA_BASE` or `perm.MAX_TABLE_ORDER`).  Alpha files for
+`decompose` list n! 0-based vertex images, one per line.  Vertex and
+matrix-group files are JSON documents; see the README for their shapes.
+Every input file is read by the one reader, `_read_text`: its bytes
+decoded as UTF-8 whatever the locale, so bytes that do not decode exit 3
+as invalid input.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import time
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 
-from . import birkhoff, cd, gamma, hull, reppoly
+from . import birkhoff, cd, gamma, hull, perm, reppoly
 from .errors import InvariantError, PreconditionError
 from .exact import _integer, _integers
 from .perm import (PermutationGroup, _semiregular_order, as_permutation,
@@ -133,24 +135,20 @@ def _cmd_verify_symmetry_group(args):
 
 
 def _cmd_decompose(args):
-    if not 3 <= args.n <= birkhoff.MAX_N:
-        raise PreconditionError(
-            f"decomposition supports 3 <= n <= {birkhoff.MAX_N}")
+    birkhoff._check_n("decomposition", args.n)
     n_points = math.factorial(args.n)
-    # --alpha wins over the positional file when both are given
-    path = args.alpha if args.alpha is not None else args.alpha_positional
-    if args.identity and path is not None:
+    if args.identity and args.alpha is not None:
         raise PreconditionError(
-            f"decompose takes --identity or the alpha file {path!r}, "
+            f"decompose takes --identity or the alpha file {args.alpha!r}, "
             "not both")
     if args.identity:
         alpha = tuple(range(n_points))
         inputs = {"n": args.n, "alpha": "identity"}
-    elif path is not None:
-        alpha = _read_alpha(path, n_points)
-        inputs = {"n": args.n, "alpha": path}
+    elif args.alpha is not None:
+        alpha = _read_alpha(args.alpha, n_points)
+        inputs = {"n": args.n, "alpha": args.alpha}
     else:
-        raise PreconditionError("decompose needs --alpha <file> or --identity")
+        raise PreconditionError("decompose needs an alpha file or --identity")
     dec = birkhoff.decompose_symmetry(args.n, alpha)
     if dec is None:
         return False, inputs, {"error": "not a facet symmetry"}
@@ -163,8 +161,8 @@ def _cmd_decompose(args):
 
 
 def _cmd_cd_lattice(args):
-    name, group = _load_group(args.group, args.bound)
-    r = cd.cd_lattice(group, bound=args.bound)
+    name, group = _load_group(args.group, perm.MAX_TABLE_ORDER)
+    r = cd.cd_lattice(group)
     members = [{
         "name": _subgroup_name(name, group, sub),
         "order": len(sub),
@@ -286,12 +284,12 @@ COMMANDS = {
     "decompose": Command(
         _cmd_decompose,
         "write a vertex bijection of B_n as (sigma, tau, epsilon)",
-        (N, Arg("alpha_positional", "alpha-file", str)),
-        (Arg("alpha", "ALPHA", str), Arg("identity", "", None, False))),
+        (N, Arg("alpha", "alpha-file", str)),
+        (Arg("identity", "", None, False),)),
     "cd-lattice": Command(
         _cmd_cd_lattice,
         "measure-maximizing subgroup lattice with closure checks",
-        options=(GROUP, Arg("bound", "BOUND", _integer, 200))),
+        options=(GROUP,)),
     "sn-cent-est": Command(
         _cmd_sn_cent_est,
         "centralizer order estimate across all subgroups of S_n, n = 4 to 7",

@@ -30,9 +30,10 @@ build their groups so.
 `PermutationGroup.table` is the multiplication table on positions in
 the element list (identity at 0), built on first read along the Cayley
 graph of the generators, so generators that do not generate the group
-raise InvariantError.  `centralizer_indices` and `normalizer_indices`
-read whole columns of it in C.  Only routines reading most products of
-a group of order at most 5040 (S_7, for `sn-cent-est 7`) build it.
+raise InvariantError; past MAX_TABLE_ORDER = 5040 elements (S_7, for
+`sn-cent-est 7`) it raises PreconditionError before a row is built.
+`centralizer_indices` and `normalizer_indices` read whole columns of it
+in C.  Only routines reading most products build it.
 `isomorphisms` extends maps, from any prefix of generator images, along
 the same Cayley graph, and `subgroup_classes` enumerates subgroups up to
 conjugacy on it.  `orders`, the element orders, is read once off the
@@ -59,6 +60,7 @@ from .exact import _integers, _shown
 
 MAX_DEGREE = 4096  # points 0..MAX_DEGREE-1 are the most cycle notation may name
 MAX_IMAGE_CHOICES = 50_000  # generator images one isomorphism search tries
+MAX_TABLE_ORDER = 5040  # most elements of a group whose table is built
 
 
 def _not_a_permutation(images: tuple) -> str:
@@ -207,12 +209,16 @@ class PermutationGroup:
         row is looked up product by product, and every other row is a
         known row gathered at another, table[s y][b] =
         table[s][table[y][b]], one C-level `itemgetter` per row.  A
-        generator outside the element list, a product outside it, or a
-        row no word in the generators reaches raises InvariantError,
-        never a partial table."""
+        group of more than MAX_TABLE_ORDER elements raises
+        PreconditionError before a row is built.  A generator outside the
+        element list, a product outside it, or a row no word in the
+        generators reaches raises InvariantError, never a partial table."""
         if self._table is None:
             idx = self.index
             n = len(idx)
+            if n > MAX_TABLE_ORDER:
+                raise PreconditionError(f"group of order {n} exceeds "
+                                        f"table bound {MAX_TABLE_ORDER}")
             table: list = [None] * n
             table[0] = list(range(n))
             try:
@@ -496,9 +502,10 @@ def symmetric_group(n: int) -> PermutationGroup:
 SubgroupClass = list[tuple[frozenset[int], tuple[int, ...]]]
 
 
-def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[SubgroupClass]:
+def subgroup_classes(group: PermutationGroup) -> list[SubgroupClass]:
     """Every subgroup of G up to conjugacy, by cyclic extension (Holt,
-    Eick & O'Brien, Handbook of Computational Group Theory, 2005).
+    Eick & O'Brien, Handbook of Computational Group Theory, 2005).  G
+    has at most MAX_TABLE_ORDER elements, as its table refuses more.
 
     Returns the conjugacy classes in the order found.  A class lists each
     of its subgroups as (member indices, generator indices) on the
@@ -518,9 +525,6 @@ def subgroup_classes(group: PermutationGroup, bound: int = 200) -> list[Subgroup
     member of a recorded class.  By induction along a chain 1 < <g1> <
     <g1, g2> < ... < K, every subgroup K lies in a recorded class.
     """
-    if group.order > bound:
-        raise PreconditionError(
-            f"group of order {group.order} exceeds subgroup-enumeration bound {bound}")
     table, inv, n = group.table, group.inv, group.order
     classes: list[SubgroupClass] = []
     found: set[frozenset[int]] = set()

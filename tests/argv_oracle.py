@@ -1,12 +1,12 @@
 """The command line as argparse read it, kept as a reference.
 
 `build_parser` is the parser `cli.main` built before `cli.read_argv`
-replaced it: the same commands, positionals, options and defaults, read
-by argparse.  The tests hand both the same argv and compare the
-namespaces, and both must refuse the same bad argv with exit 2.  The
-intended differences are exact option names (argparse accepts an
-unambiguous abbreviation) and decimal integers (argparse's `int` also
-takes `+3`, `0_3` and non-ASCII digits).
+replaced it, less the options dropped since: the same commands,
+positionals, options and defaults, read by argparse.  The tests hand
+both the same argv and compare the namespaces, and both must refuse the
+same bad argv with exit 2.  The intended differences are exact option
+names (argparse accepts an unambiguous abbreviation) and decimal
+integers (argparse's `int` also takes `+3`, `0_3` and non-ASCII digits).
 
 `readme_examples` lists the argv of each `birkhoffsym ...` line in the
 README's command-line block, so the docs are read by the same reader.
@@ -38,8 +38,8 @@ def readme_examples() -> list[list[str]]:
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser `cli.main` used, kept verbatim; built once,
-    since parsing keeps no state on it."""
+    """The argparse parser `cli.main` used, less the options dropped
+    since; built once, since parsing keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="birkhoffsym",
         description="Exact verification of the combinatorial symmetries of "
@@ -68,10 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("decompose", _cmd_decompose,
             "write a vertex bijection of B_n as (sigma, tau, epsilon)")
     p.add_argument("n", type=int)
-    p.add_argument("alpha_positional", nargs="?", default=None,
-                   metavar="alpha-file",
-                   help="file of n! 0-based images, one per line")
-    p.add_argument("--alpha", default=None,
+    p.add_argument("alpha", nargs="?", default=None, metavar="alpha-file",
                    help="file of n! 0-based images, one per line")
     p.add_argument("--identity", action="store_true",
                    help="decompose the identity bijection")
@@ -79,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("cd-lattice", _cmd_cd_lattice,
             "measure-maximizing subgroup lattice with closure checks")
     p.add_argument("--group", required=True)
-    p.add_argument("--bound", type=int, default=200)
 
     p = add("sn-cent-est", _cmd_sn_cent_est,
             "centralizer order estimate across all subgroups of S_n, n = 4, 5, 6")

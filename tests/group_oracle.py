@@ -37,13 +37,13 @@ def build_gamma(group: PermutationGroup) -> PermutationGroup:
     return closure(gens + [tuple(inv)])
 
 
-def all_subgroups(group: PermutationGroup, bound: int = 200) -> list[PermutationGroup]:
+def all_subgroups(group: PermutationGroup) -> list[PermutationGroup]:
     """Every subgroup of G, from `subgroup_classes`, generated by the
     elements found for it and sorted by (order, element list), that
     is (order, ascending member indices): one group per subgroup, with
     which the tests count subgroups."""
     subs = sorted(((sorted(members), gens)
-                   for cls in subgroup_classes(group, bound)
+                   for cls in subgroup_classes(group)
                    for members, gens in cls),
                   key=lambda sub: (len(sub[0]), sub[0]))
     elements = group.elements

@@ -43,15 +43,14 @@ SPELLINGS = [
     ["verify-table", "-3"],
     ["decompose", "3", "--identity"],
     ["decompose", "--identity", "3"],
-    ["decompose", "3", "alpha.txt", "--alpha", "other.txt"],
-    ["decompose", "--alpha=other.txt", "3"],
-    ["decompose", "--alpha", "a", "--alpha", "b", "4", "-"],
-    ["decompose", "3", "--alpha="],
-    ["cd-lattice", "--group", "s4", "--bound", "24"],
-    ["cd-lattice", "--bound=24", "--group=s4"],
-    ["cd-lattice", "--group", "s4", "--bound", "-1"],
-    ["cd-lattice", "--group", "s4", "--bound", "007"],
-    ["cd-lattice", "--group", "s4", "--bound", "9" * 400],
+    ["decompose", "--identity", "4", "-"],
+    ["normalizer", "--group=other.txt"],
+    ["wreath", "--group", "a", "--group", "-"],
+    ["regular-pairs", "--group="],
+    ["cd-lattice", "--group=s4"],
+    ["sn-cent-est", "-1"],
+    ["verify-transform", "007"],
+    ["uniqueness", "9" * 400],
     ["wreath", "--no-json", "--group", "q8"],
     ["hull", "--no-json", "square.json"],
     ["rep-polytope", "--group=c4"],
@@ -89,7 +88,7 @@ DIFFERENCES = [
     ["verify-table", "+3"],
     ["verify-table", "0_3"],
     ["verify-table", "３"],
-    ["cd-lattice", "--group", "s4", "--bound", " 24 "],
+    ["verify-table", " 3 "],
     ["wreath", "--gro", "s3"],
     ["decompose", "3", "--iden"],
 ]
@@ -149,8 +148,7 @@ def test_intended_differences_exit_2(argv, capsys):
 def test_usage_errors_name_the_argument(capsys):
     cases = {
         ("verify-table", "+3"): "argument n: not an integer: '+3'",
-        ("cd-lattice", "--group", "s4", "--bound=x"):
-            "argument --bound: not an integer: 'x'",
+        ("uniqueness", "007x"): "argument n: not an integer: '007x'",
         ("cd-lattice",): "the following arguments are required: --group",
         ("decompose",): "the following arguments are required: n",
         ("wreath", "--group"): "argument --group: expected one argument",
@@ -168,11 +166,23 @@ def test_usage_line_lists_the_arguments(capsys):
     assert reader_exit(["decompose"]) == 2
     assert capsys.readouterr().err.splitlines()[0] == (
         "usage: birkhoffsym decompose [-h] [--json | --no-json] "
-        "[--alpha ALPHA] [--identity] n [alpha-file]")
+        "[--identity] n [alpha-file]")
     assert reader_exit(["cd-lattice"]) == 2
     assert capsys.readouterr().err.splitlines()[0] == (
         "usage: birkhoffsym cd-lattice [-h] [--json | --no-json] "
-        "--group GROUP [--bound BOUND]")
+        "--group GROUP")
+
+
+def test_dropped_options_are_unrecognized(capsys):
+    # the table's ceiling bounds cd-lattice's group, and decompose reads
+    # its alpha file from the positional argument alone
+    for argv in (["cd-lattice", "--group", "s4", "--bound", "24"],
+                 ["decompose", "3", "f", "--alpha", "g"]):
+        assert oracle_exit(argv) == 2
+        capsys.readouterr()
+        assert reader_exit(argv) == 2
+        assert capsys.readouterr().err.splitlines()[1] == (
+            f"birkhoffsym: error: unrecognized arguments: {argv[-2]}")
 
 
 def test_help_prints_to_stdout_and_exits_0(capsys):

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from birkhoffsym import cd as cd_module
+from birkhoffsym import perm
 from birkhoffsym.cd import (_class_measures, _pair_closed,
                             _subnormal_by_normalizer_chain, cd_lattice,
                             verify_centralizer_estimate)
@@ -94,9 +95,12 @@ def test_cd_lattice_d4_q8():
         assert r["closure_pass"] and r["subnormal_pass"], name
 
 
-def test_cd_lattice_bound():
-    with pytest.raises(PreconditionError):
-        cd_lattice(named_group("s5"), bound=100)
+def test_cd_lattice_bound(monkeypatch):
+    # the one bound is the table's ceiling, lowered here below |S_5|
+    monkeypatch.setattr(perm, "MAX_TABLE_ORDER", 100)
+    with pytest.raises(PreconditionError,
+                       match="group of order 120 exceeds table bound 100"):
+        cd_lattice(named_group("s5"))
 
 
 def test_centralizer_estimate_s4():
@@ -121,7 +125,7 @@ def test_centralizer_estimate_s5():
 
 def test_centralizer_estimate_s6():
     # the known counts: 1455 subgroups of S_6 in 56 conjugacy classes
-    assert len(subgroup_classes(symmetric_group(6), bound=720)) == 56
+    assert len(subgroup_classes(symmetric_group(6))) == 56
     r = verify_centralizer_estimate(6)
     assert r["group_order"] == 720
     assert r["subgroup_count"] == 1455
@@ -286,8 +290,7 @@ def test_subnormal_chain_from_generators_keeps_every_verdict(name):
     # the chain starts from H's generators and stops at once on H = G;
     # every subgroup of every built-in group keeps its verdict
     group = named_group(name)
-    subs = [sub for cls in subgroup_classes(group, bound=group.order)
-            for sub in cls]
+    subs = [sub for cls in subgroup_classes(group) for sub in cls]
     assert len(subs) == SUBGROUP_COUNTS[name]
     verdicts = Counter()
     for members, gens in subs:

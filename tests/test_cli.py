@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import birkhoffsym
 from birkhoffsym import birkhoff, cli, combiso, gamma, hull, perm, reppoly
 from birkhoffsym.birkhoff import SymmetryDecomposition
 from birkhoffsym.cli import main
@@ -100,32 +101,16 @@ def test_decompose_alpha_file(tmp_path, capsys):
     path = tmp_path / "alpha.txt"
     path.write_text("# vertex images\n" +
                     "\n".join(str(x) for x in images) + "\n")
-    code, doc = run_json(capsys, ["decompose", "3", "--alpha", str(path)])
+    code, doc = run_json(capsys, ["decompose", "3", str(path)])
     assert code == 0
-    assert doc["details"] == {"sigma": "(0 1)", "tau": "()", "epsilon": 1}
-    # positional spelling is equivalent
-    code2, doc2 = run_json(capsys, ["decompose", "3", str(path)])
-    assert code2 == 0
-    assert doc2["details"] == doc["details"]
-
-
-def test_decompose_alpha_option_wins_over_the_positional_file(tmp_path,
-                                                              capsys):
-    option, positional = tmp_path / "option.txt", tmp_path / "positional.txt"
-    for path, sigma in ((option, "(0 1)"), (positional, "(1 2)")):
-        dec = SymmetryDecomposition(parse_cycles(sigma, 3), (0, 1, 2), 1)
-        path.write_text("\n".join(map(str, symmetry_images(3, dec))))
-    code, doc = run_json(capsys, ["decompose", "3", str(positional),
-                                  "--alpha", str(option)])
-    assert code == 0
-    assert doc["inputs"] == {"n": 3, "alpha": str(option)}
+    assert doc["inputs"] == {"n": 3, "alpha": str(path)}
     assert doc["details"] == {"sigma": "(0 1)", "tau": "()", "epsilon": 1}
 
 
 def test_decompose_rejecting_alpha(tmp_path, capsys):
     path = tmp_path / "swap.txt"
     path.write_text("\n".join(map(str, [1, 0, 2, 3, 4, 5])))
-    code, doc = run_json(capsys, ["decompose", "3", "--alpha", str(path)])
+    code, doc = run_json(capsys, ["decompose", "3", str(path)])
     assert code == 1
     assert doc["pass"] is False
     assert doc["details"] == {"error": "not a facet symmetry"}
@@ -150,10 +135,17 @@ def test_decompose_exits_4_on_a_facet_symmetry_with_no_triple(
                    "a facet symmetry of B_n has no triple\n")
 
 
+def test_package_exports_both_error_classes():
+    # exit 4's class, which a caller of decompose_symmetry can meet, is
+    # exported beside exit 3's
+    assert birkhoffsym.InvariantError is InvariantError
+    assert birkhoffsym.PreconditionError is PreconditionError
+
+
 def test_decompose_bad_alpha_length(tmp_path, capsys):
     path = tmp_path / "short.txt"
     path.write_text("0\n1\n2\n")
-    assert main(["decompose", "3", "--alpha", str(path)]) == 3
+    assert main(["decompose", "3", str(path)]) == 3
 
 
 @pytest.mark.parametrize("images, named", [
@@ -177,14 +169,11 @@ def test_decompose_needs_alpha_or_identity(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["decompose", "3", "--identity", "alpha.txt"],
-    ["decompose", "3", "--alpha", "alpha.txt", "--identity"],
-    ["decompose", "3", "positional.txt", "--alpha", "alpha.txt",
-     "--identity"]], ids=["positional", "option", "both-files"])
+    ["decompose", "3", "--identity", "alpha.txt"]], ids=["positional"])
 def test_decompose_refuses_an_alpha_file_with_identity(tmp_path, capsys,
                                                        monkeypatch, argv):
     # the identity's decomposition used to be printed and the file never
-    # read; the refusal names both inputs, the --alpha file winning
+    # read; the refusal names both inputs
     monkeypatch.chdir(tmp_path)
     (tmp_path / "alpha.txt").write_text("not read\n")
     assert main(argv) == 3
@@ -311,17 +300,40 @@ def test_gamma_s4_closure_products_are_pinned(monkeypatch):
     ("cd-lattice", 50)])
 def test_group_file_closure_stops_at_the_bound(tmp_path, capsys, monkeypatch,
                                                 command, bound):
-    # S_9 has 362880 elements; each command refuses it at its own bound
+    # S_9 has 362880 elements; each command refuses it at its own bound,
+    # cd-lattice at the table's ceiling, lowered here
     path = tmp_path / "s9.txt"
     path.write_text("(0 1)\n(0 1 2 3 4 5 6 7 8)\n")
     products = count_products(monkeypatch)
-    argv = [command, "--group", str(path)]
     if command == "cd-lattice":
-        argv += ["--bound", str(bound)]
-    assert main(argv) == 3
+        monkeypatch.setattr(perm, "MAX_TABLE_ORDER", bound)
+    assert main([command, "--group", str(path)]) == 3
     assert f"exceeds bound {bound}" in capsys.readouterr().err
     # breadth-first, so at most bound + 1 elements met both generators
     assert len(products) <= 2 * (bound + 1)
+
+
+def test_cd_lattice_refuses_a_group_past_the_table_ceiling(tmp_path, capsys,
+                                                          monkeypatch):
+    # no option lifts the ceiling: S_9 is refused while it loads, after
+    # at most MAX_TABLE_ORDER + 1 elements met both generators
+    path = tmp_path / "s9.txt"
+    path.write_text("(0 1)\n(0 1 2 3 4 5 6 7 8)\n")
+    products = count_products(monkeypatch)
+    assert main(["cd-lattice", "--group", str(path)]) == 3
+    assert "closure exceeds bound 5040" in capsys.readouterr().err
+    assert len(products) <= 2 * (5040 + 1)
+
+
+def test_cd_lattice_runs_s6_from_a_file(tmp_path, capsys):
+    # past the old default bound of 200, within the table's ceiling
+    path = tmp_path / "s6.txt"
+    path.write_text("(0 1)\n(0 1 2 3 4 5)\n")
+    code, doc = run_json(capsys, ["cd-lattice", "--group", str(path)])
+    assert code == 0
+    assert doc["details"]["subgroup_count"] == 1455
+    assert [m["order"] for m in doc["details"]["members"]] == [1, 720]
+    assert doc["details"]["lattice"] == ["1", "G"]
 
 
 @pytest.mark.parametrize("command, name, bound", [

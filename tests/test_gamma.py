@@ -176,7 +176,7 @@ def test_gamma_s3_regular_subgroups_two_paths():
               if max(map(_order, u.elements)) == 6]
     assert len(cyclic) == 6
     # independent path: full subgroup enumeration filtered by regularity
-    exhaustive = [h for h in all_subgroups(gamma, bound=400)
+    exhaustive = [h for h in all_subgroups(gamma)
                   if is_regular(gamma, h)]
     assert set(exhaustive) == set(regs)
 

@@ -428,7 +428,7 @@ def test_extensions_closed_from_their_subgroup_match_the_closure(
         return closed
 
     monkeypatch.setattr(PermutationGroup, "closure_indices", keeping)
-    classes = subgroup_classes(group, bound=group.order)
+    classes = subgroup_classes(group)
     monkeypatch.undo()
     assert len(extensions) >= len(classes) - 1  # each class but {1} is one
     for seeds, members, closed in extensions:
@@ -458,9 +458,32 @@ def test_all_subgroups_ignore_the_hash_seed():
     assert len(outputs) == 1
 
 
-def test_all_subgroups_bound():
-    with pytest.raises(PreconditionError):
-        all_subgroups(named_group("s4"), bound=10)
+def test_all_subgroups_bound(monkeypatch):
+    # the enumeration reads G's table, so the table's ceiling bounds it
+    monkeypatch.setattr(perm_module, "MAX_TABLE_ORDER", 10)
+    with pytest.raises(PreconditionError, match="exceeds table bound 10"):
+        all_subgroups(named_group("s4"))
+
+
+def test_table_refuses_a_group_past_the_ceiling_before_a_row(monkeypatch):
+    # a fresh S_3 (named_group closes a new group each call) over a
+    # ceiling of 5: refused before any product is looked up
+    group = named_group("s3")
+    calls = []
+    right_mul = perm_module._right_mul
+
+    def counting(g):
+        calls.append(g)
+        return right_mul(g)
+
+    monkeypatch.setattr(perm_module, "_right_mul", counting)
+    monkeypatch.setattr(perm_module, "MAX_TABLE_ORDER", 5)
+    with pytest.raises(PreconditionError,
+                       match="group of order 6 exceeds table bound 5"):
+        group.table
+    assert calls == [] and group._table is None
+    monkeypatch.setattr(perm_module, "MAX_TABLE_ORDER", 6)
+    assert len(group.table) == 6 and calls
 
 
 def test_centralizer_hand_cases():
