@@ -166,6 +166,8 @@ def test_decompose_names_the_fault_of_an_alpha_that_is_no_bijection(
 
 def test_decompose_needs_alpha_or_identity(capsys):
     assert main(["decompose", "3"]) == 3
+    assert capsys.readouterr().err == ("precondition violated: decompose "
+                                       "needs an alpha file or --identity\n")
 
 
 @pytest.mark.parametrize("argv", [
