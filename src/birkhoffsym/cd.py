@@ -17,9 +17,11 @@ at the trivial and full subgroups (n = 4 to 7).
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, count
+from math import factorial
 from typing import Iterable
 
+from . import perm
 from .errors import PreconditionError
 from .perm import PermutationGroup, subgroup_classes, symmetric_group
 
@@ -106,15 +108,18 @@ def cd_lattice(group: PermutationGroup) -> dict:
 
 def verify_centralizer_estimate(n: int) -> dict:
     """For every subgroup U of S_n: |U| * |C(U)| <= n!, with equality
-    exactly at U = 1 and U = S_n.  Supported for n in {4, 5, 6, 7}, so
-    |S_n| <= 5040 (S_7: 11 300 subgroups in 96 classes).  The measure is
-    computed once per conjugacy class and counted for each of its
-    members.  The report: `n`, `group_order`, `subgroup_count`,
-    `max_measure`, the sorted subgroup orders where |U| |C(U)| = n! holds
-    (`equality_orders`) or is exceeded (`violations`), and `passed`."""
-    if n not in (4, 5, 6, 7):
-        raise PreconditionError(
-            f"centralizer estimate check supports n in {{4, 5, 6, 7}}, got {n}")
+    exactly at U = 1 and U = S_n.  Supported from n = 4 while n! is at
+    most `perm.MAX_TABLE_ORDER`, so n in {4, 5, 6, 7} (S_7: 11 300
+    subgroups in 96 classes).  The measure is computed once per
+    conjugacy class and counted for each of its members.  The report:
+    `n`, `group_order`, `subgroup_count`, `max_measure`, the sorted
+    subgroup orders where |U| |C(U)| = n! holds (`equality_orders`) or
+    is exceeded (`violations`), and `passed`."""
+    supported = range(4, next(k for k in count(4)
+                              if factorial(k) > perm.MAX_TABLE_ORDER))
+    if n not in supported:
+        raise PreconditionError("centralizer estimate check supports n in "
+                                f"{{{', '.join(map(str, supported))}}}, got {n}")
     group = symmetric_group(n)
     classes = subgroup_classes(group)
     measures = _class_measures(group, classes)

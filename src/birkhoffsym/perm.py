@@ -36,7 +36,8 @@ raise InvariantError; past MAX_TABLE_ORDER = 5040 elements (S_7, for
 in C.  Only routines reading most products build it.
 `isomorphisms` extends maps, from any prefix of generator images, along
 the same Cayley graph, and `subgroup_classes` enumerates subgroups up to
-conjugacy on it.  `orders`, the element orders, is read once off the
+conjugacy on it, stopped once its classes times |G| pass
+MAX_SUBGROUP_WORK.  `orders`, the element orders, is read once off the
 image tuples.
 
 Cycle notation names points by number, and the degree follows from the
@@ -61,6 +62,7 @@ from .exact import _integers, _shown
 MAX_DEGREE = 4096  # points 0..MAX_DEGREE-1 are the most cycle notation may name
 MAX_IMAGE_CHOICES = 50_000  # generator images one isomorphism search tries
 MAX_TABLE_ORDER = 5040  # most elements of a group whose table is built
+MAX_SUBGROUP_WORK = 4_000_000  # classes x |G|: C_2^7 29 212 x 128, S_7 96 x 5040
 
 
 def _not_a_permutation(images: tuple) -> str:
@@ -505,7 +507,10 @@ SubgroupClass = list[tuple[frozenset[int], tuple[int, ...]]]
 def subgroup_classes(group: PermutationGroup) -> list[SubgroupClass]:
     """Every subgroup of G up to conjugacy, by cyclic extension (Holt,
     Eick & O'Brien, Handbook of Computational Group Theory, 2005).  G
-    has at most MAX_TABLE_ORDER elements, as its table refuses more.
+    has at most MAX_TABLE_ORDER elements, as its table refuses more.  The
+    order does not bound the subgroups (C_2^10 has over 10^8), but each
+    class costs a scan of |G| positions and keeps at most 2|G|, so the
+    count of classes times |G| may not pass MAX_SUBGROUP_WORK.
 
     Returns the conjugacy classes in the order found.  A class lists each
     of its subgroups as (member indices, generator indices) on the
@@ -531,6 +536,9 @@ def subgroup_classes(group: PermutationGroup) -> list[SubgroupClass]:
     queue: list[tuple[frozenset[int], tuple[int, ...], list[int]]] = []
 
     def record(members: frozenset[int], gens: tuple[int, ...]) -> None:
+        if (len(classes) + 1) * n > MAX_SUBGROUP_WORK:
+            raise PreconditionError(f"{len(classes) + 1} subgroup classes x order "
+                                    f"{n} exceed bound {MAX_SUBGROUP_WORK}")
         norm = group.normalizer_indices(members, gens)
         # x K x^-1 depends only on the coset x N: one x per coset
         covered = bytearray(n)

@@ -166,6 +166,16 @@ def test_centralizer_estimate_rejects_other_n():
             verify_centralizer_estimate(n)
 
 
+def test_centralizer_estimate_range_follows_the_table_ceiling(monkeypatch):
+    # S_7 is refused on its n, before any table work, once the ceiling
+    # is lowered to |S_6|
+    monkeypatch.setattr(perm, "MAX_TABLE_ORDER", 720)
+    monkeypatch.setattr(cd_module, "symmetric_group", None)
+    with pytest.raises(PreconditionError,
+                       match=r"supports n in \{4, 5, 6\}, got 7$"):
+        verify_centralizer_estimate(7)
+
+
 def test_product_subgroup_criterion_matches_all_pairs():
     # HK lies in <H, K>, so cd_lattice takes HK for a subgroup exactly when
     # it equals the closure of both generator lists; checked against all

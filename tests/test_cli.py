@@ -299,32 +299,45 @@ def test_gamma_s4_closure_products_are_pinned(monkeypatch):
 
 @pytest.mark.parametrize("command, bound", [
     ("regular-pairs", 120), ("wreath", 120), ("normalizer", 120),
-    ("cd-lattice", 50)])
+    ("cd-lattice", 50), ("cd-lattice", 5040)])
 def test_group_file_closure_stops_at_the_bound(tmp_path, capsys, monkeypatch,
                                                 command, bound):
     # S_9 has 362880 elements; each command refuses it at its own bound,
-    # cd-lattice at the table's ceiling, lowered here
+    # cd-lattice at the table's ceiling: lowered to 50, and as it stands,
+    # 5040, since no option lifts it
     path = tmp_path / "s9.txt"
     path.write_text("(0 1)\n(0 1 2 3 4 5 6 7 8)\n")
     products = count_products(monkeypatch)
-    if command == "cd-lattice":
+    if command == "cd-lattice" and bound != 5040:
         monkeypatch.setattr(perm, "MAX_TABLE_ORDER", bound)
     assert main([command, "--group", str(path)]) == 3
-    assert f"exceeds bound {bound}" in capsys.readouterr().err
+    assert f"closure exceeds bound {bound}" in capsys.readouterr().err
     # breadth-first, so at most bound + 1 elements met both generators
     assert len(products) <= 2 * (bound + 1)
 
 
-def test_cd_lattice_refuses_a_group_past_the_table_ceiling(tmp_path, capsys,
-                                                          monkeypatch):
-    # no option lifts the ceiling: S_9 is refused while it loads, after
-    # at most MAX_TABLE_ORDER + 1 elements met both generators
-    path = tmp_path / "s9.txt"
-    path.write_text("(0 1)\n(0 1 2 3 4 5 6 7 8)\n")
-    products = count_products(monkeypatch)
+def test_cd_lattice_refuses_c2_12_after_its_work_bound(tmp_path, capsys,
+                                                      monkeypatch):
+    # C_2^12 fits the table (4096 elements) but has about 4.9 x 10^11
+    # subgroups, each its own class: the enumeration stops before the
+    # class that takes classes x 4096 past MAX_SUBGROUP_WORK, having
+    # computed one normalizer per class recorded
+    path = tmp_path / "c2_12.txt"
+    path.write_text("".join(f"({2 * i} {2 * i + 1})\n" for i in range(12)))
+    normalizers = []
+    normalizer = perm.PermutationGroup.normalizer_indices
+
+    def counting(self, members, gens):
+        normalizers.append(len(members))
+        return normalizer(self, members, gens)
+
+    monkeypatch.setattr(perm.PermutationGroup, "normalizer_indices", counting)
     assert main(["cd-lattice", "--group", str(path)]) == 3
-    assert "closure exceeds bound 5040" in capsys.readouterr().err
-    assert len(products) <= 2 * (5040 + 1)
+    recorded = perm.MAX_SUBGROUP_WORK // 4096
+    assert capsys.readouterr().err == (
+        f"precondition violated: {recorded + 1} subgroup classes x order 4096 "
+        f"exceed bound {perm.MAX_SUBGROUP_WORK}\n")
+    assert len(normalizers) == recorded
 
 
 def test_cd_lattice_runs_s6_from_a_file(tmp_path, capsys):

@@ -465,6 +465,19 @@ def test_all_subgroups_bound(monkeypatch):
         all_subgroups(named_group("s4"))
 
 
+def test_subgroup_enumeration_stops_at_its_work_bound(monkeypatch):
+    # S_4 has 11 classes: 11 x 24 = 264 reaches the bound exactly, and
+    # one position less refuses the eleventh class before it is recorded
+    s4 = named_group("s4")
+    monkeypatch.setattr(perm_module, "MAX_SUBGROUP_WORK", 264)
+    assert len(subgroup_classes(s4)) == 11
+    monkeypatch.setattr(perm_module, "MAX_SUBGROUP_WORK", 263)
+    with pytest.raises(PreconditionError,
+                       match="11 subgroup classes x order 24 exceed "
+                             "bound 263"):
+        subgroup_classes(s4)
+
+
 def test_table_refuses_a_group_past_the_ceiling_before_a_row(monkeypatch):
     # a fresh S_3 (named_group closes a new group each call) over a
     # ceiling of 5: refused before any product is looked up
