@@ -113,10 +113,10 @@ def analytic_facet_sets(n: int) -> tuple[frozenset[int], ...]:
 
     Cached, and a tuple, since every caller shares it.  For n <= 2 these
     sets do not describe facets (B_1 is a point, B_2 a segment with only
-    2 facets), so such n is rejected.
+    2 facets), so n outside 3 <= n <= MAX_N is refused before S_n is
+    listed.
     """
-    if n < 3:
-        raise PreconditionError("facet description requires n >= 3")
+    _check_n("facet description", n)
     members: list[list[int]] = [[] for _ in range(n * n)]
     for v, p in enumerate(symmetric_group(n).elements):
         for i, j in enumerate(p):

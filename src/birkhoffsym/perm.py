@@ -52,7 +52,7 @@ import itertools
 import re
 from functools import lru_cache
 from itertools import compress, count
-from math import lcm
+from math import factorial, lcm
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -490,9 +490,13 @@ def closure(generators: Sequence[tuple[int, ...]],
 def symmetric_group(n: int) -> PermutationGroup:
     """S_n on points 0..n-1 with transposition and n-cycle generators.
     Cached, since the group is immutable; its element order, by image
-    tuple, is the vertex order of B_n."""
+    tuple, is the vertex order of B_n.  An n with n! > MAX_TABLE_ORDER
+    (n >= 8) raises PreconditionError before any element is listed, and
+    without computing n! when n alone passes the ceiling."""
     if n < 1:
         raise ValueError("symmetric_group needs n >= 1")
+    if n > MAX_TABLE_ORDER or factorial(n) > MAX_TABLE_ORDER:
+        raise PreconditionError(f"S_{n} exceeds table bound {MAX_TABLE_ORDER}")
     elements = itertools.permutations(range(n))
     if n == 1:
         return PermutationGroup(elements, ((0,),))

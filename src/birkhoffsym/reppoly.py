@@ -247,6 +247,10 @@ class CatalogEntry(NamedTuple):
 
 
 def default_catalog(n: int) -> list[CatalogEntry]:
+    """The hand-made catalog of matrix groups compared with B_n by
+    `uniqueness_check`, each with its expected verdict and order.  It
+    exists for n in {3, 4} only and refuses any other n: the one owner
+    of that range."""
     if n == 3:
         return [
             CatalogEntry("s3_standard",
@@ -295,9 +299,12 @@ def uniqueness_check(n: int,
     its group's `order`, its polytope's `dim`, `n_vertices` and
     `n_facets`, whether it is `equivalent` to B_n, the `expected` answer
     or None, the vertex bijection `witness` or None, and `passed`: no
-    expected answer, or a match with it."""
-    if n not in (3, 4):
-        raise PreconditionError("uniqueness check supports n in {3, 4}")
+    expected answer, or a match with it.
+
+    With no catalog, `default_catalog(n)` is compared, so n is 3 or 4; a
+    given catalog may use any n in 3..`birkhoff.MAX_N`, the range of the
+    certified reference, which refuses any other n before an entry's
+    polytope is hulled."""
     if catalog is None:
         catalog = default_catalog(n)
     reference, _ = birkhoff_facets(n)

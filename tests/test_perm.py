@@ -6,6 +6,7 @@ elements)."""
 
 import functools
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -762,3 +763,28 @@ def test_group_from_generator_lines():
 def test_symmetric_group_enumeration_is_lexicographic():
     g = symmetric_group(3)
     assert list(g.elements) == sorted(itertools.permutations(range(3)))
+
+
+def test_symmetric_group_refuses_past_the_table_ceiling_before_listing(
+        monkeypatch):
+    # S_8's 40 320 elements pass MAX_TABLE_ORDER: refused before
+    # itertools.permutations is called, and an n that alone passes the
+    # ceiling is refused without computing n!; __wrapped__ skips the cache
+    listed, factorials = [], []
+    permutations = itertools.permutations
+    monkeypatch.setattr(itertools, "permutations",
+                        lambda *a: listed.append(a) or permutations(*a))
+    monkeypatch.setattr(perm_module, "factorial",
+                        lambda n: factorials.append(n) or math.factorial(n))
+    build = symmetric_group.__wrapped__
+    for n in (8, 10 ** 18):
+        with pytest.raises(PreconditionError,
+                           match=rf"^S_{n} exceeds table bound 5040$"):
+            build(n)
+    assert listed == [] and factorials == [8]
+    assert build(7).order == 5040 and len(listed) == 1
+    # the ceiling is read through the module, as the table reads it
+    monkeypatch.setattr(perm_module, "MAX_TABLE_ORDER", 6)
+    assert build(3).order == 6
+    with pytest.raises(PreconditionError, match="^S_4 exceeds table bound 6$"):
+        build(4)

@@ -14,13 +14,14 @@ from birkhoffsym import cli, reppoly
 from birkhoffsym.errors import PreconditionError
 from birkhoffsym.exact import _common_form, _product
 from birkhoffsym.combiso import comb_equivalent
-from birkhoffsym.birkhoff import permutation_matrix, verify_symmetry_group
+from birkhoffsym.birkhoff import (MAX_N, permutation_matrix,
+                                  verify_symmetry_group)
 from birkhoffsym.hull import (IncidenceStructure, facet_enumeration,
                               polytope_to_document)
 from birkhoffsym.gamma import verify_wreath_quotient
 from birkhoffsym.perm import (PermutationGroup, _order, _right_mul,
                               named_group)
-from birkhoffsym.reppoly import (MatrixGroup, default_catalog,
+from birkhoffsym.reppoly import (CatalogEntry, MatrixGroup, default_catalog,
                                  load_exceptional_c6,
                                  matrix_closure,
                                  matrix_from_rows,
@@ -529,8 +530,46 @@ def test_library_reports_round_trip_json_with_their_field_names():
 
 
 def test_uniqueness_bad_n():
-    with pytest.raises(PreconditionError):
+    # with no catalog, default_catalog is the one owner of n in {3, 4}
+    with pytest.raises(PreconditionError,
+                       match=r"^uniqueness check supports n in \{3, 4\}$"):
         uniqueness_check(5)
+
+
+def _small_catalog():
+    return [CatalogEntry("s3_standard",
+                         matrix_group_from_perm_group(named_group("s3")),
+                         expect_equivalent=False, declared_order=6),
+            CatalogEntry("c4_regular",
+                         matrix_group_from_perm_group(named_group("c4")),
+                         declared_order=4)]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_uniqueness_compares_a_given_catalog_past_the_default_range(n):
+    # a given catalog is compared with the certified B_5 or B_6, as the
+    # benchmark's library tasks do with theirs; these small polytopes
+    # match neither
+    r = uniqueness_check(n, _small_catalog())
+    assert r["n"] == n and r["passed"]
+    assert [(e["name"], e["equivalent"], e["dim"], e["n_vertices"],
+             e["n_facets"], e["witness"], e["passed"])
+            for e in r["entries"]] == [
+        ("s3_standard", False, 4, 6, 9, None, True),
+        ("c4_regular", False, 3, 4, 4, None, True)]
+
+
+@pytest.mark.parametrize("n", [2, MAX_N + 1])
+def test_uniqueness_refuses_a_catalog_outside_the_reference_range(
+        monkeypatch, n):
+    # B_n's certified reference owns 3 <= n <= MAX_N, and refuses before
+    # any entry's polytope is hulled
+    hulled = []
+    monkeypatch.setattr(reppoly, "representation_polytope", hulled.append)
+    with pytest.raises(PreconditionError,
+                       match=rf"^facet certificate supports 3 <= n <= {MAX_N}$"):
+        uniqueness_check(n, _small_catalog())
+    assert hulled == []
 
 
 def test_document_parsing_errors():
