@@ -491,8 +491,8 @@ def symmetric_group(n: int) -> PermutationGroup:
     """S_n on points 0..n-1 with transposition and n-cycle generators.
     Cached, since the group is immutable; its element order, by image
     tuple, is the vertex order of B_n.  An n with n! > MAX_TABLE_ORDER
-    (n >= 8) raises PreconditionError before any element is listed, and
-    without computing n! when n alone passes the ceiling."""
+    raises PreconditionError before any element is listed, and without
+    computing n! when n alone passes the ceiling."""
     if n < 1:
         raise ValueError("symmetric_group needs n >= 1")
     if n > MAX_TABLE_ORDER or factorial(n) > MAX_TABLE_ORDER:
