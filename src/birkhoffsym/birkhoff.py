@@ -27,14 +27,22 @@ facets and keeps which facet complements are disjoint, so it acts on
 the facet graph, faithfully since distinct vertices lie on distinct
 facet sets.  One search on the graph's n^2 facets bounds |Aut(B_n)| by
 2(n!)^2, and the law shows that the 2(n!)^2 maps pi -> sigma pi^eps tau
-are symmetries, so they are all of them; decompose_symmetry extracts
-the certified triple of one.
+are symmetries, so they are all of them.  The round trip stays on the
+facets: each strong generator of the search reads its triple off its
+images of row 0 and column 0 and must equal the triple's action on all
+n^2 facets, O(n^2) steps.  That is the verdict a pass over the n!
+vertices would give: by the law a triple's vertex map acts on the facets
+as the triple does, and by the faithful action no other vertex map
+acts so.  decompose_symmetry extracts the certified triple of a vertex
+map.
 
 A facet set has one name here, its position i n + j: A_ij is entry
 i n + j of `analytic_facet_sets(n)`, and a map of facet sets is a list of
 positions.  The incidence of `birkhoff_facets` is ordered by matrix
 entry instead: it lists x_rc >= 0 at position r n + c, whose tight set
 is the complement of A_cr, since P(pi) is 1 at (r, c) when pi(c) = r.
+`_facet_triple` is the one place that turns one order into the other;
+`facets_match_analytic` compares the two lists as sets.
 
 verify_transformation_law checks the translation law on the four
 generators of S_n x S_n only: both sides are actions of that group, so
@@ -100,8 +108,7 @@ def permutation_matrix(images: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 
 def birkhoff_vertices(n: int) -> list[tuple[tuple[int, ...], int]]:
-    if not 1 <= n <= MAX_N:
-        raise PreconditionError(f"vertex enumeration supports 1 <= n <= {MAX_N}")
+    _check_n("vertex enumeration", n)
     return [permutation_matrix(p) for p in symmetric_group(n).elements]
 
 
@@ -290,28 +297,45 @@ def verify_transformation_law(n: int) -> dict:
             "failures": failures, "passed": not failures}
 
 
+def _read_triple(n: int, cross: Sequence[int]
+                 ) -> Optional[SymmetryDecomposition]:
+    """The triple read off the positions k n + l of a map's images A_kl
+    of A_0j, j < n, then of A_i0, 0 < i < n, or None when the images of
+    row 0 share neither index.  By the law, pi -> sigma pi^eps tau sends
+    A_ij to A_{r(i), c(j)} for eps = +1 and to A_{r(j), c(i)} for
+    eps = -1, with r = tau^-1 and c = sigma: eps = +1 when the images of
+    row 0 share their first index, -1 when they share their second
+    (n >= 3 distinct sets cannot share both), and r and c are read off
+    the row and the column.  Only a map of that form is sure to read back
+    its own triple, so the caller checks the triple on the whole map."""
+    row, column = cross[:n], cross[:1] + cross[n:]
+    epsilon = (1 if len({k // n for k in row}) == 1 else
+               -1 if len({k % n for k in row}) == 1 else 0)
+    if not epsilon:
+        return None
+    r, c = (column, row) if epsilon == 1 else (row, column)
+    return SymmetryDecomposition(tuple(k % n for k in c),
+                                 _inverse([k // n for k in r]), epsilon)
+
+
 def decompose_symmetry(n: int, alpha: Sequence[int]
                        ) -> Optional[SymmetryDecomposition]:
     """Certified normal form (sigma, tau, epsilon) of a vertex bijection
     alpha, given by its n! vertex images, or None when alpha is no facet
     symmetry.
 
-    By the law sigma A_ij tau^-1 = A_{tau(i), sigma(j)} and A_ij^-1 = A_ji,
-    pi -> sigma pi^eps tau sends A_ij to A_{r(i), c(j)} for eps = +1 and
-    to A_{r(j), c(i)} for eps = -1, with r = tau^-1 and c = sigma.  So
-    only row 0 and column 0 of alpha's map of facet sets are read, the
+    Only row 0 and column 0 of alpha's map of facet sets are read, the
     images of A_0j and A_i0, 2n - 1 sets; one that is no facet set gives
-    None at once.  eps = +1 when the images of row 0 share their first
-    index, -1 when they share their second (n >= 3 distinct sets cannot
-    share both), and r and c are read off the row and the column.  The
-    certificate is one vertex pass: return the triple when its map agrees
-    with alpha on all n! vertices.  A map pi -> sigma pi^eps tau reads
-    back its own triple, and no two triples give one map (n >= 3), so
-    only an alpha of no such form fails; then the other n^2 - (2n - 1)
-    facet sets are read: None when some A_ij goes onto no A_kl, or when
-    alpha repeats an image.  Else alpha permutes the facet sets, a facet
-    symmetry, and every one has the form (`verify_symmetry_group`), so
-    one with no triple raises InvariantError.
+    None at once, and `_read_triple` reads the triple off their
+    positions.  The certificate is one vertex pass: return the triple
+    when its map agrees with alpha on all n! vertices.  A map pi -> sigma
+    pi^eps tau reads back its own triple, and no two triples give one map
+    (n >= 3), so only an alpha of no such form fails; then the other
+    n^2 - (2n - 1) facet sets are read: None when some A_ij goes onto no
+    A_kl, or when alpha repeats an image.  Else alpha permutes the facet
+    sets, a facet symmetry, and every one has the form
+    (`verify_symmetry_group`), so one with no triple raises
+    InvariantError.
     """
     _check_n("decomposition", n)
     perms = symmetric_group(n).elements
@@ -328,15 +352,9 @@ def decompose_symmetry(n: int, alpha: Sequence[int]
              for k in (*range(n), *range(n, n * n, n))]
     if None in cross:
         return None
-    row, column = cross[:n], cross[:1] + cross[n:]
-    epsilon = (1 if len({k // n for k in row}) == 1 else
-               -1 if len({k % n for k in row}) == 1 else 0)
-    if epsilon:
-        r, c = (column, row) if epsilon == 1 else (row, column)
-        sigma = tuple(k % n for k in c)
-        tau = _inverse([k // n for k in r])
-        if _vertex_images(n, sigma, tau, epsilon) == images:
-            return SymmetryDecomposition(sigma, tau, epsilon)
+    dec = _read_triple(n, cross)
+    if dec is not None and _vertex_images(n, *dec) == images:
+        return dec
     # every other A_ij, i, j > 0, is read only to tell a non-symmetry from
     # a broken certificate; a map that is no bijection can still send
     # every facet set onto one (for n = 3, all onto A_00)
@@ -368,6 +386,29 @@ def _facet_lines(inc: IncidenceStructure) -> IncidenceStructure:
     return IncidenceStructure(len(off), sorted(map(sorted, lines)))
 
 
+def _facet_triple(n: int, psi: Sequence[int]
+                  ) -> Optional[SymmetryDecomposition]:
+    """The triple whose action on the facets is psi, a permutation of
+    the positions r n + c of the x_rc >= 0, or None when there is none:
+    read off psi's images of row 0 and column 0 by `_read_triple`, then
+    checked on all n^2 facets, O(n^2) steps in all.  A psi of another
+    number of facets has none."""
+    if len(psi) != n * n:
+        return None
+    # x_rc >= 0 is the complement of A_cr: the one place that transposes
+    # facet positions into A-positions, and back
+    swap = [k % n * n + k // n for k in range(n * n)]
+    images = [swap[psi[f]] for f in swap]
+    dec = _read_triple(n, images[:n] + images[n::n])
+    if dec is None:
+        return None
+    r = _inverse(dec.tau)
+    # A_ij goes to A_{r(i), sigma(j)}, or to A_{r(j), sigma(i)} for eps = -1
+    action = [r[a] * n + dec.sigma[b]
+              for a, b in (divmod(k, n)[::dec.epsilon] for k in range(n * n))]
+    return dec if action == images else None
+
+
 def verify_symmetry_group(n: int) -> dict:
     """Check that the combinatorial symmetry group of B_n is
     D = {pi -> sigma pi^eps tau}, with no hull and no search of its n!
@@ -384,14 +425,22 @@ def verify_symmetry_group(n: int) -> dict:
     graph's lines gives that order, `aut_order`; (d) the 2(n!)^2 maps in
     D are distinct for n >= 3, and they permute the A_ij by the law on
     generators (`verify_transformation_law`), so the facets, when they
-    match, so aut_order = 2(n!)^2 proves Aut(B_n) = D.  `passed` takes
-    the match, the law's verdict and (b)'s with the order.  Each strong
-    generator of the graph is lifted to the vertex map it induces, v ->
-    the vertex off the images of the facets v is off, and decomposed:
-    `roundtrip_failures` counts the lifts that are no facet symmetry,
-    `decompose_symmetry` checks the triple it returns at every vertex,
-    and a lift that is a facet symmetry with no triple raises
-    InvariantError.
+    match, so aut_order = 2(n!)^2 proves Aut(B_n) = D.  (b) is checked
+    as n! distinct vertex facet lists.  `passed` takes the match, the
+    law's verdict and (b)'s with the order.
+
+    The round trip takes each strong generator psi of the graph on the
+    facets (`_facet_triple`): (sigma, tau, eps) is read off psi's images
+    of row 0 and column 0, and the triple's action, x_rc >= 0 ->
+    x_(sigma(r), tau^-1(c)), or x_(sigma(c), tau^-1(r)) for eps = -1,
+    must equal psi on all n^2 facets; `roundtrip_failures` counts the
+    generators with no such triple.  That is the verdict of lifting psi
+    to the vertex map it induces, v -> the vertex off the images of the
+    facets v is off, and decomposing the lift: by the law the triple's
+    vertex map permutes the facets by the triple's action, and by (b) it
+    is the only vertex map that does, so psi lifts to the map of a triple
+    exactly when that triple's action is psi.  Both hold whenever
+    `passed` does, so no generator is lifted to the n! vertices.
 
     The report: `n`, B_n's `n_vertices`, `n_facets` and `dim`,
     `facets_match_analytic`, `aut_order` against `expected_order` =
@@ -405,18 +454,11 @@ def verify_symmetry_group(n: int) -> dict:
         everything - members for members in analytic_facet_sets(n)}
     law = verify_transformation_law(n)["passed"]
 
-    all_facets = frozenset(range(inc.n_facets))
-    off = [all_facets.difference(facets) for facets in inc.vertex_facets]
-    vertex_off = {cells: v for v, cells in enumerate(off)}
-    faithful = len(vertex_off) == n_fact
-
+    faithful = len(set(inc.vertex_facets)) == n_fact
     aut = comb_automorphisms(_facet_lines(inc))
     expected = 2 * n_fact ** 2
-    roundtrip_failures = 0
-    for psi in aut.generators:
-        alpha = [vertex_off.get(frozenset(map(psi.__getitem__, cells)))
-                 for cells in off]
-        roundtrip_failures += decompose_symmetry(n, alpha) is None
+    roundtrip_failures = sum(_facet_triple(n, psi) is None
+                             for psi in aut.generators)
     passed = (facets_match and law and faithful and aut.order == expected
               and roundtrip_failures == 0)
     return {

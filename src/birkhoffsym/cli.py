@@ -25,9 +25,10 @@ per line, closed only up to the command's size bound (`hull.MAX_VERTICES`,
 `gamma.MAX_GAMMA_BASE` or `perm.MAX_TABLE_ORDER`).  Alpha files for
 `decompose` list n! 0-based vertex images, one per line.  Vertex and
 matrix-group files are JSON documents; see the README for their shapes.
-Every input file is read by the one reader, `_read_text`: its bytes
-decoded as UTF-8 whatever the locale, so bytes that do not decode exit 3
-as invalid input.
+Every input file is read as text by the one reader, `_read_text`: its
+bytes decoded as UTF-8 whatever the locale, so bytes that do not decode
+exit 3 as invalid input.  An alpha file of ASCII digits and newlines
+only is split as bytes instead (`_read_alpha`), with the same result.
 """
 
 from __future__ import annotations
@@ -111,8 +112,21 @@ def _read_json(path: str):
 
 
 def _read_alpha(path: str, n_points: int) -> tuple[int, ...]:
-    lines = map(str.strip, _read_text(path).splitlines())
-    images = _integers([s for s in lines if s and not s.startswith("#")])
+    """The n_points vertex images an alpha file lists, one per line, by
+    one of two routes with one result.  The common file, ASCII digits and
+    newlines only, is split as bytes and read by `_integers` in C-level
+    passes.  Any other file takes the general route: its `_read_text`,
+    each line stripped, blank lines and `#` comments skipped.  A token
+    `int` refuses, such as one past its digit limit, is named by
+    `_integers` on either route."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if raw.replace(b"\n", b"").isdigit():
+        texts = raw.decode().split()
+    else:
+        lines = map(str.strip, _read_text(path).splitlines())
+        texts = [s for s in lines if s and not s.startswith("#")]
+    images = _integers(texts)
     if len(images) != n_points:
         raise PreconditionError(
             f"alpha file lists {len(images)} images, expected {n_points}")

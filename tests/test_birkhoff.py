@@ -63,12 +63,17 @@ def test_permutation_matrix_entries():
 
 
 def test_vertices_doubly_stochastic():
-    for n in (1, 2, 3, 4):
+    for n in (3, 4):
         for nums, den in birkhoff_vertices(n):
             for i in range(n):
                 assert sum(nums[i * n:(i + 1) * n]) == den
                 assert sum(nums[i::n]) == den
     assert len(birkhoff_vertices(4)) == 24
+    # B_1 and B_2 are refused by _check_n, the one owner of B_n's range
+    for n in (1, 2):
+        with pytest.raises(PreconditionError, match=(
+                rf"^vertex enumeration supports 3 <= n <= {birkhoff.MAX_N}$")):
+            birkhoff_vertices(n)
 
 
 def test_vertices_bounds():
@@ -590,6 +595,103 @@ def test_verify_symmetry_group_counts_failing_generators(monkeypatch):
     assert not r["passed"]
 
 
+def _vertex_lift(inc, psi):
+    """The vertex map a facet permutation psi induces: v goes to the
+    vertex off the images of the facets v is off, or to None when no
+    vertex is off them all.  The round trip lifted every strong generator
+    this way before it moved to the facets."""
+    all_facets = frozenset(range(inc.n_facets))
+    off = [all_facets.difference(facets) for facets in inc.vertex_facets]
+    vertex_off = {cells: v for v, cells in enumerate(off)}
+    return [vertex_off.get(frozenset(map(psi.__getitem__, cells)))
+            for cells in off]
+
+
+def _facet_action(n, dec):
+    """x_rc >= 0 -> x_(sigma(r), tau^-1(c)), or x_(sigma(c), tau^-1(r))
+    for eps = -1, at positions r n + c."""
+    sigma, tau, eps = dec
+    back = _inverse(tau)
+    return tuple(sigma[r] * n + back[c] if eps == 1 else
+                 sigma[c] * n + back[r]
+                 for r in range(n) for c in range(n))
+
+
+@pytest.mark.parametrize("n, count", [(3, 6), (4, 11), (5, 18), (6, 27)])
+def test_facet_triples_are_the_triples_of_the_vertex_lifts(n, count):
+    # the lift is the oracle: each strong generator's facet-side triple is
+    # the one decompose_symmetry certifies on the vertex map it induces
+    inc, _ = birkhoff.birkhoff_facets(n)
+    generators = comb_automorphisms(birkhoff._facet_lines(inc)).generators
+    assert len(generators) == count
+    for psi in generators:
+        dec = birkhoff._facet_triple(n, psi)
+        assert dec is not None
+        assert dec == decompose_symmetry(n, _vertex_lift(inc, psi))
+        assert _facet_action(n, dec) == tuple(psi)
+    # and so on seeded triples, and on facet shuffles, which are no
+    # symmetry: neither side finds a triple
+    rng = random.Random(800 + n)
+    perms = symmetric_group(n).elements
+    for eps in (1, -1) * 5:
+        dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms), eps)
+        psi = _facet_action(n, dec)
+        assert birkhoff._facet_triple(n, psi) == dec
+        assert decompose_symmetry(n, _vertex_lift(inc, psi)) == dec
+        shuffled = list(psi)
+        rng.shuffle(shuffled)
+        assert birkhoff._facet_triple(n, shuffled) is None
+        assert decompose_symmetry(n, _vertex_lift(inc, shuffled)) is None
+
+
+def test_a_facet_swap_past_row_and_column_zero_fails_its_round_trip(
+        monkeypatch):
+    # the first strong generator with the images of x_11 >= 0 and
+    # x_22 >= 0 swapped agrees with its triple on row 0 and column 0, and
+    # differs from the triple's action on those two facets only; its
+    # vertex lift is no symmetry either
+    n = 3
+    inc, _ = birkhoff.birkhoff_facets(n)
+    real = birkhoff.comb_automorphisms
+    good = real(birkhoff._facet_lines(inc)).generators[0]
+    bad = list(good)
+    bad[n + 1], bad[2 * n + 2] = bad[2 * n + 2], bad[n + 1]
+    assert _facet_action(n, birkhoff._facet_triple(n, good)) == good
+    assert birkhoff._facet_triple(n, bad) is None
+    assert decompose_symmetry(n, _vertex_lift(inc, bad)) is None
+
+    def one_bad_generator(lines):
+        aut = real(lines)
+        return SimpleNamespace(order=aut.order,
+                               generators=(tuple(bad),) + aut.generators[1:])
+
+    monkeypatch.setattr(birkhoff, "comb_automorphisms", one_bad_generator)
+    r = verify_symmetry_group(n)
+    assert r["aut_order"] == r["expected_order"]
+    assert r["roundtrip_failures"] == 1
+    assert not r["passed"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_verify_symmetry_group_makes_five_vertex_maps(monkeypatch, n):
+    # the law's four generators and the inversion; the round trip stays
+    # on the facets, with no vertex map and no decomposition
+    calls = {"_vertex_images": 0, "decompose_symmetry": 0}
+
+    def counted(name):
+        real = getattr(birkhoff, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(birkhoff, name, counted(name))
+    assert verify_symmetry_group(n)["passed"]
+    assert calls == {"_vertex_images": 5, "decompose_symmetry": 0}
+
+
 def test_verify_symmetry_group_out_of_range():
     for n in (2, birkhoff.MAX_N + 1):
         with pytest.raises(PreconditionError):
@@ -618,6 +720,29 @@ def test_certified_facets_are_read_off_the_matrices():
     for n in (2, birkhoff.MAX_N + 1):
         with pytest.raises(PreconditionError):
             birkhoff.birkhoff_facets(n)
+
+
+@pytest.mark.parametrize("n, read", [(3, 3), (4, 9), (5, 20), (6, 38)])
+def test_facet_rank_pass_reads_pinned_tight_points(monkeypatch, n, read):
+    # (iii) reads the tight points of x_00 >= 0 after the first, nearest
+    # it first, until d - 1 differences are independent; a change of the
+    # order shows here first.  The rank of the equality matrix reads its
+    # 2n rows before it.
+    real, pulled = birkhoff._independent_rows, []
+
+    def counted(rows):
+        pulled.append(0)
+
+        def each():
+            for row in rows:
+                pulled[-1] += 1
+                yield row
+        return real(each())
+
+    monkeypatch.setattr(birkhoff, "_independent_rows", counted)
+    _, dim = birkhoff.birkhoff_facets(n)
+    assert pulled == [2 * n, read]
+    assert read >= dim - 1
 
 
 def test_facet_certificate_refuses_a_changed_equality_column(monkeypatch):

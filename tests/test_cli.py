@@ -26,9 +26,10 @@ from birkhoffsym import birkhoff, cli, combiso, gamma, hull, perm, reppoly
 from birkhoffsym.birkhoff import SymmetryDecomposition
 from birkhoffsym.cli import main
 from birkhoffsym.errors import InvariantError, PreconditionError
+from birkhoffsym.exact import _integers
 from birkhoffsym.hull import (facet_enumeration, polytope_from_document,
                               polytope_to_document)
-from birkhoffsym.perm import parse_cycles
+from birkhoffsym.perm import as_permutation, parse_cycles
 from birkhoffsym.reports import render_report
 
 from hull_oracle import random_point_set
@@ -522,6 +523,96 @@ def test_alpha_file_refuses_an_image_that_is_no_integer(tmp_path, capsys,
     path = tmp_path / "alpha.txt"
     refused_naming(capsys, ["decompose", "3", str(path)], path,
                    f"0\n1\n2\n3\n4\n{token}\n", shown)
+
+
+def text_route_alpha(path, n_points):
+    """The alpha reader with every file on the text route: `_read_text`,
+    each line stripped, blank lines and `#` comments skipped."""
+    lines = map(str.strip, cli._read_text(path).splitlines())
+    images = _integers([s for s in lines if s and not s.startswith("#")])
+    if len(images) != n_points:
+        raise PreconditionError(
+            f"alpha file lists {len(images)} images, expected {n_points}")
+    return as_permutation(images)
+
+
+def outcome(read, path, n_points):
+    """What a reader returns, or the class and message of what it raises."""
+    try:
+        return read(path, n_points)
+    except (ValueError, PreconditionError) as e:
+        return type(e), str(e)
+
+
+def read_both_ways(monkeypatch, path, n_points):
+    """`_read_alpha`'s outcome, the text route's, and whether
+    `_read_alpha` read the file as text."""
+    texts = []
+    real = cli._read_text
+    monkeypatch.setattr(cli, "_read_text",
+                        lambda p: texts.append(p) or real(p))
+    got = outcome(cli._read_alpha, path, n_points)
+    monkeypatch.undo()
+    return got, outcome(text_route_alpha, path, n_points), bool(texts)
+
+
+@pytest.mark.parametrize("data", [
+    b"0\n1\n2\n3\n4\n5\n", b"\n0\n\n1\n2\n\n\n3\n4\n5\n\n",
+    b"000\n01\n2\n3\n4\n05", b"5\n4\n3\n2\n1\n0", b"0\n1\n2\n",
+    b"0\n0\n2\n3\n4\n5\n", b"0\n1\n2\n3\n4\n6\n"],
+    ids=["plain", "blank-lines", "leading-zeros", "no-final-newline",
+         "short", "repeated", "out-of-range"])
+def test_a_digit_only_alpha_file_reads_as_the_text_route_reads_it(
+        tmp_path, monkeypatch, data):
+    path = tmp_path / "alpha.txt"
+    path.write_bytes(data)
+    got, want, as_text = read_both_ways(monkeypatch, str(path), 6)
+    assert got == want
+    assert not as_text
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"0\r\n1\r\n2\r\n3\r\n4\r\n5\r\n", None),
+    (b"# vertex images\n0\n1\n2\n3\n4\n5\n", None),
+    (b"0\n1\n2\n3\n4\n-5\n", "not a permutation of 0..5: image '-5' at "
+                             "position 5 is out of range, point 5 is missing"),
+    ("0\n1\n2\n3\n4\n٥\n".encode(), "not an integer: '٥'"),
+    (b" 0\n1 \n2\n3\n4\n5\n", None),
+    (b"0 1\n2\n3\n4\n5\n", "not an integer: '0 1'")],
+    ids=["crlf", "comment", "minus-sign", "arabic-indic-digit", "spaces",
+         "two-on-a-line"])
+def test_any_other_alpha_file_takes_the_text_route(tmp_path, monkeypatch,
+                                                   data, message):
+    path = tmp_path / "alpha.txt"
+    path.write_bytes(data)
+    got, want, as_text = read_both_ways(monkeypatch, str(path), 6)
+    assert got == want
+    assert got == (tuple(range(6)) if message is None
+                   else (ValueError, message))
+    assert as_text
+
+
+def test_an_alpha_token_past_the_digit_limit_is_named_on_the_byte_route(
+        tmp_path, monkeypatch):
+    # digits only, so the file is split as bytes; `int` refuses the token,
+    # and `_integers` names it as the text route does
+    path = tmp_path / "alpha.txt"
+    path.write_text(f"0\n1\n2\n3\n4\n{LONG}\n")
+    got, want, as_text = read_both_ways(monkeypatch, str(path), 6)
+    assert got == want == (ValueError, f"integer too long: {LONG_SHOWN}")
+    assert not as_text
+
+
+@given(st.binary(max_size=30).map(
+    lambda b: bytes(b"0123456789\n\r# -x\xd9\xa3"[c % 18] for c in b)))
+@settings(max_examples=300, deadline=None)
+def test_every_alpha_file_reads_as_the_text_route_reads_it(
+        tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "alpha_routes"
+    path.write_bytes(data)
+    for n_points in (1, 2, 6):
+        assert (outcome(cli._read_alpha, str(path), n_points)
+                == outcome(text_route_alpha, str(path), n_points))
 
 
 @pytest.mark.parametrize("cell, shown", [
