@@ -396,9 +396,10 @@ def _facet_triple(n: int, psi: Sequence[int]
     if len(psi) != n * n:
         return None
     # x_rc >= 0 is the complement of A_cr: the one place that transposes
-    # facet positions into A-positions, and back
-    swap = [k % n * n + k // n for k in range(n * n)]
-    images = [swap[psi[f]] for f in swap]
+    # facet positions into A-positions, and back; images[k] is the
+    # A-position of psi's image of the facet set at k
+    transpose = [k % n * n + k // n for k in range(n * n)]
+    images = [transpose[psi[f]] for f in transpose]
     dec = _read_triple(n, images[:n] + images[n::n])
     if dec is None:
         return None
