@@ -441,7 +441,8 @@ def verify_symmetry_group(n: int) -> dict:
     vertex map permutes the facets by the triple's action, and by (b) it
     is the only vertex map that does, so psi lifts to the map of a triple
     exactly when that triple's action is psi.  Both hold whenever
-    `passed` does, so no generator is lifted to the n! vertices.
+    `passed` does, so the check on the facets gives the lift's verdict
+    with no generator lifted to the n! vertices.
 
     The report: `n`, B_n's `n_vertices`, `n_facets` and `dim`,
     `facets_match_analytic`, `aut_order` against `expected_order` =

@@ -549,10 +549,9 @@ def read_both_ways(monkeypatch, path, n_points):
     `_read_alpha` read the file as text."""
     texts = []
     real = cli._read_text
-    monkeypatch.setattr(cli, "_read_text",
-                        lambda p: texts.append(p) or real(p))
-    got = outcome(cli._read_alpha, path, n_points)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_read_text", lambda p: texts.append(p) or real(p))
+        got = outcome(cli._read_alpha, path, n_points)
     return got, outcome(text_route_alpha, path, n_points), bool(texts)
 
 
