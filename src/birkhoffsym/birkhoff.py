@@ -38,9 +38,10 @@ map.
 
 A facet set has one name here, its position i n + j: A_ij is entry
 i n + j of `analytic_facet_sets(n)`, and a map of facet sets is a list of
-positions.  The incidence of `birkhoff_facets` is ordered by matrix
-entry instead: it lists x_rc >= 0 at position r n + c, whose tight set
-is the complement of A_cr, since P(pi) is 1 at (r, c) when pi(c) = r.
+positions.  It and each tight set of `birkhoff_facets` are int masks,
+bit v for vertex v.  That incidence is ordered by matrix entry instead:
+it lists x_rc >= 0 at position r n + c, whose tight set is the
+complement of A_cr, since P(pi) is 1 at (r, c) when pi(c) = r.
 `_facet_triple` is the one place that turns one order into the other;
 `facets_match_analytic` compares the two lists as sets.
 
@@ -61,16 +62,17 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress, islice
 from math import factorial
-from operator import itemgetter, ne, not_
+from operator import itemgetter, ne
 from typing import NamedTuple, Optional, Sequence
 
 from .combiso import comb_automorphisms
 from .errors import InvariantError, PreconditionError
 from .exact import _independent_rows
-from .hull import IncidenceStructure
+from .hull import IncidenceStructure, imager
 from .perm import _inverse, cycle_string, symmetric_group
 
 MAX_N = 6
+_bit = (1).__lshift__
 
 
 def _check_n(what: str, n: int) -> None:
@@ -89,10 +91,10 @@ class SymmetryDecomposition(NamedTuple):
 def _facet_lookup(n: int) -> tuple[tuple[itemgetter, ...], dict]:
     """(getters, position) for the facet sets: getters[k] reads the
     images of the members of the set at position k off a vertex map's
-    image tuple, and position maps each set back to k."""
-    sets = analytic_facet_sets(n)
-    return (tuple(itemgetter(*members) for members in sets),
-            {members: k for k, members in enumerate(sets)})
+    image tuple, and position maps each set's members back to k."""
+    getters = tuple(map(imager, analytic_facet_sets(n)))
+    return getters, {frozenset(get(range(factorial(n)))): k
+                     for k, get in enumerate(getters)}
 
 
 def permutation_matrix(images: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -112,11 +114,18 @@ def birkhoff_vertices(n: int) -> list[tuple[tuple[int, ...], int]]:
     return [permutation_matrix(p) for p in symmetric_group(n).elements]
 
 
+def _mask(column: Sequence[int], value: int) -> int:
+    """The int with bit v set when column[v] == value, entries below 256:
+    one bytes pass, one translation to "0"s and "1"s, one base-2 parse."""
+    marks = b"0" * value + b"1" + b"0" * (255 - value)
+    return int(bytes(column)[::-1].translate(marks), 2)
+
+
 @lru_cache(maxsize=8)
-def analytic_facet_sets(n: int) -> tuple[frozenset[int], ...]:
-    """A_ij = {pi : pi(i) = j} at position i n + j, as index sets into the
-    vertex enumeration, built in one pass over the vertices: vertex pi
-    joins the n sets A_{i, pi(i)}, n n! steps in all.
+def analytic_facet_sets(n: int) -> tuple[int, ...]:
+    """A_ij = {pi : pi(i) = j} at position i n + j, as masks over the
+    vertex enumeration, each read off column i of the image tuples: vertex
+    pi is in A_ij when pi(i) = j.
 
     Cached, and a tuple, since every caller shares it.  For n <= 2 these
     sets do not describe facets (B_1 is a point, B_2 a segment with only
@@ -124,11 +133,9 @@ def analytic_facet_sets(n: int) -> tuple[frozenset[int], ...]:
     listed.
     """
     _check_n("facet description", n)
-    members: list[list[int]] = [[] for _ in range(n * n)]
-    for v, p in enumerate(symmetric_group(n).elements):
-        for i, j in enumerate(p):
-            members[i * n + j].append(v)
-    return tuple(map(frozenset, members))
+    return tuple(_mask(column, j)
+                 for column in zip(*symmetric_group(n).elements)
+                 for j in range(n))
 
 
 def _equality_matrix(n: int) -> list[list[int]]:
@@ -138,12 +145,10 @@ def _equality_matrix(n: int) -> list[list[int]]:
             + [[int(k % n == c) for k in range(n * n)] for c in range(n)])
 
 
-def _tight_sets(vertices: list[tuple[tuple[int, ...], int]]
-                ) -> list[frozenset[int]]:
-    """Entry k, row-major: the vertices whose matrix is 0 at entry k, the
-    tight set of x_k >= 0."""
-    everyone = range(len(vertices))
-    return [frozenset(compress(everyone, map(not_, column)))
+def _tight_sets(vertices: list[tuple[tuple[int, ...], int]]) -> list[int]:
+    """Entry k, row-major: the mask of the vertices whose matrix is 0 at
+    entry k, the tight set of x_k >= 0."""
+    return [_mask(column, 0)
             for column in zip(*(nums for nums, _ in vertices))]
 
 
@@ -184,10 +189,12 @@ def birkhoff_facets(n: int) -> tuple[IncidenceStructure, int]:
                              "matrix of K_{n,n}")
     supports = [itemgetter(*compress(range(n * n), row)) for row in rows]
     vertices = birkhoff_vertices(n)
-    if len(set(vertices)) != factorial(n) or not all(
-            den == 1 and min(nums) >= 0
-            and all(sum(get(nums)) == 1 for get in supports)
-            for nums, den in vertices):
+    matrices = list(map(itemgetter(0), vertices))
+    if (len(set(vertices)) != factorial(n)  # each line a C-level pass
+            or set(map(itemgetter(1), vertices)) != {1}
+            or min(map(min, matrices)) < 0
+            or any(set(map(sum, map(get, matrices))) != {1}
+                   for get in supports)):
         raise InvariantError("the vertices are not the n! permutation "
                              "matrices")
     rank = sum(1 for _ in _independent_rows(rows))
@@ -195,7 +202,7 @@ def birkhoff_facets(n: int) -> tuple[IncidenceStructure, int]:
         raise InvariantError(f"the equality matrix has rank {rank}")
     dim = n * n - rank
     tight = _tight_sets(vertices)
-    base, *rest = [vertices[v][0] for v in sorted(tight[0])]
+    base, *rest = imager(tight[0])(matrices)
     rest.sort(key=lambda p: sum(map(ne, p, base)))
     diffs = ([a - b for a, b in zip(p, base)] for p in rest)
     if sum(1 for _ in islice(_independent_rows(diffs), dim - 1)) < dim - 1:
@@ -210,23 +217,17 @@ def verify_intersection_table(n: int) -> dict:
     _check_n("intersection table", n)
     sets = analytic_facet_sets(n)
     failures = []
-    cases = 0
     for i in range(n):
         for j in range(n):
-            a = sets[i * n + j]
-            for k in range(n):
-                for l in range(n):
-                    cases += 1
-                    got = len(a & sets[k * n + l])
-                    if i == k and j == l:
-                        want = factorial(n - 1)
-                    elif i == k or j == l:
-                        want = 0
-                    else:
-                        want = factorial(n - 2)
-                    if got != want:
-                        failures.append((i, j, k, l))
-    return {"n": n, "cases_checked": cases, "failures": failures,
+            got = list(map(int.bit_count, map(sets[i * n + j].__and__, sets)))
+            want = [factorial(n - 2)] * (n * n)
+            want[i * n:i * n + n] = want[j::n] = [0] * n
+            want[i * n + j] = factorial(n - 1)
+            if got != want:
+                failures += [(i, j, *divmod(k, n))
+                             for k, (g, w) in enumerate(zip(got, want))
+                             if g != w]
+    return {"n": n, "cases_checked": n ** 4, "failures": failures,
             "passed": not failures}
 
 
@@ -278,20 +279,15 @@ def verify_transformation_law(n: int) -> dict:
     gens = [(g, one) for g in sn_gens] + [(one, g) for g in sn_gens]
     failures = []
     for sigma, tau in gens:
-        image_of = _vertex_images(n, sigma, _inverse(tau), 1)
-        for i in range(n):
-            for j in range(n):
-                image = frozenset(image_of[v] for v in sets[i * n + j])
-                if image != sets[tau[i] * n + sigma[j]]:
-                    failures.append(
-                        f"sigma={cycle_string(sigma)} "
-                        f"tau={cycle_string(tau)} A({i},{j})")
-    image_of = _vertex_images(n, one, one, -1)
-    for i in range(n):
-        for j in range(n):
-            image = frozenset(image_of[v] for v in sets[i * n + j])
-            if image != sets[j * n + i]:
-                failures.append(f"inversion A({i},{j})")
+        # a set's image mask is the sum of 2^image over its members
+        powers = list(map(_bit, _vertex_images(n, sigma, _inverse(tau), 1)))
+        failures += [f"sigma={cycle_string(sigma)} tau={cycle_string(tau)} "
+                     f"A({i},{j})" for i in range(n) for j in range(n)
+                     if sum(imager(sets[i * n + j])(powers))
+                     != sets[tau[i] * n + sigma[j]]]
+    powers = list(map(_bit, _vertex_images(n, one, one, -1)))
+    failures += [f"inversion A({i},{j})" for i in range(n) for j in range(n)
+                 if sum(imager(sets[i * n + j])(powers)) != sets[j * n + i]]
     return {"n": n, "translation_cases": factorial(n) ** 2 * n * n,
             "inversion_cases": n * n, "generator_cases": len(gens) * n * n,
             "failures": failures, "passed": not failures}
@@ -375,15 +371,16 @@ def _facet_lines(inc: IncidenceStructure) -> IncidenceStructure:
     when a line holds both, so the graph and its lines have the same
     automorphisms, and the search on the lines (for B_n, 2n lines of n
     facets) is shorter than the one on the edges."""
-    everything = frozenset(range(inc.n_vertices))
-    off = [everything - tight for tight in inc.tight_sets]
-    near = [{g for g, other in enumerate(off) if g != f and a.isdisjoint(other)}
+    everything = (1 << inc.n_vertices) - 1
+    off = [everything ^ tight for tight in inc.tight_sets]
+    near = [{g for g, other in enumerate(off) if g != f and not a & other}
             for f, a in enumerate(off)]
     lines = {frozenset(near[f] & near[g] | {f, g})
              for f in range(len(off)) for g in near[f] if f < g}
     if not all(line <= near[h] | {h} for line in lines for h in line):
         raise InvariantError("a line of the facet graph is not a clique")
-    return IncidenceStructure(len(off), sorted(map(sorted, lines)))
+    return IncidenceStructure(len(off), [
+        sum(map(_bit, line)) for line in sorted(map(sorted, lines))])
 
 
 def _facet_triple(n: int, psi: Sequence[int]
@@ -451,9 +448,9 @@ def verify_symmetry_group(n: int) -> dict:
     _check_n("symmetry group verification", n)
     inc, dim = birkhoff_facets(n)
     n_fact = factorial(n)
-    everything = frozenset(range(n_fact))
+    everything = (1 << n_fact) - 1
     facets_match = set(inc.tight_sets) == {
-        everything - members for members in analytic_facet_sets(n)}
+        everything ^ members for members in analytic_facet_sets(n)}
     law = verify_transformation_law(n)["passed"]
 
     faithful = len(set(inc.vertex_facets)) == n_fact

@@ -5,7 +5,7 @@ faces onto faces; since every face is an intersection of facets and the
 facets are exactly the maximal proper faces, it is determined by mapping
 facet tight-sets onto facet tight-sets.  This module searches for such
 bijections directly on an IncidenceStructure: the tight sets as the
-hull checked them, and the facets through each vertex.
+hull checked them, masks read by `hull.imager`, and each vertex's facets.
 
 One backtracking engine serves both problems.  `_search` finds the first
 vertex bijection P -> Q that extends a fixed prefix of assignments.
@@ -80,7 +80,7 @@ from math import prod
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvariantError
-from .hull import IncidenceStructure
+from .hull import IncidenceStructure, imager
 from .perm import saturate
 
 
@@ -96,17 +96,16 @@ def _refined_colors(incs: list[IncidenceStructure],
     one signature table.  The start is `vcolors` (all equal when omitted)
     and `fcolors` (the tight-set sizes when omitted).
     """
-    all_rows = [inc.tight_sets for inc in incs]
+    all_rows = [list(map(imager, inc.tight_sets)) for inc in incs]
     if vcolors is None:
         vcolors = [[0] * inc.n_vertices for inc in incs]
     if fcolors is None:
-        fcolors = [[len(row) for row in rows] for rows in all_rows]
+        fcolors = [list(map(int.bit_count, inc.tight_sets)) for inc in incs]
     classes = len(set().union(*vcolors))
     while True:
         table: dict = {}
-        fcolors = [[table.setdefault(
-                        (c, tuple(sorted(map(vc.__getitem__, row)))),
-                        len(table))
+        fcolors = [[table.setdefault((c, tuple(sorted(row(vc)))),
+                                     len(table))
                     for c, row in zip(fc, rows)]
                    for fc, vc, rows in zip(fcolors, vcolors, all_rows)]
         table2: dict = {}
@@ -145,9 +144,9 @@ def _plan(inc_p: IncidenceStructure, inc_q: IncidenceStructure,
     low = ones * full
 
     size_mask: dict[int, int] = {}
-    for fi, row in enumerate(inc_q.tight_sets):
-        size_mask[len(row)] = size_mask.get(len(row), 0) | 1 << fi
-    init_cand = sum(size_mask[len(row)] << fi * width
+    for fi, size in enumerate(map(int.bit_count, inc_q.tight_sets)):
+        size_mask[size] = size_mask.get(size, 0) | 1 << fi
+    init_cand = sum(size_mask[row.bit_count()] << fi * width
                     for fi, row in enumerate(rows_p))
 
     cells: dict[int, tuple[int, ...]] = {}
@@ -168,7 +167,7 @@ def _plan(inc_p: IncidenceStructure, inc_q: IncidenceStructure,
         for fi in vfac_p[v]:
             if not touched[fi]:
                 touched[fi] = True
-                for u in rows_p[fi]:
+                for u in imager(rows_p[fi])(range(len(keys))):
                     minus_gain, size, _ = keys[u]
                     if minus_gain < 1:  # u is not placed
                         keys[u] = (minus_gain - 1, size, u)
@@ -267,8 +266,8 @@ def comb_equivalent(inc_p: IncidenceStructure,
                     inc_q: IncidenceStructure) -> Optional[tuple[int, ...]]:
     """A vertex bijection P -> Q extending to a facet bijection, or None."""
     if inc_p.n_vertices != inc_q.n_vertices or (
-            sorted(map(len, inc_p.tight_sets))
-            != sorted(map(len, inc_q.tight_sets))):
+            sorted(map(int.bit_count, inc_p.tight_sets))
+            != sorted(map(int.bit_count, inc_q.tight_sets))):
         return None
     (colors_p, colors_q), _ = _refined_colors([inc_p, inc_q])
     if Counter(colors_p) != Counter(colors_q):

@@ -40,18 +40,19 @@ survive the final validity checks.  Those raise InvariantError, since a
 violated inequality, a facet tight at no point, an unbounded polar and
 two facets with one inequality or one tight set are faults of this
 module, never of the input.  The checked tight sets, in facet order,
-are the polytope's one incidence, an `IncidenceStructure` that also
-lists the facets through each vertex.  It is the whole certificate
-`certify_vertices` reads, so the chart is built once per hull and no
-rank is taken after the double description.
+are the polytope's one incidence, an `IncidenceStructure` of int masks
+(read by `imager`) that also lists the facets through each vertex.  It
+is the whole certificate `certify_vertices` reads, so the chart is built
+once per hull and no rank is taken after the double description.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import islice
+from functools import lru_cache, reduce
+from itertools import compress, count, islice
 from math import gcd
-from operator import itemgetter, mul
+from operator import and_, itemgetter, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvariantError, PreconditionError
@@ -60,6 +61,7 @@ from .exact import (_format_over, _independent_rows, _over_lcm,
 
 MAX_VERTICES = 30
 MAX_DIM = 10
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class Facet(NamedTuple):
@@ -70,30 +72,28 @@ class Facet(NamedTuple):
 
 class IncidenceStructure:
     """Vertex-facet incidence with the geometry stripped: `tight_sets`,
-    the vertices on each facet as frozensets in facet order, and
-    `vertex_facets`, the facets through each vertex in increasing order.
-    A vertex outside 0..n_vertices-1 raises ValueError, and two equal
-    tight sets InvariantError: distinct facets have distinct ones, so the
-    hull that built them is at fault.  `preserved_by` tests a symmetry."""
+    the vertices on each facet as int masks (bit v for vertex v) in facet
+    order, and `vertex_facets`, each vertex's facets in increasing order.
+    A mask outside range(2^n_vertices) raises ValueError, and two equal
+    ones InvariantError: distinct facets have distinct tight sets."""
 
-    __slots__ = ("n_vertices", "tight_sets", "vertex_facets", "_rows",
-                 "_imagers")
+    __slots__ = ("n_vertices", "tight_sets", "vertex_facets")
 
-    def __init__(self, n_vertices: int, tight_sets: Iterable[Iterable[int]]):
+    def __init__(self, n_vertices: int, tight_sets: Iterable[int]):
         self.n_vertices = n_vertices
-        self.tight_sets = tuple(map(frozenset, tight_sets))
-        self._rows = frozenset(self.tight_sets)
-        if len(self._rows) != len(self.tight_sets):
+        self.tight_sets = tuple(tight_sets)
+        if len(set(self.tight_sets)) != len(self.tight_sets):
             raise InvariantError("two facets share a tight vertex set")
-        self._imagers = None
-        vertex_facets = [[] for _ in range(n_vertices)]
-        for fi, tight in enumerate(self.tight_sets):
-            for v in tight:
-                if not 0 <= v < n_vertices:
-                    raise ValueError(f"incidence names vertex {v} of "
-                                     f"{n_vertices}")
-                vertex_facets[v].append(fi)
-        self.vertex_facets = tuple(map(tuple, vertex_facets))
+        if not all(0 <= tight < 1 << n_vertices for tight in self.tight_sets):
+            raise ValueError(
+                f"incidence names a vertex outside range({n_vertices})")
+        # all masks' bits, highest first: vertex v's stand n_vertices apart
+        spec, facets = f"0{n_vertices}b", range(len(self.tight_sets))
+        flags = "".join([format(tight, spec) for tight in self.tight_sets]
+                        ).encode().translate(_FLAGS)
+        self.vertex_facets = tuple([
+            tuple(compress(facets, flags[n_vertices - 1 - v::n_vertices]))
+            for v in range(n_vertices)])
 
     @property
     def n_facets(self) -> int:
@@ -101,21 +101,25 @@ class IncidenceStructure:
 
     def preserved_by(self, images: Sequence[int]) -> bool:
         """Whether v -> images[v] permutes the vertices and the tight
-        sets: whether it is a combinatorial symmetry.  Each tight set is
-        imaged in C by its own itemgetter, built on the first call."""
-        if self._imagers is None:
-            self._imagers = list(map(_imager, self.tight_sets))
-        return sorted(images) == list(range(self.n_vertices)) and (
-            self._rows == {frozenset(f(images)) for f in self._imagers})
+        sets, a combinatorial symmetry.  A set's image mask is the sum of
+        2^image over its members, gathered in C by its `imager`."""
+        if sorted(images) != list(range(self.n_vertices)):
+            return False
+        powers = list(map((1).__lshift__, images))
+        rows = set(self.tight_sets)
+        return rows == {sum(imager(row)(powers)) for row in rows}
 
 
-def _imager(row: frozenset[int]) -> Callable[[Sequence[int]], Iterable[int]]:
-    """images -> the images of the vertices in row.  itemgetter returns
-    the item itself, not a 1-tuple, when given one index, so a row of
-    fewer than two vertices is imaged by `map`."""
-    if len(row) > 1:
-        return itemgetter(*row)
-    return lambda images: map(images.__getitem__, row)
+@lru_cache(maxsize=1024)
+def imager(mask: int) -> Callable[[Sequence[int]], Iterable[int]]:
+    """images -> the images of mask's members, in increasing order: the
+    one reader of a mask's members, cached.  itemgetter returns no tuple
+    for one index, so fewer than two members are imaged by `map`."""
+    bits = bin(mask)[:1:-1].encode().translate(_FLAGS)  # bit 0 first
+    members = tuple(compress(count(), bits))
+    if len(members) > 1:
+        return itemgetter(*members)
+    return lambda images: map(images.__getitem__, members)
 
 
 class Polytope(NamedTuple):
@@ -351,17 +355,17 @@ def facet_enumeration(points: Sequence[Sequence[int]], denominator: int = 1
     for f in packed:
         normal = [f[r] for r in pivot_rows]
         bound = f[-1] * scale
-        tight = []
+        tight = 0
         for v, p in enumerate(at_pivots):
             value = sum(map(mul, normal, p))
             if value > bound:
                 raise InvariantError(
                     "facet inequality violated by an input point")
             if value == bound:
-                tight.append(v)
+                tight |= 1 << v
         if not tight:
             raise InvariantError("facet tight at no vertex")
-        tight_sets.append(frozenset(tight))
+        tight_sets.append(tight)
     return Polytope(ambient, scaled, scale,
                     tuple([Facet(f[:-1], f[-1]) for f in packed]),
                     IncidenceStructure(n, tight_sets), d)
@@ -383,11 +387,11 @@ def certify_vertices(polytope: Polytope) -> list[bool]:
     """
     pts = polytope.rows
     tight = polytope.incidence.tight_sets
-    everything = frozenset(range(len(pts)))
+    everything = (1 << len(pts)) - 1
     out = []
     for p, facets in zip(pts, polytope.incidence.vertex_facets):
-        face = everything.intersection(*(tight[fi] for fi in facets))
-        out.append(all(pts[u] == p for u in face))
+        face = reduce(and_, map(tight.__getitem__, facets), everything)
+        out.append(all(q == p for q in imager(face)(pts)))
     return out
 
 
@@ -432,6 +436,6 @@ def polytope_to_document(polytope: Polytope) -> dict:
         "vertices": [[_format_over(x, scale) for x in row]
                      for row in polytope.rows],
         "facets": facets,
-        "incidence": [[int(v in tight) for v in range(polytope.n_vertices)]
+        "incidence": [[tight >> v & 1 for v in range(polytope.n_vertices)]
                       for tight in polytope.incidence.tight_sets],
     }

@@ -4,7 +4,9 @@ list-of-masks engine, kept verbatim as a reference.  `automorphisms` and
 `equivalent` drive it the way `comb_automorphisms` and `comb_equivalent`
 did, each chain level refined again from the individualized seeds, so
 the package's engine can be checked to return the same orbit lengths,
-the same generator images and the same first witnesses.
+the same generator images and the same first witnesses.  The tight sets
+are read out of their masks into frozensets first, as the engine held
+them.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from birkhoffsym.hull import IncidenceStructure
 from birkhoffsym.perm import saturate
+from masks import members
 
 
 def _refined_colors(incs: list[IncidenceStructure],
@@ -24,7 +27,7 @@ def _refined_colors(incs: list[IncidenceStructure],
     across structures because each round shares one signature table.
     `seeds` gives initial vertex colors (all equal when omitted).
     """
-    all_rows = [inc.tight_sets for inc in incs]
+    all_rows = [list(map(members, inc.tight_sets)) for inc in incs]
     if seeds is None:
         vcolors = [[0] * inc.n_vertices for inc in incs]
     else:
@@ -73,8 +76,8 @@ def _plan(inc_p: IncidenceStructure,
     np_, nq = inc_p.n_vertices, inc_q.n_vertices
     if np_ != nq or inc_p.n_facets != inc_q.n_facets:
         return None
-    rows_p = inc_p.tight_sets
-    rows_q = inc_q.tight_sets
+    rows_p = list(map(members, inc_p.tight_sets))
+    rows_q = list(map(members, inc_q.tight_sets))
     if sorted(len(r) for r in rows_p) != sorted(len(r) for r in rows_q):
         return None
     colors_p, colors_q = _refined_colors([inc_p, inc_q])

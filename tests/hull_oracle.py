@@ -6,7 +6,9 @@ every hyperplane spanned by input subsets, keep those with all points on
 one side.  Only sensible at toy scale (n <= 8 points, affine dimension
 <= 3).  `validate_polytope` checks a finished hull's invariants the
 same way, in Fraction and sympy, and `maps_rows_onto_rows` tests one
-vertex map against a set of tight sets directly.
+vertex map against a set of tight sets directly.  Tight sets are vertex
+masks, as the package holds them (`masks`), and read out into frozensets
+where a check walks their members.
 
 `fraction_facet_enumeration` is the package's double description as it
 ran on Fractions before it moved to integers; it borrows only the
@@ -43,6 +45,7 @@ from birkhoffsym.errors import PreconditionError
 from birkhoffsym.exact import _independent_rows, _matrix, primitive_vector
 from birkhoffsym.hull import (Facet, IncidenceStructure, Polytope,
                               facet_enumeration)
+from masks import mask, members
 
 
 def integer_form(values):
@@ -130,7 +133,7 @@ def _affine_values(basis, points):
 
 
 def oracle_facets(points) -> frozenset:
-    """The facet tight sets of conv(points), as frozensets of indices.
+    """The facet tight sets of conv(points), as masks over the indices.
 
     Every D-subset of points with affine rank D-1 (D the affine
     dimension of the whole set) spans a candidate hyperplane within the
@@ -151,7 +154,7 @@ def oracle_facets(points) -> frozenset:
         nonneg = all(v >= 0 for v in vals)
         nonpos = all(v <= 0 for v in vals)
         if nonneg or nonpos:
-            found.add(frozenset(i for i, v in enumerate(vals) if v == 0))
+            found.add(mask(i for i, v in enumerate(vals) if v == 0))
     return frozenset(found)
 
 
@@ -210,7 +213,7 @@ def rank_certified_vertices(polytope) -> list[bool]:
     for v in range(len(pts)):
         normals = [_row(f.normal) for f, tight
                    in zip(polytope.facets, polytope.incidence.tight_sets)
-                   if v in tight]
+                   if v in members(tight)]
         out.append(bool(normals)
                    and (sympy.Matrix(normals) * diffs.T).rank() == polytope.dim)
     return out
@@ -230,7 +233,7 @@ def validate_polytope(polytope) -> None:
     facet.
     """
     pts = points_of(polytope)
-    tight_sets = polytope.incidence.tight_sets
+    tight_sets = list(map(members, polytope.incidence.tight_sets))
     assert len(tight_sets) == len(polytope.facets)
     assert polytope.incidence.vertex_facets == tuple(
         tuple(fi for fi, tight in enumerate(tight_sets) if v in tight)
@@ -263,9 +266,10 @@ def same_polytope(got, want) -> bool:
 
 
 def maps_rows_onto_rows(images, rows):
-    """Whether the vertex map v -> images[v] sends the set of tight sets
-    `rows` onto itself: the symmetry test, written out for each map."""
-    return {frozenset(images[v] for v in row) for row in rows} == rows
+    """Whether the vertex map v -> images[v] sends the set of tight
+    masks `rows` onto itself: the symmetry test, written out for each
+    map."""
+    return {mask(images[v] for v in members(row)) for row in rows} == rows
 
 
 def with_duplicates_and_interior_points(rng, pts):
@@ -486,7 +490,7 @@ def fraction_facet_enumeration(points):
             raise ValueError("two facets share a tight vertex set")
         tight_sets.append(tight)
     return Polytope(ambient, tuple(rows), scale, tuple(facets),
-                    IncidenceStructure(len(pts), tight_sets), d)
+                    IncidenceStructure(len(pts), map(mask, tight_sets)), d)
 
 
 # --- the row-pivot chart and the inverse start, kept as references -------

@@ -5,8 +5,9 @@ ran before it checked only the generators of S_n x S_n: every pair
 (sigma, tau) and every label (i, j), products and inverses read off the
 multiplication table of S_n.  It takes the set family, A_ij at position
 i n + j, as an argument, so the tests can hand both checks the same
-mutant family.  Only sensible for n <= 4: it makes (n!)^2 n^2 frozenset
-comparisons.
+mutant family; the family is given as masks, as the package holds it, and
+read out into frozensets.  Only sensible for n <= 4: it makes
+(n!)^2 n^2 frozenset comparisons.
 
 `symmetry_images` builds the vertex bijection pi -> sigma pi^eps tau of a
 decomposition from plain tuples in `itertools.permutations` order, with
@@ -28,12 +29,14 @@ from operator import itemgetter
 from birkhoffsym.birkhoff import SymmetryDecomposition
 from birkhoffsym.errors import InvariantError
 from birkhoffsym.perm import _inverse, cycle_string, symmetric_group
+from masks import members
 
 
 def full_transformation_law(n: int, sets) -> dict:
     group = symmetric_group(n)
     perms = group.elements
     table, inv = group.table, group.inv
+    sets = list(map(members, sets))
     failures = []
     translation_cases = 0
     for sigma, row in zip(perms, table):

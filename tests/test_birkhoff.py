@@ -28,6 +28,7 @@ from hull_oracle import birkhoff_hull
 from law_oracle import (facet_sets, full_decompose_symmetry,
                         full_transformation_law, symmetry_images,
                         tuple_vertex_images)
+from masks import mask, members
 
 
 perm_strategy = st.integers(2, 5).flatmap(
@@ -103,11 +104,11 @@ def test_analytic_sets_sizes():
     for n in (3, 4):
         sets = analytic_facet_sets(n)
         assert len(sets) == n * n
-        assert all(len(s) == factorial(n - 1) for s in sets)
+        assert all(s.bit_count() == factorial(n - 1) for s in sets)
         # one shared, read-only tuple per n
         assert analytic_facet_sets(n) is sets
         with pytest.raises(TypeError):
-            sets[0] = frozenset()
+            sets[0] = 0
 
 
 def _oracle_pair_counts(n):
@@ -125,7 +126,8 @@ def test_intersection_table_against_oracle(n):
     oracle = _oracle_pair_counts(n)
     sets = analytic_facet_sets(n)
     for (i, j, k, l), count in oracle.items():
-        assert len(sets[i * n + j] & sets[k * n + l]) == count
+        a, b = sets[i * n + j], sets[k * n + l]
+        assert (a & b).bit_count() == len(members(a) & members(b)) == count
         if i == k and j == l:
             assert count == factorial(n - 1)
         elif i == k or j == l:
@@ -142,6 +144,29 @@ def test_verify_intersection_table():
         assert r["failures"] == []
     with pytest.raises(PreconditionError):
         verify_intersection_table(2)
+
+
+# verify_intersection_table(4) on the A_ij with vertex 6 = (1 0 2 3)
+# moved from A_01 to A_12, as the frozenset table named its failures
+MOVED_VERTEX_FAILURES = [
+    (0, 1, 0, 1), (0, 1, 1, 0), (0, 1, 2, 2), (0, 1, 3, 3), (1, 0, 0, 1),
+    (1, 0, 1, 2), (1, 2, 1, 0), (1, 2, 1, 2), (1, 2, 2, 2), (1, 2, 3, 3),
+    (2, 2, 0, 1), (2, 2, 1, 2), (3, 3, 0, 1), (3, 3, 1, 2)]
+
+
+def test_intersection_table_names_the_failures_of_a_moved_vertex(
+        monkeypatch):
+    n = 4
+    sets = list(analytic_facet_sets(n))
+    a01, a12 = 0 * n + 1, 1 * n + 2
+    v = min(members(sets[a01]))
+    assert symmetric_group(n).elements[v] == (1, 0, 2, 3)
+    sets[a01], sets[a12] = sets[a01] ^ 1 << v, sets[a12] | 1 << v
+    monkeypatch.setattr(birkhoff, "analytic_facet_sets", lambda m: sets)
+    r = verify_intersection_table(n)
+    assert r["cases_checked"] == n ** 4
+    assert r["failures"] == MOVED_VERTEX_FAILURES
+    assert not r["passed"]
 
 
 def test_verify_transformation_law_n3():
@@ -180,11 +205,11 @@ def _law_test_families(n: int, mutants: int):
     mutants of three kinds in turn: one vertex moved between two A_ij,
     two labels swapped, and A_ij <-> A_ji."""
     base = list(analytic_facet_sets(n))
-    everything = frozenset(range(factorial(n)))
+    everything = (1 << factorial(n)) - 1
     swap = {0: 1, 1: 0}
     pairs = [(i, j) for i in range(n) for j in range(n)]
     yield base
-    yield [everything - members for members in base]
+    yield [everything ^ m for m in base]
     yield [everything for _ in base]
     yield [base[j * n + i] for i, j in pairs]
     yield [base[swap.get(i, i) * n + j] for i, j in pairs]
@@ -194,8 +219,8 @@ def _law_test_families(n: int, mutants: int):
         sets = list(base)
         a, b = rng.sample(range(n * n), 2)
         if k % 3 == 0:
-            v = rng.choice(sorted(sets[a]))
-            sets[a], sets[b] = sets[a] - {v}, sets[b] | {v}
+            v = rng.choice(sorted(members(sets[a])))
+            sets[a], sets[b] = sets[a] & ~(1 << v), sets[b] | 1 << v
         elif k % 3 == 1:
             sets[a], sets[b] = sets[b], sets[a]
         else:
@@ -259,8 +284,8 @@ def test_decompose_of_a_map_onto_one_facet_set_is_none():
     # it sends to 1, so each goes onto A_00 = {0, 1}; the map is no
     # bijection, so no facet symmetry, not a broken certificate
     alpha = (0, 1, 1, 0, 0, 1)
-    assert {frozenset(alpha[v] for v in members)
-            for members in analytic_facet_sets(3)} == {frozenset({0, 1})}
+    assert {mask(alpha[v] for v in members(m))
+            for m in analytic_facet_sets(3)} == {mask({0, 1})}
     assert _verdicts(3, alpha) == [None, None]
 
 
@@ -471,7 +496,8 @@ def test_decompose_every_triple_of_b4():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_facet_sets_match_the_oracle(n):
-    assert list(analytic_facet_sets(n)) == facet_sets(n)
+    assert list(analytic_facet_sets(n)) == list(map(mask, facet_sets(n)))
+    assert list(map(members, analytic_facet_sets(n))) == facet_sets(n)
 
 
 def test_vertex_images_match_the_oracle_on_every_triple_of_s3():
@@ -712,10 +738,15 @@ def test_certified_facets_are_read_off_the_matrices():
     # when pi(j) = i: its tight set is the complement of A_ji
     n = 4
     inc, dim = birkhoff.birkhoff_facets(n)
-    everything = frozenset(range(factorial(n)))
+    everything = (1 << factorial(n)) - 1
     sets = analytic_facet_sets(n)
-    assert list(inc.tight_sets) == [everything - sets[j * n + i]
+    assert list(inc.tight_sets) == [everything ^ sets[j * n + i]
                                     for i in range(n) for j in range(n)]
+    # read bit by bit: vertex v is on x_ij >= 0 when its matrix is 0 there
+    vertices = birkhoff_vertices(n)
+    assert list(map(members, inc.tight_sets)) == [
+        frozenset(v for v, (nums, _) in enumerate(vertices) if not nums[k])
+        for k in range(n * n)]
     assert dim == (n - 1) ** 2
     for n in (2, birkhoff.MAX_N + 1):
         with pytest.raises(PreconditionError):
@@ -774,6 +805,63 @@ def test_facet_certificate_refuses_a_vertex_outside_h(monkeypatch):
         birkhoff.birkhoff_facets(4)
 
 
+def _over_two(n, vertices):
+    # the last matrix over 2: P / 2, whose rows sum to 1/2
+    vertices[-1] = (vertices[-1][0], 2)
+
+
+def _with_minus_one(n, vertices):
+    # the identity with x_01 and x_22 lowered by 1 and x_02 and x_21
+    # raised by 1: x_01 = -1, and every row and column still sums to 1
+    nums = list(vertices[0][0])
+    for k, step in ((1, -1), (2, 1), (2 * n + 1, 1), (2 * n + 2, -1)):
+        nums[k] += step
+    vertices[0] = (tuple(nums), 1)
+
+
+def _repeated(n, vertices):
+    vertices[-1] = vertices[0]
+
+
+def _column_of_two(n, vertices):
+    # the identity with the 1 of row 1 moved to column 0: every row sums
+    # to 1, column 0 to 2 and column 1 to 0
+    nums = list(vertices[0][0])
+    nums[n + 1], nums[n] = 0, 1
+    vertices[0] = (tuple(nums), 1)
+
+
+def _vertex_checks(n, vertices):
+    """Step (i)'s four checks, written out vertex by vertex: the names of
+    those that fail."""
+    lines = [range(r * n, r * n + n) for r in range(n)] + [
+        range(c, n * n, n) for c in range(n)]
+    checks = {
+        "distinct": len(set(vertices)) == factorial(n),
+        "denominator": all(den == 1 for _, den in vertices),
+        "nonnegative": all(x >= 0 for nums, _ in vertices for x in nums),
+        "sums": all(sum(nums[k] for k in line) == 1
+                    for nums, _ in vertices for line in lines)}
+    return [name for name, holds in checks.items() if not holds]
+
+
+@pytest.mark.parametrize("change, broken", [
+    (_over_two, "denominator"), (_with_minus_one, "nonnegative"),
+    (_repeated, "distinct"), (_column_of_two, "sums")])
+@pytest.mark.parametrize("n", [3, 4])
+def test_facet_certificate_refuses_each_vertex_defect(monkeypatch, n, change,
+                                                      broken):
+    # (i): each defect breaks one of the checks, and only that one
+    vertices = birkhoff_vertices(n)
+    assert _vertex_checks(n, vertices) == []
+    change(n, vertices)
+    assert _vertex_checks(n, vertices) == [broken]
+    monkeypatch.setattr(birkhoff, "birkhoff_vertices", lambda m: vertices)
+    with pytest.raises(InvariantError, match="^the vertices are not the n! "
+                                             "permutation matrices$"):
+        birkhoff.birkhoff_facets(n)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_facet_certificate_refuses_a_lower_face(monkeypatch, n):
     # (iii): x_00 >= 0 swapped for x_00 + x_11 >= 0, valid on B_n but
@@ -806,10 +894,10 @@ def test_facet_certificate_refuses_a_repeated_tight_set(monkeypatch):
 
 def _edge_graph(inc):
     """The facet graph itself, its edges as the tight sets."""
-    everything = frozenset(range(inc.n_vertices))
-    off = [everything - tight for tight in inc.tight_sets]
+    everything = (1 << inc.n_vertices) - 1
+    off = [everything ^ tight for tight in inc.tight_sets]
     return IncidenceStructure(len(off), [
-        (f, g) for f, g in itertools.combinations(range(len(off)), 2)
+        mask((f, g)) for f, g in itertools.combinations(range(len(off)), 2)
         if not off[f] & off[g]])
 
 
@@ -818,7 +906,7 @@ def test_line_order_is_the_vertex_chain_order(n):
     inc, _ = birkhoff.birkhoff_facets(n)
     lines = birkhoff._facet_lines(inc)
     assert lines.n_vertices == n * n
-    assert sorted(map(len, lines.tight_sets)) == [n] * (2 * n)
+    assert sorted(map(int.bit_count, lines.tight_sets)) == [n] * (2 * n)
     order = comb_automorphisms(lines).order
     assert order == 2 * factorial(n) ** 2
     assert order == comb_automorphisms(_edge_graph(inc)).order
@@ -827,7 +915,8 @@ def test_line_order_is_the_vertex_chain_order(n):
 
 def test_line_order_is_the_facet_side_oracle_order_at_6():
     inc, _ = birkhoff.birkhoff_facets(6)
-    facet_side = IncidenceStructure(inc.n_facets, inc.vertex_facets)
+    facet_side = IncidenceStructure(inc.n_facets,
+                                    map(mask, inc.vertex_facets))
     lengths, _ = automorphisms(facet_side)
     assert (comb_automorphisms(birkhoff._facet_lines(inc)).order
             == prod(lengths) == 1036800)

@@ -23,6 +23,7 @@ from birkhoffsym.reppoly import (default_catalog, load_exceptional_c6,
 import combiso_oracle as oracle
 from group_oracle import regular_action
 from hull_oracle import birkhoff_hull, birkhoff_rows, maps_rows_onto_rows
+from masks import mask, members
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -34,7 +35,7 @@ def square_incidence():
 def simplex_incidence(k):
     # k+1 vertices, facets omit one vertex each
     rows = [set(range(k + 1)) - {f} for f in range(k + 1)]
-    return IncidenceStructure(k + 1, rows)
+    return IncidenceStructure(k + 1, map(mask, rows))
 
 
 def test_square_automorphisms():
@@ -87,7 +88,7 @@ def cycles_incidence():
     # refinement cannot split the 7 vertices, so the search for a map
     # taking a triangle vertex to a 4-cycle vertex has to fail
     edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
-    return IncidenceStructure(7, edges)
+    return IncidenceStructure(7, map(mask, edges))
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +128,7 @@ def test_automorphisms_map_facets_onto_facets():
     inc = square_incidence()
     rows = set(inc.tight_sets)
     for p in generated(comb_automorphisms(inc), inc).elements:
-        assert {frozenset(p[v] for v in row) for row in rows} == rows
+        assert {mask(p[v] for v in members(row)) for row in rows} == rows
 
 
 def test_membership_tests_the_incidence():
@@ -155,7 +156,7 @@ def test_chain_size_is_pinned():
 
 def test_duplicate_rows_rejected():
     with pytest.raises(InvariantError, match="share a tight vertex set"):
-        IncidenceStructure(3, [{0, 1}, {0, 1}])
+        IncidenceStructure(3, [mask({0, 1}), mask({0, 1})])
 
 
 def test_a_generator_breaking_the_incidence_raises_invariant_error(
@@ -176,7 +177,7 @@ def test_a_generator_breaking_the_incidence_raises_invariant_error(
 def test_equivalent_relabelled_square():
     inc = square_incidence()
     relabel = (2, 0, 3, 1)
-    rows = [{v for v in range(4) if relabel[v] in row}
+    rows = [mask(v for v in range(4) if relabel[v] in members(row))
             for row in inc.tight_sets]
     other = IncidenceStructure(4, rows)
     witness = comb_equivalent(inc, other)
@@ -184,7 +185,7 @@ def test_equivalent_relabelled_square():
     # the witness maps every tight set of inc onto a tight set of other
     target = set(other.tight_sets)
     for row in inc.tight_sets:
-        assert frozenset(witness[v] for v in row) in target
+        assert mask(witness[v] for v in members(row)) in target
 
 
 def test_square_vs_triangle_not_equivalent():
@@ -215,7 +216,7 @@ def relabelled(inc):
     n = inc.n_vertices
     name = ((lambda v: (3 * v + 1) % n) if n % 3
             else (lambda v: n - 1 - v))
-    return IncidenceStructure(n, [map(name, row)
+    return IncidenceStructure(n, [mask(map(name, members(row)))
                                   for row in reversed(inc.tight_sets)])
 
 
@@ -260,9 +261,12 @@ def unpacked_masks(rows_p, rows_q, n, prefix):
 
 
 # the assignment that ends each prefix is the first to empty a field
-EMPTIES_FIELD_0 = (3, [[2], [1], [0, 2]], [[2], [1], [0, 2]], (2, 0))
-EMPTIES_LAST_FIELD = (3, [[2], [1], [0, 2]], [[2], [1], [0, 2]], (0, 1))
-FULL_BELOW_EMPTY = (5, [[3, 4], [1, 3]], [[3, 4], [1, 3]], (3, 0))
+# (n, P's tight masks, Q's, the prefix)
+THREE_ROWS = [mask([2]), mask([1]), mask([0, 2])]
+TWO_ROWS = [mask([3, 4]), mask([1, 3])]
+EMPTIES_FIELD_0 = (3, THREE_ROWS, THREE_ROWS, (2, 0))
+EMPTIES_LAST_FIELD = (3, THREE_ROWS, THREE_ROWS, (0, 1))
+FULL_BELOW_EMPTY = (5, TWO_ROWS, TWO_ROWS, (3, 0))
 
 
 def test_the_named_edge_cases_empty_the_named_fields():
@@ -282,15 +286,16 @@ def test_the_named_edge_cases_empty_the_named_fields():
 
 @st.composite
 def incidence_pairs(draw):
-    """n vertices, P's distinct tight sets, Q's (P relabelled, or drawn
+    """n vertices, P's distinct tight masks, Q's (P relabelled, or drawn
     anew) and a prefix of images."""
     n = draw(st.integers(1, 7))
     rows = st.lists(st.frozensets(st.integers(0, n - 1)), min_size=1,
-                    max_size=12, unique=True)
+                    max_size=12, unique=True).map(lambda sets: [
+                        mask(s) for s in sets])
     rows_p = draw(rows)
     if draw(st.booleans()):
         name = draw(st.permutations(range(n)))
-        rows_q = [frozenset(map(name.__getitem__, row))
+        rows_q = [mask(map(name.__getitem__, members(row)))
                   for row in draw(st.permutations(rows_p))]
     else:
         rows_q = draw(rows)

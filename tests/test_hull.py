@@ -31,6 +31,7 @@ from hull_oracle import (affine_chart_by_rows, affine_dim, birkhoff_hull,
                          rank_certified_vertices, rational_matrix,
                          same_polytope, validate_polytope,
                          with_duplicates_and_interior_points)
+from masks import mask
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -45,7 +46,7 @@ def test_square():
     assert p.n_vertices == 4
     assert p.n_facets == 4
     assert tight_families(p) == frozenset(
-        {frozenset(s) for s in ({0, 1}, {1, 2}, {2, 3}, {3, 0})})
+        map(mask, ({0, 1}, {1, 2}, {2, 3}, {3, 0})))
     validate_polytope(p)
     assert certify_vertices(p) == [True] * 4
 
@@ -54,7 +55,7 @@ def test_triangle_in_3d():
     p = facet_enumeration([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert p.dim == 2
     assert p.n_facets == 3
-    assert all(len(s) == 2 for s in p.incidence.tight_sets)
+    assert all(s.bit_count() == 2 for s in p.incidence.tight_sets)
     validate_polytope(p)
 
 
@@ -63,7 +64,7 @@ def test_cube():
     p = facet_enumeration(verts)
     assert p.dim == 3
     assert p.n_facets == 6
-    assert all(len(s) == 4 for s in p.incidence.tight_sets)
+    assert all(s.bit_count() == 4 for s in p.incidence.tight_sets)
     validate_polytope(p)
 
 
@@ -71,7 +72,7 @@ def test_octahedron():
     verts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
     p = facet_enumeration(verts)
     assert p.n_facets == 8
-    assert all(len(s) == 3 for s in p.incidence.tight_sets)
+    assert all(s.bit_count() == 3 for s in p.incidence.tight_sets)
     validate_polytope(p)
 
 
@@ -79,7 +80,7 @@ def test_segment():
     p = facet_enumeration([(0,), (1,)])
     assert p.dim == 1
     assert p.n_facets == 2
-    assert tight_families(p) == frozenset({frozenset({0}), frozenset({1})})
+    assert tight_families(p) == frozenset({mask({0}), mask({1})})
     validate_polytope(p)
 
 
@@ -554,7 +555,7 @@ def test_chart_refuses_the_11_simplex_as_the_basis_passes_10(monkeypatch):
 
 def test_incidence_symmetry_test_on_short_tight_sets():
     # a tight set of one vertex, or none, has no itemgetter of its own
-    inc = IncidenceStructure(4, [{0}, {1, 2, 3}, set()])
+    inc = IncidenceStructure(4, [mask({0}), mask({1, 2, 3}), mask(())])
     assert inc.preserved_by((0, 2, 3, 1))
     assert inc.preserved_by([0, 3, 1, 2])
     assert not inc.preserved_by((1, 0, 2, 3))
@@ -577,12 +578,13 @@ def test_certify_vertices_matches_the_rank_certificate():
 
 
 def test_incidence_refuses_a_vertex_out_of_range():
-    inc = IncidenceStructure(3, [{0, 1}, [1, 2]])
-    assert inc.tight_sets == (frozenset({0, 1}), frozenset({1, 2}))
+    inc = IncidenceStructure(3, [mask({0, 1}), mask([1, 2])])
+    assert inc.tight_sets == (0b011, 0b110)
     assert inc.vertex_facets == ((0,), (0, 1), (1,))
-    for bad in (3, -1):
+    # vertex 3 of 3, and a negative int, which names no set of vertices
+    for bad in (mask({1, 3}), -mask({1, 2})):
         with pytest.raises(ValueError, match="vertex"):
-            IncidenceStructure(3, [{0, 1}, {1, bad}])
+            IncidenceStructure(3, [mask({0, 1}), bad])
 
 
 def test_document_roundtrip():
@@ -603,9 +605,9 @@ def test_birkhoff3_facets_are_analytic_complements():
     assert p.dim == 4
     assert p.n_vertices == 6
     assert p.n_facets == 9
-    assert all(len(s) == 4 for s in p.incidence.tight_sets)
+    assert all(s.bit_count() == 4 for s in p.incidence.tight_sets)
     analytic = analytic_facet_sets(3)
-    complements = {frozenset(range(6)) - s for s in analytic}
+    complements = {mask(range(6)) ^ s for s in analytic}
     assert tight_families(p) == complements
     validate_polytope(p)
     assert certify_vertices(p) == [True] * 6

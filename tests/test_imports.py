@@ -678,7 +678,8 @@ SPANS = PACKAGE.parent.parent / "bench" / "spans.py"
 # longer defines, which the bench reports as absent, is called in the
 # test helper that took its place.
 RETIRED = {"perm.all_subgroups": group_oracle.all_subgroups}
-SQUARE = IncidenceStructure(4, [{0, 1}, {1, 2}, {2, 3}, {3, 0}])
+# the square's edges {0, 1}, {1, 2}, {2, 3}, {3, 0} as vertex masks
+SQUARE = IncidenceStructure(4, [0b0011, 0b0110, 0b1100, 0b1001])
 COUNTER_CALLS = {
     "hull.facet_enumeration": ([[(0, 0), (1, 0), (1, 1), (0, 1)]], 4),
     "combiso.comb_automorphisms": ([SQUARE], 8),

@@ -35,6 +35,7 @@ from birkhoffsym.reppoly import (CatalogEntry, MatrixGroup, default_catalog,
 from group_oracle import regular_action
 from hull_oracle import (birkhoff_rows, entries, hull_of,
                          maps_rows_onto_rows, rational_matrix, same_polytope)
+from masks import mask, members
 
 
 def test_closure_identity_only():
@@ -132,9 +133,9 @@ def test_representation_polytope_size_cap():
 def test_simplex_property_of_regular_c6():
     # every 5-subset of the 6 vertices spans a facet
     p = representation_polytope(matrix_group_from_perm_group(named_group("c6")))
-    assert sorted(len(s) for s in p.incidence.tight_sets) == [5] * 6
+    assert sorted(s.bit_count() for s in p.incidence.tight_sets) == [5] * 6
     assert frozenset(p.incidence.tight_sets) == frozenset(
-        frozenset(set(range(6)) - {v}) for v in range(6))
+        mask(set(range(6)) - {v}) for v in range(6))
 
 
 def test_translation_maps_are_group_actions():
@@ -337,7 +338,8 @@ def swap_first_two_vertices(polytope):
     """The polytope with vertices 0 and 1 relabelled in its incidence."""
     swap = {0: 1, 1: 0}
     inc = IncidenceStructure(polytope.n_vertices, (
-        {swap.get(v, v) for v in row} for row in polytope.incidence.tight_sets))
+        mask(swap.get(v, v) for v in members(row))
+        for row in polytope.incidence.tight_sets))
     return polytope._replace(incidence=inc)
 
 
@@ -504,7 +506,7 @@ def test_uniqueness_witnesses_verify_independently():
         inc = representation_polytope(by_name[e["name"]]).incidence
         assert inc.n_facets == reference.n_facets
         for row in inc.tight_sets:
-            assert frozenset(e["witness"][v] for v in row) in ref_rows
+            assert mask(e["witness"][v] for v in members(row)) in ref_rows
 
 
 def test_uniqueness_n4():
