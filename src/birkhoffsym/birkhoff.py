@@ -48,9 +48,10 @@ complement of A_cr, since P(pi) is 1 at (r, c) when pi(c) = r.
 verify_transformation_law checks the translation law on the four
 generators of S_n x S_n only: both sides are actions of that group, so
 the law for the generators gives it for all (n!)^2 pairs (the argument
-is in its docstring).  A vertex map pi -> sigma pi^eps tau is three
-C-level gathers on the multiplication table of S_n: column tau, read at
-the inverse positions when eps = -1, then row sigma.
+is in its docstring).  A vertex map pi -> sigma pi^eps tau needs no
+multiplication table of S_n: sigma is gathered at the columns tau picks
+of the image tuples of the pi^eps, and each image tuple is looked up in
+S_n's index, the same steps for every n.
 
 Vertex indices are positions in `perm.symmetric_group(n).elements`, the
 lexicographic order of S_n image tuples, so vertex labellings agree
@@ -202,7 +203,8 @@ def birkhoff_facets(n: int) -> tuple[IncidenceStructure, int]:
         raise InvariantError(f"the equality matrix has rank {rank}")
     dim = n * n - rank
     tight = _tight_sets(vertices)
-    base, *rest = imager(tight[0])(matrices)
+    # x_00's tight points are read once: no imager cache keeps them
+    base, *rest = imager.__wrapped__(tight[0])(matrices)
     rest.sort(key=lambda p: sum(map(ne, p, base)))
     diffs = ([a - b for a, b in zip(p, base)] for p in rest)
     if sum(1 for _ in islice(_independent_rows(diffs), dim - 1)) < dim - 1:
@@ -231,23 +233,30 @@ def verify_intersection_table(n: int) -> dict:
             "passed": not failures}
 
 
+@lru_cache(maxsize=8)
+def _column_getters(n: int) -> tuple[tuple[itemgetter, ...], ...]:
+    """(columns, inverse columns): columns[x] reads pi(x), vertex by
+    vertex, off an image tuple indexed by points, and inverse columns[x]
+    reads pi^-1(x)."""
+    perms = symmetric_group(n).elements
+    return tuple(tuple(itemgetter(*column) for column in zip(*tuples))
+                 for tuples in (perms, map(_inverse, perms)))
+
+
 def _vertex_images(n: int, sigma: Sequence[int], tau: Sequence[int],
                    epsilon: int) -> tuple[Optional[int], ...]:
     """Vertex images of pi -> sigma pi^epsilon tau for n >= 2, with sigma
-    and tau given as image tuples: three C-level gathers on S_n's table.
-    Column tau holds the positions of pi tau, vertex by vertex; read at
-    the inverse positions when epsilon = -1, those of pi^-1 tau; row sigma
-    read at either gives sigma pi^epsilon tau.  When sigma or tau is not a
-    bijection, no composite is one, and every image is None."""
+    and tau given as image tuples: for each point x, sigma gathered at
+    column tau(x) of the pi^epsilon, all vertices in one C-level call,
+    and each image tuple so built looked up in S_n's index.  When sigma
+    or tau is not a bijection, no composite is one, and every image is
+    None."""
     group = symmetric_group(n)
-    s, t = group.index.get(tuple(sigma)), group.index.get(tuple(tau))
-    if s is None or t is None:
+    if not group.index.keys() >= {tuple(sigma), tuple(tau)}:
         return (None,) * group.order
-    table = group.table
-    column = list(map(itemgetter(t), table))
-    if epsilon == -1:
-        column = itemgetter(*group.inv)(column)
-    return itemgetter(*column)(table[s])
+    columns = _column_getters(n)[epsilon == -1]
+    return tuple(map(group.index.__getitem__,
+                     zip(*[columns[x](sigma) for x in tau])))
 
 
 def verify_transformation_law(n: int) -> dict:

@@ -5,7 +5,8 @@ faces onto faces; since every face is an intersection of facets and the
 facets are exactly the maximal proper faces, it is determined by mapping
 facet tight-sets onto facet tight-sets.  This module searches for such
 bijections directly on an IncidenceStructure: the tight sets as the
-hull checked them, masks read by `hull.imager`, and each vertex's facets.
+hull checked them and each vertex's facets, masks both, read by
+`hull.imager`.
 
 One backtracking engine serves both problems.  `_search` finds the first
 vertex bijection P -> Q that extends a fixed prefix of assignments.
@@ -97,6 +98,7 @@ def _refined_colors(incs: list[IncidenceStructure],
     and `fcolors` (the tight-set sizes when omitted).
     """
     all_rows = [list(map(imager, inc.tight_sets)) for inc in incs]
+    all_columns = [list(map(imager, inc.vertex_facets)) for inc in incs]
     if vcolors is None:
         vcolors = [[0] * inc.n_vertices for inc in incs]
     if fcolors is None:
@@ -109,11 +111,10 @@ def _refined_colors(incs: list[IncidenceStructure],
                     for c, row in zip(fc, rows)]
                    for fc, vc, rows in zip(fcolors, vcolors, all_rows)]
         table2: dict = {}
-        vcolors = [[table2.setdefault(
-                        (c, tuple(sorted(map(fc.__getitem__, facets)))),
-                        len(table2))
-                    for c, facets in zip(vc, inc.vertex_facets)]
-                   for vc, fc, inc in zip(vcolors, fcolors, incs)]
+        vcolors = [[table2.setdefault((c, tuple(sorted(column(fc)))),
+                                      len(table2))
+                    for c, column in zip(vc, columns)]
+                   for vc, fc, columns in zip(vcolors, fcolors, all_columns)]
         if classes == len(table2):
             return vcolors, fcolors
         classes = len(table2)
@@ -140,6 +141,7 @@ def _plan(inc_p: IncidenceStructure, inc_q: IncidenceStructure,
     rows_p, vfac_p = inc_p.tight_sets, inc_p.vertex_facets
     nf = len(rows_p)
     width, full = nf + 1, (1 << nf) - 1
+    fields = [full << fi * width for fi in range(nf)]
     ones = sum(1 << fi * width for fi in range(nf))
     low = ones * full
 
@@ -164,7 +166,7 @@ def _plan(inc_p: IncidenceStructure, inc_q: IncidenceStructure,
         v = min(keys)[2]
         order.append(v)
         keys[v] = (1, 0, v)  # placed: above every unplaced key
-        for fi in vfac_p[v]:
+        for fi in imager(vfac_p[v])(range(nf)):
             if not touched[fi]:
                 touched[fi] = True
                 for u in imager(rows_p[fi])(range(len(keys))):
@@ -175,10 +177,8 @@ def _plan(inc_p: IncidenceStructure, inc_q: IncidenceStructure,
     return _Plan(
         order=tuple(order),
         candidates=tuple(cells.get(c, ()) for c in colors_p),
-        outs=tuple(low ^ sum(full << fi * width for fi in facets)
-                   for facets in vfac_p),
-        with_w=tuple(sum(1 << fi for fi in facets) * ones
-                     for facets in inc_q.vertex_facets),
+        outs=tuple(low ^ sum(imager(facets)(fields)) for facets in vfac_p),
+        with_w=tuple(facets * ones for facets in inc_q.vertex_facets),
         init_cand=init_cand,
         low=low,
         guard=ones << nf,

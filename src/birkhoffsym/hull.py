@@ -41,9 +41,10 @@ violated inequality, a facet tight at no point, an unbounded polar and
 two facets with one inequality or one tight set are faults of this
 module, never of the input.  The checked tight sets, in facet order,
 are the polytope's one incidence, an `IncidenceStructure` of int masks
-(read by `imager`) that also lists the facets through each vertex.  It
-is the whole certificate `certify_vertices` reads, so the chart is built
-once per hull and no rank is taken after the double description.
+(read by `imager`) that also holds the facets through each vertex as a
+mask over the facets.  It is the whole certificate `certify_vertices`
+reads, so the chart is built once per hull and no rank is taken after
+the double description.
 """
 
 from __future__ import annotations
@@ -71,11 +72,12 @@ class Facet(NamedTuple):
 
 
 class IncidenceStructure:
-    """Vertex-facet incidence with the geometry stripped: `tight_sets`,
-    the vertices on each facet as int masks (bit v for vertex v) in facet
-    order, and `vertex_facets`, each vertex's facets in increasing order.
-    A mask outside range(2^n_vertices) raises ValueError, and two equal
-    ones InvariantError: distinct facets have distinct tight sets."""
+    """Vertex-facet incidence with the geometry stripped, as int masks:
+    `tight_sets`, the vertices on each facet (bit v for vertex v) in
+    facet order, and `vertex_facets`, the facets through each vertex
+    (bit f for facet f) in vertex order.  A mask outside
+    range(2^n_vertices) raises ValueError, and two equal ones
+    InvariantError: distinct facets have distinct tight sets."""
 
     __slots__ = ("n_vertices", "tight_sets", "vertex_facets")
 
@@ -87,12 +89,13 @@ class IncidenceStructure:
         if not all(0 <= tight < 1 << n_vertices for tight in self.tight_sets):
             raise ValueError(
                 f"incidence names a vertex outside range({n_vertices})")
-        # all masks' bits, highest first: vertex v's stand n_vertices apart
-        spec, facets = f"0{n_vertices}b", range(len(self.tight_sets))
-        flags = "".join([format(tight, spec) for tight in self.tight_sets]
-                        ).encode().translate(_FLAGS)
+        # the masks' bits, highest vertex first, from the last facet's to
+        # the first's after a zero row: vertex v's bits stand n_vertices
+        # apart, highest facet first, and no slice is empty
+        bits = "".join([format(tight, f"0{n_vertices}b")
+                        for tight in (0, *reversed(self.tight_sets))])
         self.vertex_facets = tuple([
-            tuple(compress(facets, flags[n_vertices - 1 - v::n_vertices]))
+            int(bits[n_vertices - 1 - v::n_vertices], 2)
             for v in range(n_vertices)])
 
     @property
@@ -390,7 +393,7 @@ def certify_vertices(polytope: Polytope) -> list[bool]:
     everything = (1 << len(pts)) - 1
     out = []
     for p, facets in zip(pts, polytope.incidence.vertex_facets):
-        face = reduce(and_, map(tight.__getitem__, facets), everything)
+        face = reduce(and_, imager(facets)(tight), everything)
         out.append(all(q == p for q in imager(face)(pts)))
     return out
 

@@ -47,7 +47,7 @@ def _refined_colors(incs: list[IncidenceStructure],
         new_v = []
         for si, inc in enumerate(incs):
             cur = []
-            for v, facets in enumerate(inc.vertex_facets):
+            for v, facets in enumerate(map(members, inc.vertex_facets)):
                 key = (vcolors[si][v],
                        tuple(sorted(new_f[si][fi] for fi in facets)))
                 cur.append(table2.setdefault(key, len(table2)))
@@ -87,7 +87,7 @@ def _plan(inc_p: IncidenceStructure,
     nf = inc_p.n_facets
     full_mask = (1 << nf) - 1
     qrows_with = [sum(1 << fi for fi in facets)
-                  for facets in inc_q.vertex_facets]
+                  for facets in map(members, inc_q.vertex_facets)]
     qrows_without = [full_mask ^ m for m in qrows_with]
 
     size_mask: dict[int, int] = {}
@@ -98,7 +98,7 @@ def _plan(inc_p: IncidenceStructure,
     # static assignment order: grow along shared facets for early pruning
     order: list[int] = []
     placed = [False] * np_
-    vfac_p = inc_p.vertex_facets
+    vfac_p = list(map(members, inc_p.vertex_facets))
     color_class_size = Counter(colors_p)
     facet_touched = [False] * nf
     for _ in range(np_):

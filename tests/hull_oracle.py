@@ -235,8 +235,8 @@ def validate_polytope(polytope) -> None:
     pts = points_of(polytope)
     tight_sets = list(map(members, polytope.incidence.tight_sets))
     assert len(tight_sets) == len(polytope.facets)
-    assert polytope.incidence.vertex_facets == tuple(
-        tuple(fi for fi, tight in enumerate(tight_sets) if v in tight)
+    assert tuple(map(members, polytope.incidence.vertex_facets)) == tuple(
+        frozenset(fi for fi, tight in enumerate(tight_sets) if v in tight)
         for v in range(len(pts)))
     for f, tight in zip(polytope.facets, tight_sets):
         for v, p in enumerate(pts):

@@ -21,7 +21,7 @@ from birkhoffsym.birkhoff import (SymmetryDecomposition, analytic_facet_sets,
 from birkhoffsym.combiso import comb_automorphisms
 from birkhoffsym.errors import InvariantError, PreconditionError
 from birkhoffsym.exact import _product
-from birkhoffsym.hull import IncidenceStructure
+from birkhoffsym.hull import IncidenceStructure, imager
 from birkhoffsym.perm import _inverse, _right_mul, symmetric_group
 from combiso_oracle import automorphisms
 from hull_oracle import birkhoff_hull
@@ -323,27 +323,30 @@ def test_decompose_roundtrip_n3(sig, tau, eps):
     assert symmetry_images(3, back) == list(alpha)
 
 
-def test_s5_table_is_built_once_across_calls(monkeypatch):
-    # decompose and the law check gather on S_5's table, which is built on
-    # the first read and kept with the cached group
-    fresh = perm.symmetric_group.__wrapped__(5)
-    monkeypatch.setattr(birkhoff, "symmetric_group",
-                        lambda n: fresh if n == 5 else symmetric_group(n))
-    real, builds = perm.PermutationGroup.table, []
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_b_n_checks_read_no_multiplication_table(monkeypatch, n):
+    # every B_n check and decomposition reads S_n's element list, index
+    # and inverses only, so each passes with the table made to raise
+    def no_table(group):
+        raise AssertionError(f"S_{group.degree}'s table was read")
 
-    def counted(group):
-        if group.degree == 5 and group._table is None:
-            builds.append(group)
-        return real.fget(group)
-
-    monkeypatch.setattr(perm.PermutationGroup, "table", property(counted))
-    rng = random.Random(55)
-    perms = fresh.elements
-    for eps in (1, -1, 1, -1):
+    monkeypatch.setattr(perm.PermutationGroup, "table", property(no_table))
+    with pytest.raises(AssertionError, match="table was read"):
+        symmetric_group(n).table
+    inc, dim = birkhoff.birkhoff_facets(n)
+    assert (inc.n_facets, dim) == (n * n, (n - 1) ** 2)
+    assert verify_intersection_table(n)["passed"]
+    assert verify_transformation_law(n)["passed"]
+    assert verify_symmetry_group(n)["passed"]
+    rng = random.Random(60 + n)
+    perms = symmetric_group(n).elements
+    for eps in (1, -1):
         dec = SymmetryDecomposition(rng.choice(perms), rng.choice(perms), eps)
-        assert decompose_symmetry(5, tuple(symmetry_images(5, dec))) == dec
-        assert verify_transformation_law(5)["passed"]
-    assert builds == [fresh]
+        alpha = symmetry_images(n, dec)
+        assert decompose_symmetry(n, alpha) == dec
+        # alpha after the swap of vertices 0 and 1, which no triple gives
+        alpha[0], alpha[1] = alpha[1], alpha[0]
+        assert decompose_symmetry(n, alpha) is None
 
 
 def _count_reads_and_passes(monkeypatch, n):
@@ -627,7 +630,8 @@ def _vertex_lift(inc, psi):
     vertex is off them all.  The round trip lifted every strong generator
     this way before it moved to the facets."""
     all_facets = frozenset(range(inc.n_facets))
-    off = [all_facets.difference(facets) for facets in inc.vertex_facets]
+    off = [all_facets.difference(members(facets))
+           for facets in inc.vertex_facets]
     vertex_off = {cells: v for v, cells in enumerate(off)}
     return [vertex_off.get(frozenset(map(psi.__getitem__, cells)))
             for cells in off]
@@ -776,6 +780,15 @@ def test_facet_rank_pass_reads_pinned_tight_points(monkeypatch, n, read):
     assert read >= dim - 1
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_facet_certificate_leaves_no_imager_cached(n):
+    # the rank pass reads x_00's tight points once, through the uncached
+    # imager, so no member tuple of theirs outlives the call
+    imager.cache_clear()
+    birkhoff.birkhoff_facets(n)
+    assert imager.cache_info().currsize == 0
+
+
 def test_facet_certificate_refuses_a_changed_equality_column(monkeypatch):
     # (i): column 4 of B_3's equality matrix, entry (1, 1), also meets row 0
     real = birkhoff._equality_matrix
@@ -915,8 +928,7 @@ def test_line_order_is_the_vertex_chain_order(n):
 
 def test_line_order_is_the_facet_side_oracle_order_at_6():
     inc, _ = birkhoff.birkhoff_facets(6)
-    facet_side = IncidenceStructure(inc.n_facets,
-                                    map(mask, inc.vertex_facets))
+    facet_side = IncidenceStructure(inc.n_facets, inc.vertex_facets)
     lengths, _ = automorphisms(facet_side)
     assert (comb_automorphisms(birkhoff._facet_lines(inc)).order
             == prod(lengths) == 1036800)

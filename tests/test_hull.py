@@ -580,11 +580,37 @@ def test_certify_vertices_matches_the_rank_certificate():
 def test_incidence_refuses_a_vertex_out_of_range():
     inc = IncidenceStructure(3, [mask({0, 1}), mask([1, 2])])
     assert inc.tight_sets == (0b011, 0b110)
-    assert inc.vertex_facets == ((0,), (0, 1), (1,))
+    assert inc.vertex_facets == (0b001, 0b011, 0b010)
     # vertex 3 of 3, and a negative int, which names no set of vertices
     for bad in (mask({1, 3}), -mask({1, 2})):
         with pytest.raises(ValueError, match="vertex"):
             IncidenceStructure(3, [mask({0, 1}), bad])
+
+
+def test_incidence_with_no_facets_puts_no_vertex_on_a_facet():
+    # a single point's hull, once and repeated, has no facets: each
+    # vertex's facet mask is 0, and the face they cut out, every point,
+    # holds copies of the point only
+    for points in ([(2, 3)], [(2, 3), (2, 3)]):
+        p = facet_enumeration(points)
+        assert p.incidence.vertex_facets == (0,) * len(points)
+        assert certify_vertices(p) == [True] * len(points)
+    assert IncidenceStructure(0, ()).vertex_facets == ()
+
+
+def test_vertex_facets_are_the_tight_sets_transposed():
+    # bit f of vertex v's facet mask is bit v of facet f's tight set
+    rng = random.Random(20261022)
+    for _ in range(200):
+        n_vertices = rng.randrange(1, 41)
+        tight = rng.sample(range(1 << n_vertices),
+                           rng.randrange(min(1 << n_vertices, 21)))
+        inc = IncidenceStructure(n_vertices, tight)
+        assert len(inc.vertex_facets) == n_vertices
+        assert all(0 <= facets < 1 << len(tight)
+                   for facets in inc.vertex_facets)
+        assert all(inc.vertex_facets[v] >> f & 1 == t >> v & 1
+                   for v in range(n_vertices) for f, t in enumerate(tight))
 
 
 def test_document_roundtrip():

@@ -491,22 +491,24 @@ VALIDATING_FUNCTIONS = {
 }
 
 
-def reading_functions(tree: ast.AST, name: str, prefix: str = "") -> list[str]:
+def reading_functions(tree: ast.AST, name: str, prefix: str = "",
+                      kinds: tuple = (ast.Name, ast.Attribute)) -> list[str]:
     """Dotted name of the function or class around each read of `name`,
-    by bare or attribute name, so a call or a reference passed on (to
-    `map`, say); "" at module level."""
+    by bare or attribute name (or by the node kinds given), so a call or
+    a reference passed on (to `map`, say); "" at module level."""
     out = []
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
-            out += reading_functions(node, name, f"{prefix}{node.name}.")
+            out += reading_functions(node, name, f"{prefix}{node.name}.",
+                                     kinds)
             continue
-        if (isinstance(node, (ast.Name, ast.Attribute))
+        if (isinstance(node, kinds)
                 and isinstance(node.ctx, ast.Load)
                 and name in (getattr(node, "id", None),
                              getattr(node, "attr", None))):
             out.append(prefix[:-1])
-        out += reading_functions(node, name, prefix)
+        out += reading_functions(node, name, prefix, kinds)
     return out
 
 
@@ -547,6 +549,56 @@ def test_b_n_is_never_hulled():
     calls = {(module, name) for module, tree in package_trees().items()
              for name in reading_functions(tree, "facet_enumeration")}
     assert calls == HULL_CALLERS
+
+
+# Where a group's multiplication table, the attribute `table`, may be
+# read: the group theory of `perm` and `gamma` (`cd` reads it only
+# through `perm`).  B_n's checks and decompositions read S_n's element
+# list, index and inverses, never its table, so they need no table of n!
+# rows at any n.
+TABLE_READERS = {
+    ("gamma", "_gamma_generators"),
+    ("gamma", "automorphism_orbits"),
+    ("gamma", "gamma_fibers"),
+    ("gamma", "is_elementary_abelian_2"),
+    ("gamma", "normalizer_in_full_symmetric"),
+    ("gamma", "verify_wreath_quotient"),
+    ("perm", "PermutationGroup.centralizer_indices"),
+    ("perm", "PermutationGroup.closure_indices"),
+    ("perm", "PermutationGroup.isomorphisms"),
+    ("perm", "PermutationGroup.normalizer_indices"),
+    ("perm", "subgroup_classes"),
+}
+
+
+def table_readers(tree: ast.AST) -> list[str]:
+    """`reading_functions` for reads of a `table` attribute only: a bare
+    name `table` is a local, not the group's table."""
+    return reading_functions(tree, "table", kinds=(ast.Attribute,))
+
+
+def test_only_group_theory_reads_a_multiplication_table():
+    reads = {(module, name) for module, tree in package_trees().items()
+             for name in table_readers(tree)}
+    assert reads == TABLE_READERS
+
+
+def test_detects_a_table_read():
+    # an attribute read counts, in a function, a method or at module
+    # level; a local named table, a string and a write do not
+    tree = ast.parse("from . import perm\n"
+                     "T = perm.symmetric_group(3).table\n"
+                     "def f(group):\n"
+                     "    table = group.table\n"
+                     "    return table[0], 'table'\n"
+                     "def g(group, rows):\n"
+                     "    group.table = rows\n"
+                     "    table = rows\n"
+                     "    return table\n"
+                     "class C:\n"
+                     "    def m(self):\n"
+                     "        return map(len, self.table)\n")
+    assert sorted(table_readers(tree)) == ["", "C.m", "f"]
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
